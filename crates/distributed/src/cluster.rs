@@ -550,6 +550,47 @@ mod tests {
     }
 
     #[test]
+    fn caller_replicated_views_match_local_engine() {
+        // Two placements the heuristic never picks for this plan.  M4
+        // replicated: its `+=` over the partitioned M5 becomes a partial
+        // whose delta is replicated.  M5 replicated: `M4 += ΔR * M5` has no
+        // partitioned input left and ΔR lacks M4's key, so the batch is
+        // spread and the result re-partitioned.  Either way a read of the
+        // replica returns one copy, not the sum of the workers' copies.
+        let plan = compile_recursive("Q", &example_query());
+        let mut engine = LocalEngine::new(
+            plan.clone(),
+            ExecMode::Batched {
+                preaggregate: false,
+            },
+        );
+        for (rel, batch) in batches() {
+            engine.apply_batch(rel, &batch);
+        }
+        for replica in ["M4", "M5"] {
+            let mut spec = PartitioningSpec::heuristic(&plan, &["OK", "CK"]);
+            spec.set(replica, LocTag::Replicated);
+            for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3] {
+                for workers in [1, 3] {
+                    let dplan = compile_distributed(&plan, &spec, opt);
+                    let mut cluster = Cluster::new(dplan, ClusterConfig::with_workers(workers));
+                    for (rel, batch) in batches() {
+                        cluster.apply_batch(rel, &batch);
+                    }
+                    for view in ["Q", replica] {
+                        assert!(
+                            cluster
+                                .view_contents(view)
+                                .approx_eq(&engine.view_contents(view)),
+                            "{view} diverged with {replica} replicated at {opt:?}, {workers} workers"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn latency_model_produces_positive_latencies_and_shuffle_bytes() {
         let (_, totals) = run_cluster(OptLevel::O3, 4);
         assert!(totals.latency_secs > 0.0);

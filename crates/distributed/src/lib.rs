@@ -6,10 +6,10 @@
 //!   `Replicated`), partitioning functions and the per-view partitioning
 //!   specification (including the paper's key-based heuristic);
 //! * [`program`] — the compiler that turns a local maintenance plan into a
-//!   distributed program: location annotation, transformer insertion
-//!   (`Scatter`/`Repart`/`Gather`), intra-statement optimization, CSE/DCE
-//!   and the block-fusion algorithm, staged behind [`program::OptLevel`]
-//!   (O0–O3, matching Figure 13);
+//!   distributed program: location annotation, replicated view placement,
+//!   transformer insertion (`Scatter`/`Repart`/`Gather`), intra-statement
+//!   optimization, CSE/DCE and the block-fusion algorithm, staged behind
+//!   [`program::OptLevel`] (O0–O3, matching Figure 13);
 //! * [`protocol`] — the driver↔worker message set (FIFO commands,
 //!   id-tagged replies) and the per-node request interpreter shared by the
 //!   thread-channel transport (`hotdog-runtime`) and the TCP transport
@@ -43,7 +43,7 @@ pub use cluster::{partition_shards, BatchExecution, Cluster, ClusterConfig, Clus
 pub use partition::{LocTag, PartitionFn, PartitioningSpec};
 pub use program::{
     compile_distributed, Block, DistStatement, DistStmtKind, DistributedPlan, OptLevel, StmtMode,
-    Transform, TriggerProgram,
+    Transform, TriggerProgram, WholeViewMoves,
 };
 pub use protocol::{handle_request, WorkerReply, WorkerRequest};
 pub use worker::{

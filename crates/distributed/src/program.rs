@@ -1,7 +1,9 @@
 //! Compilation of local maintenance programs into distributed programs
-//! (Section 4): location annotation, insertion of location transformers
-//! (`Scatter`, `Repart`, `Gather`), intra-statement optimization (choosing
-//! the execution partitioning that minimizes communication rounds),
+//! (Section 4): location annotation, view placement (a view that would
+//! otherwise be shipped whole to every worker on every batch becomes a
+//! maintained replica), insertion of location transformers (`Scatter`,
+//! `Repart`, `Gather`), intra-statement optimization (choosing the
+//! execution partitioning that minimizes communication rounds),
 //! single-transformer form, CSE/DCE of transformer statements, and the
 //! block fusion algorithm of Appendix C.3.
 
@@ -9,7 +11,7 @@ use crate::partition::{LocTag, PartitionFn, PartitioningSpec};
 use hotdog_algebra::expr::{Expr, RelKind, RelRef};
 use hotdog_algebra::schema::Schema;
 use hotdog_ivm::{MaintenancePlan, StmtOp};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// Optimization levels of the distributed compiler, matching the staged
@@ -260,6 +262,28 @@ impl DistributedPlan {
         (jobs, stages)
     }
 
+    /// Transformer statements that move a whole *persistent view* (rather
+    /// than a batch or a statement's result delta) on every batch of their
+    /// trigger — the communication that grows with the database, not with
+    /// the update.
+    pub fn whole_view_moves(&self) -> WholeViewMoves {
+        let mut moves = WholeViewMoves::default();
+        for s in self.programs.iter().flat_map(|p| p.statements()) {
+            if let DistStmtKind::Transform { kind, source } = &s.kind {
+                if self.plan.view(source).is_some() {
+                    match kind {
+                        Transform::Repart(PartitionFn::Replicate) => moves.replicated += 1,
+                        Transform::Repart(PartitionFn::ByColumns(_)) => moves.repartitioned += 1,
+                        Transform::Scatter(_) => moves.broadcast += 1,
+                        // The lowering only ever gathers partial results.
+                        Transform::Gather => {}
+                    }
+                }
+            }
+        }
+        moves
+    }
+
     pub fn pretty(&self) -> String {
         let mut out = format!(
             "-- distributed plan `{}` [{}], {} programs\n",
@@ -267,10 +291,34 @@ impl DistributedPlan {
             self.opt.label(),
             self.programs.len()
         );
+        for v in &self.plan.views {
+            out.push_str(&format!("-- view {}: {}\n", v.name, self.spec.tag(&v.name)));
+        }
         for p in &self.programs {
             out.push_str(&p.pretty());
         }
         out
+    }
+}
+
+/// Per-kind count of a plan's whole-view moves (see
+/// [`DistributedPlan::whole_view_moves`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WholeViewMoves {
+    /// `REPARTITION<[*]>{view}`: a partitioned view gathered and replicated
+    /// to every worker.  The placement pass of [`compile_distributed`]
+    /// leaves none.
+    pub replicated: usize,
+    /// `REPARTITION<[key]>{view}`: a partitioned view re-hashed by another
+    /// of its columns.
+    pub repartitioned: usize,
+    /// `SCATTER<..>{view}`: a driver-resident view broadcast to the workers.
+    pub broadcast: usize,
+}
+
+impl WholeViewMoves {
+    pub fn total(&self) -> usize {
+        self.replicated + self.repartitioned + self.broadcast
     }
 }
 
@@ -284,32 +332,66 @@ struct Lowering<'a> {
     opt: OptLevel,
     temps: HashMap<String, (Schema, LocTag)>,
     temp_counter: usize,
+    /// Views some statement reads under an execution key that is not part
+    /// of their schema: the placement pass re-tags them
+    /// [`LocTag::Replicated`] and lowers again.
+    replicate: BTreeSet<String>,
 }
 
 /// Compile a local maintenance plan into a distributed program for the given
 /// partitioning specification and optimization level.
+///
+/// `spec` is the caller's *input* placement; the returned
+/// [`DistributedPlan::spec`] is the *final* one.  A partitioned view that
+/// some statement must read in full on every worker (its partitioning key
+/// is not the statement's execution key, and that key is not even a column
+/// of the view) is placed [`LocTag::Replicated`]: a persistent, indexed
+/// copy on every worker, maintained by the view's own `+=`/`:=`, so only
+/// its delta ever crosses the network and readers probe it in place.  Each
+/// round of the placement pass lowers every trigger, re-tags the views the
+/// lowering asked for and starts over; a view is only ever re-tagged *to*
+/// `Replicated`, so the view count bounds the rounds.
+///
+/// # Panics
+///
+/// When a statement that reads neither the batch nor a partitioned view
+/// reads a replicated view but does not itself write one: it would run on
+/// the driver, which holds no replica.
 pub fn compile_distributed(
     plan: &MaintenancePlan,
     spec: &PartitioningSpec,
     opt: OptLevel,
 ) -> DistributedPlan {
-    let mut lowering = Lowering {
-        plan,
-        spec,
-        opt,
-        temps: HashMap::new(),
-        temp_counter: 0,
-    };
-    let mut programs = Vec::new();
-    for trigger in &plan.triggers {
-        programs.push(lowering.lower_trigger(trigger));
-    }
-    DistributedPlan {
-        plan: plan.clone(),
-        spec: spec.clone(),
-        opt,
-        programs,
-        temps: lowering.temps,
+    let mut spec = spec.clone();
+    loop {
+        let mut lowering = Lowering {
+            plan,
+            spec: &spec,
+            opt,
+            temps: HashMap::new(),
+            temp_counter: 0,
+            replicate: BTreeSet::new(),
+        };
+        let programs = plan
+            .triggers
+            .iter()
+            .map(|trigger| lowering.lower_trigger(trigger))
+            .collect();
+        let Lowering {
+            temps, replicate, ..
+        } = lowering;
+        if replicate.is_empty() {
+            return DistributedPlan {
+                plan: plan.clone(),
+                spec,
+                opt,
+                programs,
+                temps,
+            };
+        }
+        for view in replicate {
+            spec.set(view, LocTag::Replicated);
+        }
     }
 }
 
@@ -353,6 +435,28 @@ impl Lowering<'_> {
         }
     }
 
+    /// How to spread a batch over the workers for a statement no key
+    /// anchors (every other input is replicated, broadcast or local): by
+    /// the first target key of the trigger the batch can be routed by — the
+    /// scatter that statement needs anyway, which CSE then shares — else
+    /// (pseudo-)randomly, by all of the batch's columns.
+    fn spread_fn(&self, trigger: &hotdog_ivm::Trigger) -> PartitionFn {
+        trigger
+            .statements
+            .iter()
+            .find_map(|s| match self.spec.tag(&s.target) {
+                LocTag::Dist(p)
+                    if p.columns()
+                        .iter()
+                        .all(|c| trigger.relation_schema.contains(c)) =>
+                {
+                    Some(p)
+                }
+                _ => None,
+            })
+            .unwrap_or_else(|| PartitionFn::by(trigger.relation_schema.columns().to_vec()))
+    }
+
     /// Lower one maintenance statement into local/distributed statements and
     /// the transformer statements they need.
     fn lower_statement(
@@ -377,6 +481,25 @@ impl Lowering<'_> {
                 _ => None,
             })
             .collect();
+        let reads_replica = view_refs
+            .iter()
+            .any(|r| self.spec.tag(&r.name) == LocTag::Replicated);
+        // With no partitioned input, every worker sees the same inputs (its
+        // replicas, broadcasts and the batch) and computes the *full*
+        // result: the right schedule for a replicated target, which each
+        // worker then merges into its own copy — at every `OptLevel`, since
+        // routing W identical results through a shuffle would count them W
+        // times.
+        let replicated_exec = target_tag == LocTag::Replicated && dist_refs.is_empty();
+        let runs_on_driver = !uses_delta && dist_refs.is_empty() && !replicated_exec;
+        assert!(
+            !(runs_on_driver && reads_replica),
+            "cannot place `{}` of `{}`: the statement reads only replicated views, so it \
+             would run on the driver, which holds no replica; place its target \
+             `Replicated` too, or its inputs `Dist`",
+            stmt.target,
+            self.plan.query_name,
+        );
 
         // Purely local statement: local target, no distributed inputs and no
         // batch involvement.  Statements that consume the update batch are
@@ -411,21 +534,22 @@ impl Lowering<'_> {
             dist_refs.iter().any(|(_, c)| c == cols)
                 || (uses_delta && cols.iter().all(|c| delta_schema.contains(c)))
         };
-        let exec_key: Vec<String> = if self.opt >= OptLevel::O1 {
-            match &target_cols {
-                Some(tc) if key_usable(tc) => tc.clone(),
-                _ => dist_refs
-                    .first()
-                    .map(|(_, c)| c.clone())
-                    .or_else(|| target_cols.clone())
-                    .unwrap_or_default(),
-            }
-        } else {
-            dist_refs
+        let exec_key: Vec<String> = match &target_cols {
+            Some(tc) if self.opt >= OptLevel::O1 && key_usable(tc) => tc.clone(),
+            // Without a partitioned input the fallback is the target's key
+            // — unless nothing can be routed by it and a replica is read:
+            // the driver (where an unanchored statement runs) holds no
+            // replica, so the batch is spread instead and the result
+            // re-partitioned.
+            _ => dist_refs
                 .first()
                 .map(|(_, c)| c.clone())
-                .or_else(|| target_cols.clone())
-                .unwrap_or_default()
+                .or_else(|| {
+                    target_cols
+                        .clone()
+                        .filter(|tc| !reads_replica || key_usable(tc))
+                })
+                .unwrap_or_default(),
         };
 
         // Prepare the inputs: re-partition or broadcast views that are not
@@ -440,20 +564,20 @@ impl Lowering<'_> {
                         any_partitioned_input = true;
                         continue;
                     }
-                    // Re-partition (or replicate when the key is not part of
-                    // the view's schema).
+                    // Re-partition by the execution key when the view has it.
                     let schema = self
                         .plan
                         .view(&r.name)
                         .map(|v| v.schema.clone())
                         .unwrap_or_default();
-                    let pf = if exec_key.iter().all(|c| schema.contains(c)) && !exec_key.is_empty()
-                    {
-                        any_partitioned_input = true;
-                        PartitionFn::by(exec_key.clone())
-                    } else {
-                        PartitionFn::Replicate
-                    };
+                    if exec_key.is_empty() || !exec_key.iter().all(|c| schema.contains(c)) {
+                        // Every worker needs the whole view: never move it,
+                        // ask the placement pass for a maintained replica.
+                        self.replicate.insert(r.name.clone());
+                        continue;
+                    }
+                    any_partitioned_input = true;
+                    let pf = PartitionFn::by(exec_key.clone());
                     let cache_key = format!("repart:{}:{pf}", r.name);
                     let temp = if self.opt >= OptLevel::O3 {
                         scatter_cache.get(&cache_key).cloned()
@@ -463,11 +587,11 @@ impl Lowering<'_> {
                     let temp = match temp {
                         Some(t) => t,
                         None => {
-                            let tag = match &pf {
-                                PartitionFn::Replicate => LocTag::Replicated,
-                                _ => LocTag::Dist(pf.clone()),
-                            };
-                            let t = self.fresh_temp("repartition", schema.clone(), tag);
+                            let t = self.fresh_temp(
+                                "repartition",
+                                schema.clone(),
+                                LocTag::Dist(pf.clone()),
+                            );
                             out.push(DistStatement {
                                 target: t.clone(),
                                 target_schema: schema,
@@ -524,14 +648,15 @@ impl Lowering<'_> {
 
         // Scatter the update batch to the workers.
         if uses_delta {
-            let pf = if !exec_key.is_empty() && exec_key.iter().all(|c| delta_schema.contains(c)) {
+            let pf = if replicated_exec {
+                PartitionFn::Replicate
+            } else if !exec_key.is_empty() && exec_key.iter().all(|c| delta_schema.contains(c)) {
                 any_partitioned_input = true;
                 PartitionFn::by(exec_key.clone())
             } else if exec_key.is_empty() {
-                // No anchoring key: spread the batch (pseudo-)randomly so
-                // every worker aggregates a disjoint fraction of it.
+                // No anchoring key: any disjoint spread of the batch will do.
                 any_partitioned_input = true;
-                PartitionFn::by(delta_schema.columns().to_vec())
+                self.spread_fn(trigger)
             } else {
                 PartitionFn::Replicate
             };
@@ -566,7 +691,7 @@ impl Lowering<'_> {
             expr = delta_to_view(&expr, &trigger.relation, &temp);
         }
 
-        if !any_partitioned_input {
+        if !any_partitioned_input && !replicated_exec {
             // Degenerate case: nothing anchors the computation to a
             // partitioning — run on the driver and push the result out.
             let result_temp =
@@ -601,8 +726,9 @@ impl Lowering<'_> {
             _ => false,
         };
         let simplification_on = self.opt >= OptLevel::O1;
-        if aligned_with_target && simplification_on {
-            // Workers merge straight into their partition of the target.
+        if replicated_exec || (aligned_with_target && simplification_on) {
+            // Workers merge straight into their partition (or replica) of
+            // the target.
             out.push(DistStatement {
                 target: stmt.target.clone(),
                 target_schema: stmt.target_schema.clone(),
@@ -613,7 +739,8 @@ impl Lowering<'_> {
         } else {
             // Compute a distributed partial result, then move it to the
             // target's location (Gather for local targets, Repart for
-            // differently-partitioned ones).
+            // differently-partitioned and replicated ones — the result
+            // delta moves, never the view).
             let result_temp =
                 self.fresh_temp("partial", stmt.target_schema.clone(), LocTag::Random);
             out.push(DistStatement {
@@ -625,6 +752,7 @@ impl Lowering<'_> {
             });
             let kind = match &target_tag {
                 LocTag::Dist(p) => Transform::Repart(p.clone()),
+                LocTag::Replicated => Transform::Repart(PartitionFn::Replicate),
                 _ => Transform::Gather,
             };
             out.push(DistStatement {
@@ -863,6 +991,160 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The Q3 shape: `ON UPDATE O` executes on `OK` and probes the
+    /// customer view by `CK`; that view has no `OK` column to be
+    /// re-partitioned by.
+    fn q3_shape_plan() -> MaintenancePlan {
+        compile_recursive(
+            "Q",
+            &sum(
+                ["OK"],
+                join_all([
+                    rel("C", ["CK", "SEG"]),
+                    rel("O", ["OK", "CK"]),
+                    rel("L", ["OK", "P"]),
+                ]),
+            ),
+        )
+    }
+
+    /// The view of `plan` that is placed `Replicated` (exactly one in the
+    /// plans these tests use).
+    fn replica_of(dp: &DistributedPlan) -> String {
+        let replicas: Vec<&str> = dp
+            .plan
+            .views
+            .iter()
+            .map(|v| v.name.as_str())
+            .filter(|v| dp.spec.tag(v) == LocTag::Replicated)
+            .collect();
+        assert_eq!(replicas.len(), 1, "{}", dp.pretty());
+        replicas[0].to_string()
+    }
+
+    const ALL_LEVELS: [OptLevel; 4] = [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3];
+
+    #[test]
+    fn replica_fed_by_the_batch_merges_in_place_at_every_opt_level() {
+        let plan = q3_shape_plan();
+        let spec = PartitioningSpec::heuristic(&plan, &["OK", "CK"]);
+        for opt in ALL_LEVELS {
+            let dp = compile_distributed(&plan, &spec, opt);
+            // Which view it is depends on the level's execution keys (the
+            // customer view at O1+, the lineitem view at O0); the caller's
+            // spec is the input, the plan's the final placement.
+            let replica = replica_of(&dp);
+            assert!(matches!(spec.tag(&replica), LocTag::Dist(_)));
+            assert_eq!(dp.whole_view_moves().replicated, 0, "{}", dp.pretty());
+            let (program, writer) = dp
+                .programs
+                .iter()
+                .find_map(|p| Some((p, p.statements().find(|s| s.target == replica)?)))
+                .unwrap_or_else(|| panic!("{}", dp.pretty()));
+            // Every worker computes the full delta from the replicated batch
+            // and merges it into its own copy: no partial, no shuffle.
+            assert_eq!(writer.mode, StmtMode::Distributed, "{opt:?}");
+            assert!(!writer.is_transformer(), "{opt:?}: {writer}");
+            let batch = &writer.reads()[0];
+            assert!(
+                program.statements().any(|s| s.target == *batch
+                    && matches!(
+                        &s.kind,
+                        DistStmtKind::Transform {
+                            kind: Transform::Scatter(PartitionFn::Replicate),
+                            ..
+                        }
+                    )),
+                "{opt:?}: the replica's batch must reach every worker\n{}",
+                program.pretty()
+            );
+        }
+    }
+
+    #[test]
+    fn reading_a_replicated_view_inserts_no_transformer() {
+        let plan = q3_shape_plan();
+        let spec = PartitioningSpec::heuristic(&plan, &["OK", "CK"]);
+        for opt in ALL_LEVELS {
+            let dp = compile_distributed(&plan, &spec, opt);
+            let replica = replica_of(&dp);
+            let mut readers = 0;
+            for s in dp.programs.iter().flat_map(|p| p.statements()) {
+                if s.reads().contains(&replica) {
+                    readers += 1;
+                    assert!(!s.is_transformer(), "{opt:?} moves the replica: {s}");
+                    assert_eq!(s.mode, StmtMode::Distributed, "{opt:?}: {s}");
+                }
+            }
+            assert!(readers > 0, "{}", dp.pretty());
+        }
+    }
+
+    #[test]
+    fn replica_fed_by_a_partitioned_input_receives_the_result_delta() {
+        // `M4(B, CK) += Sum(ΔR(OK, B) * M5(B, CK))` with M5 partitioned and
+        // M4 replicated by the caller: the owners of M5 compute a partial,
+        // and that partial — carrying the statement's own op — is what gets
+        // replicated.
+        let plan = example_plan();
+        let mut spec = spec_for(&plan);
+        assert_eq!(spec.tag("M5"), LocTag::Dist(PartitionFn::by(["CK"])));
+        spec.set("M4", LocTag::Replicated);
+        for opt in ALL_LEVELS {
+            let dp = compile_distributed(&plan, &spec, opt);
+            let program = dp.program("R").unwrap();
+            let writer = program
+                .statements()
+                .find(|s| s.target == "M4")
+                .unwrap_or_else(|| panic!("{}", program.pretty()));
+            let DistStmtKind::Transform { kind, source } = &writer.kind else {
+                panic!("{opt:?}: expected a transformer, got {writer}");
+            };
+            assert_eq!(*kind, Transform::Repart(PartitionFn::Replicate), "{opt:?}");
+            assert_eq!(writer.op, StmtOp::AddTo, "{opt:?}");
+            assert_eq!(dp.location(source), LocTag::Random, "{opt:?}: {source}");
+            assert_eq!(dp.whole_view_moves().replicated, 0, "{}", dp.pretty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "holds no replica")]
+    fn driver_side_reader_of_a_replica_is_refused() {
+        // A re-evaluation statement over one view only: with that view
+        // replicated and the target on the driver there is nowhere to run it.
+        let mut plan = example_plan();
+        let trigger = &mut plan.triggers[0];
+        let stmt = &mut trigger.statements[0];
+        stmt.op = StmtOp::SetTo;
+        stmt.expr = sum(["B"], view("M5", ["B", "CK"]));
+        assert_eq!(stmt.target, "Q");
+        let mut spec = spec_for(&plan);
+        spec.set("M5", LocTag::Replicated);
+        compile_distributed(&plan, &spec, OptLevel::O3);
+    }
+
+    #[test]
+    fn whole_view_moves_count_moves_of_persistent_views_only() {
+        let plan = example_plan();
+        let dp = compile_distributed(&plan, &spec_for(&plan), OptLevel::O3);
+        // M1 and M2 are driver-resident and broadcast to their readers; the
+        // batch scatters and partial-result gathers are not whole-view moves.
+        let moves = dp.whole_view_moves();
+        assert_eq!(
+            moves,
+            WholeViewMoves {
+                replicated: 0,
+                repartitioned: 0,
+                broadcast: 2
+            },
+            "{}",
+            dp.pretty()
+        );
+        assert_eq!(moves.total(), 2);
+        assert!(dp.pretty().contains("-- view M1: Local"));
+        assert!(dp.pretty().contains("-- view M3: Dist[CK]"));
     }
 
     #[test]

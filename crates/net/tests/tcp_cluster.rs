@@ -190,11 +190,12 @@ fn tcp_coalescing_matches_coalesced_threaded_bit_for_bit() {
 
 #[test]
 fn tcp_subprocess_mode_matches_threaded() {
-    // Real worker subprocesses on loopback.  `cargo test` builds the
-    // whole workspace (including the hotdog-worker bin) before running
-    // any test, so the binary is present next to the test executable's
-    // target directory.
-    let config = TcpConfig::with_workers(2);
+    // Real worker subprocesses on loopback: the worker bin cargo built for
+    // this test target.
+    let config = TcpConfig {
+        worker_bin: Some(env!("CARGO_BIN_EXE_hotdog-net-worker").into()),
+        ..TcpConfig::with_workers(2)
+    };
     let mut tcp = TcpCluster::new(example_dplan(OptLevel::O3), &config).expect("spawn tcp cluster");
     let mut real = ThreadedCluster::new(example_dplan(OptLevel::O3), 2);
     for (rel, batch) in batches() {

@@ -2893,6 +2893,87 @@ mod tests {
     }
 
     #[test]
+    fn replicated_view_reads_return_one_copy() {
+        // The Q3 shape: the customer view is probed by `CK` under the
+        // order key, so the compiler places it on every worker.  A read
+        // must return one replica (the single-node view), not W of them
+        // summed — and the replica must have been maintained from the
+        // replicated batch alone.
+        use hotdog_distributed::LocTag;
+        use hotdog_exec::{ExecMode, LocalEngine};
+        let q = sum(
+            ["OK"],
+            join_all([
+                rel("C", ["CK", "SEG"]),
+                rel("O", ["OK", "CK"]),
+                rel("L", ["OK", "P"]),
+            ]),
+        );
+        let plan = compile_recursive("Q", &q);
+        let spec = PartitioningSpec::heuristic(&plan, &["OK", "CK"]);
+        let dplan = compile_distributed(&plan, &spec, OptLevel::O3);
+        let replicas: Vec<String> = dplan
+            .spec
+            .views()
+            .filter(|(_, tag)| **tag == LocTag::Replicated)
+            .map(|(v, _)| v.clone())
+            .collect();
+        assert_eq!(replicas.len(), 1, "{}", dplan.pretty());
+
+        let stream = [
+            (
+                "C",
+                Relation::from_pairs(
+                    Schema::new(["CK", "SEG"]),
+                    (0..12i64).map(|i| (tuple![i, i % 3], 1.0)),
+                ),
+            ),
+            (
+                "O",
+                Relation::from_pairs(
+                    Schema::new(["OK", "CK"]),
+                    (0..30i64).map(|i| (tuple![i, i % 12], 1.0)),
+                ),
+            ),
+            (
+                "L",
+                Relation::from_pairs(
+                    Schema::new(["OK", "P"]),
+                    (0..60i64).map(|i| (tuple![i % 30, i], 1.0)),
+                ),
+            ),
+            (
+                "C",
+                Relation::from_pairs(
+                    Schema::new(["CK", "SEG"]),
+                    vec![(tuple![3, 0], -1.0), (tuple![12, 1], 1.0)],
+                ),
+            ),
+            (
+                "O",
+                Relation::from_pairs(Schema::new(["OK", "CK"]), vec![(tuple![30, 12], 1.0)]),
+            ),
+        ];
+        let mut local = LocalEngine::new(
+            plan,
+            ExecMode::Batched {
+                preaggregate: false,
+            },
+        );
+        let mut real = ThreadedCluster::new(dplan, 3);
+        for (rel, batch) in &stream {
+            local.apply_batch(rel, batch);
+            real.apply_batch(rel, batch);
+        }
+        assert_eq!(
+            real.view_contents(&replicas[0]).sorted(),
+            local.view_contents(&replicas[0]).sorted()
+        );
+        assert_eq!(real.query_result().sorted(), local.query_result().sorted());
+        assert!(!real.query_result().is_empty());
+    }
+
+    #[test]
     fn unknown_relation_batches_are_ignored() {
         let dplan = example_dplan(OptLevel::O3);
         let mut cluster = ThreadedCluster::new(dplan, 2);

@@ -2,6 +2,7 @@
 //! exactly the same query results as the local engine, for every
 //! optimization level and across worker counts, on real workload streams.
 
+use hotdog::distributed::{DistStmtKind, Transform};
 use hotdog::prelude::*;
 
 fn stream_for(q: &CatalogQuery, tuples: usize) -> UpdateStream {
@@ -145,4 +146,92 @@ fn shuffled_bytes_scale_with_batch_size() {
         big > small,
         "bytes shuffled should grow with input: {big} vs {small}"
     );
+}
+
+fn catalog_plan(q: &CatalogQuery, opt: OptLevel) -> DistributedPlan {
+    let plan = compile_recursive(q.id, &q.expr);
+    let spec = PartitioningSpec::heuristic(&plan, &q.partition_keys);
+    compile_distributed(&plan, &spec, opt)
+}
+
+/// Plan shape across the catalog: no program at any level replicates a
+/// persistent view wholesale (such views are placed `Replicated` and fed by
+/// their delta instead), and the whole-view moves that remain — driver
+/// views broadcast to the workers, partitioned views re-hashed by another
+/// column — are pinned catalog-wide at O3 so they can only go down.
+#[test]
+fn no_plan_replicates_a_whole_view() {
+    let (mut broadcast, mut repartitioned) = (0, 0);
+    for q in all_queries() {
+        for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3] {
+            let dplan = catalog_plan(&q, opt);
+            let moves = dplan.whole_view_moves();
+            assert_eq!(
+                moves.replicated,
+                0,
+                "{} at {opt:?} replicates a whole view:\n{}",
+                q.id,
+                dplan.pretty()
+            );
+            if opt == OptLevel::O3 {
+                broadcast += moves.broadcast;
+                repartitioned += moves.repartitioned;
+            }
+        }
+    }
+    // Lower these when a placement change removes more of them.
+    assert_eq!(broadcast, 23, "driver-view broadcasts across the catalog");
+    assert_eq!(repartitioned, 9, "whole-view re-hashes across the catalog");
+}
+
+/// Communication is O(|Δ|): for every catalog query whose O3 programs move
+/// nothing but the batch itself, the bytes shuffled by a fixed suffix of
+/// the stream do not depend on how much was loaded before it.
+#[test]
+fn shuffled_bytes_do_not_grow_with_the_database() {
+    const ROUND: usize = 50;
+    const SUFFIX_ROUNDS: usize = 4;
+    let mut covered = Vec::new();
+    for q in all_queries() {
+        let scatters_batches_only = catalog_plan(&q, OptLevel::O3)
+            .programs
+            .iter()
+            .flat_map(|p| p.statements())
+            .all(|s| match &s.kind {
+                DistStmtKind::Transform { kind, source } => {
+                    matches!(kind, Transform::Scatter(_)) && source.starts_with('Δ')
+                }
+                DistStmtKind::Compute(_) => true,
+            });
+        if !scatters_batches_only {
+            continue;
+        }
+        covered.push(q.id);
+        let stream = stream_for(&q, 600);
+        let rounds = stream.batches(ROUND);
+        let suffix_start = rounds.len() - SUFFIX_ROUNDS;
+        // 2x preload: everything before the suffix; 1x: its second half.
+        let suffix_bytes = |preload_start: usize| {
+            let mut cluster = Cluster::new(
+                catalog_plan(&q, OptLevel::O3),
+                ClusterConfig::with_workers(2),
+            );
+            let mut before_suffix = 0;
+            for (i, round) in rounds.iter().enumerate().skip(preload_start) {
+                if i == suffix_start {
+                    before_suffix = cluster.totals.bytes_shuffled;
+                }
+                for (rel, delta) in round {
+                    cluster.apply_batch(rel, delta);
+                }
+            }
+            cluster.totals.bytes_shuffled - before_suffix
+        };
+        let (once, twice) = (suffix_bytes(suffix_start / 2), suffix_bytes(0));
+        assert!(once > 0, "{}: the suffix shuffled nothing", q.id);
+        assert_eq!(once, twice, "{}: suffix bytes depend on the preload", q.id);
+    }
+    for id in ["Q3", "Q18"] {
+        assert!(covered.contains(&id), "{id} moves more than its batches");
+    }
 }

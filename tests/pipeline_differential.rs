@@ -51,6 +51,9 @@
 //! `HOTDOG_WORKERS=2 HOTDOG_SEED=<printed seed> cargo test --release --test
 //! pipeline_differential -- --nocapture`.
 
+mod common;
+
+use common::tcp_config;
 use hotdog::prelude::*;
 use proptest::prelude::*;
 
@@ -67,14 +70,6 @@ fn workers_under_test() -> Vec<usize> {
 }
 
 const OPT_LEVELS: [OptLevel; 4] = [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3];
-
-/// TCP cluster configuration for the oracle: worker subprocesses by
-/// default; `HOTDOG_TCP_SPAWN=thread` (handled by [`TcpConfig::from_env`])
-/// swaps in in-process socket threads for hosts where spawning is
-/// unavailable.
-fn tcp_config(workers: usize) -> TcpConfig {
-    TcpConfig::from_env(workers)
-}
 
 /// A seeded mixed insert/delete stream matching the query's workload family.
 fn mixed_stream(q: &CatalogQuery, tuples: usize, seed: u64, delete_fraction: f64) -> UpdateStream {

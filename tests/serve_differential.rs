@@ -11,6 +11,9 @@
 //! through `HOTDOG_SEED`, and the chaos job aims `HOTDOG_FAULT` at the
 //! fault-recovery arm.
 
+mod common;
+
+use common::tcp_config;
 use hotdog::prelude::*;
 
 fn workers_under_test() -> usize {
@@ -156,7 +159,7 @@ fn subscriptions_reconstruct_views_across_backends() {
         );
         check_subscriptions(
             SubscriptionHub::new(|_s: &QueryShape, dplan: DistributedPlan| {
-                TcpCluster::new(dplan, &TcpConfig::from_env(workers)).expect("tcp cluster")
+                TcpCluster::new(dplan, &tcp_config(workers)).expect("tcp cluster")
             }),
             &q,
             &batches,
@@ -304,7 +307,7 @@ fn fault_during_active_subscription_resyncs_without_gaps_or_duplicates() {
     let stream = seeded_stream(&q, 150, 0xFA57);
     let batches = stream.batches(10);
 
-    let env_plan = TcpConfig::from_env(workers).faults;
+    let env_plan = tcp_config(workers).faults;
     let from_env = env_plan.is_some();
     let plan =
         env_plan.unwrap_or_else(|| FaultPlan::kill(0, FaultKind::RunBlock, 3, Phase::Before));
@@ -316,7 +319,7 @@ fn fault_during_active_subscription_resyncs_without_gaps_or_duplicates() {
             .collect::<Vec<_>>()
             .join(";")
     );
-    let mut config = TcpConfig::from_env(workers);
+    let mut config = tcp_config(workers);
     config.faults = Some(plan);
     let mut hub = SubscriptionHub::new(move |_s: &QueryShape, dplan: DistributedPlan| {
         let mut tcp = TcpCluster::new(dplan, &config).expect("tcp cluster");

@@ -9,6 +9,9 @@
 //! in-process socket threads (same wire path) where spawning is
 //! unavailable.
 
+mod common;
+
+use common::tcp_config;
 use hotdog::prelude::*;
 
 fn workers_under_test() -> usize {
@@ -17,10 +20,6 @@ fn workers_under_test() -> usize {
         .and_then(|s| s.parse::<usize>().ok())
         .unwrap_or(2)
         .max(1)
-}
-
-fn tcp_config(workers: usize) -> TcpConfig {
-    TcpConfig::from_env(workers)
 }
 
 fn compile_for(q: &CatalogQuery, opt: OptLevel) -> DistributedPlan {
@@ -129,54 +128,66 @@ fn fault_free(mut config: TcpConfig) -> TcpConfig {
 /// the same `FaultConfig`.  The kill lands at the transport's send
 /// chokepoint, so each cell is a pure function of the schedule —
 /// a red cell replays exactly.
+///
+/// Q3's O3 programs only scatter the batch and run blocks (its views are
+/// maintained in place, the customer view as a replica), so the `Fetch`
+/// cells run on Q6, whose scalar aggregate is gathered on every batch.
 #[test]
 fn tcp_kill_point_sweep_recovers_bit_identically() {
     let workers = workers_under_test();
-    let q = query("Q3").unwrap();
-    let stream = seeded_stream(&q, 150, 0xFA117);
-    let batches = stream.batches(12);
     let fault_config = FaultConfig::every(1);
-
-    // Unfaulted reference under the same FaultConfig (checkpoint epochs
-    // canonicalize storage, so this is the comparable run).
-    let mut clean = TcpCluster::new(
-        compile_for(&q, OptLevel::O3),
-        &fault_free(tcp_config(workers)),
-    )
-    .expect("tcp cluster");
-    clean.set_fault_config(Some(fault_config.clone()));
-    clean.apply_stream(&batches);
-    let expected = clean.query_result().checksum();
-
-    let kinds = [FaultKind::RunBlock, FaultKind::ApplyMany, FaultKind::Fetch];
     let mut cell = 0u64;
-    for kind in kinds {
-        for worker in 0..workers {
-            for phase in [Phase::Before, Phase::After] {
-                cell += 1;
-                let nth = 1 + cell % 3; // vary the kill point across cells
-                let plan = FaultPlan::kill(worker, kind, nth, phase);
-                let spec = plan.kills[0].clone();
-                let mut tcp = TcpCluster::new(
-                    compile_for(&q, OptLevel::O3),
-                    &fault_free(tcp_config(workers)).with_faults(plan),
-                )
-                .expect("tcp cluster");
-                tcp.set_fault_config(Some(fault_config.clone()));
-                tcp.apply_stream(&batches);
-                assert_eq!(
-                    tcp.query_result().checksum(),
-                    expected,
-                    "{spec} x{workers}: recovered run != unfaulted run"
-                );
-                assert_eq!(tcp.recoveries(), 1, "{spec}: expected exactly one recovery");
-                let snap = tcp.metrics_snapshot();
-                assert_eq!(
-                    snap.counter("fault.injected"),
-                    1,
-                    "{spec}: kill never fired"
-                );
-                assert_eq!(snap.counter("worker.respawned"), 1, "{spec}");
+    for (id, kinds) in [
+        ("Q3", &[FaultKind::RunBlock, FaultKind::ApplyMany][..]),
+        ("Q6", &[FaultKind::Fetch][..]),
+    ] {
+        let q = query(id).unwrap();
+        let stream = seeded_stream(&q, 150, 0xFA117);
+        let batches = stream.batches(12);
+
+        // Unfaulted reference under the same FaultConfig (checkpoint
+        // epochs canonicalize storage, so this is the comparable run).
+        let mut clean = TcpCluster::new(
+            compile_for(&q, OptLevel::O3),
+            &fault_free(tcp_config(workers)),
+        )
+        .expect("tcp cluster");
+        clean.set_fault_config(Some(fault_config.clone()));
+        clean.apply_stream(&batches);
+        let expected = clean.query_result().checksum();
+
+        for &kind in kinds {
+            for worker in 0..workers {
+                for phase in [Phase::Before, Phase::After] {
+                    cell += 1;
+                    let nth = 1 + cell % 3; // vary the kill point across cells
+                    let plan = FaultPlan::kill(worker, kind, nth, phase);
+                    let spec = plan.kills[0].clone();
+                    let mut tcp = TcpCluster::new(
+                        compile_for(&q, OptLevel::O3),
+                        &fault_free(tcp_config(workers)).with_faults(plan),
+                    )
+                    .expect("tcp cluster");
+                    tcp.set_fault_config(Some(fault_config.clone()));
+                    tcp.apply_stream(&batches);
+                    assert_eq!(
+                        tcp.query_result().checksum(),
+                        expected,
+                        "{id} {spec} x{workers}: recovered run != unfaulted run"
+                    );
+                    assert_eq!(
+                        tcp.recoveries(),
+                        1,
+                        "{id} {spec}: expected exactly one recovery"
+                    );
+                    let snap = tcp.metrics_snapshot();
+                    assert_eq!(
+                        snap.counter("fault.injected"),
+                        1,
+                        "{id} {spec}: kill never fired"
+                    );
+                    assert_eq!(snap.counter("worker.respawned"), 1, "{id} {spec}");
+                }
             }
         }
     }

@@ -6,6 +6,9 @@
 //! differential-oracle catalog, plus the StatsReply hygiene invariants
 //! (a stats gather leaves no unconsumed reply in the ledger).
 
+mod common;
+
+use common::tcp_config;
 use hotdog::prelude::*;
 
 fn workers_under_test() -> usize {
@@ -43,8 +46,8 @@ fn telemetry_totals_agree_threaded_vs_tcp_across_catalog() {
         let batches = stream.batches(24);
 
         let mut threaded = ThreadedCluster::new(compile_for(q, opt), workers);
-        let mut tcp = TcpCluster::new(compile_for(q, opt), &TcpConfig::from_env(workers))
-            .expect("tcp cluster");
+        let mut tcp =
+            TcpCluster::new(compile_for(q, opt), &tcp_config(workers)).expect("tcp cluster");
         threaded.apply_stream(&batches);
         tcp.apply_stream(&batches);
 
@@ -108,12 +111,9 @@ fn telemetry_totals_agree_pipelined_fixed_coalesce() {
 
     let mut threaded =
         ThreadedCluster::pipelined(compile_for(&q, OptLevel::O3), workers, config.clone());
-    let mut tcp = TcpCluster::pipelined(
-        compile_for(&q, OptLevel::O3),
-        &TcpConfig::from_env(workers),
-        config,
-    )
-    .expect("tcp cluster");
+    let mut tcp =
+        TcpCluster::pipelined(compile_for(&q, OptLevel::O3), &tcp_config(workers), config)
+            .expect("tcp cluster");
     threaded.apply_stream(&batches);
     tcp.apply_stream(&batches);
 
@@ -153,7 +153,7 @@ fn fault_counters_match_the_plan_exactly() {
     let batches = stream.batches(12);
     let fault_config = FaultConfig::every(1);
     let fault_free = || {
-        let mut config = TcpConfig::from_env(workers);
+        let mut config = tcp_config(workers);
         config.faults = None; // reference runs ignore a chaos job's HOTDOG_FAULT
         config
     };
@@ -242,8 +242,8 @@ fn trace_oracle_span_structure_agrees_threaded_vs_tcp() {
         let batches = stream.batches(24);
 
         let mut threaded = ThreadedCluster::new(compile_for(q, opt), workers);
-        let mut tcp = TcpCluster::new(compile_for(q, opt), &TcpConfig::from_env(workers))
-            .expect("tcp cluster");
+        let mut tcp =
+            TcpCluster::new(compile_for(q, opt), &tcp_config(workers)).expect("tcp cluster");
         threaded.apply_stream(&batches);
         tcp.apply_stream(&batches);
 
@@ -321,12 +321,9 @@ fn trace_oracle_pipelined_fixed_coalesce() {
 
     let mut threaded =
         ThreadedCluster::pipelined(compile_for(&q, OptLevel::O3), workers, config.clone());
-    let mut tcp = TcpCluster::pipelined(
-        compile_for(&q, OptLevel::O3),
-        &TcpConfig::from_env(workers),
-        config,
-    )
-    .expect("tcp cluster");
+    let mut tcp =
+        TcpCluster::pipelined(compile_for(&q, OptLevel::O3), &tcp_config(workers), config)
+            .expect("tcp cluster");
     threaded.apply_stream(&batches);
     tcp.apply_stream(&batches);
 
