@@ -7,9 +7,7 @@
 //! axis bounded by the machine's cores); `--pipeline` / `--coalesce=N`
 //! select its pipelined ingestion path.  Every run appends a
 //! `fig10_strong_scaling` section to `BENCH_runtime.json` so the perf
-//! trajectory is tracked across PRs, plus an `async_gather_strong` section
-//! comparing the tagged-reply protocol against its positional-FIFO
-//! schedule on a deep (multi-stage) query where gathers dominate.
+//! trajectory is tracked across PRs.
 
 use hotdog::prelude::*;
 use hotdog_bench::*;
@@ -64,36 +62,4 @@ fn main() {
         &rows,
     );
     emit_bench_json("fig10_strong_scaling", &runs);
-
-    // Tagged-reply protocol on a *deep* plan: Q7 compiles to a six-stage
-    // program, so every trigger pays several repart/gather rounds — the
-    // worst case for full-window drains and the best case for async
-    // gathers.  HOTDOG_STREAM_WORKERS pins the comparison keys to the
-    // committed baseline's worker count (same convention as fig9's stream
-    // sections).
-    let stream_workers = std::env::var("HOTDOG_STREAM_WORKERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| num_cpus_capped(4));
-    let tuples_per_batch: usize = std::env::var("HOTDOG_STREAM_BATCH")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16);
-    let q = query("Q7").unwrap();
-    let cmp = compare_async_gather(
-        &q,
-        stream_workers,
-        64,
-        tuples_per_batch,
-        2 * tuples_per_batch,
-    );
-    let ag_rows = vec![async_gather_row(&cmp)];
-    let ag_json = vec![cmp.to_json()];
-    print_table(
-        "Tagged-reply protocol on a deep plan (positional FIFO vs async gathers)",
-        &ASYNC_GATHER_HEADER,
-        &ag_rows,
-    );
-    let path = json::bench_json_path();
-    let _ = json::update_bench_json(&path, "async_gather_strong", &json::jarray(ag_json));
 }

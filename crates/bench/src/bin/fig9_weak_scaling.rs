@@ -112,28 +112,6 @@ fn main() {
     let path = json::bench_json_path();
     let _ = json::update_bench_json(&path, "pipeline_stream", &json::jarray(cmp_json));
 
-    // Tagged-reply protocol head-to-head (the acceptance number for the
-    // async-gather/batched-scatter rework): the same 64-small-batch stream
-    // through the pipelined runtime on the positional-FIFO schedule (drain
-    // the window before every fetch, one scatter message per statement)
-    // vs. the tagged schedule (fully async gathers, ApplyMany batching).
-    // A tight coalescing bound keeps many triggers — and therefore many
-    // gather rounds — in the stream: the schedule difference under test.
-    let mut ag_rows = Vec::new();
-    let mut ag_json = Vec::new();
-    for id in ["Q3", "Q6"] {
-        let q = query(id).unwrap();
-        let cmp = compare_async_gather(&q, workers, 64, tuples_per_batch, 2 * tuples_per_batch);
-        ag_rows.push(async_gather_row(&cmp));
-        ag_json.push(cmp.to_json());
-    }
-    print_table(
-        "Tagged-reply protocol (positional FIFO vs async gathers + batched scatters)",
-        &ASYNC_GATHER_HEADER,
-        &ag_rows,
-    );
-    let _ = json::update_bench_json(&path, "async_gather", &json::jarray(ag_json));
-
     // Net-overhead head-to-head (the acceptance number for the socket
     // transport): the same 64-small-batch stream through the
     // epoch-synchronous threaded backend and through the multi-process

@@ -8,8 +8,8 @@
 //! * **ratio metrics** — machine-independent numbers computed on one host
 //!   within one run (`pipeline_stream[*].speedup`,
 //!   `adaptive_stream[*].adaptive_vs_best_static`,
-//!   `async_gather[*].speedup` / `async_gather_strong[*].speedup`,
-//!   `net_overhead[*].tcp_vs_threaded`, `columnar[*].columnar_vs_row`).
+//!   `net_overhead[*].tcp_vs_threaded`, `columnar[*].columnar_vs_row`,
+//!   `fanout[*].shared_vs_per_subscriber`).
 //!   These are the tight gate: a drop means the *relative* win shrank.
 //! * **throughput metrics** — absolute tuples/sec
 //!   (`fig9_weak_scaling.rows[*].throughput_tps`, same for fig10).  These
@@ -183,11 +183,9 @@ fn diff_metric(
 /// Shared by the per-PR gate ([`diff_artifacts`]), and by the
 /// `bench_history` tool that appends one flattened line per main-branch
 /// run to the committed `BENCH_HISTORY.jsonl`.
-pub const RATIO_SECTIONS: [(&str, &str); 7] = [
+pub const RATIO_SECTIONS: [(&str, &str); 5] = [
     ("pipeline_stream", "speedup"),
     ("adaptive_stream", "adaptive_vs_best_static"),
-    ("async_gather", "speedup"),
-    ("async_gather_strong", "speedup"),
     ("net_overhead", "tcp_vs_threaded"),
     ("columnar", "columnar_vs_row"),
     ("fanout", "shared_vs_per_subscriber"),
@@ -209,11 +207,9 @@ pub const TRACKED_TELEMETRY_FIELDS: [&str; 4] = [
 /// carry no telemetry; the head-to-head comparisons always run on a
 /// real backend, so their embedded [`DistRun`](crate::DistRun) objects
 /// are the durable cross-PR record of message/byte/instruction counts.
-pub const TRACKED_TELEMETRY_RUNS: [(&str, &str); 8] = [
+pub const TRACKED_TELEMETRY_RUNS: [(&str, &str); 6] = [
     ("pipeline_stream", "sync"),
     ("pipeline_stream", "pipelined"),
-    ("async_gather", "fifo"),
-    ("async_gather", "tagged"),
     ("net_overhead", "threaded"),
     ("net_overhead", "tcp"),
     ("columnar", "row"),
@@ -429,40 +425,6 @@ mod tests {
         let report3 = diff_artifacts(&base, &cand3, Tolerances::default());
         assert!(!report3.ratio_gate_lost);
         assert!(!report3.missing.is_empty());
-    }
-
-    #[test]
-    fn async_gather_sections_are_gated() {
-        let ag = |speedup: f64, strong: f64| {
-            JsonValue::parse(&format!(
-                r#"{{
-                  "async_gather": [
-                    {{"query": "Q3", "workers": 1, "speedup": {speedup}}}
-                  ],
-                  "async_gather_strong": [
-                    {{"query": "Q7", "workers": 1, "speedup": {strong}}}
-                  ]
-                }}"#
-            ))
-            .unwrap()
-        };
-        let base = ag(1.3, 1.2);
-        // Within tolerance: both protocol ratios compare, nothing trips.
-        let report = diff_artifacts(&base, &ag(1.25, 1.15), Tolerances::default());
-        assert_eq!(report.compared.len(), 2);
-        assert!(report.regressions().is_empty());
-        // A tagged-path collapse beyond tolerance trips the tight gate.
-        let report = diff_artifacts(&base, &ag(0.6, 1.2), Tolerances::default());
-        let regs = report.regressions();
-        assert_eq!(regs.len(), 1);
-        assert!(regs[0].metric.starts_with("async_gather.speedup"));
-        // The whole section evaporating is flagged, per section.
-        let cand = JsonValue::parse(
-            r#"{"async_gather": [{"query": "Q3", "workers": 1, "speedup": 1.3}]}"#,
-        )
-        .unwrap();
-        let report = diff_artifacts(&base, &cand, Tolerances::default());
-        assert!(report.ratio_gate_lost, "async_gather_strong loss must flag");
     }
 
     #[test]

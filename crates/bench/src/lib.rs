@@ -118,11 +118,6 @@ pub enum BackendKind {
     /// throughput-vs-batch-size curve online instead of fixing a point on
     /// it a priori.
     Adaptive,
-    /// Pipelined backend on the positional-FIFO compatibility schedule
-    /// (drain the in-flight window before every gather, one scatter
-    /// message per statement): the baseline arm of the tagged-reply
-    /// protocol's `async_gather` comparison.
-    PipelinedFifo { coalesce_tuples: usize },
     /// `hotdog-net`'s multi-process TCP backend, epoch-synchronous:
     /// worker subprocesses on loopback speaking the binary codec.  The
     /// `net_overhead` section compares it against [`BackendKind::Threaded`]
@@ -141,7 +136,6 @@ impl BackendKind {
             BackendKind::Threaded => "measured",
             BackendKind::Pipelined { .. } => "pipelined",
             BackendKind::Adaptive => "adaptive",
-            BackendKind::PipelinedFifo { .. } => "pipelined-fifo",
             BackendKind::Tcp => "tcp",
             BackendKind::TcpPipelined { .. } => "tcp-pipelined",
         }
@@ -160,7 +154,6 @@ impl BackendKind {
             BackendKind::Threaded | BackendKind::Tcp => "measured_batch_wall",
             BackendKind::Pipelined { .. }
             | BackendKind::Adaptive
-            | BackendKind::PipelinedFifo { .. }
             | BackendKind::TcpPipelined { .. } => "driver_issue_time",
         }
     }
@@ -172,7 +165,6 @@ impl BackendKind {
         match self {
             BackendKind::Pipelined { .. }
             | BackendKind::Adaptive
-            | BackendKind::PipelinedFifo { .. }
             | BackendKind::TcpPipelined { .. } => "median issue (ms)",
             _ => "median latency (ms)",
         }
@@ -188,24 +180,17 @@ impl BackendKind {
                 Some(PipelineConfig::with_coalesce(*coalesce_tuples))
             }
             BackendKind::Adaptive => Some(PipelineConfig::adaptive()),
-            BackendKind::PipelinedFifo { coalesce_tuples } => Some(PipelineConfig {
-                coalesce_tuples: *coalesce_tuples,
-                ..PipelineConfig::fifo_compat()
-            }),
         }
     }
 
-    /// Parse `--real`, `--tcp`, `--pipeline`, `--coalesce=N`, `--adaptive`
-    /// and `--fifo-gather` from a binary's argument list (`--coalesce`
-    /// implies `--pipeline`; `--adaptive` wins over both; `--fifo-gather`
-    /// demotes a pipelined run to the positional-FIFO compatibility
-    /// schedule; `--tcp` moves a threaded or pipelined run onto the
-    /// multi-process socket transport).
+    /// Parse `--real`, `--tcp`, `--pipeline`, `--coalesce=N` and
+    /// `--adaptive` from a binary's argument list (`--coalesce` implies
+    /// `--pipeline`; `--adaptive` wins over both; `--tcp` moves a threaded
+    /// or pipelined run onto the multi-process socket transport).
     pub fn from_args() -> BackendKind {
         let mut pipeline = false;
         let mut real = false;
         let mut adaptive = false;
-        let mut fifo = false;
         let mut tcp = false;
         let mut coalesce = PipelineConfig::default().coalesce_tuples;
         for arg in std::env::args() {
@@ -214,10 +199,6 @@ impl BackendKind {
                 "--tcp" => tcp = true,
                 "--pipeline" => pipeline = true,
                 "--adaptive" => adaptive = true,
-                "--fifo-gather" => {
-                    pipeline = true;
-                    fifo = true;
-                }
                 a => {
                     if let Some(n) = a.strip_prefix("--coalesce=") {
                         pipeline = true;
@@ -234,10 +215,6 @@ impl BackendKind {
             BackendKind::Tcp
         } else if adaptive {
             BackendKind::Adaptive
-        } else if fifo {
-            BackendKind::PipelinedFifo {
-                coalesce_tuples: coalesce,
-            }
         } else if pipeline {
             BackendKind::Pipelined {
                 coalesce_tuples: coalesce,
@@ -738,140 +715,6 @@ pub fn compare_stream_throughput(
     }
 }
 
-/// Head-to-head of the tagged-reply protocol against its positional-FIFO
-/// compatibility schedule: the same many-small-batch stream through the
-/// pipelined runtime with fully async gathers + batched scatters (tagged)
-/// and with full-window drains before every fetch + one scatter message per
-/// statement (fifo).  Both arms run the identical trigger sequence, so the
-/// speedup isolates the protocol change.
-#[derive(Clone, Debug)]
-pub struct AsyncGatherComparison {
-    pub query: String,
-    pub workers: usize,
-    pub n_batches: usize,
-    pub tuples_per_batch: usize,
-    pub fifo: DistRun,
-    pub tagged: DistRun,
-}
-
-impl AsyncGatherComparison {
-    /// Tagged over FIFO throughput (≥ 1 means the tagged protocol matched
-    /// or beat the positional schedule).
-    pub fn speedup(&self) -> f64 {
-        if self.fifo.throughput == 0.0 {
-            0.0
-        } else {
-            self.tagged.throughput / self.fifo.throughput
-        }
-    }
-
-    pub fn to_json(&self) -> String {
-        let c = self.tagged.coalesce.as_ref();
-        json::JsonObj::new()
-            .str("query", &self.query)
-            .int("workers", self.workers as u64)
-            .int("n_batches", self.n_batches as u64)
-            .int("tuples_per_batch", self.tuples_per_batch as u64)
-            .num("speedup", self.speedup())
-            .int(
-                "gathers_overlapped",
-                c.map(|c| c.gathers_overlapped).unwrap_or(0) as u64,
-            )
-            .int(
-                "scatter_messages_saved",
-                c.map(|c| c.scatter_messages_saved).unwrap_or(0) as u64,
-            )
-            .raw("fifo", self.fifo.to_json())
-            .raw("tagged", self.tagged.to_json())
-            .render()
-    }
-}
-
-/// Table header matching [`async_gather_row`], shared by the fig9/fig10
-/// protocol-comparison tables.
-pub const ASYNC_GATHER_HEADER: [&str; 8] = [
-    "query",
-    "workers",
-    "stream",
-    "fifo (Ktup/s)",
-    "tagged (Ktup/s)",
-    "speedup",
-    "overlapped gathers",
-    "msgs saved",
-];
-
-/// One [`print_table`] row for a protocol comparison (columns per
-/// [`ASYNC_GATHER_HEADER`]).
-pub fn async_gather_row(cmp: &AsyncGatherComparison) -> Vec<String> {
-    let c = cmp.tagged.coalesce.as_ref();
-    vec![
-        cmp.query.clone(),
-        cmp.workers.to_string(),
-        format!("{} x {}", cmp.n_batches, cmp.tuples_per_batch),
-        f(cmp.fifo.throughput / 1e3),
-        f(cmp.tagged.throughput / 1e3),
-        format!("{:.2}x", cmp.speedup()),
-        c.map(|c| c.gathers_overlapped.to_string())
-            .unwrap_or_default(),
-        c.map(|c| c.scatter_messages_saved.to_string())
-            .unwrap_or_default(),
-    ]
-}
-
-/// Push a `n_batches`×`tuples_per_batch` stream through the pipelined
-/// runtime under both reply-accounting schedules, coalescing up to
-/// `coalesce_tuples` per trigger in each arm.
-///
-/// The streams are tiny (the point is many small triggers, i.e. many
-/// gather rounds), so a single run is at the mercy of scheduler noise:
-/// each arm runs three times in alternating order and the
-/// median-throughput run represents it — the same treatment for both
-/// arms, so the ratio stays honest while the tails are cut.
-pub fn compare_async_gather(
-    q: &CatalogQuery,
-    workers: usize,
-    n_batches: usize,
-    tuples_per_batch: usize,
-    coalesce_tuples: usize,
-) -> AsyncGatherComparison {
-    const REPEATS: usize = 3;
-    let stream = stream_for(q, n_batches * tuples_per_batch, 64);
-    let mut fifo_runs = Vec::with_capacity(REPEATS);
-    let mut tagged_runs = Vec::with_capacity(REPEATS);
-    for _ in 0..REPEATS {
-        fifo_runs.push(run_distributed_on(
-            q,
-            &stream,
-            workers,
-            tuples_per_batch,
-            OptLevel::O3,
-            BackendKind::PipelinedFifo { coalesce_tuples },
-        ));
-        tagged_runs.push(run_distributed_on(
-            q,
-            &stream,
-            workers,
-            tuples_per_batch,
-            OptLevel::O3,
-            BackendKind::Pipelined { coalesce_tuples },
-        ));
-    }
-    let median = |mut runs: Vec<DistRun>| -> DistRun {
-        runs.sort_by(|a, b| a.throughput.total_cmp(&b.throughput));
-        runs.swap_remove(REPEATS / 2)
-    };
-    let fifo = median(fifo_runs);
-    let tagged = median(tagged_runs);
-    AsyncGatherComparison {
-        query: q.id.to_string(),
-        workers,
-        n_batches,
-        tuples_per_batch,
-        fifo,
-        tagged,
-    }
-}
-
 /// TCP cluster configuration for benches: subprocess workers by default,
 /// `HOTDOG_TCP_SPAWN=thread` (handled by `TcpConfig::from_env`) swaps in
 /// in-process socket threads on hosts where spawning is unavailable.
@@ -924,7 +767,7 @@ impl NetOverheadComparison {
 /// (`n_batches`×`tuples_per_batch`).  Both arms are timing-measured and
 /// the TCP arm pays per-message syscalls, so each arm runs three times in
 /// alternating order and its median-throughput run represents it (the
-/// same median-of-3 treatment as [`compare_async_gather`]).  One
+/// median-of-3 cuts scheduler-noise tails off a tiny stream).  One
 /// `TcpCluster` is built per run — worker spawn/handshake cost is *not*
 /// inside the measured stream window (totals time the stream, not
 /// construction).

@@ -74,7 +74,7 @@ pub mod prelude {
     };
     pub use hotdog_runtime::{
         AdaptiveConfig, ChannelTransport, CoalesceController, Driver, FaultConfig, PipelineConfig,
-        PipelineStats, RecoveryMode, TelemetryTotals, ThreadedCluster, Transport, WorkerDead,
+        PipelineStats, TelemetryTotals, ThreadedCluster, Transport, WorkerDead,
     };
     pub use hotdog_serve::{
         ParamFilter, QueryShape, SubscribeClient, SubscriberView, SubscriptionHub, SubscriptionId,

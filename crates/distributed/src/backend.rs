@@ -61,13 +61,12 @@ pub struct PipelineStats {
     /// Gather/repartition fetches issued while distributed-block
     /// completions were still pending: the tagged-reply protocol let the
     /// fetch overlap in-flight worker work instead of draining the window
-    /// first (always 0 under the FIFO-compat schedule).
+    /// first.
     pub gathers_overlapped: usize,
     /// Multi-statement `ApplyMany` scatter messages shipped to workers.
     pub scatter_messages_sent: usize,
     /// Per-statement scatter messages avoided by batching (sum over
-    /// shipped messages of `statements - 1`); 0 when scatter batching is
-    /// disabled.
+    /// shipped messages of `statements - 1`).
     pub scatter_messages_saved: usize,
     /// Coalescing bound currently in force (the static threshold, or the
     /// adaptive controller's latest choice).

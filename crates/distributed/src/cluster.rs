@@ -43,8 +43,6 @@ pub struct ClusterConfig {
     /// Maximum multiplicative straggler slowdown of a stage (a uniformly
     /// drawn factor in `[1, 1 + straggler]` is applied to each stage).
     pub straggler: f64,
-    /// Pre-aggregate update batches on the driver before scattering them.
-    pub preaggregate: bool,
     /// RNG seed for the straggler model.
     pub seed: u64,
 }
@@ -58,7 +56,6 @@ impl Default for ClusterConfig {
             sync_per_worker_secs: 0.000_35,
             secs_per_instruction: 2.0e-9,
             straggler: 0.5,
-            preaggregate: true,
             seed: 0xD15C0,
         }
     }
@@ -234,28 +231,7 @@ impl Cluster {
         let root = self.telemetry.begin_batch_root();
         self.trace_scope = root.context();
 
-        // The batch arrives at the driver; optionally pre-aggregate it onto
-        // the columns the trigger actually needs before any scatter.
-        let canonical = relabel(batch, &program.relation_schema);
-        let delta = if self.config.preaggregate {
-            let trig = self
-                .dplan
-                .plan
-                .trigger(relation)
-                .expect("trigger missing for program");
-            let used = hotdog_exec::used_delta_columns(&self.dplan.plan, trig);
-            if used.len() < program.relation_schema.len() && !used.is_empty() {
-                // Keep the canonical schema order but only used columns; the
-                // compiled statements still reference the full column list,
-                // so we only merge duplicates here (column projection is a
-                // wire-size optimization applied to the scattered copy).
-                canonical.clone()
-            } else {
-                canonical.clone()
-            }
-        } else {
-            canonical.clone()
-        };
+        let delta = relabel(batch, &program.relation_schema);
         let mut deltas = HashMap::new();
         deltas.insert(relation.to_string(), delta);
         let delta_name = format!("Δ{relation}");

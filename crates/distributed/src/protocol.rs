@@ -86,11 +86,10 @@ pub enum WorkerRequest {
     Ping { id: u64 },
     /// Checkpoint epoch: canonicalize this node's state (the epoch barrier
     /// that makes restored and surviving nodes bit-identical) and reply
-    /// with a `Checkpoint` carrying the node's [`WorkerSnapshot`].  With
-    /// `ship: false` (the driver re-scatters from its own canonical views
-    /// on recovery) the reply's snapshot carries only the work counters,
-    /// not the relations.
-    Checkpoint { id: u64, ship: bool },
+    /// with a `Checkpoint` carrying the node's full [`WorkerSnapshot`]
+    /// (view partitions, exchange buffers, work counters), which recovery
+    /// sends back in a `Restore`.
+    Checkpoint { id: u64 },
     /// Reset this node to a previously checkpointed state (or to empty,
     /// for a respawned worker with no checkpoint yet); answered with an
     /// `Ack`.  Command FIFO means every stale in-flight command lands
@@ -203,19 +202,11 @@ pub fn handle_request(state: &mut WorkerState, request: WorkerRequest) -> Option
             spans: state.tracer.take(),
         }),
         WorkerRequest::Ping { id } => Some(WorkerReply::Pong { id }),
-        WorkerRequest::Checkpoint { id, ship } => {
+        WorkerRequest::Checkpoint { id } => {
             state.canonicalize();
-            let snapshot = if ship {
-                state.snapshot_state()
-            } else {
-                WorkerSnapshot {
-                    stats: state.stats,
-                    ..WorkerSnapshot::default()
-                }
-            };
             Some(WorkerReply::Checkpoint {
                 id,
-                snapshot: Box::new(snapshot),
+                snapshot: Box::new(state.snapshot_state()),
             })
         }
         WorkerRequest::Restore { id, snapshot } => {

@@ -1097,7 +1097,6 @@ impl Transport for TcpTransport {
         TransportNames {
             sync: "tcp",
             pipelined: "tcp-pipelined",
-            fifo: "tcp-pipelined-fifo",
         }
     }
 

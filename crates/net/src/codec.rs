@@ -1029,10 +1029,9 @@ impl Wire for WorkerRequest {
                 out.push(7);
                 id.encode(out);
             }
-            WorkerRequest::Checkpoint { id, ship } => {
+            WorkerRequest::Checkpoint { id } => {
                 out.push(8);
                 id.encode(out);
-                ship.encode(out);
             }
             WorkerRequest::Restore { id, snapshot } => {
                 out.push(9);
@@ -1084,7 +1083,6 @@ impl Wire for WorkerRequest {
             }),
             8 => Ok(WorkerRequest::Checkpoint {
                 id: u64::decode(r)?,
-                ship: bool::decode(r)?,
             }),
             9 => Ok(WorkerRequest::Restore {
                 id: u64::decode(r)?,

@@ -546,14 +546,10 @@ proptest! {
             _ => panic!("wrong variant for Pong"),
         }
 
-        let ship = rng.gen_range(0usize..2) == 1;
         match decode_from_slice::<ToWorker>(&encode_to_vec(
-            &ToWorker::Request(WorkerRequest::Checkpoint { id, ship }),
+            &ToWorker::Request(WorkerRequest::Checkpoint { id }),
         )).unwrap() {
-            ToWorker::Request(WorkerRequest::Checkpoint { id: rid, ship: rship }) => {
-                prop_assert_eq!(rid, id);
-                prop_assert_eq!(rship, ship);
-            }
+            ToWorker::Request(WorkerRequest::Checkpoint { id: rid }) => prop_assert_eq!(rid, id),
             _ => panic!("wrong variant for Checkpoint"),
         }
 

@@ -19,7 +19,7 @@ use hotdog_distributed::{compile_distributed, DistributedPlan, OptLevel, Partiti
 use hotdog_ivm::compile_recursive;
 use hotdog_net::codec::ToDriver;
 use hotdog_net::{send_msg, FaultKind, FaultPlan, Phase, TcpCluster, TcpConfig, WorkerSpawn};
-use hotdog_runtime::{FaultConfig, RecoveryMode};
+use hotdog_runtime::FaultConfig;
 
 fn example_dplan(opt: OptLevel) -> DistributedPlan {
     let q = sum(
@@ -172,52 +172,46 @@ fn heartbeat_declares_a_silent_worker_dead() {
     peer.join().expect("silent peer thread");
 }
 
-/// Kill → respawn → restore → replay, in both recovery modes: the final
-/// views of a faulted run are bit-identical to an unfaulted run under
-/// the same [`FaultConfig`], and the recovery counters record exactly
-/// one death, one respawn, one recovery.
+/// Kill → respawn → restore → replay: the final views of a faulted run
+/// are bit-identical to an unfaulted run under the same [`FaultConfig`],
+/// and the recovery counters record exactly one death, one respawn, one
+/// recovery.
 #[test]
 fn killed_worker_respawns_and_recovers_bit_identically() {
-    for mode in [RecoveryMode::Checkpoint, RecoveryMode::Rescatter] {
-        let fault_config = FaultConfig::every(1).with_mode(mode);
+    let fault_config = FaultConfig::every(1);
 
-        // Baseline: same FaultConfig (checkpoint epochs canonicalize
-        // storage, so this is the comparable run), no kill.
-        let mut clean =
-            TcpCluster::new(example_dplan(OptLevel::O3), &thread_config(2)).expect("tcp cluster");
-        clean.set_fault_config(Some(fault_config.clone()));
+    // Baseline: same FaultConfig (checkpoint epochs canonicalize
+    // storage, so this is the comparable run), no kill.
+    let mut clean =
+        TcpCluster::new(example_dplan(OptLevel::O3), &thread_config(2)).expect("tcp cluster");
+    clean.set_fault_config(Some(fault_config.clone()));
+    for (rel, batch) in batches() {
+        clean.apply_batch(rel, &batch);
+    }
+    let expected = clean.query_result().checksum();
+
+    for phase in [Phase::Before, Phase::After] {
+        let plan = FaultPlan::kill(1, FaultKind::RunBlock, 2, phase);
+        let mut tcp = TcpCluster::new(
+            example_dplan(OptLevel::O3),
+            &thread_config(2).with_faults(plan),
+        )
+        .expect("tcp cluster");
+        tcp.set_fault_config(Some(fault_config.clone()));
         for (rel, batch) in batches() {
-            clean.apply_batch(rel, &batch);
+            tcp.apply_batch(rel, &batch); // recovery is internal
         }
-        let expected = clean.query_result().checksum();
-
-        for phase in [Phase::Before, Phase::After] {
-            let plan = FaultPlan::kill(1, FaultKind::RunBlock, 2, phase);
-            let mut tcp = TcpCluster::new(
-                example_dplan(OptLevel::O3),
-                &thread_config(2).with_faults(plan),
-            )
-            .expect("tcp cluster");
-            tcp.set_fault_config(Some(fault_config.clone()));
-            for (rel, batch) in batches() {
-                tcp.apply_batch(rel, &batch); // recovery is internal
-            }
-            assert_eq!(
-                tcp.query_result().checksum(),
-                expected,
-                "faulted run diverged ({mode:?}, {phase:?})"
-            );
-            assert_eq!(
-                tcp.recoveries(),
-                1,
-                "exactly one recovery ({mode:?}, {phase:?})"
-            );
-            let snap = tcp.metrics_snapshot();
-            assert_eq!(snap.counter("fault.injected"), 1);
-            assert_eq!(snap.counter("worker.declared_dead"), 1);
-            assert_eq!(snap.counter("worker.respawned"), 1);
-            assert_eq!(snap.counter("recovery.attempts"), 1);
-        }
+        assert_eq!(
+            tcp.query_result().checksum(),
+            expected,
+            "faulted run diverged ({phase:?})"
+        );
+        assert_eq!(tcp.recoveries(), 1, "exactly one recovery ({phase:?})");
+        let snap = tcp.metrics_snapshot();
+        assert_eq!(snap.counter("fault.injected"), 1);
+        assert_eq!(snap.counter("worker.declared_dead"), 1);
+        assert_eq!(snap.counter("worker.respawned"), 1);
+        assert_eq!(snap.counter("recovery.attempts"), 1);
     }
 }
 

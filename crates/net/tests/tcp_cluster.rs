@@ -130,12 +130,6 @@ fn tcp_pipelined_matches_sync_bit_for_bit() {
             ..Default::default()
         }
         .with_shuffled_replies(0xD15C0),
-        PipelineConfig {
-            coalesce_tuples: 0,
-            async_gather: false,
-            batch_scatters: false,
-            ..Default::default()
-        },
     ] {
         let mut tcp = TcpCluster::pipelined(
             example_dplan(OptLevel::O3),

@@ -1,0 +1,155 @@
+//! The two configuration objects of a [`Driver`](crate::Driver): how the
+//! pipelined ingestion path admits and windows work ([`PipelineConfig`])
+//! and how worker deaths are survived ([`FaultConfig`]).  Pure data — this
+//! module owns no state and sends no messages.
+
+use crate::adaptive::AdaptiveConfig;
+use std::time::Duration;
+
+/// Configuration of the pipelined ingestion path
+/// (`ThreadedCluster::pipelined`).
+#[derive(Clone, Debug)]
+pub struct PipelineConfig {
+    /// Ring-sum each admitted batch into the latest queued delta of the
+    /// same relation until that delta would exceed this many tuples.  `0`
+    /// disables coalescing (making pipelined execution bit-identical to
+    /// the synchronous schedule; with coalescing the state is identical in
+    /// real arithmetic but float additions associate differently).
+    /// Ignored when [`PipelineConfig::adaptive`] is set: the controller
+    /// then chooses the bound online.
+    pub coalesce_tuples: usize,
+    /// Maximum admitted-but-unissued batches held in the admission queue;
+    /// admitting beyond it drives execution of the queue front.
+    pub admit_capacity: usize,
+    /// Byte-bounded backpressure: maximum serialized footprint of the
+    /// admission queue (queued deltas, via the O(1)
+    /// `Relation::serialized_size` accounting).  Admitting beyond it
+    /// drives execution of the queue front until the footprint fits.
+    /// `0` disables the bound.
+    pub admit_bytes: usize,
+    /// Latency-target mode: an upper bound on how stale a queued batch may
+    /// get before it is forced through.  Enforced at every admission *and*
+    /// at every read: whenever the oldest queued delta has been waiting
+    /// longer than this, the queue front is executed (counted in
+    /// `PipelineStats::executions_forced_by_latency`), and a queued
+    /// delta older than *half* the target stops accepting coalesced
+    /// merges — trading coalescing throughput for bounded watermark lag
+    /// (a read never observes data staler than the target).  There is no
+    /// background timer: on a stream that goes fully quiescent (no
+    /// admissions, no reads), queued deltas wait until the next
+    /// admission, read or `Driver::flush`.  `None` leaves staleness
+    /// unbounded (pure-throughput mode).
+    pub latency_target: Option<Duration>,
+    /// Self-tuning coalescing: measure per-trigger overhead vs. marginal
+    /// per-tuple cost online and hill-climb the coalescing bound over the
+    /// paper's concave throughput curve (see [`crate::adaptive`]).
+    /// Overrides [`PipelineConfig::coalesce_tuples`].
+    pub adaptive: Option<AdaptiveConfig>,
+    /// Maximum unsettled distributed-block completions per worker before
+    /// the driver must wait for one to settle.
+    pub inflight_blocks: usize,
+    /// Chaos/test knob: deterministically shuffle the driver's reply inbox
+    /// (seeded) on every arrival, forcing replies to be *consumed* out of
+    /// order.  Correctness must not depend on reply order — the ledger
+    /// matches by request id — so any seed must leave results and
+    /// watermarks bit-identical.  `None` (default) keeps arrival order.
+    pub shuffle_replies: Option<u64>,
+}
+
+impl Default for PipelineConfig {
+    fn default() -> Self {
+        PipelineConfig {
+            coalesce_tuples: 4096,
+            admit_capacity: 16,
+            admit_bytes: 0,
+            latency_target: None,
+            adaptive: None,
+            inflight_blocks: 4,
+            shuffle_replies: None,
+        }
+    }
+}
+
+impl PipelineConfig {
+    /// Config with a specific static coalescing threshold (in tuples).
+    pub fn with_coalesce(coalesce_tuples: usize) -> Self {
+        PipelineConfig {
+            coalesce_tuples,
+            ..Default::default()
+        }
+    }
+
+    /// Config with the default self-tuning coalescing policy.
+    pub fn adaptive() -> Self {
+        PipelineConfig {
+            adaptive: Some(AdaptiveConfig::default()),
+            ..Default::default()
+        }
+    }
+
+    /// Builder-style latency target (see
+    /// [`PipelineConfig::latency_target`]).
+    pub fn with_latency_target(mut self, target: Duration) -> Self {
+        self.latency_target = Some(target);
+        self
+    }
+
+    /// Builder-style byte bound on the admission queue (see
+    /// [`PipelineConfig::admit_bytes`]).
+    pub fn with_admit_bytes(mut self, admit_bytes: usize) -> Self {
+        self.admit_bytes = admit_bytes;
+        self
+    }
+
+    /// Builder-style reply-inbox shuffling (see
+    /// [`PipelineConfig::shuffle_replies`]).
+    pub fn with_shuffled_replies(mut self, seed: u64) -> Self {
+        self.shuffle_replies = Some(seed);
+        self
+    }
+}
+
+/// Worker fault tolerance for a [`Driver`]: periodic consistent
+/// checkpoints plus a bounded replay log, so a worker death rolls the
+/// cluster back to the last checkpoint cut and replays the logged
+/// batches — bit-identically (checkpoint epochs canonicalize every
+/// node's storage layout, so a restored pool and a surviving pool agree
+/// on all scan-order-dependent float arithmetic).
+///
+/// Configure it with [`Driver::set_fault_config`] **before the first
+/// batch**.  Runs with the same `FaultConfig` are bit-identical to each
+/// other whether faults fire or not; a run with fault tolerance
+/// *disabled* may differ in float ulps from an enabled run, because the
+/// checkpoint epochs themselves re-canonicalize storage.
+///
+/// [`Driver`]: crate::Driver
+/// [`Driver::set_fault_config`]: crate::Driver::set_fault_config
+#[derive(Clone, Debug)]
+pub struct FaultConfig {
+    /// Take a checkpoint every this many issued batches.  `0` never
+    /// checkpoints: recovery then restores every node to *empty* and
+    /// replays the entire logged stream.
+    pub checkpoint_every: u64,
+    /// Give up — surface the `WorkerDead` — after this many recovery
+    /// attempts over the driver's lifetime.
+    pub max_recoveries: usize,
+}
+
+impl Default for FaultConfig {
+    fn default() -> Self {
+        FaultConfig {
+            checkpoint_every: 8,
+            max_recoveries: 8,
+        }
+    }
+}
+
+impl FaultConfig {
+    /// Config checkpointing every `n` issued batches.
+    pub fn every(n: u64) -> Self {
+        FaultConfig {
+            checkpoint_every: n,
+            ..Default::default()
+        }
+    }
+}

@@ -1,0 +1,867 @@
+//! The [`Driver`] and **the schedule** it runs: one trigger program per
+//! update event, alternating local and distributed blocks (the paper's
+//! driver program).  `execute_canonical` runs `Local` blocks on the driver
+//! node, moves relations between driver and workers for transformer
+//! statements (`run_transform`: scatter / repartition / gather) and
+//! broadcasts every `Distributed` block.  The epoch-synchronous schedule
+//! barriers after each block; the pipelined one defers completions to the
+//! `ledger`.
+//!
+//! Invariant: reads first `commit_watermark`, so they observe every issued
+//! batch completely and no batch partially — a prefix of the admitted
+//! stream, or with coalescing a prefix of the commuted schedule in which
+//! per-relation admission order is preserved.
+
+use crate::admission::QueuedDelta;
+use crate::ledger::ReplyLedger;
+use crate::recovery::CheckpointState;
+use crate::stats::DriverMetrics;
+use crate::{
+    ChannelTransport, CoalesceController, FaultConfig, PipelineConfig, PipelineStats, Reply,
+    Request, Transport, WorkerDead,
+};
+use hotdog_algebra::eval::EvalCounters;
+use hotdog_algebra::relation::Relation;
+use hotdog_distributed::{
+    partition_shards, Backend, BatchExecution, ClusterTotals, DistStatement, DistStmtKind,
+    DistributedPlan, LocTag, PartitionFn, StmtMode, Transform, TriggerProgram, WorkerState,
+};
+use hotdog_exec::relabel;
+use hotdog_telemetry::{ActiveSpan, SpanContext, Telemetry};
+use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// A distributed block with its statements shared once, so per-batch
+/// broadcasts are an `Arc` bump instead of a deep clone.
+struct SharedBlock {
+    mode: StmtMode,
+    statements: Arc<Vec<DistStatement>>,
+    /// Whether any statement of this block references a delta relation.
+    /// The distributed compiler rewrites delta references into scattered
+    /// temps, so worker-bound blocks normally never read the batch — a
+    /// block that doesn't is broadcast with an *empty* deltas map, which
+    /// keeps byte-counting transports from shipping the batch N times for
+    /// nothing.
+    needs_delta: bool,
+}
+
+pub(crate) struct SharedProgram {
+    pub(crate) relation_schema: hotdog_algebra::schema::Schema,
+    blocks: Vec<SharedBlock>,
+    stages: usize,
+    jobs: usize,
+}
+
+fn share_program(p: &TriggerProgram) -> SharedProgram {
+    SharedProgram {
+        relation_schema: p.relation_schema.clone(),
+        blocks: p
+            .blocks
+            .iter()
+            .map(|b| SharedBlock {
+                mode: b.mode,
+                needs_delta: b.statements.iter().any(|s| match &s.kind {
+                    DistStmtKind::Compute(e) => e.has_delta_relations(),
+                    DistStmtKind::Transform { .. } => false,
+                }),
+                statements: Arc::new(b.statements.clone()),
+            })
+            .collect(),
+        stages: p.stages(),
+        jobs: p.jobs(),
+    }
+}
+
+/// One driver + N workers executing a distributed plan for real, generic
+/// over the [`Transport`] that reaches the workers.
+///
+/// [`ThreadedCluster`] (= `Driver<ChannelTransport>`) is the in-process
+/// thread-per-worker backend; `hotdog-net`'s `TcpCluster` runs the *same*
+/// driver over worker subprocesses joined by TCP sockets, so the backends
+/// can only differ in how bytes move.
+///
+/// Public surface matches the simulated
+/// [`Cluster`](hotdog_distributed::Cluster) (`apply_batch`,
+/// `view_contents`, `query_result`, `plan`, `totals`) so the backends
+/// are drop-in interchangeable; [`BatchExecution`] fields that model time in
+/// the simulator hold *measured* wall-clock values here.  The crate docs
+/// say which module owns which fields.
+pub struct Driver<T: Transport> {
+    /// Number of workers.
+    pub workers: usize,
+    pub(crate) dplan: DistributedPlan,
+    /// The driver node's own state (driver-resident views).
+    pub(crate) driver: WorkerState,
+    pub(crate) programs: HashMap<String, SharedProgram>,
+    pub(crate) transport: T,
+    /// Request ids, unsettled block completions, unclaimed replies.
+    pub(crate) ledger: ReplyLedger,
+    /// Per worker: scattered shards buffered on the driver, shipped as one
+    /// `ApplyMany` before the worker's next command (or at batch end).
+    pub(crate) pending_applies: Vec<Vec<(Arc<DistStatement>, Relation)>>,
+    /// Slowest worker's interpreter work settled during the current
+    /// `execute_canonical` call (reported per batch in synchronous mode).
+    pub(crate) batch_max_instructions: u64,
+    /// Worker interpreter work settled since the adaptive controller last
+    /// observed a trigger — the lazily collected cost signal folded into
+    /// the hill climber (see [`crate::adaptive`]).
+    pub(crate) instructions_since_observe: u64,
+    /// Shared empty deltas map broadcast with blocks that never read the
+    /// batch (the usual case: the compiler rewrites delta references into
+    /// scattered temps).
+    empty_deltas: Arc<HashMap<String, Relation>>,
+    /// Whether `ApplyMany` messages have been shipped with no barrier
+    /// behind them yet (a trailing scatter must be drained before worker
+    /// state is read, or before a synchronous batch's wall clock stops).
+    pub(crate) applies_in_flight: bool,
+    /// `Some` iff this cluster runs the pipelined ingestion path.
+    pub(crate) pipeline: Option<PipelineConfig>,
+    /// Self-tuning coalescing controller (`Some` iff
+    /// [`PipelineConfig::adaptive`] is set).
+    pub(crate) controller: Option<CoalesceController>,
+    /// Admitted-but-unissued coalesced delta batches.
+    pub(crate) queue: VecDeque<QueuedDelta>,
+    /// Serialized footprint of `queue` (incrementally maintained; the
+    /// byte-bounded backpressure reads it on every admission).
+    pub(crate) queue_bytes: usize,
+    /// Batches whose execution has been fully issued to driver and workers.
+    pub(crate) issued: u64,
+    /// Batches guaranteed visible to reads (issued + drained + barriered).
+    pub(crate) watermark: u64,
+    /// First admission since the last `flush` (stream wall-clock origin).
+    pub(crate) stream_start: Option<Instant>,
+    /// Worker fault tolerance (`None` disables it: a worker death then
+    /// surfaces as a typed [`WorkerDead`] error / panic).
+    pub(crate) fault: Option<FaultConfig>,
+    /// The last consistent cut (absent until the first checkpoint; an
+    /// absent checkpoint restores to *empty* and replays everything).
+    pub(crate) ckpt: Option<CheckpointState>,
+    /// Canonical-schema deltas issued since the last checkpoint, in
+    /// issue order — what recovery replays.  Empty when `fault` is off.
+    pub(crate) replay_log: Vec<(String, Relation)>,
+    /// Recovery attempts so far (bounded by
+    /// [`FaultConfig::max_recoveries`]).
+    pub(crate) recoveries: usize,
+    /// Views with delta capture enabled (see
+    /// [`hotdog_distributed::capture`]); empty = capture off.
+    pub(crate) capture_views: Vec<String>,
+    /// `recoveries` as of the last capture drain.
+    pub(crate) capture_epoch: usize,
+    /// Pipelined-ingestion counters (all zero in epoch-synchronous mode).
+    pub stats: PipelineStats,
+    /// Accumulated measured totals (same shape as the simulator's).
+    pub totals: ClusterTotals,
+    /// Shared metrics registry + flight recorder (adopted from the
+    /// transport when it keeps one, so wire- and scheduler-level metrics
+    /// land together).
+    pub(crate) telemetry: Arc<Telemetry>,
+    /// Cached metric handles for the driver hot paths.
+    pub(crate) metrics: DriverMetrics,
+    /// Context of the batch currently executing (during
+    /// `execute_canonical`) or most recently executed: the parent for
+    /// wire-propagated worker spans, gathers and watermark commits.
+    trace_scope: SpanContext,
+}
+
+/// The in-process thread-per-worker backend: the transport-generic
+/// [`Driver`] over [`ChannelTransport`].
+pub type ThreadedCluster = Driver<ChannelTransport>;
+
+impl ThreadedCluster {
+    /// Spawn `workers` worker threads with empty view partitions, in
+    /// epoch-synchronous mode (one batch in the system at a time).
+    pub fn new(dplan: DistributedPlan, workers: usize) -> Self {
+        let transport = ChannelTransport::spawn(&dplan, workers);
+        Driver::with_transport(dplan, transport, None)
+    }
+
+    /// Spawn `workers` worker threads with empty view partitions, in
+    /// pipelined mode: `apply_batch` admits into a coalescing queue and
+    /// execution overlaps driver and worker work within the configured
+    /// in-flight window.  Call [`ThreadedCluster::flush`] (or read a view)
+    /// to force admitted batches through.
+    pub fn pipelined(dplan: DistributedPlan, workers: usize, config: PipelineConfig) -> Self {
+        let transport = ChannelTransport::spawn(&dplan, workers);
+        Driver::with_transport(dplan, transport, Some(config))
+    }
+}
+
+impl<T: Transport> Driver<T> {
+    /// Build a driver over an already-connected transport (whose workers
+    /// hold empty view partitions for `dplan`), in epoch-synchronous mode
+    /// when `pipeline` is `None` and pipelined mode otherwise.  This is
+    /// the constructor other transports (e.g. `hotdog-net`'s TCP backend)
+    /// use; the thread-channel backend wraps it as
+    /// [`ThreadedCluster::new`] / [`ThreadedCluster::pipelined`].
+    pub fn with_transport(
+        dplan: DistributedPlan,
+        transport: T,
+        pipeline: Option<PipelineConfig>,
+    ) -> Self {
+        let workers = transport.workers();
+        assert!(workers > 0);
+        let controller = pipeline
+            .as_ref()
+            .and_then(|c| c.adaptive.clone())
+            .map(CoalesceController::new);
+        let driver = WorkerState::for_plan(&dplan.plan);
+        let programs = dplan
+            .programs
+            .iter()
+            .map(|p| (p.relation.clone(), share_program(p)))
+            .collect();
+        let shuffle_seed = pipeline.as_ref().and_then(|c| c.shuffle_replies);
+        let telemetry = transport.telemetry().unwrap_or_else(Telemetry::shared);
+        telemetry.install_signal_dump();
+        let metrics = DriverMetrics::register(&telemetry);
+        let mut cluster = Driver {
+            workers,
+            dplan,
+            driver,
+            programs,
+            transport,
+            ledger: ReplyLedger::new(workers, shuffle_seed),
+            pending_applies: (0..workers).map(|_| Vec::new()).collect(),
+            batch_max_instructions: 0,
+            instructions_since_observe: 0,
+            empty_deltas: Arc::new(HashMap::new()),
+            applies_in_flight: false,
+            pipeline,
+            controller,
+            queue: VecDeque::new(),
+            queue_bytes: 0,
+            issued: 0,
+            watermark: 0,
+            stream_start: None,
+            fault: None,
+            ckpt: None,
+            replay_log: Vec::new(),
+            recoveries: 0,
+            capture_views: Vec::new(),
+            capture_epoch: 0,
+            stats: PipelineStats::default(),
+            totals: ClusterTotals::default(),
+            telemetry,
+            metrics,
+            trace_scope: SpanContext::NONE,
+        };
+        cluster.stats.coalesce_bound = cluster.effective_coalesce_bound();
+        cluster
+    }
+
+    /// The compiled distributed plan this cluster runs.
+    pub fn plan(&self) -> &DistributedPlan {
+        &self.dplan
+    }
+
+    /// Whether this cluster runs the pipelined ingestion path.
+    pub fn is_pipelined(&self) -> bool {
+        self.pipeline.is_some()
+    }
+
+    /// Number of batches guaranteed visible to reads: reads observe
+    /// exactly this many *issued* batches (post-coalescing), a prefix of
+    /// the admitted stream when coalescing is off and of its commuted
+    /// schedule otherwise (see [`ThreadedCluster::view_contents`]).
+    /// Advanced by reads and by `flush`.
+    pub fn watermark(&self) -> u64 {
+        self.watermark
+    }
+
+    /// Process one batch of updates to `relation`.
+    ///
+    /// Epoch-synchronous mode: executes the batch to completion and returns
+    /// **measured** execution statistics.  Pipelined mode: *admits* the
+    /// batch (possibly ring-summing it into an already-queued delta) and
+    /// returns admission statistics; execution overlaps subsequent
+    /// admissions and is forced by [`ThreadedCluster::flush`] or any view
+    /// read.
+    pub fn apply_batch(&mut self, relation: &str, batch: &Relation) -> BatchExecution {
+        self.try_apply_batch(relation, batch)
+            .unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"))
+    }
+
+    /// Fallible [`ThreadedCluster::apply_batch`]: recovers worker deaths
+    /// per the [`FaultConfig`] and surfaces the typed [`WorkerDead`]
+    /// when recovery is disabled or exhausted.  An interrupted batch is
+    /// logged *before* any message is issued, so a successful recovery
+    /// replays it to completion — the returned stats for a recovered
+    /// batch carry only its input size, not measured execution numbers.
+    pub fn try_apply_batch(
+        &mut self,
+        relation: &str,
+        batch: &Relation,
+    ) -> Result<BatchExecution, WorkerDead> {
+        match self.pipeline {
+            None => match self.execute_program(relation, batch) {
+                Ok(stats) => Ok(stats),
+                Err(dead) => {
+                    self.recover(dead)?;
+                    Ok(BatchExecution {
+                        input_tuples: batch.len(),
+                        ..Default::default()
+                    })
+                }
+            },
+            Some(_) => {
+                let stats = self.admit(relation, batch);
+                self.with_recovery(Self::drain_admission_bounds)?;
+                Ok(stats)
+            }
+        }
+    }
+
+    /// Execute every queued batch, commit the watermark and fold the stream
+    /// wall-clock into the totals.  After `flush`, reads observe the entire
+    /// admitted stream.  No-op in epoch-synchronous mode.
+    ///
+    /// Recovers worker deaths per the [`FaultConfig`]; panics with the
+    /// typed [`WorkerDead`] message when recovery is disabled or
+    /// exhausted (use [`Driver::try_flush`] for the fallible form).
+    pub fn flush(&mut self) {
+        self.try_flush()
+            .unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"));
+    }
+
+    /// Fallible [`Driver::flush`]: surfaces an unrecovered worker death
+    /// instead of panicking.
+    pub fn try_flush(&mut self) -> Result<(), WorkerDead> {
+        self.with_recovery(Self::flush_inner)
+    }
+
+    pub(crate) fn flush_inner(&mut self) -> Result<(), WorkerDead> {
+        self.drain_queue()?;
+        self.commit_watermark()?;
+        if let Some(start) = self.stream_start.take() {
+            // Pipelined latency accounting is stream-scoped: the admitted
+            // stream's wall-clock (first admission to flush), not a sum of
+            // per-batch latencies.
+            self.totals.latency_secs += start.elapsed().as_secs_f64();
+        }
+        Ok(())
+    }
+
+    /// Full contents of a view, merged across all nodes holding a piece.
+    /// In pipelined mode this commits the watermark first, so the read
+    /// observes a consistent batch boundary (see the module docs);
+    /// admitted-but-queued batches require a [`ThreadedCluster::flush`] to
+    /// become visible.
+    pub fn view_contents(&mut self, name: &str) -> Relation {
+        self.try_view_contents(name)
+            .unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"))
+    }
+
+    /// Fallible [`ThreadedCluster::view_contents`]: recovers worker
+    /// deaths per the [`FaultConfig`] (reads are idempotent, so the read
+    /// is simply retried after recovery) and surfaces the typed error
+    /// when recovery is disabled or exhausted.
+    pub fn try_view_contents(&mut self, name: &str) -> Result<Relation, WorkerDead> {
+        self.with_recovery(|d| d.view_contents_inner(name))
+    }
+
+    fn view_contents_inner(&mut self, name: &str) -> Result<Relation, WorkerDead> {
+        self.telemetry.poll_dump();
+        // Under a latency target, overdue queued deltas are forced through
+        // first: a read never observes data staler than the target.
+        self.enforce_latency_target()?;
+        self.commit_watermark()?;
+        let mut out = Relation::new(self.dplan.schema_of(name).unwrap_or_default());
+        for part in self.read_view_parts(name)? {
+            out.merge(&part);
+        }
+        Ok(out)
+    }
+
+    /// The pieces of a committed view in merge order: the driver's copy of
+    /// a `Local` view, worker 0's copy of a `Replicated` one (every worker
+    /// holds an identical replica), else every worker's partition.
+    pub(crate) fn read_view_parts(&mut self, name: &str) -> Result<Vec<Relation>, WorkerDead> {
+        let snapshot = |id| Request::Snapshot {
+            id,
+            view: name.to_string(),
+        };
+        match self.dplan.location(name) {
+            LocTag::Local => Ok(vec![self.driver.snapshot(name)]),
+            LocTag::Replicated => {
+                let id = self.ledger.fresh_id();
+                self.send_to(0, snapshot(id))?;
+                Ok(vec![self.await_reply(0, id, rel_reply)?])
+            }
+            _ => self.fetch_all(snapshot),
+        }
+    }
+
+    /// Current contents of the top-level query view (watermark-consistent
+    /// in pipelined mode, see [`ThreadedCluster::view_contents`]).
+    pub fn query_result(&mut self) -> Relation {
+        self.view_contents(&self.dplan.plan.top_view.clone())
+    }
+
+    /// Fallible [`ThreadedCluster::query_result`].
+    pub fn try_query_result(&mut self) -> Result<Relation, WorkerDead> {
+        self.try_view_contents(&self.dplan.plan.top_view.clone())
+    }
+
+    /// Abandon every admitted-but-unissued batch *without executing it*,
+    /// shut the workers down, and return the final pipeline stats (with
+    /// [`PipelineStats::batches_abandoned`] counting the dropped queue).
+    /// This is the observable form of the `Drop` path; use
+    /// [`ThreadedCluster::flush`] first if queued batches must be applied.
+    pub fn close(mut self) -> PipelineStats {
+        self.abandon_queue();
+        self.stats.clone() // `Drop` shuts the workers down
+    }
+
+    /// Epoch-synchronous execution of one maintenance program over a batch
+    /// (canonicalizes the batch's schema, then delegates).
+    fn execute_program(
+        &mut self,
+        relation: &str,
+        batch: &Relation,
+    ) -> Result<BatchExecution, WorkerDead> {
+        let Some(program) = self.programs.get(relation) else {
+            return Ok(BatchExecution {
+                input_tuples: batch.len(),
+                ..Default::default()
+            });
+        };
+        let root = self.telemetry.begin_batch_root();
+        let admit_span = self.telemetry.begin_span(root.context(), "admit");
+        let canonical = relabel(batch, &program.relation_schema);
+        self.telemetry.finish_span(admit_span);
+        self.execute_canonical(relation, canonical, false, Some(root))
+    }
+
+    /// Run one maintenance program over an owned, canonical-schema delta.
+    ///
+    /// `pipelined = false` is the epoch-synchronous schedule: every
+    /// distributed block is barriered before the next starts and trailing
+    /// scatters are drained, so the returned stats carry the batch's full
+    /// measured wall-clock latency.  `pipelined = true` issues distributed
+    /// blocks without collecting their completions (up to the in-flight
+    /// window) and leaves trailing scatters un-barriered; completion is
+    /// deferred to the next fetch, watermark commit or window bound.
+    pub(crate) fn execute_canonical(
+        &mut self,
+        relation: &str,
+        delta: Relation,
+        pipelined: bool,
+        root: Option<ActiveSpan>,
+    ) -> Result<BatchExecution, WorkerDead> {
+        let wall_start = Instant::now();
+        let mut stats = BatchExecution {
+            input_tuples: delta.len(),
+            ..Default::default()
+        };
+        if !self.programs.contains_key(relation) {
+            self.telemetry.finish_span(root);
+            return Ok(stats);
+        }
+        // Replayed batches (recovery) arrive rootless: open a fresh root so
+        // the replay gets its own tree rather than grafting onto the
+        // interrupted one.
+        let root = root.unwrap_or_else(|| self.telemetry.begin_batch_root());
+        self.trace_scope = root.context();
+        // Before any message is issued: a death mid-batch replays it.
+        self.log_for_replay(relation, &delta);
+        self.metrics.batches_executed.inc();
+        self.metrics.batch_tuples.record(stats.input_tuples as u64);
+        self.batch_max_instructions = 0;
+        let inflight_blocks = self.pipeline.as_ref().map_or(0, |c| c.inflight_blocks);
+
+        let mut deltas = HashMap::new();
+        deltas.insert(relation.to_string(), delta);
+        let deltas = Arc::new(deltas);
+        let delta_name = format!("Δ{relation}");
+
+        let mut driver_counters = EvalCounters::default();
+        for block_idx in 0..self.programs[relation].blocks.len() {
+            let (mode, statements, needs_delta) = {
+                let b = &self.programs[relation].blocks[block_idx];
+                (b.mode, b.statements.clone(), b.needs_delta)
+            };
+            match mode {
+                StmtMode::Local => {
+                    for stmt in statements.iter() {
+                        match &stmt.kind {
+                            DistStmtKind::Compute(_) => {
+                                self.driver.run_compute(stmt, &deltas, &mut driver_counters);
+                            }
+                            DistStmtKind::Transform { kind, source } => {
+                                let bytes =
+                                    self.run_transform(stmt, kind, source, &delta_name, &deltas)?;
+                                stats.bytes_shuffled += bytes;
+                            }
+                        }
+                    }
+                }
+                StmtMode::Distributed => {
+                    if pipelined {
+                        // Opportunistically settle completions that have
+                        // already arrived, then enforce the in-flight
+                        // window — blocking only when a worker's ledger is
+                        // genuinely full.
+                        for w in 0..self.workers {
+                            self.settle_ready(w)?;
+                            while self.ledger.pending(w) >= inflight_blocks.max(1) {
+                                self.await_one_completion(w)?;
+                            }
+                        }
+                    }
+                    // Blocks that never read the batch (the usual case
+                    // after the compiler rewrote delta references into
+                    // scattered temps) are broadcast with a shared empty
+                    // map, so byte-counting transports don't ship the delta
+                    // once per worker for nothing.
+                    let block_deltas = if needs_delta {
+                        deltas.clone()
+                    } else {
+                        self.empty_deltas.clone()
+                    };
+                    self.broadcast_block(&statements, &block_deltas)?;
+                    if !pipelined {
+                        // One epoch: barrier on the tagged completions.
+                        self.drain_pending_blocks()?;
+                        stats.max_worker_instructions = stats
+                            .max_worker_instructions
+                            .max(self.batch_max_instructions);
+                        // The block barrier also drained any earlier applies.
+                        self.applies_in_flight = false;
+                    }
+                }
+            }
+        }
+
+        // A program ending in scatter/repart leaves shards buffered: ship
+        // them now as the batch's trailing `ApplyMany` per worker.  The
+        // synchronous schedule additionally barriers so the measured
+        // latency covers shard installation; the pipelined schedule leaves
+        // them in flight (command FIFO protects the next batch) and the
+        // watermark commit drains them before any read.
+        self.ship_all_applies()?;
+        if !pipelined && self.applies_in_flight {
+            self.barrier_applies()?;
+        }
+
+        let program = &self.programs[relation];
+        stats.driver_instructions = driver_counters.instructions();
+        stats.stages = program.stages;
+        stats.jobs = program.jobs;
+        stats.bytes_per_worker = stats.bytes_shuffled as f64 / self.workers as f64;
+        // Measured, not modelled.  Synchronous mode: the batch's end-to-end
+        // wall-clock.  Pipelined mode: the driver-side issue time only (the
+        // stream's end-to-end wall-clock is folded into the totals at
+        // `flush`).
+        stats.wall_secs = wall_start.elapsed().as_secs_f64();
+        stats.latency_secs = stats.wall_secs;
+        // The root closes here even in pipelined mode (where trailing
+        // applies are still in flight): the window is the driver's issue
+        // span, and post-close stages (watermark commit, fan-out) record
+        // under `trace_scope` as clipped children.
+        self.telemetry.finish_span(Some(root));
+
+        self.issued += 1;
+        self.metrics
+            .ledger_outstanding
+            .set(self.ledger.pending_total() as u64);
+        self.telemetry.event(
+            "batch.executed",
+            vec![
+                ("relation", relation.into()),
+                ("tuples", stats.input_tuples.into()),
+                ("pipelined", u64::from(pipelined).into()),
+                ("wall_secs", stats.wall_secs.into()),
+            ],
+        );
+        if pipelined {
+            // Stream tuples were counted at admission; stream wall-clock is
+            // folded in at `flush`.
+            self.stats.batches_executed += 1;
+            self.stats.tuples_executed += stats.input_tuples;
+        } else {
+            self.watermark = self.issued;
+            self.totals.latency_secs += stats.latency_secs;
+            self.totals.tuples += stats.input_tuples;
+        }
+        self.totals.batches += 1;
+        self.totals.bytes_shuffled += stats.bytes_shuffled;
+        self.totals.latencies.push(stats.latency_secs);
+        // After the batch's own accounting, so a checkpointed batch never
+        // rides the replay log past its own checkpoint.
+        self.checkpoint_if_due()?;
+        Ok(stats)
+    }
+
+    /// Send one distributed block to every worker (behind its buffered
+    /// scatter shards) and enter its completions into the ledger.
+    fn broadcast_block(
+        &mut self,
+        statements: &Arc<Vec<DistStatement>>,
+        deltas: &Arc<HashMap<String, Relation>>,
+    ) -> Result<(), WorkerDead> {
+        for w in 0..self.workers {
+            self.ship_applies(w)?;
+            let id = self.ledger.fresh_id();
+            self.send_to(
+                w,
+                Request::RunBlock {
+                    id,
+                    ctx: self.trace_scope,
+                    statements: statements.clone(),
+                    deltas: deltas.clone(),
+                },
+            )?;
+            self.ledger.expect_completion(w, id);
+        }
+        Ok(())
+    }
+
+    /// Execute a transformer statement; returns the bytes moved.
+    fn run_transform(
+        &mut self,
+        stmt: &DistStatement,
+        kind: &Transform,
+        source: &str,
+        delta_name: &str,
+        deltas: &HashMap<String, Relation>,
+    ) -> Result<usize, WorkerDead> {
+        match kind {
+            Transform::Scatter(pf) => {
+                let src: Relation = if source == delta_name {
+                    deltas.values().next().cloned().unwrap_or_default()
+                } else {
+                    self.driver.read(source)
+                };
+                let src = relabel(&src, &stmt.target_schema);
+                Ok(self.scatter(pf, &src, stmt))
+            }
+            Transform::Repart(pf) => {
+                let collected = self.gather(stmt, source)?;
+                let moved = collected.serialized_size();
+                self.scatter(pf, &collected, stmt);
+                Ok(moved + collected.serialized_size())
+            }
+            Transform::Gather => {
+                let collected = self.gather(stmt, source)?;
+                let bytes = collected.serialized_size();
+                self.driver.apply(stmt, collected);
+                Ok(bytes)
+            }
+        }
+    }
+
+    /// Fetch `source` from every worker and merge the parts, in worker
+    /// order, under the statement's target schema.
+    fn gather(&mut self, stmt: &DistStatement, source: &str) -> Result<Relation, WorkerDead> {
+        let ctx = self.trace_scope;
+        let span = self.telemetry.begin_span(ctx, "gather");
+        let mut collected = Relation::new(stmt.target_schema.clone());
+        for part in self.fetch_all(|id| Request::Fetch {
+            id,
+            ctx,
+            name: source.to_string(),
+        })? {
+            collected.merge(&relabel(&part, &stmt.target_schema));
+        }
+        self.telemetry.finish_span(span);
+        Ok(collected)
+    }
+
+    /// Fetch one relation from every worker, in worker order.  The requests
+    /// are issued to *every* worker immediately and each reply is awaited
+    /// by its request id; pending block completions settle into the ledger
+    /// as their replies arrive instead of being drained up front, so
+    /// workers flow from their in-flight blocks straight into the fetch
+    /// with the request already queued.
+    fn fetch_all(&mut self, make: impl Fn(u64) -> Request) -> Result<Vec<Relation>, WorkerDead> {
+        let outstanding = self.ledger.pending_total();
+        if outstanding > 0 {
+            self.stats.gathers_overlapped += 1;
+        }
+        let gather_start = Instant::now();
+        let rels = self.round(make, rel_reply)?;
+        let micros = gather_start.elapsed().as_micros().min(u64::MAX as u128) as u64;
+        self.metrics.gather_micros.record(micros);
+        self.telemetry.event(
+            "batch.gathered",
+            vec![
+                ("workers", self.workers.into()),
+                ("overlapped", outstanding.into()),
+                ("micros", micros.into()),
+            ],
+        );
+        Ok(rels)
+    }
+
+    /// Buffer per-worker shards of a driver-held relation for shipment;
+    /// returns the bytes moved.  Empty shards are buffered too: a `SetTo`
+    /// scatter must clear stale buffers on workers that receive no rows
+    /// this batch.  Shards ride in the worker's next `ApplyMany` (shipped
+    /// before its next command, or at batch end).
+    fn scatter(&mut self, pf: &PartitionFn, src: &Relation, stmt: &DistStatement) -> usize {
+        let span = self
+            .telemetry
+            .begin_span(self.trace_scope, "scatter.encode");
+        let (shards, bytes) = partition_shards(pf, src, stmt, self.workers);
+        self.telemetry.finish_span(span);
+        let stmt = Arc::new(stmt.clone());
+        for (w, shard) in shards.into_iter().enumerate() {
+            self.pending_applies[w].push((stmt.clone(), shard));
+        }
+        bytes
+    }
+
+    /// Ship worker `w`'s buffered scatter shards as one `ApplyMany`
+    /// message.  Must run before any other command is sent to `w`, so the
+    /// worker installs the shards first (command channels are FIFO).
+    pub(crate) fn ship_applies(&mut self, w: usize) -> Result<(), WorkerDead> {
+        if self.pending_applies[w].is_empty() {
+            return Ok(());
+        }
+        let applies = std::mem::take(&mut self.pending_applies[w]);
+        self.stats.scatter_messages_sent += 1;
+        self.stats.scatter_messages_saved += applies.len() - 1;
+        self.telemetry.event(
+            "batch.scattered",
+            vec![
+                ("worker", w.into()),
+                ("shards", applies.len().into()),
+                (
+                    "tuples",
+                    applies
+                        .iter()
+                        .map(|(_, shard)| shard.len() as u64)
+                        .sum::<u64>()
+                        .into(),
+                ),
+            ],
+        );
+        let id = self.ledger.fresh_id();
+        let ctx = self.trace_scope;
+        self.send_to(w, Request::ApplyMany { id, ctx, applies })?;
+        self.applies_in_flight = true;
+        Ok(())
+    }
+
+    /// Ship every worker's buffered scatter shards.
+    fn ship_all_applies(&mut self) -> Result<(), WorkerDead> {
+        for w in 0..self.workers {
+            self.ship_applies(w)?;
+        }
+        Ok(())
+    }
+
+    /// Barrier every worker (drains trailing `ApplyMany`s), waiting on the
+    /// tagged acknowledgements.
+    fn barrier_applies(&mut self) -> Result<(), WorkerDead> {
+        self.round(
+            |id| Request::Barrier { id },
+            |reply| matches!(reply, Reply::Ack { .. }).then_some(()),
+        )?;
+        self.applies_in_flight = false;
+        Ok(())
+    }
+
+    /// Commit the watermark: after this, every issued batch is fully
+    /// applied on every node and safe to read.  Ships any buffered
+    /// scatters, settles the whole request-id ledger and barriers trailing
+    /// applies.
+    pub(crate) fn commit_watermark(&mut self) -> Result<(), WorkerDead> {
+        // No-op commits (watermark already current, nothing buffered) are
+        // spanless, so read-heavy workloads do not flood the trace with
+        // empty "watermark.commit" entries.
+        if self.watermark == self.issued
+            && !self.applies_in_flight
+            && self.pending_applies.iter().all(Vec::is_empty)
+        {
+            return Ok(());
+        }
+        let span = self
+            .telemetry
+            .begin_span(self.trace_scope, "watermark.commit");
+        let result: Result<(), WorkerDead> = (|| {
+            self.ship_all_applies()?;
+            self.drain_pending_blocks()?;
+            if self.applies_in_flight {
+                self.barrier_applies()?;
+            }
+            self.watermark = self.issued;
+            Ok(())
+        })();
+        self.telemetry.finish_span(span);
+        result
+    }
+}
+
+/// Destructure the `Rel` a `Fetch`/`Snapshot` is answered with.
+fn rel_reply(reply: Reply) -> Option<Relation> {
+    match reply {
+        Reply::Rel { rel, .. } => Some(rel),
+        _ => None,
+    }
+}
+
+impl<T: Transport> Backend for Driver<T> {
+    fn backend_name(&self) -> &'static str {
+        let names = self.transport.names();
+        if self.is_pipelined() {
+            names.pipelined
+        } else {
+            names.sync
+        }
+    }
+
+    fn plan(&self) -> &DistributedPlan {
+        Driver::plan(self)
+    }
+
+    fn apply_batch(&mut self, relation: &str, batch: &Relation) -> BatchExecution {
+        Driver::apply_batch(self, relation, batch)
+    }
+
+    fn flush(&mut self) {
+        Driver::flush(self);
+    }
+
+    fn view_contents(&mut self, name: &str) -> Relation {
+        Driver::view_contents(self, name)
+    }
+
+    fn totals(&self) -> &ClusterTotals {
+        &self.totals
+    }
+
+    fn pipeline_stats(&self) -> Option<PipelineStats> {
+        self.is_pipelined().then(|| self.stats.clone())
+    }
+
+    fn telemetry(&self) -> Option<Arc<Telemetry>> {
+        Some(self.telemetry.clone())
+    }
+
+    fn trace_scope(&self) -> SpanContext {
+        self.trace_scope
+    }
+}
+
+impl<T: Transport> Drop for Driver<T> {
+    fn drop(&mut self) {
+        // Dropping without a `flush` abandons queued batches — they must
+        // never execute from a destructor (a drop during unwinding must not
+        // run maintenance programs or block on workers beyond joining).
+        self.abandon_queue();
+        // Workers may still hold finished spans from batches whose Stats
+        // round never ran; drain them (best-effort — a dead worker just
+        // loses its spans) so the exported trace file is complete.
+        if Telemetry::trace_export_enabled() {
+            let _ = self.fetch_worker_stats();
+        }
+        // Workers only need their command channels drained; uncollected
+        // block replies are discarded with the reply channels.
+        self.transport.shutdown();
+        // After shutdown, so worker-teardown flight events make the flush.
+        self.telemetry.flush_on_drop();
+        self.telemetry.flush_trace_on_drop();
+    }
+}

@@ -1,6 +1,6 @@
 //! Per-batch distributed tracing: span trees with wire-propagated context.
 //!
-//! Every admitted batch opens a **root span** carrying a [`TraceId`]
+//! Every admitted batch opens a **root span** carrying a trace id
 //! derived from the admission sequence (a per-tracer counter — never
 //! wall-clock randomness), with child spans for admission, coalescing,
 //! scatter encode, per-worker trigger execution, gather, watermark commit

@@ -111,11 +111,6 @@ fn run_backend<B: Backend>(mut backend: B, batches: &[Vec<(&'static str, Relatio
 /// * pipelined (coalescing disabled, tagged-reply protocol) == simulated,
 ///   **bit-for-bit** — the admission queue, in-flight window, request-id
 ///   ledger and watermarks are transparent;
-/// * pipelined on the **positional-FIFO compat schedule** (full-window
-///   drains before fetches, per-statement scatter messages) == simulated,
-///   **bit-for-bit** — tagged and FIFO run the same trigger sequence over
-///   the same per-worker command order, so reply accounting must not leak
-///   into state;
 /// * pipelined with the **reply inbox deterministically shuffled** ==
 ///   simulated, **bit-for-bit** — the ledger matches replies by request
 ///   id, so the order replies are *consumed* in must be irrelevant;
@@ -158,15 +153,6 @@ fn differential_check(
     };
     let piped = run_backend(
         ThreadedCluster::pipelined(compile_for(q, opt), workers, no_coalesce.clone()),
-        &batches,
-    );
-    let fifo_config = PipelineConfig {
-        async_gather: false,
-        batch_scatters: false,
-        ..no_coalesce.clone()
-    };
-    let fifo = run_backend(
-        ThreadedCluster::pipelined(compile_for(q, opt), workers, fifo_config),
         &batches,
     );
     let shuffled_config = no_coalesce
@@ -234,13 +220,6 @@ fn differential_check(
     if cs_piped != cs_sim {
         return Err(format!(
             "{} {opt:?} x{workers} b{batch_size}: pipelined != simulated bit-for-bit ({cs_piped} vs {cs_sim})",
-            q.id
-        ));
-    }
-    let cs_fifo = fifo.checksum();
-    if cs_fifo != cs_sim {
-        return Err(format!(
-            "{} {opt:?} x{workers} b{batch_size}: fifo-compat pipeline != simulated bit-for-bit ({cs_fifo} vs {cs_sim})",
             q.id
         ));
     }
@@ -437,15 +416,6 @@ fn aggressive_pipeline_configs_agree() {
                 ..Default::default()
             }),
             admit_capacity: 2,
-            ..Default::default()
-        },
-        // FIFO-compat schedule under heavy coalescing and a tiny window.
-        PipelineConfig {
-            coalesce_tuples: 100_000,
-            admit_capacity: 1,
-            inflight_blocks: 1,
-            async_gather: false,
-            batch_scatters: false,
             ..Default::default()
         },
         // Tagged schedule with the reply inbox shuffled on every arrival

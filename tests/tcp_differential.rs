@@ -193,16 +193,16 @@ fn tcp_kill_point_sweep_recovers_bit_identically() {
     }
 }
 
-/// The rescatter recovery mode through the same oracle: checkpoints keep
-/// only worker counters and the driver re-scatters canonical view
-/// partitions on restore.
+/// A plan shape the kill-point sweep does not cover — the six-stage Q7 at
+/// O2 — with one kill per worker, alternating before/after the faulted
+/// `RunBlock`, through the same oracle.
 #[test]
 fn tcp_rescatter_recovery_matches_unfaulted_run() {
     let workers = workers_under_test();
     let q = query("Q7").unwrap();
     let stream = seeded_stream(&q, 140, 0x5CA77E);
     let batches = stream.batches(10);
-    let fault_config = FaultConfig::every(2).with_mode(RecoveryMode::Rescatter);
+    let fault_config = FaultConfig::every(2);
 
     let mut clean = TcpCluster::new(
         compile_for(&q, OptLevel::O2),
@@ -226,9 +226,9 @@ fn tcp_rescatter_recovery_matches_unfaulted_run() {
         assert_eq!(
             tcp.query_result().checksum(),
             expected,
-            "{spec} (rescatter): recovered run != unfaulted run"
+            "{spec}: recovered run != unfaulted run"
         );
-        assert_eq!(tcp.recoveries(), 1, "{spec} (rescatter)");
+        assert_eq!(tcp.recoveries(), 1, "{spec}");
     }
 }
 
@@ -328,8 +328,6 @@ fn tcp_aggressive_pipeline_configs_agree() {
             false,
             PipelineConfig {
                 coalesce_tuples: 0,
-                async_gather: false,
-                batch_scatters: false,
                 ..Default::default()
             },
         ),
