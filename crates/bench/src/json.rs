@@ -1,7 +1,7 @@
 //! Minimal JSON emission for machine-readable benchmark artifacts.
 //!
 //! The container has no crates.io access (so no `serde`); this module
-//! hand-rolls the small subset needed to maintain `BENCH_runtime.json`: a
+//! hand-rolls the small subset needed to maintain the `BENCH_JSON` file: a
 //! flat top-level object whose sections are written independently by the
 //! benchmark binaries (`fig9_weak_scaling` writes its section without
 //! clobbering `fig10_strong_scaling`'s, and vice versa).  Section values
@@ -101,10 +101,9 @@ pub fn jarray(elems: impl IntoIterator<Item = String>) -> String {
     }
 }
 
-/// A parsed JSON value — the reading side of this module, used by the
-/// `bench_diff` regression gate to compare two `BENCH_runtime.json`
-/// artifacts.  Object keys keep insertion order (we only ever read files
-/// this module wrote; duplicate keys keep the last value).
+/// A parsed JSON value — the reading side of this module, used by
+/// `trace_check` to validate a `HOTDOG_TRACE` export.  Object keys keep
+/// insertion order; duplicate keys keep the last value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum JsonValue {
     Null,
@@ -407,9 +406,10 @@ pub fn update_bench_json(path: &str, section: &str, value: &str) -> std::io::Res
     fs::write(path, format!("{{\n{body}\n}}\n"))
 }
 
-/// Default path of the benchmark artifact (override with `BENCH_JSON`).
-pub fn bench_json_path() -> String {
-    std::env::var("BENCH_JSON").unwrap_or_else(|_| "BENCH_runtime.json".to_string())
+/// Where the figure binaries write their rows: the path in `BENCH_JSON`,
+/// or nowhere when it is unset (no default path that would dirty the tree).
+pub fn bench_json_path() -> Option<String> {
+    std::env::var("BENCH_JSON").ok().filter(|p| !p.is_empty())
 }
 
 #[cfg(test)]

@@ -2,10 +2,11 @@
 //!
 //! Benchmark harness reproducing every table and figure of the paper's
 //! evaluation section on the laptop-scale simulator.  Each binary under
-//! `src/bin/` regenerates one artifact (the machine-readable ones maintain
-//! sections of `BENCH_runtime.json`, documented in the README; `bench_diff`
-//! gates those sections against a baseline); this library holds the shared
-//! experiment drivers and plain-text table printing.
+//! `src/bin/` regenerates one artifact and prints it as a plain-text table
+//! (fig9/fig10 also write their rows as JSON to the file named by
+//! `BENCH_JSON`, when that is set); this library holds the shared
+//! experiment drivers and table printing.  Performance regressions are
+//! judged by the repo benchmark (`BENCHMARK.json`, `benchmark/`), not here.
 //!
 //! Absolute numbers differ from the paper (interpreter vs. generated C++,
 //! simulated cluster vs. 100 Spark servers); the harness is built to
@@ -17,7 +18,6 @@ use hotdog::ivm::Strategy;
 use hotdog::prelude::*;
 use std::time::Instant;
 
-pub mod diff;
 pub mod json;
 
 /// How many stream tuples the local experiments process by default.  Can be
@@ -27,15 +27,6 @@ pub fn default_local_tuples() -> usize {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(30_000)
-}
-
-/// Default stream size for the distributed experiments
-/// (`HOTDOG_DIST_TUPLES`).
-pub fn default_dist_tuples() -> usize {
-    std::env::var("HOTDOG_DIST_TUPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(40_000)
 }
 
 /// Generate the stream matching a catalog query's workload family.
@@ -119,9 +110,10 @@ pub enum BackendKind {
     /// it a priori.
     Adaptive,
     /// `hotdog-net`'s multi-process TCP backend, epoch-synchronous:
-    /// worker subprocesses on loopback speaking the binary codec.  The
-    /// `net_overhead` section compares it against [`BackendKind::Threaded`]
-    /// — same driver, same schedule, real sockets instead of channels.
+    /// worker subprocesses on loopback speaking the binary codec — same
+    /// driver and schedule as [`BackendKind::Threaded`], real sockets
+    /// instead of channels.  The workers are this executable re-run in
+    /// worker mode (see [`BackendKind::from_args`]).
     Tcp,
     /// The TCP backend on the pipelined ingestion path with delta
     /// coalescing — batching decisions paying their dividend where there
@@ -187,14 +179,23 @@ impl BackendKind {
     /// `--adaptive` from a binary's argument list (`--coalesce` implies
     /// `--pipeline`; `--adaptive` wins over both; `--tcp` moves a threaded
     /// or pipelined run onto the multi-process socket transport).
+    ///
+    /// `--connect <addr> --index <n>` is how a `--tcp` run re-executes this
+    /// binary as one of its own workers: the process serves that worker
+    /// slot and exits, and this function never returns.
     pub fn from_args() -> BackendKind {
         let mut pipeline = false;
         let mut real = false;
         let mut adaptive = false;
         let mut tcp = false;
         let mut coalesce = PipelineConfig::default().coalesce_tuples;
-        for arg in std::env::args() {
+        let mut connect = None;
+        let mut index = None;
+        let mut args = std::env::args().skip(1);
+        while let Some(arg) = args.next() {
             match arg.as_str() {
+                "--connect" => connect = args.next(),
+                "--index" => index = args.next().and_then(|s| s.parse::<u32>().ok()),
                 "--real" => real = true,
                 "--tcp" => tcp = true,
                 "--pipeline" => pipeline = true,
@@ -204,6 +205,16 @@ impl BackendKind {
                         pipeline = true;
                         coalesce = n.parse().unwrap_or(coalesce);
                     }
+                }
+            }
+        }
+        if let Some(addr) = connect {
+            let index = index.expect("--connect needs --index <n>");
+            match hotdog::net::run_worker(&addr, index) {
+                Ok(()) => std::process::exit(0),
+                Err(e) => {
+                    eprintln!("worker {index}: {e}");
+                    std::process::exit(1)
                 }
             }
         }
@@ -227,7 +238,7 @@ impl BackendKind {
     }
 }
 
-/// Per-run telemetry counters embedded into `BENCH_runtime.json`: the
+/// Per-run telemetry counters embedded into a run's JSON row: the
 /// deterministic totals gathered over the protocol's `Stats` message,
 /// plus the wire-level `net.*` counters (zero on the in-process
 /// transports — only the TCP backend moves frames).
@@ -292,7 +303,7 @@ pub struct DistRun {
 }
 
 impl DistRun {
-    /// One JSON object per run, for `BENCH_runtime.json` sections.
+    /// One JSON object per run (a row of a `BENCH_JSON` section).
     pub fn to_json(&self) -> String {
         let mut obj = json::JsonObj::new()
             .str("query", &self.query)
@@ -331,8 +342,6 @@ impl DistRun {
             );
         }
         if let Some(t) = &self.telemetry {
-            // Flat `telemetry_*` fields so `bench_diff` can track them
-            // with the same one-level row accessors as every other metric.
             obj = obj
                 .int("telemetry_messages_sent", t.messages_sent)
                 .int("telemetry_replies_received", t.replies_received)
@@ -345,9 +354,6 @@ impl DistRun {
                 .int("telemetry_net_frames_received", t.net_frames_received)
                 .int("telemetry_net_bytes_received", t.net_bytes_received);
             if let Some(cp) = &t.critical_path {
-                // Nested object (durations are wall-clock, so `bench_diff`
-                // must not track them field-by-field like the flat
-                // `telemetry_*` counters above).
                 obj =
                     obj.raw(
                         "critical_path",
@@ -369,17 +375,24 @@ impl DistRun {
     }
 }
 
-/// Write one experiment's runs as a section of `BENCH_runtime.json` (path
-/// overridable via `BENCH_JSON`), preserving other experiments' sections.
+/// Write one experiment's runs as a section of the file named by
+/// `BENCH_JSON`, preserving other experiments' sections.  Without
+/// `BENCH_JSON` nothing is written: the tables on stdout are the artifact.
 pub fn emit_bench_json(section: &str, runs: &[DistRun]) {
     let value = json::JsonObj::new()
         .raw("rows", json::jarray(runs.iter().map(|r| r.to_json())))
         .render();
-    let path = json::bench_json_path();
-    if let Err(e) = json::update_bench_json(&path, section, &value) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        eprintln!("wrote section {section:?} ({} rows) to {path}", runs.len());
+    emit_bench_section(section, &value);
+}
+
+/// Write one raw JSON `value` as `section` of the `BENCH_JSON` file, if set.
+pub fn emit_bench_section(section: &str, value: &str) {
+    let Some(path) = json::bench_json_path() else {
+        return;
+    };
+    match json::update_bench_json(&path, section, value) {
+        Ok(()) => eprintln!("wrote section {section:?} to {path}"),
+        Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }
 }
 
@@ -392,209 +405,25 @@ pub fn num_cpus_capped(cap: usize) -> usize {
         .clamp(1, cap.max(1))
 }
 
-/// Drive any execution backend over a pre-batched stream (the generic
-/// experiment loop shared by benches and tests).
-pub fn drive_backend<B: hotdog::distributed::Backend>(
-    backend: &mut B,
-    stream: &UpdateStream,
-    batch_tuples: usize,
-) -> ClusterTotals {
-    backend.apply_stream(&stream.batches(batch_tuples));
-    backend.totals().clone()
+/// TCP cluster configuration for the `--tcp` arms: this executable is its
+/// own worker (see [`BackendKind::from_args`]), so nothing has to be
+/// pre-built.
+fn tcp_config(workers: usize) -> TcpConfig {
+    let mut config = TcpConfig::with_workers(workers);
+    config.worker_bin = Some(std::env::current_exe().expect("current_exe"));
+    config
 }
 
-/// Backend-generic driver over pre-built (possibly phased) batches;
-/// `batch_tuples` is only recorded in the result (0 = mixed sizes).
-pub fn run_distributed_batches(
-    q: &CatalogQuery,
+/// Stream `batches` through a real driver and collect what a [`DistRun`]
+/// reports about it.
+fn measure<T: Transport>(
+    cluster: &mut Driver<T>,
     batches: &[Vec<(&'static str, Relation)>],
-    workers: usize,
-    batch_tuples: usize,
-    opt: OptLevel,
-    backend: BackendKind,
-) -> DistRun {
-    let plan = compile_recursive(q.id, &q.expr);
-    let spec = PartitioningSpec::heuristic(&plan, &q.partition_keys);
-    let dplan = compile_distributed(&plan, &spec, opt);
-    let (jobs, stages) = dplan.complexity();
-    let (totals, coalesce, telemetry) = match (backend, backend.pipeline_config()) {
-        (BackendKind::Simulated, _) => {
-            let mut cluster = Cluster::new(dplan, ClusterConfig::with_workers(workers));
-            cluster.apply_stream(batches);
-            (cluster.totals().clone(), None, None)
-        }
-        (BackendKind::Tcp, _) => {
-            let mut cluster =
-                TcpCluster::new(dplan, &tcp_bench_config(workers)).expect("tcp cluster");
-            cluster.apply_stream(batches);
-            let telemetry = collect_telemetry(&mut cluster);
-            (cluster.totals().clone(), None, Some(telemetry))
-        }
-        (BackendKind::TcpPipelined { .. }, Some(config)) => {
-            let mut cluster = TcpCluster::pipelined(dplan, &tcp_bench_config(workers), config)
-                .expect("tcp cluster");
-            cluster.apply_stream(batches);
-            let stats = cluster.pipeline_stats();
-            let telemetry = collect_telemetry(&mut cluster);
-            (cluster.totals().clone(), stats, Some(telemetry))
-        }
-        (_, None) => {
-            let mut cluster = ThreadedCluster::new(dplan, workers);
-            cluster.apply_stream(batches);
-            let telemetry = collect_telemetry(&mut cluster);
-            (cluster.totals().clone(), None, Some(telemetry))
-        }
-        (_, Some(config)) => {
-            let mut cluster = ThreadedCluster::pipelined(dplan, workers, config);
-            cluster.apply_stream(batches);
-            let stats = cluster.pipeline_stats();
-            let telemetry = collect_telemetry(&mut cluster);
-            (cluster.totals().clone(), stats, Some(telemetry))
-        }
-    };
-    DistRun {
-        query: q.id.to_string(),
-        workers,
-        batch_tuples,
-        opt,
-        backend,
-        median_latency_secs: totals.median_latency(),
-        p95_latency_secs: totals.latency_percentile(0.95),
-        p99_latency_secs: totals.latency_percentile(0.99),
-        throughput: totals.throughput(),
-        mb_shuffled_per_worker: totals.bytes_shuffled as f64
-            / 1e6
-            / workers as f64
-            / totals.batches.max(1) as f64,
-        jobs,
-        stages,
-        coalesce,
-        telemetry,
-    }
-}
-
-/// Static-vs-adaptive coalescing on a shifting-batch-size stream: the
-/// static arms fix one point of the paper's Fig. 7 throughput curve
-/// ({1 = no coalescing, a mid value, ∞ = coalesce everything}), the
-/// adaptive arm searches the curve online.  The tracked acceptance number
-/// is [`AdaptiveStreamComparison::adaptive_vs_best_static`].
-#[derive(Clone, Debug)]
-pub struct AdaptiveStreamComparison {
-    pub query: String,
-    pub workers: usize,
-    pub phases: Vec<(usize, usize)>,
-    /// `(label, run)` per arm: `static-1`, `static-64`, `static-inf`,
-    /// `adaptive`.
-    pub runs: Vec<(String, DistRun)>,
-}
-
-/// Static coalescing bound standing in for "coalesce everything".
-pub const COALESCE_UNBOUNDED: usize = usize::MAX / 4;
-
-impl AdaptiveStreamComparison {
-    pub fn adaptive_run(&self) -> &DistRun {
-        &self
-            .runs
-            .iter()
-            .find(|(l, _)| l == "adaptive")
-            .expect("comparison always has an adaptive arm")
-            .1
-    }
-
-    /// Best throughput among the static arms.
-    pub fn best_static(&self) -> (&str, f64) {
-        self.runs
-            .iter()
-            .filter(|(l, _)| l != "adaptive")
-            .map(|(l, r)| (l.as_str(), r.throughput))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .expect("comparison always has static arms")
-    }
-
-    /// Adaptive throughput over the best static throughput (≥ 1 means the
-    /// self-tuning policy matched or beat every static setting).
-    pub fn adaptive_vs_best_static(&self) -> f64 {
-        let best = self.best_static().1;
-        if best == 0.0 {
-            0.0
-        } else {
-            self.adaptive_run().throughput / best
-        }
-    }
-
-    pub fn to_json(&self) -> String {
-        let (best_label, best_tps) = self.best_static();
-        json::JsonObj::new()
-            .str("query", &self.query)
-            .int("workers", self.workers as u64)
-            .raw(
-                "phases",
-                json::jarray(
-                    self.phases
-                        .iter()
-                        .map(|(n, t)| format!("[{n}, {t}]"))
-                        .collect::<Vec<_>>(),
-                ),
-            )
-            .str("best_static", best_label)
-            .num("best_static_tps", best_tps)
-            .num("adaptive_tps", self.adaptive_run().throughput)
-            .num("adaptive_vs_best_static", self.adaptive_vs_best_static())
-            .raw(
-                "runs",
-                json::jarray(self.runs.iter().map(|(label, r)| {
-                    json::JsonObj::new()
-                        .str("label", label)
-                        .raw("run", r.to_json())
-                        .render()
-                })),
-            )
-            .render()
-    }
-}
-
-/// Run the static-vs-adaptive comparison for one query on a phased stream.
-pub fn compare_adaptive_stream(
-    q: &CatalogQuery,
-    workers: usize,
-    phases: &[(usize, usize)],
-    seed: u64,
-) -> AdaptiveStreamComparison {
-    let total: usize = phases.iter().map(|(n, t)| n * t).sum();
-    let stream = stream_for(q, total, seed);
-    let batches = stream.phased_batches(phases);
-    let arms: Vec<(String, BackendKind)> = vec![
-        (
-            "static-1".into(),
-            BackendKind::Pipelined { coalesce_tuples: 1 },
-        ),
-        (
-            "static-64".into(),
-            BackendKind::Pipelined {
-                coalesce_tuples: 64,
-            },
-        ),
-        (
-            "static-inf".into(),
-            BackendKind::Pipelined {
-                coalesce_tuples: COALESCE_UNBOUNDED,
-            },
-        ),
-        ("adaptive".into(), BackendKind::Adaptive),
-    ];
-    let runs = arms
-        .into_iter()
-        .map(|(label, kind)| {
-            let run = run_distributed_batches(q, &batches, workers, 0, OptLevel::O3, kind);
-            (label, run)
-        })
-        .collect();
-    AdaptiveStreamComparison {
-        query: q.id.to_string(),
-        workers,
-        phases: phases.to_vec(),
-        runs,
-    }
+) -> (ClusterTotals, Option<PipelineStats>, Option<TelemetryRun>) {
+    cluster.apply_stream(batches);
+    let stats = cluster.pipeline_stats();
+    let telemetry = collect_telemetry(cluster);
+    (cluster.totals().clone(), stats, Some(telemetry))
 }
 
 /// Run a query on the simulated cluster, chunking the stream into batches of
@@ -616,20 +445,8 @@ pub fn run_distributed(
     )
 }
 
-/// Run a query on the real thread-per-worker runtime and report measured
-/// wall-clock latency/throughput.
-pub fn run_distributed_real(
-    q: &CatalogQuery,
-    stream: &UpdateStream,
-    workers: usize,
-    batch_tuples: usize,
-    opt: OptLevel,
-) -> DistRun {
-    run_distributed_on(q, stream, workers, batch_tuples, opt, BackendKind::Threaded)
-}
-
-/// Backend-generic distributed experiment driver (uniform batch sizes; see
-/// [`run_distributed_batches`] for phased streams).
+/// Backend-generic distributed experiment driver: chunk the stream into
+/// batches of `batch_tuples` and run them through `backend`.
 pub fn run_distributed_on(
     q: &CatalogQuery,
     stream: &UpdateStream,
@@ -639,7 +456,50 @@ pub fn run_distributed_on(
     backend: BackendKind,
 ) -> DistRun {
     let batches = stream.batches(batch_tuples);
-    run_distributed_batches(q, &batches, workers, batch_tuples, opt, backend)
+    let plan = compile_recursive(q.id, &q.expr);
+    let spec = PartitioningSpec::heuristic(&plan, &q.partition_keys);
+    let dplan = compile_distributed(&plan, &spec, opt);
+    let (jobs, stages) = dplan.complexity();
+    let (totals, coalesce, telemetry) = match (backend, backend.pipeline_config()) {
+        (BackendKind::Simulated, _) => {
+            let mut cluster = Cluster::new(dplan, ClusterConfig::with_workers(workers));
+            cluster.apply_stream(&batches);
+            (cluster.totals().clone(), None, None)
+        }
+        (BackendKind::Tcp | BackendKind::TcpPipelined { .. }, pipeline) => {
+            let config = tcp_config(workers);
+            let mut cluster = match pipeline {
+                None => TcpCluster::new(dplan, &config),
+                Some(pipeline) => TcpCluster::pipelined(dplan, &config, pipeline),
+            }
+            .expect("tcp cluster");
+            measure(&mut cluster, &batches)
+        }
+        (_, None) => measure(&mut ThreadedCluster::new(dplan, workers), &batches),
+        (_, Some(pipeline)) => measure(
+            &mut ThreadedCluster::pipelined(dplan, workers, pipeline),
+            &batches,
+        ),
+    };
+    DistRun {
+        query: q.id.to_string(),
+        workers,
+        batch_tuples,
+        opt,
+        backend,
+        median_latency_secs: totals.median_latency(),
+        p95_latency_secs: totals.latency_percentile(0.95),
+        p99_latency_secs: totals.latency_percentile(0.99),
+        throughput: totals.throughput(),
+        mb_shuffled_per_worker: totals.bytes_shuffled as f64
+            / 1e6
+            / workers as f64
+            / totals.batches.max(1) as f64,
+        jobs,
+        stages,
+        coalesce,
+        telemetry,
+    }
 }
 
 /// Head-to-head stream throughput: the same many-small-batch stream pushed
@@ -712,197 +572,6 @@ pub fn compare_stream_throughput(
         tuples_per_batch,
         sync,
         pipelined,
-    }
-}
-
-/// TCP cluster configuration for benches: subprocess workers by default,
-/// `HOTDOG_TCP_SPAWN=thread` (handled by `TcpConfig::from_env`) swaps in
-/// in-process socket threads on hosts where spawning is unavailable.
-pub fn tcp_bench_config(workers: usize) -> TcpConfig {
-    TcpConfig::from_env(workers)
-}
-
-/// Head-to-head of the in-process channel transport against the real
-/// socket transport: the same stream through `ThreadedCluster` and
-/// `TcpCluster`, both epoch-synchronous, same driver and schedule — the
-/// throughput ratio isolates what the wire costs (framing, codec,
-/// syscalls, process isolation).  This is the number the network-path
-/// optimizations of the ROADMAP (scatter batching across triggers,
-/// compression, zero-copy) will be held against.
-#[derive(Clone, Debug)]
-pub struct NetOverheadComparison {
-    pub query: String,
-    pub workers: usize,
-    pub n_batches: usize,
-    pub tuples_per_batch: usize,
-    pub threaded: DistRun,
-    pub tcp: DistRun,
-}
-
-impl NetOverheadComparison {
-    /// TCP over threaded throughput (≤ 1 in practice: the wire can only
-    /// cost; how *little* it costs is the tracked number).
-    pub fn tcp_vs_threaded(&self) -> f64 {
-        if self.threaded.throughput == 0.0 {
-            0.0
-        } else {
-            self.tcp.throughput / self.threaded.throughput
-        }
-    }
-
-    pub fn to_json(&self) -> String {
-        json::JsonObj::new()
-            .str("query", &self.query)
-            .int("workers", self.workers as u64)
-            .int("n_batches", self.n_batches as u64)
-            .int("tuples_per_batch", self.tuples_per_batch as u64)
-            .num("tcp_vs_threaded", self.tcp_vs_threaded())
-            .raw("threaded", self.threaded.to_json())
-            .raw("tcp", self.tcp.to_json())
-            .render()
-    }
-}
-
-/// Run the net-overhead comparison on the fig9 stream shape
-/// (`n_batches`×`tuples_per_batch`).  Both arms are timing-measured and
-/// the TCP arm pays per-message syscalls, so each arm runs three times in
-/// alternating order and its median-throughput run represents it (the
-/// median-of-3 cuts scheduler-noise tails off a tiny stream).  One
-/// `TcpCluster` is built per run — worker spawn/handshake cost is *not*
-/// inside the measured stream window (totals time the stream, not
-/// construction).
-pub fn compare_net_overhead(
-    q: &CatalogQuery,
-    workers: usize,
-    n_batches: usize,
-    tuples_per_batch: usize,
-) -> NetOverheadComparison {
-    const REPEATS: usize = 3;
-    let stream = stream_for(q, n_batches * tuples_per_batch, 64);
-    let mut threaded_runs = Vec::with_capacity(REPEATS);
-    let mut tcp_runs = Vec::with_capacity(REPEATS);
-    for _ in 0..REPEATS {
-        threaded_runs.push(run_distributed_on(
-            q,
-            &stream,
-            workers,
-            tuples_per_batch,
-            OptLevel::O3,
-            BackendKind::Threaded,
-        ));
-        tcp_runs.push(run_distributed_on(
-            q,
-            &stream,
-            workers,
-            tuples_per_batch,
-            OptLevel::O3,
-            BackendKind::Tcp,
-        ));
-    }
-    let median = |mut runs: Vec<DistRun>| -> DistRun {
-        runs.sort_by(|a, b| a.throughput.total_cmp(&b.throughput));
-        runs.swap_remove(REPEATS / 2)
-    };
-    NetOverheadComparison {
-        query: q.id.to_string(),
-        workers,
-        n_batches,
-        tuples_per_batch,
-        threaded: median(threaded_runs),
-        tcp: median(tcp_runs),
-    }
-}
-
-/// Head-to-head of the row-at-a-time reference interpreter against the
-/// columnar vectorized path (`hotdog-exec`'s `vectorized` module) on the
-/// same stream, same single-worker threaded cluster, same schedule — the
-/// throughput ratio isolates what per-tuple interpretation costs.  Both
-/// arms produce bit-identical results (the differential tests hold them to
-/// that), so this ratio is pure speed.
-#[derive(Clone, Debug)]
-pub struct ColumnarComparison {
-    pub query: String,
-    pub workers: usize,
-    pub n_batches: usize,
-    pub tuples_per_batch: usize,
-    /// The reference interpreter arm (`set_columnar(false)`).
-    pub row: DistRun,
-    /// The vectorized arm (`set_columnar(true)`, the default mode).
-    pub columnar: DistRun,
-}
-
-impl ColumnarComparison {
-    /// Columnar over row throughput (> 1 when vectorization pays).
-    pub fn columnar_vs_row(&self) -> f64 {
-        if self.row.throughput == 0.0 {
-            0.0
-        } else {
-            self.columnar.throughput / self.row.throughput
-        }
-    }
-
-    pub fn to_json(&self) -> String {
-        json::JsonObj::new()
-            .str("query", &self.query)
-            .int("workers", self.workers as u64)
-            .int("n_batches", self.n_batches as u64)
-            .int("tuples_per_batch", self.tuples_per_batch as u64)
-            .num("columnar_vs_row", self.columnar_vs_row())
-            .raw("row", self.row.to_json())
-            .raw("columnar", self.columnar.to_json())
-            .render()
-    }
-}
-
-/// Run the columnar-vs-row comparison on a fig9-family stream
-/// (`n_batches`×`tuples_per_batch`, single worker so trigger execution —
-/// not scheduling — dominates).  The interpreter knob is flipped
-/// process-wide per arm via [`hotdog::exec::set_columnar`]; arms alternate
-/// and each is represented by its median-of-3 run, the same treatment as
-/// [`compare_net_overhead`].  The knob is restored to columnar (the
-/// default) before returning.
-pub fn compare_columnar(
-    q: &CatalogQuery,
-    workers: usize,
-    n_batches: usize,
-    tuples_per_batch: usize,
-) -> ColumnarComparison {
-    const REPEATS: usize = 3;
-    let stream = stream_for(q, n_batches * tuples_per_batch, 64);
-    let mut row_runs = Vec::with_capacity(REPEATS);
-    let mut col_runs = Vec::with_capacity(REPEATS);
-    for _ in 0..REPEATS {
-        hotdog::exec::set_columnar(false);
-        row_runs.push(run_distributed_on(
-            q,
-            &stream,
-            workers,
-            tuples_per_batch,
-            OptLevel::O3,
-            BackendKind::Threaded,
-        ));
-        hotdog::exec::set_columnar(true);
-        col_runs.push(run_distributed_on(
-            q,
-            &stream,
-            workers,
-            tuples_per_batch,
-            OptLevel::O3,
-            BackendKind::Threaded,
-        ));
-    }
-    hotdog::exec::set_columnar(true);
-    let median = |mut runs: Vec<DistRun>| -> DistRun {
-        runs.sort_by(|a, b| a.throughput.total_cmp(&b.throughput));
-        runs.swap_remove(REPEATS / 2)
-    };
-    ColumnarComparison {
-        query: q.id.to_string(),
-        workers,
-        n_batches,
-        tuples_per_batch,
-        row: median(row_runs),
-        columnar: median(col_runs),
     }
 }
 

@@ -62,9 +62,7 @@ pub mod prelude {
         DeltaCapture, DistributedPlan, LocTag, OptLevel, PartitionFn, PartitioningSpec,
         ViewAccumulator, WorkerSnapshot, WorkerState, WorkerStats, WorkerStatsSnapshot,
     };
-    pub use hotdog_exec::{
-        columnar_enabled, set_columnar, BatchStats, Database, ExecMode, LocalEngine,
-    };
+    pub use hotdog_exec::{BatchStats, Database, ExecMode, LocalEngine};
     pub use hotdog_ivm::{
         compile, compile_classical, compile_recursive, compile_reevaluation, delta, extract_domain,
         MaintenancePlan, Strategy,

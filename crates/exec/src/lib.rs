@@ -11,7 +11,7 @@
 //! * [`vectorized`] — the columnar fast path: trigger statements compiled
 //!   to slot-addressed [`vectorized::VectorPlan`]s executed one operator per
 //!   batch over column slices, bit-identical to the reference interpreter
-//!   (toggle with `HOTDOG_COLUMNAR`).
+//!   (always on; no option selects an interpreter).
 //!
 //! Both the local engine and the distributed `WorkerState` funnel every
 //! trigger statement through [`vectorized::eval_vectorized`] first and fall
@@ -27,4 +27,6 @@ pub mod vectorized;
 
 pub use database::{Database, ExecCatalog};
 pub use engine::{relabel, used_delta_columns, BatchStats, EngineTotals, ExecMode, LocalEngine};
-pub use vectorized::{columnar_enabled, eval_vectorized, set_columnar, VectorPlan};
+#[doc(hidden)]
+pub use vectorized::set_columnar;
+pub use vectorized::{eval_vectorized, VectorPlan};

@@ -24,7 +24,8 @@
 //! The vectorized path is held to the reference interpreter **exactly**, not
 //! approximately: same emission order, same floating-point operation order,
 //! same [`EvalCounters`] — so the three-backend differential oracle and the
-//! deterministic telemetry contract hold whether the knob is on or off.
+//! deterministic telemetry contract hold whichever interpreter runs a
+//! statement.
 //! Concretely:
 //!
 //! * rows flow in scan order, probes fan out depth-first exactly like the
@@ -42,11 +43,13 @@
 //! relation reference) fall back to the reference interpreter — [`compile`]
 //! simply returns `None`.
 //!
-//! # The knob
+//! # No knob
 //!
-//! `HOTDOG_COLUMNAR=0` (or `row`/`off`/`false`) disables the fast path
-//! process-wide; anything else — including unset — enables it.  Benchmarks
-//! and the differential tests flip it at runtime via [`set_columnar`].
+//! The fast path is simply on: there is no option, environment variable or
+//! config field that selects an interpreter.  The row `Evaluator` remains
+//! as the fallback for shapes [`compile`] refuses and as the reference the
+//! `columnar_vs_row_differential` oracle compares against (it reaches the
+//! row path for *every* statement through a hidden test hook).
 //!
 //! # Example
 //!
@@ -90,39 +93,21 @@ use hotdog_algebra::tuple::Tuple;
 use hotdog_algebra::value::Value;
 use hotdog_storage::columnar::{compact_column, compact_mults, gather_column};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-// ---------------------------------------------------------------------------
-// The knob
-// ---------------------------------------------------------------------------
+/// Set by the differential oracle's test hook to send every statement to
+/// the row interpreter.
+static ROW_ONLY: AtomicBool = AtomicBool::new(false);
 
-/// 0 = not yet resolved, 1 = row interpreter, 2 = columnar fast path.
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the vectorized fast path is enabled (default: yes; disable with
-/// `HOTDOG_COLUMNAR=0`).  The environment is consulted once; later flips go
-/// through [`set_columnar`].
-pub fn columnar_enabled() -> bool {
-    match MODE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            let on = match std::env::var("HOTDOG_COLUMNAR") {
-                Ok(v) => !matches!(v.as_str(), "0" | "off" | "row" | "false"),
-                Err(_) => true,
-            };
-            MODE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Override the `HOTDOG_COLUMNAR` knob process-wide (benchmarks and the
-/// columnar-vs-row differential arm use this to compare both interpreters in
-/// one process).  Both interpreters produce bit-identical results, so
-/// flipping mid-run changes performance, never semantics.
+/// Test hook for the `columnar_vs_row_differential` oracle: `false` makes
+/// [`eval_vectorized`] decline every statement process-wide, so the row
+/// interpreter runs shapes the vectorizer would otherwise take.  Both
+/// interpreters produce bit-identical results, so flipping mid-run changes
+/// performance, never semantics.  Not configuration: nothing in the system
+/// calls it.
+#[doc(hidden)]
 pub fn set_columnar(enabled: bool) {
-    MODE.store(if enabled { 2 } else { 1 }, Ordering::Relaxed);
+    ROW_ONLY.store(!enabled, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -623,16 +608,16 @@ impl VectorPlan {
     }
 }
 
-/// Knob-gated entry point: compile and execute `expr` on the columnar fast
-/// path if enabled and supported, accumulating counter increments into
-/// `counters`.  Returns `None` when the caller must run the reference
-/// interpreter.
+/// Entry point of the trigger funnel: compile and execute `expr` on the
+/// columnar fast path if its shape is supported, accumulating counter
+/// increments into `counters`.  Returns `None` when the caller must run the
+/// reference interpreter.
 pub fn eval_vectorized(
     expr: &Expr,
     catalog: &dyn Catalog,
     counters: &mut EvalCounters,
 ) -> Option<Relation> {
-    if !columnar_enabled() {
+    if ROW_ONLY.load(Ordering::Relaxed) {
         return None;
     }
     let plan = compile(expr)?;

@@ -49,14 +49,15 @@ use std::time::{Duration, Instant};
 /// How worker endpoints come into existence.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WorkerSpawn {
-    /// Spawn one `hotdog-worker` subprocess per slot on this machine
-    /// (the default).  The binary is located via `HOTDOG_WORKER_BIN`,
-    /// [`TcpConfig::worker_bin`], or next to the current executable.
+    /// Spawn one worker subprocess per slot on this machine (the
+    /// default): [`TcpConfig::worker_bin`] run as
+    /// `<worker_bin> --connect <addr> --index <i>`.  Without a
+    /// `worker_bin` construction fails with `InvalidInput`.
     Subprocess,
     /// Run each worker's event loop on an in-process thread that
     /// connects through a real loopback socket: the full wire path
-    /// (framing, codec, kernel TCP) without process isolation.  Used by
-    /// tests and as a fallback where spawning is unavailable.
+    /// (framing, codec, kernel TCP) without process isolation.  Select
+    /// it with [`TcpConfig::with_spawn`] where spawning is unavailable.
     Thread,
     /// Spawn nothing: wait for `workers` externally started
     /// `hotdog-worker --connect <addr> --index <i>` processes (possibly
@@ -75,10 +76,13 @@ pub struct TcpConfig {
     pub bind_addr: String,
     /// How worker endpoints are started.
     pub spawn: WorkerSpawn,
-    /// Explicit path to the `hotdog-worker` binary (subprocess mode).
-    /// `None` falls back to `HOTDOG_WORKER_BIN`, then to probing next to
-    /// the current executable (which finds the workspace's target dir in
-    /// tests and benches).
+    /// The executable [`WorkerSpawn::Subprocess`] runs as
+    /// `<worker_bin> --connect <addr> --index <i>` — `hotdog-worker`, or
+    /// any binary that answers those arguments with
+    /// [`run_worker`](crate::run_worker) (the benches and the repo
+    /// benchmark pass their own `current_exe()`; tests pass the
+    /// `CARGO_BIN_EXE_*` path cargo built for them).  Required in
+    /// subprocess mode: nothing is probed or read from the environment.
     pub worker_bin: Option<PathBuf>,
     /// How long to wait for all workers to connect and handshake.
     pub accept_timeout: Duration,
@@ -141,65 +145,18 @@ impl TcpConfig {
         self.faults = Some(faults);
         self
     }
-
-    /// Config honouring the environment knobs — the single home for
-    /// them, shared by the differential suites and the benches:
-    ///
-    /// * `HOTDOG_TCP_SPAWN=thread` swaps worker subprocesses for
-    ///   in-process socket threads (identical wire path, no process
-    ///   isolation) on hosts where spawning is unavailable;
-    /// * `HOTDOG_HEARTBEAT_MS` / `HOTDOG_HEARTBEAT_MISSES` tune failure
-    ///   detection (`HOTDOG_HEARTBEAT_MS=0` disables it);
-    /// * `HOTDOG_FAULT` installs a deterministic kill schedule (see
-    ///   [`FaultPlan::parse`] for the syntax) — malformed values panic
-    ///   rather than silently running fault-free.
-    pub fn from_env(workers: usize) -> Self {
-        let spawn = match std::env::var("HOTDOG_TCP_SPAWN").as_deref() {
-            Ok("thread") => WorkerSpawn::Thread,
-            _ => WorkerSpawn::Subprocess,
-        };
-        let mut config = TcpConfig::with_workers(workers).with_spawn(spawn);
-        if let Ok(ms) = std::env::var("HOTDOG_HEARTBEAT_MS") {
-            config.heartbeat_interval = Duration::from_millis(
-                ms.parse()
-                    .unwrap_or_else(|e| panic!("invalid HOTDOG_HEARTBEAT_MS={ms:?}: {e}")),
-            );
-        }
-        if let Ok(n) = std::env::var("HOTDOG_HEARTBEAT_MISSES") {
-            config.heartbeat_misses = n
-                .parse()
-                .unwrap_or_else(|e| panic!("invalid HOTDOG_HEARTBEAT_MISSES={n:?}: {e}"));
-        }
-        config.faults = FaultPlan::from_env(workers);
-        config
-    }
 }
 
-/// Locate the `hotdog-worker` binary for subprocess spawning.
-fn worker_binary(config: &TcpConfig) -> io::Result<PathBuf> {
-    if let Some(p) = &config.worker_bin {
-        return Ok(p.clone());
-    }
-    if let Ok(p) = std::env::var("HOTDOG_WORKER_BIN") {
-        return Ok(PathBuf::from(p));
-    }
-    let exe = std::env::current_exe()?;
-    let name = format!("hotdog-worker{}", std::env::consts::EXE_SUFFIX);
-    // target/<profile>/deps/<test-bin> -> target/<profile>/hotdog-worker,
-    // target/<profile>/<bench-bin>     -> same directory.
-    for dir in exe.ancestors().skip(1).take(3) {
-        let cand = dir.join(&name);
-        if cand.is_file() {
-            return Ok(cand);
-        }
-    }
-    Err(io::Error::new(
-        io::ErrorKind::NotFound,
-        "hotdog-worker binary not found next to the current executable: build it first \
-         (`cargo build -p hotdog-worker`, with --release for release runs — \
-         target-filtered `cargo test --test ...` does not build it) or point \
-         HOTDOG_WORKER_BIN / TcpConfig::worker_bin at it",
-    ))
+/// The binary subprocess workers run, or the typed error for a config
+/// that names none.
+fn worker_binary(config: &TcpConfig) -> io::Result<&PathBuf> {
+    config.worker_bin.as_ref().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "WorkerSpawn::Subprocess needs TcpConfig::worker_bin (the executable to run as \
+             `--connect <addr> --index <n>`); set it, or pick WorkerSpawn::Thread / External",
+        )
+    })
 }
 
 /// Cached handles into the transport's metric registry: the wire-level
@@ -371,7 +328,7 @@ impl TcpTransport {
             WorkerSpawn::Subprocess => {
                 let bin = worker_binary(config)?;
                 for (i, slot) in children.iter_mut().enumerate() {
-                    let child = Command::new(&bin)
+                    let child = Command::new(bin)
                         .arg("--connect")
                         .arg(addr.to_string())
                         .arg("--index")
@@ -736,7 +693,7 @@ impl TcpTransport {
         match self.config.spawn {
             WorkerSpawn::Subprocess => {
                 let bin = worker_binary(&self.config)?;
-                let spawned = Command::new(&bin)
+                let spawned = Command::new(bin)
                     .arg("--connect")
                     .arg(addr.to_string())
                     .arg("--index")

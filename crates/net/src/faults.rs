@@ -8,13 +8,15 @@
 //! which is what lets the recovery oracle demand bit-identical final
 //! views between a faulted and an unfaulted run.
 //!
-//! Plans come from three places:
+//! A plan is installed with [`TcpConfig::with_faults`](crate::TcpConfig)
+//! — nothing here reads the environment — and is built one of three ways:
 //!
-//! * programmatically, via [`TcpConfig::with_faults`](crate::TcpConfig);
-//! * the `HOTDOG_FAULT` environment variable, parsed by
-//!   [`FaultPlan::parse`] — e.g. `kill:1:run_block:3:before` (kill worker
-//!   1 just before its 3rd `RunBlock`), multiple specs `;`-separated;
-//! * a seed, via [`FaultPlan::seeded`] or `HOTDOG_FAULT=seed:42` — a
+//! * from explicit specs, via [`FaultPlan::kill`];
+//! * from text, via [`FaultPlan::parse`] — e.g. `kill:1:run_block:3:before`
+//!   (kill worker 1 just before its 3rd `RunBlock`), multiple specs
+//!   `;`-separated.  This is the syntax of the test harness's
+//!   `HOTDOG_FAULT` variable (`tests/common`);
+//! * from a seed, via [`FaultPlan::seeded`] or the text `seed:42` — a
 //!   splitmix64 stream materializes one kill at a plausible early point
 //!   in the schedule, which is how the CI chaos job derives a fresh but
 //!   reproducible kill point per run.
@@ -60,7 +62,7 @@ impl FaultKind {
         }
     }
 
-    /// The spelling used by `HOTDOG_FAULT` and telemetry events.
+    /// The spelling used by [`FaultPlan::parse`] and telemetry events.
     pub fn as_str(self) -> &'static str {
         match self {
             FaultKind::RunBlock => "run_block",
@@ -151,7 +153,7 @@ impl FaultPlan {
         }
     }
 
-    /// Parse the `HOTDOG_FAULT` syntax: `;`-separated specs, each either
+    /// Parse a textual plan: `;`-separated specs, each either
     /// `kill:<worker>:<kind>:<n>[:before|after]` (default `before`) or
     /// `seed:<u64>` (expanded via [`FaultPlan::seeded`] with `workers`).
     pub fn parse(s: &str, workers: usize) -> Result<FaultPlan, String> {
@@ -214,20 +216,6 @@ impl FaultPlan {
             } else {
                 Phase::After
             },
-        )
-    }
-
-    /// The plan named by the `HOTDOG_FAULT` environment variable, if any.
-    /// Malformed values are a hard error (a chaos run silently running
-    /// fault-free would defeat its purpose).
-    pub fn from_env(workers: usize) -> Option<FaultPlan> {
-        let raw = std::env::var("HOTDOG_FAULT").ok()?;
-        if raw.trim().is_empty() {
-            return None;
-        }
-        Some(
-            FaultPlan::parse(&raw, workers)
-                .unwrap_or_else(|e| panic!("invalid HOTDOG_FAULT={raw:?}: {e}")),
         )
     }
 }

@@ -207,6 +207,24 @@ fn tcp_subprocess_mode_matches_threaded() {
     assert_eq!(stats.batches_abandoned, 0);
 }
 
+/// Subprocess mode names its worker executable in the config or fails
+/// with a typed error up front: no environment lookup, no probing next to
+/// the current executable, and nothing spawned.
+#[test]
+fn subprocess_mode_without_worker_bin_is_invalid_input() {
+    let config = TcpConfig::with_workers(2);
+    assert_eq!(config.spawn, WorkerSpawn::Subprocess);
+    assert!(config.worker_bin.is_none());
+    let err = TcpCluster::new(example_dplan(OptLevel::O3), &config)
+        .err()
+        .expect("no worker binary named: construction must fail");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(
+        err.to_string().contains("TcpConfig::worker_bin"),
+        "error must name the field to set: {err}"
+    );
+}
+
 #[test]
 fn tcp_drop_with_inflight_work_shuts_down() {
     let config = PipelineConfig {

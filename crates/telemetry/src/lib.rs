@@ -20,7 +20,7 @@
 //!   set, dropping the owning cluster appends the flight ring as JSON
 //!   lines (plus one final `metrics.snapshot` line) to `<path>`.
 //! * **bench embedding** — `hotdog-bench` folds key counters (messages,
-//!   bytes, instructions) into `BENCH_runtime.json` per run.
+//!   bytes, instructions) into the rows it writes to the `BENCH_JSON` file.
 //!
 //! `HOTDOG_LOG=1` additionally mirrors every flight event to stderr as
 //! it happens.

@@ -26,17 +26,8 @@ fn main() {
     println!("{}", plan.pretty());
 
     // Trigger statements execute through the vectorized columnar
-    // interpreter by default (bit-identical to the row interpreter, just
-    // faster on batches).  `HOTDOG_COLUMNAR=0` — or set_columnar(false) —
-    // forces the row path; see the README's "Columnar execution" section.
-    println!(
-        "columnar trigger execution: {}\n",
-        if columnar_enabled() {
-            "on"
-        } else {
-            "off (row)"
-        }
-    );
+    // interpreter (bit-identical to the row interpreter, just faster on
+    // batches); see the README's "Columnar execution" section.
 
     // Execute locally: batches of insertions (positive multiplicity) and
     // deletions (negative multiplicity) keep the result fresh.

@@ -5,10 +5,9 @@
 //! threaded backend with adaptive coalescing and the tagged-reply
 //! protocol.
 //!
-//! All arms run the vectorized columnar trigger interpreter (the default;
-//! `HOTDOG_COLUMNAR=0` forces the row interpreter — results are
-//! bit-identical either way, see the README's "Columnar execution"
-//! section).
+//! All arms run the vectorized columnar trigger interpreter (results are
+//! bit-identical to the row interpreter's, see the README's "Columnar
+//! execution" section).
 //!
 //! Run with: `cargo run --release --example tpch_stream [tuples]`
 
@@ -21,11 +20,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(20_000);
     let stream = generate_tpch(42, tuples);
-    println!(
-        "generated TPC-H stream with {} tuples (columnar interpreter: {})\n",
-        stream.len(),
-        if columnar_enabled() { "on" } else { "off" }
-    );
+    println!("generated TPC-H stream with {} tuples\n", stream.len());
 
     let query_ids = ["Q1", "Q3", "Q6", "Q17"];
     let batch_size = 1_000;

@@ -235,3 +235,52 @@ fn shuffled_bytes_do_not_grow_with_the_database() {
         assert!(covered.contains(&id), "{id} moves more than its batches");
     }
 }
+
+/// The exact-count gate on the repo benchmark's `shuffle_bytes_per_tuple`:
+/// for the benchmark's plan shapes (`BENCHMARK.json`: Q3 at O3 on 2 workers
+/// and on 1, Q18 at O3 on 1 worker with deletions) over a fixed-seed
+/// stream, the synchronous `ThreadedCluster` counts exactly the bytes the
+/// simulated `Cluster` models — the metric is a property of the plan, not
+/// of the backend — and the count is pinned so it can only go down.
+#[test]
+fn benchmark_plan_shapes_shuffle_pinned_bytes_on_every_backend() {
+    const TUPLES: usize = 2_400;
+    const ROUND: usize = 100;
+    // (query, workers, deleted fraction, most bytes the stream may shuffle).
+    // Lower a pin when a lowering change ships fewer bytes; never raise one.
+    for (id, workers, deletions, pinned) in [
+        ("Q3", 2, None, 176_096),
+        ("Q3", 1, None, 174_456),
+        ("Q18", 1, Some(0.25), 211_440),
+    ] {
+        let q = query(id).unwrap();
+        let mut stream = generate_tpch(7, TUPLES);
+        if let Some(fraction) = deletions {
+            stream = stream.with_deletions(7, fraction);
+        }
+        let rounds = stream.batches(ROUND);
+        let mut sim = Cluster::new(
+            catalog_plan(&q, OptLevel::O3),
+            ClusterConfig::with_workers(workers),
+        );
+        let mut threaded = ThreadedCluster::new(catalog_plan(&q, OptLevel::O3), workers);
+        sim.apply_stream(&rounds);
+        threaded.apply_stream(&rounds);
+        assert_eq!(
+            threaded.query_result().checksum(),
+            sim.query_result().checksum(),
+            "{id} x{workers}: threaded != simulated"
+        );
+        let bytes = threaded.totals().bytes_shuffled;
+        assert_eq!(
+            bytes,
+            sim.totals().bytes_shuffled,
+            "{id} x{workers}: threaded and simulated count different shuffle bytes"
+        );
+        assert!(
+            bytes <= pinned,
+            "{id} x{workers}: {bytes} B shuffled over {} tuples, pinned at {pinned} B",
+            stream.len()
+        );
+    }
+}

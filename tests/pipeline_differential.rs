@@ -20,15 +20,13 @@
 //!   loopback speaking the length-prefixed binary codec, behind the same
 //!   transport-generic driver.  The third independently-scheduled backend
 //!   pinned by the oracle: framing, codec, handshake, reader threads and
-//!   process isolation must be bit-transparent (`HOTDOG_TCP_SPAWN=thread`
-//!   swaps the subprocesses for in-process socket threads — same wire
-//!   path — on hosts where spawning is unavailable);
+//!   process isolation must be bit-transparent;
 //! * **full recomputation** — from-scratch evaluation of the query over the
 //!   accumulated base relations (the ground truth).
 //!
-//! A separate arm flips the **columnar interpreter knob** per run
-//! (`set_columnar`): the vectorized trigger path and the row `Evaluator`
-//! must agree bit-for-bit on every catalog query (see
+//! A separate arm switches the **columnar trigger path** off per run
+//! (the `set_columnar` test hook): the vectorized trigger path and the row
+//! `Evaluator` must agree bit-for-bit on every catalog query (see
 //! `columnar_vs_row_differential`).
 //!
 //! Backends that execute the *same trigger sequence* perform identical
@@ -53,18 +51,16 @@
 
 mod common;
 
-use common::tcp_config;
+use common::{tcp_config, workers_from_env};
+use hotdog::exec::set_columnar;
 use hotdog::prelude::*;
 use proptest::prelude::*;
 
 /// Worker counts under test: `HOTDOG_WORKERS=n` pins one (CI matrix),
 /// otherwise the full `{1, 2, 4}` axis is rotated through.
 fn workers_under_test() -> Vec<usize> {
-    match std::env::var("HOTDOG_WORKERS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-    {
-        Some(w) => vec![w.max(1)],
+    match workers_from_env() {
+        Some(w) => vec![w],
         None => vec![1, 2, 4],
     }
 }
@@ -322,7 +318,7 @@ fn batch_size_extremes_agree() {
 /// Columnar-vs-row interpreter differential: the vectorized trigger path
 /// (`hotdog_exec::vectorized`, on by default) must be *invisible* — for
 /// every catalog query, the same stream through the same backend with the
-/// `HOTDOG_COLUMNAR` knob flipped per arm must produce **bit-for-bit**
+/// `set_columnar` test hook flipped per arm must produce **bit-for-bit**
 /// identical results (integer and float workloads alike: the vectorized
 /// path reproduces the row interpreter's emission order and float
 /// operation order exactly), and coalesced pipelined runs — whose trigger
@@ -330,10 +326,10 @@ fn batch_size_extremes_agree() {
 /// *between the two arms* — are additionally held to the `1e-9` relative
 /// tolerance the coalescing contract uses.
 ///
-/// The knob is process-global, so both arms run sequentially inside one
-/// test; the knob is restored to columnar (the default) afterwards.
-/// Concurrent tests observing the flipped knob still pass — that equality
-/// is exactly what this test asserts.
+/// The hook is process-global, so both arms run sequentially inside one
+/// test and columnar is switched back on afterwards.  Concurrent tests
+/// observing the row path still pass — that equality is exactly what this
+/// test asserts.
 #[test]
 fn columnar_vs_row_differential() {
     let workers_list = workers_under_test();

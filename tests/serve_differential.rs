@@ -13,16 +13,8 @@
 
 mod common;
 
-use common::tcp_config;
+use common::{chaos_plan, seed_from_env, tcp_config, workers_under_test};
 use hotdog::prelude::*;
-
-fn workers_under_test() -> usize {
-    std::env::var("HOTDOG_WORKERS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(2)
-        .max(1)
-}
 
 fn shape_for(q: &CatalogQuery) -> QueryShape {
     QueryShape::new(q.id, q.expr.clone(), q.partition_keys.iter().copied())
@@ -216,10 +208,7 @@ impl Churn {
 #[test]
 fn seeded_subscriber_churn_stays_consistent() {
     let workers = workers_under_test();
-    let seed = std::env::var("HOTDOG_SEED")
-        .ok()
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(0xC4u64);
+    let seed = seed_from_env().unwrap_or(0xC4u64);
     eprintln!("churn seed: {seed} (x{workers})");
     let q = query("Q3").unwrap();
     let shape = shape_for(&q);
@@ -307,7 +296,7 @@ fn fault_during_active_subscription_resyncs_without_gaps_or_duplicates() {
     let stream = seeded_stream(&q, 150, 0xFA57);
     let batches = stream.batches(10);
 
-    let env_plan = tcp_config(workers).faults;
+    let env_plan = chaos_plan(workers);
     let from_env = env_plan.is_some();
     let plan =
         env_plan.unwrap_or_else(|| FaultPlan::kill(0, FaultKind::RunBlock, 3, Phase::Before));
@@ -319,8 +308,7 @@ fn fault_during_active_subscription_resyncs_without_gaps_or_duplicates() {
             .collect::<Vec<_>>()
             .join(";")
     );
-    let mut config = tcp_config(workers);
-    config.faults = Some(plan);
+    let config = tcp_config(workers).with_faults(plan);
     let mut hub = SubscriptionHub::new(move |_s: &QueryShape, dplan: DistributedPlan| {
         let mut tcp = TcpCluster::new(dplan, &config).expect("tcp cluster");
         tcp.set_fault_config(Some(FaultConfig::every(1)));

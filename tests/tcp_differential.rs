@@ -4,23 +4,14 @@
 //! per-case TCP arms that `pipeline_differential.rs` already runs.
 //!
 //! This is the test target the CI `differential-tcp` matrix job runs
-//! (HOTDOG_WORKERS={1,2,4}); `HOTDOG_SEED` replays a red cell
-//! bit-for-bit, and `HOTDOG_TCP_SPAWN=thread` swaps subprocesses for
-//! in-process socket threads (same wire path) where spawning is
-//! unavailable.
+//! (HOTDOG_WORKERS={1,2,4}).  Only the chaos entry point reads
+//! `HOTDOG_FAULT`; every other run here is unfaulted by construction, so
+//! the whole target passes with it set.
 
 mod common;
 
-use common::tcp_config;
+use common::{chaos_plan, tcp_config, workers_under_test};
 use hotdog::prelude::*;
-
-fn workers_under_test() -> usize {
-    std::env::var("HOTDOG_WORKERS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(2)
-        .max(1)
-}
 
 fn compile_for(q: &CatalogQuery, opt: OptLevel) -> DistributedPlan {
     let plan = compile_recursive(q.id, &q.expr);
@@ -113,14 +104,6 @@ fn tcp_watermark_reads_are_consistent() {
     assert_eq!(stats.batches_abandoned, 0);
 }
 
-/// The same config with any environment-supplied fault plan stripped:
-/// reference runs must stay unfaulted even under the chaos job's
-/// `HOTDOG_FAULT`.
-fn fault_free(mut config: TcpConfig) -> TcpConfig {
-    config.faults = None;
-    config
-}
-
 /// Kill-point sweep (the recovery oracle): for each steady-state message
 /// kind × worker slot × kill phase, murder the worker at that exact
 /// protocol moment, let the driver respawn + restore + replay it, and
@@ -147,11 +130,8 @@ fn tcp_kill_point_sweep_recovers_bit_identically() {
 
         // Unfaulted reference under the same FaultConfig (checkpoint
         // epochs canonicalize storage, so this is the comparable run).
-        let mut clean = TcpCluster::new(
-            compile_for(&q, OptLevel::O3),
-            &fault_free(tcp_config(workers)),
-        )
-        .expect("tcp cluster");
+        let mut clean = TcpCluster::new(compile_for(&q, OptLevel::O3), &tcp_config(workers))
+            .expect("tcp cluster");
         clean.set_fault_config(Some(fault_config.clone()));
         clean.apply_stream(&batches);
         let expected = clean.query_result().checksum();
@@ -165,7 +145,7 @@ fn tcp_kill_point_sweep_recovers_bit_identically() {
                     let spec = plan.kills[0].clone();
                     let mut tcp = TcpCluster::new(
                         compile_for(&q, OptLevel::O3),
-                        &fault_free(tcp_config(workers)).with_faults(plan),
+                        &tcp_config(workers).with_faults(plan),
                     )
                     .expect("tcp cluster");
                     tcp.set_fault_config(Some(fault_config.clone()));
@@ -204,11 +184,8 @@ fn tcp_rescatter_recovery_matches_unfaulted_run() {
     let batches = stream.batches(10);
     let fault_config = FaultConfig::every(2);
 
-    let mut clean = TcpCluster::new(
-        compile_for(&q, OptLevel::O2),
-        &fault_free(tcp_config(workers)),
-    )
-    .expect("tcp cluster");
+    let mut clean =
+        TcpCluster::new(compile_for(&q, OptLevel::O2), &tcp_config(workers)).expect("tcp cluster");
     clean.set_fault_config(Some(fault_config.clone()));
     clean.apply_stream(&batches);
     let expected = clean.query_result().checksum();
@@ -218,7 +195,7 @@ fn tcp_rescatter_recovery_matches_unfaulted_run() {
         let spec = plan.kills[0].clone();
         let mut tcp = TcpCluster::new(
             compile_for(&q, OptLevel::O2),
-            &fault_free(tcp_config(workers)).with_faults(plan),
+            &tcp_config(workers).with_faults(plan),
         )
         .expect("tcp cluster");
         tcp.set_fault_config(Some(fault_config.clone()));
@@ -240,9 +217,7 @@ fn tcp_rescatter_recovery_matches_unfaulted_run() {
 #[test]
 fn tcp_chaos_seeded_kill_recovers_bit_identically() {
     let workers = workers_under_test();
-    let plan = tcp_config(workers)
-        .faults
-        .unwrap_or_else(|| FaultPlan::seeded(0xC405, workers));
+    let plan = chaos_plan(workers).unwrap_or_else(|| FaultPlan::seeded(0xC405, workers));
     eprintln!(
         "chaos plan: {} (x{workers})",
         plan.kills
@@ -262,7 +237,7 @@ fn tcp_chaos_seeded_kill_recovers_bit_identically() {
 
     let mut clean = TcpCluster::pipelined(
         compile_for(&q, OptLevel::O3),
-        &fault_free(tcp_config(workers)),
+        &tcp_config(workers),
         config.clone(),
     )
     .expect("tcp cluster");
@@ -273,7 +248,7 @@ fn tcp_chaos_seeded_kill_recovers_bit_identically() {
 
     let mut tcp = TcpCluster::pipelined(
         compile_for(&q, OptLevel::O3),
-        &fault_free(tcp_config(workers)).with_faults(plan),
+        &tcp_config(workers).with_faults(plan),
         config,
     )
     .expect("tcp cluster");

@@ -8,16 +8,8 @@
 
 mod common;
 
-use common::tcp_config;
+use common::{tcp_config, workers_under_test};
 use hotdog::prelude::*;
-
-fn workers_under_test() -> usize {
-    std::env::var("HOTDOG_WORKERS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(2)
-        .max(1)
-}
 
 fn compile_for(q: &CatalogQuery, opt: OptLevel) -> DistributedPlan {
     let plan = compile_recursive(q.id, &q.expr);
@@ -152,17 +144,12 @@ fn fault_counters_match_the_plan_exactly() {
     let stream = seeded_stream(&q, 120, 0xFAB);
     let batches = stream.batches(12);
     let fault_config = FaultConfig::every(1);
-    let fault_free = || {
-        let mut config = tcp_config(workers);
-        config.faults = None; // reference runs ignore a chaos job's HOTDOG_FAULT
-        config
-    };
 
     // (a) No fault fired: FaultConfig on both backends.
     let mut threaded = ThreadedCluster::new(compile_for(&q, OptLevel::O3), workers);
     threaded.set_fault_config(Some(fault_config.clone()));
     let mut tcp =
-        TcpCluster::new(compile_for(&q, OptLevel::O3), &fault_free()).expect("tcp cluster");
+        TcpCluster::new(compile_for(&q, OptLevel::O3), &tcp_config(workers)).expect("tcp cluster");
     tcp.set_fault_config(Some(fault_config.clone()));
     threaded.apply_stream(&batches);
     tcp.apply_stream(&batches);
@@ -193,7 +180,7 @@ fn fault_counters_match_the_plan_exactly() {
         let plan = FaultPlan::kill(workers - 1, FaultKind::RunBlock, 3, Phase::Before);
         let mut tcp = TcpCluster::new(
             compile_for(&q, OptLevel::O3),
-            &fault_free().with_faults(plan),
+            &tcp_config(workers).with_faults(plan),
         )
         .expect("tcp cluster");
         tcp.set_fault_config(Some(fault_config.clone()));
