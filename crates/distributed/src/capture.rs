@@ -87,17 +87,18 @@ impl ViewAccumulator {
         }
     }
 
-    /// Replay one captured window of this view.  With `resync` the parts
-    /// are reset first (the entries then rebuild them from snapshots).
-    pub fn apply(&mut self, view: &CapturedView, resync: bool) {
+    /// Replay one captured window of this view, given as its per-part
+    /// entries ([`CapturedView::parts`]).  With `resync` the parts are
+    /// reset first (the entries then rebuild them from snapshots).
+    pub fn apply(&mut self, parts: &[Vec<(StmtOp, Relation)>], resync: bool) {
         if resync {
             self.parts.clear();
         }
-        if self.parts.len() < view.parts.len() {
+        if self.parts.len() < parts.len() {
             self.parts
-                .resize_with(view.parts.len(), || Relation::new(self.schema.clone()));
+                .resize_with(parts.len(), || Relation::new(self.schema.clone()));
         }
-        for (part, ops) in self.parts.iter_mut().zip(&view.parts) {
+        for (part, ops) in self.parts.iter_mut().zip(parts) {
             for (op, rel) in ops {
                 match op {
                     StmtOp::AddTo => part.merge(rel),
@@ -261,7 +262,7 @@ mod tests {
             }
             let captured = cluster.take_captured();
             assert_eq!(captured.views.len(), 1);
-            acc.apply(&captured.views[0], captured.resync);
+            acc.apply(&captured.views[0].parts, captured.resync);
         }
         let expected = cluster.view_contents(&top);
         assert_eq!(

@@ -12,6 +12,12 @@
 //! then on the connection carries the same FIFO-command/tagged-reply
 //! protocol as the in-process channel transport.
 //!
+//! Construction is the respawn of every slot: one bring-up routine
+//! (`TcpTransport::bring_up` — launch, accept, handshake, `Init` and
+//! reply pump) runs for `0..workers` at construction and for `[w]` when
+//! [`Transport::respawn`] replaces a dead worker, so every construction
+//! exercises the code recovery depends on.
+//!
 //! Everything above the socket — the admission queue, delta coalescing,
 //! the request-id ledger, async gathers, `ApplyMany` scatter batching,
 //! adaptive tuning, backpressure, watermarks — is the transport-generic
@@ -229,6 +235,14 @@ struct WorkerConn {
     dead: bool,
 }
 
+/// What [`TcpTransport::launch`] started for one slot: a subprocess, an
+/// in-process serve thread, or (external worker) neither.
+type Launched = (Option<Child>, Option<JoinHandle<()>>);
+
+/// A handshaken connection: the command stream and the buffered reader
+/// its reply pump will own.
+type Accepted = (TcpStream, BufReader<TcpStream>);
+
 /// An encoded broadcast segment paired with the `Arc` that keys it — the
 /// held `Arc` pins the allocation, so the cache's pointer key can never be
 /// reused for different content.
@@ -275,172 +289,190 @@ pub struct TcpTransport {
 const PING_ID_BASE: u64 = 1 << 63;
 
 impl TcpTransport {
-    /// Bind, start workers per `config`, collect and handshake all
-    /// connections, ship the plan.
+    /// Bind, then bring every slot up: construction is the respawn of
+    /// every slot (the one bring-up routine, `bring_up`).
     pub fn connect(dplan: &DistributedPlan, config: &TcpConfig) -> io::Result<Self> {
         assert!(config.workers > 0);
+        let listener = TcpListener::bind(&config.bind_addr)?;
+        listener.set_nonblocking(true)?;
         let telemetry = Telemetry::shared();
-        let metrics = NetMetrics::register(&telemetry);
-        let mut children: Vec<Option<Child>> = (0..config.workers).map(|_| None).collect();
-        let mut serve_threads: Vec<Option<JoinHandle<()>>> =
-            (0..config.workers).map(|_| None).collect();
-        match Self::connect_inner(
-            dplan,
-            config,
-            &telemetry,
-            &metrics,
-            &mut children,
-            &mut serve_threads,
-        ) {
-            Ok(transport) => Ok(transport),
-            Err(e) => {
-                // Reap whatever was already spawned: a failed construction
-                // (accept timeout, handshake error, dead worker) must not
-                // leak subprocesses — a driver retrying construction would
-                // otherwise accumulate zombies until it exits.
-                for mut child in children.iter_mut().filter_map(|c| c.take()) {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-                // Thread-mode workers exit on their own once their socket
-                // (or the pending connect) dies with the listener.
-                for handle in serve_threads.iter_mut().filter_map(|t| t.take()) {
-                    let _ = handle.join();
-                }
-                Err(e)
+        let mut transport = TcpTransport {
+            conns: Vec::new(),
+            shut: false,
+            listener,
+            config: config.clone(),
+            init: encode_to_vec(&ToWorker::Init {
+                plan: dplan.plan.clone(),
+            }),
+            faults: FaultState::new(config.faults.clone().unwrap_or_default()),
+            ping_seq: 0,
+            metrics: NetMetrics::register(&telemetry),
+            telemetry,
+            program_cache: HashMap::new(),
+            deltas_cache: None,
+        };
+        let slots: Vec<usize> = (0..config.workers).collect();
+        transport.conns = transport.bring_up(&slots)?;
+        Ok(transport)
+    }
+
+    /// The one bring-up routine, run by construction for every slot and
+    /// by [`Transport::respawn`] for one: [`launch`](Self::launch) each
+    /// slot's endpoint, [`accept`](Self::accept) until each has
+    /// handshaken, [`start`](Self::start) them.  Any failure kills and
+    /// reaps every process it launched and joins every thread it started
+    /// before the error returns, whichever the caller.
+    fn bring_up(&self, slots: &[usize]) -> io::Result<Vec<WorkerConn>> {
+        let mut launched = Vec::with_capacity(slots.len());
+        let conns = self.try_bring_up(slots, &mut launched);
+        if conns.is_err() {
+            // Every stream accepted so far closed on the way out, so
+            // thread-mode workers have seen EOF and their joins return.
+            for (child, serve_thread) in launched {
+                stop_child(child, Duration::ZERO);
+                join(serve_thread);
+            }
+        }
+        conns
+    }
+
+    fn try_bring_up(
+        &self,
+        slots: &[usize],
+        launched: &mut Vec<Launched>,
+    ) -> io::Result<Vec<WorkerConn>> {
+        let addr = self.listener.local_addr()?.to_string();
+        for &w in slots {
+            launched.push(self.launch(w, &addr)?);
+        }
+        let accepted = self.accept(slots, launched)?;
+        self.start(slots, accepted, launched)
+    }
+
+    /// Start slot `w`'s endpoint per the spawn mode: a `worker_bin`
+    /// subprocess, an in-process serve thread, or — external — nothing but
+    /// an event naming the command to run.
+    fn launch(&self, w: usize, addr: &str) -> io::Result<Launched> {
+        match self.config.spawn {
+            WorkerSpawn::Subprocess => {
+                let bin = worker_binary(&self.config)?;
+                let child = Command::new(bin)
+                    .arg("--connect")
+                    .arg(addr)
+                    .arg("--index")
+                    .arg(w.to_string())
+                    .stdin(Stdio::null())
+                    .stdout(Stdio::null())
+                    .stderr(Stdio::inherit())
+                    .spawn()
+                    .map_err(|e| {
+                        io::Error::new(e.kind(), format!("spawning {}: {e}", bin.display()))
+                    })?;
+                self.telemetry.event(
+                    "worker.spawned",
+                    vec![
+                        ("worker", w.into()),
+                        ("mode", "subprocess".into()),
+                        ("pid", u64::from(child.id()).into()),
+                    ],
+                );
+                Ok((Some(child), None))
+            }
+            WorkerSpawn::Thread => {
+                let addr = addr.to_string();
+                let t = self.telemetry.clone();
+                let handle = thread::Builder::new()
+                    .name(format!("hotdog-tcp-worker-{w}"))
+                    .spawn(move || {
+                        if let Err(e) = crate::worker::run_worker(&addr, w as u32) {
+                            t.event(
+                                "worker.error",
+                                vec![("worker", w.into()), ("error", e.to_string().into())],
+                            );
+                        }
+                    })?;
+                self.telemetry.event(
+                    "worker.spawned",
+                    vec![("worker", w.into()), ("mode", "thread".into())],
+                );
+                Ok((None, Some(handle)))
+            }
+            WorkerSpawn::External => {
+                self.telemetry.event(
+                    "net.waiting_external",
+                    vec![
+                        ("worker", w.into()),
+                        ("addr", addr.into()),
+                        (
+                            "hint",
+                            format!("hotdog-worker --connect {addr} --index {w}").into(),
+                        ),
+                    ],
+                );
+                Ok((None, None))
             }
         }
     }
 
-    fn connect_inner(
-        dplan: &DistributedPlan,
-        config: &TcpConfig,
-        telemetry: &Arc<Telemetry>,
-        metrics: &NetMetrics,
-        children: &mut [Option<Child>],
-        serve_threads: &mut [Option<JoinHandle<()>>],
-    ) -> io::Result<Self> {
-        let listener = TcpListener::bind(&config.bind_addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-
-        match config.spawn {
-            WorkerSpawn::Subprocess => {
-                let bin = worker_binary(config)?;
-                for (i, slot) in children.iter_mut().enumerate() {
-                    let child = Command::new(bin)
-                        .arg("--connect")
-                        .arg(addr.to_string())
-                        .arg("--index")
-                        .arg(i.to_string())
-                        .stdin(Stdio::null())
-                        .stdout(Stdio::null())
-                        .stderr(Stdio::inherit())
-                        .spawn()
-                        .map_err(|e| {
-                            io::Error::new(e.kind(), format!("spawning {}: {e}", bin.display()))
-                        })?;
-                    telemetry.event(
-                        "worker.spawned",
-                        vec![
-                            ("worker", i.into()),
-                            ("mode", "subprocess".into()),
-                            ("pid", u64::from(child.id()).into()),
-                        ],
-                    );
-                    *slot = Some(child);
-                }
-            }
-            WorkerSpawn::Thread => {
-                for (i, slot) in serve_threads.iter_mut().enumerate() {
-                    let addr = addr.to_string();
-                    let t = telemetry.clone();
-                    let handle = thread::Builder::new()
-                        .name(format!("hotdog-tcp-worker-{i}"))
-                        .spawn(move || {
-                            if let Err(e) = crate::worker::run_worker(&addr, i as u32) {
-                                t.event(
-                                    "worker.error",
-                                    vec![("worker", i.into()), ("error", e.to_string().into())],
-                                );
-                            }
-                        })
-                        .expect("failed to spawn worker thread");
-                    telemetry.event(
-                        "worker.spawned",
-                        vec![("worker", i.into()), ("mode", "thread".into())],
-                    );
-                    *slot = Some(handle);
-                }
-            }
-            WorkerSpawn::External => {
-                telemetry.event(
-                    "net.waiting_external",
-                    vec![
-                        ("workers", config.workers.into()),
-                        ("addr", addr.to_string().into()),
-                        (
-                            "hint",
-                            format!("hotdog-worker --connect {addr} --index <i>").into(),
-                        ),
-                    ],
-                );
-            }
-        }
-
-        // Accept until every slot has handshaken, under one deadline.
-        let deadline = Instant::now() + config.accept_timeout;
-        let mut slots: Vec<Option<(TcpStream, BufReader<TcpStream>)>> =
-            (0..config.workers).map(|_| None).collect();
-        let mut connected = 0usize;
-        while connected < config.workers {
-            // A spawned worker dying before it connects would otherwise
-            // stall the accept loop until the deadline.
-            for (i, child) in children.iter_mut().enumerate() {
-                if let Some(c) = child.as_mut() {
+    /// Accept until every slot in `slots` has handshaken, under one
+    /// `accept_timeout` deadline.  A launched child that exits first fails
+    /// bring-up at once rather than at the deadline.  Any other peer — no
+    /// or garbage `Hello`, an index that is not an open slot, a stall — is
+    /// rejected, counted and dropped, not fatal: on a routable bind a port
+    /// scanner must not take bring-up down while the real workers connect.
+    fn accept(&self, slots: &[usize], launched: &mut [Launched]) -> io::Result<Vec<Accepted>> {
+        let deadline = Instant::now() + self.config.accept_timeout;
+        let mut accepted: Vec<Option<Accepted>> = slots.iter().map(|_| None).collect();
+        while accepted.iter().any(Option::is_none) {
+            for (&w, (child, _)) in slots.iter().zip(launched.iter_mut()) {
+                if let Some(c) = child {
                     if let Some(status) = c.try_wait()? {
                         return Err(io::Error::new(
                             io::ErrorKind::BrokenPipe,
-                            format!("worker {i} exited before connecting: {status}"),
+                            format!("worker {w} exited before connecting: {status}"),
                         ));
                     }
                 }
             }
-            match listener.accept() {
-                // A connection that fails the handshake (no/garbage Hello,
-                // bad or duplicate index, stalled peer) is *rejected and
-                // dropped*, not fatal: on a routable bind a port scanner or
-                // health prober must not take down cluster construction
-                // while the real workers are connecting fine.
-                Ok((stream, peer)) => match Self::handshake(stream, config.workers, &slots) {
-                    Ok((index, stream, reader)) => {
-                        telemetry.event(
-                            "worker.connected",
-                            vec![("worker", index.into()), ("peer", peer.to_string().into())],
-                        );
-                        slots[index] = Some((stream, reader));
-                        connected += 1;
+            match self.listener.accept() {
+                Ok((stream, peer)) => {
+                    let open = |i: usize| {
+                        let k = slots.iter().position(|&w| w == i)?;
+                        accepted[k].is_none().then_some(k)
+                    };
+                    match handshake(stream, |i| open(i).is_some(), deadline) {
+                        Ok((i, stream, reader)) => {
+                            self.telemetry.event(
+                                "worker.connected",
+                                vec![("worker", i.into()), ("peer", peer.to_string().into())],
+                            );
+                            let k = open(i).expect("handshake admits open slots only");
+                            accepted[k] = Some((stream, reader));
+                        }
+                        Err(e) => {
+                            self.metrics.rejected_connections.inc();
+                            self.telemetry.event(
+                                "net.connection_rejected",
+                                vec![
+                                    ("peer", peer.to_string().into()),
+                                    ("error", e.to_string().into()),
+                                ],
+                            );
+                        }
                     }
-                    // The error used to be logged and *dropped*; now every
-                    // rejection is counted and carries its reason.
-                    Err(e) => {
-                        metrics.rejected_connections.inc();
-                        telemetry.event(
-                            "net.connection_rejected",
-                            vec![
-                                ("peer", peer.to_string().into()),
-                                ("error", e.to_string().into()),
-                            ],
-                        );
-                    }
-                },
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     if Instant::now() >= deadline {
+                        let missing: Vec<usize> = slots
+                            .iter()
+                            .zip(&accepted)
+                            .filter_map(|(&w, a)| a.is_none().then_some(w))
+                            .collect();
                         return Err(io::Error::new(
                             io::ErrorKind::TimedOut,
                             format!(
-                                "only {connected}/{} worker(s) connected within {:?}",
-                                config.workers, config.accept_timeout
+                                "worker(s) {missing:?} did not connect within {:?}",
+                                self.config.accept_timeout
                             ),
                         ));
                     }
@@ -449,40 +481,36 @@ impl TcpTransport {
                 Err(e) => return Err(e),
             }
         }
+        Ok(accepted.into_iter().flatten().collect())
+    }
 
-        // Ship the plan: encode once, frame per worker.
-        let init = encode_to_vec(&ToWorker::Init {
-            plan: dplan.plan.clone(),
-        });
-        let mut conns = Vec::with_capacity(config.workers);
-        for (i, slot) in slots.into_iter().enumerate() {
-            let (mut stream, reader) = slot.expect("slot filled");
-            send_payload(&mut stream, &init)?;
-            let (handle, rx, pongs) = Self::spawn_reader(i, reader, telemetry, metrics);
-            conns.push(WorkerConn {
-                stream,
-                inbox: rx,
-                reader: Some(handle),
-                child: children[i].take(),
-                serve_thread: serve_threads[i].take(),
-                pongs,
-                dead: false,
-            });
+    /// Ship the retained `Init` to every accepted connection, then start
+    /// each one's reply pump.  All sends come first: until the pumps run,
+    /// a failure just drops the streams, which closes them.
+    fn start(
+        &self,
+        slots: &[usize],
+        mut accepted: Vec<Accepted>,
+        launched: &mut Vec<Launched>,
+    ) -> io::Result<Vec<WorkerConn>> {
+        for (stream, _) in &mut accepted {
+            send_payload(stream, &self.init)?;
         }
-        let faults = FaultState::new(config.faults.clone().unwrap_or_default());
-        Ok(TcpTransport {
-            conns,
-            shut: false,
-            listener,
-            config: config.clone(),
-            init,
-            faults,
-            ping_seq: 0,
-            telemetry: telemetry.clone(),
-            metrics: metrics.clone(),
-            program_cache: HashMap::new(),
-            deltas_cache: None,
-        })
+        let conns = slots.iter().zip(accepted).zip(launched.drain(..));
+        Ok(conns
+            .map(|((&w, (stream, reader)), (child, serve_thread))| {
+                let (handle, inbox, pongs) = self.spawn_reader(w, reader);
+                WorkerConn {
+                    stream,
+                    inbox,
+                    reader: Some(handle),
+                    child,
+                    serve_thread,
+                    pongs,
+                    dead: false,
+                }
+            })
+            .collect())
     }
 
     /// Spawn the reply-pump thread for one connection.  EOF (or our own
@@ -492,15 +520,14 @@ impl TcpTransport {
     /// dropped — heartbeat answers never reach the driver's accounting.
     #[allow(clippy::type_complexity)]
     fn spawn_reader(
+        &self,
         i: usize,
         mut reader: BufReader<TcpStream>,
-        telemetry: &Arc<Telemetry>,
-        metrics: &NetMetrics,
     ) -> (JoinHandle<()>, Receiver<WorkerReply>, Arc<AtomicU64>) {
         let (tx, rx) = channel();
         let pongs = Arc::new(AtomicU64::new(0));
-        let t = telemetry.clone();
-        let m = metrics.clone();
+        let t = self.telemetry.clone();
+        let m = self.metrics.clone();
         let p = pongs.clone();
         let handle = thread::Builder::new()
             .name(format!("hotdog-tcp-reader-{i}"))
@@ -548,83 +575,36 @@ impl TcpTransport {
         (handle, rx, pongs)
     }
 
-    /// Handshake one accepted connection: read its `Hello` under a bounded
-    /// timeout and validate the announced worker slot.  Any failure
-    /// rejects just this connection (the accept loop keeps going).
-    #[allow(clippy::type_complexity)]
-    fn handshake(
-        stream: TcpStream,
-        workers: usize,
-        slots: &[Option<(TcpStream, BufReader<TcpStream>)>],
-    ) -> io::Result<(usize, TcpStream, BufReader<TcpStream>)> {
-        stream.set_nonblocking(false)?;
-        stream.set_nodelay(true)?;
-        // Bound the handshake read so a stuck peer cannot stall the
-        // accept loop for the whole deadline.
-        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let index = match recv_msg::<ToDriver>(&mut reader)? {
-            ToDriver::Hello { index } => index as usize,
-            ToDriver::Reply(_) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "protocol error: reply before Hello",
-                ))
-            }
-        };
-        stream.set_read_timeout(None)?;
-        if index >= workers || slots[index].is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad or duplicate worker index {index}"),
-            ));
-        }
-        Ok((index, stream, reader))
-    }
-
-    /// [`TcpTransport::handshake`] for a respawn: only a `Hello`
-    /// announcing exactly `expected` passes — every live slot is
-    /// occupied, so any other index is bad or a duplicate.
-    fn handshake_one(
-        stream: TcpStream,
-        expected: usize,
-    ) -> io::Result<(TcpStream, BufReader<TcpStream>)> {
-        stream.set_nonblocking(false)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-        let mut reader = BufReader::new(stream.try_clone()?);
-        let index = match recv_msg::<ToDriver>(&mut reader)? {
-            ToDriver::Hello { index } => index as usize,
-            ToDriver::Reply(_) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "protocol error: reply before Hello",
-                ))
-            }
-        };
-        stream.set_read_timeout(None)?;
-        if index != expected {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected respawned worker {expected}, got Hello{{{index}}}"),
-            ));
-        }
-        Ok((stream, reader))
-    }
-
-    /// Mark worker `w` dead and fence it off: close the stream and kill
-    /// the subprocess (if any), so a worker that was merely slow cannot
-    /// come back and race its replacement.  Returns the typed error every
-    /// subsequent operation on the slot fast-fails with.
-    fn declare_dead(&mut self, w: usize, reason: &str) -> WorkerDead {
+    /// The one per-slot teardown, shared by fencing a dead slot, clearing
+    /// one before respawn, and shutdown: stop the child (killed once
+    /// `grace` runs out), shut the stream, join the reply pump and the
+    /// serve thread (both end with the socket).  Idempotent.
+    fn teardown(&mut self, w: usize, grace: Duration) {
         let conn = &mut self.conns[w];
-        if !conn.dead {
-            conn.dead = true;
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            if let Some(child) = conn.child.as_mut() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
+        let killed = stop_child(conn.child.take(), grace);
+        let _ = conn.stream.shutdown(Shutdown::Both);
+        join(conn.reader.take());
+        join(conn.serve_thread.take());
+        if killed {
+            self.telemetry.event(
+                "worker.killed",
+                vec![
+                    ("worker", w.into()),
+                    ("reason", "shutdown_grace_expired".into()),
+                    ("grace_secs", grace.as_secs().into()),
+                ],
+            );
+        }
+    }
+
+    /// Mark worker `w` dead and fence it off (see [`Self::teardown`]), so
+    /// a worker that was merely slow cannot come back and race its
+    /// replacement.  Returns the typed error every subsequent operation on
+    /// the slot fast-fails with.
+    fn declare_dead(&mut self, w: usize, reason: &str) -> WorkerDead {
+        if !self.conns[w].dead {
+            self.conns[w].dead = true;
+            self.teardown(w, Duration::ZERO);
             self.telemetry.event(
                 "net.worker_dead",
                 vec![("worker", w.into()), ("reason", reason.into())],
@@ -663,152 +643,6 @@ impl TcpTransport {
         self.metrics.frames_sent.inc();
         self.metrics.bytes_sent.add(payload.len() as u64 + 4);
         send_payload(&mut self.conns[w].stream, &payload)
-    }
-
-    /// Replace slot `w`'s endpoint: tear the old connection down, start a
-    /// replacement per the spawn mode (external mode just waits for a
-    /// reconnect), handshake it under the accept deadline, ship the
-    /// retained `Init` and restart the reply pump.  On success the slot
-    /// is live again (with empty worker state — the driver must follow
-    /// with a `Restore`).
-    fn respawn_inner(&mut self, w: usize) -> io::Result<()> {
-        {
-            let conn = &mut self.conns[w];
-            conn.dead = true;
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            if let Some(mut child) = conn.child.take() {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
-            if let Some(handle) = conn.reader.take() {
-                let _ = handle.join();
-            }
-            if let Some(handle) = conn.serve_thread.take() {
-                let _ = handle.join();
-            }
-        }
-        let addr = self.listener.local_addr()?;
-        let mut child = None;
-        let mut serve_thread = None;
-        match self.config.spawn {
-            WorkerSpawn::Subprocess => {
-                let bin = worker_binary(&self.config)?;
-                let spawned = Command::new(bin)
-                    .arg("--connect")
-                    .arg(addr.to_string())
-                    .arg("--index")
-                    .arg(w.to_string())
-                    .stdin(Stdio::null())
-                    .stdout(Stdio::null())
-                    .stderr(Stdio::inherit())
-                    .spawn()
-                    .map_err(|e| {
-                        io::Error::new(e.kind(), format!("spawning {}: {e}", bin.display()))
-                    })?;
-                self.telemetry.event(
-                    "worker.spawned",
-                    vec![
-                        ("worker", w.into()),
-                        ("mode", "subprocess".into()),
-                        ("pid", u64::from(spawned.id()).into()),
-                    ],
-                );
-                child = Some(spawned);
-            }
-            WorkerSpawn::Thread => {
-                let addr = addr.to_string();
-                let t = self.telemetry.clone();
-                let handle = thread::Builder::new()
-                    .name(format!("hotdog-tcp-worker-{w}"))
-                    .spawn(move || {
-                        if let Err(e) = crate::worker::run_worker(&addr, w as u32) {
-                            t.event(
-                                "worker.error",
-                                vec![("worker", w.into()), ("error", e.to_string().into())],
-                            );
-                        }
-                    })
-                    .expect("failed to spawn worker thread");
-                self.telemetry.event(
-                    "worker.spawned",
-                    vec![("worker", w.into()), ("mode", "thread".into())],
-                );
-                serve_thread = Some(handle);
-            }
-            WorkerSpawn::External => {
-                self.telemetry.event(
-                    "net.waiting_external",
-                    vec![
-                        ("workers", 1u64.into()),
-                        ("addr", addr.to_string().into()),
-                        (
-                            "hint",
-                            format!("hotdog-worker --connect {addr} --index {w}").into(),
-                        ),
-                    ],
-                );
-            }
-        }
-
-        // Accept until *this* slot reconnects (other peers are rejected,
-        // as during construction), under the same deadline policy.
-        let deadline = Instant::now() + self.config.accept_timeout;
-        let (mut stream, reader) = loop {
-            if let Some(c) = child.as_mut() {
-                if let Some(status) = c.try_wait()? {
-                    return Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        format!("respawned worker {w} exited before connecting: {status}"),
-                    ));
-                }
-            }
-            match self.listener.accept() {
-                Ok((stream, peer)) => match Self::handshake_one(stream, w) {
-                    Ok((stream, reader)) => {
-                        self.telemetry.event(
-                            "worker.connected",
-                            vec![("worker", w.into()), ("peer", peer.to_string().into())],
-                        );
-                        break (stream, reader);
-                    }
-                    Err(e) => {
-                        self.metrics.rejected_connections.inc();
-                        self.telemetry.event(
-                            "net.connection_rejected",
-                            vec![
-                                ("peer", peer.to_string().into()),
-                                ("error", e.to_string().into()),
-                            ],
-                        );
-                    }
-                },
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!(
-                                "respawned worker {w} did not reconnect within {:?}",
-                                self.config.accept_timeout
-                            ),
-                        ));
-                    }
-                    thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        send_payload(&mut stream, &self.init)?;
-        let (handle, rx, pongs) = Self::spawn_reader(w, reader, &self.telemetry, &self.metrics);
-        self.conns[w] = WorkerConn {
-            stream,
-            inbox: rx,
-            reader: Some(handle),
-            child,
-            serve_thread,
-            pongs,
-            dead: false,
-        };
-        Ok(())
     }
 
     /// Encoded statements segment for a broadcast, served from the
@@ -994,11 +828,19 @@ impl Transport for TcpTransport {
         }
     }
 
+    /// Replace slot `w`'s endpoint: tear the old one down, then run the
+    /// bring-up routine for `[w]`.  On success the slot is live again with
+    /// empty worker state (the driver follows with a `Restore`); on
+    /// failure it stays fenced.
     fn respawn(&mut self, w: usize) -> Result<(), WorkerDead> {
-        self.respawn_inner(w).map_err(|e| WorkerDead {
+        self.conns[w].dead = true;
+        self.teardown(w, Duration::ZERO);
+        let mut conns = self.bring_up(&[w]).map_err(|e| WorkerDead {
             index: w,
             reason: format!("respawn failed: {e}"),
-        })
+        })?;
+        self.conns[w] = conns.pop().expect("one slot brought up");
+        Ok(())
     }
 
     fn shutdown(&mut self) {
@@ -1014,39 +856,10 @@ impl Transport for TcpTransport {
             self.metrics.bytes_sent.add(payload.len() as u64 + 4);
             let _ = send_payload(&mut conn.stream, &payload);
         }
+        // Give each worker a moment to exit cleanly before it is killed.
         const KILL_GRACE: Duration = Duration::from_secs(10);
-        for (w, conn) in self.conns.iter_mut().enumerate() {
-            if let Some(mut child) = conn.child.take() {
-                // Give the worker a moment to exit cleanly, then kill.
-                let deadline = Instant::now() + KILL_GRACE;
-                loop {
-                    match child.try_wait() {
-                        Ok(Some(_)) => break,
-                        Ok(None) if Instant::now() >= deadline => {
-                            self.telemetry.event(
-                                "worker.killed",
-                                vec![
-                                    ("worker", w.into()),
-                                    ("reason", "shutdown_grace_expired".into()),
-                                    ("grace_secs", KILL_GRACE.as_secs().into()),
-                                ],
-                            );
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            break;
-                        }
-                        Ok(None) => thread::sleep(Duration::from_millis(5)),
-                        Err(_) => break,
-                    }
-                }
-            }
-            let _ = conn.stream.shutdown(Shutdown::Both);
-            if let Some(handle) = conn.reader.take() {
-                let _ = handle.join();
-            }
-            if let Some(handle) = conn.serve_thread.take() {
-                let _ = handle.join();
-            }
+        for w in 0..self.conns.len() {
+            self.teardown(w, KILL_GRACE);
         }
     }
 
@@ -1065,6 +878,64 @@ impl Transport for TcpTransport {
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// Handshake one accepted connection: read its `Hello` — within what is
+/// left of the bring-up `deadline`, so one stalled peer cannot push
+/// bring-up past `accept_timeout` — and admit it only for a slot `is_open`
+/// accepts.  Any failure rejects just this connection.
+fn handshake(
+    stream: TcpStream,
+    is_open: impl Fn(usize) -> bool,
+    deadline: Instant,
+) -> io::Result<(usize, TcpStream, BufReader<TcpStream>)> {
+    stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)?;
+    // `set_read_timeout` refuses a zero duration.
+    let left = deadline.saturating_duration_since(Instant::now());
+    stream.set_read_timeout(Some(left.max(Duration::from_millis(1))))?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    let index = match recv_msg::<ToDriver>(&mut reader)? {
+        ToDriver::Hello { index } => index as usize,
+        ToDriver::Reply(_) => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "protocol error: reply before Hello",
+            ))
+        }
+    };
+    stream.set_read_timeout(None)?;
+    if !is_open(index) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("bad or duplicate worker index {index}"),
+        ));
+    }
+    Ok((index, stream, reader))
+}
+
+/// Stop a launched subprocess: give it `grace` to exit on its own, then
+/// kill and reap it.  Returns whether a non-zero grace ran out.
+fn stop_child(child: Option<Child>, grace: Duration) -> bool {
+    let Some(mut child) = child else {
+        return false;
+    };
+    let deadline = Instant::now() + grace;
+    while Instant::now() < deadline {
+        if !matches!(child.try_wait(), Ok(None)) {
+            return false;
+        }
+        thread::sleep(Duration::from_millis(5));
+    }
+    let _ = child.kill();
+    let _ = child.wait();
+    !grace.is_zero()
+}
+
+fn join(handle: Option<JoinHandle<()>>) {
+    if let Some(handle) = handle {
+        let _ = handle.join();
     }
 }
 

@@ -25,7 +25,12 @@
 //!   [`Driver`](hotdog_runtime::Driver) over the connections — sharing
 //!   the admission queue, delta coalescing, request-id ledger, adaptive
 //!   control and backpressure with `ThreadedCluster` rather than forking
-//!   them.
+//!   them.  Construction is the respawn of every slot: one bring-up
+//!   routine (`TcpTransport::bring_up`) starts all slots at construction
+//!   and one slot on respawn.
+//!
+//! The package's one binary, `hotdog-worker` (`src/bin/hotdog-worker.rs`),
+//! is [`run_worker`] behind `--connect <host:port> --index <n>`.
 //!
 //! The differential oracle (`tests/pipeline_differential.rs`) pins
 //! `TcpCluster` bit-for-bit against the simulated cluster across the

@@ -5,21 +5,28 @@
 //! state.
 //!
 //! Thread-spawn mode runs the full wire path (framing, codec, kernel
-//! TCP) without subprocesses, so these tests don't depend on the
-//! `hotdog-worker` binary; one subprocess smoke test covers real
-//! multi-process operation and is exercised exhaustively by the
-//! workspace-level differential oracle.
+//! TCP) without subprocesses; one subprocess smoke test covers real
+//! multi-process operation (exercised exhaustively by the workspace-level
+//! differential oracle), and the bring-up tests drive the lifecycle:
+//! launched workers that exit or never connect, external workers with a
+//! respawn, and stray peers the accept loop must refuse.
 
 use hotdog_algebra::expr::*;
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
 use hotdog_algebra::tuple;
+use hotdog_distributed::protocol::WorkerReply;
 use hotdog_distributed::{
     compile_distributed, Backend, DistributedPlan, OptLevel, PartitioningSpec,
 };
 use hotdog_ivm::compile_recursive;
-use hotdog_net::{TcpCluster, TcpConfig, WorkerSpawn};
-use hotdog_runtime::{PipelineConfig, ThreadedCluster};
+use hotdog_net::codec::ToDriver;
+use hotdog_net::{send_msg, FaultKind, FaultPlan, Phase, TcpCluster, TcpConfig, WorkerSpawn};
+use hotdog_runtime::{FaultConfig, PipelineConfig, ThreadedCluster};
+use std::io::ErrorKind;
+use std::net::{TcpListener, TcpStream};
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn example_dplan(opt: OptLevel) -> DistributedPlan {
     let q = sum(
@@ -187,7 +194,7 @@ fn tcp_subprocess_mode_matches_threaded() {
     // Real worker subprocesses on loopback: the worker bin cargo built for
     // this test target.
     let config = TcpConfig {
-        worker_bin: Some(env!("CARGO_BIN_EXE_hotdog-net-worker").into()),
+        worker_bin: Some(env!("CARGO_BIN_EXE_hotdog-worker").into()),
         ..TcpConfig::with_workers(2)
     };
     let mut tcp = TcpCluster::new(example_dplan(OptLevel::O3), &config).expect("spawn tcp cluster");
@@ -218,7 +225,7 @@ fn subprocess_mode_without_worker_bin_is_invalid_input() {
     let err = TcpCluster::new(example_dplan(OptLevel::O3), &config)
         .err()
         .expect("no worker binary named: construction must fail");
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(err.kind(), ErrorKind::InvalidInput);
     assert!(
         err.to_string().contains("TcpConfig::worker_bin"),
         "error must name the field to set: {err}"
@@ -248,11 +255,176 @@ fn accept_timeout_fails_loudly_without_workers() {
     let config = TcpConfig {
         workers: 1,
         spawn: WorkerSpawn::External,
-        accept_timeout: std::time::Duration::from_millis(200),
+        accept_timeout: Duration::from_millis(200),
         ..Default::default()
     };
     let err = TcpCluster::new(example_dplan(OptLevel::O3), &config)
         .err()
         .expect("no worker ever connects: construction must fail");
-    assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
+    assert_eq!(err.kind(), ErrorKind::TimedOut);
+}
+
+/// A launched worker that exits before connecting fails construction at
+/// once, not at the accept deadline.
+#[cfg(unix)]
+#[test]
+fn worker_exiting_before_connecting_fails_construction_at_once() {
+    let bin = std::path::Path::new("/bin/false");
+    if !bin.exists() {
+        eprintln!("skipped: no /bin/false");
+        return;
+    }
+    let config = TcpConfig {
+        worker_bin: Some(bin.into()),
+        accept_timeout: Duration::from_secs(30),
+        ..TcpConfig::with_workers(2)
+    };
+    let started = Instant::now();
+    let err = TcpCluster::new(example_dplan(OptLevel::O3), &config)
+        .err()
+        .expect("a worker that exits must fail construction");
+    assert_eq!(err.kind(), ErrorKind::BrokenPipe, "{err}");
+    assert!(
+        err.to_string().contains("exited before connecting"),
+        "{err}"
+    );
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "waited for the deadline"
+    );
+}
+
+/// A launched worker that never connects times construction out — and is
+/// killed and reaped on the way out, the path a timed-out respawn shares.
+#[cfg(unix)]
+#[test]
+fn worker_never_connecting_times_out_and_is_reaped() {
+    use std::os::unix::fs::PermissionsExt;
+    let dir = std::env::temp_dir().join(format!("hotdog-never-connects-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let script = dir.join("worker.sh");
+    let pid_file = dir.join("pid");
+    std::fs::write(
+        &script,
+        format!(
+            "#!/bin/sh\necho $$ > '{}'\nexec sleep 60\n",
+            pid_file.display()
+        ),
+    )
+    .expect("write script");
+    std::fs::set_permissions(&script, std::fs::Permissions::from_mode(0o755)).expect("chmod");
+
+    let config = TcpConfig {
+        worker_bin: Some(script),
+        accept_timeout: Duration::from_millis(300),
+        ..TcpConfig::with_workers(1)
+    };
+    let err = TcpCluster::new(example_dplan(OptLevel::O3), &config)
+        .err()
+        .expect("a worker that never connects must time construction out");
+    assert_eq!(err.kind(), ErrorKind::TimedOut, "{err}");
+    let pid = std::fs::read_to_string(&pid_file).expect("the script ran");
+    let alive = Command::new("kill")
+        .args(["-0", pid.trim()])
+        .stderr(Stdio::null())
+        .status()
+        .expect("run kill")
+        .success();
+    assert!(!alive, "worker {} outlived the failed bring-up", pid.trim());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Connect to `addr`, retrying until the driver listens.
+fn connect_when_listening(addr: &str) -> TcpStream {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match TcpStream::connect(addr) {
+            Ok(s) => return s,
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(5)),
+            Err(e) => panic!("driver never listened on {addr}: {e}"),
+        }
+    }
+}
+
+/// Two peers the accept loop must refuse: one opens with a reply instead
+/// of `Hello`, one announces a slot that does not exist.
+fn send_strays(addr: &str, workers: u32) -> Vec<TcpStream> {
+    let mut not_hello = connect_when_listening(addr);
+    send_msg(
+        &mut not_hello,
+        &ToDriver::Reply(WorkerReply::Pong { id: 0 }),
+    )
+    .expect("stray");
+    let mut bad_index = connect_when_listening(addr);
+    send_msg(&mut bad_index, &ToDriver::Hello { index: workers }).expect("stray");
+    vec![not_hello, bad_index]
+}
+
+/// The README's multi-host path: `External` workers started by hand with
+/// the real `hotdog-worker`, one of them killed and restarted by hand
+/// while the respawn waits, and stray peers arriving both before
+/// construction completes and during the respawn.  Recovery must be
+/// bit-identical and every stray refused and counted.
+#[test]
+fn external_workers_respawn_and_stray_peers_are_rejected() {
+    let fault_config = FaultConfig::every(1);
+    let mut clean =
+        TcpCluster::new(example_dplan(OptLevel::O3), &thread_config(2)).expect("tcp cluster");
+    clean.set_fault_config(Some(fault_config.clone()));
+    for (rel, batch) in batches() {
+        clean.apply_batch(rel, &batch);
+    }
+    let expected = clean.query_result().checksum();
+
+    let addr = {
+        let probe = TcpListener::bind("127.0.0.1:0").expect("probe bind");
+        probe.local_addr().expect("probe addr").to_string()
+    };
+    let worker = |index: usize, addr: &str| -> Child {
+        Command::new(env!("CARGO_BIN_EXE_hotdog-worker"))
+            .args(["--connect", addr, "--index", &index.to_string()])
+            .spawn()
+            .expect("start hotdog-worker")
+    };
+    let launcher_addr = addr.clone();
+    let launcher = std::thread::spawn(move || {
+        let addr = launcher_addr.as_str();
+        // Strays queue ahead of the workers, and the listener accepts in
+        // order: both are judged before construction can complete.
+        let mut strays = send_strays(addr, 2);
+        let w0 = worker(0, addr);
+        let mut w1 = worker(1, addr);
+        // Worker 1 exits once the driver fences it; the respawn then waits
+        // for a replacement, and strays again queue ahead of it.
+        w1.wait().expect("worker 1 exits when fenced");
+        strays.extend(send_strays(addr, 2));
+        (w0, worker(1, addr), strays)
+    });
+
+    let config = TcpConfig {
+        workers: 2,
+        bind_addr: addr,
+        spawn: WorkerSpawn::External,
+        accept_timeout: Duration::from_secs(10),
+        ..Default::default()
+    }
+    .with_faults(FaultPlan::kill(1, FaultKind::RunBlock, 2, Phase::Before));
+    let mut tcp = TcpCluster::new(example_dplan(OptLevel::O3), &config).expect("tcp cluster");
+    tcp.set_fault_config(Some(fault_config));
+    for (rel, batch) in batches() {
+        tcp.apply_batch(rel, &batch);
+    }
+    assert_eq!(tcp.query_result().checksum(), expected, "recovery diverged");
+    let snap = tcp.metrics_snapshot();
+    assert_eq!(snap.counter("worker.respawned"), 1);
+    assert_eq!(
+        snap.counter("net.rejected_connections"),
+        4,
+        "two strays at construction, two at the respawn"
+    );
+    tcp.close();
+
+    let (mut w0, mut w1, _strays) = launcher.join().expect("launcher thread");
+    assert!(w0.wait().expect("reap worker 0").success());
+    assert!(w1.wait().expect("reap worker 1").success());
 }

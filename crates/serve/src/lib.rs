@@ -178,13 +178,12 @@ pub struct ViewDelta {
     pub parts: Vec<Vec<(StmtOp, Relation)>>,
 }
 
-/// Client-side accumulator: replays [`ViewDelta`]s into per-part
-/// relations whose ordered merge reconstructs the parameterized view
-/// bit-for-bit.
+/// Client-side accumulator: replays [`ViewDelta`]s through a
+/// [`ViewAccumulator`], whose ordered part merge reconstructs the
+/// parameterized view bit-for-bit, and tracks the watermark reached.
 #[derive(Clone, Debug)]
 pub struct SubscriberView {
-    schema: Schema,
-    parts: Vec<Relation>,
+    acc: ViewAccumulator,
     watermark: u64,
     deltas_applied: u64,
 }
@@ -192,8 +191,7 @@ pub struct SubscriberView {
 impl SubscriberView {
     pub fn new(schema: Schema) -> Self {
         SubscriberView {
-            schema,
-            parts: Vec::new(),
+            acc: ViewAccumulator::new(schema),
             watermark: 0,
             deltas_applied: 0,
         }
@@ -201,32 +199,14 @@ impl SubscriberView {
 
     /// Replay one pushed delta.
     pub fn apply(&mut self, delta: &ViewDelta) {
-        if delta.resync {
-            self.parts.clear();
-        }
-        if self.parts.len() < delta.parts.len() {
-            self.parts
-                .resize_with(delta.parts.len(), || Relation::new(self.schema.clone()));
-        }
-        for (part, ops) in self.parts.iter_mut().zip(&delta.parts) {
-            for (op, rel) in ops {
-                match op {
-                    StmtOp::AddTo => part.merge(rel),
-                    StmtOp::SetTo => *part = rel.clone(),
-                }
-            }
-        }
+        self.acc.apply(&delta.parts, delta.resync);
         self.watermark = self.watermark.max(delta.watermark);
         self.deltas_applied += 1;
     }
 
     /// The reconstructed parameterized view (parts merged in node order).
     pub fn contents(&self) -> Relation {
-        let mut out = Relation::new(self.schema.clone());
-        for part in &self.parts {
-            out.merge(part);
-        }
-        out
+        self.acc.contents()
     }
 
     /// Committed batches this view reflects.
@@ -408,7 +388,7 @@ where
             let Some(view) = captured.views.iter().find(|v| v.name == entry.view) else {
                 continue;
             };
-            entry.acc.apply(view, captured.resync);
+            entry.acc.apply(&view.parts, captured.resync);
             let mut ids: Vec<SubscriptionId> = entry.subscribers.keys().copied().collect();
             ids.sort_unstable();
             // The per-subscriber split is the serving layer's contribution
