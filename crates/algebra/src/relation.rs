@@ -132,9 +132,15 @@ impl Relation {
                     .unwrap_or_else(|| panic!("column {c} not in schema {:?}", self.schema))
             })
             .collect();
-        let mut out = Relation::new(group_by.clone());
+        self.project_sum_at(&positions, group_by.clone())
+    }
+
+    /// [`Relation::project_sum`] onto the columns at `positions`, named by
+    /// `schema` (positional, so the result may rename the columns).
+    pub fn project_sum_at(&self, positions: &[usize], schema: Schema) -> Relation {
+        let mut out = Relation::new(schema);
         for (t, m) in &self.data {
-            out.add(t.project(&positions), *m);
+            out.add(t.project(positions), *m);
         }
         out
     }

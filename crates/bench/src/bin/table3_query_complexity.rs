@@ -2,7 +2,8 @@
 //! distributed runtime — jobs and stages needed to process one batch, plus
 //! the whole-view moves left in the O3 programs (views broadcast from the
 //! driver + views re-hashed by another column; communication that grows
-//! with the database rather than with the batch).
+//! with the database rather than with the batch) and how many of the
+//! batches' columns the preprocessed triggers ship.
 
 use hotdog::prelude::*;
 use hotdog_bench::*;
@@ -14,6 +15,8 @@ fn main() {
         let spec = PartitioningSpec::heuristic(&plan, &q.partition_keys);
         let dplan = compile_distributed(&plan, &spec, OptLevel::O3);
         let (jobs, stages) = dplan.complexity();
+        let shipped: usize = dplan.programs.iter().map(|p| p.kept.len()).sum();
+        let arity: usize = dplan.programs.iter().map(|p| p.batch_arity).sum();
         rows.push(vec![
             q.id.to_string(),
             jobs.to_string(),
@@ -21,6 +24,7 @@ fn main() {
             plan.views.len().to_string(),
             plan.statement_count().to_string(),
             dplan.whole_view_moves().total().to_string(),
+            format!("{shipped}/{arity}"),
         ]);
     }
     print_table(
@@ -32,6 +36,7 @@ fn main() {
             "views",
             "statements",
             "whole-view moves",
+            "Δ cols shipped",
         ],
         &rows,
     );

@@ -39,8 +39,11 @@ pub struct PipelineStats {
     pub batches_abandoned: usize,
     /// Tuples admitted (pre-coalescing).
     pub tuples_admitted: usize,
-    /// Tuples in the executed deltas (post-coalescing; cancellation shrinks
-    /// this below `tuples_admitted`).
+    /// Tuples in the executed deltas, after batch preprocessing and
+    /// coalescing: tuples that collide once projected onto the columns the
+    /// trigger reads are summed, and opposing deltas cancel, so both shrink
+    /// this below `tuples_admitted`.  The coalescing bound and the adaptive
+    /// controller count the same tuples.
     pub tuples_executed: usize,
     /// High-water mark of the admission queue depth (batches).
     pub max_queue_depth: usize,

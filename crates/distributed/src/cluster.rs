@@ -231,7 +231,7 @@ impl Cluster {
         let root = self.telemetry.begin_batch_root();
         self.trace_scope = root.context();
 
-        let delta = relabel(batch, &program.relation_schema);
+        let delta = program.preprocess(batch);
         let mut deltas = HashMap::new();
         deltas.insert(relation.to_string(), delta);
         let delta_name = format!("Δ{relation}");
@@ -562,6 +562,75 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_total_read_under_a_key_sees_the_whole_batch() {
+        // The Q11 shape: rows of R whose value exceeds a share of R's total.
+        // `ON UPDATE R` runs under `PK`, but the total's delta reference
+        // binds `PK2` there, so it must read the batch on every worker.
+        let total = sum_total(join(rel("R", ["PK2", "A2"]), val_var("A2")));
+        let q = sum(
+            ["PK"],
+            join_all([
+                rel("R", ["PK", "A"]),
+                assign_query("TV", total),
+                cmp(
+                    ValExpr::Mul(Box::new(ValExpr::var("A")), Box::new(ValExpr::lit(8))),
+                    CmpOp::Gt,
+                    ValExpr::var("TV"),
+                ),
+            ]),
+        );
+        let plan = compile_recursive("Q", &q);
+        let spec = PartitioningSpec::heuristic(&plan, &["PK"]);
+        let batches = [
+            (0..30i64)
+                .map(|i| (tuple![i % 9, i], 1.0))
+                .collect::<Vec<_>>(),
+            vec![(tuple![2, 20], -1.0), (tuple![4, 90], 1.0)],
+        ];
+        let mut engine = LocalEngine::new(
+            plan.clone(),
+            ExecMode::Batched {
+                preaggregate: false,
+            },
+        );
+        for b in &batches {
+            engine.apply_batch(
+                "R",
+                &Relation::from_pairs(Schema::new(["PK", "A"]), b.clone()),
+            );
+        }
+        for opt in [OptLevel::O0, OptLevel::O3] {
+            let dplan = compile_distributed(&plan, &spec, opt);
+            let scatters: Vec<String> = dplan.programs[0]
+                .statements()
+                .filter_map(|s| match &s.kind {
+                    DistStmtKind::Transform {
+                        kind: Transform::Scatter(pf),
+                        source,
+                    } if source == "ΔR" => Some(pf.to_string()),
+                    _ => None,
+                })
+                .collect();
+            assert!(scatters.contains(&"[*]".to_string()), "{}", dplan.pretty());
+            for workers in [1, 3] {
+                let mut cluster = Cluster::new(dplan.clone(), ClusterConfig::with_workers(workers));
+                for b in &batches {
+                    cluster.apply_batch(
+                        "R",
+                        &Relation::from_pairs(Schema::new(["PK", "A"]), b.clone()),
+                    );
+                }
+                assert!(
+                    cluster.query_result().approx_eq(&engine.query_result()),
+                    "{opt:?}, {workers} workers: {:?} vs {:?}",
+                    cluster.query_result(),
+                    engine.query_result()
+                );
             }
         }
     }

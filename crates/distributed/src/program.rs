@@ -1,14 +1,16 @@
 //! Compilation of local maintenance programs into distributed programs
-//! (Section 4): location annotation, view placement (a view that would
-//! otherwise be shipped whole to every worker on every batch becomes a
-//! maintained replica), insertion of location transformers (`Scatter`,
-//! `Repart`, `Gather`), intra-statement optimization (choosing the
-//! execution partitioning that minimizes communication rounds),
-//! single-transformer form, CSE/DCE of transformer statements, and the
-//! block fusion algorithm of Appendix C.3.
+//! (Section 4): batch preprocessing (each trigger is lowered against the
+//! batch projected onto the columns it reads, Section 3.3), location
+//! annotation, view placement (a view that would otherwise be shipped
+//! whole to every worker on every batch becomes a maintained replica),
+//! insertion of location transformers (`Scatter`, `Repart`, `Gather`),
+//! intra-statement optimization (choosing the execution partitioning that
+//! minimizes communication rounds), single-transformer form, CSE/DCE of
+//! transformer statements, and the block fusion algorithm of Appendix C.3.
 
 use crate::partition::{LocTag, PartitionFn, PartitioningSpec};
 use hotdog_algebra::expr::{Expr, RelKind, RelRef};
+use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
 use hotdog_ivm::{MaintenancePlan, StmtOp};
 use std::collections::{BTreeSet, HashMap};
@@ -137,12 +139,39 @@ pub struct Block {
 #[derive(Clone, Debug)]
 pub struct TriggerProgram {
     pub relation: String,
+    /// Schema of the *preprocessed* batch the statements read: the
+    /// trigger's variables at `kept`.
     pub relation_schema: Schema,
+    /// Positions of the update batch the trigger reads
+    /// ([`hotdog_ivm::Trigger::kept_delta_positions`]), ascending.
+    pub kept: Vec<usize>,
+    /// Arity of the update batch before preprocessing.
+    pub batch_arity: usize,
     /// Fused statement blocks, in execution order.
     pub blocks: Vec<Block>,
 }
 
 impl TriggerProgram {
+    /// Batch preprocessing (Section 3.3), the one step every backend runs
+    /// before admitting or scattering a batch: project it onto the kept
+    /// positions, summing the multiplicities of tuples that collide, in
+    /// wire-canonical layout ([`Relation::canonical`]).
+    pub fn preprocess(&self, batch: &Relation) -> Relation {
+        batch
+            .project_sum_at(&self.kept, self.relation_schema.clone())
+            .canonical()
+    }
+
+    /// Ring-sum `batch`, preprocessed, into an already preprocessed `delta`
+    /// (pipelined admission's coalescing): the projection of
+    /// [`TriggerProgram::preprocess`] without building the canonical
+    /// relation the merge would not keep.
+    pub fn preprocess_into(&self, batch: &Relation, delta: &mut Relation) {
+        for (t, m) in batch.iter() {
+            delta.add(t.project(&self.kept), m);
+        }
+    }
+
     pub fn statements(&self) -> impl Iterator<Item = &DistStatement> {
         self.blocks.iter().flat_map(|b| b.statements.iter())
     }
@@ -196,9 +225,12 @@ impl TriggerProgram {
 
     pub fn pretty(&self) -> String {
         let mut out = format!(
-            "-- ON UPDATE {} ({} blocks)\n",
+            "-- ON UPDATE {} ({} blocks), Δ keeps {}/{}: {}\n",
             self.relation,
-            self.blocks.len()
+            self.blocks.len(),
+            self.kept.len(),
+            self.batch_arity,
+            self.relation_schema.columns().join(", ")
         );
         for (i, b) in self.blocks.iter().enumerate() {
             out.push_str(&format!(
@@ -403,7 +435,12 @@ impl Lowering<'_> {
         name
     }
 
+    /// Lower one trigger against its preprocessed batch: every statement,
+    /// scatter and routing decision sees only the kept columns.
     fn lower_trigger(&mut self, trigger: &hotdog_ivm::Trigger) -> TriggerProgram {
+        let kept = trigger.kept_delta_positions();
+        let batch_arity = trigger.relation_schema.len();
+        let trigger = &trigger.narrowed(&kept);
         let mut statements: Vec<DistStatement> = Vec::new();
         // Cache of scatter/broadcast/repart temps created for this trigger
         // (used for CSE at O3; at lower levels every use gets its own copy).
@@ -431,6 +468,8 @@ impl Lowering<'_> {
         TriggerProgram {
             relation: trigger.relation.clone(),
             relation_schema: trigger.relation_schema.clone(),
+            kept,
+            batch_arity,
             blocks,
         }
     }
@@ -455,6 +494,41 @@ impl Lowering<'_> {
                 _ => None,
             })
             .unwrap_or_else(|| PartitionFn::by(trigger.relation_schema.columns().to_vec()))
+    }
+
+    /// The temp holding the batch scattered under `pf`, emitting its
+    /// `SCATTER` (shared per trigger at O3).
+    fn scatter_batch(
+        &mut self,
+        trigger: &hotdog_ivm::Trigger,
+        pf: PartitionFn,
+        out: &mut Vec<DistStatement>,
+        scatter_cache: &mut HashMap<String, String>,
+    ) -> String {
+        let cache_key = format!("scatter:Δ{}:{pf}", trigger.relation);
+        if self.opt >= OptLevel::O3 {
+            if let Some(t) = scatter_cache.get(&cache_key) {
+                return t.clone();
+            }
+        }
+        let tag = match &pf {
+            PartitionFn::Replicate => LocTag::Replicated,
+            _ => LocTag::Dist(pf.clone()),
+        };
+        let schema = trigger.relation_schema.clone();
+        let t = self.fresh_temp("scatter", schema.clone(), tag);
+        out.push(DistStatement {
+            target: t.clone(),
+            target_schema: schema,
+            op: StmtOp::SetTo,
+            kind: DistStmtKind::Transform {
+                kind: Transform::Scatter(pf),
+                source: format!("Δ{}", trigger.relation),
+            },
+            mode: StmtMode::Local,
+        });
+        scatter_cache.insert(cache_key, t.clone());
+        t
     }
 
     /// Lower one maintenance statement into local/distributed statements and
@@ -648,9 +722,12 @@ impl Lowering<'_> {
 
         // Scatter the update batch to the workers.
         if uses_delta {
+            let keyed = !replicated_exec
+                && !exec_key.is_empty()
+                && exec_key.iter().all(|c| delta_schema.contains(c));
             let pf = if replicated_exec {
                 PartitionFn::Replicate
-            } else if !exec_key.is_empty() && exec_key.iter().all(|c| delta_schema.contains(c)) {
+            } else if keyed {
                 any_partitioned_input = true;
                 PartitionFn::by(exec_key.clone())
             } else if exec_key.is_empty() {
@@ -660,35 +737,28 @@ impl Lowering<'_> {
             } else {
                 PartitionFn::Replicate
             };
-            let cache_key = format!("scatter:Δ{}:{pf}", trigger.relation);
-            let temp = if self.opt >= OptLevel::O3 {
-                scatter_cache.get(&cache_key).cloned()
-            } else {
-                None
+            let part = self.scatter_batch(trigger, pf, out, scatter_cache);
+            // Each worker computes the execution keys it owns, so a
+            // reference that binds other variables at the key's batch
+            // positions — a total over the batch, a subquery correlated on
+            // another column — reads all of the batch.
+            let binds_key = |r: &RelRef| {
+                exec_key
+                    .iter()
+                    .all(|k| delta_schema.position(k).is_some_and(|i| r.cols[i] == *k))
             };
-            let temp = match temp {
-                Some(t) => t,
-                None => {
-                    let tag = match &pf {
-                        PartitionFn::Replicate => LocTag::Replicated,
-                        _ => LocTag::Dist(pf.clone()),
-                    };
-                    let t = self.fresh_temp("scatter", delta_schema.clone(), tag);
-                    out.push(DistStatement {
-                        target: t.clone(),
-                        target_schema: delta_schema.clone(),
-                        op: StmtOp::SetTo,
-                        kind: DistStmtKind::Transform {
-                            kind: Transform::Scatter(pf),
-                            source: format!("Δ{}", trigger.relation),
-                        },
-                        mode: StmtMode::Local,
-                    });
-                    scatter_cache.insert(cache_key, t.clone());
-                    t
-                }
-            };
-            expr = delta_to_view(&expr, &trigger.relation, &temp);
+            let reads_unkeyed = keyed
+                && stmt
+                    .expr
+                    .relations()
+                    .iter()
+                    .any(|r| r.kind == RelKind::Delta && !binds_key(r));
+            let whole = reads_unkeyed
+                .then(|| self.scatter_batch(trigger, PartitionFn::Replicate, out, scatter_cache));
+            expr = delta_to_view(&expr, &trigger.relation, &|r| match &whole {
+                Some(whole) if !binds_key(r) => whole.clone(),
+                _ => part.clone(),
+            });
         }
 
         if !any_partitioned_input && !replicated_exec {
@@ -783,11 +853,11 @@ fn rename_view(expr: &Expr, from: &str, to: &str) -> Expr {
 }
 
 /// Replace every delta reference to `relation` with a view reference to the
-/// scattered batch `temp`.
-fn delta_to_view(expr: &Expr, relation: &str, temp: &str) -> Expr {
+/// scattered batch `temp(reference)`.
+fn delta_to_view(expr: &Expr, relation: &str, temp: &dyn Fn(&RelRef) -> String) -> Expr {
     match expr {
         Expr::Rel(r) if r.kind == RelKind::Delta && r.name == relation => Expr::Rel(RelRef {
-            name: temp.to_string(),
+            name: temp(r),
             kind: RelKind::View,
             cols: r.cols.clone(),
         }),
@@ -1145,6 +1215,10 @@ mod tests {
         assert_eq!(moves.total(), 2);
         assert!(dp.pretty().contains("-- view M1: Local"));
         assert!(dp.pretty().contains("-- view M3: Dist[CK]"));
+        // `OK` is read by no statement of `ON UPDATE R`.
+        assert!(dp
+            .pretty()
+            .contains("-- ON UPDATE R (3 blocks), Δ keeps 1/2: B\n"));
     }
 
     #[test]

@@ -4,10 +4,9 @@
 
 use crate::database::{Database, ExecCatalog};
 use hotdog_algebra::eval::{EvalCounters, Evaluator};
-use hotdog_algebra::expr::{Expr, RelKind, RelRef};
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
-use hotdog_ivm::{MaintenancePlan, StmtOp};
+use hotdog_ivm::{MaintenancePlan, StmtOp, Trigger};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -21,7 +20,9 @@ pub enum ExecMode {
     /// Process the whole batch in one trigger invocation.
     Batched {
         /// Pre-aggregate the batch onto the columns the trigger actually
-        /// uses before running the maintenance statements.
+        /// uses ([`Trigger::kept_delta_positions`], the preprocessing every
+        /// distributed backend runs) before running the maintenance
+        /// statements.
         preaggregate: bool,
     },
 }
@@ -82,22 +83,14 @@ impl EngineTotals {
     }
 }
 
-/// A statement prepared for execution (possibly rewritten for batch
-/// pre-aggregation).
-#[derive(Clone, Debug)]
-struct ExecStatement {
-    target: String,
-    op: StmtOp,
-    expr: Expr,
-}
-
+/// A trigger prepared for execution.
 #[derive(Clone, Debug)]
 struct ExecTrigger {
-    relation_schema: Schema,
-    /// Columns of the batch the trigger actually needs (pre-aggregation
-    /// projects onto these).
-    used_delta_columns: Schema,
-    statements: Vec<ExecStatement>,
+    /// The batch positions the trigger reads: with pre-aggregation
+    /// [`Trigger::kept_delta_positions`] (and `trigger` narrowed to them),
+    /// else all of them.
+    kept: Vec<usize>,
+    trigger: Trigger,
 }
 
 /// The local view-maintenance engine for one compiled plan.
@@ -119,28 +112,13 @@ impl LocalEngine {
             .triggers
             .iter()
             .map(|t| {
-                let used = used_delta_columns(&plan, t);
-                let statements = t
-                    .statements
-                    .iter()
-                    .map(|s| ExecStatement {
-                        target: s.target.clone(),
-                        op: s.op,
-                        expr: if preagg {
-                            rewrite_delta_refs(&s.expr, &t.relation_schema, &used)
-                        } else {
-                            s.expr.clone()
-                        },
-                    })
-                    .collect();
-                (
-                    t.relation.clone(),
-                    ExecTrigger {
-                        relation_schema: t.relation_schema.clone(),
-                        used_delta_columns: used,
-                        statements,
-                    },
-                )
+                let kept = if preagg {
+                    t.kept_delta_positions()
+                } else {
+                    (0..t.relation_schema.len()).collect()
+                };
+                let trigger = t.narrowed(&kept);
+                (t.relation.clone(), ExecTrigger { kept, trigger })
             })
             .collect();
         LocalEngine {
@@ -187,31 +165,25 @@ impl LocalEngine {
             input_tuples: batch.len(),
             ..Default::default()
         };
-        let trigger = match self.triggers.get(relation) {
+        let ExecTrigger { kept, trigger } = match self.triggers.get(relation) {
             Some(t) => t.clone(),
             None => return stats, // relation not referenced by this query
         };
         // Batches produced by the stream generators carry the table's
         // canonical column names; the compiled trigger uses the query's
-        // variable names.  Relabel positionally so that name-based
-        // operations (pre-aggregation, partitioning) work uniformly.
-        let batch = relabel(batch, &trigger.relation_schema);
-        let batch = &batch;
+        // variable names.  Project positionally onto the kept columns,
+        // which without pre-aggregation is a relabel.
+        let schema = trigger.relation_schema.clone();
+        let delta = batch.project_sum_at(&kept, schema.clone()).canonical();
         match self.mode {
             ExecMode::SingleTuple => {
-                for (t, m) in batch.iter() {
-                    let single =
-                        Relation::from_pairs(trigger.relation_schema.clone(), [(t.clone(), m)]);
+                for (t, m) in delta.iter() {
+                    let single = Relation::from_pairs(schema.clone(), [(t.clone(), m)]);
                     self.run_trigger(relation, &trigger, &single, &mut stats);
                     stats.processed_tuples += 1;
                 }
             }
-            ExecMode::Batched { preaggregate } => {
-                let delta = if preaggregate {
-                    batch.project_sum(&trigger.used_delta_columns)
-                } else {
-                    batch.clone()
-                };
+            ExecMode::Batched { .. } => {
                 stats.processed_tuples = delta.len();
                 self.run_trigger(relation, &trigger, &delta, &mut stats);
             }
@@ -224,7 +196,7 @@ impl LocalEngine {
     fn run_trigger(
         &mut self,
         relation: &str,
-        trigger: &ExecTrigger,
+        trigger: &Trigger,
         delta: &Relation,
         stats: &mut BatchStats,
     ) {
@@ -283,82 +255,6 @@ pub fn relabel(rel: &Relation, schema: &Schema) -> Relation {
     // iteration order, hence in every downstream float accumulation — to
     // its in-process counterpart (see [`Relation::canonical`]).
     Relation::from_pairs(schema.clone(), rel.sorted())
-}
-
-/// Columns of the update batch that the trigger's statements actually use
-/// (anywhere outside the delta references themselves, or as join keys
-/// between multiple relational references).  Batch pre-aggregation projects
-/// the batch onto these columns; the distributed runtime uses the same
-/// analysis to shrink scattered batches.
-pub fn used_delta_columns(plan: &MaintenancePlan, trigger: &hotdog_ivm::Trigger) -> Schema {
-    let mut used = Schema::empty();
-    let mut rel_col_counts: HashMap<String, usize> = HashMap::new();
-    for stmt in &trigger.statements {
-        used = used.union(&stmt.target_schema);
-        stmt.expr.visit(&mut |e| match e {
-            Expr::Rel(r) => {
-                for c in &r.cols {
-                    *rel_col_counts.entry(c.clone()).or_insert(0) += 1;
-                }
-                if r.kind != RelKind::Delta {
-                    for c in &r.cols {
-                        used.push(c.clone());
-                    }
-                }
-            }
-            Expr::Val(v) => used = used.union(&v.variables()),
-            Expr::Cmp { lhs, rhs, .. } => {
-                used = used.union(&lhs.variables());
-                used = used.union(&rhs.variables());
-            }
-            Expr::AssignVal { value, .. } => used = used.union(&value.variables()),
-            Expr::Sum { group_by, .. } => used = used.union(group_by),
-            _ => {}
-        });
-    }
-    let _ = plan;
-    // Columns shared between several relational references are join keys and
-    // must be retained even if they only occur in delta references.
-    for (c, n) in rel_col_counts {
-        if n >= 2 {
-            used.push(c);
-        }
-    }
-    let mut out = Schema::empty();
-    for c in trigger.relation_schema.iter() {
-        if used.contains(c) {
-            out.push(c.to_string());
-        }
-    }
-    out
-}
-
-/// Rewrite delta references so they range over the pre-aggregated batch
-/// (whose schema keeps only `used` columns of the canonical batch schema).
-fn rewrite_delta_refs(expr: &Expr, canonical: &Schema, used: &Schema) -> Expr {
-    match expr {
-        Expr::Rel(r) if r.kind == RelKind::Delta => {
-            let cols = r
-                .cols
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| {
-                    canonical
-                        .columns()
-                        .get(*i)
-                        .map(|c| used.contains(c))
-                        .unwrap_or(true)
-                })
-                .map(|(_, c)| c.clone())
-                .collect();
-            Expr::Rel(RelRef {
-                name: r.name.clone(),
-                kind: RelKind::Delta,
-                cols,
-            })
-        }
-        other => other.map_children(&mut |c| rewrite_delta_refs(c, canonical, used)),
-    }
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ pub mod engine;
 pub mod vectorized;
 
 pub use database::{Database, ExecCatalog};
-pub use engine::{relabel, used_delta_columns, BatchStats, EngineTotals, ExecMode, LocalEngine};
+pub use engine::{relabel, BatchStats, EngineTotals, ExecMode, LocalEngine};
 #[doc(hidden)]
 pub use vectorized::set_columnar;
 pub use vectorized::{eval_vectorized, VectorPlan};

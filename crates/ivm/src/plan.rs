@@ -2,9 +2,9 @@
 //! and triggers, plus the access-pattern analysis that decides which
 //! secondary indexes each view needs (Section 5.1/5.2.1).
 
-use hotdog_algebra::expr::{Expr, RelKind};
+use hotdog_algebra::expr::{Expr, RelKind, RelRef};
 use hotdog_algebra::schema::Schema;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Which maintenance strategy produced a plan.
@@ -98,6 +98,109 @@ impl fmt::Display for Trigger {
             writeln!(f, "  {s}")?;
         }
         Ok(())
+    }
+}
+
+impl Trigger {
+    /// Batch preprocessing (Section 3.3): the positions of the update batch
+    /// the statements need, ascending.  Every other position is *dead* and
+    /// can be summed out of the batch before the trigger runs: in every
+    /// statement, each reference to `Δrelation` binds it to a variable that
+    /// occurs nowhere else in the statement (no other relation reference,
+    /// value term, comparison, assignment, group-by or target column), and
+    /// no `Exists` or `:=` sits between the reference and its nearest
+    /// enclosing `Sum` (or the statement root) — those two are not linear
+    /// in the multiplicity, so they must see the batch un-aggregated.
+    ///
+    /// The analysis is by position, not by name: a batch read twice under
+    /// different variable names is handled reference by reference.
+    pub fn kept_delta_positions(&self) -> Vec<usize> {
+        let mut kept = vec![false; self.relation_schema.len()];
+        for stmt in &self.statements {
+            let uses = variable_uses(stmt);
+            visit_refs(&stmt.expr, false, &mut |r, nonlinear| {
+                if r.kind == RelKind::Delta && r.name == self.relation {
+                    for (i, c) in r.cols.iter().enumerate() {
+                        kept[i] |= nonlinear || uses[c.as_str()] > 1;
+                    }
+                }
+            });
+        }
+        (0..kept.len()).filter(|&i| kept[i]).collect()
+    }
+
+    /// This trigger over its preprocessed batch: the relation schema and
+    /// every `Δrelation` reference keep only the `kept` positions (see
+    /// [`Trigger::kept_delta_positions`]).
+    pub fn narrowed(&self, kept: &[usize]) -> Trigger {
+        let narrow =
+            |cols: &[String]| -> Vec<String> { kept.iter().map(|&i| cols[i].clone()).collect() };
+        Trigger {
+            relation: self.relation.clone(),
+            relation_schema: Schema::new(narrow(self.relation_schema.columns())),
+            statements: self
+                .statements
+                .iter()
+                .map(|s| Statement {
+                    expr: narrow_delta_refs(&s.expr, &self.relation, &narrow),
+                    ..s.clone()
+                })
+                .collect(),
+        }
+    }
+}
+
+/// How often each variable name occurs in a statement: once per relation
+/// column, value term, comparison, assignment, group-by and target column
+/// that mentions it.
+fn variable_uses(stmt: &Statement) -> HashMap<String, usize> {
+    let mut uses = HashMap::new();
+    let mut count = |c: &str| *uses.entry(c.to_string()).or_insert(0) += 1;
+    stmt.target_schema.iter().for_each(&mut count);
+    stmt.expr.visit(&mut |e| match e {
+        Expr::Rel(r) => r.cols.iter().for_each(|c| count(c)),
+        Expr::Val(v) => v.variables().iter().for_each(&mut count),
+        Expr::Cmp { lhs, rhs, .. } => {
+            lhs.variables().iter().for_each(&mut count);
+            rhs.variables().iter().for_each(&mut count);
+        }
+        Expr::AssignVal { var, value } => {
+            count(var);
+            value.variables().iter().for_each(&mut count);
+        }
+        Expr::AssignQuery { var, .. } => count(var),
+        Expr::Sum { group_by, .. } => group_by.iter().for_each(&mut count),
+        Expr::Union(..) | Expr::Join(..) | Expr::Const(_) | Expr::Exists(_) => {}
+    });
+    uses
+}
+
+/// Visit every relation reference, with whether an `Exists` or `:=` sits
+/// between it and its nearest enclosing `Sum`.
+fn visit_refs(expr: &Expr, nonlinear: bool, f: &mut dyn FnMut(&RelRef, bool)) {
+    match expr {
+        Expr::Rel(r) => f(r, nonlinear),
+        Expr::Sum { body, .. } => visit_refs(body, false, f),
+        Expr::Exists(q) | Expr::AssignQuery { query: q, .. } => visit_refs(q, true, f),
+        _ => expr
+            .children()
+            .into_iter()
+            .for_each(|c| visit_refs(c, nonlinear, f)),
+    }
+}
+
+/// Rewrite every `Δrelation` reference's columns with `narrow`.
+fn narrow_delta_refs(
+    expr: &Expr,
+    relation: &str,
+    narrow: &dyn Fn(&[String]) -> Vec<String>,
+) -> Expr {
+    match expr {
+        Expr::Rel(r) if r.kind == RelKind::Delta && r.name == relation => Expr::Rel(RelRef {
+            cols: narrow(&r.cols),
+            ..r.clone()
+        }),
+        other => other.map_children(&mut |c| narrow_delta_refs(c, relation, narrow)),
     }
 }
 
@@ -284,6 +387,168 @@ mod tests {
             reported.push((v.to_string(), p));
         });
         assert_eq!(reported, vec![("M_S".to_string(), vec![0])]);
+    }
+
+    /// A trigger on `R(A, B)` with one statement per `(target, expr)`.
+    fn trigger_on_r(stmts: Vec<(&[&str], Expr)>) -> Trigger {
+        Trigger {
+            relation: "R".into(),
+            relation_schema: Schema::new(["A", "B"]),
+            statements: stmts
+                .into_iter()
+                .map(|(target, expr)| Statement {
+                    target: "Q".into(),
+                    target_schema: Schema::new(target.iter().copied()),
+                    op: StmtOp::AddTo,
+                    expr,
+                })
+                .collect(),
+        }
+    }
+
+    /// The positions `trigger` keeps, after checking that every statement
+    /// of its narrowed form over the projected batch evaluates exactly as
+    /// the original over a batch full of duplicates on the kept columns.
+    fn kept_checked(trigger: &Trigger) -> Vec<usize> {
+        use hotdog_algebra::eval::{evaluate, MapCatalog};
+        use hotdog_algebra::relation::Relation;
+        use hotdog_algebra::tuple;
+        let kept = trigger.kept_delta_positions();
+        let narrowed = trigger.narrowed(&kept);
+        let batch = Relation::from_pairs(
+            trigger.relation_schema.clone(),
+            (0..12i64).map(|i| (tuple![i, i % 3], if i % 4 == 0 { -1.0 } else { 2.0 })),
+        );
+        let projected = batch.project_sum_at(&kept, narrowed.relation_schema.clone());
+        for (wide, narrow) in trigger.statements.iter().zip(&narrowed.statements) {
+            let mut full = MapCatalog::new();
+            full.insert("R", RelKind::Delta, batch.clone());
+            let mut pre = MapCatalog::new();
+            pre.insert("R", RelKind::Delta, projected.clone());
+            assert!(
+                evaluate(&narrow.expr, &pre).approx_eq(&evaluate(&wide.expr, &full)),
+                "{wide} changed meaning as {narrow}"
+            );
+        }
+        kept
+    }
+
+    #[test]
+    fn a_column_summed_away_is_dead() {
+        let t = trigger_on_r(vec![(&["B"], sum(["B"], delta_rel("R", ["A", "B"])))]);
+        assert_eq!(kept_checked(&t), [1]);
+        assert_eq!(t.narrowed(&[1]).relation_schema, Schema::new(["B"]));
+        assert_eq!(
+            t.narrowed(&[1]).statements[0].expr,
+            sum(["B"], delta_rel("R", ["B"]))
+        );
+    }
+
+    #[test]
+    fn a_self_join_keeps_its_join_column() {
+        let self_join = join(delta_rel("R", ["A", "B"]), delta_rel("R", ["A", "B"]));
+        assert_eq!(
+            kept_checked(&trigger_on_r(vec![(&[], sum_total(self_join))])),
+            [0, 1]
+        );
+        // By position: `B` and `C` are each bound once, at the same position.
+        let renamed = join(delta_rel("R", ["A", "B"]), delta_rel("R", ["A", "C"]));
+        assert_eq!(
+            kept_checked(&trigger_on_r(vec![(&[], sum_total(renamed))])),
+            [0]
+        );
+    }
+
+    #[test]
+    fn exists_directly_over_the_batch_keeps_every_position() {
+        let e = sum_total(exists(delta_rel("R", ["A", "B"])));
+        assert_eq!(kept_checked(&trigger_on_r(vec![(&[], e)])), [0, 1]);
+        // A `Sum` between the two makes the reference linear again.
+        let e = sum_total(exists(sum(["B"], delta_rel("R", ["A", "B"]))));
+        assert_eq!(kept_checked(&trigger_on_r(vec![(&[], e)])), [1]);
+    }
+
+    #[test]
+    fn a_column_used_anywhere_else_is_kept() {
+        let d = || delta_rel("R", ["A", "B"]);
+        let cases: Vec<(&[&str], Expr)> = vec![
+            (&[], sum_total(join(d(), cmp_lit("B", CmpOp::Gt, 3)))),
+            (&[], sum_total(join(d(), val_var("B")))),
+            (
+                &["X"],
+                sum(["X"], join(d(), assign_val("X", ValExpr::var("B")))),
+            ),
+            (&[], sum_total(join(sum(["B"], d()), view("S", ["C"])))),
+            (&["B"], sum(["B"], d())),
+            (&[], sum_total(join(d(), view("S", ["B"])))),
+        ];
+        for (target, expr) in cases {
+            assert_eq!(
+                kept_checked(&trigger_on_r(vec![(target, expr.clone())])),
+                [1],
+                "{expr}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_aggregate_under_assignment_drops_only_what_it_sums_away() {
+        let nested = sum_total(join(delta_rel("R", ["A", "B"]), val_var("B")));
+        let e = sum_total(join(assign_query("X", nested), val_var("X")));
+        assert_eq!(kept_checked(&trigger_on_r(vec![(&[], e)])), [1]);
+        // Directly under `:=`, the batch is not behind a `Sum`.
+        let e = sum_total(join(
+            assign_query("X", delta_rel("R", ["A", "B"])),
+            val_var("X"),
+        ));
+        assert_eq!(kept_checked(&trigger_on_r(vec![(&[], e)])), [0, 1]);
+    }
+
+    #[test]
+    fn a_position_is_kept_if_any_statement_needs_it() {
+        let t = trigger_on_r(vec![
+            (&["B"], sum(["B"], delta_rel("R", ["A", "B"]))),
+            (&["A"], sum(["A"], delta_rel("R", ["A", "B"]))),
+        ]);
+        assert_eq!(kept_checked(&t), [0, 1]);
+    }
+
+    /// The trigger columns the catalog query `id` keeps, per relation.
+    fn catalog_kept(id: &str) -> BTreeMap<String, Vec<String>> {
+        let q = hotdog_workload::query(id).unwrap();
+        let plan = crate::compile_recursive(q.id, &q.expr);
+        plan.triggers
+            .iter()
+            .map(|t| {
+                let narrowed = t.narrowed(&t.kept_delta_positions());
+                (
+                    t.relation.clone(),
+                    narrowed.relation_schema.columns().to_vec(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn q3_keeps_the_columns_its_triggers_read() {
+        let kept = catalog_kept("Q3");
+        assert_eq!(kept["CUSTOMER"], ["CK", "c_mktsegment"]);
+        assert_eq!(
+            kept["ORDERS"],
+            ["OK", "CK", "o_orderdate", "o_shippriority"]
+        );
+        assert_eq!(
+            kept["LINEITEM"],
+            ["OK", "l_extendedprice", "l_discount", "l_shipdate"]
+        );
+    }
+
+    #[test]
+    fn q18_keeps_keys_and_all_of_the_lineitem_it_tests_for_existence() {
+        let kept = catalog_kept("Q18");
+        assert_eq!(kept["CUSTOMER"], ["CK"]);
+        assert_eq!(kept["ORDERS"], ["OK", "CK"]);
+        assert_eq!(kept["LINEITEM"].len(), 10);
     }
 
     #[test]

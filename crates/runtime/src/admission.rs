@@ -13,7 +13,6 @@
 use crate::{Driver, Transport, WorkerDead};
 use hotdog_algebra::relation::Relation;
 use hotdog_distributed::BatchExecution;
-use hotdog_exec::relabel;
 use hotdog_telemetry::ActiveSpan;
 use std::time::Instant;
 
@@ -96,7 +95,9 @@ impl<T: Transport> Driver<T> {
             return Ok(());
         };
         self.queue_bytes -= entry.delta.serialized_size();
-        let stats = self.execute_canonical(&entry.relation, entry.delta, true, Some(entry.root))?;
+        let tuples = entry.delta.len();
+        let stats =
+            self.execute_canonical(&entry.relation, entry.delta, tuples, true, Some(entry.root))?;
         if let Some(ctl) = self.controller.as_mut() {
             // Fold the worker interpreter work settled since the last
             // observation into the cost signal.  Completions settle
@@ -140,11 +141,12 @@ impl<T: Transport> Driver<T> {
     /// keeping the fallible worker traffic out of the enqueue step so an
     /// admission is never double-counted across a recovery retry.
     ///
-    /// Queued deltas are kept in the trigger's canonical schema (`relabel`
-    /// is positional, so canonicalizing is one `add` per tuple), which
-    /// makes coalescing a plain ring-sum into the tail and lets execution
-    /// move the delta straight into the trigger with no further copy — the
-    /// admission path costs the same tuple copies as the synchronous path.
+    /// Every admitted batch is preprocessed first
+    /// ([`TriggerProgram::preprocess`](hotdog_distributed::TriggerProgram::preprocess)),
+    /// so queued deltas carry only the columns the trigger reads: coalescing
+    /// is a plain ring-sum into the tail, and execution moves the delta
+    /// straight into the trigger with no further copy — the admission path
+    /// costs the same tuple copies as the synchronous path.
     pub(crate) fn admit(&mut self, relation: &str, batch: &Relation) -> BatchExecution {
         self.stream_start.get_or_insert_with(Instant::now);
         self.telemetry.poll_dump();
@@ -167,10 +169,9 @@ impl<T: Transport> Driver<T> {
         // not let them split a coalescing run.  (The bounds drain still
         // runs after a no-op admission, so already-queued deltas cannot
         // outlive the latency budget.)
-        let Some(program) = self.programs.get(relation) else {
+        let Some(program) = self.dplan.program(relation) else {
             return stats;
         };
-        let canonical_schema = program.relation_schema.clone();
         self.totals.tuples += batch.len();
 
         // Merge into the *latest* queued delta of the same relation (not
@@ -188,6 +189,8 @@ impl<T: Transport> Driver<T> {
         let latency_target = self.pipeline.as_ref().and_then(|c| c.latency_target);
         let stale_cutoff = latency_target.map(|t| t / 2);
         let coalesced = match self.queue.iter_mut().rev().find(|q| q.relation == relation) {
+            // The preprocessed batch is at most `batch.len()` tuples, so
+            // the merged delta stays within the bound.
             Some(q)
                 if coalesce_bound > 0
                     && q.delta.len() + batch.len() <= coalesce_bound
@@ -199,7 +202,7 @@ impl<T: Transport> Driver<T> {
                 // execution), so the coalesce lands inside its window.
                 let span = self.telemetry.begin_span(q.root.context(), "coalesce");
                 let before = q.delta.serialized_size();
-                q.delta.merge(batch);
+                program.preprocess_into(batch, &mut q.delta);
                 self.queue_bytes = self.queue_bytes - before + q.delta.serialized_size();
                 self.telemetry.finish_span(span);
                 true
@@ -218,18 +221,18 @@ impl<T: Transport> Driver<T> {
                 ],
             );
         } else {
-            // Same canonicalization as the synchronous path, so a
+            // Same preprocessing as the synchronous path, so a
             // non-coalesced pipelined run is bit-identical to it.  The
             // batch root opens here, not at execution, so queue dwell time
             // is part of the batch's wall-clock window.
             let root = self.telemetry.begin_batch_root();
             let admit_span = self.telemetry.begin_span(root.context(), "admit");
-            let canonical = relabel(batch, &canonical_schema);
+            let delta = program.preprocess(batch);
             self.telemetry.finish_span(admit_span);
-            self.queue_bytes += canonical.serialized_size();
+            self.queue_bytes += delta.serialized_size();
             self.queue.push_back(QueuedDelta {
                 relation: relation.to_string(),
-                delta: canonical,
+                delta,
                 admitted_at: Instant::now(),
                 root,
             });

@@ -11,7 +11,9 @@ use std::time::Duration;
 #[derive(Clone, Debug)]
 pub struct PipelineConfig {
     /// Ring-sum each admitted batch into the latest queued delta of the
-    /// same relation until that delta would exceed this many tuples.  `0`
+    /// same relation until that delta — counted after batch preprocessing,
+    /// as [`PipelineStats::tuples_executed`](hotdog_distributed::PipelineStats::tuples_executed)
+    /// is — could exceed this many tuples.  `0`
     /// disables coalescing (making pipelined execution bit-identical to
     /// the synchronous schedule; with coalescing the state is identical in
     /// real arithmetic but float additions associate differently).

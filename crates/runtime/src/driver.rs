@@ -47,7 +47,6 @@ struct SharedBlock {
 }
 
 pub(crate) struct SharedProgram {
-    pub(crate) relation_schema: hotdog_algebra::schema::Schema,
     blocks: Vec<SharedBlock>,
     stages: usize,
     jobs: usize,
@@ -55,7 +54,6 @@ pub(crate) struct SharedProgram {
 
 fn share_program(p: &TriggerProgram) -> SharedProgram {
     SharedProgram {
-        relation_schema: p.relation_schema.clone(),
         blocks: p
             .blocks
             .iter()
@@ -137,8 +135,8 @@ pub struct Driver<T: Transport> {
     /// The last consistent cut (absent until the first checkpoint; an
     /// absent checkpoint restores to *empty* and replays everything).
     pub(crate) ckpt: Option<CheckpointState>,
-    /// Canonical-schema deltas issued since the last checkpoint, in
-    /// issue order — what recovery replays.  Empty when `fault` is off.
+    /// Preprocessed deltas issued since the last checkpoint, in issue
+    /// order — what recovery replays.  Empty when `fault` is off.
     pub(crate) replay_log: Vec<(String, Relation)>,
     /// Recovery attempts so far (bounded by
     /// [`FaultConfig::max_recoveries`]).
@@ -414,13 +412,13 @@ impl<T: Transport> Driver<T> {
     }
 
     /// Epoch-synchronous execution of one maintenance program over a batch
-    /// (canonicalizes the batch's schema, then delegates).
+    /// (preprocesses the batch, then delegates).
     fn execute_program(
         &mut self,
         relation: &str,
         batch: &Relation,
     ) -> Result<BatchExecution, WorkerDead> {
-        let Some(program) = self.programs.get(relation) else {
+        let Some(program) = self.dplan.program(relation) else {
             return Ok(BatchExecution {
                 input_tuples: batch.len(),
                 ..Default::default()
@@ -428,12 +426,16 @@ impl<T: Transport> Driver<T> {
         };
         let root = self.telemetry.begin_batch_root();
         let admit_span = self.telemetry.begin_span(root.context(), "admit");
-        let canonical = relabel(batch, &program.relation_schema);
+        let delta = program.preprocess(batch);
         self.telemetry.finish_span(admit_span);
-        self.execute_canonical(relation, canonical, false, Some(root))
+        self.execute_canonical(relation, delta, batch.len(), false, Some(root))
     }
 
-    /// Run one maintenance program over an owned, canonical-schema delta.
+    /// Run one maintenance program over an owned, preprocessed delta
+    /// ([`TriggerProgram::preprocess`]).  `input_tuples` is the size the
+    /// stats report: the admitted batch's on the synchronous path, the
+    /// delta's own for queued and replayed deltas (see
+    /// [`PipelineStats::tuples_executed`](hotdog_distributed::PipelineStats::tuples_executed)).
     ///
     /// `pipelined = false` is the epoch-synchronous schedule: every
     /// distributed block is barriered before the next starts and trailing
@@ -446,12 +448,13 @@ impl<T: Transport> Driver<T> {
         &mut self,
         relation: &str,
         delta: Relation,
+        input_tuples: usize,
         pipelined: bool,
         root: Option<ActiveSpan>,
     ) -> Result<BatchExecution, WorkerDead> {
         let wall_start = Instant::now();
         let mut stats = BatchExecution {
-            input_tuples: delta.len(),
+            input_tuples,
             ..Default::default()
         };
         if !self.programs.contains_key(relation) {

@@ -65,7 +65,7 @@ impl<T: Transport> Driver<T> {
     }
 
     /// Log a delta about to be issued (no-op with fault tolerance off).
-    /// The log is in canonical schema, so replay re-enters
+    /// The log holds preprocessed deltas, so replay re-enters
     /// `execute_canonical` directly.
     pub(crate) fn log_for_replay(&mut self, relation: &str, delta: &Relation) {
         if self.fault.is_some() {
@@ -203,7 +203,8 @@ impl<T: Transport> Driver<T> {
             // Epoch-synchronous replay: re-enters the log (and re-takes
             // checkpoints) exactly as the original schedule did, under a
             // fresh root span per replayed batch.
-            self.execute_canonical(&rel, delta, false, None)?;
+            let tuples = delta.len();
+            self.execute_canonical(&rel, delta, tuples, false, None)?;
         }
         Ok(())
     }

@@ -154,6 +154,64 @@ fn catalog_plan(q: &CatalogQuery, opt: OptLevel) -> DistributedPlan {
     compile_distributed(&plan, &spec, opt)
 }
 
+/// An oracle independent of every incremental path: the simulated cluster
+/// — which runs each trigger over its preprocessed batch — matches
+/// re-evaluation from scratch (no pre-aggregation) on a stream with
+/// deletions, and holds the same views as the local engine running the
+/// same plan.
+fn matches_reevaluation_with_deletions(queries: Vec<CatalogQuery>) {
+    for q in queries {
+        let stream = match q.workload {
+            hotdog::workload::Workload::TpcH => generate_tpch(11, 800),
+            hotdog::workload::Workload::TpcDs => generate_tpcds(11, 800),
+        }
+        .with_deletions(11, 0.25);
+        let unaggregated = ExecMode::Batched {
+            preaggregate: false,
+        };
+        let mut reeval =
+            LocalEngine::new(compile(q.id, &q.expr, Strategy::Reevaluation), unaggregated);
+        let mut local = LocalEngine::new(compile_recursive(q.id, &q.expr), unaggregated);
+        let mut cluster = Cluster::new(
+            catalog_plan(&q, OptLevel::O3),
+            ClusterConfig::with_workers(2),
+        );
+        for round in stream.batches(200) {
+            for (rel, delta) in round {
+                reeval.apply_batch(rel, &delta);
+                local.apply_batch(rel, &delta);
+                cluster.apply_batch(rel, &delta);
+            }
+        }
+        let (expected, got) = (reeval.query_result(), cluster.query_result());
+        assert!(
+            got.approx_eq_eps(&expected, 1e-3),
+            "{}: cluster diverged from re-evaluation\nexpected {expected:?}\ngot {got:?}",
+            q.id
+        );
+        for view in &local.plan().views {
+            assert!(
+                cluster
+                    .view_contents(&view.name)
+                    .approx_eq_eps(&local.view_contents(&view.name), 1e-3),
+                "{}: view {} diverged from the local engine",
+                q.id,
+                view.name
+            );
+        }
+    }
+}
+
+#[test]
+fn every_tpch_query_matches_reevaluation_with_deletions() {
+    matches_reevaluation_with_deletions(tpch_queries());
+}
+
+#[test]
+fn every_tpcds_query_matches_reevaluation_with_deletions() {
+    matches_reevaluation_with_deletions(tpcds_queries());
+}
+
 /// Plan shape across the catalog: no program at any level replicates a
 /// persistent view wholesale (such views are placed `Replicated` and fed by
 /// their delta instead), and the whole-view moves that remain — driver
@@ -249,9 +307,9 @@ fn benchmark_plan_shapes_shuffle_pinned_bytes_on_every_backend() {
     // (query, workers, deleted fraction, most bytes the stream may shuffle).
     // Lower a pin when a lowering change ships fewer bytes; never raise one.
     for (id, workers, deletions, pinned) in [
-        ("Q3", 2, None, 176_096),
-        ("Q3", 1, None, 174_456),
-        ("Q18", 1, Some(0.25), 211_440),
+        ("Q3", 2, None, 85_048),
+        ("Q3", 1, None, 84_064),
+        ("Q18", 1, Some(0.25), 189_568),
     ] {
         let q = query(id).unwrap();
         let mut stream = generate_tpch(7, TUPLES);
