@@ -7,18 +7,17 @@
 //! axis bounded by the machine's cores); `--pipeline` / `--coalesce=N` /
 //! `--adaptive` select its pipelined ingestion path and `--tcp` the
 //! multi-process socket backend (this binary re-runs itself as the
-//! workers).  With `BENCH_JSON=<path>` the rows are also written there as
-//! a `fig10_strong_scaling` JSON section.
+//! workers).  `--strong-batch=N` sets the largest batch (default 10 000).
+//! With `BENCH_JSON=<path>` the rows are also written there as a
+//! `fig10_strong_scaling` JSON section.
 
 use hotdog::prelude::*;
 use hotdog_bench::*;
 
 fn main() {
-    let backend = BackendKind::from_args();
-    let base: usize = std::env::var("HOTDOG_STRONG_BATCH")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10_000);
+    let args = Args::parse();
+    let backend = args.backend;
+    let base = args.strong_batch.unwrap_or(10_000);
     let batch_sizes = [base / 4, base / 2, base];
     let workers_axis: &[usize] = match backend {
         BackendKind::Simulated => &[2, 4, 8, 16, 32, 64],

@@ -5,10 +5,7 @@ use hotdog::prelude::*;
 use hotdog_bench::*;
 
 fn main() {
-    let batch: usize = std::env::var("HOTDOG_STRONG_BATCH")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8_000);
+    let batch = Args::parse().strong_batch.unwrap_or(8_000);
     let q = query("Q3").unwrap();
     let stream = stream_for(&q, batch * 2, 12);
     let mut rows = Vec::new();

@@ -6,7 +6,7 @@ use hotdog::prelude::*;
 use hotdog_bench::*;
 
 fn main() {
-    let tuples = default_local_tuples();
+    let tuples = Args::parse().tuples;
     let batch_sizes = [1usize, 10, 100, 1_000, 10_000];
     let mut rows = Vec::new();
     for q in tpch_queries() {

@@ -7,7 +7,7 @@ use hotdog::prelude::*;
 use hotdog_bench::*;
 
 fn main() {
-    let tuples = (default_local_tuples() / 3).max(3_000);
+    let tuples = (Args::parse().tuples / 3).max(3_000);
     let q = query("Q17").unwrap();
     let stream = stream_for(&q, tuples, 8);
     let batch_sizes = [1usize, 10, 100, 1_000, 10_000];

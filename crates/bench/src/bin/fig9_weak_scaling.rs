@@ -9,18 +9,17 @@
 //! socket backend (this binary re-runs itself as the workers).  A second
 //! table, `pipeline_stream`, compares the epoch-synchronous and
 //! pipelined+coalescing paths head-to-head on a many-small-batch stream.
-//! With `BENCH_JSON=<path>` both tables are also written there as JSON
-//! sections (throughput, latency percentiles, telemetry counters).
+//! `--per-worker=N`, `--stream-batch=N` and `--stream-workers=N` size the
+//! two tables.  With `BENCH_JSON=<path>` both tables are also written there
+//! as JSON sections (throughput, latency percentiles, telemetry counters).
 
 use hotdog::prelude::*;
 use hotdog_bench::*;
 
 fn main() {
-    let backend = BackendKind::from_args();
-    let per_worker: usize = std::env::var("HOTDOG_PER_WORKER")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000);
+    let args = Args::parse();
+    let backend = args.backend;
+    let per_worker = args.per_worker;
     let workers_axis: &[usize] = match backend {
         BackendKind::Simulated => &[2, 4, 8, 16, 32, 64],
         _ => &[1, 2, 4, 8],
@@ -64,14 +63,8 @@ fn main() {
     // Streaming head-to-head (the acceptance number for the pipelined
     // runtime): 64 small batches through the epoch-synchronous path vs. the
     // pipelined path coalescing up to 64 batches into one trigger.
-    let tuples_per_batch: usize = std::env::var("HOTDOG_STREAM_BATCH")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(16);
-    let workers = std::env::var("HOTDOG_STREAM_WORKERS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| num_cpus_capped(4));
+    let tuples_per_batch = args.stream_batch;
+    let workers = args.stream_workers;
     let mut cmp_rows = Vec::new();
     let mut cmp_json = Vec::new();
     for id in ["Q3", "Q6"] {

@@ -7,8 +7,8 @@ use hotdog_bench::*;
 
 fn main() {
     // The full matrix is expensive; default to a reduced stream and the
-    // batch sizes that show the trend.  Scale up via HOTDOG_TUPLES.
-    let tuples = (default_local_tuples() / 3).max(5_000);
+    // batch sizes that show the trend.  Scale up with `--tuples=N`.
+    let tuples = (Args::parse().tuples / 3).max(5_000);
     let batch_sizes = [1usize, 100, 10_000];
     let mut rows = Vec::new();
     for q in all_queries() {

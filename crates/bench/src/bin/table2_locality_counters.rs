@@ -7,7 +7,7 @@ use hotdog::prelude::*;
 use hotdog_bench::*;
 
 fn main() {
-    let tuples = default_local_tuples();
+    let tuples = Args::parse().tuples;
     let q = query("Q3").unwrap();
     let stream = stream_for(&q, tuples, 3);
     let mut rows = Vec::new();

@@ -101,184 +101,6 @@ pub fn jarray(elems: impl IntoIterator<Item = String>) -> String {
     }
 }
 
-/// A parsed JSON value — the reading side of this module, used by
-/// `trace_check` to validate a `HOTDOG_TRACE` export.  Object keys keep
-/// insertion order; duplicate keys keep the last value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<JsonValue>),
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Parse a complete JSON document (trailing whitespace allowed,
-    /// anything else after the value is an error).  Nesting deeper than
-    /// [`MAX_PARSE_DEPTH`] is rejected rather than recursed into, so a
-    /// corrupt artifact (e.g. a truncated file of `[` bytes) returns
-    /// `None` instead of overflowing the stack.
-    pub fn parse(text: &str) -> Option<JsonValue> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos == bytes.len() {
-            Some(value)
-        } else {
-            None
-        }
-    }
-
-    /// Object field lookup (`None` for non-objects and missing keys).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(pairs) => pairs.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-/// Parse the double-quoted string starting at `*pos` (which must point at
-/// the opening quote); leaves `*pos` after the closing quote.
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Option<String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return None;
-    }
-    let start = *pos + 1;
-    let mut i = start;
-    while i < bytes.len() && bytes[i] != b'"' {
-        if bytes[i] == b'\\' {
-            i += 1;
-        }
-        i += 1;
-    }
-    if i >= bytes.len() {
-        return None;
-    }
-    let raw = std::str::from_utf8(&bytes[start..i]).ok()?;
-    *pos = i + 1;
-    junescape(raw)
-}
-
-/// Deepest container nesting [`JsonValue::parse`] will recurse into.  Far
-/// above anything the artifact writers emit; bounds stack use on corrupt
-/// input.
-pub const MAX_PARSE_DEPTH: usize = 128;
-
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Option<JsonValue> {
-    if depth > MAX_PARSE_DEPTH {
-        return None;
-    }
-    skip_ws(bytes, pos);
-    match *bytes.get(*pos)? {
-        b'"' => parse_string(bytes, pos).map(JsonValue::Str),
-        b'{' => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Some(JsonValue::Obj(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return None;
-                }
-                *pos += 1;
-                pairs.push((key, parse_value(bytes, pos, depth + 1)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos)? {
-                    b',' => *pos += 1,
-                    b'}' => {
-                        *pos += 1;
-                        return Some(JsonValue::Obj(pairs));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        b'[' => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Some(JsonValue::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos)? {
-                    b',' => *pos += 1,
-                    b']' => {
-                        *pos += 1;
-                        return Some(JsonValue::Arr(items));
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        b't' => {
-            *pos = pos.checked_add(4)?;
-            (bytes.get(*pos - 4..*pos)? == b"true").then_some(JsonValue::Bool(true))
-        }
-        b'f' => {
-            *pos = pos.checked_add(5)?;
-            (bytes.get(*pos - 5..*pos)? == b"false").then_some(JsonValue::Bool(false))
-        }
-        b'n' => {
-            *pos = pos.checked_add(4)?;
-            (bytes.get(*pos - 4..*pos)? == b"null").then_some(JsonValue::Null)
-        }
-        _ => {
-            let start = *pos;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            std::str::from_utf8(&bytes[start..*pos])
-                .ok()?
-                .parse::<f64>()
-                .ok()
-                .map(JsonValue::Num)
-        }
-    }
-}
-
 /// Inverse of [`jstr`]'s escaping for the escape sequences it emits.
 /// Returns `None` on malformed escapes.
 fn junescape(s: &str) -> Option<String> {
@@ -473,55 +295,6 @@ mod tests {
             ]
         );
         let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
-    fn parser_round_trips_what_this_module_writes() {
-        let rendered = JsonObj::new()
-            .str("name", "a\"b\\c\nnl")
-            .num("x", -1.25e3)
-            .int("n", 7)
-            .num("nan", f64::NAN)
-            .raw("arr", jarray(vec!["1".into(), "[2, 3]".into()]))
-            .raw("obj", r#"{"t": true, "f": false}"#)
-            .render();
-        let v = JsonValue::parse(&rendered).expect("must parse");
-        assert_eq!(v.get("name").unwrap().as_str(), Some("a\"b\\c\nnl"));
-        assert_eq!(v.get("x").unwrap().as_f64(), Some(-1250.0));
-        assert_eq!(v.get("n").unwrap().as_f64(), Some(7.0));
-        assert_eq!(v.get("nan"), Some(&JsonValue::Null));
-        let arr = v.get("arr").unwrap().as_array().unwrap();
-        assert_eq!(arr[0].as_f64(), Some(1.0));
-        assert_eq!(arr[1].as_array().unwrap().len(), 2);
-        assert_eq!(v.get("obj").unwrap().get("t"), Some(&JsonValue::Bool(true)));
-        assert_eq!(v.get("missing"), None);
-    }
-
-    #[test]
-    fn parser_rejects_malformed_documents() {
-        for bad in [
-            "",
-            "{",
-            "[1, 2",
-            r#"{"a": }"#,
-            r#"{"a": 1} trailing"#,
-            "tru",
-            r#"{"a" 1}"#,
-            "[1,]",
-        ] {
-            assert!(JsonValue::parse(bad).is_none(), "accepted {bad:?}");
-        }
-        // Structural whitespace and nested containers are fine.
-        assert!(JsonValue::parse(" { \"a\" : [ { } , [ ] , null ] } ").is_some());
-        // Pathological nesting is rejected, not recursed into (a corrupt
-        // artifact must produce the "not valid JSON" diagnostic, not a
-        // stack overflow).
-        let deep = "[".repeat(100_000);
-        assert!(JsonValue::parse(&deep).is_none());
-        let balanced_deep = format!("{}1{}", "[".repeat(200), "]".repeat(200));
-        assert!(JsonValue::parse(&balanced_deep).is_none());
-        let within = format!("{}1{}", "[".repeat(100), "]".repeat(100));
-        assert!(JsonValue::parse(&within).is_some());
     }
 
     #[test]

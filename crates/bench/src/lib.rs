@@ -20,15 +20,6 @@ use std::time::Instant;
 
 pub mod json;
 
-/// How many stream tuples the local experiments process by default.  Can be
-/// overridden with the `HOTDOG_TUPLES` environment variable.
-pub fn default_local_tuples() -> usize {
-    std::env::var("HOTDOG_TUPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30_000)
-}
-
 /// Generate the stream matching a catalog query's workload family.
 pub fn stream_for(q: &CatalogQuery, tuples: usize, seed: u64) -> UpdateStream {
     match q.workload {
@@ -113,7 +104,7 @@ pub enum BackendKind {
     /// worker subprocesses on loopback speaking the binary codec — same
     /// driver and schedule as [`BackendKind::Threaded`], real sockets
     /// instead of channels.  The workers are this executable re-run in
-    /// worker mode (see [`BackendKind::from_args`]).
+    /// worker mode (see [`Args::parse`]).
     Tcp,
     /// The TCP backend on the pipelined ingestion path with delta
     /// coalescing — batching decisions paying their dividend where there
@@ -174,16 +165,48 @@ impl BackendKind {
             BackendKind::Adaptive => Some(PipelineConfig::adaptive()),
         }
     }
+}
 
-    /// Parse `--real`, `--tcp`, `--pipeline`, `--coalesce=N` and
-    /// `--adaptive` from a binary's argument list (`--coalesce` implies
-    /// `--pipeline`; `--adaptive` wins over both; `--tcp` moves a threaded
-    /// or pipelined run onto the multi-process socket transport).
+/// A figure binary's command line: the backend (`--real`, `--tcp`,
+/// `--pipeline`, `--coalesce=N`, `--adaptive`) and the experiment sizes.
+/// A size flag that is absent or does not parse keeps its default.
+#[derive(Clone, Debug)]
+pub struct Args {
+    /// `--coalesce` implies `--pipeline`; `--adaptive` wins over both;
+    /// `--tcp` moves a threaded or pipelined run onto the multi-process
+    /// socket transport; with none of them the run is simulated.
+    pub backend: BackendKind,
+    /// `--tuples=N`: stream size of the local figures and tables
+    /// (default 30 000).
+    pub tuples: usize,
+    /// `--per-worker=N`: fig9's tuples per worker per batch (default 2 000).
+    pub per_worker: usize,
+    /// `--stream-batch=N`: tuples per batch of fig9's `pipeline_stream`
+    /// table (default 16).
+    pub stream_batch: usize,
+    /// `--stream-workers=N`: workers of fig9's `pipeline_stream` table
+    /// (default: the cores, at most 4).
+    pub stream_workers: usize,
+    /// `--strong-batch=N`: the largest batch of fig10 and fig13 (each
+    /// binary has its own default).
+    pub strong_batch: Option<usize>,
+}
+
+impl Args {
+    /// Parse this process's arguments.
     ///
     /// `--connect <addr> --index <n>` is how a `--tcp` run re-executes this
     /// binary as one of its own workers: the process serves that worker
     /// slot and exits, and this function never returns.
-    pub fn from_args() -> BackendKind {
+    pub fn parse() -> Args {
+        let mut args = Args {
+            backend: BackendKind::Simulated,
+            tuples: 30_000,
+            per_worker: 2_000,
+            stream_batch: 16,
+            stream_workers: num_cpus_capped(4),
+            strong_batch: None,
+        };
         let mut pipeline = false;
         let mut real = false;
         let mut adaptive = false;
@@ -191,19 +214,33 @@ impl BackendKind {
         let mut coalesce = PipelineConfig::default().coalesce_tuples;
         let mut connect = None;
         let mut index = None;
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
+        let mut argv = std::env::args().skip(1);
+        while let Some(arg) = argv.next() {
             match arg.as_str() {
-                "--connect" => connect = args.next(),
-                "--index" => index = args.next().and_then(|s| s.parse::<u32>().ok()),
+                "--connect" => connect = argv.next(),
+                "--index" => index = argv.next().and_then(|s| s.parse::<u32>().ok()),
                 "--real" => real = true,
                 "--tcp" => tcp = true,
                 "--pipeline" => pipeline = true,
                 "--adaptive" => adaptive = true,
                 a => {
-                    if let Some(n) = a.strip_prefix("--coalesce=") {
-                        pipeline = true;
-                        coalesce = n.parse().unwrap_or(coalesce);
+                    let Some((flag, value)) = a.split_once('=') else {
+                        continue;
+                    };
+                    let n = value.parse().ok();
+                    match flag {
+                        "--coalesce" => {
+                            pipeline = true;
+                            coalesce = n.unwrap_or(coalesce);
+                        }
+                        "--tuples" => args.tuples = n.unwrap_or(args.tuples),
+                        "--per-worker" => args.per_worker = n.unwrap_or(args.per_worker),
+                        "--stream-batch" => args.stream_batch = n.unwrap_or(args.stream_batch),
+                        "--stream-workers" => {
+                            args.stream_workers = n.unwrap_or(args.stream_workers)
+                        }
+                        "--strong-batch" => args.strong_batch = n.or(args.strong_batch),
+                        _ => {}
                     }
                 }
             }
@@ -218,7 +255,7 @@ impl BackendKind {
                 }
             }
         }
-        if tcp && pipeline {
+        args.backend = if tcp && pipeline {
             BackendKind::TcpPipelined {
                 coalesce_tuples: coalesce,
             }
@@ -234,7 +271,8 @@ impl BackendKind {
             BackendKind::Threaded
         } else {
             BackendKind::Simulated
-        }
+        };
+        args
     }
 }
 
@@ -297,9 +335,8 @@ pub struct DistRun {
     pub stages: usize,
     /// Pipelined-ingestion counters (`None` for synchronous backends).
     pub coalesce: Option<PipelineStats>,
-    /// Per-run telemetry counters (`None` for the modelled simulator,
-    /// which has no real driver).
-    pub telemetry: Option<TelemetryRun>,
+    /// Per-run telemetry counters.
+    pub telemetry: TelemetryRun,
 }
 
 impl DistRun {
@@ -341,35 +378,35 @@ impl DistRun {
                     .render(),
             );
         }
-        if let Some(t) = &self.telemetry {
-            obj = obj
-                .int("telemetry_messages_sent", t.messages_sent)
-                .int("telemetry_replies_received", t.replies_received)
-                .int("telemetry_instructions", t.instructions)
-                .int("telemetry_blocks_run", t.blocks_run)
-                .int("telemetry_statements", t.statements)
-                .int("telemetry_tuples_applied", t.tuples_applied)
-                .int("telemetry_net_frames_sent", t.net_frames_sent)
-                .int("telemetry_net_bytes_sent", t.net_bytes_sent)
-                .int("telemetry_net_frames_received", t.net_frames_received)
-                .int("telemetry_net_bytes_received", t.net_bytes_received);
-            if let Some(cp) = &t.critical_path {
-                obj =
-                    obj.raw(
-                        "critical_path",
-                        json::JsonObj::new()
-                            .int("trace", cp.trace)
-                            .int("total_micros", cp.total_micros)
-                            .num("attributed_fraction", cp.attributed_fraction())
-                            .raw(
-                                "stages",
-                                json::jarray(cp.stages.iter().map(|(name, micros)| {
-                                    format!("[{}, {micros}]", json::jstr(name))
-                                })),
-                            )
-                            .render(),
-                    );
-            }
+        let t = &self.telemetry;
+        obj = obj
+            .int("telemetry_messages_sent", t.messages_sent)
+            .int("telemetry_replies_received", t.replies_received)
+            .int("telemetry_instructions", t.instructions)
+            .int("telemetry_blocks_run", t.blocks_run)
+            .int("telemetry_statements", t.statements)
+            .int("telemetry_tuples_applied", t.tuples_applied)
+            .int("telemetry_net_frames_sent", t.net_frames_sent)
+            .int("telemetry_net_bytes_sent", t.net_bytes_sent)
+            .int("telemetry_net_frames_received", t.net_frames_received)
+            .int("telemetry_net_bytes_received", t.net_bytes_received);
+        if let Some(cp) = &t.critical_path {
+            obj = obj.raw(
+                "critical_path",
+                json::JsonObj::new()
+                    .int("trace", cp.trace)
+                    .int("total_micros", cp.total_micros)
+                    .num("attributed_fraction", cp.attributed_fraction())
+                    .raw(
+                        "stages",
+                        json::jarray(
+                            cp.stages
+                                .iter()
+                                .map(|(name, micros)| format!("[{}, {micros}]", json::jstr(name))),
+                        ),
+                    )
+                    .render(),
+            );
         }
         obj.render()
     }
@@ -406,24 +443,23 @@ pub fn num_cpus_capped(cap: usize) -> usize {
 }
 
 /// TCP cluster configuration for the `--tcp` arms: this executable is its
-/// own worker (see [`BackendKind::from_args`]), so nothing has to be
-/// pre-built.
+/// own worker (see [`Args::parse`]), so nothing has to be pre-built.
 fn tcp_config(workers: usize) -> TcpConfig {
     let mut config = TcpConfig::with_workers(workers);
     config.worker_bin = Some(std::env::current_exe().expect("current_exe"));
     config
 }
 
-/// Stream `batches` through a real driver and collect what a [`DistRun`]
+/// Stream `batches` through a driver and collect what a [`DistRun`]
 /// reports about it.
 fn measure<T: Transport>(
     cluster: &mut Driver<T>,
     batches: &[Vec<(&'static str, Relation)>],
-) -> (ClusterTotals, Option<PipelineStats>, Option<TelemetryRun>) {
+) -> (ClusterTotals, Option<PipelineStats>, TelemetryRun) {
     cluster.apply_stream(batches);
     let stats = cluster.pipeline_stats();
     let telemetry = collect_telemetry(cluster);
-    (cluster.totals().clone(), stats, Some(telemetry))
+    (cluster.totals().clone(), stats, telemetry)
 }
 
 /// Run a query on the simulated cluster, chunking the stream into batches of
@@ -461,11 +497,10 @@ pub fn run_distributed_on(
     let dplan = compile_distributed(&plan, &spec, opt);
     let (jobs, stages) = dplan.complexity();
     let (totals, coalesce, telemetry) = match (backend, backend.pipeline_config()) {
-        (BackendKind::Simulated, _) => {
-            let mut cluster = Cluster::new(dplan, ClusterConfig::with_workers(workers));
-            cluster.apply_stream(&batches);
-            (cluster.totals().clone(), None, None)
-        }
+        (BackendKind::Simulated, _) => measure(
+            &mut Cluster::new(dplan, ClusterConfig::with_workers(workers)),
+            &batches,
+        ),
         (BackendKind::Tcp | BackendKind::TcpPipelined { .. }, pipeline) => {
             let config = tcp_config(workers);
             let mut cluster = match pipeline {

@@ -12,8 +12,8 @@
 //! | storage | [`storage`] | multi-indexed record pools, columnar batches |
 //! | maintenance compilers | [`ivm`] | delta rules, domain extraction, recursive / classical / re-evaluation plans |
 //! | local runtime | [`exec`] | the trigger interpreter (single-tuple & batched modes) |
-//! | distributed compiler & runtime | [`distributed`] | location tags, transformers, block fusion, the simulated cluster |
-//! | threaded runtime | [`runtime`] | the transport-generic driver and the thread-per-worker backend (`ThreadedCluster`) |
+//! | distributed compiler | [`distributed`] | location tags, transformers, block fusion, the worker protocol and per-node state |
+//! | runtime | [`runtime`] | the transport-generic driver: the simulated cluster (`Cluster` = `Driver<SimTransport>`, modelled time) and the thread-per-worker backend (`ThreadedCluster`) |
 //! | socket transport | [`net`] | length-prefixed binary codec and the multi-process TCP backend (`TcpCluster`) |
 //! | subscriptions | [`serve`] | multi-tenant standing-query hub: shared-plan fan-out, pushed [`serve::ViewDelta`]s, TCP subscribe protocol |
 //! | telemetry | [`telemetry`] | dependency-free metrics registry and the bounded flight recorder shared by every backend |
@@ -58,9 +58,9 @@ pub mod prelude {
         MapCatalog, Mult, RelKind, Relation, Schema, Tuple, ValExpr, Value, ViewChecksum,
     };
     pub use hotdog_distributed::{
-        compile_distributed, Backend, CaptureBatch, CapturedView, Cluster, ClusterConfig,
-        DeltaCapture, DistributedPlan, LocTag, OptLevel, PartitionFn, PartitioningSpec,
-        ViewAccumulator, WorkerSnapshot, WorkerState, WorkerStats, WorkerStatsSnapshot,
+        compile_distributed, Backend, CaptureBatch, CapturedView, DeltaCapture, DistributedPlan,
+        LocTag, OptLevel, PartitionFn, PartitioningSpec, ViewAccumulator, WorkerSnapshot,
+        WorkerState, WorkerStats, WorkerStatsSnapshot,
     };
     pub use hotdog_exec::{BatchStats, Database, ExecMode, LocalEngine};
     pub use hotdog_ivm::{
@@ -71,8 +71,9 @@ pub mod prelude {
         FaultKind, FaultPlan, KillSpec, Phase, TcpCluster, TcpConfig, WorkerSpawn,
     };
     pub use hotdog_runtime::{
-        AdaptiveConfig, ChannelTransport, CoalesceController, Driver, FaultConfig, PipelineConfig,
-        PipelineStats, TelemetryTotals, ThreadedCluster, Transport, WorkerDead,
+        AdaptiveConfig, ChannelTransport, Cluster, ClusterConfig, CoalesceController, Driver,
+        FaultConfig, PipelineConfig, PipelineStats, TelemetryTotals, ThreadedCluster, Transport,
+        WorkerDead,
     };
     pub use hotdog_serve::{
         ParamFilter, QueryShape, SubscribeClient, SubscriberView, SubscriptionHub, SubscriptionId,

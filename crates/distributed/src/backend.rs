@@ -1,12 +1,13 @@
 //! The execution-backend abstraction.
 //!
-//! Three backends run compiled [`DistributedPlan`]s over the same
-//! [`WorkerState`](crate::worker::WorkerState) machinery: the single-threaded
-//! simulated [`Cluster`] (modelled time), the epoch-synchronous
-//! thread-per-worker runtime, and the pipelined runtime with delta
-//! coalescing (both in `hotdog-runtime`, measured time).  [`Backend`] is the
-//! surface they share, so benches and differential tests are written once
-//! and run against every backend.
+//! Every backend runs compiled [`DistributedPlan`]s over the same
+//! [`WorkerState`](crate::worker::WorkerState) machinery, through the one
+//! transport-generic driver of `hotdog-runtime`: the simulated cluster
+//! (workers run inline, modelled time), the epoch-synchronous
+//! thread-per-worker and TCP runtimes, and their pipelined modes with
+//! delta coalescing (measured time).  [`Backend`] is the surface they
+//! share, so benches and differential tests are written once and run
+//! against every backend.
 //!
 //! The trait is deliberately *streaming-shaped*: [`Backend::apply_batch`]
 //! admits one delta batch (a pipelined backend may only enqueue it), and
@@ -15,11 +16,70 @@
 //! [`Backend::query_result`]) take `&mut self` because a pipelined backend
 //! must synchronize to its watermark before exposing view state.
 
-use crate::cluster::{BatchExecution, Cluster, ClusterTotals};
 use crate::program::DistributedPlan;
 use hotdog_algebra::relation::Relation;
 use hotdog_telemetry::{SpanContext, Telemetry};
 use std::sync::Arc;
+
+/// Statistics of processing one batch on the cluster.
+#[derive(Clone, Debug, Default)]
+pub struct BatchExecution {
+    pub input_tuples: usize,
+    /// End-to-end latency of the batch (seconds): modelled on the
+    /// simulated cluster, measured wall-clock elsewhere.
+    pub latency_secs: f64,
+    /// Total bytes moved over the network.
+    pub bytes_shuffled: usize,
+    /// Bytes moved per worker (average).
+    pub bytes_per_worker: f64,
+    /// Distributed stages executed.
+    pub stages: usize,
+    /// Jobs launched.
+    pub jobs: usize,
+    /// Interpreter work of the slowest worker (instruction count).
+    pub max_worker_instructions: u64,
+    /// Interpreter work performed on the driver.
+    pub driver_instructions: u64,
+    /// Real wall-clock time spent executing the batch.
+    pub wall_secs: f64,
+}
+
+/// Accumulated totals over a cluster's lifetime.
+#[derive(Clone, Debug, Default)]
+pub struct ClusterTotals {
+    pub batches: usize,
+    pub tuples: usize,
+    pub latency_secs: f64,
+    pub bytes_shuffled: usize,
+    pub latencies: Vec<f64>,
+}
+
+impl ClusterTotals {
+    /// Throughput (tuples per second of latency).
+    pub fn throughput(&self) -> f64 {
+        if self.latency_secs == 0.0 {
+            0.0
+        } else {
+            self.tuples as f64 / self.latency_secs
+        }
+    }
+
+    /// Median batch latency in seconds.
+    pub fn median_latency(&self) -> f64 {
+        self.latency_percentile(0.50)
+    }
+
+    /// Batch latency percentile in seconds (`p` in `[0, 1]`, nearest-rank).
+    pub fn latency_percentile(&self, p: f64) -> f64 {
+        if self.latencies.is_empty() {
+            return 0.0;
+        }
+        let mut v = self.latencies.clone();
+        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let idx = ((v.len() as f64 * p) as usize).min(v.len() - 1);
+        v[idx]
+    }
+}
 
 /// Counters of a pipelined ingestion path (admission queue, delta
 /// coalescing, adaptive tuning, backpressure).  Defined here — not in the
@@ -146,81 +206,5 @@ pub trait Backend {
             }
         }
         self.flush();
-    }
-}
-
-impl Backend for Cluster {
-    fn backend_name(&self) -> &'static str {
-        "simulated"
-    }
-
-    fn plan(&self) -> &DistributedPlan {
-        Cluster::plan(self)
-    }
-
-    fn apply_batch(&mut self, relation: &str, batch: &Relation) -> BatchExecution {
-        Cluster::apply_batch(self, relation, batch)
-    }
-
-    fn view_contents(&mut self, name: &str) -> Relation {
-        Cluster::view_contents(self, name)
-    }
-
-    fn totals(&self) -> &ClusterTotals {
-        &self.totals
-    }
-
-    fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        Some(Cluster::telemetry(self))
-    }
-
-    fn trace_scope(&self) -> SpanContext {
-        Cluster::trace_scope(self)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cluster::ClusterConfig;
-    use crate::partition::PartitioningSpec;
-    use crate::program::{compile_distributed, OptLevel};
-    use hotdog_algebra::expr::*;
-    use hotdog_algebra::schema::Schema;
-    use hotdog_algebra::tuple;
-    use hotdog_ivm::compile_recursive;
-
-    fn run_generic<B: Backend>(backend: &mut B) -> Relation {
-        let batches: Vec<Vec<(&str, Relation)>> = vec![vec![
-            (
-                "R",
-                Relation::from_pairs(
-                    Schema::new(["A", "B"]),
-                    (0..10i64).map(|i| (tuple![i, i % 3], 1.0)),
-                ),
-            ),
-            (
-                "S",
-                Relation::from_pairs(
-                    Schema::new(["B", "C"]),
-                    (0..6i64).map(|i| (tuple![i % 3, i], 1.0)),
-                ),
-            ),
-        ]];
-        backend.apply_stream(&batches);
-        backend.query_result()
-    }
-
-    #[test]
-    fn cluster_implements_backend() {
-        let q = sum(["B"], join(rel("R", ["A", "B"]), rel("S", ["B", "C"])));
-        let plan = compile_recursive("Q", &q);
-        let spec = PartitioningSpec::heuristic(&plan, &["A"]);
-        let dplan = compile_distributed(&plan, &spec, OptLevel::O3);
-        let mut cluster = Cluster::new(dplan, ClusterConfig::with_workers(3));
-        let result = run_generic(&mut cluster);
-        assert!(!result.is_empty());
-        assert_eq!(cluster.backend_name(), "simulated");
-        assert_eq!(Backend::totals(&cluster).batches, 2);
     }
 }

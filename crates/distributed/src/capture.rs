@@ -19,7 +19,6 @@
 //!
 //! [`WorkerState::apply`]: crate::worker::WorkerState::apply
 
-use crate::cluster::Cluster;
 use crate::partition::LocTag;
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
@@ -54,8 +53,8 @@ pub struct CaptureBatch {
 }
 
 /// A backend that can capture per-batch view deltas for push-based
-/// subscriptions.  Implemented by all three backends (simulated cluster,
-/// threaded driver, TCP driver) over the shared [`WorkerState`] log.
+/// subscriptions.  Implemented by `hotdog-runtime`'s driver over every
+/// transport (simulated, threaded, TCP) and the shared [`WorkerState`] log.
 ///
 /// [`WorkerState`]: crate::worker::WorkerState
 pub trait DeltaCapture {
@@ -174,114 +173,4 @@ pub fn assemble_views(
             }
         })
         .collect()
-}
-
-impl DeltaCapture for Cluster {
-    fn enable_capture(&mut self, views: &[String]) {
-        self.capture_views = views.to_vec();
-        self.driver.set_capture(views.iter().cloned());
-        for w in &mut self.workers {
-            w.set_capture(views.iter().cloned());
-        }
-    }
-
-    fn take_captured(&mut self) -> CaptureBatch {
-        let views = self.capture_views.clone();
-        let driver_log = self.driver.take_captured();
-        let worker_logs: Vec<_> = self.workers.iter_mut().map(|w| w.take_captured()).collect();
-        let assembled = assemble_views(
-            &views,
-            |name| self.dplan.location(name),
-            driver_log,
-            worker_logs,
-        );
-        CaptureBatch {
-            watermark: self.totals.batches as u64,
-            resync: false,
-            views: assembled,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cluster::ClusterConfig;
-    use crate::partition::PartitioningSpec;
-    use crate::program::{compile_distributed, OptLevel};
-    use hotdog_algebra::expr::*;
-    use hotdog_algebra::tuple;
-    use hotdog_ivm::compile_recursive;
-
-    fn make_cluster(workers: usize) -> Cluster {
-        let q = sum(["B"], join(rel("R", ["A", "B"]), rel("S", ["B", "C"])));
-        let plan = compile_recursive("Q", &q);
-        let spec = PartitioningSpec::heuristic(&plan, &["A"]);
-        let dplan = compile_distributed(&plan, &spec, OptLevel::O3);
-        Cluster::new(dplan, ClusterConfig::with_workers(workers))
-    }
-
-    fn batches() -> Vec<Vec<(&'static str, Relation)>> {
-        vec![
-            vec![
-                (
-                    "R",
-                    Relation::from_pairs(
-                        Schema::new(["A", "B"]),
-                        (0..12i64).map(|i| (tuple![i, i % 4], 1.0)),
-                    ),
-                ),
-                (
-                    "S",
-                    Relation::from_pairs(
-                        Schema::new(["B", "C"]),
-                        (0..8i64).map(|i| (tuple![i % 4, i], 1.0)),
-                    ),
-                ),
-            ],
-            vec![(
-                "R",
-                Relation::from_pairs(
-                    Schema::new(["A", "B"]),
-                    vec![(tuple![1, 1], -1.0), (tuple![50, 2], 1.0)],
-                ),
-            )],
-        ]
-    }
-
-    #[test]
-    fn accumulated_captures_reconstruct_view_contents_bit_for_bit() {
-        let mut cluster = make_cluster(3);
-        let top = cluster.plan().plan.top_view.clone();
-        let schema = cluster.plan().schema_of(&top).unwrap_or_default();
-        cluster.enable_capture(std::slice::from_ref(&top));
-        let mut acc = ViewAccumulator::new(schema);
-        for batch in batches() {
-            for (rel, delta) in &batch {
-                cluster.apply_batch(rel, delta);
-            }
-            let captured = cluster.take_captured();
-            assert_eq!(captured.views.len(), 1);
-            acc.apply(&captured.views[0].parts, captured.resync);
-        }
-        let expected = cluster.view_contents(&top);
-        assert_eq!(
-            acc.contents().checksum(),
-            expected.checksum(),
-            "replayed capture log must be bit-identical to view_contents"
-        );
-    }
-
-    #[test]
-    fn capture_disabled_logs_nothing() {
-        let mut cluster = make_cluster(2);
-        for batch in batches() {
-            for (rel, delta) in &batch {
-                cluster.apply_batch(rel, delta);
-            }
-        }
-        let captured = cluster.take_captured();
-        assert!(captured.views.is_empty());
-        assert_eq!(captured.watermark, 3);
-    }
 }

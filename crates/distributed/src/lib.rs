@@ -17,30 +17,30 @@
 //! * [`worker`] — backend-agnostic per-node state ([`worker::WorkerState`]):
 //!   one node's view partitions, exchange buffers and the statement
 //!   execution/application rules shared by every execution backend;
-//! * [`cluster`] — the simulated synchronous driver/worker cluster that
-//!   executes the distributed programs over real partitioned state and
-//!   models latency (per-stage synchronization, shuffle bandwidth,
-//!   stragglers).  The real thread-per-worker backend lives in the
-//!   `hotdog-runtime` crate and runs the same programs over the same
-//!   [`worker::WorkerState`] machinery;
 //! * [`backend`] — the [`Backend`] trait shared by every execution backend
 //!   (simulated, synchronous-threaded, pipelined), so benches and
-//!   differential tests are written once.
+//!   differential tests are written once, and the per-batch
+//!   [`BatchExecution`] / lifetime [`ClusterTotals`] it reports.
+//!
+//! Every backend — the simulated cluster included — is `hotdog-runtime`'s
+//! one transport-generic driver running these programs over
+//! [`worker::WorkerState`]s: `Cluster` = `Driver<SimTransport>` executes
+//! the workers inline and models latency (per-stage synchronization,
+//! shuffle bandwidth, stragglers); the threaded and TCP backends measure
+//! it.
 
 #![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod capture;
-pub mod cluster;
 pub mod partition;
 pub mod program;
 pub mod protocol;
 pub mod worker;
 
-pub use backend::{Backend, PipelineStats};
+pub use backend::{Backend, BatchExecution, ClusterTotals, PipelineStats};
 pub use capture::{assemble_views, CaptureBatch, CapturedView, DeltaCapture, ViewAccumulator};
-pub use cluster::{partition_shards, BatchExecution, Cluster, ClusterConfig, ClusterTotals};
-pub use partition::{LocTag, PartitionFn, PartitioningSpec};
+pub use partition::{partition_shards, LocTag, PartitionFn, PartitioningSpec};
 pub use program::{
     compile_distributed, Block, DistStatement, DistStmtKind, DistributedPlan, OptLevel, StmtMode,
     Transform, TriggerProgram, WholeViewMoves,

@@ -7,6 +7,8 @@
 //! (delta relations) enter the system at the driver and are therefore
 //! local until explicitly scattered.
 
+use crate::program::DistStatement;
+use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
 use hotdog_algebra::tuple::Tuple;
 use hotdog_ivm::MaintenancePlan;
@@ -64,6 +66,37 @@ impl fmt::Display for PartitionFn {
             PartitionFn::Replicate => write!(f, "[*]"),
         }
     }
+}
+
+/// Split a driver-held relation into per-worker shards under a partition
+/// function; returns the shards and the bytes that cross the network.
+/// Shared by every backend, so routing and byte accounting cannot
+/// diverge.
+///
+/// Shards are returned in wire-canonical layout
+/// ([`Relation::canonical`]): a shard's map layout must be a pure
+/// function of its content — not of the routing iteration that built it —
+/// so that a shard decoded from the socket transport is bit-identical to
+/// the shard an in-process backend hands its worker.
+pub fn partition_shards(
+    pf: &PartitionFn,
+    src: &Relation,
+    stmt: &DistStatement,
+    workers: usize,
+) -> (Vec<Relation>, usize) {
+    let schema = stmt.target_schema.clone();
+    let mut shards: Vec<Relation> = (0..workers)
+        .map(|_| Relation::new(schema.clone()))
+        .collect();
+    let mut bytes = 0usize;
+    for (t, m) in src.iter() {
+        for w in pf.route(&schema, t, workers) {
+            shards[w].add(t.clone(), m);
+            bytes += t.values_size() + 8;
+        }
+    }
+    let shards = shards.into_iter().map(|s| s.canonical()).collect();
+    (shards, bytes)
 }
 
 /// Location tag of a relation or (sub)expression result.

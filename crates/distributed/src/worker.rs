@@ -1,15 +1,16 @@
 //! Backend-agnostic per-node state and statement execution.
 //!
-//! Both execution backends — the single-threaded simulated [`Cluster`]
-//! (`cluster` module) and the real thread-per-worker runtime
-//! (`hotdog-runtime`) — run the same compiled [`DistributedPlan`]s over the
-//! same node-local machinery: a [`Database`] holding this node's partition
-//! of every materialized view, plus transient exchange buffers (`temps`)
-//! refreshed by the location transformers.  [`WorkerState`] bundles the two
-//! with the statement-application rules so the backends cannot diverge in
-//! semantics, only in scheduling and in how time is accounted.
+//! Every execution backend is `hotdog-runtime`'s one driver over a
+//! transport — the simulated `Cluster` (`Driver<SimTransport>`, workers run
+//! inline on the driver's thread), the thread-per-worker runtime and the
+//! TCP runtime — and each runs the same compiled [`DistributedPlan`]s over
+//! the same node-local machinery: a [`Database`] holding this node's
+//! partition of every materialized view, plus transient exchange buffers
+//! (`temps`) refreshed by the location transformers.  [`WorkerState`]
+//! bundles the two with the statement-application rules so the backends
+//! cannot diverge in semantics, only in how messages move and in how time
+//! is accounted.
 //!
-//! [`Cluster`]: crate::cluster::Cluster
 //! [`DistributedPlan`]: crate::program::DistributedPlan
 
 use crate::program::{DistStatement, DistStmtKind};

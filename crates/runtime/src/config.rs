@@ -1,10 +1,59 @@
-//! The two configuration objects of a [`Driver`](crate::Driver): how the
-//! pipelined ingestion path admits and windows work ([`PipelineConfig`])
-//! and how worker deaths are survived ([`FaultConfig`]).  Pure data — this
-//! module owns no state and sends no messages.
+//! The configuration objects of a [`Driver`](crate::Driver): how the
+//! pipelined ingestion path admits and windows work ([`PipelineConfig`]),
+//! how worker deaths are survived ([`FaultConfig`]) and what the simulated
+//! cluster's messages cost ([`ClusterConfig`]).  Pure data — this module
+//! owns no state and sends no messages.
 
 use crate::adaptive::AdaptiveConfig;
 use std::time::Duration;
+
+/// Size and cost model of the simulated cluster
+/// ([`Cluster`](crate::Cluster)): what each message a
+/// [`SimTransport`](crate::SimTransport) delivers advances its virtual
+/// clock by.
+#[derive(Clone, Debug)]
+pub struct ClusterConfig {
+    /// Number of worker nodes.
+    pub workers: usize,
+    /// Aggregate network bandwidth per worker link, bytes per second.
+    pub bandwidth_bytes_per_sec: f64,
+    /// Fixed overhead of launching one distributed stage (task serialization
+    /// and shipping), in seconds.
+    pub stage_overhead_secs: f64,
+    /// Additional synchronization cost per worker per stage, in seconds
+    /// (scheduling, task dispatch and completion handling on the driver).
+    pub sync_per_worker_secs: f64,
+    /// Modelled cost of one interpreter "instruction", in seconds.
+    pub secs_per_instruction: f64,
+    /// Maximum multiplicative straggler slowdown of a stage (a uniformly
+    /// drawn factor in `[1, 1 + straggler]` is applied to each stage).
+    pub straggler: f64,
+    /// RNG seed for the straggler model.
+    pub seed: u64,
+}
+
+impl Default for ClusterConfig {
+    fn default() -> Self {
+        ClusterConfig {
+            workers: 4,
+            bandwidth_bytes_per_sec: 1.0e9,
+            stage_overhead_secs: 0.020,
+            sync_per_worker_secs: 0.000_35,
+            secs_per_instruction: 2.0e-9,
+            straggler: 0.5,
+            seed: 0xD15C0,
+        }
+    }
+}
+
+impl ClusterConfig {
+    pub fn with_workers(workers: usize) -> Self {
+        ClusterConfig {
+            workers,
+            ..Default::default()
+        }
+    }
+}
 
 /// Configuration of the pipelined ingestion path
 /// (`ThreadedCluster::pipelined`).

@@ -71,20 +71,18 @@ fn share_program(p: &TriggerProgram) -> SharedProgram {
     }
 }
 
-/// One driver + N workers executing a distributed plan for real, generic
-/// over the [`Transport`] that reaches the workers.
+/// One driver + N workers executing a distributed plan, generic over the
+/// [`Transport`] that reaches the workers.
 ///
 /// [`ThreadedCluster`] (= `Driver<ChannelTransport>`) is the in-process
 /// thread-per-worker backend; `hotdog-net`'s `TcpCluster` runs the *same*
-/// driver over worker subprocesses joined by TCP sockets, so the backends
-/// can only differ in how bytes move.
-///
-/// Public surface matches the simulated
-/// [`Cluster`](hotdog_distributed::Cluster) (`apply_batch`,
-/// `view_contents`, `query_result`, `plan`, `totals`) so the backends
-/// are drop-in interchangeable; [`BatchExecution`] fields that model time in
-/// the simulator hold *measured* wall-clock values here.  The crate docs
-/// say which module owns which fields.
+/// driver over worker subprocesses joined by TCP sockets, and the
+/// simulated [`Cluster`](crate::Cluster) (= `Driver<SimTransport>`) over
+/// workers executed inline, so the backends can only differ in how bytes
+/// move.
+/// [`BatchExecution::latency_secs`] is the transport's modelled clock when
+/// it has one ([`Transport::clock_secs`]) and measured wall-clock time
+/// otherwise.  The crate docs say which module owns which fields.
 pub struct Driver<T: Transport> {
     /// Number of workers.
     pub workers: usize,
@@ -148,7 +146,8 @@ pub struct Driver<T: Transport> {
     pub(crate) capture_epoch: usize,
     /// Pipelined-ingestion counters (all zero in epoch-synchronous mode).
     pub stats: PipelineStats,
-    /// Accumulated measured totals (same shape as the simulator's).
+    /// Accumulated totals (latencies measured, or modelled over a
+    /// transport with a clock).
     pub totals: ClusterTotals,
     /// Shared metrics registry + flight recorder (adopted from the
     /// transport when it keeps one, so wire- and scheduler-level metrics
@@ -453,6 +452,7 @@ impl<T: Transport> Driver<T> {
         root: Option<ActiveSpan>,
     ) -> Result<BatchExecution, WorkerDead> {
         let wall_start = Instant::now();
+        let clock_start = self.transport.clock_secs();
         let mut stats = BatchExecution {
             input_tuples,
             ..Default::default()
@@ -552,12 +552,15 @@ impl<T: Transport> Driver<T> {
         stats.stages = program.stages;
         stats.jobs = program.jobs;
         stats.bytes_per_worker = stats.bytes_shuffled as f64 / self.workers as f64;
-        // Measured, not modelled.  Synchronous mode: the batch's end-to-end
-        // wall-clock.  Pipelined mode: the driver-side issue time only (the
-        // stream's end-to-end wall-clock is folded into the totals at
-        // `flush`).
+        // Synchronous mode: the batch's end-to-end wall-clock, or the
+        // modelled clock's advance when the transport keeps one.  Pipelined
+        // mode: the driver-side issue time only (the stream's end-to-end
+        // wall-clock is folded into the totals at `flush`).
         stats.wall_secs = wall_start.elapsed().as_secs_f64();
-        stats.latency_secs = stats.wall_secs;
+        stats.latency_secs = match clock_start {
+            Some(start) => self.transport.clock_secs().unwrap_or(start) - start,
+            None => stats.wall_secs,
+        };
         // The root closes here even in pipelined mode (where trailing
         // applies are still in flight): the window is the driver's issue
         // span, and post-close stages (watermark commit, fan-out) record

@@ -222,8 +222,7 @@ impl<T: Transport> Driver<T> {
     /// One protocol round: send `make(id)` to *every* worker (behind its
     /// buffered scatter shards, so the worker installs them first), then
     /// await the tagged replies in worker order — the order every merge
-    /// relies on for float accumulation identical to the simulator's
-    /// sequential `0..N` loop.
+    /// relies on for float accumulation identical on every transport.
     pub(crate) fn round<R>(
         &mut self,
         make: impl Fn(u64) -> Request,

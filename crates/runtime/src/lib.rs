@@ -1,15 +1,16 @@
 //! # hotdog-runtime
 //!
-//! The real execution backend for compiled [`DistributedPlan`]s: one
-//! driver and N workers that run the distributed maintenance programs in
-//! parallel, where the simulated [`Cluster`](hotdog_distributed::Cluster)
-//! runs them sequentially and *models* time.  Workers interpret statements
-//! through the same [`WorkerState`] and batches are routed by the same
-//! [`partition_shards`](hotdog_distributed::partition_shards), so both
-//! backends hold identical view contents and only the *time* differs
-//! ([`BatchExecution::latency_secs`] is measured wall-clock here).
-//! [`ThreadedCluster::new`] is the epoch-synchronous runtime (one batch in
-//! the system, a barrier after every distributed block);
+//! The driver that executes compiled [`DistributedPlan`]s: one [`Driver`]
+//! runs each trigger's schedule against N workers reached through a
+//! [`Transport`].  Workers interpret statements through the same
+//! [`WorkerState`] and batches are routed by the same
+//! [`partition_shards`](hotdog_distributed::partition_shards), so every
+//! transport holds identical view contents and only the *time* differs.
+//! [`ThreadedCluster`] runs the workers on threads and measures wall-clock
+//! time; the simulated [`Cluster`] runs them inline on the caller's thread
+//! and models time ([`BatchExecution::latency_secs`] is its virtual clock's
+//! advance).  [`ThreadedCluster::new`] is the epoch-synchronous runtime
+//! (one batch in the system, a barrier after every distributed block);
 //! [`ThreadedCluster::pipelined`] admits into a coalescing queue and
 //! overlaps execution inside a bounded in-flight window.  "Life of a
 //! batch" in `docs/ARCHITECTURE.md` walks the whole path.
@@ -23,7 +24,10 @@
 //!   (parked at shutdown, reused by the process's next cluster).
 //!   Per-worker FIFO command order; a dead worker is a typed
 //!   [`WorkerDead`], never a panic or a silent stall.
-//! * `config` — [`PipelineConfig`], [`FaultConfig`]: pure data.
+//! * `cluster` — [`SimTransport`] and the simulated [`Cluster`]: the
+//!   workers run inline, a seeded virtual clock each message advances.
+//! * `config` — [`PipelineConfig`], [`FaultConfig`], [`ClusterConfig`]:
+//!   pure data.
 //! * `driver` — the plan, the driver-resident views, buffered scatter
 //!   shards, `issued` / `watermark`; **the schedule** (`execute_canonical`,
 //!   `run_transform`, `scatter`, `commit_watermark`).  A read observes
@@ -53,6 +57,7 @@
 pub mod adaptive;
 mod admission;
 mod capture;
+mod cluster;
 mod config;
 mod driver;
 mod ledger;
@@ -62,7 +67,8 @@ mod stats;
 mod tests;
 
 pub use adaptive::{AdaptiveConfig, CoalesceController};
-pub use config::{FaultConfig, PipelineConfig};
+pub use cluster::{Cluster, SimTransport};
+pub use config::{ClusterConfig, FaultConfig, PipelineConfig};
 pub use driver::{Driver, ThreadedCluster};
 pub use hotdog_distributed::PipelineStats;
 pub use stats::TelemetryTotals;
@@ -78,14 +84,15 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 
 /// How a [`Driver`] reaches its workers: an in-process `mpsc` channel pair
-/// per worker thread ([`ChannelTransport`]), or a TCP stream per worker
-/// subprocess (`hotdog-net`'s `TcpTransport`).
+/// per worker thread ([`ChannelTransport`]), a TCP stream per worker
+/// subprocess (`hotdog-net`'s `TcpTransport`), or a direct call into
+/// workers held on the driver's own thread ([`SimTransport`]).
 ///
 /// The transport only moves [`WorkerRequest`]/[`WorkerReply`] messages; all
 /// scheduling — the admission queue, delta coalescing, the request-id
 /// ledger, adaptive tuning, backpressure — lives in the transport-generic
-/// [`Driver`], so every real backend shares one pipeline implementation
-/// and can only differ in how bytes move.
+/// [`Driver`], so every backend shares one pipeline implementation and
+/// can only differ in how bytes move.
 ///
 /// Contract (what the driver's ledger accounting relies on):
 ///
@@ -131,6 +138,13 @@ pub trait Transport {
     /// registry; `None` (the default) makes the driver create a fresh
     /// instance.
     fn telemetry(&self) -> Option<Arc<Telemetry>> {
+        None
+    }
+    /// Modelled seconds elapsed, for a transport that models time rather
+    /// than taking it ([`SimTransport`]).  The driver reports the clock's
+    /// advance across a batch as its latency; `None` (the default) makes it
+    /// report measured wall-clock time instead.
+    fn clock_secs(&self) -> Option<f64> {
         None
     }
 }

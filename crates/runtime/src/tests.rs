@@ -3,11 +3,12 @@ use hotdog_algebra::expr::*;
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
 use hotdog_algebra::tuple;
-use hotdog_distributed::{compile_distributed, Cluster, ClusterConfig, OptLevel, PartitioningSpec};
+use hotdog_distributed::{compile_distributed, Backend, LocTag, OptLevel, PartitioningSpec};
+use hotdog_exec::{ExecMode, LocalEngine};
 use hotdog_ivm::compile_recursive;
 use std::time::Duration;
 
-fn example_query() -> Expr {
+pub(crate) fn example_query() -> Expr {
     sum(
         ["B"],
         join_all([
@@ -39,7 +40,7 @@ fn join_dplan(opt: OptLevel) -> DistributedPlan {
     compile_distributed(&plan, &spec, opt)
 }
 
-fn batches() -> Vec<(&'static str, Relation)> {
+pub(crate) fn batches() -> Vec<(&'static str, Relation)> {
     vec![
         (
             "R",
@@ -364,8 +365,6 @@ fn replicated_view_reads_return_one_copy() {
     // must return one replica (the single-node view), not W of them
     // summed — and the replica must have been maintained from the
     // replicated batch alone.
-    use hotdog_distributed::LocTag;
-    use hotdog_exec::{ExecMode, LocalEngine};
     let q = sum(
         ["OK"],
         join_all([
@@ -803,4 +802,38 @@ fn workers_shut_down_cleanly_on_drop() {
         piped.apply_batch(rel, &batch);
     }
     drop(piped); // queued + in-flight work abandoned, no hang
+}
+
+fn run_generic<B: Backend>(backend: &mut B) -> Relation {
+    let batches: Vec<Vec<(&str, Relation)>> = vec![vec![
+        (
+            "R",
+            Relation::from_pairs(
+                Schema::new(["A", "B"]),
+                (0..10i64).map(|i| (tuple![i, i % 3], 1.0)),
+            ),
+        ),
+        (
+            "S",
+            Relation::from_pairs(
+                Schema::new(["B", "C"]),
+                (0..6i64).map(|i| (tuple![i % 3, i], 1.0)),
+            ),
+        ),
+    ]];
+    backend.apply_stream(&batches);
+    backend.query_result()
+}
+
+#[test]
+fn cluster_implements_backend() {
+    let q = sum(["B"], join(rel("R", ["A", "B"]), rel("S", ["B", "C"])));
+    let plan = compile_recursive("Q", &q);
+    let spec = PartitioningSpec::heuristic(&plan, &["A"]);
+    let dplan = compile_distributed(&plan, &spec, OptLevel::O3);
+    let mut cluster = Cluster::new(dplan, ClusterConfig::with_workers(3));
+    let result = run_generic(&mut cluster);
+    assert!(!result.is_empty());
+    assert_eq!(cluster.backend_name(), "simulated");
+    assert_eq!(Backend::totals(&cluster).batches, 2);
 }

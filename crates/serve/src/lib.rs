@@ -446,8 +446,8 @@ mod tests {
     use super::*;
     use hotdog_algebra::expr::{join, rel, sum};
     use hotdog_algebra::tuple;
-    use hotdog_distributed::{Cluster, ClusterConfig};
     use hotdog_ivm::StmtOp;
+    use hotdog_runtime::{Cluster, ClusterConfig};
 
     fn shape(name: &str) -> QueryShape {
         QueryShape::new(

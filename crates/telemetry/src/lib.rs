@@ -97,17 +97,6 @@ impl Telemetry {
         self.tracer.begin(ctx, name, 0)
     }
 
-    /// Open a span on an explicit track (the simulated cluster records
-    /// its per-worker trigger spans driver-side).
-    pub fn begin_span_on(
-        &self,
-        ctx: SpanContext,
-        name: &'static str,
-        track: u32,
-    ) -> Option<ActiveSpan> {
-        self.tracer.begin(ctx, name, track)
-    }
-
     /// Close a driver-side span, folding its duration into the matching
     /// `trace.*` stage histogram.  No-op for `None` (the untraced case).
     pub fn finish_span(&self, span: Option<ActiveSpan>) {

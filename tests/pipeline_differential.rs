@@ -3,8 +3,8 @@
 //! Every backend must maintain identical view state over arbitrary update
 //! streams:
 //!
-//! * **simulated** — the single-threaded `Cluster` with the modelled cost
-//!   model;
+//! * **simulated** — the single-threaded `Cluster` (`Driver<SimTransport>`:
+//!   the same driver, workers run inline, modelled time);
 //! * **synchronous-threaded** — `ThreadedCluster::new`, epoch barriers
 //!   after every distributed block;
 //! * **pipelined** — `ThreadedCluster::pipelined`, admission queue, delta

@@ -1,7 +1,8 @@
 //! Backend equivalence: the real thread-per-worker runtime
-//! (`ThreadedCluster`) and the simulated `Cluster` execute the same
-//! compiled distributed programs over the same `WorkerState` machinery, so
-//! they must produce identical query results — across the same
+//! (`ThreadedCluster`) and the simulated `Cluster` are the same driver over
+//! two transports (worker threads vs. workers run inline) and the same
+//! `WorkerState` machinery, so they must produce identical query results —
+//! across the same
 //! strategy/workload matrix as `strategy_equivalence.rs`, for 1, 2 and 4
 //! workers.
 //!

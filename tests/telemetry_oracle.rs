@@ -1,7 +1,8 @@
 //! Telemetry oracle: the `driver.*` / `worker.*` counters are
 //! deterministic functions of the admission sequence and the shared
 //! driver schedule — never of wall-clock time or of how bytes move — so
-//! for the same update stream the threaded and TCP backends must produce
+//! for the same update stream the threaded and TCP backends, and the
+//! simulated cluster (the same driver over inline workers), must produce
 //! **bit-identical** totals.  This suite holds that contract across the
 //! differential-oracle catalog, plus the StatsReply hygiene invariants
 //! (a stats gather leaves no unconsumed reply in the ledger).
@@ -28,7 +29,8 @@ fn seeded_stream(q: &CatalogQuery, tuples: usize, seed: u64) -> UpdateStream {
 /// Every catalog query, epoch-synchronous: the full [`TelemetryTotals`]
 /// (driver message counts + per-worker counters + per-view partition
 /// cardinalities) and the deterministic slice of the metrics registry
-/// must agree bit-for-bit between the threaded and TCP backends.
+/// must agree bit-for-bit between the threaded and TCP backends and the
+/// simulated cluster.
 #[test]
 fn telemetry_totals_agree_threaded_vs_tcp_across_catalog() {
     let workers = workers_under_test();
@@ -40,14 +42,22 @@ fn telemetry_totals_agree_threaded_vs_tcp_across_catalog() {
         let mut threaded = ThreadedCluster::new(compile_for(q, opt), workers);
         let mut tcp =
             TcpCluster::new(compile_for(q, opt), &tcp_config(workers)).expect("tcp cluster");
+        let mut sim = Cluster::new(compile_for(q, opt), ClusterConfig::with_workers(workers));
         threaded.apply_stream(&batches);
         tcp.apply_stream(&batches);
+        sim.apply_stream(&batches);
 
         let threaded_totals = threaded.telemetry_totals();
         let tcp_totals = tcp.telemetry_totals();
         assert_eq!(
             threaded_totals, tcp_totals,
             "{} {opt:?} x{workers}: telemetry totals diverged threaded vs TCP",
+            q.id
+        );
+        assert_eq!(
+            threaded_totals,
+            sim.telemetry_totals(),
+            "{} {opt:?} x{workers}: telemetry totals diverged threaded vs simulated",
             q.id
         );
         assert!(
@@ -69,6 +79,12 @@ fn telemetry_totals_agree_threaded_vs_tcp_across_catalog() {
         assert_eq!(
             threaded_snap, tcp_snap,
             "{} {opt:?} x{workers}: deterministic metrics snapshot diverged",
+            q.id
+        );
+        assert_eq!(
+            threaded_snap,
+            sim.metrics_snapshot().deterministic(),
+            "{} {opt:?} x{workers}: deterministic metrics snapshot diverged threaded vs simulated",
             q.id
         );
         assert!(
@@ -329,6 +345,42 @@ fn trace_oracle_pipelined_fixed_coalesce() {
         threaded.pipeline_stats().unwrap().batches_coalesced,
         "every coalesced admission records one coalesce child"
     );
+}
+
+/// The Chrome trace-event export of a real threaded run: only complete
+/// (`X`) spans and track metadata (`M`) — a begin/end pair would allow an
+/// unclosed span — every `X` event carries its required fields, and at
+/// least one stitched `batch` root is present.
+#[test]
+fn chrome_trace_export_of_a_threaded_run_is_complete() {
+    let q = query("Q3").unwrap();
+    let stream = seeded_stream(&q, 120, 0x7ACE);
+    let mut threaded = ThreadedCluster::new(compile_for(&q, OptLevel::O3), workers_under_test());
+    threaded.apply_stream(&stream.batches(24));
+    let spans = threaded.trace_spans();
+    assert!(spans.iter().any(|s| s.parent == 0 && s.name == "batch"));
+
+    let json = chrome_trace_json(&spans);
+    let body = json
+        .strip_prefix("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")
+        .and_then(|rest| rest.strip_suffix("]}"))
+        .expect("one traceEvents array closes the document");
+    // Span names are plain identifiers, so `},{` only separates events.
+    let events: Vec<&str> = body.split("},{").collect();
+    let complete: Vec<&&str> = events
+        .iter()
+        .filter(|e| e.contains("\"ph\":\"X\""))
+        .collect();
+    assert_eq!(complete.len(), spans.len(), "one X event per span");
+    for event in &complete {
+        for field in ["\"name\":", "\"ts\":", "\"dur\":", "\"pid\":", "\"tid\":"] {
+            assert!(event.contains(field), "X event without {field}: {event}");
+        }
+    }
+    assert!(events
+        .iter()
+        .all(|e| e.contains("\"ph\":\"X\"") || e.contains("\"ph\":\"M\"")));
+    assert!(complete.iter().any(|e| e.contains("\"name\":\"batch\"")));
 }
 
 /// The per-worker cardinalities riding in the stats snapshot describe
