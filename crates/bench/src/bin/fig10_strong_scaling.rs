@@ -4,11 +4,11 @@
 //! By default the simulated cluster reports *modelled* latency over the
 //! paper's worker axis.  With `--real` the experiment instead runs on the
 //! `hotdog-runtime` thread-per-worker backend (measured wall-clock, worker
-//! axis bounded by the machine's cores); `--pipeline` / `--coalesce=N` /
-//! `--adaptive` select its pipelined ingestion path and `--tcp` the
-//! multi-process socket backend (this binary re-runs itself as the
-//! workers).  `--strong-batch=N` sets the largest batch (default 10 000).
-//! With `BENCH_JSON=<path>` the rows are also written there as a
+//! axis bounded by the machine's cores); `--pipeline` / `--coalesce=N`
+//! select its pipelined ingestion path and `--tcp` the multi-process socket
+//! backend (this binary re-runs itself as the workers).
+//! `--strong-batch=N` sets the largest batch (default 10 000).  With
+//! `BENCH_JSON=<path>` the rows are also written there as a
 //! `fig10_strong_scaling` JSON section.
 
 use hotdog::prelude::*;

@@ -3,12 +3,12 @@
 //!
 //! By default the simulated cluster reports *modelled* latency; with
 //! `--real` the experiment runs on the `hotdog-runtime` thread-per-worker
-//! backend (measured wall-clock), and with `--pipeline` (optionally
-//! `--coalesce=N`) on its pipelined ingestion path, with `--adaptive` under
-//! the self-tuning coalescing bound, and with `--tcp` on the multi-process
-//! socket backend (this binary re-runs itself as the workers).  A second
-//! table, `pipeline_stream`, compares the epoch-synchronous and
-//! pipelined+coalescing paths head-to-head on a many-small-batch stream.
+//! backend (measured wall-clock), with `--pipeline` (optionally
+//! `--coalesce=N`) on its pipelined ingestion path, and with `--tcp` on the
+//! multi-process socket backend (this binary re-runs itself as the
+//! workers).  A second table, `pipeline_stream`, compares the
+//! epoch-synchronous and pipelined+coalescing paths head-to-head on a
+//! many-small-batch stream.
 //! `--per-worker=N`, `--stream-batch=N` and `--stream-workers=N` size the
 //! two tables.  With `BENCH_JSON=<path>` both tables are also written there
 //! as JSON sections (throughput, latency percentiles, telemetry counters).

@@ -95,11 +95,6 @@ pub enum BackendKind {
     /// coalescing up to the given static tuple threshold; throughput is
     /// measured over the whole stream's wall-clock.
     Pipelined { coalesce_tuples: usize },
-    /// Pipelined backend with the *self-tuning* coalescing bound: the
-    /// hill-climbing controller searches the paper's concave
-    /// throughput-vs-batch-size curve online instead of fixing a point on
-    /// it a priori.
-    Adaptive,
     /// `hotdog-net`'s multi-process TCP backend, epoch-synchronous:
     /// worker subprocesses on loopback speaking the binary codec — same
     /// driver and schedule as [`BackendKind::Threaded`], real sockets
@@ -118,7 +113,6 @@ impl BackendKind {
             BackendKind::Simulated => "modelled",
             BackendKind::Threaded => "measured",
             BackendKind::Pipelined { .. } => "pipelined",
-            BackendKind::Adaptive => "adaptive",
             BackendKind::Tcp => "tcp",
             BackendKind::TcpPipelined { .. } => "tcp-pipelined",
         }
@@ -135,9 +129,7 @@ impl BackendKind {
         match self {
             BackendKind::Simulated => "modelled_batch",
             BackendKind::Threaded | BackendKind::Tcp => "measured_batch_wall",
-            BackendKind::Pipelined { .. }
-            | BackendKind::Adaptive
-            | BackendKind::TcpPipelined { .. } => "driver_issue_time",
+            BackendKind::Pipelined { .. } | BackendKind::TcpPipelined { .. } => "driver_issue_time",
         }
     }
 
@@ -146,9 +138,7 @@ impl BackendKind {
     /// [`BackendKind::latency_kind`]).
     pub fn latency_column(&self) -> &'static str {
         match self {
-            BackendKind::Pipelined { .. }
-            | BackendKind::Adaptive
-            | BackendKind::TcpPipelined { .. } => "median issue (ms)",
+            BackendKind::Pipelined { .. } | BackendKind::TcpPipelined { .. } => "median issue (ms)",
             _ => "median latency (ms)",
         }
     }
@@ -162,19 +152,18 @@ impl BackendKind {
             | BackendKind::TcpPipelined { coalesce_tuples } => {
                 Some(PipelineConfig::with_coalesce(*coalesce_tuples))
             }
-            BackendKind::Adaptive => Some(PipelineConfig::adaptive()),
         }
     }
 }
 
 /// A figure binary's command line: the backend (`--real`, `--tcp`,
-/// `--pipeline`, `--coalesce=N`, `--adaptive`) and the experiment sizes.
+/// `--pipeline`, `--coalesce=N`) and the experiment sizes.
 /// A size flag that is absent or does not parse keeps its default.
 #[derive(Clone, Debug)]
 pub struct Args {
-    /// `--coalesce` implies `--pipeline`; `--adaptive` wins over both;
-    /// `--tcp` moves a threaded or pipelined run onto the multi-process
-    /// socket transport; with none of them the run is simulated.
+    /// `--coalesce` implies `--pipeline`; `--tcp` moves a threaded or
+    /// pipelined run onto the multi-process socket transport; with none of
+    /// them the run is simulated.
     pub backend: BackendKind,
     /// `--tuples=N`: stream size of the local figures and tables
     /// (default 30 000).
@@ -209,7 +198,6 @@ impl Args {
         };
         let mut pipeline = false;
         let mut real = false;
-        let mut adaptive = false;
         let mut tcp = false;
         let mut coalesce = PipelineConfig::default().coalesce_tuples;
         let mut connect = None;
@@ -222,7 +210,6 @@ impl Args {
                 "--real" => real = true,
                 "--tcp" => tcp = true,
                 "--pipeline" => pipeline = true,
-                "--adaptive" => adaptive = true,
                 a => {
                     let Some((flag, value)) = a.split_once('=') else {
                         continue;
@@ -261,8 +248,6 @@ impl Args {
             }
         } else if tcp {
             BackendKind::Tcp
-        } else if adaptive {
-            BackendKind::Adaptive
         } else if pipeline {
             BackendKind::Pipelined {
                 coalesce_tuples: coalesce,
@@ -369,9 +354,6 @@ impl DistRun {
                     .int("max_queue_bytes", c.max_queue_bytes as u64)
                     .int("forced_by_bytes", c.executions_forced_by_bytes as u64)
                     .int("forced_by_latency", c.executions_forced_by_latency as u64)
-                    .int("coalesce_bound", c.coalesce_bound as u64)
-                    .int("bound_adjustments", c.bound_adjustments as u64)
-                    .int("bound_reversals", c.bound_reversals as u64)
                     .int("gathers_overlapped", c.gathers_overlapped as u64)
                     .int("scatter_messages_sent", c.scatter_messages_sent as u64)
                     .int("scatter_messages_saved", c.scatter_messages_saved as u64)

@@ -71,9 +71,8 @@ pub mod prelude {
         FaultKind, FaultPlan, KillSpec, Phase, TcpCluster, TcpConfig, WorkerSpawn,
     };
     pub use hotdog_runtime::{
-        AdaptiveConfig, ChannelTransport, Cluster, ClusterConfig, CoalesceController, Driver,
-        FaultConfig, PipelineConfig, PipelineStats, TelemetryTotals, ThreadedCluster, Transport,
-        WorkerDead,
+        ChannelTransport, Cluster, ClusterConfig, Driver, FaultConfig, PipelineConfig,
+        PipelineStats, TelemetryTotals, ThreadedCluster, Transport, WorkerDead,
     };
     pub use hotdog_serve::{
         ParamFilter, QueryShape, SubscribeClient, SubscriberView, SubscriptionHub, SubscriptionId,

@@ -82,9 +82,9 @@ impl ClusterTotals {
 }
 
 /// Counters of a pipelined ingestion path (admission queue, delta
-/// coalescing, adaptive tuning, backpressure).  Defined here — not in the
-/// runtime crate — so [`Backend::pipeline_stats`] can expose them
-/// backend-generically; synchronous backends report `None`.
+/// coalescing, backpressure).  Defined here — not in the runtime crate —
+/// so [`Backend::pipeline_stats`] can expose them backend-generically;
+/// synchronous backends report `None`.
 #[derive(Clone, Debug, Default)]
 pub struct PipelineStats {
     /// Batches admitted via `apply_batch`.
@@ -102,8 +102,8 @@ pub struct PipelineStats {
     /// Tuples in the executed deltas, after batch preprocessing and
     /// coalescing: tuples that collide once projected onto the columns the
     /// trigger reads are summed, and opposing deltas cancel, so both shrink
-    /// this below `tuples_admitted`.  The coalescing bound and the adaptive
-    /// controller count the same tuples.
+    /// this below `tuples_admitted`.  The coalescing bound counts the same
+    /// tuples.
     pub tuples_executed: usize,
     /// High-water mark of the admission queue depth (batches).
     pub max_queue_depth: usize,
@@ -117,10 +117,6 @@ pub struct PipelineStats {
     pub executions_forced_by_latency: usize,
     /// Slowest worker's interpreter work observed across lazy reply drains.
     pub max_worker_instructions: u64,
-    /// Total interpreter work reported by workers across all settled block
-    /// completions (the lazily collected counts the adaptive controller
-    /// folds into its cost signal — see `hotdog_runtime::adaptive`).
-    pub worker_instructions: u64,
     /// Gather/repartition fetches issued while distributed-block
     /// completions were still pending: the tagged-reply protocol let the
     /// fetch overlap in-flight worker work instead of draining the window
@@ -131,15 +127,6 @@ pub struct PipelineStats {
     /// Per-statement scatter messages avoided by batching (sum over
     /// shipped messages of `statements - 1`).
     pub scatter_messages_saved: usize,
-    /// Coalescing bound currently in force (the static threshold, or the
-    /// adaptive controller's latest choice).
-    pub coalesce_bound: usize,
-    /// Number of times the adaptive controller re-pointed its search
-    /// direction (0 under a static threshold).
-    pub bound_reversals: usize,
-    /// Number of bound adjustments the adaptive controller made (0 under a
-    /// static threshold).
-    pub bound_adjustments: usize,
 }
 
 /// A distributed execution backend: admits delta batches against one
@@ -160,7 +147,7 @@ pub trait Backend {
     /// Force every admitted batch to be fully executed (no-op for
     /// synchronous backends).  After `flush`, reads observe the entire
     /// admitted stream.
-    fn flush(&mut self) {}
+    fn flush(&mut self);
 
     /// Full contents of a view, merged across all nodes holding a piece.
     /// Pipelined backends synchronize to a consistent batch boundary first.
@@ -175,28 +162,21 @@ pub trait Backend {
     /// Accumulated execution totals.
     fn totals(&self) -> &ClusterTotals;
 
-    /// Pipelined-ingestion and tuning counters, for backends with an
-    /// admission queue (`None` for synchronous backends).  Lets benches and
-    /// tests report coalescing/backpressure behaviour without knowing the
-    /// concrete backend type.
-    fn pipeline_stats(&self) -> Option<PipelineStats> {
-        None
-    }
+    /// Pipelined-ingestion counters, for backends with an admission queue
+    /// (`None` for synchronous backends).  Lets benches and tests report
+    /// coalescing/backpressure behaviour without knowing the concrete
+    /// backend type.
+    fn pipeline_stats(&self) -> Option<PipelineStats>;
 
     /// This backend's telemetry handle (metrics, flight ring, span
-    /// tracer), when it has one.  Layers above the backend — e.g. the
-    /// subscription hub's fan-out path — record their metrics and spans
-    /// here so a batch's tree stays stitched across layers.
-    fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        None
-    }
+    /// tracer).  Layers above the backend — e.g. the subscription hub's
+    /// fan-out path — record their metrics and spans here so a batch's
+    /// tree stays stitched across layers.
+    fn telemetry(&self) -> Arc<Telemetry>;
 
     /// Context of the most recently executed batch's root span, the
     /// parent for post-execution stages (subscription fan-out push).
-    /// `NONE` for backends without tracing.
-    fn trace_scope(&self) -> SpanContext {
-        SpanContext::NONE
-    }
+    fn trace_scope(&self) -> SpanContext;
 
     /// Stream-apply: admit a pre-batched update stream in order, then flush.
     fn apply_stream<S: AsRef<str>>(&mut self, batches: &[Vec<(S, Relation)>]) {

@@ -20,10 +20,10 @@
 //!
 //! Everything above the socket — the admission queue, delta coalescing,
 //! the request-id ledger, async gathers, `ApplyMany` scatter batching,
-//! adaptive tuning, backpressure, watermarks — is the transport-generic
-//! [`Driver`] of `hotdog-runtime`, *shared* with `ThreadedCluster`, so
-//! the two backends can only differ in how bytes move.  The differential
-//! oracle holds `TcpCluster` bit-for-bit against the simulated cluster.
+//! backpressure, watermarks — is the transport-generic [`Driver`] of
+//! `hotdog-runtime`, *shared* with `ThreadedCluster`, so the two backends
+//! can only differ in how bytes move.  The differential oracle holds
+//! `TcpCluster` bit-for-bit against the simulated cluster.
 
 use crate::codec::{
     decode_from_slice, encode_deltas_segment, encode_statements_segment, encode_to_vec, ToDriver,
@@ -1023,7 +1023,7 @@ impl Backend for TcpCluster {
         Backend::pipeline_stats(&self.inner)
     }
 
-    fn telemetry(&self) -> Option<Arc<Telemetry>> {
+    fn telemetry(&self) -> Arc<Telemetry> {
         Backend::telemetry(&self.inner)
     }
 

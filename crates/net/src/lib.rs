@@ -23,11 +23,11 @@
 //!   spawns worker subprocesses (or in-process socket threads, or waits
 //!   for external workers), and runs the transport-generic
 //!   [`Driver`](hotdog_runtime::Driver) over the connections — sharing
-//!   the admission queue, delta coalescing, request-id ledger, adaptive
-//!   control and backpressure with `ThreadedCluster` rather than forking
-//!   them.  Construction is the respawn of every slot: one bring-up
-//!   routine (`TcpTransport::bring_up`) starts all slots at construction
-//!   and one slot on respawn.
+//!   the admission queue, delta coalescing, request-id ledger and
+//!   backpressure with `ThreadedCluster` rather than forking them.
+//!   Construction is the respawn of every slot: one bring-up routine
+//!   (`TcpTransport::bring_up`) starts all slots at construction and one
+//!   slot on respawn.
 //!
 //! The package's one binary, `hotdog-worker` (`src/bin/hotdog-worker.rs`),
 //! is [`run_worker`] behind `--connect <host:port> --index <n>`.

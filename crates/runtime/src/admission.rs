@@ -5,7 +5,7 @@
 //! relations' batches — exact in real arithmetic, re-associated in float).
 //! The count, byte and staleness bounds of
 //! [`PipelineConfig`](crate::PipelineConfig) each drive execution of the
-//! queue front, which feeds the [`crate::adaptive`] controller.
+//! queue front.
 //!
 //! Invariants: per-relation admission order is preserved and
 //! `queue_bytes` is the exact serialized footprint of `queue`.
@@ -43,16 +43,6 @@ impl<T: Transport> Driver<T> {
         self.queue_bytes
     }
 
-    /// The coalescing bound currently in force: the adaptive controller's
-    /// latest choice, or the static `coalesce_tuples` threshold.
-    pub(crate) fn effective_coalesce_bound(&self) -> usize {
-        match (&self.controller, &self.pipeline) {
-            (Some(ctl), _) => ctl.bound(),
-            (None, Some(cfg)) => cfg.coalesce_tuples,
-            (None, None) => 0,
-        }
-    }
-
     /// Execute every queued delta that has outlived the latency target
     /// (no-op without one).  Runs at every admission and before every
     /// read, so neither the queue nor a reader can outwait the staleness
@@ -86,43 +76,17 @@ impl<T: Transport> Driver<T> {
         Ok(())
     }
 
-    /// Pop and execute the queue front, feeding the measured trigger back
-    /// to the adaptive controller.  A worker death mid-execution leaves
-    /// the entry popped: it was logged before any message was issued, so
-    /// recovery replays it to completion rather than re-queueing it.
+    /// Pop and execute the queue front.  A worker death mid-execution
+    /// leaves the entry popped: it was logged before any message was
+    /// issued, so recovery replays it to completion rather than
+    /// re-queueing it.
     fn execute_queue_front(&mut self) -> Result<(), WorkerDead> {
         let Some(entry) = self.queue.pop_front() else {
             return Ok(());
         };
         self.queue_bytes -= entry.delta.serialized_size();
         let tuples = entry.delta.len();
-        let stats =
-            self.execute_canonical(&entry.relation, entry.delta, tuples, true, Some(entry.root))?;
-        if let Some(ctl) = self.controller.as_mut() {
-            // Fold the worker interpreter work settled since the last
-            // observation into the cost signal.  Completions settle
-            // lazily, so this attributes a previous trigger's worker cost
-            // to the current one — a bounded lag the probe-window
-            // averaging absorbs (the window sums both terms).
-            let old_bound = ctl.bound();
-            let settled = std::mem::take(&mut self.instructions_since_observe);
-            ctl.observe_with_work(stats.input_tuples, stats.wall_secs, settled);
-            self.stats.coalesce_bound = ctl.bound();
-            self.stats.bound_reversals = ctl.reversals;
-            self.stats.bound_adjustments = ctl.adjustments;
-            if ctl.bound() != old_bound {
-                self.telemetry.event(
-                    "controller.step",
-                    vec![
-                        ("old_bound", old_bound.into()),
-                        ("new_bound", ctl.bound().into()),
-                        ("tuples", stats.input_tuples.into()),
-                        ("wall_secs", stats.wall_secs.into()),
-                        ("settled_instructions", settled.into()),
-                    ],
-                );
-            }
-        }
+        self.execute_canonical(&entry.relation, entry.delta, tuples, true, Some(entry.root))?;
         Ok(())
     }
 
@@ -181,8 +145,7 @@ impl<T: Transport> Driver<T> {
         // real arithmetic, and interleaved streams (where consecutive
         // same-relation batches are rare) still coalesce well.  Per-relation
         // admission order is preserved.
-        let coalesce_bound = self.effective_coalesce_bound();
-        self.stats.coalesce_bound = coalesce_bound;
+        let coalesce_bound = self.pipeline.as_ref().map_or(0, |c| c.coalesce_tuples);
         // Under a latency target, a queued delta that has already burned
         // half its staleness budget stops growing: coalescing into it would
         // keep resetting the work it carries while its oldest event ages.

@@ -4,7 +4,6 @@
 //! cluster's messages cost ([`ClusterConfig`]).  Pure data — this module
 //! owns no state and sends no messages.
 
-use crate::adaptive::AdaptiveConfig;
 use std::time::Duration;
 
 /// Size and cost model of the simulated cluster
@@ -66,8 +65,6 @@ pub struct PipelineConfig {
     /// disables coalescing (making pipelined execution bit-identical to
     /// the synchronous schedule; with coalescing the state is identical in
     /// real arithmetic but float additions associate differently).
-    /// Ignored when [`PipelineConfig::adaptive`] is set: the controller
-    /// then chooses the bound online.
     pub coalesce_tuples: usize,
     /// Maximum admitted-but-unissued batches held in the admission queue;
     /// admitting beyond it drives execution of the queue front.
@@ -91,11 +88,6 @@ pub struct PipelineConfig {
     /// admission, read or `Driver::flush`.  `None` leaves staleness
     /// unbounded (pure-throughput mode).
     pub latency_target: Option<Duration>,
-    /// Self-tuning coalescing: measure per-trigger overhead vs. marginal
-    /// per-tuple cost online and hill-climb the coalescing bound over the
-    /// paper's concave throughput curve (see [`crate::adaptive`]).
-    /// Overrides [`PipelineConfig::coalesce_tuples`].
-    pub adaptive: Option<AdaptiveConfig>,
     /// Maximum unsettled distributed-block completions per worker before
     /// the driver must wait for one to settle.
     pub inflight_blocks: usize,
@@ -114,7 +106,6 @@ impl Default for PipelineConfig {
             admit_capacity: 16,
             admit_bytes: 0,
             latency_target: None,
-            adaptive: None,
             inflight_blocks: 4,
             shuffle_replies: None,
         }
@@ -126,14 +117,6 @@ impl PipelineConfig {
     pub fn with_coalesce(coalesce_tuples: usize) -> Self {
         PipelineConfig {
             coalesce_tuples,
-            ..Default::default()
-        }
-    }
-
-    /// Config with the default self-tuning coalescing policy.
-    pub fn adaptive() -> Self {
-        PipelineConfig {
-            adaptive: Some(AdaptiveConfig::default()),
             ..Default::default()
         }
     }

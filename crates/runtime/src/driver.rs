@@ -17,8 +17,8 @@ use crate::ledger::ReplyLedger;
 use crate::recovery::CheckpointState;
 use crate::stats::DriverMetrics;
 use crate::{
-    ChannelTransport, CoalesceController, FaultConfig, PipelineConfig, PipelineStats, Reply,
-    Request, Transport, WorkerDead,
+    ChannelTransport, FaultConfig, PipelineConfig, PipelineStats, Reply, Request, Transport,
+    WorkerDead,
 };
 use hotdog_algebra::eval::EvalCounters;
 use hotdog_algebra::relation::Relation;
@@ -99,10 +99,6 @@ pub struct Driver<T: Transport> {
     /// Slowest worker's interpreter work settled during the current
     /// `execute_canonical` call (reported per batch in synchronous mode).
     pub(crate) batch_max_instructions: u64,
-    /// Worker interpreter work settled since the adaptive controller last
-    /// observed a trigger — the lazily collected cost signal folded into
-    /// the hill climber (see [`crate::adaptive`]).
-    pub(crate) instructions_since_observe: u64,
     /// Shared empty deltas map broadcast with blocks that never read the
     /// batch (the usual case: the compiler rewrites delta references into
     /// scattered temps).
@@ -113,9 +109,6 @@ pub struct Driver<T: Transport> {
     pub(crate) applies_in_flight: bool,
     /// `Some` iff this cluster runs the pipelined ingestion path.
     pub(crate) pipeline: Option<PipelineConfig>,
-    /// Self-tuning coalescing controller (`Some` iff
-    /// [`PipelineConfig::adaptive`] is set).
-    pub(crate) controller: Option<CoalesceController>,
     /// Admitted-but-unissued coalesced delta batches.
     pub(crate) queue: VecDeque<QueuedDelta>,
     /// Serialized footprint of `queue` (incrementally maintained; the
@@ -198,10 +191,6 @@ impl<T: Transport> Driver<T> {
     ) -> Self {
         let workers = transport.workers();
         assert!(workers > 0);
-        let controller = pipeline
-            .as_ref()
-            .and_then(|c| c.adaptive.clone())
-            .map(CoalesceController::new);
         let driver = WorkerState::for_plan(&dplan.plan);
         let programs = dplan
             .programs
@@ -212,7 +201,7 @@ impl<T: Transport> Driver<T> {
         let telemetry = transport.telemetry().unwrap_or_else(Telemetry::shared);
         telemetry.install_signal_dump();
         let metrics = DriverMetrics::register(&telemetry);
-        let mut cluster = Driver {
+        Driver {
             workers,
             dplan,
             driver,
@@ -221,11 +210,9 @@ impl<T: Transport> Driver<T> {
             ledger: ReplyLedger::new(workers, shuffle_seed),
             pending_applies: (0..workers).map(|_| Vec::new()).collect(),
             batch_max_instructions: 0,
-            instructions_since_observe: 0,
             empty_deltas: Arc::new(HashMap::new()),
             applies_in_flight: false,
             pipeline,
-            controller,
             queue: VecDeque::new(),
             queue_bytes: 0,
             issued: 0,
@@ -242,9 +229,7 @@ impl<T: Transport> Driver<T> {
             telemetry,
             metrics,
             trace_scope: SpanContext::NONE,
-        };
-        cluster.stats.coalesce_bound = cluster.effective_coalesce_bound();
-        cluster
+        }
     }
 
     /// The compiled distributed plan this cluster runs.
@@ -842,8 +827,8 @@ impl<T: Transport> Backend for Driver<T> {
         self.is_pipelined().then(|| self.stats.clone())
     }
 
-    fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        Some(self.telemetry.clone())
+    fn telemetry(&self) -> Arc<Telemetry> {
+        self.telemetry.clone()
     }
 
     fn trace_scope(&self) -> SpanContext {

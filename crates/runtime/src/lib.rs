@@ -36,9 +36,9 @@
 //!   Replies are matched by id, never by arrival position; `await_reply`
 //!   is the only wait for a tagged reply, `round` the only
 //!   send-all/await-all loop.
-//! * `admission` — the coalescing queue, its count / byte / staleness
-//!   bounds, controller feedback.  Per-relation admission order is
-//!   preserved; the queue's byte footprint is exact.
+//! * `admission` — the coalescing queue and its count / byte / staleness
+//!   bounds.  Per-relation admission order is preserved; the queue's byte
+//!   footprint is exact.
 //! * `recovery` — the checkpoint cut and the replay log.  A batch is
 //!   logged before its first message, so restore + replay reproduces the
 //!   unfaulted run bit for bit.
@@ -47,14 +47,11 @@
 //! * `stats` — [`TelemetryTotals`], cached metric handles.  `driver.*`
 //!   counters depend on the admission sequence and the schedule only, so
 //!   they agree across transports.
-//! * [`adaptive`] — the self-tuning coalescing bound (owns no driver
-//!   state).
 //!
 //! [`BatchExecution::latency_secs`]: hotdog_distributed::BatchExecution
 
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 mod admission;
 mod capture;
 mod cluster;
@@ -66,7 +63,6 @@ mod stats;
 #[cfg(test)]
 mod tests;
 
-pub use adaptive::{AdaptiveConfig, CoalesceController};
 pub use cluster::{Cluster, SimTransport};
 pub use config::{ClusterConfig, FaultConfig, PipelineConfig};
 pub use driver::{Driver, ThreadedCluster};
@@ -90,7 +86,7 @@ use std::thread;
 ///
 /// The transport only moves [`WorkerRequest`]/[`WorkerReply`] messages; all
 /// scheduling — the admission queue, delta coalescing, the request-id
-/// ledger, adaptive tuning, backpressure — lives in the transport-generic
+/// ledger, backpressure — lives in the transport-generic
 /// [`Driver`], so every backend shares one pipeline implementation and
 /// can only differ in how bytes move.
 ///

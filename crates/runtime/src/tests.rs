@@ -450,54 +450,6 @@ fn unknown_relation_batches_are_ignored() {
 }
 
 #[test]
-fn adaptive_mode_matches_synchronous_state() {
-    // The controller only re-times trigger boundaries; view state must
-    // match the synchronous schedule exactly (integer multiplicities
-    // here, so even coalesced runs are bit-exact).
-    let mut sync = ThreadedCluster::new(example_dplan(OptLevel::O3), 2);
-    let mut adaptive =
-        ThreadedCluster::pipelined(example_dplan(OptLevel::O3), 2, PipelineConfig::adaptive());
-    for (rel, batch) in batches() {
-        sync.apply_batch(rel, &batch);
-        adaptive.apply_batch(rel, &batch);
-    }
-    adaptive.flush();
-    assert_eq!(
-        adaptive.query_result().checksum(),
-        sync.query_result().checksum(),
-        "adaptive coalescing changed view state"
-    );
-    assert!(adaptive.stats.coalesce_bound > 0);
-}
-
-#[test]
-fn adaptive_controller_is_fed_by_the_stream() {
-    // Enough triggers to close probe windows: tiny probe window, eager
-    // execution so every admission triggers.
-    let config = PipelineConfig {
-        adaptive: Some(AdaptiveConfig {
-            probe_triggers: 1,
-            initial_tuples: 64,
-            ..Default::default()
-        }),
-        admit_capacity: 0, // execute every admitted batch immediately
-        ..Default::default()
-    };
-    let mut piped = ThreadedCluster::pipelined(example_dplan(OptLevel::O3), 2, config);
-    for _ in 0..4 {
-        for (rel, batch) in batches() {
-            piped.apply_batch(rel, &batch);
-        }
-    }
-    piped.flush();
-    assert!(
-        piped.stats.bound_adjustments + piped.stats.bound_reversals > 0,
-        "controller never moved: {:?}",
-        piped.stats
-    );
-}
-
-#[test]
 fn byte_bound_backpressures_the_admission_queue() {
     let admit_bytes = 600usize;
     let config = PipelineConfig {

@@ -326,10 +326,11 @@ where
         };
         entry.subscribers.insert(id, filter);
         self.routes.insert(id, shape.name.clone());
-        if let Some(t) = entry.backend.telemetry() {
-            t.gauge("serve.subscribers")
-                .set(entry.subscribers.len() as u64);
-        }
+        entry
+            .backend
+            .telemetry()
+            .gauge("serve.subscribers")
+            .set(entry.subscribers.len() as u64);
         (id, initial)
     }
 
@@ -344,10 +345,11 @@ where
             return false;
         };
         entry.subscribers.remove(&id);
-        if let Some(t) = entry.backend.telemetry() {
-            t.gauge("serve.subscribers")
-                .set(entry.subscribers.len() as u64);
-        }
+        entry
+            .backend
+            .telemetry()
+            .gauge("serve.subscribers")
+            .set(entry.subscribers.len() as u64);
         if entry.subscribers.is_empty() {
             self.shapes.remove(&shape);
         }
@@ -382,9 +384,7 @@ where
             let captured: CaptureBatch = entry.backend.take_captured();
             entry.watermark = captured.watermark;
             let telemetry = entry.backend.telemetry();
-            if let Some(t) = &telemetry {
-                t.counter("serve.pump_rounds").inc();
-            }
+            telemetry.counter("serve.pump_rounds").inc();
             let Some(view) = captured.views.iter().find(|v| v.name == entry.view) else {
                 continue;
             };
@@ -393,11 +393,8 @@ where
             ids.sort_unstable();
             // The per-subscriber split is the serving layer's contribution
             // to the batch's span tree: a "fanout.split" child under the
-            // most recent batch root (absent for backends without tracing,
-            // or before the first batch).
-            let span = telemetry
-                .as_ref()
-                .and_then(|t| t.begin_span(entry.backend.trace_scope(), "fanout.split"));
+            // most recent batch root (absent before the first batch).
+            let span = telemetry.begin_span(entry.backend.trace_scope(), "fanout.split");
             let mut pushed = 0u64;
             for id in ids {
                 let filter = &entry.subscribers[&id];
@@ -420,10 +417,8 @@ where
                     parts,
                 });
             }
-            if let Some(t) = &telemetry {
-                t.finish_span(span);
-                t.counter("serve.deltas_pushed").add(pushed);
-            }
+            telemetry.finish_span(span);
+            telemetry.counter("serve.deltas_pushed").add(pushed);
         }
         out
     }

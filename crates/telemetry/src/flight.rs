@@ -1,8 +1,8 @@
 //! The flight recorder: a bounded in-memory ring of structured events.
 //!
 //! Instrumented code records *what the system decided* (batch admitted /
-//! coalesced / executed, controller step, backpressure engaged, worker
-//! spawned / killed) as typed key-value events.  The ring keeps the last
+//! coalesced / executed, backpressure engaged, worker spawned / killed) as
+//! typed key-value events.  The ring keeps the last
 //! [`FlightRecorder::capacity`] events and counts what it dropped, so a
 //! long run costs bounded memory and a post-mortem still sees the recent
 //! history — the black-box model, not the log-file model.

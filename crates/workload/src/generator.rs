@@ -72,29 +72,6 @@ impl UpdateStream {
             .collect()
     }
 
-    /// Chunk the stream into *phased* batches: each `(n_batches,
-    /// tuples_per_batch)` phase consumes `n_batches` consecutive chunks of
-    /// `tuples_per_batch` events (stopping early if the stream runs out).
-    /// Models a stream whose batch-size distribution shifts mid-run — the
-    /// workload the runtime's adaptive coalescing controller exists for (a
-    /// static threshold tuned for one phase is wrong for the others).
-    pub fn phased_batches(&self, phases: &[(usize, usize)]) -> Vec<Vec<(&'static str, Relation)>> {
-        let mut out = Vec::new();
-        let mut idx = 0usize;
-        for &(n_batches, tuples_per_batch) in phases {
-            assert!(tuples_per_batch > 0);
-            for _ in 0..n_batches {
-                if idx >= self.events.len() {
-                    return out;
-                }
-                let end = (idx + tuples_per_batch).min(self.events.len());
-                out.push(self.group_chunk(&self.events[idx..end]));
-                idx = end;
-            }
-        }
-        out
-    }
-
     /// Accumulate the whole stream into per-relation relations (the final
     /// database state, used as ground truth by tests).
     pub fn accumulate(&self) -> HashMap<&'static str, Relation> {
@@ -440,34 +417,6 @@ mod tests {
             s.len()
         );
         assert_eq!(batches.len(), s.len().div_ceil(100));
-    }
-
-    #[test]
-    fn phased_batches_follow_the_phase_schedule() {
-        let s = generate_tpch(1, 1_000);
-        let n = s.len();
-        let phases = [(4usize, 2usize), (2, 100), (1_000, 64)];
-        let batches = s.phased_batches(&phases);
-        // First phase: 4 two-tuple batches; then two 100-tuple batches;
-        // the open-ended tail consumes the rest in 64s.
-        let sizes: Vec<usize> = batches
-            .iter()
-            .map(|b| b.iter().map(|(_, r)| r.len()).sum())
-            .collect();
-        assert_eq!(&sizes[..6], &[2, 2, 2, 2, 100, 100]);
-        assert!(sizes[6..].iter().all(|&s| s <= 64));
-        assert_eq!(sizes.iter().sum::<usize>(), n, "tuples are unique here");
-        // A single uniform phase is exactly `batches()`.
-        let uniform = s.phased_batches(&[(usize::MAX, 100)]);
-        let plain = s.batches(100);
-        assert_eq!(uniform.len(), plain.len());
-        for (a, b) in uniform.iter().zip(&plain) {
-            assert_eq!(a.len(), b.len());
-            for ((ra, rela), (rb, relb)) in a.iter().zip(b) {
-                assert_eq!(ra, rb);
-                assert_eq!(rela.sorted(), relb.sorted());
-            }
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! incremental view maintenance plan, keep its result fresh while batches
 //! of updates stream in — first on the local engine, then on the
 //! recommended production configuration: the pipelined threaded backend
-//! with adaptive coalescing and the tagged-reply protocol.
+//! with delta coalescing and the tagged-reply protocol.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -95,18 +95,16 @@ fn main() {
     // ------------------------------------------------------------------
     // The same query, distributed — the recommended configuration.
     //
-    // `PipelineConfig::adaptive()` turns on everything the runtime has
-    // learned since PR 1: the admission queue with delta coalescing under
-    // a *self-tuning* bound (the controller hill-climbs the paper's
-    // concave throughput-vs-batch-size curve, Fig. 7), fully async
-    // gathers and batched scatters over the tagged-reply protocol
-    // (both default-on).  Swap `ThreadedCluster` for `TcpCluster` and the
-    // identical driver runs over sockets.
+    // `PipelineConfig::default()` turns on the admission queue with delta
+    // coalescing (up to `coalesce_tuples` = 4096 tuples per trigger), fully
+    // async gathers and batched scatters over the tagged-reply protocol.
+    // Swap `ThreadedCluster` for `TcpCluster` and the identical driver runs
+    // over sockets.
     // ------------------------------------------------------------------
     let mplan = compile_recursive("Q", &query);
     let spec = PartitioningSpec::heuristic(&mplan, &["B"]);
     let dplan = compile_distributed(&mplan, &spec, OptLevel::O3);
-    let mut cluster = ThreadedCluster::pipelined(dplan, 4, PipelineConfig::adaptive());
+    let mut cluster = ThreadedCluster::pipelined(dplan, 4, PipelineConfig::default());
 
     // Stream the same updates as many small batches: coalescing ring-sums
     // them into a few trigger executions instead of one per batch.
@@ -118,16 +116,15 @@ fn main() {
     cluster.apply_batch("T", &t_batch);
     cluster.flush();
 
-    println!("\ndistributed (4 workers, adaptive pipeline), first 5 groups:");
+    println!("\ndistributed (4 workers, pipelined), first 5 groups:");
     for (tuple, count) in cluster.query_result().sorted().into_iter().take(5) {
         println!("  B = {tuple} -> {count}");
     }
     if let Some(stats) = cluster.pipeline_stats() {
         println!(
-            "pipeline: {} admitted -> {} triggers (bound {}), {} gathers overlapped, {} scatter messages saved",
+            "pipeline: {} admitted -> {} triggers, {} gathers overlapped, {} scatter messages saved",
             stats.batches_admitted,
             stats.batches_executed,
-            stats.coalesce_bound,
             stats.gathers_overlapped,
             stats.scatter_messages_saved
         );

@@ -2,8 +2,7 @@
 //! comparing the maintenance strategies and batch sizes of the paper's
 //! local experiments (Section 6.1) at laptop scale — then the same stream
 //! through the recommended production configuration: the pipelined
-//! threaded backend with adaptive coalescing and the tagged-reply
-//! protocol.
+//! threaded backend with delta coalescing and the tagged-reply protocol.
 //!
 //! All arms run the vectorized columnar trigger interpreter (results are
 //! bit-identical to the row interpreter's, see the README's "Columnar
@@ -82,39 +81,35 @@ fn main() {
     }
 
     // The recommended distributed configuration: recursive IVM compiled for
-    // the cluster, streamed through the pipelined driver with **adaptive
-    // coalescing** (the controller tunes the batch-size bound along the
-    // paper's Fig. 7 concave curve) over the **tagged-reply protocol**
-    // (async gathers + batched scatters, both default-on).  The stream is
+    // the cluster, streamed through the pipelined driver with **delta
+    // coalescing** (up to 4096 tuples per trigger) over the **tagged-reply
+    // protocol** (async gathers + batched scatters).  The stream is
     // admitted in small batches — coalescing, not the caller, decides the
     // trigger granularity.  Swap `ThreadedCluster` for `TcpCluster` to run
     // the identical driver over sockets.
     let workers = 4;
     let admit_size = 64;
     println!(
-        "{:<6} {:<30} {:>12} {:>14} {:>18}",
-        "query", "distributed (recommended)", "tuples/s", "time", "triggers (bound)"
+        "{:<6} {:<30} {:>12} {:>14} {:>20}",
+        "query", "distributed (recommended)", "tuples/s", "time", "admitted -> triggers"
     );
     for id in query_ids {
         let cq = query(id).expect("query in catalog");
         let mplan = compile_recursive(cq.id, &cq.expr);
         let spec = PartitioningSpec::heuristic(&mplan, &cq.partition_keys);
         let dplan = compile_distributed(&mplan, &spec, OptLevel::O3);
-        let mut cluster = ThreadedCluster::pipelined(dplan, workers, PipelineConfig::adaptive());
+        let mut cluster = ThreadedCluster::pipelined(dplan, workers, PipelineConfig::default());
         let start = Instant::now();
         cluster.apply_stream(&stream.batches(admit_size));
         let elapsed = start.elapsed();
         let stats = cluster.pipeline_stats().expect("pipelined backend");
         println!(
-            "{:<6} {:<30} {:>12.0} {:>14?} {:>18}",
+            "{:<6} {:<30} {:>12.0} {:>14?} {:>20}",
             id,
-            format!("adaptive pipeline x{workers}"),
+            format!("pipeline x{workers}"),
             stream.len() as f64 / elapsed.as_secs_f64(),
             elapsed,
-            format!(
-                "{} -> {} ({})",
-                stats.batches_admitted, stats.batches_executed, stats.coalesce_bound
-            )
+            format!("{} -> {}", stats.batches_admitted, stats.batches_executed)
         );
     }
 }

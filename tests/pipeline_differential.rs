@@ -9,18 +9,16 @@
 //!   after every distributed block;
 //! * **pipelined** — `ThreadedCluster::pipelined`, admission queue, delta
 //!   coalescing and a bounded in-flight window over the tagged-reply
-//!   protocol (fully async gathers, batched scatters) — also exercised on
-//!   the positional-FIFO compat schedule and with the reply inbox
-//!   deterministically shuffled, both of which must stay bit-for-bit with
-//!   the tagged schedule;
-//! * **adaptive pipelined** — the self-tuning coalescing controller with
+//!   protocol (fully async gathers, batched scatters) — also exercised with
+//!   the reply inbox deterministically shuffled, which must stay bit-for-bit
+//!   with arrival order;
+//! * **backpressured pipelined** — the caller's coalescing bound with
 //!   byte-bounded backpressure and a latency target (timing-driven, so its
 //!   trigger schedule differs run to run — the state must not);
 //! * **TCP** — `hotdog-net`'s `TcpCluster`: worker *subprocesses* on
 //!   loopback speaking the length-prefixed binary codec, behind the same
-//!   transport-generic driver.  The third independently-scheduled backend
-//!   pinned by the oracle: framing, codec, handshake, reader threads and
-//!   process isolation must be bit-transparent;
+//!   transport-generic driver.  Framing, codec, handshake, reader threads
+//!   and process isolation must be bit-transparent;
 //! * **full recomputation** — from-scratch evaluation of the query over the
 //!   accumulated base relations (the ground truth).
 //!
@@ -113,9 +111,9 @@ fn run_backend<B: Backend>(mut backend: B, batches: &[Vec<(&'static str, Relatio
 /// * pipelined with coalescing ≈ simulated (`1e-9` relative) — ring-sum
 ///   coalescing is exact in real arithmetic but associates float additions
 ///   differently;
-/// * **adaptive** pipelined (self-tuning coalescing bound + byte-bounded
-///   backpressure + a latency target) ≈ simulated (`1e-9` relative): the
-///   controller and the backpressure paths only move *trigger boundaries*,
+/// * **backpressured** pipelined (the caller's coalescing bound +
+///   byte-bounded backpressure + a latency target) ≈ simulated (`1e-9`
+///   relative): the backpressure paths only move *trigger boundaries*,
 ///   never view state — whatever schedule the measured timings produce;
 /// * **TCP** (worker subprocesses, binary codec, no coalescing) ==
 ///   simulated, **bit-for-bit** — the wire is pure transport: floats
@@ -144,7 +142,6 @@ fn differential_check(
     let sync = run_backend(ThreadedCluster::new(compile_for(q, opt), workers), &batches);
     let no_coalesce = PipelineConfig {
         coalesce_tuples: 0,
-        adaptive: None,
         ..pipeline.clone()
     };
     let piped = run_backend(
@@ -158,23 +155,16 @@ fn differential_check(
         ThreadedCluster::pipelined(compile_for(q, opt), workers, shuffled_config),
         &batches,
     );
-    let adaptive_config = PipelineConfig {
-        adaptive: Some(AdaptiveConfig {
-            // Tiny probe windows so the controller actually moves within a
-            // short differential stream.
-            probe_triggers: 1,
-            initial_tuples: (batch_size * 2).max(16),
-            ..Default::default()
-        }),
-        // Exercise both backpressure paths: a byte bound small enough to
-        // engage on these streams, and a staleness budget that forces some
-        // deltas through mid-stream (zero after the first admission).
+    // Exercise both backpressure paths: a byte bound small enough to
+    // engage on these streams, and a staleness budget that forces some
+    // deltas through mid-stream.
+    let backpressure_config = PipelineConfig {
         admit_bytes: 4_096,
         latency_target: Some(std::time::Duration::from_micros(200)),
         ..pipeline.clone()
     };
-    let adaptive = run_backend(
-        ThreadedCluster::pipelined(compile_for(q, opt), workers, adaptive_config),
+    let backpressured = run_backend(
+        ThreadedCluster::pipelined(compile_for(q, opt), workers, backpressure_config),
         &batches,
     );
     let coalesced = run_backend(
@@ -245,9 +235,9 @@ fn differential_check(
             q.id
         ));
     }
-    if !adaptive.approx_eq_eps(&sim, 1e-9) {
+    if !backpressured.approx_eq_eps(&sim, 1e-9) {
         return Err(format!(
-            "{} {opt:?} x{workers} b{batch_size}: adaptive pipeline diverged beyond float tolerance\nsim {sim:?}\nadaptive {adaptive:?}",
+            "{} {opt:?} x{workers} b{batch_size}: backpressured pipeline diverged beyond float tolerance\nsim {sim:?}\nbackpressured {backpressured:?}",
             q.id
         ));
     }
@@ -403,14 +393,9 @@ fn aggressive_pipeline_configs_agree() {
             latency_target: Some(std::time::Duration::ZERO),
             ..Default::default()
         },
-        // Adaptive controller with a pathological starting point.
+        // Near-minimal coalescing bound behind a two-batch queue.
         PipelineConfig {
-            adaptive: Some(AdaptiveConfig {
-                min_tuples: 1,
-                initial_tuples: 1,
-                probe_triggers: 1,
-                ..Default::default()
-            }),
+            coalesce_tuples: 1,
             admit_capacity: 2,
             ..Default::default()
         },

@@ -264,7 +264,7 @@ fn tcp_chaos_seeded_kill_recovers_bit_identically() {
 }
 
 /// Aggressive pipelined configurations over the socket transport: tiny
-/// windows, shuffled reply consumption, FIFO-compat, heavy coalescing —
+/// windows, shuffled reply consumption, heavy coalescing —
 /// all bit-for-bit (or 1e-9 when coalescing re-associates floats)
 /// against the simulated cluster.
 #[test]

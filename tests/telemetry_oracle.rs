@@ -100,8 +100,8 @@ fn telemetry_totals_agree_threaded_vs_tcp_across_catalog() {
     }
 }
 
-/// Pipelined mode with a *fixed* coalescing bound (adaptive tuning and
-/// latency targets are wall-clock-driven, hence excluded): same
+/// Pipelined mode with a coalescing bound and no latency target (the
+/// target is wall-clock-driven, hence excluded): same
 /// admission stream, same coalesced schedule, same totals on both
 /// backends — and repeated gathers stay in agreement (each round adds
 /// exactly `workers` requests and replies on each side).
