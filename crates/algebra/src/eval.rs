@@ -32,10 +32,15 @@ pub trait Catalog {
     /// Multiplicity of an exact key (0 when absent).
     fn lookup(&self, name: &str, kind: RelKind, key: &Tuple) -> Mult;
 
-    /// Iterate over tuples whose columns at `positions` equal `key_vals`.
+    /// Iterate over tuples whose columns at `positions` equal `key_vals`,
+    /// in the relation's iteration order.
     ///
-    /// The default implementation scans and filters; storage backends
-    /// override it with secondary-index lookups.
+    /// The default implementation scans and filters, which costs O(|R|)
+    /// per probe; it is the reference that [`MapCatalog`] uses.  The
+    /// execution catalogs override it: view slices probe the record pool's
+    /// secondary indexes, and delta and temp slices are hash-indexed once
+    /// per statement (`hotdog_exec::SliceIndex`), so each later probe
+    /// costs O(matches).
     fn slice(
         &self,
         name: &str,
@@ -118,11 +123,21 @@ pub struct EvalCounters {
     pub slices: u64,
     pub tuples_visited: u64,
     pub emissions: u64,
+    /// Tuples the catalog touched to answer scans and slices of deltas,
+    /// temps and pools; building a slice index counts one pass over its
+    /// relation.  Only the catalog sees this work, so the statement
+    /// executor copies it from its catalog (the interpreters never set it),
+    /// and it stays out of [`EvalCounters::instructions`].  Being real
+    /// work, it is the one field where the interpreters can differ: the
+    /// vectorized path scans an unconstrained mid-chain relation once,
+    /// where the row path re-scans it per driving row.
+    pub tuples_touched: u64,
 }
 
 impl EvalCounters {
     /// Aggregate "instruction" count: a weighted sum of the storage
     /// operations performed, loosely modelling retired instructions.
+    /// `tuples_touched` is deliberately not part of it.
     pub fn instructions(&self) -> u64 {
         self.scans * 8
             + self.lookups * 12
@@ -137,6 +152,7 @@ impl EvalCounters {
         self.slices += other.slices;
         self.tuples_visited += other.tuples_visited;
         self.emissions += other.emissions;
+        self.tuples_touched += other.tuples_touched;
     }
 }
 
@@ -228,14 +244,8 @@ impl<'a> Evaluator<'a> {
             Expr::Join(l, r) => {
                 // Information flows left to right: the right operand sees the
                 // bindings produced by the left operand.
-                let rc: &Expr = r;
-                let this = self as *mut Evaluator<'a>;
                 let base = env.len();
-                // SAFETY-free alternative: we cannot call self.stream twice with
-                // a closure capturing self mutably; restructure via explicit
-                // recursion using a helper that re-borrows.
-                let _ = this;
-                self.stream_join(l, rc, env, out);
+                self.stream_join(l, r, env, out);
                 env.truncate(base);
             }
             Expr::Sum { group_by, body } => {
@@ -336,21 +346,15 @@ impl<'a> Evaluator<'a> {
         env: &mut Env,
         out: &mut dyn FnMut(&mut Env, Mult),
     ) {
-        // Determine which positional columns are already bound.
+        // Determine which positional columns are already bound.  A repeated
+        // unbound column within the same reference, e.g. R(A, A), is
+        // handled by the equality filter inside the emission loop below.
         let mut bound_positions: Vec<usize> = Vec::new();
         let mut bound_values: Vec<Value> = Vec::new();
-        let mut seen: HashMap<&str, usize> = HashMap::new();
         for (i, col) in r.cols.iter().enumerate() {
             if let Some(v) = env.get(col) {
                 bound_positions.push(i);
                 bound_values.push(v.clone());
-            } else if let Some(&first) = seen.get(col.as_str()) {
-                // Repeated unbound column within the same reference, e.g.
-                // R(A, A): the second occurrence must equal the first.  We
-                // handle it by filtering inside the emission loop below.
-                let _ = first;
-            } else {
-                seen.insert(col.as_str(), i);
             }
         }
 

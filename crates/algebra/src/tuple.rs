@@ -2,6 +2,7 @@
 //! multiset relations.
 
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// An immutable-by-convention row of scalar values.
@@ -82,6 +83,15 @@ impl fmt::Debug for Tuple {
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self, f)
+    }
+}
+
+/// Lets a map keyed by [`Tuple`] be probed with a borrowed `&[Value]`,
+/// with no allocation per probe.  Sound because the derived `Hash` and `Eq`
+/// of `Tuple` are its `Vec`'s, which hash and compare exactly as the slice.
+impl Borrow<[Value]> for Tuple {
+    fn borrow(&self) -> &[Value] {
+        &self.0
     }
 }
 

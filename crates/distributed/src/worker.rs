@@ -20,7 +20,7 @@ use hotdog_algebra::relation::Relation;
 use hotdog_algebra::ring::Mult;
 use hotdog_algebra::tuple::Tuple;
 use hotdog_algebra::value::Value;
-use hotdog_exec::Database;
+use hotdog_exec::{Database, SliceIndex, Stored};
 use hotdog_ivm::{MaintenancePlan, StmtOp};
 use hotdog_telemetry::trace::WorkerTracer;
 use std::collections::{HashMap, HashSet};
@@ -47,6 +47,9 @@ pub struct WorkerStats {
     pub applies: u64,
     /// Tuples across those installed shards.
     pub tuples_applied: u64,
+    /// Tuples touched by statement scans and slices (see
+    /// `EvalCounters::tuples_touched`).
+    pub tuples_touched: u64,
 }
 
 /// One node's [`WorkerStats`] plus the cardinality of each of its view
@@ -240,11 +243,7 @@ impl WorkerState {
     ) {
         if let DistStmtKind::Compute(expr) = &stmt.kind {
             let result = {
-                let cat = NodeCatalog {
-                    db: &self.db,
-                    temps: &self.temps,
-                    deltas,
-                };
+                let cat = NodeCatalog::new(&self.db, &self.temps, deltas);
                 // Columnar fast path first (bit-identical results and
                 // counters); row interpreter for unsupported shapes.
                 let mut ev_counters = EvalCounters::default();
@@ -257,8 +256,10 @@ impl WorkerState {
                         r
                     }
                 };
+                ev_counters.tuples_touched = cat.tuples_touched();
                 self.stats.statements += 1;
                 self.stats.instructions += ev_counters.instructions();
+                self.stats.tuples_touched += ev_counters.tuples_touched;
                 counters.add(&ev_counters);
                 r
             };
@@ -325,46 +326,50 @@ impl WorkerState {
 
 /// Catalog adapter resolving `Delta` references against the in-flight batch,
 /// temps against the node's exchange buffers, and everything else against
-/// the node's view partitions.
+/// the node's view partitions.  Built once per statement: its
+/// [`SliceIndex`] indexes the batch and temps for that statement only.
 pub struct NodeCatalog<'a> {
-    pub db: &'a Database,
-    pub temps: &'a Temps,
-    pub deltas: &'a HashMap<String, Relation>,
+    db: &'a Database,
+    temps: &'a Temps,
+    deltas: &'a HashMap<String, Relation>,
+    index: SliceIndex<'a>,
 }
 
-impl Catalog for NodeCatalog<'_> {
-    fn scan(&self, name: &str, kind: RelKind, f: &mut dyn FnMut(&Tuple, Mult)) {
+impl<'a> NodeCatalog<'a> {
+    pub fn new(db: &'a Database, temps: &'a Temps, deltas: &'a HashMap<String, Relation>) -> Self {
+        NodeCatalog {
+            db,
+            temps,
+            deltas,
+            index: SliceIndex::default(),
+        }
+    }
+
+    /// Tuples touched by this catalog's scans and slices so far.
+    pub fn tuples_touched(&self) -> u64 {
+        self.index.tuples_touched()
+    }
+
+    fn resolve(&self, name: &str, kind: RelKind) -> Option<Stored<'a>> {
         match kind {
-            RelKind::Delta => {
-                if let Some(rel) = self.deltas.get(name) {
-                    for (t, m) in rel.iter() {
-                        f(t, m);
-                    }
-                }
-            }
-            _ => {
-                if let Some(rel) = self.temps.get(name) {
-                    for (t, m) in rel.iter() {
-                        f(t, m);
-                    }
-                } else if let Some(pool) = self.db.pool(name) {
-                    pool.foreach(f);
-                }
-            }
+            RelKind::Delta => self.deltas.get(name).map(Stored::Relation),
+            _ => match self.temps.get(name) {
+                Some(rel) => Some(Stored::Relation(rel)),
+                None => self.db.pool(name).map(Stored::Pool),
+            },
+        }
+    }
+}
+
+impl<'a> Catalog for NodeCatalog<'a> {
+    fn scan(&self, name: &str, kind: RelKind, f: &mut dyn FnMut(&Tuple, Mult)) {
+        if let Some(stored) = self.resolve(name, kind) {
+            self.index.scan(stored, f);
         }
     }
 
     fn lookup(&self, name: &str, kind: RelKind, key: &Tuple) -> Mult {
-        match kind {
-            RelKind::Delta => self.deltas.get(name).map(|r| r.get(key)).unwrap_or(0.0),
-            _ => {
-                if let Some(rel) = self.temps.get(name) {
-                    rel.get(key)
-                } else {
-                    self.db.pool(name).map(|p| p.get(key)).unwrap_or(0.0)
-                }
-            }
-        }
+        self.resolve(name, kind).map_or(0.0, |s| s.get(key))
     }
 
     fn slice(
@@ -375,27 +380,8 @@ impl Catalog for NodeCatalog<'_> {
         key_vals: &[Value],
         f: &mut dyn FnMut(&Tuple, Mult),
     ) {
-        match kind {
-            RelKind::Delta => {
-                if let Some(rel) = self.deltas.get(name) {
-                    for (t, m) in rel.iter() {
-                        if positions.iter().zip(key_vals).all(|(&p, v)| t.get(p) == v) {
-                            f(t, m);
-                        }
-                    }
-                }
-            }
-            _ => {
-                if let Some(rel) = self.temps.get(name) {
-                    for (t, m) in rel.iter() {
-                        if positions.iter().zip(key_vals).all(|(&p, v)| t.get(p) == v) {
-                            f(t, m);
-                        }
-                    }
-                } else if let Some(pool) = self.db.pool(name) {
-                    pool.slice(positions, key_vals, f);
-                }
-            }
+        if let Some(stored) = self.resolve(name, kind) {
+            self.index.slice(stored, positions, key_vals, f);
         }
     }
 }
@@ -482,5 +468,8 @@ mod tests {
         node.run_compute(&stmt, &HashMap::new(), &mut counters);
         assert!(node.temps["copy_1"].approx_eq(&node.snapshot("Q")));
         assert!(counters.instructions() > 0);
+        // One scan of a one-record pool.
+        assert_eq!(counters.tuples_touched, 1);
+        assert_eq!(node.stats.tuples_touched, 1);
     }
 }

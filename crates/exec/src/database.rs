@@ -3,6 +3,7 @@
 //! [`Catalog`] implementation that lets the algebra evaluator run trigger
 //! statements directly against the pools and the current update batch.
 
+use crate::slice_index::{SliceIndex, Stored};
 use hotdog_algebra::eval::Catalog;
 use hotdog_algebra::expr::RelKind;
 use hotdog_algebra::relation::Relation;
@@ -153,35 +154,45 @@ impl Database {
 }
 
 /// Catalog adapter: resolves `View` references against the database pools
-/// and `Delta` references against the current batch.
+/// and `Delta` references against the current batch.  Built once per
+/// statement: its [`SliceIndex`] indexes the batch for that statement only.
 pub struct ExecCatalog<'a> {
-    pub db: &'a Database,
-    pub deltas: &'a HashMap<String, Relation>,
+    db: &'a Database,
+    deltas: &'a HashMap<String, Relation>,
+    index: SliceIndex<'a>,
 }
 
-impl Catalog for ExecCatalog<'_> {
-    fn scan(&self, name: &str, kind: RelKind, f: &mut dyn FnMut(&Tuple, Mult)) {
+impl<'a> ExecCatalog<'a> {
+    pub fn new(db: &'a Database, deltas: &'a HashMap<String, Relation>) -> Self {
+        ExecCatalog {
+            db,
+            deltas,
+            index: SliceIndex::default(),
+        }
+    }
+
+    /// Tuples touched by this catalog's scans and slices so far.
+    pub fn tuples_touched(&self) -> u64 {
+        self.index.tuples_touched()
+    }
+
+    fn resolve(&self, name: &str, kind: RelKind) -> Option<Stored<'a>> {
         match kind {
-            RelKind::Delta => {
-                if let Some(rel) = self.deltas.get(name) {
-                    for (t, m) in rel.iter() {
-                        f(t, m);
-                    }
-                }
-            }
-            _ => {
-                if let Some(pool) = self.db.pool(name) {
-                    pool.foreach(f);
-                }
-            }
+            RelKind::Delta => self.deltas.get(name).map(Stored::Relation),
+            _ => self.db.pool(name).map(Stored::Pool),
+        }
+    }
+}
+
+impl<'a> Catalog for ExecCatalog<'a> {
+    fn scan(&self, name: &str, kind: RelKind, f: &mut dyn FnMut(&Tuple, Mult)) {
+        if let Some(stored) = self.resolve(name, kind) {
+            self.index.scan(stored, f);
         }
     }
 
     fn lookup(&self, name: &str, kind: RelKind, key: &Tuple) -> Mult {
-        match kind {
-            RelKind::Delta => self.deltas.get(name).map(|r| r.get(key)).unwrap_or(0.0),
-            _ => self.db.pool(name).map(|p| p.get(key)).unwrap_or(0.0),
-        }
+        self.resolve(name, kind).map_or(0.0, |s| s.get(key))
     }
 
     fn slice(
@@ -192,21 +203,8 @@ impl Catalog for ExecCatalog<'_> {
         key_vals: &[Value],
         f: &mut dyn FnMut(&Tuple, Mult),
     ) {
-        match kind {
-            RelKind::Delta => {
-                if let Some(rel) = self.deltas.get(name) {
-                    for (t, m) in rel.iter() {
-                        if positions.iter().zip(key_vals).all(|(&p, v)| t.get(p) == v) {
-                            f(t, m);
-                        }
-                    }
-                }
-            }
-            _ => {
-                if let Some(pool) = self.db.pool(name) {
-                    pool.slice(positions, key_vals, f);
-                }
-            }
+        if let Some(stored) = self.resolve(name, kind) {
+            self.index.slice(stored, positions, key_vals, f);
         }
     }
 }
@@ -283,10 +281,7 @@ mod tests {
             "R".to_string(),
             Relation::from_pairs(Schema::new(["A", "B"]), vec![(tuple![1, 5], 1.0)]),
         );
-        let cat = ExecCatalog {
-            db: &db,
-            deltas: &deltas,
-        };
+        let cat = ExecCatalog::new(&db, &deltas);
         assert_eq!(cat.lookup("Q", RelKind::View, &tuple![5]), 7.0);
         assert_eq!(cat.lookup("R", RelKind::Delta, &tuple![1, 5]), 1.0);
         let mut n = 0;

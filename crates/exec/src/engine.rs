@@ -204,10 +204,7 @@ impl LocalEngine {
         deltas.insert(relation.to_string(), delta.clone());
         for stmt in &trigger.statements {
             let result = {
-                let catalog = ExecCatalog {
-                    db: &self.db,
-                    deltas: &deltas,
-                };
+                let catalog = ExecCatalog::new(&self.db, &deltas);
                 // Columnar fast path first; row interpreter for shapes the
                 // vectorizer bails on.  Both produce bit-identical results
                 // and counters.
@@ -222,6 +219,7 @@ impl LocalEngine {
                             r
                         }
                     };
+                counters.tuples_touched = catalog.tuples_touched();
                 stats.eval.add(&counters);
                 r
             };

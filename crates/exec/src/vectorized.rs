@@ -15,9 +15,11 @@
 //! execution proceeds one operator at a time over whole column slices
 //! ([`ColumnarBatch`]-style `Vec<Value>` columns), using the kernels of
 //! `hotdog_storage::columnar` (`compact_column` for filters,
-//! `gather_column` for probe fan-out).  Hash-join probes still go through
-//! the [`Catalog`] — i.e. through the `hotdog-storage` record pool and its
-//! secondary hash indexes, which *are* the join's build side.
+//! `gather_column` for probe fan-out).  Hash-join probes go through the
+//! [`Catalog`], whose hash indexes *are* the join's build side: a view
+//! probe reads the `hotdog-storage` record pool's secondary index, and a
+//! delta or temp probe reads the [`SliceIndex`](crate::SliceIndex) built
+//! once per statement, so each probe costs O(matches).
 //!
 //! # Bit-for-bit parity
 //!
@@ -416,13 +418,11 @@ impl VectorPlan {
         counters.scans += 1;
         {
             let mut visited = 0u64;
-            let (slot_refs, rest) = cols.split_at_mut(0);
-            let _ = slot_refs;
             let slots = &self.source_slots;
             let mut row = |t: &Tuple, m: Mult| {
                 visited += 1;
                 for (j, &slot) in slots.iter().enumerate() {
-                    rest[slot].push(t.get(j).clone());
+                    cols[slot].push(t.get(j).clone());
                 }
                 mults.push(m);
             };

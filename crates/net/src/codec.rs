@@ -944,6 +944,7 @@ impl Wire for WorkerStats {
         self.instructions.encode(out);
         self.applies.encode(out);
         self.tuples_applied.encode(out);
+        self.tuples_touched.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(WorkerStats {
@@ -952,6 +953,7 @@ impl Wire for WorkerStats {
             instructions: u64::decode(r)?,
             applies: u64::decode(r)?,
             tuples_applied: u64::decode(r)?,
+            tuples_touched: u64::decode(r)?,
         })
     }
 }

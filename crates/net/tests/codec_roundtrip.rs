@@ -494,6 +494,7 @@ fn rand_snapshot(rng: &mut StdRng) -> hotdog_distributed::WorkerSnapshot {
             instructions: rng.next_u64(),
             applies: rng.next_u64(),
             tuples_applied: rng.next_u64(),
+            tuples_touched: rng.next_u64(),
         },
     }
 }
@@ -651,6 +652,7 @@ fn stats_messages_roundtrip() {
             instructions: u64::MAX, // counters must survive the full range
             applies: 5,
             tuples_applied: 1 << 40,
+            tuples_touched: (1 << 50) + 3,
         },
         cardinalities: vec![("Q".to_string(), 12), ("part_R".to_string(), 0)],
     };

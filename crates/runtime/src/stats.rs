@@ -139,6 +139,8 @@ pub struct TelemetryTotals {
     pub statements: u64,
     /// Scattered tuples installed across all workers.
     pub tuples_applied: u64,
+    /// Tuples touched by statement scans and slices across all workers.
+    pub tuples_touched: u64,
     /// Per-worker counters and view-partition cardinalities, in worker
     /// order.
     pub per_worker: Vec<WorkerStatsSnapshot>,
@@ -208,6 +210,7 @@ impl<T: Transport> Driver<T> {
             totals.blocks_run += snap.stats.blocks_run;
             totals.statements += snap.stats.statements;
             totals.tuples_applied += snap.stats.tuples_applied;
+            totals.tuples_touched += snap.stats.tuples_touched;
         }
         Ok(totals)
     }
@@ -223,6 +226,7 @@ impl<T: Transport> Driver<T> {
         snap.set_counter("worker.blocks_run", totals.blocks_run);
         snap.set_counter("worker.statements", totals.statements);
         snap.set_counter("worker.tuples_applied", totals.tuples_applied);
+        snap.set_counter("worker.tuples_touched", totals.tuples_touched);
         snap
     }
 

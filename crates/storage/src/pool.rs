@@ -297,20 +297,27 @@ impl RecordPool {
     }
 
     /// Iterate over records whose key columns at `positions` equal
-    /// `key_vals`.  Uses a matching secondary index when available and falls
-    /// back to a filtered scan otherwise.
-    pub fn slice(&self, positions: &[usize], key_vals: &[Value], f: &mut dyn FnMut(&Tuple, Mult)) {
+    /// `key_vals`, and return how many records were touched.  Uses a
+    /// matching secondary index when available (touching the bucket) and
+    /// falls back to a filtered scan otherwise (touching every record).
+    pub fn slice(
+        &self,
+        positions: &[usize],
+        key_vals: &[Value],
+        f: &mut dyn FnMut(&Tuple, Mult),
+    ) -> usize {
         if let Some(ix) = self.secondary.iter().find(|ix| ix.positions == positions) {
-            self.bump(|c| c.slices += 1);
-            let probe = Tuple(key_vals.to_vec());
-            if let Some(slots) = ix.buckets.get(&probe) {
-                self.bump(|c| c.slots_touched += slots.len() as u64);
-                for &slot in slots {
-                    if let Some(rec) = &self.slots[slot] {
-                        f(&rec.key, rec.value);
-                    }
+            let slots = ix.buckets.get(key_vals).map_or(&[][..], Vec::as_slice);
+            self.bump(|c| {
+                c.slices += 1;
+                c.slots_touched += slots.len() as u64;
+            });
+            for &slot in slots {
+                if let Some(rec) = &self.slots[slot] {
+                    f(&rec.key, rec.value);
                 }
             }
+            slots.len()
         } else {
             // Unindexed slice: filtered scan.
             self.bump(|c| {
@@ -326,6 +333,7 @@ impl RecordPool {
                     f(&rec.key, rec.value);
                 }
             }
+            self.primary.len()
         }
     }
 
@@ -408,8 +416,34 @@ mod tests {
         p.update(tuple![1, 10], 1.0);
         p.update(tuple![2, 20], 1.0);
         let mut count = 0;
-        p.slice(&[0], &[Value::Long(2)], &mut |_, _| count += 1);
+        let touched = p.slice(&[0], &[Value::Long(2)], &mut |_, _| count += 1);
         assert_eq!(count, 1);
+        assert_eq!(touched, 2, "a filtered scan touches every record");
+    }
+
+    #[test]
+    fn slice_probe_finds_the_bucket_a_tuple_key_finds() {
+        let mut p = RecordPool::with_secondary_indexes(3, &[vec![2, 0]]);
+        for i in 0..30i64 {
+            p.update(tuple![i % 4, i, i % 3], 1.0);
+        }
+        let ix = &p.secondary[0];
+        for a in 0..5i64 {
+            for c in 0..4i64 {
+                let key_vals = [Value::Long(c), Value::Long(a)];
+                let by_tuple = ix.buckets.get(&Tuple(key_vals.to_vec()));
+                let by_slice = ix.buckets.get(&key_vals[..]);
+                assert_eq!(by_tuple, by_slice, "key ({c}, {a})");
+                assert_eq!(by_tuple.is_some(), a < 4 && c < 3);
+            }
+        }
+        // Cross-variant numeric keys hash alike either way too.
+        let as_double = [Value::Double(1.0), Value::Long(1)];
+        assert_eq!(
+            ix.buckets.get(&as_double[..]),
+            ix.buckets.get(&tuple![1, 1])
+        );
+        assert!(ix.buckets.contains_key(&as_double[..]));
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! exactly the same query results as the local engine, for every
 //! optimization level and across worker counts, on real workload streams.
 
+mod common;
+
 use hotdog::distributed::{DistStmtKind, Transform};
 use hotdog::prelude::*;
 
@@ -292,6 +294,40 @@ fn shuffled_bytes_do_not_grow_with_the_database() {
     for id in ["Q3", "Q18"] {
         assert!(covered.contains(&id), "{id} moves more than its batches");
     }
+}
+
+/// Compute is O(|Δ|) where the plan probes the batch by key: Q18's
+/// LINEITEM trigger slices the scattered batch on `OK` once per batch
+/// tuple, so answering each slice by a scan of the batch would make the
+/// tuples touched per batch tuple grow with |Δ| (8× from 512 to 4096).
+/// Each batch is drawn with an order-key domain proportional to its size,
+/// so the matches per probe stay constant and linear work stays flat.
+#[test]
+fn tuples_touched_per_delta_tuple_do_not_grow_with_the_batch() {
+    let q = query("Q18").unwrap();
+    let workers = common::workers_under_test();
+    let touched_per_tuple = |size: usize| {
+        let stream = generate_tpch(7, size * 3 / 2);
+        let mut delta = Relation::new(stream.schema("LINEITEM").unwrap().clone());
+        for ev in stream.events.iter().filter(|ev| ev.relation == "LINEITEM") {
+            if delta.len() == size {
+                break;
+            }
+            delta.add(ev.tuple.clone(), ev.mult);
+        }
+        assert_eq!(delta.len(), size);
+        let mut cluster = Cluster::new(
+            catalog_plan(&q, OptLevel::O3),
+            ClusterConfig::with_workers(workers),
+        );
+        cluster.apply_batch("LINEITEM", &delta);
+        cluster.telemetry_totals().tuples_touched as f64 / size as f64
+    };
+    let (small, large) = (touched_per_tuple(512), touched_per_tuple(4096));
+    assert!(
+        large <= 1.5 * small,
+        "x{workers}: {large:.2} tuples touched per batch tuple at |Δ| = 4096 vs {small:.2} at 512"
+    );
 }
 
 /// The exact-count gate on the repo benchmark's `shuffle_bytes_per_tuple`:

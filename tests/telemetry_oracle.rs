@@ -87,11 +87,13 @@ fn telemetry_totals_agree_threaded_vs_tcp_across_catalog() {
             "{} {opt:?} x{workers}: deterministic metrics snapshot diverged threaded vs simulated",
             q.id
         );
-        assert!(
-            threaded_snap.counter("worker.instructions") > 0,
-            "{}: worker.instructions missing from the snapshot",
-            q.id
-        );
+        for counter in ["worker.instructions", "worker.tuples_touched"] {
+            assert!(
+                threaded_snap.counter(counter) > 0,
+                "{}: {counter} missing from the snapshot",
+                q.id
+            );
+        }
 
         // Stats gathers are tagged requests like any other: after the
         // gather the ledger owes nothing (no unconsumed StatsReply).
