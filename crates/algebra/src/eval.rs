@@ -14,6 +14,7 @@
 //! distributed runtime).
 
 use crate::expr::{Expr, RelKind};
+use crate::hash::DetMap;
 use crate::relation::Relation;
 use crate::ring::Mult;
 use crate::schema::Schema;
@@ -425,7 +426,7 @@ impl<'a> Evaluator<'a> {
     /// (whose columns may be bound either by the body or by the outer
     /// environment — correlation).
     fn aggregate(&mut self, body: &Expr, group_by: &Schema, env: &mut Env) -> Vec<(Tuple, Mult)> {
-        let mut groups: HashMap<Tuple, Mult> = HashMap::new();
+        let mut groups: DetMap<Tuple, Mult> = DetMap::default();
         let base = env.len();
         self.stream(body, env, &mut |env2, m| {
             let key = Tuple(

@@ -15,10 +15,15 @@ use std::fmt;
 
 /// A generalized multiset relation: unique tuples with non-zero multiplicity.
 ///
-/// The backing map uses the fixed-seed hasher of [`crate::hash`]: iteration
-/// order is a deterministic function of the insertion history, which makes
-/// the floating-point accumulation it feeds (joins, group-bys, scatters)
-/// reproducible across backends and runs.
+/// The backing map uses the fixed-seed folded-multiply hasher of
+/// [`crate::hash`]: iteration order is a deterministic function of the
+/// insertion history, which makes the floating-point accumulation it feeds
+/// (joins, group-bys, scatters) reproducible across backends and runs.
+/// Relations that cross an exchange point are built *canonically* — from
+/// empty, by inserting in sorted tuple order ([`Relation::canonical`],
+/// [`Relation::project_canonical`]) — so their layout is a pure function of
+/// content; the sort runs over references ([`Relation::sorted_refs`]), once
+/// per relation.
 #[derive(Clone, Default)]
 pub struct Relation {
     schema: Schema,
@@ -145,17 +150,69 @@ impl Relation {
         out
     }
 
+    /// `project_sum_at(positions, schema).canonical()` in one pass, with one
+    /// hash per result tuple: project, stable-sort by projected tuple, sum
+    /// each run of equal tuples under [`Relation::add`]'s rules (zero
+    /// multiplicities are skipped, a sum that cancels to zero drops the
+    /// tuple, and a later reappearance starts afresh), and insert the sums
+    /// in sorted order.  The stable sort keeps this relation's iteration
+    /// order inside each run, so every sum is accumulated in the same order
+    /// as `project_sum_at`'s and the result is bit-identical to it, in
+    /// content and in layout.
+    pub fn project_canonical(&self, positions: &[usize], schema: Schema) -> Relation {
+        let mut rows: Vec<(Tuple, Mult)> = self
+            .iter()
+            .map(|(t, m)| (t.project(positions), m))
+            .collect();
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut out = Relation::new(schema);
+        let mut live: Option<(Tuple, Mult)> = None;
+        for (t, m) in rows {
+            if m == 0.0 {
+                continue;
+            }
+            match &mut live {
+                Some((key, sum)) if *key == t => {
+                    *sum += m;
+                    if sum.abs() < MULT_EPSILON {
+                        live = None;
+                    }
+                }
+                _ => {
+                    if let Some((key, sum)) = live.replace((t, m)) {
+                        out.add(key, sum);
+                    }
+                }
+            }
+        }
+        if let Some((key, sum)) = live {
+            out.add(key, sum);
+        }
+        out
+    }
+
     /// Iterate over (tuple, multiplicity) pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&Tuple, Mult)> {
         self.data.iter().map(|(t, m)| (t, *m))
     }
 
+    /// Contents by reference, in sorted tuple order: the one sort that
+    /// [`Relation::sorted`], [`Relation::canonical`], [`Relation::checksum`],
+    /// the wire encoding and `partition_shards` are built on.  Tuples are
+    /// unique, so the order is a pure function of content.
+    pub fn sorted_refs(&self) -> Vec<(&Tuple, Mult)> {
+        let mut v: Vec<_> = self.iter().collect();
+        v.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        v
+    }
+
     /// Deterministically ordered contents, for stable test assertions and
     /// printing.
     pub fn sorted(&self) -> Vec<(Tuple, Mult)> {
-        let mut v: Vec<_> = self.data.iter().map(|(t, m)| (t.clone(), *m)).collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
+        self.sorted_refs()
+            .into_iter()
+            .map(|(t, m)| (t.clone(), m))
+            .collect()
     }
 
     /// The single aggregate value of a scalar relation (0 if empty).
@@ -193,12 +250,17 @@ impl Relation {
     /// decoded from a byte stream.  Rebuilding from the sorted pair list
     /// collapses both to the *same* insertion history (pure inserts, sorted
     /// order, from empty), making the layout a pure function of content.
-    /// Every execution backend canonicalizes relations at its exchange
-    /// points (`relabel`, `partition_shards`), which is what lets a real
+    /// Every execution backend builds relations canonically at its exchange
+    /// points (batch preprocessing via [`Relation::project_canonical`],
+    /// `partition_shards`, gathers via `relabel`), which is what lets a real
     /// socket transport — whose decoder can only replay the pair list — be
     /// held bit-for-bit against the in-process backends.
     pub fn canonical(&self) -> Relation {
-        Relation::from_pairs(self.schema.clone(), self.sorted())
+        let mut out = Relation::new(self.schema.clone());
+        for (t, m) in self.sorted_refs() {
+            out.add(t.clone(), m);
+        }
+        out
     }
 
     /// Order-canonical, bit-exact digest of the relation's contents.
@@ -213,7 +275,7 @@ impl Relation {
     /// representation-independent).
     pub fn checksum(&self) -> ViewChecksum {
         let mut digest = Fnv1a::default();
-        for (t, m) in self.sorted() {
+        for (t, m) in self.sorted_refs() {
             for v in &t.0 {
                 match v {
                     Value::Long(x) => {
@@ -286,7 +348,7 @@ impl fmt::Display for ViewChecksum {
 impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Relation{:?} {{", self.schema)?;
-        for (t, m) in self.sorted() {
+        for (t, m) in self.sorted_refs() {
             writeln!(f, "  {t} -> {m}")?;
         }
         write!(f, "}}")
@@ -400,6 +462,67 @@ mod tests {
             build(),
             "fixed-seed hasher must fix iteration order"
         );
+    }
+
+    /// (tuple, multiplicity bits) in iteration order: layout and content.
+    fn layout(r: &Relation) -> Vec<(Tuple, u64)> {
+        r.iter().map(|(t, m)| (t.clone(), m.to_bits())).collect()
+    }
+
+    #[test]
+    fn sorted_refs_agrees_with_sorted() {
+        let r = Relation::from_pairs(
+            Schema::new(["a", "b"]),
+            (0..200i64).map(|i| (tuple![(i * 37) % 101, i], 0.5 + i as f64)),
+        );
+        let by_ref: Vec<(Tuple, Mult)> = r
+            .sorted_refs()
+            .into_iter()
+            .map(|(t, m)| (t.clone(), m))
+            .collect();
+        assert_eq!(by_ref, r.sorted());
+    }
+
+    #[test]
+    fn project_canonical_is_project_sum_then_canonical() {
+        // Repeated keys whose float sums depend on accumulation order, plus
+        // key 100, whose run cancels to zero and then reappears, and key
+        // 101, whose run cancels for good.  A run is summed in `src`'s
+        // iteration order, which depends on the keys only: build once to
+        // learn key 100's order, then again with its multiplicities laid
+        // out along it.
+        let build = |k100: &dyn Fn(&Tuple) -> Mult| {
+            let mut src = Relation::new(Schema::new(["k", "x", "y"]));
+            for i in 0..300i64 {
+                src.add(tuple![i % 17, i, i % 5], 0.1 * (i % 7) as f64 - 0.25);
+            }
+            for x in 1..=3 {
+                let t = tuple![100, x, 0];
+                let m = k100(&t);
+                src.add(t, m);
+            }
+            src.add(tuple![101, 1, 0], 2.0);
+            src.add(tuple![101, 2, 0], -2.0);
+            src
+        };
+        let order: Vec<Tuple> = build(&|_| 1.0)
+            .iter()
+            .filter(|(t, _)| *t.get(0) == Value::Long(100))
+            .map(|(t, _)| t.clone())
+            .collect();
+        let src = build(&|t| [1.5, -1.5, 0.7][order.iter().position(|o| o == t).unwrap()]);
+        for positions in [vec![0], vec![2, 0], vec![1, 0, 2], vec![]] {
+            let names: Vec<String> = (0..positions.len()).map(|i| format!("c{i}")).collect();
+            let out = Schema::new(names);
+            let want = src.project_sum_at(&positions, out.clone()).canonical();
+            let got = src.project_canonical(&positions, out);
+            assert_eq!(layout(&got), layout(&want), "positions {positions:?}");
+            assert_eq!(got.serialized_size(), want.serialized_size());
+        }
+        let by_key = src.project_canonical(&[0], Schema::new(["k"]));
+        assert_eq!(by_key.get(&tuple![100]), 0.7);
+        assert_eq!(by_key.get(&tuple![101]), 0.0);
+        assert!(!by_key.iter().any(|(t, _)| *t == tuple![101]));
     }
 
     #[test]

@@ -238,12 +238,13 @@ impl From<bool> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::hash_map::DefaultHasher;
+    use crate::hash::DetState;
+    use std::hash::BuildHasher;
 
+    /// Hashed with the data path's own hasher: the equalities below are
+    /// what its maps rely on.
     fn hash_of(v: &Value) -> u64 {
-        let mut h = DefaultHasher::new();
-        v.hash(&mut h);
-        h.finish()
+        DetState::default().hash_one(v)
     }
 
     #[test]

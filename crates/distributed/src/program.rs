@@ -155,11 +155,9 @@ impl TriggerProgram {
     /// Batch preprocessing (Section 3.3), the one step every backend runs
     /// before admitting or scattering a batch: project it onto the kept
     /// positions, summing the multiplicities of tuples that collide, in
-    /// wire-canonical layout ([`Relation::canonical`]).
+    /// wire-canonical layout ([`Relation::project_canonical`]).
     pub fn preprocess(&self, batch: &Relation) -> Relation {
-        batch
-            .project_sum_at(&self.kept, self.relation_schema.clone())
-            .canonical()
+        batch.project_canonical(&self.kept, self.relation_schema.clone())
     }
 
     /// Ring-sum `batch`, preprocessed, into an already preprocessed `delta`

@@ -174,7 +174,7 @@ impl LocalEngine {
         // variable names.  Project positionally onto the kept columns,
         // which without pre-aggregation is a relabel.
         let schema = trigger.relation_schema.clone();
-        let delta = batch.project_sum_at(&kept, schema.clone()).canonical();
+        let delta = batch.project_canonical(&kept, schema.clone());
         match self.mode {
             ExecMode::SingleTuple => {
                 for (t, m) in delta.iter() {
@@ -234,9 +234,10 @@ impl LocalEngine {
 
 /// Re-key a relation under a different (same-arity) schema, keeping tuples
 /// positionally.  The result is always in wire-canonical layout
-/// ([`Relation::canonical`]): relabelling marks the exchange boundaries of
-/// the distributed backends, where layouts must be a pure function of
-/// content so the socket transport can reproduce them from a byte stream.
+/// ([`Relation::canonical`]): the distributed backends relabel the partials
+/// they gather, an exchange boundary where layouts must be a pure function
+/// of content so the socket transport can reproduce them from a byte
+/// stream.
 pub fn relabel(rel: &Relation, schema: &Schema) -> Relation {
     assert_eq!(
         rel.schema().len(),
@@ -246,12 +247,12 @@ pub fn relabel(rel: &Relation, schema: &Schema) -> Relation {
         schema
     );
     // Always rebuild in wire-canonical (sorted) order — even when the
-    // schema already matches.  Relabelled relations feed the exchange
-    // paths of every execution backend (trigger deltas, scatter sources,
-    // gathered partials), and the canonical layout is what makes a
-    // relation decoded from the socket transport bit-identical — in
+    // schema already matches.  A gathered partial is merged on the driver
+    // in its iteration order, and the canonical layout is what makes a
+    // partial decoded from the socket transport bit-identical — in
     // iteration order, hence in every downstream float accumulation — to
-    // its in-process counterpart (see [`Relation::canonical`]).
+    // its in-process counterpart (see [`Relation::canonical`]).  Scatters
+    // need no relabel: `partition_shards` re-keys and canonicalizes itself.
     Relation::from_pairs(schema.clone(), rel.sorted())
 }
 

@@ -88,6 +88,7 @@
 
 use hotdog_algebra::eval::{Catalog, EvalCounters};
 use hotdog_algebra::expr::{CmpOp, Expr, RelKind, ValExpr};
+use hotdog_algebra::hash::DetMap;
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::ring::{Mult, MULT_EPSILON};
 use hotdog_algebra::schema::Schema;
@@ -569,7 +570,7 @@ impl VectorPlan {
             AggKind::Sum { key_slots }
             | AggKind::Exists { key_slots }
             | AggKind::ExistsSum { key_slots } => {
-                let mut groups: HashMap<Tuple, Mult> = HashMap::new();
+                let mut groups: DetMap<Tuple, Mult> = DetMap::default();
                 for (i, &m) in mults.iter().enumerate() {
                     *groups.entry(key_of(key_slots, i)).or_insert(0.0) += m;
                 }

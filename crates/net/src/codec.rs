@@ -15,8 +15,9 @@
 //!   *sorted* pair list and decoded by replaying exactly that insertion
 //!   order into an empty map — i.e. decoding yields
 //!   [`Relation::canonical`] of the encoded relation.  Since every
-//!   in-process backend canonicalizes relations at the same exchange
-//!   points (`relabel`, `partition_shards`), a decoded relation is
+//!   in-process backend builds relations in that layout at the same
+//!   exchange points (batch preprocessing, `partition_shards`, `relabel`
+//!   of gathered partials), a decoded relation is
 //!   bit-identical — in content *and* iteration order, hence in every
 //!   downstream float accumulation — to the object an in-process worker
 //!   would have received.
@@ -373,7 +374,7 @@ impl Wire for Relation {
     fn encode(&self, out: &mut Vec<u8>) {
         self.schema().encode(out);
         (self.len() as u32).encode(out);
-        let rows = self.sorted();
+        let rows = self.sorted_refs();
         for j in 0..self.schema().len() {
             for (t, _) in &rows {
                 t.get(j).encode(out);

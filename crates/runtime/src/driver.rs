@@ -618,15 +618,16 @@ impl<T: Transport> Driver<T> {
         deltas: &HashMap<String, Relation>,
     ) -> Result<usize, WorkerDead> {
         match kind {
-            Transform::Scatter(pf) => {
-                let src: Relation = if source == delta_name {
-                    deltas.values().next().cloned().unwrap_or_default()
-                } else {
-                    self.driver.read(source)
-                };
-                let src = relabel(&src, &stmt.target_schema);
-                Ok(self.scatter(pf, &src, stmt))
-            }
+            // `partition_shards` re-keys the source to the target schema
+            // and builds every shard canonically: the batch is scattered by
+            // reference, with no copy or relabel first.
+            Transform::Scatter(pf) => Ok(if source == delta_name {
+                let delta = deltas.values().next().expect("one delta per batch");
+                self.scatter(pf, delta, stmt)
+            } else {
+                let view = self.driver.read(source);
+                self.scatter(pf, &view, stmt)
+            }),
             Transform::Repart(pf) => {
                 let collected = self.gather(stmt, source)?;
                 let moved = collected.serialized_size();

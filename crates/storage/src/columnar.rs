@@ -22,7 +22,6 @@ use hotdog_algebra::ring::Mult;
 use hotdog_algebra::schema::Schema;
 use hotdog_algebra::tuple::Tuple;
 use hotdog_algebra::value::Value;
-use std::collections::HashMap;
 
 /// A batch of updates in columnar layout: one `Vec<Value>` per column plus a
 /// multiplicity column (positive = insert, negative = delete).
@@ -163,7 +162,8 @@ impl ColumnarBatch {
 
     /// Project onto a subset of columns and sum multiplicities of equal
     /// projected rows — the batch pre-aggregation of Section 3.3.  Returns a
-    /// (typically much smaller) row-oriented relation.
+    /// (typically much smaller) row-oriented relation, in wire-canonical
+    /// layout: two calls on the same batch iterate identically.
     pub fn pre_aggregate(&self, columns: &Schema) -> Relation {
         let positions: Vec<usize> = columns
             .iter()
@@ -173,17 +173,8 @@ impl ColumnarBatch {
                     .unwrap_or_else(|| panic!("column {c} not in batch schema"))
             })
             .collect();
-        let mut acc: HashMap<Tuple, Mult> = HashMap::new();
-        for i in 0..self.len() {
-            let key = Tuple(
-                positions
-                    .iter()
-                    .map(|&p| self.columns[p][i].clone())
-                    .collect(),
-            );
-            *acc.entry(key).or_insert(0.0) += self.mults[i];
-        }
-        Relation::from_pairs(columns.clone(), acc)
+        self.to_relation()
+            .project_canonical(&positions, columns.clone())
     }
 
     /// Convert back to a row-oriented relation (merging duplicate rows).
@@ -328,6 +319,23 @@ mod tests {
             vec![(tuple![1], 1.0), (tuple![1], -1.0)],
         );
         assert!(b.pre_aggregate(&Schema::new(["a"])).is_empty());
+    }
+
+    #[test]
+    fn pre_aggregate_iterates_identically_across_calls() {
+        let b = ColumnarBatch::from_rows(
+            Schema::new(["a", "b"]),
+            (0..2000i64).map(|i| (tuple![i, i % 500], 1.0 + (i % 3) as f64)),
+        );
+        let seq = || {
+            b.pre_aggregate(&Schema::new(["b"]))
+                .iter()
+                .map(|(t, m)| (t.clone(), m.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        let first = seq();
+        assert_eq!(first.len(), 500);
+        assert_eq!(first, seq());
     }
 
     #[test]

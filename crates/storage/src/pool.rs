@@ -13,11 +13,12 @@
 //! pattern analysis in `hotdog-ivm` (case (3) of Section 5.1: relational
 //! terms with some-but-not-all columns bound become `slice` operations).
 
+use hotdog_algebra::hash::DetMap;
 use hotdog_algebra::ring::{Mult, MULT_EPSILON};
 use hotdog_algebra::tuple::Tuple;
 use hotdog_algebra::value::Value;
 use std::cell::Cell;
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// A record: the key tuple plus its multiplicity (aggregate value).
 #[derive(Clone, Debug)]
@@ -32,7 +33,7 @@ struct SecondaryIndex {
     /// Positions (within the key tuple) this index is built on.
     positions: Vec<usize>,
     /// Projected key -> slots of matching records.
-    buckets: HashMap<Tuple, Vec<usize>>,
+    buckets: DetMap<Tuple, Vec<usize>>,
 }
 
 impl SecondaryIndex {
@@ -96,7 +97,7 @@ pub struct RecordPool {
     arity: usize,
     slots: Vec<Option<Record>>,
     free: Vec<usize>,
-    primary: HashMap<Tuple, usize>,
+    primary: DetMap<Tuple, usize>,
     secondary: Vec<SecondaryIndex>,
     counters: Cell<PoolCounters>,
 }
@@ -129,7 +130,7 @@ impl RecordPool {
         }
         let mut ix = SecondaryIndex {
             positions,
-            buckets: HashMap::new(),
+            buckets: DetMap::default(),
         };
         for (slot, rec) in self.slots.iter().enumerate() {
             if let Some(rec) = rec {
@@ -208,17 +209,23 @@ impl RecordPool {
             return;
         }
         self.bump(|c| c.updates += 1);
-        if let Some(&slot) = self.primary.get(&key) {
-            let remove = {
+        // One hash: the entry serves the lookup and the insert or removal.
+        match self.primary.entry(key) {
+            Entry::Occupied(e) => {
+                let slot = *e.get();
                 let rec = self.slots[slot].as_mut().expect("dangling primary entry");
                 rec.value += delta;
-                rec.value.abs() < MULT_EPSILON
-            };
-            if remove {
-                self.delete(&key);
+                if rec.value.abs() < MULT_EPSILON {
+                    e.remove();
+                    self.release(slot);
+                }
             }
-        } else {
-            self.insert(key, delta);
+            Entry::Vacant(e) => {
+                let key = e.key().clone();
+                let slot = self.free.pop().unwrap_or(self.slots.len());
+                e.insert(slot);
+                self.fill(slot, key, delta);
+            }
         }
     }
 
@@ -239,37 +246,50 @@ impl RecordPool {
     }
 
     fn insert(&mut self, key: Tuple, value: Mult) {
+        let slot = self.free.pop().unwrap_or(self.slots.len());
+        self.primary.insert(key.clone(), slot);
+        self.fill(slot, key, value);
+    }
+
+    /// Store a new record in `slot` (a popped free slot, or one past the
+    /// end of the slab) and index it; the primary entry is the caller's.
+    fn fill(&mut self, slot: usize, key: Tuple, value: Mult) {
         self.bump(|c| {
             c.inserts += 1;
             c.slots_touched += 1;
         });
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slots.push(None);
-                self.slots.len() - 1
-            }
-        };
         for ix in &mut self.secondary {
             ix.insert(&key, slot);
         }
-        self.primary.insert(key.clone(), slot);
-        self.slots[slot] = Some(Record { key, value });
+        let rec = Some(Record { key, value });
+        if slot == self.slots.len() {
+            self.slots.push(rec);
+        } else {
+            self.slots[slot] = rec;
+        }
     }
 
     /// Remove the record for `key` (no-op when absent).
     pub fn delete(&mut self, key: &Tuple) {
         if let Some(slot) = self.primary.remove(key) {
-            self.bump(|c| {
-                c.deletes += 1;
-                c.slots_touched += 1;
-            });
-            for ix in &mut self.secondary {
-                ix.remove(key, slot);
-            }
-            self.slots[slot] = None;
-            self.free.push(slot);
+            self.release(slot);
         }
+    }
+
+    /// Unindex and free the record in `slot`, whose primary entry is
+    /// already gone.
+    fn release(&mut self, slot: usize) {
+        self.bump(|c| {
+            c.deletes += 1;
+            c.slots_touched += 1;
+        });
+        let rec = self.slots[slot]
+            .take()
+            .expect("released slot holds a record");
+        for ix in &mut self.secondary {
+            ix.remove(&rec.key, slot);
+        }
+        self.free.push(slot);
     }
 
     /// Remove every record but keep allocated capacity and indexes.
