@@ -12,8 +12,18 @@
 //! relations (tests, baselines, the re-evaluation strategy), against record
 //! pools (the local execution engine) and against per-worker partitions (the
 //! distributed runtime).
+//!
+//! Evaluating a statement allocates nothing per binding or per row.  The
+//! [`Env`] borrows every variable name from the expression being
+//! evaluated, a join keeps its left side's bindings in one flat frame, and
+//! a relation reference emits each tuple from inside the catalog's
+//! `scan`/`slice` callback rather than copying it out first.  The last is
+//! sound because every continuation the evaluator passes down is a leaf:
+//! a join materializes its left side before it streams the right one, and
+//! the only other continuations fold into a result relation or a group
+//! map, so no continuation re-enters the evaluator or the catalog.
 
-use crate::expr::{Expr, RelKind};
+use crate::expr::{Expr, RelKind, RelRef};
 use crate::hash::DetMap;
 use crate::relation::Relation;
 use crate::ring::Mult;
@@ -60,12 +70,17 @@ pub trait Catalog {
 
 /// Variable bindings with stack discipline (push during evaluation of a
 /// subtree, truncate on the way out).
+///
+/// Every name is borrowed from the expression under evaluation (a
+/// relation reference's columns, the variable of an assignment, a
+/// group-by column), so pushing a binding allocates nothing.  Lookups scan
+/// from the top of the stack, so a later binding shadows an earlier one.
 #[derive(Default, Clone, Debug)]
-pub struct Env {
-    bindings: Vec<(String, Value)>,
+pub struct Env<'e> {
+    bindings: Vec<(&'e str, Value)>,
 }
 
-impl Env {
+impl<'e> Env<'e> {
     pub fn new() -> Self {
         Env::default()
     }
@@ -78,8 +93,8 @@ impl Env {
         self.bindings.is_empty()
     }
 
-    pub fn push(&mut self, var: impl Into<String>, val: Value) {
-        self.bindings.push((var.into(), val));
+    pub fn push(&mut self, var: &'e str, val: Value) {
+        self.bindings.push((var, val));
     }
 
     pub fn truncate(&mut self, len: usize) {
@@ -91,7 +106,7 @@ impl Env {
         self.bindings
             .iter()
             .rev()
-            .find(|(v, _)| v == var)
+            .find(|(v, _)| *v == var)
             .map(|(_, val)| val)
     }
 
@@ -99,10 +114,11 @@ impl Env {
         self.get(var).is_some()
     }
 
-    /// Project the environment onto a schema, panicking on unbound columns.
-    pub fn project(&self, schema: &Schema) -> Tuple {
+    /// Project the environment onto the named columns, panicking on
+    /// unbound ones.
+    pub fn project(&self, names: &[&str]) -> Tuple {
         Tuple(
-            schema
+            names
                 .iter()
                 .map(|c| {
                     self.get(c)
@@ -112,6 +128,37 @@ impl Env {
                 .collect(),
         )
     }
+}
+
+/// The output columns of `expr` as names borrowed from it: exactly
+/// [`Expr::schema`] (first occurrence order, no descent into a `Sum`
+/// body, an `AssignQuery`'s variable last), without building `String`s.
+fn schema_refs(expr: &Expr) -> Vec<&str> {
+    fn push<'e>(out: &mut Vec<&'e str>, name: &'e str) {
+        if !out.contains(&name) {
+            out.push(name);
+        }
+    }
+    fn collect<'e>(expr: &'e Expr, out: &mut Vec<&'e str>) {
+        match expr {
+            Expr::Rel(r) => r.cols.iter().for_each(|c| push(out, c)),
+            Expr::Union(l, r) | Expr::Join(l, r) => {
+                collect(l, out);
+                collect(r, out);
+            }
+            Expr::Sum { group_by, .. } => group_by.iter().for_each(|c| push(out, c)),
+            Expr::Const(_) | Expr::Val(_) | Expr::Cmp { .. } => {}
+            Expr::AssignVal { var, .. } => push(out, var),
+            Expr::AssignQuery { var, query } => {
+                collect(query, out);
+                push(out, var);
+            }
+            Expr::Exists(q) => collect(q, out),
+        }
+    }
+    let mut out = Vec::new();
+    collect(expr, &mut out);
+    out
 }
 
 /// Evaluation statistics: number of storage operations issued.  These
@@ -161,6 +208,10 @@ impl EvalCounters {
 pub struct Evaluator<'a> {
     catalog: &'a dyn Catalog,
     pub counters: EvalCounters,
+    /// Probe buffers [`Evaluator::stream_rel`] reuses from one relation
+    /// reference to the next: bound positions and the key values.
+    positions: Vec<usize>,
+    key: Vec<Value>,
 }
 
 impl<'a> Evaluator<'a> {
@@ -168,6 +219,8 @@ impl<'a> Evaluator<'a> {
         Evaluator {
             catalog,
             counters: EvalCounters::default(),
+            positions: Vec::new(),
+            key: Vec::new(),
         }
     }
 
@@ -180,18 +233,15 @@ impl<'a> Evaluator<'a> {
     /// Evaluate an expression under an existing environment (used for
     /// correlated subqueries and by the trigger interpreter, which binds the
     /// current delta tuple before evaluating statement right-hand sides).
-    pub fn eval_under(&mut self, expr: &Expr, env: &mut Env) -> Relation {
-        let schema = {
-            // Columns already bound by the caller stay out of the "result"
-            // only if the expression projects them away; the natural output
-            // schema is the right thing to materialize.
-            expr.schema()
-        };
-        let mut rel = Relation::new(schema.clone());
+    pub fn eval_under<'e>(&mut self, expr: &'e Expr, env: &mut Env<'e>) -> Relation {
+        // Columns already bound by the caller stay out of the "result" only
+        // if the expression projects them away; the natural output schema
+        // is the right thing to materialize.
+        let names = schema_refs(expr);
+        let mut rel = Relation::new(Schema::new(names.iter().copied()));
         let base = env.len();
         self.stream(expr, env, &mut |env, m| {
-            let t = env.project(&schema);
-            rel.add(t, m);
+            rel.add(env.project(&names), m);
         });
         env.truncate(base);
         rel
@@ -199,7 +249,12 @@ impl<'a> Evaluator<'a> {
 
     /// Core continuation-passing evaluation.  Calls `out` once per produced
     /// tuple with the environment extended by this expression's bindings.
-    pub fn stream(&mut self, expr: &Expr, env: &mut Env, out: &mut dyn FnMut(&mut Env, Mult)) {
+    pub fn stream<'e>(
+        &mut self,
+        expr: &'e Expr,
+        env: &mut Env<'e>,
+        out: &mut dyn FnMut(&mut Env<'e>, Mult),
+    ) {
         match expr {
             Expr::Const(c) => {
                 self.counters.emissions += 1;
@@ -220,15 +275,12 @@ impl<'a> Evaluator<'a> {
             }
             Expr::AssignVal { var, value } => {
                 let v = value.eval(&|name| env.get(name).cloned());
-                match env.get(var).cloned() {
-                    Some(existing) => {
-                        if existing == v {
-                            out(env, 1.0);
-                        }
-                    }
+                match env.get(var).map(|existing| *existing == v) {
+                    Some(true) => out(env, 1.0),
+                    Some(false) => {}
                     None => {
                         let base = env.len();
-                        env.push(var.clone(), v);
+                        env.push(var, v);
                         out(env, 1.0);
                         env.truncate(base);
                     }
@@ -250,18 +302,19 @@ impl<'a> Evaluator<'a> {
                 env.truncate(base);
             }
             Expr::Sum { group_by, body } => {
-                let groups = self.aggregate(body, group_by, env);
-                self.emit_groups(group_by, groups, env, out, false);
+                let names = group_by.columns().iter().map(String::as_str);
+                let groups = self.aggregate(body, names.clone(), env);
+                self.emit_groups(names, groups, env, out, false);
             }
             Expr::Exists(q) => {
-                let schema = q.schema();
-                let groups = self.aggregate(q, &schema, env);
-                self.emit_groups(&schema, groups, env, out, true);
+                let names = schema_refs(q);
+                let groups = self.aggregate(q, names.iter().copied(), env);
+                self.emit_groups(names.iter().copied(), groups, env, out, true);
             }
             Expr::AssignQuery { var, query } => {
-                let schema = query.schema();
-                let groups = self.aggregate(query, &schema, env);
-                let all_prebound = schema.iter().all(|c| env.is_bound(c));
+                let names = schema_refs(query);
+                let groups = self.aggregate(query, names.iter().copied(), env);
+                let all_prebound = names.iter().all(|c| env.is_bound(c));
                 if groups.is_empty() && all_prebound {
                     // Scalar nested aggregate over an empty input: SQL-style
                     // semantics yield the aggregate value 0.
@@ -271,7 +324,7 @@ impl<'a> Evaluator<'a> {
                             out(env, 1.0);
                         }
                     } else {
-                        env.push(var.clone(), Value::Double(0.0));
+                        env.push(var, Value::Double(0.0));
                         out(env, 1.0);
                         env.truncate(base);
                     }
@@ -282,27 +335,15 @@ impl<'a> Evaluator<'a> {
                     if mult == 0.0 {
                         continue;
                     }
-                    let mut consistent = true;
-                    for (c, v) in schema.iter().zip(key.0.iter()) {
-                        match env.get(c) {
-                            Some(existing) => {
-                                if existing != v {
-                                    consistent = false;
-                                    break;
-                                }
-                            }
-                            None => env.push(c.to_string(), v.clone()),
-                        }
-                    }
-                    if consistent {
-                        match env.get(var).cloned() {
-                            Some(existing) => {
-                                if existing == Value::Double(mult) {
-                                    out(env, 1.0);
-                                }
-                            }
+                    if bind_key(env, names.iter().copied(), key) {
+                        match env
+                            .get(var)
+                            .map(|existing| *existing == Value::Double(mult))
+                        {
+                            Some(true) => out(env, 1.0),
+                            Some(false) => {}
                             None => {
-                                env.push(var.clone(), Value::Double(mult));
+                                env.push(var, Value::Double(mult));
                                 out(env, 1.0);
                             }
                         }
@@ -313,57 +354,64 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    fn stream_join(
+    fn stream_join<'e>(
         &mut self,
-        left: &Expr,
-        right: &Expr,
-        env: &mut Env,
-        out: &mut dyn FnMut(&mut Env, Mult),
+        left: &'e Expr,
+        right: &'e Expr,
+        env: &mut Env<'e>,
+        out: &mut dyn FnMut(&mut Env<'e>, Mult),
     ) {
         // Materialize the left side's emissions to avoid nested mutable
         // borrows of `self` inside the continuation.  Each emission captures
-        // only the bindings added by the left subtree.
+        // only the bindings added by the left subtree, as the range
+        // `start..end` of one flat frame shared by all of them.
         let base = env.len();
-        let mut left_rows: Vec<(Vec<(String, Value)>, Mult)> = Vec::new();
+        let mut frame: Vec<(&'e str, Value)> = Vec::new();
+        let mut left_rows: Vec<(usize, usize, Mult)> = Vec::new();
         self.stream(left, env, &mut |env2, m| {
-            left_rows.push((env2.bindings[base..].to_vec(), m));
+            let start = frame.len();
+            frame.extend_from_slice(&env2.bindings[base..]);
+            left_rows.push((start, frame.len(), m));
         });
         env.truncate(base);
-        for (bindings, m1) in left_rows {
-            let restore = env.len();
-            for (k, v) in &bindings {
-                env.push(k.clone(), v.clone());
-            }
+        for &(start, end, m1) in &left_rows {
+            env.bindings.extend_from_slice(&frame[start..end]);
             self.stream(right, env, &mut |env2, m2| {
                 out(env2, m1 * m2);
             });
-            env.truncate(restore);
+            env.truncate(base);
         }
     }
 
-    fn stream_rel(
+    fn stream_rel<'e>(
         &mut self,
-        r: &crate::expr::RelRef,
-        env: &mut Env,
-        out: &mut dyn FnMut(&mut Env, Mult),
+        r: &'e RelRef,
+        env: &mut Env<'e>,
+        out: &mut dyn FnMut(&mut Env<'e>, Mult),
     ) {
         // Determine which positional columns are already bound.  A repeated
         // unbound column within the same reference, e.g. R(A, A), is
-        // handled by the equality filter inside the emission loop below.
-        let mut bound_positions: Vec<usize> = Vec::new();
-        let mut bound_values: Vec<Value> = Vec::new();
+        // handled by the equality filter inside `emit` below.
+        let mut positions = std::mem::take(&mut self.positions);
+        let mut key = std::mem::take(&mut self.key);
+        positions.clear();
+        key.clear();
         for (i, col) in r.cols.iter().enumerate() {
             if let Some(v) = env.get(col) {
-                bound_positions.push(i);
-                bound_values.push(v.clone());
+                positions.push(i);
+                key.push(v.clone());
             }
         }
 
         let name = r.name.as_str();
         let kind = r.kind;
         let cols = &r.cols;
-
-        let emit = |env: &mut Env, t: &Tuple, m: Mult, out: &mut dyn FnMut(&mut Env, Mult)| {
+        // `out` is a leaf continuation (see the module docs), so it may run
+        // inside the catalog's callback.
+        let catalog = self.catalog;
+        let mut visited = 0u64;
+        let mut emit = |t: &Tuple, m: Mult| {
+            visited += 1;
             let base = env.len();
             let mut ok = true;
             for (i, col) in cols.iter().enumerate() {
@@ -374,7 +422,7 @@ impl<'a> Evaluator<'a> {
                             break;
                         }
                     }
-                    None => env.push(col.clone(), t.get(i).clone()),
+                    None => env.push(col, t.get(i).clone()),
                 }
             }
             if ok {
@@ -383,63 +431,58 @@ impl<'a> Evaluator<'a> {
             env.truncate(base);
         };
 
-        if bound_positions.len() == r.cols.len() && !r.cols.is_empty() {
+        if positions.len() == cols.len() && !cols.is_empty() {
             // All columns bound: point lookup.
             self.counters.lookups += 1;
-            let key = Tuple(bound_values);
-            let m = self.catalog.lookup(name, kind, &key);
+            let probe = Tuple(key);
+            let m = catalog.lookup(name, kind, &probe);
+            key = probe.0;
             if m != 0.0 {
                 self.counters.tuples_visited += 1;
                 out(env, m);
             }
-        } else if bound_positions.is_empty() {
+        } else if positions.is_empty() {
             // Nothing bound: full scan.
             self.counters.scans += 1;
-            let mut visited = 0u64;
-            let mut rows: Vec<(Tuple, Mult)> = Vec::new();
-            self.catalog.scan(name, kind, &mut |t, m| {
-                visited += 1;
-                rows.push((t.clone(), m));
-            });
+            catalog.scan(name, kind, &mut emit);
             self.counters.tuples_visited += visited;
-            for (t, m) in rows {
-                emit(env, &t, m, out);
-            }
         } else {
             // Some columns bound: index slice.
             self.counters.slices += 1;
-            let mut visited = 0u64;
-            let mut rows: Vec<(Tuple, Mult)> = Vec::new();
-            self.catalog
-                .slice(name, kind, &bound_positions, &bound_values, &mut |t, m| {
-                    visited += 1;
-                    rows.push((t.clone(), m));
-                });
+            catalog.slice(name, kind, &positions, &key, &mut emit);
             self.counters.tuples_visited += visited;
-            for (t, m) in rows {
-                emit(env, &t, m, out);
-            }
         }
+        self.positions = positions;
+        self.key = key;
     }
 
     /// Evaluate `body` and aggregate multiplicities grouped by `group_by`
     /// (whose columns may be bound either by the body or by the outer
     /// environment — correlation).
-    fn aggregate(&mut self, body: &Expr, group_by: &Schema, env: &mut Env) -> Vec<(Tuple, Mult)> {
+    fn aggregate<'e>(
+        &mut self,
+        body: &'e Expr,
+        group_by: impl Iterator<Item = &'e str> + Clone,
+        env: &mut Env<'e>,
+    ) -> Vec<(Tuple, Mult)> {
         let mut groups: DetMap<Tuple, Mult> = DetMap::default();
+        let mut key: Vec<Value> = Vec::new();
         let base = env.len();
         self.stream(body, env, &mut |env2, m| {
-            let key = Tuple(
-                group_by
-                    .iter()
-                    .map(|c| {
-                        env2.get(c)
-                            .unwrap_or_else(|| panic!("group-by column `{c}` unbound"))
-                            .clone()
-                    })
-                    .collect(),
-            );
-            *groups.entry(key).or_insert(0.0) += m;
+            key.clear();
+            key.extend(group_by.clone().map(|c| {
+                env2.get(c)
+                    .unwrap_or_else(|| panic!("group-by column `{c}` unbound"))
+                    .clone()
+            }));
+            match groups.get_mut(key.as_slice()) {
+                Some(acc) => *acc += m,
+                // `0.0 + m`, not `m`: a new group starts at 0 and adds, so
+                // a first `-0.0` lands as `0.0`.
+                None => {
+                    groups.insert(Tuple(key.clone()), 0.0 + m);
+                }
+            }
         });
         env.truncate(base);
         let mut v: Vec<(Tuple, Mult)> = groups
@@ -450,35 +493,39 @@ impl<'a> Evaluator<'a> {
         v
     }
 
-    fn emit_groups(
+    fn emit_groups<'e>(
         &mut self,
-        schema: &Schema,
+        names: impl Iterator<Item = &'e str> + Clone,
         groups: Vec<(Tuple, Mult)>,
-        env: &mut Env,
-        out: &mut dyn FnMut(&mut Env, Mult),
+        env: &mut Env<'e>,
+        out: &mut dyn FnMut(&mut Env<'e>, Mult),
         exists_semantics: bool,
     ) {
         let base = env.len();
         for (key, mult) in groups {
-            let mut ok = true;
-            for (c, v) in schema.iter().zip(key.0.iter()) {
-                match env.get(c) {
-                    Some(existing) => {
-                        if existing != v {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => env.push(c.to_string(), v.clone()),
-                }
-            }
-            if ok {
+            if bind_key(env, names.clone(), key) {
                 self.counters.emissions += 1;
                 out(env, if exists_semantics { 1.0 } else { mult });
             }
             env.truncate(base);
         }
     }
+}
+
+/// Bind each name to its key value, or check it against an existing
+/// binding; `false` at the first mismatch (the caller truncates).
+fn bind_key<'e>(env: &mut Env<'e>, names: impl Iterator<Item = &'e str>, key: Tuple) -> bool {
+    for (c, v) in names.zip(key.0) {
+        match env.get(c) {
+            Some(existing) => {
+                if *existing != v {
+                    return false;
+                }
+            }
+            None => env.push(c, v),
+        }
+    }
+    true
 }
 
 /// A straightforward [`Catalog`] backed by hash-map [`Relation`]s, used by

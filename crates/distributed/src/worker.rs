@@ -50,6 +50,9 @@ pub struct WorkerStats {
     /// Tuples touched by statement scans and slices (see
     /// `EvalCounters::tuples_touched`).
     pub tuples_touched: u64,
+    /// `Compute` statements the vectorizer refused, which ran on the row
+    /// `Evaluator` instead.
+    pub row_statements: u64,
 }
 
 /// One node's [`WorkerStats`] plus the cardinality of each of its view
@@ -253,6 +256,7 @@ impl WorkerState {
                         let mut ev = Evaluator::new(&cat);
                         let r = ev.eval(expr);
                         ev_counters = ev.counters;
+                        self.stats.row_statements += 1;
                         r
                     }
                 };

@@ -179,13 +179,13 @@ impl LocalEngine {
             ExecMode::SingleTuple => {
                 for (t, m) in delta.iter() {
                     let single = Relation::from_pairs(schema.clone(), [(t.clone(), m)]);
-                    self.run_trigger(relation, &trigger, &single, &mut stats);
+                    self.run_trigger(relation, &trigger, single, &mut stats);
                     stats.processed_tuples += 1;
                 }
             }
             ExecMode::Batched { .. } => {
                 stats.processed_tuples = delta.len();
-                self.run_trigger(relation, &trigger, &delta, &mut stats);
+                self.run_trigger(relation, &trigger, delta, &mut stats);
             }
         }
         stats.elapsed = start.elapsed();
@@ -197,11 +197,10 @@ impl LocalEngine {
         &mut self,
         relation: &str,
         trigger: &Trigger,
-        delta: &Relation,
+        delta: Relation,
         stats: &mut BatchStats,
     ) {
-        let mut deltas = HashMap::new();
-        deltas.insert(relation.to_string(), delta.clone());
+        let deltas = HashMap::from([(relation.to_string(), delta)]);
         for stmt in &trigger.statements {
             let result = {
                 let catalog = ExecCatalog::new(&self.db, &deltas);

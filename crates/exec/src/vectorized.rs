@@ -1,12 +1,12 @@
 //! Vectorized (columnar) trigger interpretation.
 //!
 //! The reference [`Evaluator`](hotdog_algebra::eval::Evaluator) walks a
-//! trigger statement once **per tuple**: every join level re-materializes a
-//! `Vec<(String, Value)>` binding frame, every variable reference is a
-//! linear reverse scan with string compares, and every projection resolves
-//! column names again.  For batched IVM (the paper's Section 3.3 / 5.2.2
-//! regime) that per-tuple interpretive overhead dominates the actual storage
-//! work.
+//! trigger statement once **per tuple**: it allocates nothing per binding,
+//! but every join level replays its left side's bindings for each left
+//! row, every variable reference is a linear reverse scan with string
+//! compares, and every projection resolves column names again.  For
+//! batched IVM (the paper's Section 3.3 / 5.2.2 regime) that per-tuple
+//! interpretive overhead dominates the actual storage work.
 //!
 //! This module compiles the statement shape the recursive IVM compiler
 //! actually emits — an optional `Sum`/`Exists` head over a **left-deep join

@@ -1,0 +1,212 @@
+//! Bit-for-bit pin of the row interpreter (`hotdog_algebra::eval::Evaluator`).
+//!
+//! Every catalog query with at least one trigger statement the vectorizer
+//! refuses (`hotdog_exec::vectorized::compile` returns `None`) streams a
+//! fixed seeded workload with deletions through the batched
+//! [`LocalEngine`], twice: once with the columnar path on (the refused
+//! statements fall back to the row interpreter) and once with every
+//! statement sent to the row interpreter (`set_columnar(false)`).  Both arms
+//! must reproduce the same recorded top-view checksum, a digest over the
+//! checksums of every materialized view (most top views of these small
+//! streams are empty; the auxiliary views are not) and the recorded summed
+//! [`EvalCounters`] exactly.
+//!
+//! Maintenance multiplies integer multiplicities by at most one fractional
+//! value term per path, where any association of the product rounds the
+//! same.  A third arm therefore re-evaluates each query from scratch with
+//! the row interpreter over the accumulated stream, every tuple's
+//! multiplicity scaled by a non-dyadic weight: a join path then multiplies
+//! several fractional factors, and re-associating any of them changes
+//! result bits.
+//!
+//! The table was recorded from the interpreter as it stood before its
+//! allocation-free rewrite; any change to emission order, float operation
+//! order or counter accounting changes a digest or a counter and fails
+//! here.  A deliberate change re-records the table from the failure
+//! message, which prints it in full.
+
+use hotdog::algebra::EvalCounters;
+use hotdog::exec::set_columnar;
+use hotdog::prelude::*;
+use hotdog::workload::Workload;
+use std::fmt::Write as _;
+
+/// Tuples generated per query before deletions are added (both arms).
+const TUPLES: usize = 1_500;
+/// Stream seed (generation and deletions).
+const SEED: u64 = 0x9177;
+/// Fraction of insertions later deleted.
+const DELETIONS: f64 = 0.25;
+/// Tuples per stream batch.
+const BATCH: usize = 64;
+
+/// The queries with at least one statement the vectorizer refuses.
+const ROW_PATH_QUERIES: &[&str] = &[
+    "Q2", "Q4", "Q11", "Q13", "Q15", "Q16", "Q17", "Q18", "Q19", "Q20", "Q21", "Q22", "DS34",
+];
+
+/// One recorded run: the top view's checksum (tuples, digest), the digest
+/// over every view's checksum, and the summed counters
+/// `[scans, lookups, slices, tuples_visited, emissions, tuples_touched]`.
+type Pin = (usize, u64, u64, [u64; 6]);
+
+/// One recorded re-evaluation: the result's checksum and the counters.
+type Reeval = (usize, u64, [u64; 6]);
+
+/// `(query, pin)`: the columnar and the row-only arm must both match it.
+#[rustfmt::skip]
+const PINS: &[(&str, Pin)] = &[
+    ("Q2", (0, 0xcbf29ce484222325, 0xb6a7278b9f0bf324, [802, 120, 2078, 3448, 1217, 3437])),
+    ("Q4", (4, 0xbbdf9d0740a58627, 0x3c633dceb8d1c78c, [120, 2201, 2832, 6691, 10448, 6365])),
+    ("Q11", (34, 0x32334b5c1cdb8dd2, 0x529b25854a7149a7, [4860, 5952, 2122, 20378, 33178, 15409])),
+    ("Q13", (1, 0x1fbf116435bd8cfc, 0x0bf71d2973f175e7, [108, 889, 215, 1555, 2243, 1255])),
+    ("Q15", (1, 0x35f65868a0c4237d, 0x81a0a7f545db1231, [66, 183, 45, 3655, 3593, 4657])),
+    ("Q16", (22, 0xca0ddffc3e36e9de, 0x072d67b6725b6d8d, [180, 124, 420, 912, 659, 907])),
+    ("Q17", (0, 0xcbf29ce484222325, 0x0f0a144eb2c862af, [414, 24831, 20797, 97787, 50503, 74675])),
+    ("Q18", (0, 0xcbf29ce484222325, 0xa1295d49aad44384, [456, 6948, 13112, 26331, 24631, 22257])),
+    ("Q19", (0, 0xcbf29ce484222325, 0x80f8c97f9632d0b2, [232, 0, 3915, 8649, 1655, 8649])),
+    ("Q20", (0, 0xcbf29ce484222325, 0xdfb3259fb44f54bb, [334, 450, 1514, 4980, 5954, 5971])),
+    ("Q21", (0, 0xcbf29ce484222325, 0x8cf7d77007bae719, [522, 0, 35845, 51015, 42767, 52282])),
+    ("Q22", (0, 0xcbf29ce484222325, 0x588380bd36901b59, [108, 567, 807, 1782, 1821, 1580])),
+    ("DS34", (0, 0xcbf29ce484222325, 0xcee776291aa753a4, [183, 8123, 13915, 22513, 20488, 21655])),
+];
+
+/// `(query, weighted re-evaluation)`.
+#[rustfmt::skip]
+const REEVAL_PINS: &[(&str, Reeval)] = &[
+    ("Q2", (0, 0xcbf29ce484222325, [1, 0, 0, 28, 0, 0])),
+    ("Q4", (4, 0x775bfe9237a2b633, [1, 0, 12, 232, 214, 0])),
+    ("Q11", (33, 0x6cb081cf512a1661, [35, 0, 34, 3708, 3840, 0])),
+    ("Q13", (1, 0xb9a78954f4dfa054, [1, 0, 19, 159, 142, 0])),
+    ("Q15", (1, 0x41bacc2886f88aa1, [1, 0, 1, 372, 180, 0])),
+    ("Q16", (22, 0xc865645f84b276a7, [1, 0, 97, 143, 119, 0])),
+    ("Q17", (0, 0xcbf29ce484222325, [1, 0, 783, 1430, 0, 0])),
+    ("Q18", (10, 0xbee557f573af7e0d, [1, 0, 590, 2401, 2380, 0])),
+    ("Q19", (0, 0xcbf29ce484222325, [3, 0, 2349, 4290, 126, 0])),
+    ("Q20", (0, 0xcbf29ce484222325, [1, 0, 0, 1, 0, 0])),
+    ("Q21", (0, 0xcbf29ce484222325, [1, 0, 0, 1, 0, 0])),
+    ("Q22", (0, 0xcbf29ce484222325, [1, 0, 8, 70, 16, 0])),
+    ("DS34", (0, 0xcbf29ce484222325, [1, 0, 953, 1290, 0, 0])),
+];
+
+fn counters(c: &EvalCounters) -> [u64; 6] {
+    [
+        c.scans,
+        c.lookups,
+        c.slices,
+        c.tuples_visited,
+        c.emissions,
+        c.tuples_touched,
+    ]
+}
+
+fn stream(q: &CatalogQuery) -> UpdateStream {
+    match q.workload {
+        Workload::TpcH => generate_tpch(SEED, TUPLES),
+        Workload::TpcDs => generate_tpcds(SEED, TUPLES),
+    }
+    .with_deletions(SEED, DELETIONS)
+}
+
+fn run(q: &CatalogQuery) -> Pin {
+    let stream = stream(q);
+    let plan = compile(q.id, &q.expr, Strategy::RecursiveIvm);
+    let mut engine = LocalEngine::new(
+        plan,
+        ExecMode::Batched {
+            preaggregate: false,
+        },
+    );
+    for batch in stream.batches(BATCH) {
+        for (rel, delta) in batch {
+            engine.apply_batch(rel, &delta);
+        }
+    }
+    let views = engine.plan().views.iter().fold(0u64, |h, v| {
+        let cs = engine.view_contents(&v.name).checksum();
+        (h ^ cs.digest ^ cs.tuples as u64).wrapping_mul(0x0100_0000_01b3)
+    });
+    let top = engine.query_result().checksum();
+    (top.tuples, top.digest, views, counters(&engine.totals.eval))
+}
+
+fn reevaluate(q: &CatalogQuery) -> Reeval {
+    let mut catalog = MapCatalog::new();
+    for (name, rel) in stream(q).accumulate() {
+        let weighted = rel
+            .sorted()
+            .into_iter()
+            .enumerate()
+            .map(|(i, (t, m))| (t, m * (1.0 + (i % 13) as f64 / 7.0)));
+        let rel = Relation::from_pairs(rel.schema().clone(), weighted);
+        catalog.insert(name, RelKind::Base, rel);
+    }
+    let mut ev = Evaluator::new(&catalog);
+    let cs = ev.eval(&q.expr).checksum();
+    (cs.tuples, cs.digest, counters(&ev.counters))
+}
+
+fn refuses_a_statement(q: &CatalogQuery) -> bool {
+    let plan = compile(q.id, &q.expr, Strategy::RecursiveIvm);
+    plan.triggers
+        .iter()
+        .flat_map(|t| &t.statements)
+        .any(|s| hotdog::exec::vectorized::compile(&s.expr).is_none())
+}
+
+#[test]
+fn row_interpreter_results_and_counters_are_pinned() {
+    let refusing: Vec<&str> = all_queries()
+        .iter()
+        .filter(|q| refuses_a_statement(q))
+        .map(|q| q.id)
+        .collect();
+    assert_eq!(
+        refusing, ROW_PATH_QUERIES,
+        "the set of queries that reach the row interpreter changed"
+    );
+
+    let queries: Vec<CatalogQuery> = ROW_PATH_QUERIES
+        .iter()
+        .map(|id| query(id).unwrap())
+        .collect();
+    let columnar: Vec<Pin> = queries.iter().map(run).collect();
+    // The hook is process-global; this file holds the only test in its
+    // binary, and columnar is switched back on before any assertion.
+    set_columnar(false);
+    let row: Vec<Pin> = queries.iter().map(run).collect();
+    set_columnar(true);
+
+    for (arm, pins) in [("columnar", &columnar), ("row-only", &row)] {
+        let mut table = String::new();
+        for (id, p) in ROW_PATH_QUERIES.iter().zip(pins) {
+            writeln!(
+                table,
+                "    ({id:?}, ({}, 0x{:016x}, 0x{:016x}, {:?})),",
+                p.0, p.1, p.2, p.3
+            )
+            .unwrap();
+        }
+        let got: Vec<(&str, Pin)> = ROW_PATH_QUERIES
+            .iter()
+            .copied()
+            .zip(pins.iter().copied())
+            .collect();
+        assert_eq!(
+            got.as_slice(),
+            PINS,
+            "{arm} arm drifted from the pinned table; current table:\n{table}"
+        );
+    }
+    let reeval: Vec<Reeval> = queries.iter().map(reevaluate).collect();
+    let mut table = String::new();
+    for (id, e) in ROW_PATH_QUERIES.iter().zip(&reeval) {
+        writeln!(table, "    ({id:?}, ({}, 0x{:016x}, {:?})),", e.0, e.1, e.2).unwrap();
+    }
+    let got_reeval: Vec<(&str, Reeval)> = ROW_PATH_QUERIES.iter().copied().zip(reeval).collect();
+    assert_eq!(
+        got_reeval.as_slice(),
+        REEVAL_PINS,
+        "re-evaluation drifted from the pinned table; current table:\n{table}"
+    );
+}

@@ -94,6 +94,16 @@ fn telemetry_totals_agree_threaded_vs_tcp_across_catalog() {
                 q.id
             );
         }
+        // Q18 keeps statements the vectorizer refuses; Q3 has none.
+        let row_statements = threaded_snap.counter("worker.row_statements");
+        match q.id {
+            "Q18" => assert!(row_statements > 0, "Q18: no statement reached the row path"),
+            "Q3" => assert_eq!(
+                row_statements, 0,
+                "Q3: a statement fell back to the row path"
+            ),
+            _ => {}
+        }
 
         // Stats gathers are tagged requests like any other: after the
         // gather the ledger owes nothing (no unconsumed StatsReply).
