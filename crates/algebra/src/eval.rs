@@ -13,7 +13,9 @@
 //! pools (the local execution engine) and against per-worker partitions (the
 //! distributed runtime).
 //!
-//! Evaluating a statement allocates nothing per binding or per row.  The
+//! Evaluating a statement allocates nothing per binding or per scanned or
+//! sliced tuple; a join or an aggregate allocates its scratch once per
+//! call.  The
 //! [`Env`] borrows every variable name from the expression being
 //! evaluated, a join keeps its left side's bindings in one flat frame, and
 //! a relation reference emits each tuple from inside the catalog's
@@ -130,37 +132,6 @@ impl<'e> Env<'e> {
     }
 }
 
-/// The output columns of `expr` as names borrowed from it: exactly
-/// [`Expr::schema`] (first occurrence order, no descent into a `Sum`
-/// body, an `AssignQuery`'s variable last), without building `String`s.
-fn schema_refs(expr: &Expr) -> Vec<&str> {
-    fn push<'e>(out: &mut Vec<&'e str>, name: &'e str) {
-        if !out.contains(&name) {
-            out.push(name);
-        }
-    }
-    fn collect<'e>(expr: &'e Expr, out: &mut Vec<&'e str>) {
-        match expr {
-            Expr::Rel(r) => r.cols.iter().for_each(|c| push(out, c)),
-            Expr::Union(l, r) | Expr::Join(l, r) => {
-                collect(l, out);
-                collect(r, out);
-            }
-            Expr::Sum { group_by, .. } => group_by.iter().for_each(|c| push(out, c)),
-            Expr::Const(_) | Expr::Val(_) | Expr::Cmp { .. } => {}
-            Expr::AssignVal { var, .. } => push(out, var),
-            Expr::AssignQuery { var, query } => {
-                collect(query, out);
-                push(out, var);
-            }
-            Expr::Exists(q) => collect(q, out),
-        }
-    }
-    let mut out = Vec::new();
-    collect(expr, &mut out);
-    out
-}
-
 /// Evaluation statistics: number of storage operations issued.  These
 /// counters are the substitute for the paper's CPU performance counters
 /// (Table 2) and feed the distributed runtime's compute-cost model.
@@ -237,7 +208,7 @@ impl<'a> Evaluator<'a> {
         // Columns already bound by the caller stay out of the "result" only
         // if the expression projects them away; the natural output schema
         // is the right thing to materialize.
-        let names = schema_refs(expr);
+        let names = expr.column_names();
         let mut rel = Relation::new(Schema::new(names.iter().copied()));
         let base = env.len();
         self.stream(expr, env, &mut |env, m| {
@@ -307,12 +278,12 @@ impl<'a> Evaluator<'a> {
                 self.emit_groups(names, groups, env, out, false);
             }
             Expr::Exists(q) => {
-                let names = schema_refs(q);
+                let names = q.column_names();
                 let groups = self.aggregate(q, names.iter().copied(), env);
                 self.emit_groups(names.iter().copied(), groups, env, out, true);
             }
             Expr::AssignQuery { var, query } => {
-                let names = schema_refs(query);
+                let names = query.column_names();
                 let groups = self.aggregate(query, names.iter().copied(), env);
                 let all_prebound = names.iter().all(|c| env.is_bound(c));
                 if groups.is_empty() && all_prebound {

@@ -338,20 +338,38 @@ impl Expr {
     /// (`Sum`); this static notion is the one used by the paper's rewrite
     /// rules.
     pub fn schema(&self) -> Schema {
-        match self {
-            Expr::Rel(r) => r.schema(),
-            Expr::Union(l, r) => l.schema().union(&r.schema()),
-            Expr::Join(l, r) => l.schema().union(&r.schema()),
-            Expr::Sum { group_by, .. } => group_by.clone(),
-            Expr::Const(_) | Expr::Val(_) | Expr::Cmp { .. } => Schema::empty(),
-            Expr::AssignVal { var, .. } => Schema::new([var.clone()]),
-            Expr::AssignQuery { var, query } => {
-                let mut s = query.schema();
-                s.push(var.clone());
-                s
+        Schema::new(self.column_names())
+    }
+
+    /// The columns of [`Expr::schema`], in order, as names borrowed from the
+    /// expression: each name at its first occurrence, no descent into a
+    /// `Sum` body, an `AssignQuery`'s variable after its query's columns.
+    pub fn column_names(&self) -> Vec<&str> {
+        fn push<'e>(out: &mut Vec<&'e str>, name: &'e str) {
+            if !out.contains(&name) {
+                out.push(name);
             }
-            Expr::Exists(q) => q.schema(),
         }
+        fn collect<'e>(expr: &'e Expr, out: &mut Vec<&'e str>) {
+            match expr {
+                Expr::Rel(r) => r.cols.iter().for_each(|c| push(out, c)),
+                Expr::Union(l, r) | Expr::Join(l, r) => {
+                    collect(l, out);
+                    collect(r, out);
+                }
+                Expr::Sum { group_by, .. } => group_by.iter().for_each(|c| push(out, c)),
+                Expr::Const(_) | Expr::Val(_) | Expr::Cmp { .. } => {}
+                Expr::AssignVal { var, .. } => push(out, var),
+                Expr::AssignQuery { var, query } => {
+                    collect(query, out);
+                    push(out, var);
+                }
+                Expr::Exists(q) => collect(q, out),
+            }
+        }
+        let mut out = Vec::new();
+        collect(self, &mut out);
+        out
     }
 
     /// Immediate children of this node.
