@@ -52,7 +52,7 @@ pub trait Catalog {
     /// per probe; it is the reference that [`MapCatalog`] uses.  The
     /// execution catalogs override it: view slices probe the record pool's
     /// secondary indexes, and delta and temp slices are hash-indexed once
-    /// per statement (`hotdog_exec::SliceIndex`), so each later probe
+    /// per statement (by the catalog of `hotdog_exec::execute`), so each later probe
     /// costs O(matches).
     fn slice(
         &self,

@@ -46,6 +46,4 @@ pub use program::{
     Transform, TriggerProgram, WholeViewMoves,
 };
 pub use protocol::{handle_request, WorkerReply, WorkerRequest};
-pub use worker::{
-    NodeCatalog, Temps, WorkerSnapshot, WorkerState, WorkerStats, WorkerStatsSnapshot,
-};
+pub use worker::{Temps, WorkerSnapshot, WorkerState, WorkerStats, WorkerStatsSnapshot};

@@ -14,13 +14,9 @@
 //! [`DistributedPlan`]: crate::program::DistributedPlan
 
 use crate::program::{DistStatement, DistStmtKind};
-use hotdog_algebra::eval::{Catalog, EvalCounters, Evaluator};
-use hotdog_algebra::expr::RelKind;
+use hotdog_algebra::eval::EvalCounters;
 use hotdog_algebra::relation::Relation;
-use hotdog_algebra::ring::Mult;
-use hotdog_algebra::tuple::Tuple;
-use hotdog_algebra::value::Value;
-use hotdog_exec::{Database, SliceIndex, Stored};
+use hotdog_exec::Database;
 use hotdog_ivm::{MaintenancePlan, StmtOp};
 use hotdog_telemetry::trace::WorkerTracer;
 use std::collections::{HashMap, HashSet};
@@ -156,7 +152,7 @@ impl WorkerState {
         let mut cardinalities: Vec<(String, u64)> = self
             .views
             .iter()
-            .map(|v| (v.clone(), self.db.snapshot(v).len() as u64))
+            .map(|v| (v.clone(), self.db.pool(v).map_or(0, |p| p.len()) as u64))
             .collect();
         cardinalities.sort();
         WorkerStatsSnapshot {
@@ -245,29 +241,13 @@ impl WorkerState {
         counters: &mut EvalCounters,
     ) {
         if let DistStmtKind::Compute(expr) = &stmt.kind {
-            let result = {
-                let cat = NodeCatalog::new(&self.db, &self.temps, deltas);
-                // Columnar fast path first (bit-identical results and
-                // counters); row interpreter for unsupported shapes.
-                let mut ev_counters = EvalCounters::default();
-                let r = match hotdog_exec::eval_vectorized(expr, &cat, &mut ev_counters) {
-                    Some(r) => r,
-                    None => {
-                        let mut ev = Evaluator::new(&cat);
-                        let r = ev.eval(expr);
-                        ev_counters = ev.counters;
-                        self.stats.row_statements += 1;
-                        r
-                    }
-                };
-                ev_counters.tuples_touched = cat.tuples_touched();
-                self.stats.statements += 1;
-                self.stats.instructions += ev_counters.instructions();
-                self.stats.tuples_touched += ev_counters.tuples_touched;
-                counters.add(&ev_counters);
-                r
-            };
-            self.apply(stmt, result);
+            let executed = hotdog_exec::execute(expr, &self.db, &self.temps, deltas);
+            self.stats.statements += 1;
+            self.stats.row_statements += u64::from(executed.row_path);
+            self.stats.instructions += executed.counters.instructions();
+            self.stats.tuples_touched += executed.counters.tuples_touched;
+            counters.add(&executed.counters);
+            self.apply(stmt, executed.result);
         }
     }
 
@@ -280,10 +260,7 @@ impl WorkerState {
                 self.captured
                     .push((stmt.target.clone(), stmt.op, result.clone()));
             }
-            match stmt.op {
-                StmtOp::AddTo => self.db.merge(&stmt.target, &result),
-                StmtOp::SetTo => self.db.replace(&stmt.target, &result),
-            }
+            self.db.apply(&stmt.target, stmt.op, &result);
         } else {
             let entry = self
                 .temps
@@ -325,68 +302,6 @@ impl WorkerState {
     /// Snapshot this node's partition of a view.
     pub fn snapshot(&self, view: &str) -> Relation {
         self.db.snapshot(view)
-    }
-}
-
-/// Catalog adapter resolving `Delta` references against the in-flight batch,
-/// temps against the node's exchange buffers, and everything else against
-/// the node's view partitions.  Built once per statement: its
-/// [`SliceIndex`] indexes the batch and temps for that statement only.
-pub struct NodeCatalog<'a> {
-    db: &'a Database,
-    temps: &'a Temps,
-    deltas: &'a HashMap<String, Relation>,
-    index: SliceIndex<'a>,
-}
-
-impl<'a> NodeCatalog<'a> {
-    pub fn new(db: &'a Database, temps: &'a Temps, deltas: &'a HashMap<String, Relation>) -> Self {
-        NodeCatalog {
-            db,
-            temps,
-            deltas,
-            index: SliceIndex::default(),
-        }
-    }
-
-    /// Tuples touched by this catalog's scans and slices so far.
-    pub fn tuples_touched(&self) -> u64 {
-        self.index.tuples_touched()
-    }
-
-    fn resolve(&self, name: &str, kind: RelKind) -> Option<Stored<'a>> {
-        match kind {
-            RelKind::Delta => self.deltas.get(name).map(Stored::Relation),
-            _ => match self.temps.get(name) {
-                Some(rel) => Some(Stored::Relation(rel)),
-                None => self.db.pool(name).map(Stored::Pool),
-            },
-        }
-    }
-}
-
-impl<'a> Catalog for NodeCatalog<'a> {
-    fn scan(&self, name: &str, kind: RelKind, f: &mut dyn FnMut(&Tuple, Mult)) {
-        if let Some(stored) = self.resolve(name, kind) {
-            self.index.scan(stored, f);
-        }
-    }
-
-    fn lookup(&self, name: &str, kind: RelKind, key: &Tuple) -> Mult {
-        self.resolve(name, kind).map_or(0.0, |s| s.get(key))
-    }
-
-    fn slice(
-        &self,
-        name: &str,
-        kind: RelKind,
-        positions: &[usize],
-        key_vals: &[Value],
-        f: &mut dyn FnMut(&Tuple, Mult),
-    ) {
-        if let Some(stored) = self.resolve(name, kind) {
-            self.index.slice(stored, positions, key_vals, f);
-        }
     }
 }
 
@@ -451,6 +366,28 @@ mod tests {
         let buffered = Relation::from_pairs(Schema::new(["B"]), vec![(tuple![2], 5.0)]);
         node.temps.insert("Q".into(), buffered.clone());
         assert!(node.read("Q").approx_eq(&buffered));
+    }
+
+    #[test]
+    fn stats_cardinalities_count_live_records() {
+        let plan = plan();
+        let mut node = WorkerState::for_plan(&plan);
+        let schema = Schema::new(["B"]);
+        node.db.merge(
+            "Q",
+            &Relation::from_pairs(schema.clone(), vec![(tuple![1], 2.0), (tuple![2], 1.0)]),
+        );
+        // Key 2 cancels to zero, so the pool drops it.
+        node.db.merge(
+            "Q",
+            &Relation::from_pairs(schema, vec![(tuple![2], -1.0), (tuple![3], 0.5)]),
+        );
+        let snapshot = node.stats_snapshot();
+        assert_eq!(snapshot.cardinalities.len(), plan.views.len());
+        for (view, n) in &snapshot.cardinalities {
+            assert_eq!(*n, node.snapshot(view).len() as u64, "{view}");
+        }
+        assert!(snapshot.cardinalities.contains(&("Q".to_string(), 2)));
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! The view database: one record pool per materialized view, with the
-//! secondary indexes chosen by the plan's access-pattern analysis, plus the
-//! [`Catalog`] implementation that lets the algebra evaluator run trigger
-//! statements directly against the pools and the current update batch.
+//! secondary indexes chosen by the plan's access-pattern analysis, plus
+//! [`execute`], the one statement executor, which runs a trigger statement
+//! directly against the pools, a node's exchange buffers and the current
+//! update batch.
 
 use crate::slice_index::{SliceIndex, Stored};
-use hotdog_algebra::eval::Catalog;
-use hotdog_algebra::expr::RelKind;
+use crate::vectorized::eval_vectorized;
+use hotdog_algebra::eval::{Catalog, EvalCounters, Evaluator};
+use hotdog_algebra::expr::{Expr, RelKind};
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::ring::Mult;
 use hotdog_algebra::schema::Schema;
 use hotdog_algebra::tuple::Tuple;
 use hotdog_algebra::value::Value;
-use hotdog_ivm::MaintenancePlan;
+use hotdog_ivm::{MaintenancePlan, StmtOp};
 use hotdog_storage::{PoolCounters, RecordPool};
 use std::collections::HashMap;
 
@@ -117,6 +119,14 @@ impl Database {
         }
     }
 
+    /// Apply a statement's result to a view: `+=` merges, `:=` replaces.
+    pub fn apply(&mut self, view: &str, op: StmtOp, result: &Relation) {
+        match op {
+            StmtOp::AddTo => self.merge(view, result),
+            StmtOp::SetTo => self.replace(view, result),
+        }
+    }
+
     /// Merge a relation into a view (`+=`).
     pub fn merge(&mut self, view: &str, contents: &Relation) {
         if let Some(pool) = self.pools.get_mut(view) {
@@ -153,38 +163,86 @@ impl Database {
     }
 }
 
-/// Catalog adapter: resolves `View` references against the database pools
-/// and `Delta` references against the current batch.  Built once per
-/// statement: its [`SliceIndex`] indexes the batch for that statement only.
-pub struct ExecCatalog<'a> {
+/// One trigger statement's result and the work it took (see [`execute`]).
+#[derive(Debug)]
+pub struct Executed {
+    /// The statement's result relation.
+    pub result: Relation,
+    /// Evaluator operation counts, `tuples_touched` included.
+    pub counters: EvalCounters,
+    /// The vectorizer refused the statement, so the row [`Evaluator`] ran it.
+    pub row_path: bool,
+}
+
+/// Evaluate one trigger statement against a node's state: the one statement
+/// executor of the local engine and of every distributed node.
+///
+/// The statement reads through a catalog built for it alone, which
+/// resolves a `Delta` reference to `deltas` and any other reference to a
+/// temp (exchange buffer) of that name, or else to the view's pool; the
+/// local engine passes no temps.  The columnar fast path runs first and
+/// the row [`Evaluator`] takes the shapes it refuses; both produce
+/// bit-identical results and counters.
+pub fn execute(
+    expr: &Expr,
+    db: &Database,
+    temps: &HashMap<String, Relation>,
+    deltas: &HashMap<String, Relation>,
+) -> Executed {
+    let catalog = StatementCatalog::new(db, temps, deltas);
+    let mut counters = EvalCounters::default();
+    let (result, row_path) = match eval_vectorized(expr, &catalog, &mut counters) {
+        Some(result) => (result, false),
+        None => {
+            let mut ev = Evaluator::new(&catalog);
+            let result = ev.eval(expr);
+            counters = ev.counters;
+            (result, true)
+        }
+    };
+    counters.tuples_touched = catalog.index.tuples_touched();
+    Executed {
+        result,
+        counters,
+        row_path,
+    }
+}
+
+/// The catalog of one [`execute`] call.  Its [`SliceIndex`] indexes the
+/// batch and temps for that statement only.
+struct StatementCatalog<'a> {
     db: &'a Database,
+    temps: &'a HashMap<String, Relation>,
     deltas: &'a HashMap<String, Relation>,
     index: SliceIndex<'a>,
 }
 
-impl<'a> ExecCatalog<'a> {
-    pub fn new(db: &'a Database, deltas: &'a HashMap<String, Relation>) -> Self {
-        ExecCatalog {
+impl<'a> StatementCatalog<'a> {
+    fn new(
+        db: &'a Database,
+        temps: &'a HashMap<String, Relation>,
+        deltas: &'a HashMap<String, Relation>,
+    ) -> Self {
+        StatementCatalog {
             db,
+            temps,
             deltas,
             index: SliceIndex::default(),
         }
     }
 
-    /// Tuples touched by this catalog's scans and slices so far.
-    pub fn tuples_touched(&self) -> u64 {
-        self.index.tuples_touched()
-    }
-
     fn resolve(&self, name: &str, kind: RelKind) -> Option<Stored<'a>> {
         match kind {
             RelKind::Delta => self.deltas.get(name).map(Stored::Relation),
-            _ => self.db.pool(name).map(Stored::Pool),
+            _ => match self.temps.get(name) {
+                Some(rel) => Some(Stored::Relation(rel)),
+                None => self.db.pool(name).map(Stored::Pool),
+            },
         }
     }
 }
 
-impl<'a> Catalog for ExecCatalog<'a> {
+impl Catalog for StatementCatalog<'_> {
     fn scan(&self, name: &str, kind: RelKind, f: &mut dyn FnMut(&Tuple, Mult)) {
         if let Some(stored) = self.resolve(name, kind) {
             self.index.scan(stored, f);
@@ -281,11 +339,68 @@ mod tests {
             "R".to_string(),
             Relation::from_pairs(Schema::new(["A", "B"]), vec![(tuple![1, 5], 1.0)]),
         );
-        let cat = ExecCatalog::new(&db, &deltas);
+        let no_temps = HashMap::new();
+        let cat = StatementCatalog::new(&db, &no_temps, &deltas);
         assert_eq!(cat.lookup("Q", RelKind::View, &tuple![5]), 7.0);
         assert_eq!(cat.lookup("R", RelKind::Delta, &tuple![1, 5]), 1.0);
         let mut n = 0;
         cat.scan("R", RelKind::Delta, &mut |_, _| n += 1);
         assert_eq!(n, 1);
+
+        // A temp shadows the view pool of its name; `Delta` never reads a
+        // temp, even one named like the batch.
+        let temps = HashMap::from([
+            (
+                "Q".to_string(),
+                Relation::from_pairs(Schema::new(["B"]), vec![(tuple![6], 4.0)]),
+            ),
+            (
+                "R".to_string(),
+                Relation::from_pairs(Schema::new(["A", "B"]), vec![(tuple![2, 5], 3.0)]),
+            ),
+        ]);
+        let cat = StatementCatalog::new(&db, &temps, &deltas);
+        assert_eq!(cat.lookup("Q", RelKind::View, &tuple![6]), 4.0);
+        assert_eq!(cat.lookup("Q", RelKind::View, &tuple![5]), 0.0);
+        assert_eq!(cat.lookup("R", RelKind::Delta, &tuple![2, 5]), 0.0);
+        let mut rows = Vec::new();
+        cat.slice("R", RelKind::Delta, &[1], &[Value::Long(5)], &mut |t, m| {
+            rows.push((t.clone(), m))
+        });
+        assert_eq!(rows, vec![(tuple![1, 5], 1.0)]);
+
+        // A name nothing holds is empty.
+        let mut n = 0;
+        cat.scan("NOPE", RelKind::View, &mut |_, _| n += 1);
+        cat.scan("S", RelKind::Delta, &mut |_, _| n += 1);
+        cat.slice(
+            "NOPE",
+            RelKind::View,
+            &[0],
+            &[Value::Long(5)],
+            &mut |_, _| n += 1,
+        );
+        assert_eq!(n, 0);
+        assert_eq!(cat.lookup("NOPE", RelKind::View, &tuple![5]), 0.0);
+
+        // Through `execute`: a left-deep join takes the columnar path, a
+        // nested aggregate the row path, and both report the row
+        // interpreter's counters.
+        let left_deep = sum(["B"], join(delta_rel("R", ["A", "B"]), view("Q", ["B"])));
+        let nested = sum_total(join(
+            delta_rel("R", ["A", "B"]),
+            assign_query("X", sum_total(view("Q", ["B"]))),
+        ));
+        for (expr, row_path) in [(left_deep, false), (nested, true)] {
+            let executed = execute(&expr, &db, &no_temps, &deltas);
+            let cat = StatementCatalog::new(&db, &no_temps, &deltas);
+            let mut ev = Evaluator::new(&cat);
+            let want = ev.eval(&expr);
+            ev.counters.tuples_touched = cat.index.tuples_touched();
+            assert_eq!(executed.row_path, row_path, "{expr:?}");
+            assert_eq!(executed.counters, ev.counters, "{expr:?}");
+            assert_eq!(executed.result.checksum(), want.checksum(), "{expr:?}");
+            assert!(!want.is_empty(), "{expr:?}");
+        }
     }
 }

@@ -2,11 +2,11 @@
 //! the view database, in single-tuple or batched mode (Section 3.3), with
 //! optional batch pre-aggregation, and meters the work performed.
 
-use crate::database::{Database, ExecCatalog};
-use hotdog_algebra::eval::{EvalCounters, Evaluator};
+use crate::database::{execute, Database};
+use hotdog_algebra::eval::EvalCounters;
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
-use hotdog_ivm::{MaintenancePlan, StmtOp, Trigger};
+use hotdog_ivm::{MaintenancePlan, Trigger};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -84,7 +84,7 @@ impl EngineTotals {
 }
 
 /// A trigger prepared for execution.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct ExecTrigger {
     /// The batch positions the trigger reads: with pre-aggregation
     /// [`Trigger::kept_delta_positions`] (and `trigger` narrowed to them),
@@ -165,69 +165,49 @@ impl LocalEngine {
             input_tuples: batch.len(),
             ..Default::default()
         };
-        let ExecTrigger { kept, trigger } = match self.triggers.get(relation) {
-            Some(t) => t.clone(),
-            None => return stats, // relation not referenced by this query
+        let Some(ExecTrigger { kept, trigger }) = self.triggers.get(relation) else {
+            return stats; // relation not referenced by this query
         };
         // Batches produced by the stream generators carry the table's
         // canonical column names; the compiled trigger uses the query's
         // variable names.  Project positionally onto the kept columns,
         // which without pre-aggregation is a relabel.
-        let schema = trigger.relation_schema.clone();
-        let delta = batch.project_canonical(&kept, schema.clone());
+        let schema = &trigger.relation_schema;
+        let delta = batch.project_canonical(kept, schema.clone());
         match self.mode {
             ExecMode::SingleTuple => {
                 for (t, m) in delta.iter() {
                     let single = Relation::from_pairs(schema.clone(), [(t.clone(), m)]);
-                    self.run_trigger(relation, &trigger, single, &mut stats);
+                    run_trigger(&mut self.db, relation, trigger, single, &mut stats);
                     stats.processed_tuples += 1;
                 }
             }
             ExecMode::Batched { .. } => {
                 stats.processed_tuples = delta.len();
-                self.run_trigger(relation, &trigger, delta, &mut stats);
+                run_trigger(&mut self.db, relation, trigger, delta, &mut stats);
             }
         }
         stats.elapsed = start.elapsed();
         self.totals.absorb(&stats);
         stats
     }
+}
 
-    fn run_trigger(
-        &mut self,
-        relation: &str,
-        trigger: &Trigger,
-        delta: Relation,
-        stats: &mut BatchStats,
-    ) {
-        let deltas = HashMap::from([(relation.to_string(), delta)]);
-        for stmt in &trigger.statements {
-            let result = {
-                let catalog = ExecCatalog::new(&self.db, &deltas);
-                // Columnar fast path first; row interpreter for shapes the
-                // vectorizer bails on.  Both produce bit-identical results
-                // and counters.
-                let mut counters = EvalCounters::default();
-                let r =
-                    match crate::vectorized::eval_vectorized(&stmt.expr, &catalog, &mut counters) {
-                        Some(r) => r,
-                        None => {
-                            let mut ev = Evaluator::new(&catalog);
-                            let r = ev.eval(&stmt.expr);
-                            counters = ev.counters;
-                            r
-                        }
-                    };
-                counters.tuples_touched = catalog.tuples_touched();
-                stats.eval.add(&counters);
-                r
-            };
-            match stmt.op {
-                StmtOp::AddTo => self.db.merge(&stmt.target, &result),
-                StmtOp::SetTo => self.db.replace(&stmt.target, &result),
-            }
-            stats.statements_executed += 1;
-        }
+/// Run one trigger's statements, in order, over `delta` against `db`.
+fn run_trigger(
+    db: &mut Database,
+    relation: &str,
+    trigger: &Trigger,
+    delta: Relation,
+    stats: &mut BatchStats,
+) {
+    let deltas = HashMap::from([(relation.to_string(), delta)]);
+    let no_temps = HashMap::new();
+    for stmt in &trigger.statements {
+        let executed = execute(&stmt.expr, db, &no_temps, &deltas);
+        stats.eval.add(&executed.counters);
+        db.apply(&stmt.target, stmt.op, &executed.result);
+        stats.statements_executed += 1;
     }
 }
 

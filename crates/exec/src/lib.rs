@@ -12,26 +12,26 @@
 //!   to slot-addressed [`vectorized::VectorPlan`]s executed one operator per
 //!   batch over column slices, bit-identical to the reference interpreter
 //!   (always on; no option selects an interpreter);
-//! * [`slice_index::SliceIndex`] — the one scan and slice path of the
-//!   execution catalogs: delta and temp slices are hash-indexed once per
-//!   statement, and every tuple touched is counted.
-//!
-//! Both the local engine and the distributed `WorkerState` funnel every
-//! trigger statement through [`vectorized::eval_vectorized`] first and fall
-//! back to the row-at-a-time [`Evaluator`](hotdog_algebra::eval::Evaluator)
-//! for shapes the vectorizer does not cover, so the two interpreters can
-//! never diverge observably.
+//! * [`execute`] — the one statement executor of the local engine and of
+//!   every distributed node: it builds the statement's catalog (a `Delta`
+//!   reference reads the batch, any other an exchange buffer or else a
+//!   view pool), runs
+//!   [`vectorized::eval_vectorized`] first and falls back to the
+//!   row-at-a-time [`Evaluator`](hotdog_algebra::eval::Evaluator) for
+//!   shapes the vectorizer does not cover, so the two interpreters can
+//!   never diverge observably.  Its catalog slices deltas and temps
+//!   through hash indexes built once per statement, and counts every
+//!   tuple touched.
 
 #![forbid(unsafe_code)]
 
 pub mod database;
 pub mod engine;
-pub mod slice_index;
+mod slice_index;
 pub mod vectorized;
 
-pub use database::{Database, ExecCatalog};
+pub use database::{execute, Database, Executed};
 pub use engine::{relabel, BatchStats, EngineTotals, ExecMode, LocalEngine};
-pub use slice_index::{SliceIndex, Stored};
 #[doc(hidden)]
 pub use vectorized::set_columnar;
 pub use vectorized::{eval_vectorized, VectorPlan};

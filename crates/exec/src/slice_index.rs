@@ -34,7 +34,7 @@ use std::rc::Rc;
 
 /// What a relation reference resolves to in an execution catalog.
 #[derive(Clone, Copy)]
-pub enum Stored<'a> {
+pub(crate) enum Stored<'a> {
     /// An in-memory relation: the update batch or an exchange buffer.
     Relation(&'a Relation),
     /// A materialized view's record pool.
@@ -61,7 +61,7 @@ type Built<'a> = (&'a Relation, Vec<usize>, Rc<Buckets<'a>>);
 /// hash indexes built on first use, and every tuple a scan, slice or index
 /// build touches is counted (see `EvalCounters::tuples_touched`).
 #[derive(Default)]
-pub struct SliceIndex<'a> {
+pub(crate) struct SliceIndex<'a> {
     /// Every index built so far; a statement slices only a few distinct
     /// (relation, positions) pairs, so a list suffices.
     built: RefCell<Vec<Built<'a>>>,

@@ -18,8 +18,8 @@
 //! `gather_column` for probe fan-out).  Hash-join probes go through the
 //! [`Catalog`], whose hash indexes *are* the join's build side: a view
 //! probe reads the `hotdog-storage` record pool's secondary index, and a
-//! delta or temp probe reads the [`SliceIndex`](crate::SliceIndex) built
-//! once per statement, so each probe costs O(matches).
+//! delta or temp probe reads the hash index the [`execute`](crate::execute)
+//! catalog builds once per statement, so each probe costs O(matches).
 //!
 //! # Bit-for-bit parity
 //!
@@ -609,7 +609,7 @@ impl VectorPlan {
     }
 }
 
-/// Entry point of the trigger funnel: compile and execute `expr` on the
+/// The executor's fast path: compile and execute `expr` on the
 /// columnar fast path if its shape is supported, accumulating counter
 /// increments into `counters`.  Returns `None` when the caller must run the
 /// reference interpreter.
