@@ -25,6 +25,8 @@
 #![forbid(unsafe_code)]
 
 pub mod columnar;
+#[cfg(test)]
+mod order_model;
 pub mod pool;
 
 pub use columnar::ColumnarBatch;
