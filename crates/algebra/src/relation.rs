@@ -345,6 +345,17 @@ impl fmt::Display for ViewChecksum {
     }
 }
 
+/// Contents by value, in [`Relation::iter`] order: a consumer moves the
+/// tuples instead of cloning them.
+impl IntoIterator for Relation {
+    type Item = (Tuple, Mult);
+    type IntoIter = std::collections::hash_map::IntoIter<Tuple, Mult>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.data.into_iter()
+    }
+}
+
 impl fmt::Debug for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Relation{:?} {{", self.schema)?;
@@ -446,6 +457,24 @@ mod tests {
         );
         assert_ne!(a.checksum(), c.checksum(), "checksum must catch ulp drift");
         assert_eq!(a.checksum().tuples, 3);
+    }
+
+    #[test]
+    fn consuming_iteration_follows_iter_order() {
+        let mut r = Relation::new(Schema::new(["a", "b"]));
+        for i in 0..64i64 {
+            r.add(tuple![i % 13, i], 0.5 + i as f64);
+        }
+        // Removals leave tombstones in the backing table; the consuming
+        // iterator must walk them exactly as `iter` does.
+        for i in (0..64i64).step_by(3) {
+            r.add(tuple![i % 13, i], -0.5 - i as f64);
+        }
+        r.add(tuple![99, 99], 1.0);
+        let by_ref: Vec<(Tuple, u64)> = r.iter().map(|(t, m)| (t.clone(), m.to_bits())).collect();
+        let by_value: Vec<(Tuple, u64)> = r.into_iter().map(|(t, m)| (t, m.to_bits())).collect();
+        assert_eq!(by_value.len(), 64 - 22 + 1);
+        assert_eq!(by_value, by_ref);
     }
 
     #[test]

@@ -208,10 +208,10 @@ impl WorkerState {
         let names: Vec<String> = self.views.iter().cloned().collect();
         for v in names {
             match snapshot.views.iter().find(|(n, _)| *n == v) {
-                Some((_, rel)) => self.db.rebuild(&v, &rel.canonical()),
+                Some((_, rel)) => self.db.rebuild(&v, rel.canonical()),
                 None => {
                     let schema = self.db.schema(&v).cloned().unwrap_or_default();
-                    self.db.rebuild(&v, &Relation::new(schema));
+                    self.db.rebuild(&v, Relation::new(schema));
                 }
             }
         }
@@ -260,7 +260,7 @@ impl WorkerState {
                 self.captured
                     .push((stmt.target.clone(), stmt.op, result.clone()));
             }
-            self.db.apply(&stmt.target, stmt.op, &result);
+            self.db.apply(&stmt.target, stmt.op, result);
         } else {
             let entry = self
                 .temps
@@ -361,7 +361,7 @@ mod tests {
         let plan = plan();
         let mut node = WorkerState::for_plan(&plan);
         let in_db = Relation::from_pairs(Schema::new(["B"]), vec![(tuple![1], 1.0)]);
-        node.db.merge("Q", &in_db);
+        node.db.merge("Q", in_db.clone());
         assert!(node.read("Q").approx_eq(&in_db));
         let buffered = Relation::from_pairs(Schema::new(["B"]), vec![(tuple![2], 5.0)]);
         node.temps.insert("Q".into(), buffered.clone());
@@ -375,12 +375,12 @@ mod tests {
         let schema = Schema::new(["B"]);
         node.db.merge(
             "Q",
-            &Relation::from_pairs(schema.clone(), vec![(tuple![1], 2.0), (tuple![2], 1.0)]),
+            Relation::from_pairs(schema.clone(), vec![(tuple![1], 2.0), (tuple![2], 1.0)]),
         );
         // Key 2 cancels to zero, so the pool drops it.
         node.db.merge(
             "Q",
-            &Relation::from_pairs(schema, vec![(tuple![2], -1.0), (tuple![3], 0.5)]),
+            Relation::from_pairs(schema, vec![(tuple![2], -1.0), (tuple![3], 0.5)]),
         );
         let snapshot = node.stats_snapshot();
         assert_eq!(snapshot.cardinalities.len(), plan.views.len());
@@ -396,7 +396,7 @@ mod tests {
         let mut node = WorkerState::for_plan(&plan);
         node.db.merge(
             "Q",
-            &Relation::from_pairs(Schema::new(["B"]), vec![(tuple![3], 4.0)]),
+            Relation::from_pairs(Schema::new(["B"]), vec![(tuple![3], 4.0)]),
         );
         let stmt = DistStatement {
             target: "copy_1".into(),

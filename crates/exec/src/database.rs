@@ -8,6 +8,7 @@ use crate::slice_index::{SliceIndex, Stored};
 use crate::vectorized::eval_vectorized;
 use hotdog_algebra::eval::{Catalog, EvalCounters, Evaluator};
 use hotdog_algebra::expr::{Expr, RelKind};
+use hotdog_algebra::hash::DetMap;
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::ring::Mult;
 use hotdog_algebra::schema::Schema;
@@ -20,8 +21,8 @@ use std::collections::HashMap;
 /// Storage for all materialized views of one maintenance plan.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
-    pools: HashMap<String, RecordPool>,
-    schemas: HashMap<String, Schema>,
+    pools: DetMap<String, RecordPool>,
+    schemas: DetMap<String, Schema>,
 }
 
 impl Database {
@@ -72,12 +73,13 @@ impl Database {
     }
 
     /// Replace a view's contents wholesale (the `:=` statement operation and
-    /// the shuffle path of the distributed runtime).
-    pub fn replace(&mut self, view: &str, contents: &Relation) {
+    /// the shuffle path of the distributed runtime), moving the tuples into
+    /// the pool in `contents`' iteration order.
+    pub fn replace(&mut self, view: &str, contents: Relation) {
         if let Some(pool) = self.pools.get_mut(view) {
             pool.clear();
-            for (t, m) in contents.iter() {
-                pool.update(t.clone(), m);
+            for (t, m) in contents {
+                pool.update(t, m);
             }
         }
     }
@@ -94,12 +96,12 @@ impl Database {
     /// of the pool's entire history.  `rebuild` makes it a pure function of
     /// `contents`: feeding it the same canonical relation always produces
     /// bit-identical scan order, no matter what the pool held before.
-    pub fn rebuild(&mut self, view: &str, contents: &Relation) {
+    pub fn rebuild(&mut self, view: &str, contents: Relation) {
         if let Some(pool) = self.pools.get_mut(view) {
             let mut fresh =
                 RecordPool::with_secondary_indexes(pool.arity(), &pool.secondary_index_specs());
-            for (t, m) in contents.iter() {
-                fresh.update(t.clone(), m);
+            for (t, m) in contents {
+                fresh.update(t, m);
             }
             *pool = fresh;
         }
@@ -115,23 +117,24 @@ impl Database {
         let views: Vec<String> = self.pools.keys().cloned().collect();
         for v in views {
             let canon = self.snapshot(&v).canonical();
-            self.rebuild(&v, &canon);
+            self.rebuild(&v, canon);
         }
     }
 
     /// Apply a statement's result to a view: `+=` merges, `:=` replaces.
-    pub fn apply(&mut self, view: &str, op: StmtOp, result: &Relation) {
+    pub fn apply(&mut self, view: &str, op: StmtOp, result: Relation) {
         match op {
             StmtOp::AddTo => self.merge(view, result),
             StmtOp::SetTo => self.replace(view, result),
         }
     }
 
-    /// Merge a relation into a view (`+=`).
-    pub fn merge(&mut self, view: &str, contents: &Relation) {
+    /// Merge a relation into a view (`+=`), moving its tuples into the
+    /// pool in its iteration order.
+    pub fn merge(&mut self, view: &str, contents: Relation) {
         if let Some(pool) = self.pools.get_mut(view) {
-            for (t, m) in contents.iter() {
-                pool.update(t.clone(), m);
+            for (t, m) in contents {
+                pool.update(t, m);
             }
         }
     }
@@ -318,10 +321,10 @@ mod tests {
         let mut db = Database::for_plan(&plan);
         let rel =
             Relation::from_pairs(Schema::new(["B"]), vec![(tuple![1], 2.0), (tuple![2], 3.0)]);
-        db.merge("Q", &rel);
+        db.merge("Q", rel.clone());
         assert!(db.snapshot("Q").approx_eq(&rel));
         let rel2 = Relation::from_pairs(Schema::new(["B"]), vec![(tuple![9], 1.0)]);
-        db.replace("Q", &rel2);
+        db.replace("Q", rel2.clone());
         assert!(db.snapshot("Q").approx_eq(&rel2));
         assert_eq!(db.total_records(), 1);
     }
@@ -332,7 +335,7 @@ mod tests {
         let mut db = Database::for_plan(&plan);
         db.merge(
             "Q",
-            &Relation::from_pairs(Schema::new(["B"]), vec![(tuple![5], 7.0)]),
+            Relation::from_pairs(Schema::new(["B"]), vec![(tuple![5], 7.0)]),
         );
         let mut deltas = HashMap::new();
         deltas.insert(

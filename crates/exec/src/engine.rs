@@ -206,7 +206,7 @@ fn run_trigger(
     for stmt in &trigger.statements {
         let executed = execute(&stmt.expr, db, &no_temps, &deltas);
         stats.eval.add(&executed.counters);
-        db.apply(&stmt.target, stmt.op, &executed.result);
+        db.apply(&stmt.target, stmt.op, executed.result);
         stats.statements_executed += 1;
     }
 }

@@ -477,8 +477,10 @@ impl VectorPlan {
                 } => {
                     counters.lookups += n as u64;
                     let mut keep = vec![false; n];
+                    let mut key = Tuple(Vec::with_capacity(key_slots.len()));
                     for i in 0..n {
-                        let key = Tuple(key_slots.iter().map(|&s| cols[s][i].clone()).collect());
+                        key.0.clear();
+                        key.0.extend(key_slots.iter().map(|&s| cols[s][i].clone()));
                         let m = catalog.lookup(name, *kind, &key);
                         if m != 0.0 {
                             counters.tuples_visited += 1;
@@ -527,10 +529,11 @@ impl VectorPlan {
                             }
                         }
                     } else {
+                        let mut key_vals: Vec<Value> = Vec::with_capacity(bound.len());
                         for i in 0..n {
                             counters.slices += 1;
-                            let key_vals: Vec<Value> =
-                                bound.iter().map(|&(_, s)| cols[s][i].clone()).collect();
+                            key_vals.clear();
+                            key_vals.extend(bound.iter().map(|&(_, s)| cols[s][i].clone()));
                             let mut visited = 0u64;
                             let m_left = mults[i];
                             catalog.slice(name, *kind, &positions, &key_vals, &mut |t, m| {

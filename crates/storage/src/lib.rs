@@ -4,8 +4,12 @@
 //! (Section 5.2 of the paper):
 //!
 //! * [`pool::RecordPool`] — the multi-indexed record pool used for dynamic
-//!   materialized views, with a unique hash index over the full key and
-//!   non-unique hash indexes for `slice` access patterns;
+//!   materialized views: each record stored once in a slab, a unique index
+//!   over the full key and non-unique indexes for `slice` access patterns,
+//!   all of one kind (a table from a 64-bit hash to a bucket of slots).
+//!   Its scan and slice order (slot order, LIFO slot reuse,
+//!   vector-ordered buckets) is part of its contract, pinned by an
+//!   order-model property test;
 //! * [`columnar::ColumnarBatch`] — column-oriented update batches supporting
 //!   static-predicate filtering and batch pre-aggregation.
 //!

@@ -20,7 +20,7 @@
 //! every indexed and unindexed `slice` order, `get`, `len`, `capacity` and
 //! [`PoolCounters`].
 
-use crate::pool::{PoolCounters, RecordPool};
+use crate::pool::{PoolCounters, RecordPool, HASH_MASK};
 use hotdog_algebra::ring::{Mult, MULT_EPSILON};
 use hotdog_algebra::tuple::Tuple;
 use hotdog_algebra::value::Value;
@@ -315,5 +315,20 @@ proptest! {
     #[test]
     fn pool_follows_the_order_model(arity in 1usize..5, ops in ops()) {
         run(arity, &ops)?;
+    }
+
+    /// ... also when index hashes collide: with the hash cut to its low
+    /// `bits` bits, keys share primary chains and projections share
+    /// bucket chains, and every probe must still confirm its hit.
+    #[test]
+    fn pool_follows_the_order_model_under_hash_collisions(
+        bits in 0usize..3,
+        arity in 1usize..5,
+        ops in ops(),
+    ) {
+        HASH_MASK.with(|mask| mask.set((1u64 << bits) - 1));
+        let outcome = run(arity, &ops);
+        HASH_MASK.with(|mask| mask.set(u64::MAX));
+        outcome?;
     }
 }
