@@ -1061,6 +1061,38 @@ mod tests {
         }
     }
 
+    /// Workers run their blocks without the batch: every delta reference
+    /// is lowered into a scattered temp, at every optimization level, for
+    /// every query of the catalog.  This is what lets a `RunBlock` name a
+    /// block and carry no deltas.
+    #[test]
+    fn no_distributed_block_reads_the_batch() {
+        let mut blocks = 0;
+        for q in hotdog_workload::all_queries() {
+            let plan = compile_recursive(q.id, &q.expr);
+            let spec = PartitioningSpec::heuristic(&plan, &q.partition_keys);
+            for opt in ALL_LEVELS {
+                let dp = compile_distributed(&plan, &spec, opt);
+                for p in &dp.programs {
+                    for b in p.blocks.iter().filter(|b| b.mode == StmtMode::Distributed) {
+                        blocks += 1;
+                        for s in &b.statements {
+                            if let DistStmtKind::Compute(e) = &s.kind {
+                                assert!(
+                                    !e.has_delta_relations(),
+                                    "{} at {opt:?}: distributed `{s}` reads the batch in\n{}",
+                                    q.id,
+                                    p.pretty()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(blocks > 0);
+    }
+
     /// The Q3 shape: `ON UPDATE O` executes on `OK` and probes the
     /// customer view by `CK`; that view has no `OK` column to be
     /// re-partitioned by.
