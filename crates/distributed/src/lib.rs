@@ -46,4 +46,7 @@ pub use program::{
     Transform, TriggerProgram, WholeViewMoves,
 };
 pub use protocol::{handle_request, WorkerReply, WorkerRequest};
-pub use worker::{Temps, WorkerSnapshot, WorkerState, WorkerStats, WorkerStatsSnapshot};
+pub use worker::{
+    ProgramBlocks, StmtRef, Temps, UnknownStatement, WorkerSnapshot, WorkerState, WorkerStats,
+    WorkerStatsSnapshot,
+};

@@ -9,6 +9,7 @@
 //! transformer statements, and the block fusion algorithm of Appendix C.3.
 
 use crate::partition::{LocTag, PartitionFn, PartitioningSpec};
+use crate::worker::ProgramBlocks;
 use hotdog_algebra::expr::{Expr, RelKind, RelRef};
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
@@ -264,6 +265,15 @@ pub struct DistributedPlan {
 impl DistributedPlan {
     pub fn program(&self, relation: &str) -> Option<&TriggerProgram> {
         self.programs.iter().find(|p| p.relation == relation)
+    }
+
+    /// Every program's statements by block: what workers receive once at
+    /// start-up and commands name positions in.
+    pub fn program_blocks(&self) -> ProgramBlocks {
+        self.programs
+            .iter()
+            .map(|p| p.blocks.iter().map(|b| b.statements.clone()).collect())
+            .collect()
     }
 
     /// Location of any view or temp.

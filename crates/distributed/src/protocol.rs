@@ -10,6 +10,14 @@
 //! byte-level encoding (an in-process `mpsc` move vs. the `hotdog-net`
 //! length-prefixed codec) differs.
 //!
+//! Statements cross the wire once.  Every worker starts with the plan's
+//! [`ProgramBlocks`](crate::worker::ProgramBlocks) — handed over through an `Arc` in process, or in the
+//! TCP `Init` frame — and commands name statements by position in them:
+//! a `RunBlock` names a `(program, block)`, an `ApplyMany` shard the
+//! `(program, block, statement)` ([`StmtRef`]) that installs it.  A
+//! position the worker's programs do not hold is an [`UnknownStatement`]
+//! error, never a panic.
+//!
 //! Two-layer contract of the **tagged-reply protocol**:
 //!
 //! * **Command order is per-channel FIFO** — an `ApplyMany` enqueued before
@@ -24,14 +32,11 @@
 //!   gather of batch *k* waits only for its own ids while block
 //!   completions of the in-flight window settle whenever they arrive.
 
-use crate::program::DistStatement;
-use crate::worker::{WorkerSnapshot, WorkerState, WorkerStatsSnapshot};
+use crate::worker::{StmtRef, UnknownStatement, WorkerSnapshot, WorkerState, WorkerStatsSnapshot};
 use hotdog_algebra::eval::EvalCounters;
 use hotdog_algebra::relation::Relation;
 use hotdog_ivm::StmtOp;
 use hotdog_telemetry::trace::{SpanContext, SpanRecord};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Commands the driver sends to a worker (thread or process).
 ///
@@ -42,13 +47,13 @@ use std::sync::Arc;
 /// `Stats` reply, so one batch yields one stitched span tree whether the
 /// transport is an in-process channel or TCP.
 pub enum WorkerRequest {
-    /// Execute one distributed block over this worker's shard and report
-    /// the interpreter work performed.
+    /// Execute block `block` of program `program` over this worker's
+    /// shard and report the interpreter work performed.
     RunBlock {
         id: u64,
         ctx: SpanContext,
-        statements: Arc<Vec<DistStatement>>,
-        deltas: Arc<HashMap<String, Relation>>,
+        program: u32,
+        block: u32,
     },
     /// Install a batch of scattered shards into their statements' targets,
     /// in statement order.  One `ApplyMany` per worker per batch replaces
@@ -60,7 +65,7 @@ pub enum WorkerRequest {
         /// against the ledger, so this one is never awaited.
         id: u64,
         ctx: SpanContext,
-        applies: Vec<(Arc<DistStatement>, Relation)>,
+        applies: Vec<(StmtRef, Relation)>,
     },
     /// Send back an exchange buffer (or this worker's view partition).
     Fetch {
@@ -159,20 +164,25 @@ pub enum WorkerReply {
 /// (`ApplyMany`).  [`WorkerRequest::Shutdown`] is a transport-level
 /// concern (the event loop must stop reading); callers match it before
 /// delegating here, and passing it anyway is a no-op returning `None`.
-pub fn handle_request(state: &mut WorkerState, request: WorkerRequest) -> Option<WorkerReply> {
-    match request {
+/// A command naming a position outside the worker's
+/// [`ProgramBlocks`](crate::worker::ProgramBlocks)
+/// fails with [`UnknownStatement`]; the worker is then unusable and its
+/// event loop should end.
+pub fn handle_request(
+    state: &mut WorkerState,
+    request: WorkerRequest,
+) -> Result<Option<WorkerReply>, UnknownStatement> {
+    Ok(match request {
         WorkerRequest::RunBlock {
             id,
             ctx,
-            statements,
-            deltas,
+            program,
+            block,
         } => {
             let span = state.tracer.begin(ctx, "worker.run_block");
             state.stats.blocks_run += 1;
             let mut counters = EvalCounters::default();
-            for stmt in statements.iter() {
-                state.run_compute(stmt, &deltas, &mut counters);
-            }
+            state.run_block(program, block, &mut counters)?;
             state.tracer.finish(span);
             Some(WorkerReply::Ran {
                 id,
@@ -181,7 +191,7 @@ pub fn handle_request(state: &mut WorkerState, request: WorkerRequest) -> Option
         }
         WorkerRequest::ApplyMany { ctx, applies, .. } => {
             let span = state.tracer.begin(ctx, "worker.apply");
-            state.apply_all(applies);
+            state.apply_all(applies)?;
             state.tracer.finish(span);
             None
         }
@@ -222,18 +232,31 @@ pub fn handle_request(state: &mut WorkerState, request: WorkerRequest) -> Option
             ops: state.take_captured(),
         }),
         WorkerRequest::Shutdown => None,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::{DistStmtKind, StmtMode};
+    use crate::program::{DistStatement, DistStmtKind, StmtMode};
     use hotdog_algebra::expr::view;
     use hotdog_algebra::schema::Schema;
     use hotdog_algebra::tuple;
     use hotdog_ivm::{compile_recursive, StmtOp};
+    use std::sync::Arc;
 
+    fn buf_stmt(op: StmtOp) -> DistStatement {
+        DistStatement {
+            target: "buf".into(),
+            target_schema: Schema::new(["B"]),
+            op,
+            kind: DistStmtKind::Compute(view("Q", ["B"])),
+            mode: StmtMode::Local,
+        }
+    }
+
+    /// A worker whose one program is one block: an `AddTo` then a `SetTo`
+    /// of the same exchange buffer.
     fn state() -> WorkerState {
         let plan = compile_recursive(
             "Q",
@@ -245,7 +268,8 @@ mod tests {
                 ),
             ),
         );
-        WorkerState::for_plan(&plan)
+        let programs = vec![vec![vec![buf_stmt(StmtOp::AddTo), buf_stmt(StmtOp::SetTo)]]];
+        WorkerState::with_programs(&plan, Arc::new(programs))
     }
 
     #[test]
@@ -258,11 +282,11 @@ mod tests {
                 view: "Q".into(),
             },
         ) {
-            Some(WorkerReply::Rel { id, .. }) => assert_eq!(id, 42),
+            Ok(Some(WorkerReply::Rel { id, .. })) => assert_eq!(id, 42),
             _ => panic!("snapshot must answer with Rel"),
         }
         match handle_request(&mut st, WorkerRequest::Barrier { id: 7 }) {
-            Some(WorkerReply::Ack { id }) => assert_eq!(id, 7),
+            Ok(Some(WorkerReply::Ack { id })) => assert_eq!(id, 7),
             _ => panic!("barrier must answer with Ack"),
         }
     }
@@ -270,15 +294,6 @@ mod tests {
     #[test]
     fn apply_many_is_fire_and_forget_and_applies_in_order() {
         let mut st = state();
-        let stmt = |op: StmtOp| {
-            Arc::new(DistStatement {
-                target: "buf".into(),
-                target_schema: Schema::new(["B"]),
-                op,
-                kind: DistStmtKind::Compute(view("Q", ["B"])),
-                mode: StmtMode::Local,
-            })
-        };
         let a = Relation::from_pairs(Schema::new(["B"]), vec![(tuple![1], 1.0)]);
         let b = Relation::from_pairs(Schema::new(["B"]), vec![(tuple![2], 5.0)]);
         let reply = handle_request(
@@ -286,12 +301,54 @@ mod tests {
             WorkerRequest::ApplyMany {
                 id: 1,
                 ctx: SpanContext::NONE,
-                applies: vec![(stmt(StmtOp::AddTo), a), (stmt(StmtOp::SetTo), b.clone())],
+                applies: vec![((0, 0, 0), a), ((0, 0, 1), b.clone())],
             },
         );
-        assert!(reply.is_none());
+        assert!(matches!(reply, Ok(None)));
         // The later SetTo overwrote the earlier AddTo, as statement order
         // demands.
         assert!(st.temps["buf"].approx_eq(&b));
+    }
+
+    #[test]
+    fn positions_outside_the_programs_are_errors() {
+        let mut st = state();
+        let run = |program, block| WorkerRequest::RunBlock {
+            id: 1,
+            ctx: SpanContext::NONE,
+            program,
+            block,
+        };
+        assert!(matches!(
+            handle_request(&mut st, run(0, 0)),
+            Ok(Some(WorkerReply::Ran { id: 1, .. }))
+        ));
+        for (program, block) in [(1, 0), (0, 1), (u32::MAX, u32::MAX)] {
+            let err = handle_request(&mut st, run(program, block)).err();
+            assert_eq!(
+                err,
+                Some(UnknownStatement {
+                    program,
+                    block,
+                    statement: None
+                })
+            );
+        }
+        let shard = Relation::new(Schema::new(["B"]));
+        for at in [(0, 0, 2), (0, 1, 0), (1, 0, 0)] {
+            let err = handle_request(
+                &mut st,
+                WorkerRequest::ApplyMany {
+                    id: 2,
+                    ctx: SpanContext::NONE,
+                    applies: vec![(at, shard.clone())],
+                },
+            )
+            .err();
+            assert_eq!(
+                err.map(|e| (e.program, e.block, e.statement)),
+                Some((at.0, at.1, Some(at.2)))
+            );
+        }
     }
 }

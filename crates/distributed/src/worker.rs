@@ -20,6 +20,44 @@ use hotdog_exec::Database;
 use hotdog_ivm::{MaintenancePlan, StmtOp};
 use hotdog_telemetry::trace::WorkerTracer;
 use std::collections::{HashMap, HashSet};
+use std::fmt;
+use std::sync::Arc;
+
+/// Every statement of every trigger program, indexed
+/// `[program][block][statement]` in [`DistributedPlan::programs`] order and
+/// covering `Local` blocks too (their scatters are what `ApplyMany` shards
+/// install).  Workers receive it once, at start-up; commands then name a
+/// block or statement by position instead of carrying it.
+///
+/// [`DistributedPlan::programs`]: crate::program::DistributedPlan::programs
+pub type ProgramBlocks = Vec<Vec<Vec<DistStatement>>>;
+
+/// A `(program, block, statement)` position in [`ProgramBlocks`]: the
+/// statement an `ApplyMany` shard is installed by.
+pub type StmtRef = (u32, u32, u32);
+
+/// A command named a block or statement this node's [`ProgramBlocks`] do
+/// not hold.  Drivers only send positions they compiled, so this is a
+/// corrupt or hostile frame; the TCP worker answers it with `InvalidData`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UnknownStatement {
+    pub program: u32,
+    pub block: u32,
+    /// `None` when a whole block was named (`RunBlock`).
+    pub statement: Option<u32>,
+}
+
+impl fmt::Display for UnknownStatement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "no block {}.{}", self.program, self.block)?;
+        if let Some(s) = self.statement {
+            write!(f, " statement {s}")?;
+        }
+        write!(f, " in this worker's programs")
+    }
+}
+
+impl std::error::Error for UnknownStatement {}
 
 /// One node's transient exchange buffers (scattered batches, repartitioned
 /// views, partial results), keyed by temp name.
@@ -109,11 +147,21 @@ pub struct WorkerState {
     /// contexts, drained by the `Stats` protocol round.  Set the display
     /// track via [`WorkerState::set_trace_track`] (worker `w` → `w + 1`).
     pub tracer: WorkerTracer,
+    /// The statements `RunBlock` and `ApplyMany` name by position.  Empty
+    /// on the driver node, which runs the statements it holds itself.
+    programs: Arc<ProgramBlocks>,
 }
 
 impl WorkerState {
-    /// Create empty node state for a maintenance plan.
+    /// Create empty node state for a maintenance plan, holding no
+    /// programs (the driver node's state).
     pub fn for_plan(plan: &MaintenancePlan) -> Self {
+        Self::with_programs(plan, Arc::default())
+    }
+
+    /// Create empty worker state for a maintenance plan and the programs
+    /// its commands name statements in.
+    pub fn with_programs(plan: &MaintenancePlan, programs: Arc<ProgramBlocks>) -> Self {
         WorkerState {
             db: Database::for_plan(plan),
             temps: Temps::new(),
@@ -122,6 +170,7 @@ impl WorkerState {
             capture: HashSet::new(),
             captured: Vec::new(),
             tracer: WorkerTracer::default(),
+            programs,
         }
     }
 
@@ -273,20 +322,53 @@ impl WorkerState {
         }
     }
 
+    /// Run every statement of block `block` of program `program` — the
+    /// worker side of a `RunBlock`.  Worker blocks never read the batch
+    /// (the compiler lowers every delta reference into a scattered temp),
+    /// so they run against an empty deltas map.
+    pub fn run_block(
+        &mut self,
+        program: u32,
+        block: u32,
+        counters: &mut EvalCounters,
+    ) -> Result<(), UnknownStatement> {
+        let programs = Arc::clone(&self.programs);
+        let statements = programs
+            .get(program as usize)
+            .and_then(|p| p.get(block as usize))
+            .ok_or(UnknownStatement {
+                program,
+                block,
+                statement: None,
+            })?;
+        for stmt in statements {
+            self.run_compute(stmt, &HashMap::new(), counters);
+        }
+        Ok(())
+    }
+
     /// Apply a batch of received shards in statement order — the worker
     /// side of a multi-statement `ApplyMany` scatter message.  Statement
     /// order must be preserved: a later `SetTo` may overwrite an earlier
     /// `AddTo` to the same exchange buffer, exactly as the per-statement
     /// message sequence would have.
-    pub fn apply_all(
-        &mut self,
-        applies: impl IntoIterator<Item = (std::sync::Arc<DistStatement>, Relation)>,
-    ) {
-        for (stmt, shard) in applies {
+    pub fn apply_all(&mut self, applies: Vec<(StmtRef, Relation)>) -> Result<(), UnknownStatement> {
+        let programs = Arc::clone(&self.programs);
+        for ((program, block, statement), shard) in applies {
+            let stmt = programs
+                .get(program as usize)
+                .and_then(|p| p.get(block as usize))
+                .and_then(|b| b.get(statement as usize))
+                .ok_or(UnknownStatement {
+                    program,
+                    block,
+                    statement: Some(statement),
+                })?;
             self.stats.applies += 1;
             self.stats.tuples_applied += shard.len() as u64;
-            self.apply(&stmt, shard);
+            self.apply(stmt, shard);
         }
+        Ok(())
     }
 
     /// Read a named relation for a transformer: an exchange buffer if one

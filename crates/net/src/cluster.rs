@@ -8,9 +8,15 @@
 //! `hotdog-worker` subprocess per worker slot — or waits for externally
 //! started workers ([`WorkerSpawn::External`]) — and handshakes each
 //! connection: the worker sends `Hello{index}` (connections race, so the
-//! slot travels in-band), the driver answers with `Init{plan}`, and from
-//! then on the connection carries the same FIFO-command/tagged-reply
-//! protocol as the in-process channel transport.
+//! slot travels in-band), the driver answers with `Init{plan, programs}`,
+//! and from then on the connection carries the same FIFO-command/tagged-
+//! reply protocol as the in-process channel transport.
+//!
+//! `Init` is the only frame that carries statements: it ships every
+//! trigger program once per (re)connection, and `RunBlock` / `ApplyMany`
+//! name blocks and statements by index into them.  So every command is
+//! encoded fresh per send, with nothing cached: a `RunBlock` is 34 bytes
+//! of payload whatever its block holds.
 //!
 //! Construction is the respawn of every slot: one bring-up routine
 //! (`TcpTransport::bring_up` — launch, accept, handshake, `Init` and
@@ -25,14 +31,10 @@
 //! can only differ in how bytes move.  The differential oracle holds
 //! `TcpCluster` bit-for-bit against the simulated cluster.
 
-use crate::codec::{
-    decode_from_slice, encode_deltas_segment, encode_statements_segment, encode_to_vec, ToDriver,
-    ToWorker,
-};
+use crate::codec::{decode_from_slice, encode_to_vec, ToDriver, ToWorker};
 use crate::faults::{FaultPlan, FaultState, KillSpec, Phase};
-use crate::frame::{read_frame, recv_msg, send_payload, send_payload_parts};
+use crate::frame::{read_frame, recv_msg, send_payload};
 use hotdog_algebra::relation::Relation;
-use hotdog_distributed::program::DistStatement;
 use hotdog_distributed::protocol::{WorkerReply, WorkerRequest};
 use hotdog_distributed::{
     Backend, BatchExecution, CaptureBatch, ClusterTotals, DeltaCapture, DistributedPlan,
@@ -40,7 +42,6 @@ use hotdog_distributed::{
 };
 use hotdog_runtime::{Driver, PipelineConfig, Transport, TransportNames, WorkerDead};
 use hotdog_telemetry::{Counter, Histogram, SpanContext, Telemetry};
-use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::ops::{Deref, DerefMut};
@@ -186,12 +187,6 @@ struct NetMetrics {
     fault_injected: Arc<Counter>,
     encode_micros: Arc<Histogram>,
     decode_micros: Arc<Histogram>,
-    /// Broadcast body segments served from the encode cache (no
-    /// re-encoding) vs. encoded fresh.  Wall-clock-free but wire-only,
-    /// so `net.*`-prefixed and excluded from the deterministic snapshot
-    /// like the rest of this registry.
-    broadcast_cache_hits: Arc<Counter>,
-    broadcast_cache_misses: Arc<Counter>,
 }
 
 impl NetMetrics {
@@ -206,8 +201,6 @@ impl NetMetrics {
             fault_injected: t.counter("fault.injected"),
             encode_micros: t.histogram("net.encode_micros"),
             decode_micros: t.histogram("net.decode_micros"),
-            broadcast_cache_hits: t.counter("net.broadcast.cache_hits"),
-            broadcast_cache_misses: t.counter("net.broadcast.cache_misses"),
         }
     }
 }
@@ -243,11 +236,6 @@ type Launched = (Option<Child>, Option<JoinHandle<()>>);
 /// its reply pump will own.
 type Accepted = (TcpStream, BufReader<TcpStream>);
 
-/// An encoded broadcast segment paired with the `Arc` that keys it — the
-/// held `Arc` pins the allocation, so the cache's pointer key can never be
-/// reused for different content.
-type CachedSegment<T> = (Arc<T>, Arc<Vec<u8>>);
-
 /// [`Transport`] implementation over per-worker TCP connections.
 pub struct TcpTransport {
     conns: Vec<WorkerConn>,
@@ -256,8 +244,8 @@ pub struct TcpTransport {
     /// to the same address the original cluster handshook on.
     listener: TcpListener,
     config: TcpConfig,
-    /// The encoded `Init{plan}` frame, kept for replays to respawned
-    /// workers (encode once, ship per (re)connection).
+    /// The encoded `Init{plan, programs}` frame, kept for replays to
+    /// respawned workers (encode once, ship per (re)connection).
     init: Vec<u8>,
     faults: FaultState,
     ping_seq: u64,
@@ -266,19 +254,6 @@ pub struct TcpTransport {
     /// counters land in one registry.
     telemetry: Arc<Telemetry>,
     metrics: NetMetrics,
-    /// Zero-copy broadcast cache for `RunBlock` statement segments, keyed
-    /// by `Arc` identity of the program's statement list.  The driver
-    /// shares one `Arc<Vec<DistStatement>>` per block per *cluster*
-    /// (`SharedBlock`), so each program encodes once here and the bytes
-    /// are reused for every worker of every batch thereafter.  Holding
-    /// the keying `Arc` in the value pins the allocation, so a pointer
-    /// key can never be reused for a different program.
-    program_cache: HashMap<usize, CachedSegment<Vec<DistStatement>>>,
-    /// Single-slot cache for the deltas segment of the in-flight
-    /// broadcast: the driver hands every worker of one batch the same
-    /// `Arc`'d deltas map, so the segment encodes once per batch instead
-    /// of once per worker.
-    deltas_cache: Option<CachedSegment<HashMap<String, Relation>>>,
 }
 
 /// Request ids for transport-injected `Ping`s live in their own half of
@@ -303,13 +278,12 @@ impl TcpTransport {
             config: config.clone(),
             init: encode_to_vec(&ToWorker::Init {
                 plan: dplan.plan.clone(),
+                programs: dplan.program_blocks(),
             }),
             faults: FaultState::new(config.faults.clone().unwrap_or_default()),
             ping_seq: 0,
             metrics: NetMetrics::register(&telemetry),
             telemetry,
-            program_cache: HashMap::new(),
-            deltas_cache: None,
         };
         let slots: Vec<usize> = (0..config.workers).collect();
         transport.conns = transport.bring_up(&slots)?;
@@ -644,46 +618,6 @@ impl TcpTransport {
         self.metrics.bytes_sent.add(payload.len() as u64 + 4);
         send_payload(&mut self.conns[w].stream, &payload)
     }
-
-    /// Encoded statements segment for a broadcast, served from the
-    /// per-cluster cache when this exact `Arc` was seen before.
-    fn cached_statements(&mut self, statements: &Arc<Vec<DistStatement>>) -> Arc<Vec<u8>> {
-        let key = Arc::as_ptr(statements) as usize;
-        if let Some((held, bytes)) = self.program_cache.get(&key) {
-            if Arc::ptr_eq(held, statements) {
-                self.metrics.broadcast_cache_hits.inc();
-                return bytes.clone();
-            }
-        }
-        let encode_start = Instant::now();
-        let bytes = Arc::new(encode_statements_segment(statements));
-        self.metrics
-            .encode_micros
-            .record_duration(encode_start.elapsed());
-        self.metrics.broadcast_cache_misses.inc();
-        self.program_cache
-            .insert(key, (statements.clone(), bytes.clone()));
-        bytes
-    }
-
-    /// Encoded deltas segment for a broadcast, served from the
-    /// single-slot per-batch cache when this exact `Arc` was seen last.
-    fn cached_deltas(&mut self, deltas: &Arc<HashMap<String, Relation>>) -> Arc<Vec<u8>> {
-        if let Some((held, bytes)) = &self.deltas_cache {
-            if Arc::ptr_eq(held, deltas) {
-                self.metrics.broadcast_cache_hits.inc();
-                return bytes.clone();
-            }
-        }
-        let encode_start = Instant::now();
-        let bytes = Arc::new(encode_deltas_segment(deltas));
-        self.metrics
-            .encode_micros
-            .record_duration(encode_start.elapsed());
-        self.metrics.broadcast_cache_misses.inc();
-        self.deltas_cache = Some((deltas.clone(), bytes.clone()));
-        bytes
-    }
 }
 
 impl Transport for TcpTransport {
@@ -708,49 +642,14 @@ impl Transport for TcpTransport {
                 });
             }
         }
-        let sent = match request {
-            // Broadcast fast path: `RunBlock` frames share their body
-            // across workers — `[0x41][0x00][id][trace][parent]` is the
-            // only per-worker part; the statements segment is cached per
-            // cluster and the deltas segment per batch, so neither
-            // re-encodes per worker.  The trace header lives in this
-            // prefix precisely so the cached segments stay batch- and
-            // trace-independent.  Byte-identical on the wire to the
-            // generic path below.
-            WorkerRequest::RunBlock {
-                id,
-                ctx,
-                statements,
-                deltas,
-            } => {
-                let mut header = [0u8; 26];
-                header[0] = 0x41; // ToWorker::Request
-                header[1] = 0x00; // WorkerRequest::RunBlock
-                header[2..10].copy_from_slice(&id.to_le_bytes());
-                header[10..18].copy_from_slice(&ctx.trace.to_le_bytes());
-                header[18..26].copy_from_slice(&ctx.parent.to_le_bytes());
-                let stmt_bytes = self.cached_statements(&statements);
-                let delta_bytes = self.cached_deltas(&deltas);
-                let total = header.len() + stmt_bytes.len() + delta_bytes.len();
-                self.metrics.frames_sent.inc();
-                self.metrics.bytes_sent.add(total as u64 + 4);
-                send_payload_parts(
-                    &mut self.conns[w].stream,
-                    &[&header[..], &stmt_bytes[..], &delta_bytes[..]],
-                )
-            }
-            other => {
-                let encode_start = Instant::now();
-                let payload = encode_to_vec(&ToWorker::Request(other));
-                self.metrics
-                    .encode_micros
-                    .record_duration(encode_start.elapsed());
-                self.metrics.frames_sent.inc();
-                self.metrics.bytes_sent.add(payload.len() as u64 + 4);
-                send_payload(&mut self.conns[w].stream, &payload)
-            }
-        };
-        if let Err(e) = sent {
+        let encode_start = Instant::now();
+        let payload = encode_to_vec(&ToWorker::Request(request));
+        self.metrics
+            .encode_micros
+            .record_duration(encode_start.elapsed());
+        self.metrics.frames_sent.inc();
+        self.metrics.bytes_sent.add(payload.len() as u64 + 4);
+        if let Err(e) = send_payload(&mut self.conns[w].stream, &payload) {
             return Err(self.declare_dead(w, &format!("send failed: {e}")));
         }
         if let Some(spec) = &fired {

@@ -36,13 +36,13 @@ use hotdog_algebra::tuple::Tuple;
 use hotdog_algebra::value::Value;
 use hotdog_distributed::program::{DistStatement, DistStmtKind, StmtMode, Transform};
 use hotdog_distributed::protocol::{WorkerReply, WorkerRequest};
-use hotdog_distributed::{PartitionFn, WorkerSnapshot, WorkerStats, WorkerStatsSnapshot};
+use hotdog_distributed::{
+    PartitionFn, ProgramBlocks, WorkerSnapshot, WorkerStats, WorkerStatsSnapshot,
+};
 use hotdog_ivm::StmtOp;
 use hotdog_ivm::{MaintenancePlan, Statement, Strategy, Trigger, ViewDef};
 use hotdog_telemetry::trace::{SpanContext, SpanRecord};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Decoding failure: the buffer does not contain a well-formed message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -247,15 +247,6 @@ impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
-    }
-}
-
-impl<T: Wire> Wire for Arc<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (**self).encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Arc::new(T::decode(r)?))
     }
 }
 
@@ -848,55 +839,6 @@ impl Wire for MaintenancePlan {
 // Protocol messages
 // ---------------------------------------------------------------------------
 
-/// Deltas maps are encoded as a key-sorted entry list (deterministic bytes
-/// for identical content) and decoded into a fresh map; workers only look
-/// entries up by name, never iterate, so the map's own layout is inert.
-fn encode_deltas(deltas: &HashMap<String, Relation>, out: &mut Vec<u8>) {
-    let mut entries: Vec<(&String, &Relation)> = deltas.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    (entries.len() as u32).encode(out);
-    for (name, rel) in entries {
-        name.encode(out);
-        rel.encode(out);
-    }
-}
-
-/// Encode the statements segment of a `RunBlock` broadcast on its own.
-///
-/// `ToWorker::Request(RunBlock { id, ctx, statements, deltas })` encodes as
-/// `[0x41][0x00][id: 8B LE][trace: 8B LE][parent: 8B LE]` followed by this
-/// segment and then [`encode_deltas_segment`] — the transport exploits that
-/// split to encode each segment once per cluster (keyed by `Arc` identity)
-/// and share the immutable bytes across all workers of a broadcast.  The
-/// trace header rides in the per-worker prefix, never the shared segments.
-pub fn encode_statements_segment(statements: &[DistStatement]) -> Vec<u8> {
-    let mut out = Vec::new();
-    (statements.len() as u32).encode(&mut out);
-    for stmt in statements {
-        stmt.encode(&mut out);
-    }
-    out
-}
-
-/// Encode the deltas segment of a `RunBlock` broadcast on its own (see
-/// [`encode_statements_segment`]).
-pub fn encode_deltas_segment(deltas: &HashMap<String, Relation>) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_deltas(deltas, &mut out);
-    out
-}
-
-fn decode_deltas(r: &mut Reader<'_>) -> Result<HashMap<String, Relation>, DecodeError> {
-    let len = u32::decode(r)? as usize;
-    let mut map = HashMap::with_capacity(len.min(r.remaining()));
-    for _ in 0..len {
-        let name = String::decode(r)?;
-        let rel = Relation::decode(r)?;
-        map.insert(name, rel);
-    }
-    Ok(map)
-}
-
 /// The wire-propagated trace header: 16 fixed bytes, `(trace, parent)` —
 /// `(0, 0)` when the carrying command is outside any batch trace.
 impl Wire for SpanContext {
@@ -989,20 +931,25 @@ impl Wire for WorkerSnapshot {
     }
 }
 
+/// One tag byte per variant.  Statements never travel in a request — the
+/// worker got them in `Init` — so `RunBlock` is a fixed 33 bytes,
+/// `[0x00][id: 8B][trace: 8B][parent: 8B][program: 4B][block: 4B]`, and
+/// each `ApplyMany` shard is its `(program, block, statement)` position
+/// (three `u32`s) followed by the relation.
 impl Wire for WorkerRequest {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             WorkerRequest::RunBlock {
                 id,
                 ctx,
-                statements,
-                deltas,
+                program,
+                block,
             } => {
                 out.push(0);
                 id.encode(out);
                 ctx.encode(out);
-                statements.encode(out);
-                encode_deltas(deltas, out);
+                program.encode(out);
+                block.encode(out);
             }
             WorkerRequest::ApplyMany { id, ctx, applies } => {
                 out.push(1);
@@ -1059,8 +1006,8 @@ impl Wire for WorkerRequest {
             0 => Ok(WorkerRequest::RunBlock {
                 id: u64::decode(r)?,
                 ctx: SpanContext::decode(r)?,
-                statements: Arc::decode(r)?,
-                deltas: Arc::new(decode_deltas(r)?),
+                program: u32::decode(r)?,
+                block: u32::decode(r)?,
             }),
             1 => Ok(WorkerRequest::ApplyMany {
                 id: u64::decode(r)?,
@@ -1188,15 +1135,18 @@ impl Wire for WorkerReply {
     }
 }
 
-/// Driver → worker frames: the `Init` handshake carrying the plan, then a
-/// stream of protocol requests.
+/// Driver → worker frames: the `Init` handshake carrying the plan and its
+/// programs, then a stream of protocol requests.
 pub enum ToWorker {
     /// First frame after the connection is slotted: the maintenance plan
-    /// the worker builds its [`WorkerState`] from.
+    /// the worker builds its [`WorkerState`] from, and every statement of
+    /// every trigger program — the only time statements cross the wire.
+    /// Later commands name them by position in `programs`.
     ///
     /// [`WorkerState`]: hotdog_distributed::WorkerState
     Init {
         plan: MaintenancePlan,
+        programs: ProgramBlocks,
     },
     Request(WorkerRequest),
 }
@@ -1204,9 +1154,10 @@ pub enum ToWorker {
 impl Wire for ToWorker {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            ToWorker::Init { plan } => {
+            ToWorker::Init { plan, programs } => {
                 out.push(0x40);
                 plan.encode(out);
+                programs.encode(out);
             }
             ToWorker::Request(req) => {
                 out.push(0x41);
@@ -1218,6 +1169,7 @@ impl Wire for ToWorker {
         match r.u8()? {
             0x40 => Ok(ToWorker::Init {
                 plan: MaintenancePlan::decode(r)?,
+                programs: Vec::decode(r)?,
             }),
             0x41 => Ok(ToWorker::Request(WorkerRequest::decode(r)?)),
             tag => Err(DecodeError::BadTag {

@@ -72,29 +72,6 @@ pub fn send_payload(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     write_frame(w, payload)
 }
 
-/// Send one frame whose payload is the concatenation of `parts`, without
-/// materializing the concatenation (the zero-copy broadcast path: a short
-/// per-worker header followed by body segments shared — and encoded once —
-/// across all peers).  Byte-identical on the wire to
-/// `send_payload(w, &parts.concat())`.
-pub fn send_payload_parts(w: &mut impl Write, parts: &[&[u8]]) -> io::Result<()> {
-    let len: usize = parts.iter().map(|p| p.len()).sum();
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "refusing to send frame of {len} bytes (MAX_FRAME is {MAX_FRAME}); \
-                 a relation this large must be split before shipping"
-            ),
-        ));
-    }
-    w.write_all(&(len as u32).to_le_bytes())?;
-    for p in parts {
-        w.write_all(p)?;
-    }
-    Ok(())
-}
-
 /// Receive and decode one message.
 pub fn recv_msg<M: Wire>(r: &mut impl Read) -> io::Result<M> {
     let payload = read_frame(r)?;

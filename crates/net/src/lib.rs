@@ -10,12 +10,14 @@
 //! * [`codec`] — a hand-rolled, length-prefixed binary encoding (no
 //!   serde; the build image is offline) for the full driver↔worker
 //!   message set: values, tuples, relations, expressions, maintenance
-//!   plans, commands with request ids, and the `Ran`/`Rel`/`Ack` replies.
+//!   plans and their trigger programs (sent once, in `Init`), commands
+//!   that name statements by index, and the `Ran`/`Rel`/`Ack` replies.
 //!   Floats travel as raw IEEE-754 bits and relations as sorted pair
 //!   lists, so decoded state is **bit-identical** — in content and in map
 //!   layout — to what an in-process backend holds.
 //! * [`worker`] — the worker event loop over one TCP stream (what the
-//!   `hotdog-worker` binary runs): `Hello` handshake, `Init` plan, then
+//!   `hotdog-worker` binary runs): `Hello` handshake, `Init` plan and
+//!   programs, then
 //!   [`handle_request`](hotdog_distributed::protocol::handle_request) per
 //!   frame — the exact interpreter the threaded runtime's workers use.
 //! * [`cluster`] — [`TcpTransport`] and [`TcpCluster`]: the driver binds

@@ -16,6 +16,7 @@ use hotdog_distributed::protocol::{handle_request, WorkerRequest};
 use hotdog_distributed::WorkerState;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 
 /// Connect to a driver at `addr`, introduce ourselves as worker slot
 /// `index`, and serve requests until `Shutdown` (or the driver closes
@@ -25,8 +26,10 @@ pub fn run_worker(addr: &str, index: u32) -> io::Result<()> {
     serve(stream, index)
 }
 
-/// Serve one driver connection: `Hello` handshake, `Init` plan, then the
-/// FIFO request loop.
+/// Serve one driver connection: `Hello` handshake, `Init` plan and
+/// programs, then the FIFO request loop.  A command naming a block or
+/// statement the `Init` did not contain ends the loop with
+/// `InvalidData`; the driver sees the closed connection as `WorkerDead`.
 pub fn serve(stream: TcpStream, index: u32) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -34,8 +37,8 @@ pub fn serve(stream: TcpStream, index: u32) -> io::Result<()> {
     send_msg(&mut writer, &ToDriver::Hello { index })?;
     writer.flush()?;
 
-    let plan = match recv_msg::<ToWorker>(&mut reader)? {
-        ToWorker::Init { plan } => plan,
+    let mut state = match recv_msg::<ToWorker>(&mut reader)? {
+        ToWorker::Init { plan, programs } => WorkerState::with_programs(&plan, Arc::new(programs)),
         ToWorker::Request(_) => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -43,7 +46,6 @@ pub fn serve(stream: TcpStream, index: u32) -> io::Result<()> {
             ))
         }
     };
-    let mut state = WorkerState::for_plan(&plan);
     // Same track numbering as the thread-channel transport (driver is
     // track 0), so a trace stitched over TCP is structurally identical.
     state.set_trace_track(index + 1);
@@ -66,7 +68,10 @@ pub fn serve(stream: TcpStream, index: u32) -> io::Result<()> {
             }
             ToWorker::Request(WorkerRequest::Shutdown) => return Ok(()),
             ToWorker::Request(req) => {
-                if let Some(reply) = handle_request(&mut state, req) {
+                let reply = handle_request(&mut state, req).map_err(|e| {
+                    io::Error::new(io::ErrorKind::InvalidData, format!("protocol error: {e}"))
+                })?;
+                if let Some(reply) = reply {
                     send_msg(&mut writer, &ToDriver::Reply(reply))?;
                     // One flush per reply: the driver may be blocked on
                     // exactly this frame.

@@ -1,8 +1,9 @@
 //! Codec correctness: round-trip property tests over random values,
 //! tuples, relations and protocol messages — including the adversarial
 //! floats (NaN, negative zero, infinities, denormals), empty relations
-//! and very long strings — plus rejection tests for truncated and
-//! corrupt frames, and the reconciliation of the O(1)
+//! and very long strings, and `Init` frames carrying compiled catalog
+//! programs — plus rejection tests for truncated and corrupt frames, the
+//! fixed size of a `RunBlock` frame, and the reconciliation of the O(1)
 //! `Relation::serialized_size` accounting against real encoded bytes.
 
 use hotdog_algebra::relation::Relation;
@@ -10,13 +11,15 @@ use hotdog_algebra::schema::Schema;
 use hotdog_algebra::tuple::Tuple;
 use hotdog_algebra::value::Value;
 use hotdog_distributed::protocol::{WorkerReply, WorkerRequest};
+use hotdog_distributed::{compile_distributed, DistributedPlan, OptLevel, PartitioningSpec};
 use hotdog_ivm::{compile_recursive, MaintenancePlan};
-use hotdog_net::codec::{encode_deltas_segment, encode_statements_segment, ToDriver, ToWorker};
+use hotdog_net::codec::{ToDriver, ToWorker};
 use hotdog_net::{decode_from_slice, encode_to_vec, read_frame, write_frame, DecodeError};
+use hotdog_telemetry::SpanContext;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------------
 // Random-instance generators (seeded; the proptest shim drives the seed)
@@ -306,50 +309,27 @@ fn protocol_messages_roundtrip() {
     let mut rng = StdRng::seed_from_u64(0xD06F00D);
     let rel = rand_relation(&mut rng);
 
-    // Request with statements + deltas.
-    let plan = compile_recursive(
-        "Q",
-        &hotdog_algebra::expr::sum(
-            ["B"],
-            hotdog_algebra::expr::join(
-                hotdog_algebra::expr::rel("R", ["A", "B"]),
-                hotdog_algebra::expr::rel("S", ["B", "C"]),
-            ),
-        ),
-    );
-    let spec = hotdog_distributed::PartitioningSpec::heuristic(&plan, &["A"]);
-    let dplan =
-        hotdog_distributed::compile_distributed(&plan, &spec, hotdog_distributed::OptLevel::O3);
-    let statements: Vec<_> = dplan.programs[0]
-        .blocks
-        .iter()
-        .flat_map(|b| b.statements.clone())
-        .collect();
-    let mut deltas = std::collections::HashMap::new();
-    deltas.insert("R".to_string(), rel.clone());
-
+    // A block named by position.
     let req = ToWorker::Request(WorkerRequest::RunBlock {
         id: 99,
-        ctx: hotdog_telemetry::SpanContext {
+        ctx: SpanContext {
             trace: 3,
             parent: 0xABCD,
         },
-        statements: Arc::new(statements.clone()),
-        deltas: Arc::new(deltas),
+        program: 2,
+        block: 7,
     });
-    let decoded: ToWorker = decode_from_slice(&encode_to_vec(&req)).unwrap();
-    match decoded {
+    match decode_from_slice::<ToWorker>(&encode_to_vec(&req)).unwrap() {
         ToWorker::Request(WorkerRequest::RunBlock {
             id,
             ctx,
-            statements: st,
-            deltas: d,
+            program,
+            block,
         }) => {
             assert_eq!(id, 99);
             assert_eq!(ctx.trace, 3);
             assert_eq!(ctx.parent, 0xABCD);
-            assert_eq!(st.len(), statements.len());
-            assert_eq!(d["R"].checksum(), rel.checksum());
+            assert_eq!((program, block), (2, 7));
         }
         _ => panic!("wrong variant"),
     }
@@ -368,111 +348,116 @@ fn protocol_messages_roundtrip() {
     }
 }
 
-/// A seeded random distributed trigger program (statements the driver
-/// would broadcast) plus a seeded delta map — the two cacheable segments
-/// of a `RunBlock` broadcast.
-fn rand_run_block(
-    rng: &mut StdRng,
-) -> (
-    Vec<hotdog_distributed::program::DistStatement>,
-    std::collections::HashMap<String, Relation>,
-) {
-    use hotdog_algebra::expr::{join, rel, sum, sum_total};
-    let queries = [
-        sum(["B"], join(rel("R", ["A", "B"]), rel("S", ["B", "C"]))),
-        sum_total(join(rel("R", ["A", "B"]), rel("S", ["B", "C"]))),
-        sum(["A"], rel("R", ["A", "B"])),
-    ];
-    let q = &queries[rng.gen_range(0usize..queries.len())];
-    let plan = compile_recursive("Q", q);
-    let spec = hotdog_distributed::PartitioningSpec::heuristic(&plan, &["A"]);
-    let opt = [
-        hotdog_distributed::OptLevel::O0,
-        hotdog_distributed::OptLevel::O3,
-    ][rng.gen_range(0usize..2)];
-    let dplan = hotdog_distributed::compile_distributed(&plan, &spec, opt);
-    let statements: Vec<_> = dplan.programs[0]
-        .blocks
-        .iter()
-        .flat_map(|b| b.statements.clone())
-        .collect();
-    let mut deltas = std::collections::HashMap::new();
-    for name in ["R", "S"] {
-        if rng.gen_range(0usize..3) > 0 {
-            deltas.insert(name.to_string(), rand_relation(rng));
-        }
+/// A catalog query compiled at `opt`, as a cluster would run it.
+fn compiled(id: &str, opt: OptLevel) -> DistributedPlan {
+    let q = hotdog_workload::query(id).expect("catalog query");
+    let plan = compile_recursive(q.id, &q.expr);
+    let spec = PartitioningSpec::heuristic(&plan, &q.partition_keys);
+    compile_distributed(&plan, &spec, opt)
+}
+
+/// A statement position: small, at the edge of `u32`, or anything.
+fn rand_position(rng: &mut StdRng) -> u32 {
+    match rng.gen_range(0usize..3) {
+        0 => rng.gen_range(0usize..8) as u32,
+        1 => u32::MAX,
+        _ => rng.next_u64() as u32,
     }
-    (statements, deltas)
+}
+
+fn rand_ctx(rng: &mut StdRng) -> SpanContext {
+    SpanContext {
+        trace: rng.next_u64() % 3,
+        parent: rng.next_u64(),
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The zero-copy broadcast path's contract: a `RunBlock` request wire
-    /// message is **exactly** the 26-byte per-worker header
-    /// (`[0x41][0x00][id: 8B LE][trace: 8B LE][parent: 8B LE]`) followed
-    /// by the statements segment and the deltas segment.  The TCP
-    /// transport encodes the two segments once per cluster and writes the
-    /// shared bytes to every socket, so this byte-level equality is what
-    /// guarantees a cached broadcast is indistinguishable from a freshly
-    /// encoded one — and that the trace header never leaks into the
-    /// cached segments.
+    /// `Init` — the one frame that carries statements — round-trips a
+    /// random catalog query's compiled programs at a random opt level,
+    /// and re-encoding the decoded frame gives the same bytes.
     #[test]
-    fn shared_broadcast_segments_match_full_encoding(seed in 1usize..1_000_000) {
+    fn init_with_compiled_programs_roundtrips(seed in 1usize..1_000_000) {
         let mut rng = StdRng::seed_from_u64(seed as u64);
-        let (statements, deltas) = rand_run_block(&mut rng);
-        let id: u64 = match rng.gen_range(0usize..3) {
-            0 => rng.next_u64(),
-            1 => 0,
-            _ => u64::MAX,
-        };
-        let ctx = hotdog_telemetry::SpanContext {
-            trace: rng.next_u64() % 3,
-            parent: rng.next_u64(),
-        };
+        let queries = hotdog_workload::all_queries();
+        let q = &queries[rng.gen_range(0usize..queries.len())];
+        let opt = [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3][rng.gen_range(0usize..4)];
+        let dplan = compiled(q.id, opt);
+        let programs = dplan.program_blocks();
+        let bytes = encode_to_vec(&ToWorker::Init { plan: dplan.plan.clone(), programs: programs.clone() });
+        let decoded = decode_from_slice::<ToWorker>(&bytes)
+            .map_err(|e| format!("{} at {opt:?}: Init failed to decode: {e}", q.id))?;
+        prop_assert_eq!(&encode_to_vec(&decoded), &bytes);
+        match decoded {
+            ToWorker::Init { plan, programs: got } => {
+                prop_assert_eq!(plan.pretty(), dplan.plan.pretty());
+                // `DistStatement` has no `PartialEq`; its `Debug` covers
+                // every field.
+                prop_assert_eq!(format!("{got:?}"), format!("{programs:?}"));
+            }
+            ToWorker::Request(_) => panic!("wrong variant"),
+        }
+    }
 
-        let stmt_segment = encode_statements_segment(&statements);
-        let delta_segment = encode_deltas_segment(&deltas);
-        let mut assembled = Vec::with_capacity(26 + stmt_segment.len() + delta_segment.len());
-        assembled.push(0x41); // ToWorker::Request
-        assembled.push(0x00); // WorkerRequest::RunBlock
-        assembled.extend_from_slice(&id.to_le_bytes());
-        assembled.extend_from_slice(&ctx.trace.to_le_bytes());
-        assembled.extend_from_slice(&ctx.parent.to_le_bytes());
-        assembled.extend_from_slice(&stmt_segment);
-        assembled.extend_from_slice(&delta_segment);
-
-        let full = encode_to_vec(&ToWorker::Request(WorkerRequest::RunBlock {
-            id,
-            ctx,
-            statements: Arc::new(statements.clone()),
-            deltas: Arc::new(deltas.clone()),
-        }));
-        // Byte equality with the monolithic encoder is the whole contract.
-        prop_assert_eq!(&assembled, &full);
-
-        // And the assembled bytes decode back to the same request —
-        // a worker cannot tell a cached broadcast from a fresh one.
-        match decode_from_slice::<ToWorker>(&assembled)
-            .map_err(|e| format!("assembled broadcast failed to decode: {e}"))? {
-            ToWorker::Request(WorkerRequest::RunBlock { id: rid, ctx: c, statements: st, deltas: d }) => {
+    /// `ApplyMany` decodes to the same statement positions, in order, and
+    /// to shards with the same checksums.
+    #[test]
+    fn apply_many_roundtrips_positions_and_shards(seed in 1usize..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed as u64);
+        let applies: Vec<((u32, u32, u32), Relation)> = (0..rng.gen_range(0usize..6))
+            .map(|_| {
+                let at = (rand_position(&mut rng), rand_position(&mut rng), rand_position(&mut rng));
+                (at, rand_relation(&mut rng))
+            })
+            .collect();
+        let id = rng.next_u64();
+        let ctx = rand_ctx(&mut rng);
+        let msg = ToWorker::Request(WorkerRequest::ApplyMany { id, ctx, applies: applies.clone() });
+        match decode_from_slice::<ToWorker>(&encode_to_vec(&msg))
+            .map_err(|e| format!("ApplyMany failed to decode: {e}"))? {
+            ToWorker::Request(WorkerRequest::ApplyMany { id: rid, ctx: c, applies: got }) => {
                 prop_assert_eq!(rid, id);
                 prop_assert_eq!(c, ctx);
-                prop_assert_eq!(st.len(), statements.len());
-                prop_assert_eq!(d.len(), deltas.len());
-                for (name, rel) in deltas.iter() {
-                    prop_assert_eq!(d[name].checksum(), rel.checksum());
+                prop_assert_eq!(got.len(), applies.len());
+                for ((at, shard), (want_at, want)) in got.iter().zip(&applies) {
+                    prop_assert_eq!(at, want_at);
+                    prop_assert_eq!(shard.checksum(), want.checksum());
                 }
             }
             _ => panic!("wrong variant"),
         }
-
-        // Segment encoders are pure: identical input, identical bytes —
-        // the property that makes Arc-identity caching sound (a cache hit
-        // returns bytes no re-encode could differ from).
-        prop_assert_eq!(&encode_statements_segment(&statements), &stmt_segment);
-        prop_assert_eq!(&encode_deltas_segment(&deltas), &delta_segment);
     }
+}
+
+/// A `RunBlock` names its block, so its frame is the same 34 bytes
+/// (`[0x41][0x00][id: 8B][trace: 8B][parent: 8B][program: 4B][block: 4B]`)
+/// whatever the block holds — checked on every block of Q18, whose largest
+/// block's statements alone encode to about 2 kB.
+#[test]
+fn run_block_frame_size_does_not_depend_on_the_block() {
+    let programs = compiled("Q18", OptLevel::O3).program_blocks();
+    let mut rng = StdRng::seed_from_u64(18);
+    let mut frame_sizes = BTreeSet::new();
+    let mut largest_block = 0;
+    for (p, blocks) in programs.iter().enumerate() {
+        for (b, statements) in blocks.iter().enumerate() {
+            largest_block = largest_block.max(encode_to_vec(statements).len());
+            let frame = encode_to_vec(&ToWorker::Request(WorkerRequest::RunBlock {
+                id: rng.next_u64(),
+                ctx: rand_ctx(&mut rng),
+                program: p as u32,
+                block: b as u32,
+            }));
+            frame_sizes.insert(frame.len());
+        }
+    }
+    assert_eq!(frame_sizes, BTreeSet::from([34]));
+    assert!(
+        largest_block > 1_000,
+        "largest Q18 block: {largest_block} B"
+    );
 }
 
 fn rand_snapshot(rng: &mut StdRng) -> hotdog_distributed::WorkerSnapshot {

@@ -8,6 +8,7 @@ use crate::{ClusterConfig, Driver, Reply, Request, Transport, TransportNames, Wo
 use hotdog_distributed::{handle_request, DistributedPlan, WorkerState};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The simulated cluster: the [`Driver`] over [`SimTransport`], which runs
 /// every worker inline on the caller's thread and models time.
@@ -51,9 +52,10 @@ impl SimTransport {
     /// `config.workers` empty workers for the plan, clock at zero.
     pub(crate) fn new(dplan: &DistributedPlan, config: ClusterConfig) -> Self {
         assert!(config.workers > 0);
+        let programs = Arc::new(dplan.program_blocks());
         let nodes = (0..config.workers)
             .map(|i| {
-                let mut state = WorkerState::for_plan(&dplan.plan);
+                let mut state = WorkerState::with_programs(&dplan.plan, programs.clone());
                 state.set_trace_track(i as u32 + 1);
                 state
             })
@@ -84,7 +86,11 @@ impl Transport for SimTransport {
             let bytes = applies.iter().map(|(_, s)| s.serialized_size()).sum();
             self.clock += self.transfer_secs(bytes);
         }
-        let Some(reply) = handle_request(&mut self.nodes[w], request) else {
+        let reply = handle_request(&mut self.nodes[w], request).map_err(|e| WorkerDead {
+            index: w,
+            reason: e.to_string(),
+        })?;
+        let Some(reply) = reply else {
             return Ok(());
         };
         match &reply {

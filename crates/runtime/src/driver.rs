@@ -24,52 +24,13 @@ use hotdog_algebra::eval::EvalCounters;
 use hotdog_algebra::relation::Relation;
 use hotdog_distributed::{
     partition_shards, Backend, BatchExecution, ClusterTotals, DistStatement, DistStmtKind,
-    DistributedPlan, LocTag, PartitionFn, StmtMode, Transform, TriggerProgram, WorkerState,
+    DistributedPlan, LocTag, PartitionFn, ProgramBlocks, StmtMode, StmtRef, Transform, WorkerState,
 };
 use hotdog_exec::relabel;
 use hotdog_telemetry::{ActiveSpan, SpanContext, Telemetry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// A distributed block with its statements shared once, so per-batch
-/// broadcasts are an `Arc` bump instead of a deep clone.
-struct SharedBlock {
-    mode: StmtMode,
-    statements: Arc<Vec<DistStatement>>,
-    /// Whether any statement of this block references a delta relation.
-    /// The distributed compiler rewrites delta references into scattered
-    /// temps, so worker-bound blocks normally never read the batch — a
-    /// block that doesn't is broadcast with an *empty* deltas map, which
-    /// keeps byte-counting transports from shipping the batch N times for
-    /// nothing.
-    needs_delta: bool,
-}
-
-pub(crate) struct SharedProgram {
-    blocks: Vec<SharedBlock>,
-    stages: usize,
-    jobs: usize,
-}
-
-fn share_program(p: &TriggerProgram) -> SharedProgram {
-    SharedProgram {
-        blocks: p
-            .blocks
-            .iter()
-            .map(|b| SharedBlock {
-                mode: b.mode,
-                needs_delta: b.statements.iter().any(|s| match &s.kind {
-                    DistStmtKind::Compute(e) => e.has_delta_relations(),
-                    DistStmtKind::Transform { .. } => false,
-                }),
-                statements: Arc::new(b.statements.clone()),
-            })
-            .collect(),
-        stages: p.stages(),
-        jobs: p.jobs(),
-    }
-}
 
 /// One driver + N workers executing a distributed plan, generic over the
 /// [`Transport`] that reaches the workers.
@@ -89,20 +50,19 @@ pub struct Driver<T: Transport> {
     pub(crate) dplan: DistributedPlan,
     /// The driver node's own state (driver-resident views).
     pub(crate) driver: WorkerState,
-    pub(crate) programs: HashMap<String, SharedProgram>,
+    /// The plan's statements, in the layout commands name them by (the
+    /// workers hold the same blocks); an `Arc` so a batch can walk them
+    /// while the schedule mutates the driver.
+    programs: Arc<ProgramBlocks>,
     pub(crate) transport: T,
     /// Request ids, unsettled block completions, unclaimed replies.
     pub(crate) ledger: ReplyLedger,
     /// Per worker: scattered shards buffered on the driver, shipped as one
     /// `ApplyMany` before the worker's next command (or at batch end).
-    pub(crate) pending_applies: Vec<Vec<(Arc<DistStatement>, Relation)>>,
+    pub(crate) pending_applies: Vec<Vec<(StmtRef, Relation)>>,
     /// Slowest worker's interpreter work settled during the current
     /// `execute_canonical` call (reported per batch in synchronous mode).
     pub(crate) batch_max_instructions: u64,
-    /// Shared empty deltas map broadcast with blocks that never read the
-    /// batch (the usual case: the compiler rewrites delta references into
-    /// scattered temps).
-    empty_deltas: Arc<HashMap<String, Relation>>,
     /// Whether `ApplyMany` messages have been shipped with no barrier
     /// behind them yet (a trailing scatter must be drained before worker
     /// state is read, or before a synchronous batch's wall clock stops).
@@ -192,11 +152,7 @@ impl<T: Transport> Driver<T> {
         let workers = transport.workers();
         assert!(workers > 0);
         let driver = WorkerState::for_plan(&dplan.plan);
-        let programs = dplan
-            .programs
-            .iter()
-            .map(|p| (p.relation.clone(), share_program(p)))
-            .collect();
+        let programs = Arc::new(dplan.program_blocks());
         let shuffle_seed = pipeline.as_ref().and_then(|c| c.shuffle_replies);
         let telemetry = transport.telemetry().unwrap_or_else(Telemetry::shared);
         telemetry.install_signal_dump();
@@ -210,7 +166,6 @@ impl<T: Transport> Driver<T> {
             ledger: ReplyLedger::new(workers, shuffle_seed),
             pending_applies: (0..workers).map(|_| Vec::new()).collect(),
             batch_max_instructions: 0,
-            empty_deltas: Arc::new(HashMap::new()),
             applies_in_flight: false,
             pipeline,
             queue: VecDeque::new(),
@@ -442,10 +397,15 @@ impl<T: Transport> Driver<T> {
             input_tuples,
             ..Default::default()
         };
-        if !self.programs.contains_key(relation) {
+        let Some(p) = self
+            .dplan
+            .programs
+            .iter()
+            .position(|p| p.relation == relation)
+        else {
             self.telemetry.finish_span(root);
             return Ok(stats);
-        }
+        };
         // Replayed batches (recovery) arrive rootless: open a fresh root so
         // the replay gets its own tree rather than grafting onto the
         // interrupted one.
@@ -460,25 +420,28 @@ impl<T: Transport> Driver<T> {
 
         let mut deltas = HashMap::new();
         deltas.insert(relation.to_string(), delta);
-        let deltas = Arc::new(deltas);
         let delta_name = format!("Δ{relation}");
 
         let mut driver_counters = EvalCounters::default();
-        for block_idx in 0..self.programs[relation].blocks.len() {
-            let (mode, statements, needs_delta) = {
-                let b = &self.programs[relation].blocks[block_idx];
-                (b.mode, b.statements.clone(), b.needs_delta)
-            };
-            match mode {
+        let programs = Arc::clone(&self.programs);
+        for (b, statements) in programs[p].iter().enumerate() {
+            match self.dplan.programs[p].blocks[b].mode {
                 StmtMode::Local => {
-                    for stmt in statements.iter() {
+                    for (s, stmt) in statements.iter().enumerate() {
                         match &stmt.kind {
                             DistStmtKind::Compute(_) => {
                                 self.driver.run_compute(stmt, &deltas, &mut driver_counters);
                             }
                             DistStmtKind::Transform { kind, source } => {
-                                let bytes =
-                                    self.run_transform(stmt, kind, source, &delta_name, &deltas)?;
+                                let at = (p as u32, b as u32, s as u32);
+                                let bytes = self.run_transform(
+                                    at,
+                                    stmt,
+                                    kind,
+                                    source,
+                                    &delta_name,
+                                    &deltas,
+                                )?;
                                 stats.bytes_shuffled += bytes;
                             }
                         }
@@ -497,17 +460,7 @@ impl<T: Transport> Driver<T> {
                             }
                         }
                     }
-                    // Blocks that never read the batch (the usual case
-                    // after the compiler rewrote delta references into
-                    // scattered temps) are broadcast with a shared empty
-                    // map, so byte-counting transports don't ship the delta
-                    // once per worker for nothing.
-                    let block_deltas = if needs_delta {
-                        deltas.clone()
-                    } else {
-                        self.empty_deltas.clone()
-                    };
-                    self.broadcast_block(&statements, &block_deltas)?;
+                    self.broadcast_block(p as u32, b as u32)?;
                     if !pipelined {
                         // One epoch: barrier on the tagged completions.
                         self.drain_pending_blocks()?;
@@ -532,10 +485,10 @@ impl<T: Transport> Driver<T> {
             self.barrier_applies()?;
         }
 
-        let program = &self.programs[relation];
+        let program = &self.dplan.programs[p];
         stats.driver_instructions = driver_counters.instructions();
-        stats.stages = program.stages;
-        stats.jobs = program.jobs;
+        stats.stages = program.stages();
+        stats.jobs = program.jobs();
         stats.bytes_per_worker = stats.bytes_shuffled as f64 / self.workers as f64;
         // Synchronous mode: the batch's end-to-end wall-clock, or the
         // modelled clock's advance when the transport keeps one.  Pipelined
@@ -584,13 +537,9 @@ impl<T: Transport> Driver<T> {
         Ok(stats)
     }
 
-    /// Send one distributed block to every worker (behind its buffered
-    /// scatter shards) and enter its completions into the ledger.
-    fn broadcast_block(
-        &mut self,
-        statements: &Arc<Vec<DistStatement>>,
-        deltas: &Arc<HashMap<String, Relation>>,
-    ) -> Result<(), WorkerDead> {
+    /// Run block `block` of program `program` on every worker (behind its
+    /// buffered scatter shards) and enter its completions into the ledger.
+    fn broadcast_block(&mut self, program: u32, block: u32) -> Result<(), WorkerDead> {
         for w in 0..self.workers {
             self.ship_applies(w)?;
             let id = self.ledger.fresh_id();
@@ -599,8 +548,8 @@ impl<T: Transport> Driver<T> {
                 Request::RunBlock {
                     id,
                     ctx: self.trace_scope,
-                    statements: statements.clone(),
-                    deltas: deltas.clone(),
+                    program,
+                    block,
                 },
             )?;
             self.ledger.expect_completion(w, id);
@@ -608,9 +557,10 @@ impl<T: Transport> Driver<T> {
         Ok(())
     }
 
-    /// Execute a transformer statement; returns the bytes moved.
+    /// Execute the transformer statement at `at`; returns the bytes moved.
     fn run_transform(
         &mut self,
+        at: StmtRef,
         stmt: &DistStatement,
         kind: &Transform,
         source: &str,
@@ -623,15 +573,15 @@ impl<T: Transport> Driver<T> {
             // reference, with no copy or relabel first.
             Transform::Scatter(pf) => Ok(if source == delta_name {
                 let delta = deltas.values().next().expect("one delta per batch");
-                self.scatter(pf, delta, stmt)
+                self.scatter(pf, delta, at, stmt)
             } else {
                 let view = self.driver.read(source);
-                self.scatter(pf, &view, stmt)
+                self.scatter(pf, &view, at, stmt)
             }),
             Transform::Repart(pf) => {
                 let collected = self.gather(stmt, source)?;
                 let moved = collected.serialized_size();
-                self.scatter(pf, &collected, stmt);
+                self.scatter(pf, &collected, at, stmt);
                 Ok(moved + collected.serialized_size())
             }
             Transform::Gather => {
@@ -686,20 +636,26 @@ impl<T: Transport> Driver<T> {
         Ok(rels)
     }
 
-    /// Buffer per-worker shards of a driver-held relation for shipment;
-    /// returns the bytes moved.  Empty shards are buffered too: a `SetTo`
-    /// scatter must clear stale buffers on workers that receive no rows
-    /// this batch.  Shards ride in the worker's next `ApplyMany` (shipped
-    /// before its next command, or at batch end).
-    fn scatter(&mut self, pf: &PartitionFn, src: &Relation, stmt: &DistStatement) -> usize {
+    /// Buffer per-worker shards of a driver-held relation for shipment,
+    /// each tagged with the position `at` of the scatter statement `stmt`
+    /// that installs it; returns the bytes moved.  Empty shards are
+    /// buffered too: a `SetTo` scatter must clear stale buffers on workers
+    /// that receive no rows this batch.  Shards ride in the worker's next
+    /// `ApplyMany` (shipped before its next command, or at batch end).
+    fn scatter(
+        &mut self,
+        pf: &PartitionFn,
+        src: &Relation,
+        at: StmtRef,
+        stmt: &DistStatement,
+    ) -> usize {
         let span = self
             .telemetry
             .begin_span(self.trace_scope, "scatter.encode");
         let (shards, bytes) = partition_shards(pf, src, stmt, self.workers);
         self.telemetry.finish_span(span);
-        let stmt = Arc::new(stmt.clone());
         for (w, shard) in shards.into_iter().enumerate() {
-            self.pending_applies[w].push((stmt.clone(), shard));
+            self.pending_applies[w].push((at, shard));
         }
         bytes
     }

@@ -115,9 +115,10 @@ pub trait Transport {
     /// The next reply from worker `w` if one has already arrived.
     fn try_recv(&mut self, w: usize) -> Result<Option<Reply>, WorkerDead>;
     /// Replace a dead worker `w` with a fresh, empty one (new process or
-    /// thread, re-handshaken, plan re-shipped).  The default refuses:
-    /// transports that cannot respawn report the worker as still dead,
-    /// and the driver surfaces the typed error instead of recovering.
+    /// thread, re-handshaken, plan and programs re-shipped).  The default
+    /// refuses: transports that cannot respawn report the worker as still
+    /// dead, and the driver surfaces the typed error instead of
+    /// recovering.
     fn respawn(&mut self, w: usize) -> Result<(), WorkerDead> {
         Err(WorkerDead {
             index: w,
@@ -180,8 +181,13 @@ fn worker_loop(mut state: WorkerState, rx: Receiver<Request>, tx: Sender<Reply>)
         if matches!(msg, Request::Shutdown) {
             break;
         }
-        if let Some(reply) = handle_request(&mut state, msg) {
-            let _ = tx.send(reply);
+        match handle_request(&mut state, msg) {
+            Ok(Some(reply)) => {
+                let _ = tx.send(reply);
+            }
+            Ok(None) => {}
+            // The driver sees the hung-up channel as `WorkerDead`.
+            Err(_) => break,
         }
     }
 }
@@ -243,14 +249,15 @@ pub struct ChannelTransport {
 
 impl ChannelTransport {
     /// Put `workers` worker threads to work, each owning an empty
-    /// [`WorkerState`] for the plan.
+    /// [`WorkerState`] for the plan and sharing one copy of its programs.
     pub fn spawn(dplan: &DistributedPlan, workers: usize) -> Self {
         assert!(workers > 0);
+        let programs = Arc::new(dplan.program_blocks());
         let mut requests = Vec::with_capacity(workers);
         let mut replies = Vec::with_capacity(workers);
         let mut threads = Vec::with_capacity(workers);
         for i in 0..workers {
-            let mut state = WorkerState::for_plan(&dplan.plan);
+            let mut state = WorkerState::with_programs(&dplan.plan, programs.clone());
             state.set_trace_track(i as u32 + 1);
             let (req_tx, req_rx) = channel();
             let (rep_tx, rep_rx) = channel();
