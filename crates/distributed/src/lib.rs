@@ -42,11 +42,10 @@ pub use backend::{Backend, BatchExecution, ClusterTotals, PipelineStats};
 pub use capture::{assemble_views, CaptureBatch, CapturedView, DeltaCapture, ViewAccumulator};
 pub use partition::{partition_shards, LocTag, PartitionFn, PartitioningSpec};
 pub use program::{
-    compile_distributed, Block, DistStatement, DistStmtKind, DistributedPlan, OptLevel, StmtMode,
-    Transform, TriggerProgram, WholeViewMoves,
+    compile_distributed, Block, DistStatement, DistStmtKind, DistributedPlan, OptLevel,
+    ProgramBlocks, StmtMode, Transform, TriggerProgram, WholeViewMoves,
 };
 pub use protocol::{handle_request, WorkerReply, WorkerRequest};
 pub use worker::{
-    ProgramBlocks, StmtRef, Temps, UnknownStatement, WorkerSnapshot, WorkerState, WorkerStats,
-    WorkerStatsSnapshot,
+    StmtRef, Temps, UnknownStatement, WorkerSnapshot, WorkerState, WorkerStats, WorkerStatsSnapshot,
 };

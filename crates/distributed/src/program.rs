@@ -9,7 +9,6 @@
 //! transformer statements, and the block fusion algorithm of Appendix C.3.
 
 use crate::partition::{LocTag, PartitionFn, PartitioningSpec};
-use crate::worker::ProgramBlocks;
 use hotdog_algebra::expr::{Expr, RelKind, RelRef};
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
@@ -248,6 +247,13 @@ impl TriggerProgram {
         out
     }
 }
+
+/// Every statement of every trigger program, indexed
+/// `[program][block][statement]` in [`DistributedPlan::programs`] order and
+/// covering `Local` blocks too (their scatters are what `ApplyMany` shards
+/// install).  Workers receive it once, at start-up; commands then name a
+/// block or statement by position instead of carrying it.
+pub type ProgramBlocks = Vec<Vec<Vec<DistStatement>>>;
 
 /// A fully compiled distributed plan: the local plan, the partitioning
 /// specification, the per-trigger programs, and the schemas/locations of the

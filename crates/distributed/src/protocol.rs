@@ -11,12 +11,14 @@
 //! length-prefixed codec) differs.
 //!
 //! Statements cross the wire once.  Every worker starts with the plan's
-//! [`ProgramBlocks`](crate::worker::ProgramBlocks) — handed over through an `Arc` in process, or in the
+//! [`ProgramBlocks`] — handed over through an `Arc` in process, or in the
 //! TCP `Init` frame — and commands name statements by position in them:
 //! a `RunBlock` names a `(program, block)`, an `ApplyMany` shard the
 //! `(program, block, statement)` ([`StmtRef`]) that installs it.  A
 //! position the worker's programs do not hold is an [`UnknownStatement`]
 //! error, never a panic.
+//!
+//! [`ProgramBlocks`]: crate::program::ProgramBlocks
 //!
 //! Two-layer contract of the **tagged-reply protocol**:
 //!
@@ -165,9 +167,9 @@ pub enum WorkerReply {
 /// concern (the event loop must stop reading); callers match it before
 /// delegating here, and passing it anyway is a no-op returning `None`.
 /// A command naming a position outside the worker's
-/// [`ProgramBlocks`](crate::worker::ProgramBlocks)
-/// fails with [`UnknownStatement`]; the worker is then unusable and its
-/// event loop should end.
+/// [`ProgramBlocks`](crate::program::ProgramBlocks) fails with
+/// [`UnknownStatement`]; the worker is then unusable and its event loop
+/// should end.
 pub fn handle_request(
     state: &mut WorkerState,
     request: WorkerRequest,

@@ -13,7 +13,7 @@
 //!
 //! [`DistributedPlan`]: crate::program::DistributedPlan
 
-use crate::program::{DistStatement, DistStmtKind};
+use crate::program::{DistStatement, DistStmtKind, ProgramBlocks};
 use hotdog_algebra::eval::EvalCounters;
 use hotdog_algebra::relation::Relation;
 use hotdog_exec::Database;
@@ -22,15 +22,6 @@ use hotdog_telemetry::trace::WorkerTracer;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
-
-/// Every statement of every trigger program, indexed
-/// `[program][block][statement]` in [`DistributedPlan::programs`] order and
-/// covering `Local` blocks too (their scatters are what `ApplyMany` shards
-/// install).  Workers receive it once, at start-up; commands then name a
-/// block or statement by position instead of carrying it.
-///
-/// [`DistributedPlan::programs`]: crate::program::DistributedPlan::programs
-pub type ProgramBlocks = Vec<Vec<Vec<DistStatement>>>;
 
 /// A `(program, block, statement)` position in [`ProgramBlocks`]: the
 /// statement an `ApplyMany` shard is installed by.

@@ -24,7 +24,7 @@ use hotdog_algebra::eval::EvalCounters;
 use hotdog_algebra::relation::Relation;
 use hotdog_distributed::{
     partition_shards, Backend, BatchExecution, ClusterTotals, DistStatement, DistStmtKind,
-    DistributedPlan, LocTag, PartitionFn, ProgramBlocks, StmtMode, StmtRef, Transform, WorkerState,
+    DistributedPlan, LocTag, PartitionFn, StmtMode, StmtRef, Transform, WorkerState,
 };
 use hotdog_exec::relabel;
 use hotdog_telemetry::{ActiveSpan, SpanContext, Telemetry};
@@ -47,13 +47,11 @@ use std::time::Instant;
 pub struct Driver<T: Transport> {
     /// Number of workers.
     pub workers: usize,
-    pub(crate) dplan: DistributedPlan,
+    /// Shared so a batch can walk its program while the schedule mutates
+    /// the driver.
+    pub(crate) dplan: Arc<DistributedPlan>,
     /// The driver node's own state (driver-resident views).
     pub(crate) driver: WorkerState,
-    /// The plan's statements, in the layout commands name them by (the
-    /// workers hold the same blocks); an `Arc` so a batch can walk them
-    /// while the schedule mutates the driver.
-    programs: Arc<ProgramBlocks>,
     pub(crate) transport: T,
     /// Request ids, unsettled block completions, unclaimed replies.
     pub(crate) ledger: ReplyLedger,
@@ -152,16 +150,14 @@ impl<T: Transport> Driver<T> {
         let workers = transport.workers();
         assert!(workers > 0);
         let driver = WorkerState::for_plan(&dplan.plan);
-        let programs = Arc::new(dplan.program_blocks());
         let shuffle_seed = pipeline.as_ref().and_then(|c| c.shuffle_replies);
         let telemetry = transport.telemetry().unwrap_or_else(Telemetry::shared);
         telemetry.install_signal_dump();
         let metrics = DriverMetrics::register(&telemetry);
         Driver {
             workers,
-            dplan,
+            dplan: Arc::new(dplan),
             driver,
-            programs,
             transport,
             ledger: ReplyLedger::new(workers, shuffle_seed),
             pending_applies: (0..workers).map(|_| Vec::new()).collect(),
@@ -397,15 +393,12 @@ impl<T: Transport> Driver<T> {
             input_tuples,
             ..Default::default()
         };
-        let Some(p) = self
-            .dplan
-            .programs
-            .iter()
-            .position(|p| p.relation == relation)
-        else {
+        let dplan = Arc::clone(&self.dplan);
+        let Some(p) = dplan.programs.iter().position(|pr| pr.relation == relation) else {
             self.telemetry.finish_span(root);
             return Ok(stats);
         };
+        let program = &dplan.programs[p];
         // Replayed batches (recovery) arrive rootless: open a fresh root so
         // the replay gets its own tree rather than grafting onto the
         // interrupted one.
@@ -423,11 +416,10 @@ impl<T: Transport> Driver<T> {
         let delta_name = format!("Δ{relation}");
 
         let mut driver_counters = EvalCounters::default();
-        let programs = Arc::clone(&self.programs);
-        for (b, statements) in programs[p].iter().enumerate() {
-            match self.dplan.programs[p].blocks[b].mode {
+        for (b, block) in program.blocks.iter().enumerate() {
+            match block.mode {
                 StmtMode::Local => {
-                    for (s, stmt) in statements.iter().enumerate() {
+                    for (s, stmt) in block.statements.iter().enumerate() {
                         match &stmt.kind {
                             DistStmtKind::Compute(_) => {
                                 self.driver.run_compute(stmt, &deltas, &mut driver_counters);
@@ -485,7 +477,6 @@ impl<T: Transport> Driver<T> {
             self.barrier_applies()?;
         }
 
-        let program = &self.dplan.programs[p];
         stats.driver_instructions = driver_counters.instructions();
         stats.stages = program.stages();
         stats.jobs = program.jobs();
