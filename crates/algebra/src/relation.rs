@@ -160,8 +160,21 @@ impl Relation {
     /// as `project_sum_at`'s and the result is bit-identical to it, in
     /// content and in layout.
     pub fn project_canonical(&self, positions: &[usize], schema: Schema) -> Relation {
+        self.project_canonical_where(positions, schema, |_| true)
+    }
+
+    /// [`Relation::project_canonical`] of only the tuples `keep` admits, in
+    /// the same pass: a selection followed by the projection, with no
+    /// intermediate relation.
+    pub fn project_canonical_where(
+        &self,
+        positions: &[usize],
+        schema: Schema,
+        keep: impl Fn(&Tuple) -> bool,
+    ) -> Relation {
         let mut rows: Vec<(Tuple, Mult)> = self
             .iter()
+            .filter(|(t, _)| keep(t))
             .map(|(t, m)| (t.project(positions), m))
             .collect();
         rows.sort_by(|a, b| a.0.cmp(&b.0));
@@ -552,6 +565,19 @@ mod tests {
         assert_eq!(by_key.get(&tuple![100]), 0.7);
         assert_eq!(by_key.get(&tuple![101]), 0.0);
         assert!(!by_key.iter().any(|(t, _)| *t == tuple![101]));
+
+        // A selection in the same pass equals selecting first.
+        let keep = |t: &Tuple| *t.get(2) != Value::Long(3);
+        let selected = Relation::from_pairs(
+            src.schema().clone(),
+            src.iter()
+                .filter(|(t, _)| keep(t))
+                .map(|(t, m)| (t.clone(), m)),
+        );
+        let want = selected.project_canonical(&[0, 1], Schema::new(["k", "x"]));
+        let got = src.project_canonical_where(&[0, 1], Schema::new(["k", "x"]), keep);
+        assert_eq!(layout(&got), layout(&want));
+        assert!(got.len() < src.len());
     }
 
     #[test]

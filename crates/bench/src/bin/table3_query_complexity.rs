@@ -2,8 +2,9 @@
 //! distributed runtime — jobs and stages needed to process one batch, plus
 //! the whole-view moves left in the O3 programs (views broadcast from the
 //! driver + views re-hashed by another column; communication that grows
-//! with the database rather than with the batch) and how many of the
-//! batches' columns the preprocessed triggers ship.
+//! with the database rather than with the batch), how many of the batches'
+//! columns the preprocessed triggers ship, and how many triggers filter
+//! their batch by a static condition before shipping it.
 
 use hotdog::prelude::*;
 use hotdog_bench::*;
@@ -15,8 +16,17 @@ fn main() {
         let spec = PartitioningSpec::heuristic(&plan, &q.partition_keys);
         let dplan = compile_distributed(&plan, &spec, OptLevel::O3);
         let (jobs, stages) = dplan.complexity();
-        let shipped: usize = dplan.programs.iter().map(|p| p.kept.len()).sum();
-        let arity: usize = dplan.programs.iter().map(|p| p.batch_arity).sum();
+        let shipped: usize = dplan.programs.iter().map(|p| p.prep.kept.len()).sum();
+        let arity: usize = dplan
+            .programs
+            .iter()
+            .map(|p| p.prep.batch_schema.len())
+            .sum();
+        let filtered = dplan
+            .programs
+            .iter()
+            .filter(|p| !p.prep.filter.is_empty())
+            .count();
         rows.push(vec![
             q.id.to_string(),
             jobs.to_string(),
@@ -25,6 +35,7 @@ fn main() {
             plan.statement_count().to_string(),
             dplan.whole_view_moves().total().to_string(),
             format!("{shipped}/{arity}"),
+            format!("{filtered}/{}", dplan.programs.len()),
         ]);
     }
     print_table(
@@ -37,6 +48,7 @@ fn main() {
             "statements",
             "whole-view moves",
             "Δ cols shipped",
+            "Δ filters",
         ],
         &rows,
     );

@@ -12,7 +12,7 @@ use crate::partition::{LocTag, PartitionFn, PartitioningSpec};
 use hotdog_algebra::expr::{Expr, RelKind, RelRef};
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
-use hotdog_ivm::{MaintenancePlan, StmtOp};
+use hotdog_ivm::{BatchPrep, MaintenancePlan, StmtOp};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -139,35 +139,27 @@ pub struct Block {
 #[derive(Clone, Debug)]
 pub struct TriggerProgram {
     pub relation: String,
-    /// Schema of the *preprocessed* batch the statements read: the
-    /// trigger's variables at `kept`.
-    pub relation_schema: Schema,
-    /// Positions of the update batch the trigger reads
-    /// ([`hotdog_ivm::Trigger::kept_delta_positions`]), ascending.
-    pub kept: Vec<usize>,
-    /// Arity of the update batch before preprocessing.
-    pub batch_arity: usize,
+    /// Batch preprocessing (Section 3.3): the filter and the kept positions
+    /// ([`hotdog_ivm::Trigger::preprocessing`]).  The statements read the
+    /// preprocessed batch, whose schema is `prep.schema`.
+    pub prep: BatchPrep,
     /// Fused statement blocks, in execution order.
     pub blocks: Vec<Block>,
 }
 
 impl TriggerProgram {
-    /// Batch preprocessing (Section 3.3), the one step every backend runs
-    /// before admitting or scattering a batch: project it onto the kept
-    /// positions, summing the multiplicities of tuples that collide, in
-    /// wire-canonical layout ([`Relation::project_canonical`]).
+    /// Batch preprocessing, the one step every backend runs before
+    /// admitting or scattering a batch: filter it and project it onto the
+    /// kept positions in one pass, in wire-canonical layout
+    /// ([`BatchPrep::apply`]).
     pub fn preprocess(&self, batch: &Relation) -> Relation {
-        batch.project_canonical(&self.kept, self.relation_schema.clone())
+        self.prep.apply(batch)
     }
 
     /// Ring-sum `batch`, preprocessed, into an already preprocessed `delta`
-    /// (pipelined admission's coalescing): the projection of
-    /// [`TriggerProgram::preprocess`] without building the canonical
-    /// relation the merge would not keep.
+    /// (pipelined admission's coalescing; [`BatchPrep::apply_into`]).
     pub fn preprocess_into(&self, batch: &Relation, delta: &mut Relation) {
-        for (t, m) in batch.iter() {
-            delta.add(t.project(&self.kept), m);
-        }
+        self.prep.apply_into(batch, delta)
     }
 
     pub fn statements(&self) -> impl Iterator<Item = &DistStatement> {
@@ -223,12 +215,10 @@ impl TriggerProgram {
 
     pub fn pretty(&self) -> String {
         let mut out = format!(
-            "-- ON UPDATE {} ({} blocks), Δ keeps {}/{}: {}\n",
+            "-- ON UPDATE {} ({} blocks), {}\n",
             self.relation,
             self.blocks.len(),
-            self.kept.len(),
-            self.batch_arity,
-            self.relation_schema.columns().join(", ")
+            self.prep.describe()
         );
         for (i, b) in self.blocks.iter().enumerate() {
             out.push_str(&format!(
@@ -452,9 +442,8 @@ impl Lowering<'_> {
     /// Lower one trigger against its preprocessed batch: every statement,
     /// scatter and routing decision sees only the kept columns.
     fn lower_trigger(&mut self, trigger: &hotdog_ivm::Trigger) -> TriggerProgram {
-        let kept = trigger.kept_delta_positions();
-        let batch_arity = trigger.relation_schema.len();
-        let trigger = &trigger.narrowed(&kept);
+        let (prep, trigger) = trigger.preprocessing();
+        let trigger = &trigger;
         let mut statements: Vec<DistStatement> = Vec::new();
         // Cache of scatter/broadcast/repart temps created for this trigger
         // (used for CSE at O3; at lower levels every use gets its own copy).
@@ -481,9 +470,7 @@ impl Lowering<'_> {
         }
         TriggerProgram {
             relation: trigger.relation.clone(),
-            relation_schema: trigger.relation_schema.clone(),
-            kept,
-            batch_arity,
+            prep,
             blocks,
         }
     }
@@ -1107,6 +1094,44 @@ mod tests {
             }
         }
         assert!(blocks > 0);
+    }
+
+    /// Q18 reads its `LINEITEM` batch under `Exists` and `:=`, so no trigger
+    /// filters its batch, and pushing comparisons into views leaves its
+    /// views alone: its O3 program is the one recorded before either
+    /// existed, byte for byte.
+    #[test]
+    fn q18_program_is_unchanged_by_selection_pushdown() {
+        let q = hotdog_workload::query("Q18").unwrap();
+        let plan = compile_recursive(q.id, &q.expr);
+        let spec = PartitioningSpec::heuristic(&plan, &q.partition_keys);
+        let dp = compile_distributed(&plan, &spec, OptLevel::O3);
+        assert!(dp.programs.iter().all(|p| p.prep.filter.is_empty()));
+        assert_eq!(dp.pretty(), include_str!("testdata/q18_o3.plan"));
+    }
+
+    /// Q3 filters every batch by its trigger's date or segment condition
+    /// and ships only the columns its statements then read.
+    #[test]
+    fn q3_programs_print_their_batch_filters() {
+        let q = hotdog_workload::query("Q3").unwrap();
+        let plan = compile_recursive(q.id, &q.expr);
+        let spec = PartitioningSpec::heuristic(&plan, &q.partition_keys);
+        let dp = compile_distributed(&plan, &spec, OptLevel::O3);
+        let pretty = dp.pretty();
+        let heads: Vec<&str> = pretty
+            .lines()
+            .filter(|l| l.starts_with("-- ON UPDATE"))
+            .map(|l| l.split_once("blocks), ").unwrap().1)
+            .collect();
+        assert_eq!(
+            heads,
+            [
+                "Δ keeps 1/4: CK; Δ filter (c_mktsegment = 1)",
+                "Δ keeps 3/10: OK, l_extendedprice, l_discount; Δ filter (l_shipdate > 19950315)",
+                "Δ keeps 4/7: OK, CK, o_orderdate, o_shippriority; Δ filter (o_orderdate < 19950315)",
+            ]
+        );
     }
 
     /// The Q3 shape: `ON UPDATE O` executes on `OK` and probes the

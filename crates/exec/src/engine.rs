@@ -6,7 +6,7 @@ use crate::database::{execute, Database};
 use hotdog_algebra::eval::EvalCounters;
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
-use hotdog_ivm::{MaintenancePlan, Trigger};
+use hotdog_ivm::{BatchPrep, MaintenancePlan, Trigger};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -19,10 +19,10 @@ pub enum ExecMode {
     SingleTuple,
     /// Process the whole batch in one trigger invocation.
     Batched {
-        /// Pre-aggregate the batch onto the columns the trigger actually
-        /// uses ([`Trigger::kept_delta_positions`], the preprocessing every
-        /// distributed backend runs) before running the maintenance
-        /// statements.
+        /// Preprocess the batch as every distributed backend does
+        /// ([`Trigger::preprocessing`]) before running the maintenance
+        /// statements: filter it by the trigger's static conditions and
+        /// pre-aggregate it onto the columns the trigger actually uses.
         preaggregate: bool,
     },
 }
@@ -86,10 +86,9 @@ impl EngineTotals {
 /// A trigger prepared for execution.
 #[derive(Debug)]
 struct ExecTrigger {
-    /// The batch positions the trigger reads: with pre-aggregation
-    /// [`Trigger::kept_delta_positions`] (and `trigger` narrowed to them),
-    /// else all of them.
-    kept: Vec<usize>,
+    /// With pre-aggregation [`Trigger::preprocessing`] (and `trigger`
+    /// rewritten to read its result), else [`BatchPrep::identity`].
+    prep: BatchPrep,
     trigger: Trigger,
 }
 
@@ -112,13 +111,12 @@ impl LocalEngine {
             .triggers
             .iter()
             .map(|t| {
-                let kept = if preagg {
-                    t.kept_delta_positions()
+                let (prep, trigger) = if preagg {
+                    t.preprocessing()
                 } else {
-                    (0..t.relation_schema.len()).collect()
+                    (BatchPrep::identity(&t.relation_schema), t.clone())
                 };
-                let trigger = t.narrowed(&kept);
-                (t.relation.clone(), ExecTrigger { kept, trigger })
+                (t.relation.clone(), ExecTrigger { prep, trigger })
             })
             .collect();
         LocalEngine {
@@ -165,15 +163,15 @@ impl LocalEngine {
             input_tuples: batch.len(),
             ..Default::default()
         };
-        let Some(ExecTrigger { kept, trigger }) = self.triggers.get(relation) else {
+        let Some(ExecTrigger { prep, trigger }) = self.triggers.get(relation) else {
             return stats; // relation not referenced by this query
         };
         // Batches produced by the stream generators carry the table's
         // canonical column names; the compiled trigger uses the query's
-        // variable names.  Project positionally onto the kept columns,
-        // which without pre-aggregation is a relabel.
+        // variable names.  Preprocessing projects positionally, which
+        // without pre-aggregation is a relabel.
         let schema = &trigger.relation_schema;
-        let delta = batch.project_canonical(kept, schema.clone());
+        let delta = prep.apply(batch);
         match self.mode {
             ExecMode::SingleTuple => {
                 for (t, m) in delta.iter() {

@@ -216,6 +216,32 @@ impl RecursiveCompiler {
             }
         }
 
+        // Group the stored factors into join-connected components, and
+        // materialize each comparison with the first component that binds
+        // all of its variables (a selection pushed into the view, as
+        // DBToaster's maps carry the predicates over their own variables).
+        // Columns only such a comparison reads then drop out of the view.
+        let mut components = connected_components(&groupable);
+        rest_factors.retain(|f| {
+            if !matches!(f, Expr::Cmp { .. }) {
+                return true;
+            }
+            let vars = f.input_variables();
+            let binds = |comp: &Vec<Expr>| {
+                let schema = comp
+                    .iter()
+                    .fold(Schema::empty(), |s, g| s.union(&g.schema()));
+                vars.subset_of(&schema)
+            };
+            match components.iter_mut().find(|comp| binds(comp)) {
+                Some(comp) => {
+                    comp.push(f.clone());
+                    false
+                }
+                None => true,
+            }
+        });
+
         // Columns bound once all delta-dependent factors have been evaluated
         // (they are placed before the materialized views in the rebuilt
         // term, so views and trailing factors can correlate with them).
@@ -269,8 +295,6 @@ impl RecursiveCompiler {
             used_elsewhere = used_elsewhere.union(&inner_columns(f));
         }
 
-        // Group the stored factors into join-connected components.
-        let components = connected_components(&groupable);
         let mut view_refs = Vec::new();
         for comp in components {
             let group = join_of(comp);

@@ -27,7 +27,9 @@ pub mod simplify;
 pub use compiler::{compile, compile_classical, compile_recursive, compile_reevaluation};
 pub use delta::{base_relations, delta};
 pub use domain::extract_domain;
-pub use plan::{IndexSpec, MaintenancePlan, Statement, StmtOp, Strategy, Trigger, ViewDef};
+pub use plan::{
+    BatchPrep, IndexSpec, MaintenancePlan, Statement, StmtOp, Strategy, Trigger, ViewDef,
+};
 pub use simplify::simplify;
 
 #[cfg(test)]

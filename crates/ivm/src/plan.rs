@@ -2,8 +2,11 @@
 //! and triggers, plus the access-pattern analysis that decides which
 //! secondary indexes each view needs (Section 5.1/5.2.1).
 
-use hotdog_algebra::expr::{Expr, RelKind, RelRef};
+use crate::simplify::{join_factors, join_of};
+use hotdog_algebra::expr::{Expr, RelKind, RelRef, ValExpr};
+use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
+use hotdog_algebra::tuple::Tuple;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -102,6 +105,135 @@ impl fmt::Display for Trigger {
 }
 
 impl Trigger {
+    /// Batch preprocessing (Section 3.3): the trigger's [`BatchPrep`], and
+    /// this trigger rewritten to read the preprocessed batch.  The filter
+    /// is [`Trigger::batch_filter`], whose comparisons leave every
+    /// statement; then [`Trigger::kept_delta_positions`] of what remains
+    /// decides the projection, so columns only the filter read die too.
+    pub fn preprocessing(&self) -> (BatchPrep, Trigger) {
+        let filter = self.batch_filter();
+        let unfiltered = Trigger {
+            statements: self
+                .statements
+                .iter()
+                .map(|s| Statement {
+                    expr: self.without_comparisons(&s.expr, &filter),
+                    ..s.clone()
+                })
+                .collect(),
+            ..self.clone()
+        };
+        let kept = unfiltered.kept_delta_positions();
+        let narrowed = unfiltered.narrowed(&kept);
+        let prep = BatchPrep {
+            filter,
+            batch_schema: self.relation_schema.clone(),
+            kept,
+            schema: narrowed.relation_schema.clone(),
+        };
+        (prep, narrowed)
+    }
+
+    /// The static conditions of the trigger (Section 3.3): the comparisons
+    /// on batch columns only that *every* statement multiplies its batch
+    /// by, over the trigger's relation schema.  Filtering the batch by them
+    /// changes no statement's result, provided each statement reads
+    /// `Δrelation` exactly once, as a top-level factor of its root `Sum`'s
+    /// join, beside the comparison.  Any other read — under `Union`,
+    /// `Exists` or `:=`, or a second reference — disables the filter.
+    /// Comparisons match by position, not by name.
+    pub fn batch_filter(&self) -> Vec<Expr> {
+        let mut common: Option<Vec<Expr>> = None;
+        for stmt in &self.statements {
+            let reads = stmt
+                .expr
+                .relations()
+                .iter()
+                .filter(|r| r.kind == RelKind::Delta && r.name == self.relation)
+                .count();
+            let factors = root_factors(&stmt.expr);
+            let batch = factors.iter().find_map(|f| self.batch_ref(f));
+            let (1, Some(batch)) = (reads, batch) else {
+                return Vec::new();
+            };
+            let mut mine: Vec<Expr> = Vec::new();
+            for p in factors.iter().filter_map(|f| self.positional(f, batch)) {
+                if !mine.contains(&p) {
+                    mine.push(p);
+                }
+            }
+            common = Some(match common {
+                None => mine,
+                Some(c) => c.into_iter().filter(|f| mine.contains(f)).collect(),
+            });
+        }
+        common.unwrap_or_default()
+    }
+
+    /// `f` as a reference to this trigger's batch.
+    fn batch_ref<'a>(&self, f: &'a Expr) -> Option<&'a RelRef> {
+        match f {
+            Expr::Rel(r) if r.kind == RelKind::Delta && r.name == self.relation => Some(r),
+            _ => None,
+        }
+    }
+
+    /// `f`, when it is a comparison over the columns of `batch` only,
+    /// renamed to the relation schema's names at the same positions.
+    fn positional(&self, f: &Expr, batch: &RelRef) -> Option<Expr> {
+        let Expr::Cmp { op, lhs, rhs } = f else {
+            return None;
+        };
+        let position = |v: &str| batch.cols.iter().position(|c| c == v);
+        if !lhs
+            .variables()
+            .union(&rhs.variables())
+            .iter()
+            .all(|v| position(v).is_some())
+        {
+            return None;
+        }
+        let rename = |v: &ValExpr| {
+            rename_vars(v, &|name| {
+                self.relation_schema.columns()[position(name).unwrap()].clone()
+            })
+        };
+        Some(Expr::Cmp {
+            op: *op,
+            lhs: rename(lhs),
+            rhs: rename(rhs),
+        })
+    }
+
+    /// `expr` without the root-join comparisons that `filter` holds.
+    fn without_comparisons(&self, expr: &Expr, filter: &[Expr]) -> Expr {
+        if filter.is_empty() {
+            return expr.clone();
+        }
+        let factors = root_factors(expr);
+        let batch = factors
+            .iter()
+            .find_map(|f| self.batch_ref(f))
+            .expect("a filtered statement reads its batch");
+        let body = join_of(
+            factors
+                .iter()
+                .filter(|f| {
+                    self.positional(f, batch)
+                        .is_none_or(|p| !filter.contains(&p))
+                })
+                .cloned()
+                .collect(),
+        );
+        match expr {
+            Expr::Sum { group_by, .. } => Expr::Sum {
+                group_by: group_by.clone(),
+                body: Box::new(body),
+            },
+            _ => body,
+        }
+    }
+
     /// Batch preprocessing (Section 3.3): the positions of the update batch
     /// the statements need, ascending.  Every other position is *dead* and
     /// can be summed out of the batch before the trigger runs: in every
@@ -146,6 +278,116 @@ impl Trigger {
                     ..s.clone()
                 })
                 .collect(),
+        }
+    }
+}
+
+/// Batch preprocessing of one trigger (Section 3.3), the one step every
+/// backend runs on an update batch before the trigger's statements see it:
+/// keep the tuples every `filter` comparison admits, and project them onto
+/// the `kept` positions, summing the multiplicities of tuples that collide.
+/// Built by [`Trigger::preprocessing`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct BatchPrep {
+    /// Comparisons over the update batch, named by `batch_schema`
+    /// ([`Trigger::batch_filter`]); a tuple passes when all of them hold.
+    pub filter: Vec<Expr>,
+    /// Schema of the update batch: the trigger's relation schema.
+    pub batch_schema: Schema,
+    /// Positions of the update batch the trigger reads
+    /// ([`Trigger::kept_delta_positions`]), ascending.
+    pub kept: Vec<usize>,
+    /// Schema of the preprocessed batch: `batch_schema` at `kept`.
+    pub schema: Schema,
+}
+
+impl BatchPrep {
+    /// Relabel only: no filter, every position kept.
+    pub fn identity(batch_schema: &Schema) -> BatchPrep {
+        BatchPrep {
+            filter: Vec::new(),
+            batch_schema: batch_schema.clone(),
+            kept: (0..batch_schema.len()).collect(),
+            schema: batch_schema.clone(),
+        }
+    }
+
+    /// Whether `filter` admits update tuple `t`.
+    pub fn admits(&self, t: &Tuple) -> bool {
+        let lookup = |name: &str| self.batch_schema.position(name).map(|i| t.get(i).clone());
+        self.filter.iter().all(|f| match f {
+            Expr::Cmp { op, lhs, rhs } => op.eval(&lhs.eval(&lookup), &rhs.eval(&lookup)),
+            other => unreachable!("a batch filter holds comparisons only, not {other}"),
+        })
+    }
+
+    /// The preprocessed `batch`, filtered and projected in one pass, in
+    /// wire-canonical layout ([`Relation::project_canonical_where`]).
+    pub fn apply(&self, batch: &Relation) -> Relation {
+        batch.project_canonical_where(&self.kept, self.schema.clone(), |t| self.admits(t))
+    }
+
+    /// Ring-sum `batch`, preprocessed, into an already preprocessed `delta`
+    /// (pipelined admission's coalescing), without building the canonical
+    /// relation the merge would not keep.
+    pub fn apply_into(&self, batch: &Relation, delta: &mut Relation) {
+        for (t, m) in batch.iter().filter(|(t, _)| self.admits(t)) {
+            delta.add(t.project(&self.kept), m);
+        }
+    }
+
+    /// `Δ keeps 3/10: OK, l_extendedprice, l_discount; Δ filter
+    /// (l_shipdate > 19950315)` — the filter part only when there is one.
+    pub fn describe(&self) -> String {
+        let mut out = format!(
+            "Δ keeps {}/{}: {}",
+            self.kept.len(),
+            self.batch_schema.len(),
+            self.schema.columns().join(", ")
+        );
+        if !self.filter.is_empty() {
+            let filter: Vec<String> = self.filter.iter().map(|f| f.to_string()).collect();
+            out.push_str(&format!("; Δ filter {}", filter.join(" * ")));
+        }
+        out
+    }
+}
+
+/// The factors of a statement's root join: its root `Sum`'s body's, or
+/// the expression's own when the root is no `Sum`.
+fn root_factors(expr: &Expr) -> Vec<Expr> {
+    match expr {
+        Expr::Sum { body, .. } => join_factors(body),
+        other => join_factors(other),
+    }
+}
+
+/// `v` with every variable renamed by `rename`.
+fn rename_vars(v: &ValExpr, rename: &dyn Fn(&str) -> String) -> ValExpr {
+    let both = |a: &ValExpr, b: &ValExpr| {
+        (
+            Box::new(rename_vars(a, rename)),
+            Box::new(rename_vars(b, rename)),
+        )
+    };
+    match v {
+        ValExpr::Var(x) => ValExpr::Var(rename(x)),
+        ValExpr::Lit(l) => ValExpr::Lit(l.clone()),
+        ValExpr::Add(a, b) => {
+            let (a, b) = both(a, b);
+            ValExpr::Add(a, b)
+        }
+        ValExpr::Sub(a, b) => {
+            let (a, b) = both(a, b);
+            ValExpr::Sub(a, b)
+        }
+        ValExpr::Mul(a, b) => {
+            let (a, b) = both(a, b);
+            ValExpr::Mul(a, b)
+        }
+        ValExpr::Div(a, b) => {
+            let (a, b) = both(a, b);
+            ValExpr::Div(a, b)
         }
     }
 }
@@ -406,31 +648,47 @@ mod tests {
         }
     }
 
-    /// The positions `trigger` keeps, after checking that every statement
-    /// of its narrowed form over the projected batch evaluates exactly as
-    /// the original over a batch full of duplicates on the kept columns.
-    fn kept_checked(trigger: &Trigger) -> Vec<usize> {
+    /// Check that every statement of `narrowed` over `prep`'s output
+    /// evaluates exactly as the matching statement of `trigger` over a
+    /// batch full of duplicates on the kept columns.
+    fn assert_equivalent(trigger: &Trigger, prep: &BatchPrep, narrowed: &Trigger) {
         use hotdog_algebra::eval::{evaluate, MapCatalog};
-        use hotdog_algebra::relation::Relation;
         use hotdog_algebra::tuple;
-        let kept = trigger.kept_delta_positions();
-        let narrowed = trigger.narrowed(&kept);
         let batch = Relation::from_pairs(
             trigger.relation_schema.clone(),
             (0..12i64).map(|i| (tuple![i, i % 3], if i % 4 == 0 { -1.0 } else { 2.0 })),
         );
-        let projected = batch.project_sum_at(&kept, narrowed.relation_schema.clone());
+        let preprocessed = prep.apply(&batch);
         for (wide, narrow) in trigger.statements.iter().zip(&narrowed.statements) {
             let mut full = MapCatalog::new();
             full.insert("R", RelKind::Delta, batch.clone());
             let mut pre = MapCatalog::new();
-            pre.insert("R", RelKind::Delta, projected.clone());
+            pre.insert("R", RelKind::Delta, preprocessed.clone());
             assert!(
                 evaluate(&narrow.expr, &pre).approx_eq(&evaluate(&wide.expr, &full)),
                 "{wide} changed meaning as {narrow}"
             );
         }
+    }
+
+    /// The positions `trigger` keeps, checked by [`assert_equivalent`].
+    fn kept_checked(trigger: &Trigger) -> Vec<usize> {
+        let kept = trigger.kept_delta_positions();
+        let narrowed = trigger.narrowed(&kept);
+        let prep = BatchPrep {
+            kept: kept.clone(),
+            schema: narrowed.relation_schema.clone(),
+            ..BatchPrep::identity(&trigger.relation_schema)
+        };
+        assert_equivalent(trigger, &prep, &narrowed);
         kept
+    }
+
+    /// `trigger`'s whole preprocessing, checked by [`assert_equivalent`].
+    fn prep_checked(trigger: &Trigger) -> BatchPrep {
+        let (prep, narrowed) = trigger.preprocessing();
+        assert_equivalent(trigger, &prep, &narrowed);
+        prep
     }
 
     #[test]
@@ -513,42 +771,214 @@ mod tests {
         assert_eq!(kept_checked(&t), [0, 1]);
     }
 
-    /// The trigger columns the catalog query `id` keeps, per relation.
-    fn catalog_kept(id: &str) -> BTreeMap<String, Vec<String>> {
+    #[test]
+    fn a_comparison_every_statement_applies_filters_the_batch() {
+        let d = || delta_rel("R", ["A", "B"]);
+        let t = trigger_on_r(vec![
+            (&["B"], sum(["B"], join(d(), cmp_lit("A", CmpOp::Gt, 5)))),
+            (
+                &[],
+                sum_total(join_all([
+                    d(),
+                    view("S", ["B"]),
+                    cmp_lit("A", CmpOp::Gt, 5),
+                ])),
+            ),
+        ]);
+        let prep = prep_checked(&t);
+        assert_eq!(prep.filter, [cmp_lit("A", CmpOp::Gt, 5)]);
+        // `A` was read by the filter only, so it dies.
+        assert_eq!(prep.kept, [1]);
+        assert_eq!(prep.describe(), "Δ keeps 1/2: B; Δ filter (A > 5)");
+        let (_, narrowed) = t.preprocessing();
+        assert_eq!(
+            narrowed.statements[0].expr,
+            sum(["B"], delta_rel("R", ["B"]))
+        );
+        // The filter drops tuples before they are projected and summed.
+        let batch = Relation::from_pairs(
+            t.relation_schema.clone(),
+            (0..12i64).map(|i| (hotdog_algebra::tuple![i, i % 3], 1.0)),
+        );
+        let mut into = Relation::new(prep.schema.clone());
+        prep.apply_into(&batch, &mut into);
+        assert_eq!(prep.apply(&batch).len(), 3);
+        assert!(into.approx_eq(&prep.apply(&batch)));
+        assert_eq!(prep.apply(&batch).get(&hotdog_algebra::tuple![0i64]), 2.0);
+    }
+
+    #[test]
+    fn a_comparison_one_statement_lacks_is_no_filter() {
+        let d = || delta_rel("R", ["A", "B"]);
+        let t = trigger_on_r(vec![
+            (&["B"], sum(["B"], join(d(), cmp_lit("A", CmpOp::Gt, 5)))),
+            (&["B"], sum(["B"], d())),
+        ]);
+        assert!(prep_checked(&t).filter.is_empty());
+        // Only the comparisons all statements share filter the batch.
+        let t = trigger_on_r(vec![
+            (
+                &[],
+                sum_total(join_all([
+                    d(),
+                    cmp_lit("A", CmpOp::Gt, 5),
+                    cmp_lit("B", CmpOp::Ne, 2),
+                ])),
+            ),
+            (&[], sum_total(join(d(), cmp_lit("B", CmpOp::Ne, 2)))),
+        ]);
+        let prep = prep_checked(&t);
+        assert_eq!(prep.filter, [cmp_lit("B", CmpOp::Ne, 2)]);
+        assert_eq!(prep.kept, [0]);
+    }
+
+    #[test]
+    fn comparisons_match_by_position_not_by_name() {
+        // Statements name the batch's columns differently: the filter is
+        // the same by position and is named by the relation schema.
+        let t = trigger_on_r(vec![
+            (
+                &[],
+                sum_total(join(delta_rel("R", ["A", "B"]), cmp_lit("A", CmpOp::Gt, 5))),
+            ),
+            (
+                &[],
+                sum_total(join(delta_rel("R", ["X", "Y"]), cmp_lit("X", CmpOp::Gt, 5))),
+            ),
+        ]);
+        assert_eq!(prep_checked(&t).filter, [cmp_lit("A", CmpOp::Gt, 5)]);
+        // The same name at another position is another comparison.
+        let t = trigger_on_r(vec![
+            (
+                &[],
+                sum_total(join(delta_rel("R", ["A", "B"]), cmp_lit("A", CmpOp::Gt, 1))),
+            ),
+            (
+                &[],
+                sum_total(join(delta_rel("R", ["B", "A"]), cmp_lit("A", CmpOp::Gt, 1))),
+            ),
+        ]);
+        assert!(prep_checked(&t).filter.is_empty());
+    }
+
+    #[test]
+    fn any_other_read_of_the_batch_disables_the_filter() {
+        let d = || delta_rel("R", ["A", "B"]);
+        let a_gt_5 = || cmp_lit("A", CmpOp::Gt, 5);
+        let cases: Vec<Expr> = vec![
+            // Under `Union`.
+            sum_total(join(union(d(), d()), a_gt_5())),
+            // Under `Exists`.
+            sum_total(join(exists(d()), a_gt_5())),
+            // Under `:=`.
+            sum_total(join_all([assign_query("X", d()), a_gt_5(), val_var("X")])),
+            // A top-level read plus a second one under `:=`.
+            sum_total(join_all([
+                d(),
+                a_gt_5(),
+                assign_query("X", sum(["B"], delta_rel("R", ["A2", "B"]))),
+                val_var("X"),
+            ])),
+            // Read twice.
+            sum_total(join_all([d(), delta_rel("R", ["A", "C"]), a_gt_5()])),
+        ];
+        for expr in cases {
+            let t = trigger_on_r(vec![(&[], expr.clone())]);
+            assert_eq!(t.batch_filter(), Vec::<Expr>::new(), "{expr}");
+            prep_checked(&t);
+        }
+    }
+
+    /// The compiled recursive plan of catalog query `id`.
+    fn catalog_plan(id: &str) -> MaintenancePlan {
         let q = hotdog_workload::query(id).unwrap();
-        let plan = crate::compile_recursive(q.id, &q.expr);
-        plan.triggers
+        crate::compile_recursive(q.id, &q.expr)
+    }
+
+    /// Each trigger's preprocessing in the catalog query `id`, per relation.
+    fn catalog_prep(id: &str) -> BTreeMap<String, BatchPrep> {
+        catalog_plan(id)
+            .triggers
             .iter()
-            .map(|t| {
-                let narrowed = t.narrowed(&t.kept_delta_positions());
-                (
-                    t.relation.clone(),
-                    narrowed.relation_schema.columns().to_vec(),
-                )
-            })
+            .map(|t| (t.relation.clone(), t.preprocessing().0))
             .collect()
     }
 
     #[test]
     fn q3_keeps_the_columns_its_triggers_read() {
-        let kept = catalog_kept("Q3");
-        assert_eq!(kept["CUSTOMER"], ["CK", "c_mktsegment"]);
+        let prep = catalog_prep("Q3");
+        let cols = |r: &str| prep[r].schema.columns().to_vec();
+        assert_eq!(cols("CUSTOMER"), ["CK"]);
         assert_eq!(
-            kept["ORDERS"],
+            cols("ORDERS"),
             ["OK", "CK", "o_orderdate", "o_shippriority"]
         );
+        assert_eq!(cols("LINEITEM"), ["OK", "l_extendedprice", "l_discount"]);
         assert_eq!(
-            kept["LINEITEM"],
-            ["OK", "l_extendedprice", "l_discount", "l_shipdate"]
+            prep["CUSTOMER"].filter,
+            [cmp_lit("c_mktsegment", CmpOp::Eq, 1)]
+        );
+        assert_eq!(
+            prep["LINEITEM"].filter,
+            [cmp_lit("l_shipdate", CmpOp::Gt, 19950315)]
+        );
+        assert_eq!(
+            prep["ORDERS"].filter,
+            [cmp_lit("o_orderdate", CmpOp::Lt, 19950315)]
         );
     }
 
     #[test]
     fn q18_keeps_keys_and_all_of_the_lineitem_it_tests_for_existence() {
-        let kept = catalog_kept("Q18");
-        assert_eq!(kept["CUSTOMER"], ["CK"]);
-        assert_eq!(kept["ORDERS"], ["OK", "CK"]);
-        assert_eq!(kept["LINEITEM"].len(), 10);
+        let prep = catalog_prep("Q18");
+        assert_eq!(prep["CUSTOMER"].schema.columns(), ["CK"]);
+        assert_eq!(prep["ORDERS"].schema.columns(), ["OK", "CK"]);
+        assert_eq!(prep["LINEITEM"].kept.len(), 10);
+        for (relation, p) in &prep {
+            assert!(p.filter.is_empty(), "{relation}: {}", p.describe());
+        }
+    }
+
+    #[test]
+    fn no_comparison_is_left_beside_a_view_that_binds_it() {
+        // Every comparison over variables one view factor binds is
+        // materialized inside that view (compiler.rs, `materialize_join`).
+        fn check(e: &Expr, site: &str, found: &mut Vec<String>) {
+            if let Expr::Join(..) = e {
+                let factors = join_factors(e);
+                for f in &factors {
+                    let Expr::Cmp { lhs, rhs, .. } = f else {
+                        continue;
+                    };
+                    let vars = lhs.variables().union(&rhs.variables());
+                    let beside = factors.iter().find(|v| {
+                        matches!(v, Expr::Rel(r) if r.kind == RelKind::View
+                            && vars.subset_of(&r.schema()))
+                    });
+                    if let Some(v) = beside {
+                        found.push(format!("{site}: {f} beside {v}"));
+                    }
+                }
+                for f in &factors {
+                    f.children().into_iter().for_each(|c| check(c, site, found));
+                }
+            } else {
+                e.children().into_iter().for_each(|c| check(c, site, found));
+            }
+        }
+        let mut found = Vec::new();
+        for q in hotdog_workload::all_queries() {
+            for t in catalog_plan(q.id).triggers {
+                for s in &t.statements {
+                    check(
+                        &s.expr,
+                        &format!("{} ON {} {s}", q.id, t.relation),
+                        &mut found,
+                    );
+                }
+            }
+        }
+        assert!(found.is_empty(), "{}", found.join("\n"));
     }
 
     #[test]

@@ -56,19 +56,19 @@ type Reeval = (usize, u64, [u64; 6]);
 /// `(query, pin)`: the columnar and the row-only arm must both match it.
 #[rustfmt::skip]
 const PINS: &[(&str, Pin)] = &[
-    ("Q2", (0, 0xcbf29ce484222325, 0xb6a7278b9f0bf324, [802, 120, 2078, 3448, 1217, 3437])),
-    ("Q4", (4, 0xbbdf9d0740a58627, 0x3c633dceb8d1c78c, [120, 2201, 2832, 6691, 10448, 6365])),
+    ("Q2", (0, 0xcbf29ce484222325, 0xdf01c82eb64e1557, [802, 959, 734, 2231, 341, 2297])),
+    ("Q4", (4, 0xbbdf9d0740a58627, 0xe5fb8905d5912d90, [120, 2201, 2832, 5861, 9613, 5535])),
     ("Q11", (34, 0x32334b5c1cdb8dd2, 0x529b25854a7149a7, [4860, 5952, 2122, 20378, 33178, 15409])),
     ("Q13", (1, 0x1fbf116435bd8cfc, 0x0bf71d2973f175e7, [108, 889, 215, 1555, 2243, 1255])),
     ("Q15", (1, 0x35f65868a0c4237d, 0x81a0a7f545db1231, [66, 183, 45, 3655, 3593, 4657])),
-    ("Q16", (22, 0xca0ddffc3e36e9de, 0x072d67b6725b6d8d, [180, 124, 420, 912, 659, 907])),
-    ("Q17", (0, 0xcbf29ce484222325, 0x0f0a144eb2c862af, [414, 24831, 20797, 97787, 50503, 74675])),
+    ("Q16", (22, 0xca0ddffc3e36e9de, 0x5e59adee2aa7b8dd, [180, 110, 420, 876, 601, 871])),
+    ("Q17", (0, 0xcbf29ce484222325, 0xd0749964bc1448be, [414, 19740, 11928, 41340, 49157, 32135])),
     ("Q18", (0, 0xcbf29ce484222325, 0xa1295d49aad44384, [456, 6948, 13112, 26331, 24631, 22257])),
-    ("Q19", (0, 0xcbf29ce484222325, 0x80f8c97f9632d0b2, [232, 0, 3915, 8649, 1655, 8649])),
-    ("Q20", (0, 0xcbf29ce484222325, 0xdfb3259fb44f54bb, [334, 450, 1514, 4980, 5954, 5971])),
-    ("Q21", (0, 0xcbf29ce484222325, 0x8cf7d77007bae719, [522, 0, 35845, 51015, 42767, 52282])),
-    ("Q22", (0, 0xcbf29ce484222325, 0x588380bd36901b59, [108, 567, 807, 1782, 1821, 1580])),
-    ("DS34", (0, 0xcbf29ce484222325, 0xcee776291aa753a4, [183, 8123, 13915, 22513, 20488, 21655])),
+    ("Q19", (0, 0xcbf29ce484222325, 0xb6f7bb094c6e66e1, [348, 3801, 114, 8194, 4782, 8194])),
+    ("Q20", (0, 0xcbf29ce484222325, 0xe62a7bf0005b4fed, [334, 1010, 624, 4124, 5501, 5190])),
+    ("Q21", (0, 0xcbf29ce484222325, 0x8b4ff00c8911247d, [522, 11403, 13880, 30075, 29474, 31109])),
+    ("Q22", (0, 0xcbf29ce484222325, 0x6c44a17eb0113d71, [108, 567, 807, 1634, 1706, 1432])),
+    ("DS34", (0, 0xcbf29ce484222325, 0x50c737eb598ff41d, [183, 13365, 7735, 18119, 18540, 17475])),
 ];
 
 /// `(query, weighted re-evaluation)`.
