@@ -264,7 +264,7 @@ impl Relation {
     /// collapses both to the *same* insertion history (pure inserts, sorted
     /// order, from empty), making the layout a pure function of content.
     /// Every execution backend builds relations canonically at its exchange
-    /// points (batch preprocessing via [`Relation::project_canonical`],
+    /// points (batch preprocessing via [`Relation::project_canonical_where`],
     /// `partition_shards`, gathers via `relabel`), which is what lets a real
     /// socket transport — whose decoder can only replay the pair list — be
     /// held bit-for-bit against the in-process backends.

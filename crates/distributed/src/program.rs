@@ -1,6 +1,7 @@
 //! Compilation of local maintenance programs into distributed programs
 //! (Section 4): batch preprocessing (each trigger is lowered against the
-//! batch projected onto the columns it reads, Section 3.3), location
+//! batch filtered by its static conditions and projected onto the columns
+//! it reads, Section 3.3), location
 //! annotation, view placement (a view that would otherwise be shipped
 //! whole to every worker on every batch becomes a maintained replica),
 //! insertion of location transformers (`Scatter`, `Repart`, `Gather`),

@@ -12,9 +12,10 @@
 //! * [`compiler`] — three maintenance strategies: recursive IVM
 //!   (DBToaster-style, with auxiliary views), classical first-order IVM, and
 //!   full re-evaluation;
-//! * [`plan`] — the compiled representation (views, statements, triggers)
-//!   plus access-pattern analysis for automatic index selection
-//!   (Section 5.2.1).
+//! * [`plan`] — the compiled representation (views, statements, triggers),
+//!   each trigger's batch preprocessing (Section 3.3: the static-condition
+//!   filter and the kept columns, [`BatchPrep`]), plus access-pattern
+//!   analysis for automatic index selection (Section 5.2.1).
 
 #![forbid(unsafe_code)]
 

@@ -140,7 +140,8 @@ impl Trigger {
     /// changes no statement's result, provided each statement reads
     /// `Δrelation` exactly once, as a top-level factor of its root `Sum`'s
     /// join, beside the comparison.  Any other read — under `Union`,
-    /// `Exists` or `:=`, or a second reference — disables the filter.
+    /// `Exists` or `:=`, or a second reference — disables the filter, and
+    /// so does a statement whose root is no `Sum`.
     /// Comparisons match by position, not by name.
     pub fn batch_filter(&self) -> Vec<Expr> {
         let mut common: Option<Vec<Expr>> = None;
@@ -151,7 +152,10 @@ impl Trigger {
                 .iter()
                 .filter(|r| r.kind == RelKind::Delta && r.name == self.relation)
                 .count();
-            let factors = root_factors(&stmt.expr);
+            let Expr::Sum { body, .. } = &stmt.expr else {
+                return Vec::new();
+            };
+            let factors = join_factors(body);
             let batch = factors.iter().find_map(|f| self.batch_ref(f));
             let (1, Some(batch)) = (reads, batch) else {
                 return Vec::new();
@@ -184,18 +188,17 @@ impl Trigger {
         let Expr::Cmp { op, lhs, rhs } = f else {
             return None;
         };
-        let position = |v: &str| batch.cols.iter().position(|c| c == v);
-        if !lhs
-            .variables()
-            .union(&rhs.variables())
-            .iter()
-            .all(|v| position(v).is_some())
-        {
+        let name_at = |v: &str| {
+            let i = batch.cols.iter().position(|c| c == v)?;
+            Some(self.relation_schema.columns()[i].clone())
+        };
+        let vars = lhs.variables().union(&rhs.variables());
+        if !vars.iter().all(|v| name_at(v).is_some()) {
             return None;
         }
         let rename = |v: &ValExpr| {
             rename_vars(v, &|name| {
-                self.relation_schema.columns()[position(name).unwrap()].clone()
+                name_at(name).expect("every variable is a batch column")
             })
         };
         Some(Expr::Cmp {
@@ -210,27 +213,21 @@ impl Trigger {
         if filter.is_empty() {
             return expr.clone();
         }
-        let factors = root_factors(expr);
+        let Expr::Sum { group_by, body } = expr else {
+            unreachable!("a filtered statement's root is a `Sum`")
+        };
+        let factors = join_factors(body);
         let batch = factors
             .iter()
             .find_map(|f| self.batch_ref(f))
             .expect("a filtered statement reads its batch");
-        let body = join_of(
-            factors
-                .iter()
-                .filter(|f| {
-                    self.positional(f, batch)
-                        .is_none_or(|p| !filter.contains(&p))
-                })
-                .cloned()
-                .collect(),
-        );
-        match expr {
-            Expr::Sum { group_by, .. } => Expr::Sum {
-                group_by: group_by.clone(),
-                body: Box::new(body),
-            },
-            _ => body,
+        let kept = factors.iter().filter(|f| {
+            self.positional(f, batch)
+                .is_none_or(|p| !filter.contains(&p))
+        });
+        Expr::Sum {
+            group_by: group_by.clone(),
+            body: Box::new(join_of(kept.cloned().collect())),
         }
     }
 
@@ -313,7 +310,7 @@ impl BatchPrep {
     }
 
     /// Whether `filter` admits update tuple `t`.
-    pub fn admits(&self, t: &Tuple) -> bool {
+    fn admits(&self, t: &Tuple) -> bool {
         let lookup = |name: &str| self.batch_schema.position(name).map(|i| t.get(i).clone());
         self.filter.iter().all(|f| match f {
             Expr::Cmp { op, lhs, rhs } => op.eval(&lhs.eval(&lookup), &rhs.eval(&lookup)),
@@ -353,42 +350,16 @@ impl BatchPrep {
     }
 }
 
-/// The factors of a statement's root join: its root `Sum`'s body's, or
-/// the expression's own when the root is no `Sum`.
-fn root_factors(expr: &Expr) -> Vec<Expr> {
-    match expr {
-        Expr::Sum { body, .. } => join_factors(body),
-        other => join_factors(other),
-    }
-}
-
 /// `v` with every variable renamed by `rename`.
 fn rename_vars(v: &ValExpr, rename: &dyn Fn(&str) -> String) -> ValExpr {
-    let both = |a: &ValExpr, b: &ValExpr| {
-        (
-            Box::new(rename_vars(a, rename)),
-            Box::new(rename_vars(b, rename)),
-        )
-    };
+    let r = |e: &ValExpr| Box::new(rename_vars(e, rename));
     match v {
         ValExpr::Var(x) => ValExpr::Var(rename(x)),
         ValExpr::Lit(l) => ValExpr::Lit(l.clone()),
-        ValExpr::Add(a, b) => {
-            let (a, b) = both(a, b);
-            ValExpr::Add(a, b)
-        }
-        ValExpr::Sub(a, b) => {
-            let (a, b) = both(a, b);
-            ValExpr::Sub(a, b)
-        }
-        ValExpr::Mul(a, b) => {
-            let (a, b) = both(a, b);
-            ValExpr::Mul(a, b)
-        }
-        ValExpr::Div(a, b) => {
-            let (a, b) = both(a, b);
-            ValExpr::Div(a, b)
-        }
+        ValExpr::Add(a, b) => ValExpr::Add(r(a), r(b)),
+        ValExpr::Sub(a, b) => ValExpr::Sub(r(a), r(b)),
+        ValExpr::Mul(a, b) => ValExpr::Mul(r(a), r(b)),
+        ValExpr::Div(a, b) => ValExpr::Div(r(a), r(b)),
     }
 }
 

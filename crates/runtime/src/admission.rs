@@ -107,7 +107,8 @@ impl<T: Transport> Driver<T> {
     ///
     /// Every admitted batch is preprocessed first
     /// ([`TriggerProgram::preprocess`](hotdog_distributed::TriggerProgram::preprocess)),
-    /// so queued deltas carry only the columns the trigger reads: coalescing
+    /// so queued deltas carry only the tuples the trigger's filter admits and
+    /// the columns the trigger reads: coalescing
     /// is a plain ring-sum into the tail, and execution moves the delta
     /// straight into the trigger with no further copy — the admission path
     /// costs the same tuple copies as the synchronous path.
