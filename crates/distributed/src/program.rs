@@ -4,6 +4,7 @@
 //! it reads, Section 3.3), location
 //! annotation, view placement (a view that would otherwise be shipped
 //! whole to every worker on every batch becomes a maintained replica),
+//! lowering each per-batch temp beside the statement that reads it,
 //! insertion of location transformers (`Scatter`, `Repart`, `Gather`),
 //! intra-statement optimization (choosing the execution partitioning that
 //! minimizes communication rounds), single-transformer form, CSE/DCE of
@@ -450,7 +451,12 @@ impl Lowering<'_> {
         // (used for CSE at O3; at lower levels every use gets its own copy).
         let mut scatter_cache: HashMap<String, String> = HashMap::new();
 
-        for stmt in &trigger.statements {
+        // A per-batch temp is lowered with the statement that reads it.
+        for stmt in trigger
+            .statements
+            .iter()
+            .filter(|s| self.plan.view(&s.target).is_some())
+        {
             self.lower_statement(trigger, stmt, &mut statements, &mut scatter_cache);
         }
 
@@ -533,6 +539,26 @@ impl Lowering<'_> {
         t
     }
 
+    /// Per-batch temp `t` computed as `expr` in `mode`, its result placed
+    /// at `tag`.
+    fn temp_statement(
+        &mut self,
+        t: &hotdog_ivm::Statement,
+        expr: Expr,
+        mode: StmtMode,
+        tag: LocTag,
+    ) -> DistStatement {
+        self.temps
+            .insert(t.target.clone(), (t.target_schema.clone(), tag));
+        DistStatement {
+            target: t.target.clone(),
+            target_schema: t.target_schema.clone(),
+            op: StmtOp::SetTo,
+            kind: DistStmtKind::Compute(expr),
+            mode,
+        }
+    }
+
     /// Lower one maintenance statement into local/distributed statements and
     /// the transformer statements they need.
     fn lower_statement(
@@ -543,13 +569,25 @@ impl Lowering<'_> {
         scatter_cache: &mut HashMap<String, String>,
     ) {
         let target_tag = self.spec.tag(&stmt.target);
+        // The trigger's per-batch temps this statement reads
+        // (`hoist_batch_terms`): each is computed just before it, on the
+        // same nodes and from the same scattered batch, so it sees exactly
+        // the rows its occurrences saw.
+        let temps: Vec<&hotdog_ivm::Statement> = trigger
+            .statements
+            .iter()
+            .filter(|t| {
+                self.plan.view(&t.target).is_none()
+                    && stmt.expr.references(&t.target, RelKind::View)
+            })
+            .collect();
         let view_refs: Vec<RelRef> = stmt
             .expr
             .relations()
             .into_iter()
-            .filter(|r| r.kind == RelKind::View)
+            .filter(|r| r.kind == RelKind::View && temps.iter().all(|t| t.target != r.name))
             .collect();
-        let uses_delta = stmt.expr.has_delta_relations();
+        let uses_delta = stmt.expr.has_delta_relations() || !temps.is_empty();
         let dist_refs: Vec<(&RelRef, Vec<String>)> = view_refs
             .iter()
             .filter_map(|r| match self.spec.tag(&r.name) {
@@ -723,6 +761,7 @@ impl Lowering<'_> {
         }
 
         // Scatter the update batch to the workers.
+        let mut temp_statements: Vec<DistStatement> = Vec::new();
         if uses_delta {
             let keyed = !replicated_exec
                 && !exec_key.is_empty()
@@ -750,22 +789,38 @@ impl Lowering<'_> {
                     .all(|k| delta_schema.position(k).is_some_and(|i| r.cols[i] == *k))
             };
             let reads_unkeyed = keyed
-                && stmt
+                && std::iter::once(&stmt.expr)
+                    .chain(temps.iter().map(|t| &t.expr))
+                    .flat_map(|e| e.relations())
+                    .any(|r| r.kind == RelKind::Delta && !binds_key(&r));
+            let whole = reads_unkeyed
+                .then(|| self.scatter_batch(trigger, PartitionFn::Replicate, out, scatter_cache));
+            let source = |r: &RelRef| match &whole {
+                Some(whole) if !binds_key(r) => whole.clone(),
+                _ => part.clone(),
+            };
+            expr = delta_to_view(&expr, &trigger.relation, &source);
+            for t in &temps {
+                // Placed like the scatter its batch reads come from.
+                let from = t
                     .expr
                     .relations()
                     .iter()
-                    .any(|r| r.kind == RelKind::Delta && !binds_key(r));
-            let whole = reads_unkeyed
-                .then(|| self.scatter_batch(trigger, PartitionFn::Replicate, out, scatter_cache));
-            expr = delta_to_view(&expr, &trigger.relation, &|r| match &whole {
-                Some(whole) if !binds_key(r) => whole.clone(),
-                _ => part.clone(),
-            });
+                    .find(|r| r.kind == RelKind::Delta)
+                    .map_or_else(|| part.clone(), source);
+                let tag = self.temps[&from].1.clone();
+                let expr = delta_to_view(&t.expr, &trigger.relation, &source);
+                temp_statements.push(self.temp_statement(t, expr, StmtMode::Distributed, tag));
+            }
         }
 
         if !any_partitioned_input && !replicated_exec {
             // Degenerate case: nothing anchors the computation to a
             // partitioning — run on the driver and push the result out.
+            for t in &temps {
+                let local = self.temp_statement(t, t.expr.clone(), StmtMode::Local, LocTag::Local);
+                out.push(local);
+            }
             let result_temp =
                 self.fresh_temp("local_result", stmt.target_schema.clone(), LocTag::Local);
             out.push(DistStatement {
@@ -798,6 +853,7 @@ impl Lowering<'_> {
             _ => false,
         };
         let simplification_on = self.opt >= OptLevel::O1;
+        out.extend(temp_statements);
         if replicated_exec || (aligned_with_target && simplification_on) {
             // Workers merge straight into their partition (or replica) of
             // the target.
@@ -1097,18 +1153,54 @@ mod tests {
         assert!(blocks > 0);
     }
 
-    /// Q18 reads its `LINEITEM` batch under `Exists` and `:=`, so no trigger
-    /// filters its batch, and pushing comparisons into views leaves its
-    /// views alone: its O3 program is the one recorded before either
-    /// existed, byte for byte.
-    #[test]
-    fn q18_program_is_unchanged_by_selection_pushdown() {
-        let q = hotdog_workload::query("Q18").unwrap();
+    /// The catalog query `id` compiled at `opt`.
+    fn catalog_program(id: &str, opt: OptLevel) -> DistributedPlan {
+        let q = hotdog_workload::query(id).unwrap();
         let plan = compile_recursive(q.id, &q.expr);
         let spec = PartitioningSpec::heuristic(&plan, &q.partition_keys);
-        let dp = compile_distributed(&plan, &spec, OptLevel::O3);
+        compile_distributed(&plan, &spec, opt)
+    }
+
+    /// Q18's O3 program, byte for byte: no trigger filters its batch (it
+    /// is read under `Exists` and `:=`), and `ON UPDATE LINEITEM` computes
+    /// its two per-batch temps — the domain guard and the nested
+    /// aggregate's delta, keyed by `OK` — in the block that reads them,
+    /// from the same scattered batch, ahead of the `Q18` statement.
+    #[test]
+    fn q18_program_computes_its_batch_temps_beside_their_reader() {
+        let dp = catalog_program("Q18", OptLevel::O3);
         assert!(dp.programs.iter().all(|p| p.prep.filter.is_empty()));
         assert_eq!(dp.pretty(), include_str!("testdata/q18_o3.plan"));
+        let lineitem = dp.program("LINEITEM").unwrap();
+        let block = &lineitem.blocks[1].statements;
+        let targets: Vec<&str> = block.iter().map(|s| s.target.as_str()).collect();
+        assert_eq!(targets[..3], ["batch_1", "batch_2", "Q18"]);
+        for temp in &block[..2] {
+            assert_eq!(temp.mode, StmtMode::Distributed);
+            assert_eq!(temp.reads(), ["scatter_2"]);
+            assert_eq!(dp.location(&temp.target), dp.location("scatter_2"));
+            assert!(block[2].reads().contains(&temp.target));
+        }
+        // `TriggerProgram::pretty` lists each temp where it is computed.
+        let pretty = lineitem.pretty();
+        let at = |line: &str| pretty.find(line).unwrap_or_else(|| panic!("{pretty}"));
+        assert!(at("DISTRIBUTED batch_1 := Exists(Sum_[OK]") < at("DISTRIBUTED Q18 += "));
+        assert!(at("DISTRIBUTED batch_2 := Sum_[OK]") < at("DISTRIBUTED Q18 += "));
+    }
+
+    /// Q3 has no nested aggregate, so no temps: its programs at every
+    /// level are the ones recorded before temps existed, byte for byte.
+    #[test]
+    fn q3_programs_are_unchanged_by_batch_temps() {
+        let recorded = [
+            include_str!("testdata/q3_o0.plan"),
+            include_str!("testdata/q3_o1.plan"),
+            include_str!("testdata/q3_o2.plan"),
+            include_str!("testdata/q3_o3.plan"),
+        ];
+        for (opt, want) in ALL_LEVELS.into_iter().zip(recorded) {
+            assert_eq!(catalog_program("Q3", opt).pretty(), want, "{opt:?}");
+        }
     }
 
     /// Q3 filters every batch by its trigger's date or segment condition

@@ -182,10 +182,10 @@ pub struct Executed {
 ///
 /// The statement reads through a catalog built for it alone, which
 /// resolves a `Delta` reference to `deltas` and any other reference to a
-/// temp (exchange buffer) of that name, or else to the view's pool; the
-/// local engine passes no temps.  The columnar fast path runs first and
-/// the row [`Evaluator`] takes the shapes it refuses; both produce
-/// bit-identical results and counters.
+/// temp of that name (an exchange buffer, or a batch-only term its trigger
+/// computed earlier in the batch), or else to the view's pool.  The
+/// columnar fast path runs first and the row [`Evaluator`] takes the
+/// shapes it refuses; both produce bit-identical results and counters.
 pub fn execute(
     expr: &Expr,
     db: &Database,

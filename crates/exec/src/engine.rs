@@ -191,7 +191,9 @@ impl LocalEngine {
     }
 }
 
-/// Run one trigger's statements, in order, over `delta` against `db`.
+/// Run one trigger's statements, in order, over `delta` against `db`.  A
+/// statement whose target is no view fills a temp that the statements
+/// after it read; the temps live for this one batch.
 fn run_trigger(
     db: &mut Database,
     relation: &str,
@@ -200,11 +202,15 @@ fn run_trigger(
     stats: &mut BatchStats,
 ) {
     let deltas = HashMap::from([(relation.to_string(), delta)]);
-    let no_temps = HashMap::new();
+    let mut temps = HashMap::new();
     for stmt in &trigger.statements {
-        let executed = execute(&stmt.expr, db, &no_temps, &deltas);
+        let executed = execute(&stmt.expr, db, &temps, &deltas);
         stats.eval.add(&executed.counters);
-        db.apply(&stmt.target, stmt.op, executed.result);
+        if db.pool(&stmt.target).is_some() {
+            db.apply(&stmt.target, stmt.op, executed.result);
+        } else {
+            temps.insert(stmt.target.clone(), executed.result);
+        }
         stats.statements_executed += 1;
     }
 }

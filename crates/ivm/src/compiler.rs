@@ -5,7 +5,9 @@
 //!
 //! * [`compile_recursive`] — recursive incremental view maintenance
 //!   (Section 2.2): auxiliary views materialize the update-independent parts
-//!   of every delta, recursively, until deltas reference no stored relations.
+//!   of every delta, recursively, until deltas reference no stored relations;
+//!   then the batch-only terms of each statement become per-batch temps
+//!   ([`hoist_batch_terms`]).
 //! * [`compile_classical`] — classical first-order IVM: one delta query per
 //!   base relation evaluated against materialized base tables (the
 //!   "IVM (PostgreSQL)" baseline of Figure 8 / Table 1).
@@ -13,6 +15,7 @@
 //!   tables after applying each batch (the "Re-eval" baseline).
 
 use crate::delta::{base_relations, delta};
+use crate::hoist::hoist_batch_terms;
 use crate::plan::{MaintenancePlan, Statement, StmtOp, Strategy, Trigger, ViewDef};
 use crate::simplify::{is_zero, join_factors, join_of, simplify};
 use hotdog_algebra::expr::{Expr, RelKind, RelRef};
@@ -43,7 +46,9 @@ struct RecursiveCompiler {
     counter: usize,
 }
 
-/// Compile a query into a recursive incremental view maintenance plan.
+/// Compile a query into a recursive incremental view maintenance plan,
+/// with the batch-only terms of its statements hoisted into per-batch
+/// temps ([`hoist_batch_terms`]).
 pub fn compile_recursive(name: &str, query: &Expr) -> MaintenancePlan {
     let mut c = RecursiveCompiler {
         views: Vec::new(),
@@ -113,13 +118,15 @@ pub fn compile_recursive(name: &str, query: &Expr) -> MaintenancePlan {
         }
     }
 
-    build_plan(
+    let mut plan = build_plan(
         name,
         Strategy::RecursiveIvm,
         c.views,
         c.statements,
         &c.base_schemas,
-    )
+    );
+    hoist_batch_terms(&mut plan);
+    plan
 }
 
 impl RecursiveCompiler {

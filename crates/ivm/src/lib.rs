@@ -9,6 +9,8 @@
 //!   maintainable for batch updates;
 //! * [`simplify`](mod@simplify) — algebraic simplification used throughout
 //!   compilation;
+//! * [`hoist`] — per-batch temps for the batch-only terms of nested-aggregate
+//!   deltas (the recursive strategy's last step);
 //! * [`compiler`] — three maintenance strategies: recursive IVM
 //!   (DBToaster-style, with auxiliary views), classical first-order IVM, and
 //!   full re-evaluation;
@@ -22,6 +24,7 @@
 pub mod compiler;
 pub mod delta;
 pub mod domain;
+pub mod hoist;
 pub mod plan;
 pub mod simplify;
 

@@ -59,7 +59,10 @@ pub enum StmtOp {
 /// One maintenance statement of a trigger.
 #[derive(Clone, Debug)]
 pub struct Statement {
-    /// Name of the target materialized view.
+    /// Name of the target materialized view, or of a trigger-local temp:
+    /// a `:=` statement whose target is no view of the plan computes a
+    /// batch-only term once per batch for the statements after it
+    /// ([`hoist_batch_terms`](crate::hoist::hoist_batch_terms)).
     pub target: String,
     /// Schema of the target view (the RHS is projected onto it).
     pub target_schema: Schema,
@@ -482,12 +485,10 @@ impl MaintenancePlan {
             .filter(|(view, positions)| {
                 // A probe with all positions bound uses the primary (unique)
                 // index; a probe with none bound is a scan.  Only partial
-                // bindings need secondary indexes.
-                let arity = self
-                    .view(view)
-                    .map(|v| v.schema.len())
-                    .unwrap_or(usize::MAX);
-                !positions.is_empty() && positions.len() < arity
+                // bindings need secondary indexes, and only views have
+                // them: a temp is sliced through a per-statement index.
+                self.view(view)
+                    .is_some_and(|v| !positions.is_empty() && positions.len() < v.schema.len())
             })
             .map(|(view, positions)| IndexSpec { view, positions })
             .collect()
