@@ -35,8 +35,9 @@
 //! (filter), a constant or value term (weight), `v := value`, a relation
 //! reference (point lookup when every column is bound, else a probe that
 //! fans out), `v := R1(keys) + R2(keys) …` over fully bound references, or
-//! a `Union` whose branches are row-local chains of those terms (each row
-//! fans out into one row per branch that keeps it, in branch order).
+//! a `Union` whose branches are row-local chains of constants, comparisons
+//! and such `:=` lookups (each row fans out into one row per branch that
+//! keeps it, in branch order).
 //!
 //! A column is carried only while a later step or the head reads it: a
 //! slot leaves the frame after its last reader, and a source column nothing
@@ -251,19 +252,11 @@ impl LookupRef {
 enum RowOp {
     /// `Const` term: a weight.  `emissions += 1`.
     Const(f64),
-    /// `Val` term: the value is a weight.  `emissions += 1`.
-    Val(ValProg),
     /// `Cmp` term: keeps the row when it holds.  `emissions += 1` then.
     Cmp {
         op: CmpOp,
         lhs: ValProg,
         rhs: ValProg,
-    },
-    /// `v := value`; over an already bound `v`, an equality check.
-    Assign {
-        slot: usize,
-        value: ValProg,
-        check: bool,
     },
     /// `v := R1(keys) + R2(keys) …` over fully bound references: the
     /// lookups that hit, added in term order from `0.0 +`; a total below ε
@@ -273,9 +266,6 @@ enum RowOp {
         terms: Vec<LookupRef>,
         check: bool,
     },
-    /// A fully bound relation reference: the row's weight, or dropped on a
-    /// miss.
-    Lookup(LookupRef),
 }
 
 /// One vectorized operator of the join chain, applied to the whole frame at
@@ -355,16 +345,9 @@ impl Step {
                 for op in branches.iter().flatten() {
                     match op {
                         RowOp::Const(_) => {}
-                        RowOp::Val(v) => v.reads(out),
                         RowOp::Cmp { lhs, rhs, .. } => {
                             lhs.reads(out);
                             rhs.reads(out);
-                        }
-                        RowOp::Assign { slot, value, check } => {
-                            value.reads(out);
-                            if *check {
-                                out.push(*slot);
-                            }
                         }
                         RowOp::AssignSum { slot, terms, check } => {
                             terms.iter().for_each(|t| out.extend(&t.key_slots));
@@ -372,7 +355,6 @@ impl Step {
                                 out.push(*slot);
                             }
                         }
-                        RowOp::Lookup(l) => out.extend(&l.key_slots),
                     }
                 }
             }
@@ -684,17 +666,11 @@ impl<'e> Slots<'e> {
     fn row_op(&mut self, term: &'e Expr, bound: &mut Bound<'e>) -> Option<RowOp> {
         Some(match term {
             Expr::Const(c) => RowOp::Const(*c),
-            Expr::Val(v) => RowOp::Val(ValProg::compile(v, bound)?),
             Expr::Cmp { op, lhs, rhs } => RowOp::Cmp {
                 op: *op,
                 lhs: ValProg::compile(lhs, bound)?,
                 rhs: ValProg::compile(rhs, bound)?,
             },
-            Expr::AssignVal { var, value } => {
-                let value = ValProg::compile(value, bound)?;
-                let (slot, check) = self.assigned(var, bound);
-                RowOp::Assign { slot, value, check }
-            }
             Expr::AssignQuery { var, query } => {
                 let terms = union_branches(query)
                     .into_iter()
@@ -703,21 +679,14 @@ impl<'e> Slots<'e> {
                         _ => None,
                     })
                     .collect::<Option<Vec<LookupRef>>>()?;
-                let (slot, check) = self.assigned(var, bound);
+                let (slot, check) = match bound.get(var) {
+                    Some(slot) => (slot, true),
+                    None => (self.bind(var, bound), false),
+                };
                 RowOp::AssignSum { slot, terms, check }
             }
-            Expr::Rel(r) if !r.cols.is_empty() => RowOp::Lookup(lookup_ref(r, bound)?),
             _ => return None,
         })
-    }
-
-    /// The slot of an assigned variable, and whether it is already bound
-    /// (the assignment is a check).
-    fn assigned(&mut self, var: &'e str, bound: &mut Bound<'e>) -> (usize, bool) {
-        match bound.get(var) {
-            Some(slot) => (slot, true),
-            None => (self.bind(var, bound), false),
-        }
     }
 }
 
@@ -1149,20 +1118,11 @@ impl BranchRow<'_> {
                     counters.emissions += 1;
                     *c
                 }
-                RowOp::Val(v) => {
-                    counters.emissions += 1;
-                    v.eval_by(&load).as_f64()
-                }
                 RowOp::Cmp { op, lhs, rhs } => {
                     if !op.eval(&lhs.eval_by(&load), &rhs.eval_by(&load)) {
                         return None;
                     }
                     counters.emissions += 1;
-                    1.0
-                }
-                RowOp::Assign { slot, value, check } => {
-                    let v = value.eval_by(&load);
-                    self.assign(*slot, v, *check, scratch)?;
                     1.0
                 }
                 RowOp::AssignSum { slot, terms, check } => {
@@ -1176,13 +1136,6 @@ impl BranchRow<'_> {
                     let total = total.filter(|t| t.abs() >= MULT_EPSILON).unwrap_or(0.0);
                     self.assign(*slot, Value::Double(total), *check, scratch)?;
                     1.0
-                }
-                RowOp::Lookup(l) => {
-                    let m = l.probe(&load, key, catalog, counters);
-                    if m == 0.0 {
-                        return None;
-                    }
-                    m
                 }
             };
             product = Some(product.map_or(m, |p| p * m));
@@ -1488,17 +1441,21 @@ mod tests {
             ["B"],
             join_all([delta_rel("U", ["A", "B"]), diff, val_var("X")]),
         ));
-        // Constants, comparisons and value assignments are row-local too.
+        // A comparison may drop a row from one branch only, and read what
+        // its own branch bound.
         let branches = union(
             join(
-                cmp_lit("A", CmpOp::Gt, 1),
-                assign_val("K", ValExpr::var("A")),
+                assign_query("X", view("V", ["B"])),
+                cmp_lit("X", CmpOp::Gt, 0.05),
             ),
-            join(Expr::Const(0.5), assign_val("K", ValExpr::lit(7))),
+            join(
+                cmp_lit("A", CmpOp::Gt, 1),
+                assign_query("X", view("W", ["B"])),
+            ),
         );
         check(sum(
-            ["B", "K"],
-            join_all([delta_rel("R", ["A", "B"]), branches, view("T", ["C"])]),
+            ["B", "X"],
+            join_all([delta_rel("U", ["A", "B"]), branches, view("T", ["C"])]),
         ));
     }
 
