@@ -75,9 +75,6 @@ pub struct WorkerStats {
     /// Tuples touched by statement scans and slices (see
     /// `EvalCounters::tuples_touched`).
     pub tuples_touched: u64,
-    /// `Compute` statements the vectorizer refused, which ran on the row
-    /// `Evaluator` instead.
-    pub row_statements: u64,
 }
 
 /// One node's [`WorkerStats`] plus the cardinality of each of its view
@@ -283,7 +280,6 @@ impl WorkerState {
         if let DistStmtKind::Compute(expr) = &stmt.kind {
             let executed = hotdog_exec::execute(expr, &self.db, &self.temps, deltas);
             self.stats.statements += 1;
-            self.stats.row_statements += u64::from(executed.row_path);
             self.stats.instructions += executed.counters.instructions();
             self.stats.tuples_touched += executed.counters.tuples_touched;
             counters.add(&executed.counters);

@@ -6,7 +6,7 @@
 
 use crate::slice_index::{SliceIndex, Stored};
 use crate::vectorized::eval_vectorized;
-use hotdog_algebra::eval::{Catalog, EvalCounters, Evaluator};
+use hotdog_algebra::eval::{Catalog, EvalCounters};
 use hotdog_algebra::expr::{Expr, RelKind};
 use hotdog_algebra::hash::DetMap;
 use hotdog_algebra::relation::Relation;
@@ -173,8 +173,6 @@ pub struct Executed {
     pub result: Relation,
     /// Evaluator operation counts, `tuples_touched` included.
     pub counters: EvalCounters,
-    /// The vectorizer refused the statement, so the row [`Evaluator`] ran it.
-    pub row_path: bool,
 }
 
 /// Evaluate one trigger statement against a node's state: the one statement
@@ -183,9 +181,14 @@ pub struct Executed {
 /// The statement reads through a catalog built for it alone, which
 /// resolves a `Delta` reference to `deltas` and any other reference to a
 /// temp of that name (an exchange buffer, or a batch-only term its trigger
-/// computed earlier in the batch), or else to the view's pool.  The
-/// columnar fast path runs first and the row [`Evaluator`] takes the
-/// shapes it refuses; both produce bit-identical results and counters.
+/// computed earlier in the batch), or else to the view's pool, and runs
+/// on the columnar interpreter, whose results and counters are
+/// bit-identical to the row `Evaluator`'s.
+///
+/// # Panics
+///
+/// When a term of `expr` reads a variable that is not bound on every path
+/// to it, where the row `Evaluator` panics too.
 pub fn execute(
     expr: &Expr,
     db: &Database,
@@ -194,21 +197,10 @@ pub fn execute(
 ) -> Executed {
     let catalog = StatementCatalog::new(db, temps, deltas);
     let mut counters = EvalCounters::default();
-    let (result, row_path) = match eval_vectorized(expr, &catalog, &mut counters) {
-        Some(result) => (result, false),
-        None => {
-            let mut ev = Evaluator::new(&catalog);
-            let result = ev.eval(expr);
-            counters = ev.counters;
-            (result, true)
-        }
-    };
+    let result = eval_vectorized(expr, &catalog, &mut counters)
+        .unwrap_or_else(|| panic!("a variable is unbound on some path of {expr}"));
     counters.tuples_touched = catalog.index.tuples_touched();
-    Executed {
-        result,
-        counters,
-        row_path,
-    }
+    Executed { result, counters }
 }
 
 /// The catalog of one [`execute`] call.  Its [`SliceIndex`] indexes the
@@ -273,6 +265,7 @@ impl Catalog for StatementCatalog<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hotdog_algebra::eval::Evaluator;
     use hotdog_algebra::expr::*;
     use hotdog_algebra::tuple;
     use hotdog_ivm::compile_recursive;
@@ -386,21 +379,19 @@ mod tests {
         assert_eq!(n, 0);
         assert_eq!(cat.lookup("NOPE", RelKind::View, &tuple![5]), 0.0);
 
-        // Through `execute`: a left-deep join takes the columnar path, a
-        // nested aggregate the row path, and both report the row
-        // interpreter's counters.
+        // Through `execute`: a left-deep join and a nested aggregate both
+        // report the row interpreter's results and counters.
         let left_deep = sum(["B"], join(delta_rel("R", ["A", "B"]), view("Q", ["B"])));
         let nested = sum_total(join(
             delta_rel("R", ["A", "B"]),
             assign_query("X", sum_total(view("Q", ["B"]))),
         ));
-        for (expr, row_path) in [(left_deep, false), (nested, true)] {
+        for expr in [left_deep, nested] {
             let executed = execute(&expr, &db, &no_temps, &deltas);
             let cat = StatementCatalog::new(&db, &no_temps, &deltas);
             let mut ev = Evaluator::new(&cat);
             let want = ev.eval(&expr);
             ev.counters.tuples_touched = cat.index.tuples_touched();
-            assert_eq!(executed.row_path, row_path, "{expr:?}");
             assert_eq!(executed.counters, ev.counters, "{expr:?}");
             assert_eq!(executed.result.checksum(), want.checksum(), "{expr:?}");
             assert!(!want.is_empty(), "{expr:?}");

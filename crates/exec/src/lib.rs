@@ -8,20 +8,17 @@
 //! * [`engine::LocalEngine`] — the trigger interpreter, supporting
 //!   single-tuple and batched execution (with optional batch
 //!   pre-aggregation) and metering evaluator/storage operation counts;
-//! * [`vectorized`] — the columnar fast path: trigger statements compiled
-//!   to slot-addressed [`vectorized::VectorPlan`]s executed one operator per
-//!   batch over column slices, bit-identical to the reference interpreter
-//!   (always on; no option selects an interpreter);
+//! * [`vectorized`] — the statement interpreter: statements compiled to
+//!   slot-addressed [`vectorized::VectorPlan`]s executed one operator per
+//!   batch over column slices, nested aggregates included, bit-identical
+//!   to the reference [`Evaluator`](hotdog_algebra::eval::Evaluator);
 //! * [`execute`] — the one statement executor of the local engine and of
 //!   every distributed node: it builds the statement's catalog (a `Delta`
 //!   reference reads the batch, any other an exchange buffer or else a
-//!   view pool), runs
-//!   [`vectorized::eval_vectorized`] first and falls back to the
-//!   row-at-a-time [`Evaluator`](hotdog_algebra::eval::Evaluator) for
-//!   shapes the vectorizer does not cover, so the two interpreters can
-//!   never diverge observably.  Its catalog slices deltas and temps
-//!   through hash indexes built once per statement, and counts every
-//!   tuple touched.
+//!   view pool) and runs the statement's [`vectorized::VectorPlan`] — the
+//!   one execution path.  Its catalog slices deltas and temps through
+//!   hash indexes built once per statement, and counts every tuple
+//!   touched.
 
 #![forbid(unsafe_code)]
 
@@ -32,6 +29,4 @@ pub mod vectorized;
 
 pub use database::{execute, Database, Executed};
 pub use engine::{relabel, BatchStats, EngineTotals, ExecMode, LocalEngine};
-#[doc(hidden)]
-pub use vectorized::set_columnar;
 pub use vectorized::{eval_vectorized, VectorPlan};

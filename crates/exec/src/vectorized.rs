@@ -8,83 +8,72 @@
 //! batched IVM (the paper's Section 3.3 / 5.2.2 regime) that per-tuple
 //! interpretive overhead dominates the actual storage work.
 //!
-//! This module compiles the statement shapes the recursive IVM compiler
-//! emits into a [`VectorPlan`]: variable names are resolved to column
-//! *slots* once, and execution proceeds one operator at a time over whole
-//! column slices ([`ColumnarBatch`]-style `Vec<Value>` columns), using the
-//! kernels of `hotdog_storage::columnar` (`compact_column` for filters,
+//! This module compiles a trigger statement into a [`VectorPlan`]:
+//! variable names are resolved to column *slots* once, and execution
+//! proceeds one operator at a time over whole column slices
+//! ([`ColumnarBatch`]-style `Vec<Value>` columns), using the kernels of
+//! `hotdog_storage::columnar` (`compact_column` for filters,
 //! `gather_column` for fan-out).  Hash-join probes go through the
 //! [`Catalog`], whose hash indexes *are* the join's build side: a view
 //! probe reads the `hotdog-storage` record pool's secondary index, and a
 //! delta or temp probe reads the hash index the [`execute`](crate::execute)
 //! catalog builds once per statement, so each probe costs O(matches).
 //!
-//! # Supported shapes
+//! # Shapes: terms over frames
 //!
-//! An optional `Sum`, `Exists` or `Exists(Sum)` head over a **left-deep
-//! join chain**.  The chain's leftmost term is its source:
+//! The statement is a *term* run over a frame of one row with no columns.
+//! A term's body — one left-deep join chain per `Union` branch — runs over
+//! every row of a frame at once: each row starts one sub-row weighted 1.0
+//! that reads the row's bound columns, and every filter and fan-out carries
+//! each sub-row's source row.  The term's head then folds the sub-rows back
+//! into their source rows, as `Evaluator::aggregate` and `emit_groups` do
+//! for one binding at a time:
 //!
-//! * a relation reference with distinct columns — one full scan;
-//! * a `Sum` or `Exists` — compiled as a plan of its own, whose sorted
-//!   groups become the rows (so `Exists(R)` scans, drops rows with
-//!   |m| < ε, sorts by tuple and weighs each row 1.0);
-//! * a `Union` of chains — each branch runs in order into one frame over
-//!   the columns every branch binds, then the shared tail runs.
+//! * `Sum_[keys]` groups a source row's sub-rows by the keys the body binds
+//!   (keys the source row binds are constant within it), drops totals
+//!   below ε, sorts, and emits one row per group; `Exists` weighs each
+//!   group 1.0;
+//! * `v := query` binds `v` to each group's total (0.0 when no group
+//!   survives and the source row binds every column of the query), or,
+//!   over an already bound `v`, keeps the groups whose total equals it;
+//! * a `Union` or a right-nested join emits every sub-row.
 //!
-//! Every later term is one step over the whole frame: a comparison
+//! A chain's leftmost relation over the statement's frame is one scan.
+//! Every other term is one step over the whole frame: a comparison
 //! (filter), a constant or value term (weight), `v := value`, a relation
-//! reference (point lookup when every column is bound, else a probe that
-//! fans out), `v := R1(keys) + R2(keys) …` over fully bound references, or
-//! a `Union` whose branches are row-local chains of constants, comparisons
-//! and such `:=` lookups (each row fans out into one row per branch that
-//! keeps it, in branch order).
-//!
-//! A column is carried only while a later step or the head reads it: a
-//! slot leaves the frame after its last reader, and a source column nothing
-//! reads is never materialized.
+//! (point lookup when every column is bound, else a probe that fans out; a
+//! repeated column binds at its first position and filters at the others),
+//! or a nested term, whose rows fan out their source rows.  A column is
+//! carried only until its last reader.  [`compile`] refuses only a term
+//! that reads a variable not bound on every path to it (the reference path
+//! panics) or binds one some paths bound (it branches per row).
 //!
 //! # Bit-for-bit parity
 //!
-//! The vectorized path is held to the reference interpreter **exactly**, not
-//! approximately: same emission order, same floating-point operation order,
-//! same [`EvalCounters`] — so the three-backend differential oracle and the
-//! deterministic telemetry contract hold whichever interpreter runs a
-//! statement.
-//! Concretely:
-//!
-//! * rows flow in scan order, probes and unions fan out depth-first exactly
-//!   like the tuple-at-a-time nested-loop order;
-//! * multiplicities accumulate in chain order (`(m1 * m2) * m3 …`; a union
-//!   branch's own product multiplies into its row's), and `Sum` groups are
-//!   accumulated in emission order into a hash map, then epsilon-filtered
-//!   and sorted — byte-identical to `Evaluator::aggregate`/`emit_groups`;
-//! * `v := R1(keys) + …` adds the lookups that hit in term order from
-//!   `0.0 +`, and a total below ε binds 0.0, the `Evaluator`'s rule for a
-//!   scalar aggregate over no rows;
-//! * every counter increment of the reference path (`scans`, `lookups`,
-//!   `slices`, `tuples_visited`, `emissions`) is reproduced at the same
-//!   logical point.
-//!
-//! Statements outside these shapes fall back to the reference interpreter —
-//! [`compile`] simply returns `None`: nested `Sum`/`Exists` inside a chain,
-//! `:=` over anything but fully bound references, a `Union` branch that
-//! probes or scans, union branches that bind different variables, a
-//! right-nested join, and repeated unbound columns in one relation
-//! reference.
+//! The result is held to the reference interpreter **exactly**: same
+//! emission order, same floating-point operation order, same
+//! [`EvalCounters`].  Rows flow in scan order and fan out depth-first like
+//! the nested-loop order: a source row's sub-rows stay contiguous, and a
+//! union merges its branches by source row, branch order within one.
+//! Multiplicities accumulate in chain order (`(m1 * m2) * m3 …`); a nested
+//! term's sub-rows start at 1.0, which is exact, so a folded row weighs
+//! `m_outer * m_term`, the join's order.  Groups accumulate in emission
+//! order from `0.0 +`, then are ε-filtered and sorted; a scalar head is
+//! one running sum per source row.  Every counter increments at the
+//! reference path's logical point: `Sum` and `Exists` count one emission
+//! per group, `:=` none.
 //!
 //! # No knob
 //!
-//! The fast path is simply on: there is no option, environment variable or
-//! config field that selects an interpreter.  The row `Evaluator` remains
-//! as the fallback for shapes [`compile`] refuses and as the reference the
-//! `columnar_vs_row_differential` oracle compares against (it reaches the
-//! row path for *every* statement through a hidden test hook).
+//! This is the one interpreter on the data path; no option, environment
+//! variable or config field selects another.  The row `Evaluator` remains
+//! as `evaluate()`'s re-evaluation oracle and as the reference the tests
+//! compare this module against, statement by statement.
 //!
 //! # Example
 //!
-//! Both interpreters produce the same relation for a supported shape —
-//! here a grouped count over a join, evaluated against a hand-built
-//! catalog:
+//! Both interpreters produce the same relation — here a grouped count over
+//! a join, evaluated against a hand-built catalog:
 //!
 //! ```
 //! use hotdog_algebra::eval::{EvalCounters, Evaluator};
@@ -103,7 +92,7 @@
 //!
 //! let q = sum(["B"], join(rel("R", ["A", "B"]), rel("S", ["B", "C"])));
 //! let mut counters = EvalCounters::default();
-//! let fast = eval_vectorized(&q, &catalog, &mut counters).expect("supported shape");
+//! let fast = eval_vectorized(&q, &catalog, &mut counters).expect("every variable bound");
 //!
 //! let mut reference = Evaluator::new(&catalog);
 //! let slow = reference.eval(&q);
@@ -122,22 +111,7 @@ use hotdog_algebra::schema::Schema;
 use hotdog_algebra::tuple::Tuple;
 use hotdog_algebra::value::Value;
 use hotdog_storage::columnar::{compact_column, compact_mults, gather_column};
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Set by the differential oracle's test hook to send every statement to
-/// the row interpreter.
-static ROW_ONLY: AtomicBool = AtomicBool::new(false);
-
-/// Test hook for the `columnar_vs_row_differential` oracle: `false` makes
-/// [`eval_vectorized`] decline every statement process-wide, so the row
-/// interpreter runs shapes the vectorizer would otherwise take.  Both
-/// interpreters produce bit-identical results, so flipping mid-run changes
-/// performance, never semantics.  Not configuration: nothing in the system
-/// calls it.
-#[doc(hidden)]
-pub fn set_columnar(enabled: bool) {
-    ROW_ONLY.store(!enabled, Ordering::Relaxed);
-}
+use std::ops::Range;
 
 // ---------------------------------------------------------------------------
 // Compiled form
@@ -155,8 +129,7 @@ enum ValProg {
 
 impl ValProg {
     /// Resolve every variable to a slot; `None` if any is unbound at this
-    /// point in the chain (the reference path would panic — bail to it so
-    /// behavior, including the panic message, is unchanged).
+    /// point in the chain (the reference path would panic).
     fn compile(v: &ValExpr, slots: &Bound<'_>) -> Option<ValProg> {
         let bin = |a: &ValExpr, b: &ValExpr| -> Option<(Box<ValProg>, Box<ValProg>)> {
             Some((
@@ -174,33 +147,28 @@ impl ValProg {
         })
     }
 
-    /// Evaluate for row `i` of the frame.
-    fn eval(&self, cols: &[Vec<Value>], i: usize) -> Value {
-        self.eval_by(&|s| cols[s][i].clone())
-    }
-
-    /// Evaluate with `load` reading the slots — the same operation tree, in
-    /// the same order, as `ValExpr::eval`, with slot loads instead of string
+    /// Evaluate for row `i` of the frame — the same operation tree, in the
+    /// same order, as `ValExpr::eval`, with slot loads instead of string
     /// lookups.
-    fn eval_by<F: Fn(usize) -> Value>(&self, load: &F) -> Value {
+    fn eval(&self, cols: &[Vec<Value>], i: usize) -> Value {
         match self {
-            ValProg::Slot(s) => load(*s),
+            ValProg::Slot(s) => cols[*s][i].clone(),
             ValProg::Lit(v) => v.clone(),
             ValProg::Add(a, b) => {
-                Value::Double(a.eval_by(load).as_f64() + b.eval_by(load).as_f64())
+                Value::Double(a.eval(cols, i).as_f64() + b.eval(cols, i).as_f64())
             }
             ValProg::Sub(a, b) => {
-                Value::Double(a.eval_by(load).as_f64() - b.eval_by(load).as_f64())
+                Value::Double(a.eval(cols, i).as_f64() - b.eval(cols, i).as_f64())
             }
             ValProg::Mul(a, b) => {
-                Value::Double(a.eval_by(load).as_f64() * b.eval_by(load).as_f64())
+                Value::Double(a.eval(cols, i).as_f64() * b.eval(cols, i).as_f64())
             }
             ValProg::Div(a, b) => {
-                let d = b.eval_by(load).as_f64();
+                let d = b.eval(cols, i).as_f64();
                 Value::Double(if d == 0.0 {
                     0.0
                 } else {
-                    a.eval_by(load).as_f64() / d
+                    a.eval(cols, i).as_f64() / d
                 })
             }
         }
@@ -219,56 +187,7 @@ impl ValProg {
     }
 }
 
-/// A relation reference whose columns are all bound: a point lookup.
-struct LookupRef {
-    name: String,
-    kind: RelKind,
-    key_slots: Vec<usize>,
-}
-
-impl LookupRef {
-    /// The multiplicity of the key `load` reads, counted like the
-    /// `Evaluator`'s point lookup (`tuples_visited` on a hit).
-    fn probe<F: Fn(usize) -> Value>(
-        &self,
-        load: &F,
-        key: &mut Tuple,
-        catalog: &dyn Catalog,
-        counters: &mut EvalCounters,
-    ) -> Mult {
-        key.0.clear();
-        key.0.extend(self.key_slots.iter().map(|&s| load(s)));
-        counters.lookups += 1;
-        let m = catalog.lookup(&self.name, self.kind, key);
-        if m != 0.0 {
-            counters.tuples_visited += 1;
-        }
-        m
-    }
-}
-
-/// One term of a row-local union branch, evaluated row by row in branch
-/// order, exactly as the `Evaluator` streams the branch.
-enum RowOp {
-    /// `Const` term: a weight.  `emissions += 1`.
-    Const(f64),
-    /// `Cmp` term: keeps the row when it holds.  `emissions += 1` then.
-    Cmp {
-        op: CmpOp,
-        lhs: ValProg,
-        rhs: ValProg,
-    },
-    /// `v := R1(keys) + R2(keys) …` over fully bound references: the
-    /// lookups that hit, added in term order from `0.0 +`; a total below ε
-    /// binds 0.0.  Over an already bound `v`, an equality check.
-    AssignSum {
-        slot: usize,
-        terms: Vec<LookupRef>,
-        check: bool,
-    },
-}
-
-/// One vectorized operator of the join chain, applied to the whole frame at
+/// One vectorized operator of a join chain, applied to the whole frame at
 /// once (one dispatch per operator per batch).
 enum Step {
     /// `Cmp` term: evaluate the predicate over the frame into a keep-mask,
@@ -289,7 +208,11 @@ enum Step {
     AssignCheck { slot: usize, value: ValProg },
     /// Relation term with every column bound: per-row point lookup through
     /// the catalog (the record pool's primary index).
-    Lookup(LookupRef),
+    Lookup {
+        name: String,
+        kind: RelKind,
+        key_slots: Vec<usize>,
+    },
     /// Relation term with some (or no) columns bound: per-row slice through
     /// the catalog (the record pool's secondary hash index — the hash join's
     /// build side) fanning out into fresh columns; previously bound columns
@@ -301,16 +224,13 @@ enum Step {
         bound: Vec<(usize, usize)>,
         /// `(position in the reference, frame slot)` of newly bound columns.
         unbound: Vec<(usize, usize)>,
+        /// `(position, earlier position)` of each repeated unbound column:
+        /// a tuple whose values there differ is visited but not emitted.
+        repeats: Vec<(usize, usize)>,
     },
-    /// A `Union` of row-local branches, or a lone `:=` term as one branch
-    /// of one term: each row fans out, through the same gather as a probe,
-    /// into one row per branch that keeps it, in branch order, weighted by
-    /// its own multiplicity times the branch's product.
-    Branches {
-        branches: Vec<Vec<RowOp>>,
-        /// Slots every branch binds.
-        fresh: Vec<usize>,
-    },
+    /// A nested term over the whole frame: each row fans out into the rows
+    /// the term folds back into it, weighted `m_row * m_term`.
+    Nested(Box<Term>),
 }
 
 impl Step {
@@ -319,14 +239,13 @@ impl Step {
         match self {
             Step::Assign { slot, .. } => out.push(*slot),
             Step::Probe { unbound, .. } => out.extend(unbound.iter().map(|&(_, s)| s)),
-            Step::Branches { fresh, .. } => out.extend(fresh),
+            Step::Nested(t) => out.extend(&t.binds),
             _ => {}
         }
     }
 
-    /// Push the slots this step reads.  A union branch's reads of its own
-    /// bindings are pushed too; nothing binds those slots earlier, so
-    /// marking them live before the step changes nothing.
+    /// Push the slots this step reads (a nested term's after its
+    /// [`Term::prune`]).
     fn reads(&self, out: &mut Vec<usize>) {
         match self {
             Step::Filter { lhs, rhs, .. } => {
@@ -339,165 +258,134 @@ impl Step {
                 out.push(*slot);
                 value.reads(out);
             }
-            Step::Lookup(l) => out.extend(&l.key_slots),
+            Step::Lookup { key_slots, .. } => out.extend(key_slots),
             Step::Probe { bound, .. } => out.extend(bound.iter().map(|&(_, s)| s)),
-            Step::Branches { branches, .. } => {
-                for op in branches.iter().flatten() {
-                    match op {
-                        RowOp::Const(_) => {}
-                        RowOp::Cmp { lhs, rhs, .. } => {
-                            lhs.reads(out);
-                            rhs.reads(out);
-                        }
-                        RowOp::AssignSum { slot, terms, check } => {
-                            terms.iter().for_each(|t| out.extend(&t.key_slots));
-                            if *check {
-                                out.push(*slot);
-                            }
-                        }
-                    }
-                }
+            Step::Nested(t) => {
+                out.extend(&t.inputs);
+                out.extend(t.checked());
             }
         }
     }
 }
 
-/// The leftmost term of a chain.
-enum Source {
-    /// A relation reference: one full scan.
-    Scan {
-        name: String,
-        kind: RelKind,
-        /// `(position in the reference, frame slot)` of the columns read.
-        cols: Vec<(usize, usize)>,
-    },
-    /// A `Sum` or `Exists`, run as a plan of its own: its groups, in the
-    /// sorted order it emits them, with their multiplicities.
-    Nested {
-        plan: Box<VectorPlan>,
-        /// `(column of the nested result, frame slot)` of the columns read.
-        cols: Vec<(usize, usize)>,
-    },
-    /// A `Union` of chains, run in branch order into one frame.
-    Union {
-        branches: Vec<Chain>,
-        /// Slots every branch binds that the tail reads.
-        out: Vec<usize>,
-    },
+/// The leftmost relation reference of a chain over the statement's
+/// one-row frame: one full scan.
+struct Scan {
+    name: String,
+    kind: RelKind,
+    /// `(position in the reference, frame slot)` of the columns read.
+    cols: Vec<(usize, usize)>,
+    /// `(position, earlier position)` of each repeated column.
+    repeats: Vec<(usize, usize)>,
 }
 
-/// A join chain: its source, its steps, and which slots each step leaves
-/// live.
+/// A join chain: its scan, if it starts with one, its steps, and which
+/// slots each step leaves live.
 struct Chain {
-    source: Source,
+    scan: Option<Scan>,
     steps: Vec<Step>,
     /// `live[i][s]`: slot `s` is read after step `i`.
     live: Vec<Vec<bool>>,
 }
 
-/// Aggregation head of the statement.
-enum AggKind {
-    /// Plain chain: project each surviving row onto the output schema.
-    None { out_slots: Vec<usize> },
-    /// `Sum_[group_by](chain)`.
-    Sum { key_slots: Vec<usize> },
-    /// `Exists(chain)`: group by the chain's full schema, emit 1.0 each.
-    Exists { key_slots: Vec<usize> },
-    /// `Exists(Sum_[group_by](chain))`: the inner `Sum` emits sorted groups,
-    /// the outer `Exists` re-groups them (a no-op on already-distinct keys)
-    /// and emits 1.0 each — but counts both rounds of emissions, exactly
-    /// like the nested reference evaluation.
-    ExistsSum { key_slots: Vec<usize> },
+/// How a term folds its sub-rows back into their source rows.
+enum Head {
+    /// A `Union` or a join chain: every sub-row is a row.
+    Rows,
+    /// `Sum_[keys]`: one row per group, weighted by its total.
+    Sum,
+    /// `Exists(q)`: one row per group, weighted 1.0.
+    Exists,
+    /// `var := query`: one row per group, binding `var` to its total (or,
+    /// when `check`, keeping the groups whose total equals `var`).
+    Assign { var: usize, check: bool },
 }
 
-impl AggKind {
-    fn slots(&self) -> &[usize] {
-        match self {
-            AggKind::None { out_slots: s }
-            | AggKind::Sum { key_slots: s }
-            | AggKind::Exists { key_slots: s }
-            | AggKind::ExistsSum { key_slots: s } => s,
-        }
-    }
+/// A term run over every row of a frame at once: one chain per `Union`
+/// branch, and the head that folds their rows back into their source rows.
+struct Term {
+    branches: Vec<Chain>,
+    head: Head,
+    /// The group columns the head binds, in key order (empty for
+    /// [`Head::Rows`] and for a scalar head).
+    keys: Vec<usize>,
+    /// The slots the term binds in the frame; after [`Term::prune`], only
+    /// those read later.
+    binds: Vec<usize>,
+    /// The frame's slots the branches read (set by [`Term::prune`]).
+    inputs: Vec<usize>,
 }
 
-/// A trigger statement compiled for columnar execution: the join chain and
-/// the aggregation head.
+/// A trigger statement compiled for columnar execution.
 pub struct VectorPlan {
     schema: Schema,
-    chain: Chain,
-    agg: AggKind,
+    /// The statement, as a term over a one-row frame.
+    term: Term,
+    /// The slot of each result column.
+    out: Vec<usize>,
     n_slots: usize,
 }
 
 /// The variables bound at a point of a chain, with their slots (a
-/// statement binds a few dozen at most, so a list beats a hash map).
+/// statement binds a few dozen at most, so a list beats a hash map).  A
+/// variable some union branches bound and others did not has no slot.
 #[derive(Clone, Default)]
-struct Bound<'e>(Vec<(&'e str, usize)>);
+struct Bound<'e>(Vec<(&'e str, Option<usize>)>);
 
 impl<'e> Bound<'e> {
+    /// The slot of a variable bound on every path.
     fn get(&self, name: &str) -> Option<usize> {
-        self.0.iter().find(|(n, _)| *n == name).map(|&(_, s)| s)
+        self.0
+            .iter()
+            .find(|(n, _)| *n == name)
+            .and_then(|&(_, s)| s)
     }
 
-    fn contains(&self, name: &str) -> bool {
-        self.get(name).is_some()
+    /// Whether some path bound `name`.
+    fn has(&self, name: &str) -> bool {
+        self.0.iter().any(|(n, _)| *n == name)
     }
 
-    fn insert(&mut self, name: &'e str, slot: usize) {
-        if !self.contains(name) {
-            self.0.push((name, slot));
+    /// The bindings after a union of two branches that started from the
+    /// same bindings: a variable one branch bound and the other did not
+    /// loses its slot.
+    fn meet(mut self, other: &Bound<'e>) -> Bound<'e> {
+        for (name, slot) in &mut self.0 {
+            if other.get(name).is_none() {
+                *slot = None;
+            }
         }
+        for &(name, _) in &other.0 {
+            if !self.has(name) {
+                self.0.push((name, None));
+            }
+        }
+        self
     }
 }
 
 /// Compile `expr` (a statement right-hand side, evaluated from an empty
-/// environment) into a [`VectorPlan`], or `None` when the shape is
-/// unsupported and the reference interpreter must run instead.
+/// environment) into a [`VectorPlan`], or `None` when a term reads a
+/// variable that is not bound on every path to it.
 pub fn compile(expr: &Expr) -> Option<VectorPlan> {
-    // Peel the aggregation head.
-    let (head, chain): (u8, &Expr) = match expr {
-        Expr::Sum { body, .. } => (1, body),
-        Expr::Exists(q) => match &**q {
-            Expr::Sum { body, .. } => (3, body),
-            other => (2, other),
-        },
-        other => (0, other),
-    };
     let mut slots = Slots::default();
-    let (mut compiled, bound) = slots.chain(chain)?;
-
-    // Resolve the head's key columns (or the output projection) to slots.
+    let (mut term, bound) = slots.term(expr, &Bound::default(), true)?;
     let schema = expr.schema();
-    let resolve = |s: &Schema| -> Option<Vec<usize>> { s.iter().map(|c| bound.get(c)).collect() };
-    let agg = match head {
-        0 => AggKind::None {
-            out_slots: resolve(&schema)?,
-        },
-        1 => AggKind::Sum {
-            key_slots: resolve(&schema)?,
-        },
-        2 => AggKind::Exists {
-            key_slots: resolve(&chain.schema())?,
-        },
-        _ => AggKind::ExistsSum {
-            key_slots: resolve(&schema)?,
-        },
-    };
+    let out: Vec<usize> = schema.iter().map(|c| bound.get(c)).collect::<Option<_>>()?;
     let n_slots = slots.names.len();
     let mut read = vec![false; n_slots];
-    agg.slots().iter().for_each(|&s| read[s] = true);
-    prune(&mut compiled, read);
+    out.iter().for_each(|&s| read[s] = true);
+    term.prune(&read);
     Some(VectorPlan {
         schema,
-        chain: compiled,
-        agg,
+        term,
+        out,
         n_slots,
     })
 }
 
 /// Slot allocation for one plan: each variable name gets one slot, shared
-/// by every union branch that binds it.
+/// by every term that binds it.
 #[derive(Default)]
 struct Slots<'e> {
     /// The variable of each slot.
@@ -505,8 +393,11 @@ struct Slots<'e> {
 }
 
 impl<'e> Slots<'e> {
-    /// Bind `name` in `bound` to its slot.
-    fn bind(&mut self, name: &'e str, bound: &mut Bound<'e>) -> usize {
+    /// Bind `name` in `bound` to its slot; `None` if some path bound it.
+    fn bind(&mut self, name: &'e str, bound: &mut Bound<'e>) -> Option<usize> {
+        if bound.has(name) {
+            return None;
+        }
         let slot = match self.names.iter().position(|&n| n == name) {
             Some(s) => s,
             None => {
@@ -514,80 +405,133 @@ impl<'e> Slots<'e> {
                 self.names.len() - 1
             }
         };
-        bound.insert(name, slot);
-        slot
+        bound.0.push((name, Some(slot)));
+        Some(slot)
     }
 
-    /// Compile a join chain evaluated from an empty environment, and the
-    /// variables it binds.
-    fn chain(&mut self, expr: &'e Expr) -> Option<(Chain, Bound<'e>)> {
-        let terms = left_spine(expr)?;
-        let mut bound = Bound::default();
-        let source = match terms[0] {
-            Expr::Rel(r) => self.scan(r, &mut bound)?,
-            Expr::Sum { .. } | Expr::Exists(_) => {
-                // The nested result's columns are the term's schema.
-                let cols = terms[0]
-                    .column_names()
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, c)| (i, self.bind(c, &mut bound)))
-                    .collect();
-                let plan = Box::new(compile(terms[0])?);
-                Source::Nested { plan, cols }
-            }
-            Expr::Union(..) => {
-                let mut branches = Vec::new();
-                let mut common: Option<Bound<'e>> = None;
-                for branch in union_branches(terms[0]) {
-                    let (chain, b) = self.chain(branch)?;
-                    branches.push(chain);
-                    common = Some(match common {
-                        None => b,
-                        Some(mut c) => {
-                            c.0.retain(|(k, _)| b.contains(k));
-                            c
-                        }
-                    });
-                }
-                bound = common?;
-                let mut out: Vec<usize> = bound.0.iter().map(|&(_, s)| s).collect();
-                out.sort_unstable();
-                Source::Union { branches, out }
-            }
-            _ => return None,
+    /// Compile the term `expr` run under `outer`'s bindings, and the
+    /// bindings after it.  `unit`: it runs over the statement's frame.
+    fn term(&mut self, expr: &'e Expr, outer: &Bound<'e>, unit: bool) -> Option<(Term, Bound<'e>)> {
+        let (body, names) = match expr {
+            Expr::Sum { group_by, body } => (&**body, Some(group_by.iter().collect())),
+            Expr::Exists(q) => (&**q, Some(q.column_names())),
+            Expr::AssignQuery { query, .. } => (&**query, Some(query.column_names())),
+            other => (other, None),
         };
-        let steps = terms[1..]
+        let mut branches = Vec::new();
+        let mut after: Option<Bound<'e>> = None;
+        for branch in union_branches(body) {
+            let (chain, b) = self.chain(branch, outer.clone(), unit)?;
+            branches.push(chain);
+            after = Some(match after {
+                None => b,
+                Some(a) => a.meet(&b),
+            });
+        }
+        let after = after.expect("a union has a branch");
+        let term = |head, keys, binds| Term {
+            branches,
+            head,
+            keys,
+            binds,
+            inputs: Vec::new(),
+        };
+        let Some(names) = names else {
+            let binds: Vec<usize> = after.0[outer.0.len()..]
+                .iter()
+                .filter_map(|&(_, s)| s)
+                .collect();
+            return Some((term(Head::Rows, Vec::new(), binds), after));
+        };
+        // Key columns the source row binds are constant within it: the
+        // reference path's `bind_key` checks them, and they always match.
+        let mut bound = outer.clone();
+        let mut keys = Vec::new();
+        for name in names {
+            if outer.get(name).is_some() {
+                continue;
+            }
+            let slot = after.get(name)?;
+            if !keys.contains(&slot) {
+                keys.push(slot);
+                bound.0.push((name, Some(slot)));
+            }
+        }
+        let mut binds = keys.clone();
+        let head = match expr {
+            Expr::Sum { .. } => Head::Sum,
+            Expr::Exists(_) => Head::Exists,
+            Expr::AssignQuery { var, .. } => match bound.get(var) {
+                Some(var) => Head::Assign { var, check: true },
+                None => {
+                    let var = self.bind(var, &mut bound)?;
+                    binds.push(var);
+                    Head::Assign { var, check: false }
+                }
+            },
+            _ => unreachable!("a term with names has a head"),
+        };
+        Some((term(head, keys, binds), bound))
+    }
+
+    /// Compile a join chain run under `bound`, and the bindings after it.
+    fn chain(
+        &mut self,
+        expr: &'e Expr,
+        mut bound: Bound<'e>,
+        unit: bool,
+    ) -> Option<(Chain, Bound<'e>)> {
+        let terms = left_spine(expr);
+        let scan = match terms[0] {
+            Expr::Rel(r) if unit => {
+                let [_, cols, repeats] = self.columns(r, &mut bound)?;
+                Some(Scan {
+                    name: r.name.clone(),
+                    kind: r.kind,
+                    cols,
+                    repeats,
+                })
+            }
+            _ => None,
+        };
+        let first = usize::from(scan.is_some());
+        let steps = terms[first..]
             .iter()
-            .map(|term| self.step(term, &mut bound))
+            .enumerate()
+            .map(|(i, term)| self.step(term, &mut bound, unit && first + i == 0))
             .collect::<Option<Vec<Step>>>()?;
         let chain = Chain {
-            source,
+            scan,
             steps,
             live: Vec::new(),
         };
         Some((chain, bound))
     }
 
-    /// A source reference: one scan binding every column, which must be
-    /// distinct.
-    fn scan(&mut self, r: &'e RelRef, bound: &mut Bound<'e>) -> Option<Source> {
-        let mut cols = Vec::with_capacity(r.cols.len());
+    /// Split a relation reference's columns into `(position, slot)` of the
+    /// bound ones, the ones it binds (each at its first position), and
+    /// `(position, earlier position)` of the repeats.
+    fn columns(
+        &mut self,
+        r: &'e RelRef,
+        bound: &mut Bound<'e>,
+    ) -> Option<[Vec<(usize, usize)>; 3]> {
+        let (mut bound_cols, mut unbound, mut repeats) = (Vec::new(), Vec::new(), Vec::new());
         for (i, c) in r.cols.iter().enumerate() {
-            if bound.contains(c) {
-                return None; // repeated column in the source reference
+            match bound.get(c) {
+                Some(slot) => match unbound.iter().find(|&&(_, s)| s == slot) {
+                    Some(&(p, _)) => repeats.push((i, p)),
+                    None => bound_cols.push((i, slot)),
+                },
+                None => unbound.push((i, self.bind(c, bound)?)),
             }
-            cols.push((i, self.bind(c, bound)));
         }
-        Some(Source::Scan {
-            name: r.name.clone(),
-            kind: r.kind,
-            cols,
-        })
+        Some([bound_cols, unbound, repeats])
     }
 
-    /// One term after the source.
-    fn step(&mut self, term: &'e Expr, bound: &mut Bound<'e>) -> Option<Step> {
+    /// One term of a chain after its scan; `unit`: the frame is the
+    /// statement's.
+    fn step(&mut self, term: &'e Expr, bound: &mut Bound<'e>, unit: bool) -> Option<Step> {
         Some(match term {
             Expr::Cmp { op, lhs, rhs } => Step::Filter {
                 op: *op,
@@ -601,120 +545,55 @@ impl<'e> Slots<'e> {
                 match bound.get(var) {
                     Some(slot) => Step::AssignCheck { slot, value },
                     None => Step::Assign {
-                        slot: self.bind(var, bound),
+                        slot: self.bind(var, bound)?,
                         value,
                     },
                 }
             }
             Expr::Rel(r) => {
-                let mut bound_cols: Vec<(usize, usize)> = Vec::new();
-                let mut unbound: Vec<(usize, usize)> = Vec::new();
-                for (i, c) in r.cols.iter().enumerate() {
-                    match bound.get(c) {
-                        Some(slot) => {
-                            // A column repeated within this same reference
-                            // is bound *during* its own iteration and needs
-                            // the reference path's post-emit equality
-                            // filter; bail.
-                            if unbound.iter().any(|&(_, s)| s == slot) {
-                                return None;
-                            }
-                            bound_cols.push((i, slot));
-                        }
-                        None => unbound.push((i, self.bind(c, bound))),
-                    }
-                }
+                let [bound_cols, unbound, repeats] = self.columns(r, bound)?;
                 if !r.cols.is_empty() && unbound.is_empty() {
-                    Step::Lookup(lookup_ref(r, bound)?)
+                    Step::Lookup {
+                        name: r.name.clone(),
+                        kind: r.kind,
+                        key_slots: bound_cols.iter().map(|&(_, s)| s).collect(),
+                    }
                 } else {
                     Step::Probe {
                         name: r.name.clone(),
                         kind: r.kind,
                         bound: bound_cols,
                         unbound,
+                        repeats,
                     }
                 }
             }
-            Expr::AssignQuery { .. } | Expr::Union(..) => {
-                let mut branches = Vec::new();
-                let mut fresh: Option<Vec<usize>> = None;
-                for branch in union_branches(term) {
-                    let mut inner = bound.clone();
-                    let ops = left_spine(branch)?
-                        .into_iter()
-                        .map(|t| self.row_op(t, &mut inner))
-                        .collect::<Option<Vec<RowOp>>>()?;
-                    let mut new: Vec<usize> =
-                        inner.0[bound.0.len()..].iter().map(|&(_, s)| s).collect();
-                    new.sort_unstable();
-                    if fresh.get_or_insert_with(|| new.clone()) != &new {
-                        return None; // branches bind different variables
-                    }
-                    branches.push(ops);
-                }
-                let fresh = fresh?;
-                for &slot in &fresh {
-                    bound.insert(self.names[slot], slot);
-                }
-                Step::Branches { branches, fresh }
+            Expr::Sum { .. }
+            | Expr::Exists(_)
+            | Expr::AssignQuery { .. }
+            | Expr::Union(..)
+            | Expr::Join(..) => {
+                let (term, after) = self.term(term, bound, unit)?;
+                *bound = after;
+                Step::Nested(Box::new(term))
             }
-            _ => return None, // Sum / Exists inside the chain
-        })
-    }
-
-    /// One term of a row-local union branch.
-    fn row_op(&mut self, term: &'e Expr, bound: &mut Bound<'e>) -> Option<RowOp> {
-        Some(match term {
-            Expr::Const(c) => RowOp::Const(*c),
-            Expr::Cmp { op, lhs, rhs } => RowOp::Cmp {
-                op: *op,
-                lhs: ValProg::compile(lhs, bound)?,
-                rhs: ValProg::compile(rhs, bound)?,
-            },
-            Expr::AssignQuery { var, query } => {
-                let terms = union_branches(query)
-                    .into_iter()
-                    .map(|t| match t {
-                        Expr::Rel(r) if !r.cols.is_empty() => lookup_ref(r, bound),
-                        _ => None,
-                    })
-                    .collect::<Option<Vec<LookupRef>>>()?;
-                let (slot, check) = match bound.get(var) {
-                    Some(slot) => (slot, true),
-                    None => (self.bind(var, bound), false),
-                };
-                RowOp::AssignSum { slot, terms, check }
-            }
-            _ => return None,
         })
     }
 }
 
-/// `r` as a point lookup, if every column is bound.
-fn lookup_ref(r: &RelRef, bound: &Bound<'_>) -> Option<LookupRef> {
-    Some(LookupRef {
-        name: r.name.clone(),
-        kind: r.kind,
-        key_slots: r.cols.iter().map(|c| bound.get(c)).collect::<Option<_>>()?,
-    })
-}
-
-/// The terms of a join chain's left spine, leftmost first, or `None` for
-/// a right-nested join: it multiplies its own subtree first
-/// (`m1 * (m2 * m3)`), which a flat chain cannot reproduce bit-for-bit.
-fn left_spine(expr: &Expr) -> Option<Vec<&Expr>> {
+/// The terms of a join chain's left spine, leftmost first.  A right-nested
+/// join is one term: it multiplies its own subtree first
+/// (`m1 * (m2 * m3)`), which it does as a nested term.
+fn left_spine(expr: &Expr) -> Vec<&Expr> {
     let mut terms = Vec::new();
     let mut cur = expr;
     while let Expr::Join(l, r) = cur {
-        if matches!(**r, Expr::Join(..)) {
-            return None;
-        }
         terms.push(&**r);
         cur = l;
     }
     terms.push(cur);
     terms.reverse();
-    Some(terms)
+    terms
 }
 
 /// The branches of a union tree in evaluation order (one for a non-union).
@@ -729,38 +608,68 @@ fn union_branches(expr: &Expr) -> Vec<&Expr> {
     }
 }
 
-/// Record, for `chain` whose consumer reads the slots `read`, which slots
-/// each step leaves live, and trim each source to the columns read.
-fn prune(chain: &mut Chain, read: Vec<bool>) {
-    let mut live = read;
-    let mut slots = Vec::new();
-    chain.live = chain
-        .steps
-        .iter()
-        .rev()
-        .map(|step| {
-            let after = live.clone();
+impl Chain {
+    /// Record, for this chain whose consumer reads the slots `read`, which
+    /// slots each step leaves live, and trim the scan to the columns read.
+    /// Returns the slots the chain reads from its input frame.
+    fn prune(&mut self, read: Vec<bool>) -> Vec<bool> {
+        let mut live = read;
+        let mut slots = Vec::new();
+        let mut lives = Vec::with_capacity(self.steps.len());
+        for step in self.steps.iter_mut().rev() {
+            if let Step::Nested(t) = step {
+                t.prune(&live);
+            }
+            lives.push(live.clone());
             slots.clear();
             step.binds(&mut slots);
             slots.iter().for_each(|&s| live[s] = false);
             slots.clear();
             step.reads(&mut slots);
             slots.iter().for_each(|&s| live[s] = true);
-            after
-        })
-        .collect();
-    chain.live.reverse();
-    match &mut chain.source {
-        Source::Scan { cols, .. } | Source::Nested { cols, .. } => {
-            cols.retain(|&(_, s)| live[s]);
         }
-        Source::Union { branches, out } => {
-            out.retain(|&s| live[s]);
-            let mut read = vec![false; live.len()];
-            out.iter().for_each(|&s| read[s] = true);
-            for branch in branches {
-                prune(branch, read.clone());
+        lives.reverse();
+        self.live = lives;
+        if let Some(scan) = &mut self.scan {
+            scan.cols.retain(|&(_, s)| live[s]);
+            scan.cols.iter().for_each(|&(_, s)| live[s] = false);
+        }
+        live
+    }
+}
+
+impl Term {
+    /// Record, for this term whose consumer reads the slots `read`, what
+    /// each branch carries, which slots of the frame it reads, and which
+    /// of its bindings the consumer reads.
+    fn prune(&mut self, read: &[bool]) {
+        self.binds.retain(|&s| read[s]);
+        let mut merged = vec![false; read.len()];
+        self.merged().iter().for_each(|&s| merged[s] = true);
+        let mut inputs = vec![false; read.len()];
+        for chain in &mut self.branches {
+            for (s, live) in chain.prune(merged.clone()).into_iter().enumerate() {
+                inputs[s] |= live;
             }
+        }
+        self.inputs = (0..inputs.len()).filter(|&s| inputs[s]).collect();
+    }
+
+    /// The slots the head reads from the branches' rows (after
+    /// [`Term::prune`]).
+    fn merged(&self) -> &[usize] {
+        match self.head {
+            Head::Rows => &self.binds,
+            _ => &self.keys,
+        }
+    }
+
+    /// The frame slot a `:=` over an already bound variable compares with,
+    /// unless the variable is one of the term's own keys.
+    fn checked(&self) -> Option<usize> {
+        match self.head {
+            Head::Assign { var, check: true } if !self.keys.contains(&var) => Some(var),
+            _ => None,
         }
     }
 }
@@ -769,11 +678,14 @@ fn prune(chain: &mut Chain, read: Vec<bool>) {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// The rows of a chain so far: one column per slot (empty unless live) and
-/// one multiplicity per row.
+/// The rows of a chain so far: one column per slot (empty unless live), one
+/// multiplicity per row, and the row of the chain's input frame each row
+/// came from.
+#[derive(Clone)]
 struct Frame {
     cols: Vec<Vec<Value>>,
     mults: Vec<Mult>,
+    src: Vec<u32>,
     /// Slots materialized, in binding order.
     live: Vec<usize>,
 }
@@ -783,8 +695,26 @@ impl Frame {
         Frame {
             cols: vec![Vec::new(); n_slots],
             mults: Vec::new(),
+            src: Vec::new(),
             live: Vec::new(),
         }
+    }
+
+    fn len(&self) -> usize {
+        self.mults.len()
+    }
+
+    /// The frame a nested term starts from: one row per row of this frame,
+    /// weighted 1.0 and sourced from it, carrying the columns `inputs`.
+    fn sub(&self, inputs: &[usize]) -> Frame {
+        let n = self.len();
+        let mut sub = Frame::new(self.cols.len());
+        sub.mults = vec![1.0; n];
+        sub.src = (0..n as u32).collect();
+        for &s in inputs {
+            sub.bind(s, self.cols[s].clone());
+        }
+        sub
     }
 
     /// Drop the columns no later step reads.
@@ -805,14 +735,26 @@ impl Frame {
             self.cols[s] = compact_column(&self.cols[s], keep);
         }
         self.mults = compact_mults(&self.mults, keep);
+        self.src = self
+            .src
+            .iter()
+            .zip(keep)
+            .filter_map(|(&s, &k)| k.then_some(s))
+            .collect();
     }
 
     /// Replace the rows by one per `src_idx` entry, weighted by `mults`,
-    /// gathering the columns still live.
+    /// gathering the columns still live (nothing moves when every row fans
+    /// out into exactly itself).
     fn fan_out(&mut self, src_idx: &[u32], mults: Vec<Mult>, live: &[bool]) {
         self.prune(live);
-        for &s in &self.live {
-            self.cols[s] = gather_column(&self.cols[s], src_idx);
+        let same_rows = src_idx.len() == self.len()
+            && src_idx.iter().enumerate().all(|(i, &s)| s as usize == i);
+        if !same_rows {
+            for &s in &self.live {
+                self.cols[s] = gather_column(&self.cols[s], src_idx);
+            }
+            self.src = src_idx.iter().map(|&i| self.src[i as usize]).collect();
         }
         self.mults = mults;
     }
@@ -829,61 +771,224 @@ impl VectorPlan {
     /// and the same counter increments as
     /// `Evaluator::new(catalog).eval(expr)`.
     pub fn execute(&self, catalog: &dyn Catalog, counters: &mut EvalCounters) -> Relation {
+        let mut unit = Frame::new(self.n_slots);
+        unit.mults.push(1.0);
+        unit.src.push(0);
+        let outs = self.term.branch_rows(&unit, catalog, counters);
         let mut rel = Relation::new(self.schema.clone());
-        for (t, m) in self.emit(catalog, counters) {
-            rel.add(t, m);
+        if !matches!(self.term.head, Head::Rows) {
+            // A head binds its keys, then its variable: the schema's order.
+            self.term
+                .fold(outs, 1, &unit, counters, &mut |_, mut key, v, m| {
+                    key.0.extend(v);
+                    rel.add(key, m);
+                });
+            return rel;
+        }
+        let rows = merge(outs, 1, &self.out);
+        for (i, &m) in rows.mults.iter().enumerate() {
+            rel.add(
+                Tuple(self.out.iter().map(|&s| rows.cols[s][i].clone()).collect()),
+                m,
+            );
         }
         rel
     }
+}
 
-    /// The rows the statement emits, in the order the `Evaluator` emits
-    /// them.
-    fn emit(&self, catalog: &dyn Catalog, counters: &mut EvalCounters) -> Vec<(Tuple, Mult)> {
-        let Frame { cols, mults, .. } = self.chain.run(self.n_slots, catalog, counters);
-
-        // Aggregation head / final projection.
-        let key_of = |key_slots: &[usize], i: usize| -> Tuple {
-            Tuple(key_slots.iter().map(|&s| cols[s][i].clone()).collect())
+impl Term {
+    /// Run the term over every row of `f`: its rows, each with the row of
+    /// `f` it came from, the columns it binds and its own multiplicity.
+    fn run(&self, f: &Frame, catalog: &dyn Catalog, counters: &mut EvalCounters) -> Frame {
+        let outs = self.branch_rows(f, catalog, counters);
+        if matches!(self.head, Head::Rows) {
+            return merge(outs, f.len(), &self.binds);
+        }
+        let mut out = Frame::new(f.cols.len());
+        out.live = self.binds.clone();
+        let kept: Vec<(usize, usize)> = (self.keys.iter().enumerate())
+            .filter(|(_, s)| self.binds.contains(s))
+            .map(|(p, &s)| (p, s))
+            .collect();
+        let var = match self.head {
+            Head::Assign { var, check: false } if self.binds.contains(&var) => Some(var),
+            _ => None,
         };
-        match &self.agg {
-            AggKind::None { out_slots } => mults
-                .iter()
-                .enumerate()
-                .map(|(i, &m)| (key_of(out_slots, i), m))
-                .collect(),
-            AggKind::Sum { key_slots }
-            | AggKind::Exists { key_slots }
-            | AggKind::ExistsSum { key_slots } => {
-                let mut groups: DetMap<Tuple, Mult> = DetMap::default();
-                for (i, &m) in mults.iter().enumerate() {
-                    *groups.entry(key_of(key_slots, i)).or_insert(0.0) += m;
+        self.fold(outs, f.len(), f, counters, &mut |src, key, v, m| {
+            for &(p, s) in &kept {
+                out.cols[s].push(key.0[p].clone());
+            }
+            if let (Some(var), Some(v)) = (var, v) {
+                out.cols[var].push(v);
+            }
+            out.src.push(src);
+            out.mults.push(m);
+        });
+        out
+    }
+
+    /// Each branch's rows over every row of `f`.
+    fn branch_rows(
+        &self,
+        f: &Frame,
+        catalog: &dyn Catalog,
+        counters: &mut EvalCounters,
+    ) -> Vec<Frame> {
+        let sub = f.sub(&self.inputs);
+        let (last, rest) = self.branches.split_last().expect("a term has a branch");
+        let mut outs: Vec<Frame> = rest
+            .iter()
+            .map(|chain| chain.run(sub.clone(), catalog, counters))
+            .collect();
+        outs.push(last.run(sub, catalog, counters));
+        outs
+    }
+
+    /// Fold the branches' rows back into the `n` source rows of `outer`
+    /// under the head's rule, emitting each folded row in order: its source
+    /// row, its keys, the value its `:=` binds, and its multiplicity.
+    fn fold(
+        &self,
+        outs: Vec<Frame>,
+        n: usize,
+        outer: &Frame,
+        counters: &mut EvalCounters,
+        emit: &mut impl FnMut(u32, Tuple, Option<Value>, Mult),
+    ) {
+        if self.keys.is_empty() {
+            // One running sum per source row, no map and no sort; adding
+            // the branches one after another adds each row's sub-rows in
+            // merged order.
+            let mut totals: Vec<Option<Mult>> = vec![None; n];
+            for o in &outs {
+                for (&s, &m) in o.src.iter().zip(&o.mults) {
+                    let t = &mut totals[s as usize];
+                    *t = Some(t.map_or(0.0 + m, |acc| acc + m));
                 }
-                let mut v: Vec<(Tuple, Mult)> = groups
-                    .into_iter()
-                    .filter(|(_, m)| m.abs() >= MULT_EPSILON)
-                    .collect();
-                v.sort_by(|a, b| a.0.cmp(&b.0));
-                counters.emissions += v.len() as u64;
-                if !matches!(self.agg, AggKind::Sum { .. }) {
-                    // `Exists` emits each group with 1.0.  Under `ExistsSum`
-                    // the inner Sum's sorted groups feed the outer Exists,
-                    // which re-emits each (the keys are distinct and
-                    // epsilon-clean) — and counts a second round of
-                    // emissions.
-                    if matches!(self.agg, AggKind::ExistsSum { .. }) {
-                        counters.emissions += v.len() as u64;
+            }
+            for (src, total) in (0..).zip(totals) {
+                match total.filter(|t| t.abs() >= MULT_EPSILON) {
+                    Some(t) => self.emit_group(src, Tuple(Vec::new()), t, outer, counters, emit),
+                    // A scalar aggregate over no rows is 0.
+                    None if matches!(self.head, Head::Assign { .. }) => {
+                        self.emit_group(src, Tuple(Vec::new()), 0.0, outer, counters, emit)
                     }
-                    v.iter_mut().for_each(|(_, m)| *m = 1.0);
+                    None => {}
                 }
-                v
+            }
+            return;
+        }
+        let rows = merge(outs, n, &self.keys);
+        let mut groups = Vec::new();
+        let mut start = 0;
+        for src in 0..n as u32 {
+            let end = start + rows.src[start..].iter().take_while(|&&s| s == src).count();
+            self.groups(&rows, start..end, &mut groups);
+            for (key, m) in groups.drain(..) {
+                self.emit_group(src, key, m, outer, counters, emit);
+            }
+            start = end;
+        }
+    }
+
+    /// Emit one group of source row `src` under the head's rule.
+    fn emit_group(
+        &self,
+        src: u32,
+        key: Tuple,
+        m: Mult,
+        outer: &Frame,
+        counters: &mut EvalCounters,
+        emit: &mut impl FnMut(u32, Tuple, Option<Value>, Mult),
+    ) {
+        match self.head {
+            Head::Rows => unreachable!("a union emits its rows unfolded"),
+            Head::Sum => {
+                counters.emissions += 1;
+                emit(src, key, None, m);
+            }
+            Head::Exists => {
+                counters.emissions += 1;
+                emit(src, key, None, 1.0);
+            }
+            Head::Assign { check: false, .. } => emit(src, key, Some(Value::Double(m)), 1.0),
+            Head::Assign { var, check: true } => {
+                let bound = match self.keys.iter().position(|&k| k == var) {
+                    Some(p) => &key.0[p],
+                    None => &outer.cols[var][src as usize],
+                };
+                if *bound == Value::Double(m) {
+                    emit(src, key, None, 1.0);
+                }
             }
         }
     }
+
+    /// Fill the empty `groups` with the groups of the sub-rows `range` by
+    /// the head's keys: totals summed in emission order from `0.0 +`, those
+    /// below ε dropped, sorted by key — `Evaluator::aggregate`.
+    fn groups(&self, rows: &Frame, range: Range<usize>, groups: &mut Vec<(Tuple, Mult)>) {
+        if range.is_empty() {
+            return;
+        }
+        let mut map: DetMap<Tuple, Mult> = DetMap::default();
+        for i in range {
+            let key = Tuple(self.keys.iter().map(|&s| rows.cols[s][i].clone()).collect());
+            *map.entry(key).or_insert(0.0) += rows.mults[i];
+        }
+        groups.extend(map.into_iter().filter(|(_, m)| m.abs() >= MULT_EPSILON));
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+    }
+}
+
+/// Merge the rows of a union's branches over `n` source rows by source
+/// row, in branch order within each, carrying the columns `cols` — the
+/// order in which the reference path streams a union under each row.
+fn merge(mut outs: Vec<Frame>, n: usize, cols: &[usize]) -> Frame {
+    if n == 1 || outs.len() == 1 {
+        // One source row or one branch: the rows one after another.
+        let mut outs = outs.into_iter();
+        let mut f = outs.next().expect("a union has a branch");
+        for mut o in outs {
+            for &s in cols {
+                f.cols[s].append(&mut o.cols[s]);
+            }
+            f.mults.append(&mut o.mults);
+            f.src.append(&mut o.src);
+        }
+        return f;
+    }
+    let mut f = Frame::new(outs[0].cols.len());
+    let mut order: Vec<usize> = Vec::new();
+    let mut at = vec![0usize; outs.len()];
+    for src in 0..n as u32 {
+        for (k, o) in outs.iter().enumerate() {
+            while o.src.get(at[k]) == Some(&src) {
+                order.push(k);
+                f.src.push(src);
+                f.mults.push(o.mults[at[k]]);
+                at[k] += 1;
+            }
+        }
+    }
+    for &s in cols {
+        let mut its: Vec<_> = outs
+            .iter_mut()
+            .map(|o| std::mem::take(&mut o.cols[s]).into_iter())
+            .collect();
+        let col = order
+            .iter()
+            .map(|&k| its[k].next().expect("a value per row"));
+        f.bind(s, col.collect());
+    }
+    f
 }
 
 impl Chain {
-    fn run(&self, n_slots: usize, catalog: &dyn Catalog, counters: &mut EvalCounters) -> Frame {
-        let mut f = self.source.run(n_slots, catalog, counters);
+    fn run(&self, mut f: Frame, catalog: &dyn Catalog, counters: &mut EvalCounters) -> Frame {
+        if let Some(scan) = &self.scan {
+            scan.run(&mut f, catalog, counters);
+        }
         for (step, live) in self.steps.iter().zip(&self.live) {
             step.run(&mut f, live, catalog, counters);
         }
@@ -891,44 +996,26 @@ impl Chain {
     }
 }
 
-impl Source {
-    fn run(&self, n_slots: usize, catalog: &dyn Catalog, counters: &mut EvalCounters) -> Frame {
-        let mut f = Frame::new(n_slots);
-        match self {
-            Source::Scan { name, kind, cols } => {
-                counters.scans += 1;
-                let mut visited = 0u64;
-                catalog.scan(name, *kind, &mut |t, m| {
-                    visited += 1;
-                    for &(p, slot) in cols {
-                        f.cols[slot].push(t.get(p).clone());
-                    }
-                    f.mults.push(m);
-                });
-                counters.tuples_visited += visited;
-                f.live = cols.iter().map(|&(_, s)| s).collect();
-            }
-            Source::Nested { plan, cols } => {
-                for (t, m) in plan.emit(catalog, counters) {
-                    for &(p, slot) in cols {
-                        f.cols[slot].push(t.get(p).clone());
-                    }
-                    f.mults.push(m);
+impl Scan {
+    /// Replace the one row of the statement's frame by the scanned rows
+    /// (1.0 × m is m, so the scan skips the product).
+    fn run(&self, f: &mut Frame, catalog: &dyn Catalog, counters: &mut EvalCounters) {
+        f.mults.clear();
+        f.src.clear();
+        counters.scans += 1;
+        let mut visited = 0u64;
+        catalog.scan(&self.name, self.kind, &mut |t, m| {
+            visited += 1;
+            if self.repeats.iter().all(|&(p, q)| t.get(p) == t.get(q)) {
+                for &(p, slot) in &self.cols {
+                    f.cols[slot].push(t.get(p).clone());
                 }
-                f.live = cols.iter().map(|&(_, s)| s).collect();
+                f.mults.push(m);
+                f.src.push(0);
             }
-            Source::Union { branches, out } => {
-                for branch in branches {
-                    let mut b = branch.run(n_slots, catalog, counters);
-                    for &s in out {
-                        f.cols[s].append(&mut b.cols[s]);
-                    }
-                    f.mults.append(&mut b.mults);
-                }
-                f.live = out.clone();
-            }
-        }
-        f
+        });
+        counters.tuples_visited += visited;
+        f.live = self.cols.iter().map(|&(_, s)| s).collect();
     }
 }
 
@@ -941,7 +1028,7 @@ impl Step {
         catalog: &dyn Catalog,
         counters: &mut EvalCounters,
     ) {
-        let n = f.mults.len();
+        let n = f.len();
         match self {
             Step::Filter { op, lhs, rhs } => {
                 let keep: Vec<bool> = (0..n)
@@ -977,12 +1064,21 @@ impl Step {
                     .collect();
                 f.retain(&keep, live);
             }
-            Step::Lookup(l) => {
+            Step::Lookup {
+                name,
+                kind,
+                key_slots,
+            } => {
                 let mut keep = vec![false; n];
-                let mut key = Tuple(Vec::with_capacity(l.key_slots.len()));
+                let mut key = Tuple(Vec::with_capacity(key_slots.len()));
                 for (i, k) in keep.iter_mut().enumerate() {
-                    let m = l.probe(&|s| f.cols[s][i].clone(), &mut key, catalog, counters);
+                    key.0.clear();
+                    key.0
+                        .extend(key_slots.iter().map(|&s| f.cols[s][i].clone()));
+                    counters.lookups += 1;
+                    let m = catalog.lookup(name, *kind, &key);
                     if m != 0.0 {
+                        counters.tuples_visited += 1;
                         *k = true;
                         f.mults[i] *= m;
                     }
@@ -994,6 +1090,7 @@ impl Step {
                 kind,
                 bound,
                 unbound,
+                repeats,
             } => {
                 let positions: Vec<usize> = bound.iter().map(|&(p, _)| p).collect();
                 let fresh: Vec<(usize, usize)> =
@@ -1002,6 +1099,9 @@ impl Step {
                 let mut new_cols: Vec<Vec<Value>> = vec![Vec::new(); fresh.len()];
                 let mut new_mults: Vec<Mult> = Vec::new();
                 let mut emit = |i: usize, m: Mult, t: &Tuple| {
+                    if !repeats.iter().all(|&(p, q)| t.get(p) == t.get(q)) {
+                        return;
+                    }
                     src_idx.push(i as u32);
                     for (j, &(p, _)) in fresh.iter().enumerate() {
                         new_cols[j].push(t.get(p).clone());
@@ -1048,130 +1148,29 @@ impl Step {
                     f.bind(slot, col);
                 }
             }
-            Step::Branches { branches, fresh } => {
-                let kept: Vec<usize> = fresh.iter().copied().filter(|&s| live[s]).collect();
-                let mut is_fresh = vec![false; f.cols.len()];
-                fresh.iter().for_each(|&s| is_fresh[s] = true);
-                let mut scratch: Vec<Value> = vec![Value::Long(0); f.cols.len()];
-                let mut key = Tuple(Vec::new());
-                let mut src_idx: Vec<u32> = Vec::new();
-                let mut new_cols: Vec<Vec<Value>> = vec![Vec::new(); kept.len()];
-                let mut new_mults: Vec<Mult> = Vec::new();
-                for i in 0..n {
-                    for ops in branches {
-                        let row = BranchRow {
-                            cols: &f.cols,
-                            i,
-                            is_fresh: &is_fresh,
-                        };
-                        let Some(m) = row.run(ops, &mut scratch, &mut key, catalog, counters)
-                        else {
-                            continue;
-                        };
-                        src_idx.push(i as u32);
-                        for (col, &s) in new_cols.iter_mut().zip(&kept) {
-                            col.push(scratch[s].clone());
-                        }
-                        new_mults.push(f.mults[i] * m);
-                    }
-                }
-                f.fan_out(&src_idx, new_mults, live);
-                for (slot, col) in kept.into_iter().zip(new_cols) {
-                    f.bind(slot, col);
+            Step::Nested(t) => {
+                let mut rows = t.run(f, catalog, counters);
+                let mults = (rows.src.iter().zip(&rows.mults))
+                    .map(|(&i, &m)| f.mults[i as usize] * m)
+                    .collect();
+                f.fan_out(&rows.src, mults, live);
+                for &s in &t.binds {
+                    f.bind(s, std::mem::take(&mut rows.cols[s]));
                 }
             }
         }
     }
 }
 
-/// One row of the frame as a union branch sees it: the slots its branch
-/// binds read the branch's scratch row, every other slot the frame.
-struct BranchRow<'a> {
-    cols: &'a [Vec<Value>],
-    i: usize,
-    is_fresh: &'a [bool],
-}
-
-impl BranchRow<'_> {
-    /// Run one branch on this row: its product of multiplicities, or
-    /// `None` when a term drops the row.  The product starts from the
-    /// first term's multiplicity, as the `Evaluator`'s join does.
-    fn run(
-        &self,
-        ops: &[RowOp],
-        scratch: &mut [Value],
-        key: &mut Tuple,
-        catalog: &dyn Catalog,
-        counters: &mut EvalCounters,
-    ) -> Option<Mult> {
-        let mut product: Option<Mult> = None;
-        for op in ops {
-            let load = |s: usize| {
-                if self.is_fresh[s] {
-                    scratch[s].clone()
-                } else {
-                    self.cols[s][self.i].clone()
-                }
-            };
-            let m = match op {
-                RowOp::Const(c) => {
-                    counters.emissions += 1;
-                    *c
-                }
-                RowOp::Cmp { op, lhs, rhs } => {
-                    if !op.eval(&lhs.eval_by(&load), &rhs.eval_by(&load)) {
-                        return None;
-                    }
-                    counters.emissions += 1;
-                    1.0
-                }
-                RowOp::AssignSum { slot, terms, check } => {
-                    let mut total: Option<Mult> = None;
-                    for t in terms {
-                        let m = t.probe(&load, key, catalog, counters);
-                        if m != 0.0 {
-                            total = Some(total.map_or(0.0 + m, |acc| acc + m));
-                        }
-                    }
-                    let total = total.filter(|t| t.abs() >= MULT_EPSILON).unwrap_or(0.0);
-                    self.assign(*slot, Value::Double(total), *check, scratch)?;
-                    1.0
-                }
-            };
-            product = Some(product.map_or(m, |p| p * m));
-        }
-        product
-    }
-
-    /// Bind `v` to `slot`, or check it against the slot's binding.
-    fn assign(&self, slot: usize, v: Value, check: bool, scratch: &mut [Value]) -> Option<()> {
-        if !check {
-            scratch[slot] = v;
-            return Some(());
-        }
-        let bound = if self.is_fresh[slot] {
-            &scratch[slot]
-        } else {
-            &self.cols[slot][self.i]
-        };
-        (*bound == v).then_some(())
-    }
-}
-
-/// The executor's fast path: compile and execute `expr` on the
-/// columnar fast path if its shape is supported, accumulating counter
-/// increments into `counters`.  Returns `None` when the caller must run the
-/// reference interpreter.
+/// Compile and execute `expr` on the columnar path, accumulating counter
+/// increments into `counters`; `None` when [`compile`] refuses it (a term
+/// reads a variable not bound on every path to it).
 pub fn eval_vectorized(
     expr: &Expr,
     catalog: &dyn Catalog,
     counters: &mut EvalCounters,
 ) -> Option<Relation> {
-    if ROW_ONLY.load(Ordering::Relaxed) {
-        return None;
-    }
-    let plan = compile(expr)?;
-    Some(plan.execute(catalog, counters))
+    Some(compile(expr)?.execute(catalog, counters))
 }
 
 #[cfg(test)]
@@ -1243,6 +1242,28 @@ mod tests {
             Relation::from_pairs(
                 Schema::new(["B"]),
                 vec![(tuple![10], 0.7), (tuple![20], -0.3)],
+            ),
+        );
+        // Rows with equal and with different columns.
+        cat.insert(
+            "P",
+            RelKind::Base,
+            Relation::from_pairs(
+                Schema::new(["X", "Y"]),
+                vec![
+                    (tuple![10, 10], 2.0),
+                    (tuple![10, 20], 1.0),
+                    (tuple![20, 20], 0.5),
+                ],
+            ),
+        );
+        // A value equal to its multiplicity, and one not.
+        cat.insert(
+            "K",
+            RelKind::View,
+            Relation::from_pairs(
+                Schema::new(["X"]),
+                vec![(tuple![2.0], 2.0), (tuple![3.0], 1.0)],
             ),
         );
         // Negative rows, and one below ε, out of tuple order.
@@ -1341,41 +1362,169 @@ mod tests {
         )));
     }
 
+    /// Shapes with a term that reads a variable not bound on every path to
+    /// it, where the reference path panics, or binds one that some paths
+    /// bound, where it binds on some rows and checks on others.
     #[test]
     fn unsupported_shapes_bail() {
-        assert!(compile(&rel("R", ["A", "A"])).is_none());
-        // A union branch that probes instead of looking up.
+        // A union branch leaves `C` unbound, and the result projects it.
         assert!(compile(&join(
             delta_rel("R", ["A", "B"]),
             union(rel("S", ["B", "C"]), view("T", ["B"]))
         ))
         .is_none());
-        // Union branches binding different variables.
-        assert!(compile(&sum_total(join(
+        // A later comparison reads `X`, which one branch did not bind.
+        assert!(compile(&sum_total(join_all([
+            delta_rel("R", ["A", "B"]),
+            union(assign_val("X", ValExpr::lit(1)), Expr::Const(2.0)),
+            cmp_lit("X", CmpOp::Gt, 0),
+        ])))
+        .is_none());
+        // A group-by column the body never binds.
+        assert!(compile(&sum(["Z"], delta_rel("R", ["A", "B"]))).is_none());
+        // `X := 5` after a union that bound `X` in one branch.
+        assert!(compile(&sum_total(join_all([
+            delta_rel("R", ["A", "B"]),
+            union(assign_val("X", ValExpr::lit(1)), Expr::Const(2.0)),
+            assign_val("X", ValExpr::lit(5)),
+        ])))
+        .is_none());
+    }
+
+    /// A nested aggregate inside the chain, grouped by a column the outer
+    /// chain binds: the step checks `B` rather than binding it.
+    #[test]
+    fn aggregate_inside_a_chain() {
+        check(sum_total(join(
+            delta_rel("R", ["A", "B"]),
+            sum(["B"], rel("S", ["B", "C"])),
+        )));
+        check(sum(
+            ["A"],
+            join_all([
+                delta_rel("R", ["A", "B"]),
+                sum(["B"], join(rel("S", ["B", "C"]), val_var("C"))),
+                val_var("A"),
+            ]),
+        ));
+    }
+
+    /// `X := Sum_[](…)` over the whole of `S`, and correlated on `B`.
+    #[test]
+    fn assign_over_a_sum() {
+        check(sum_total(join(
+            delta_rel("R", ["A", "B"]),
+            assign_query("X", sum_total(rel("S", ["B", "C"]))),
+        )));
+        check(sum(
+            ["A", "X"],
+            join(
+                delta_rel("R", ["A", "B"]),
+                assign_query("X", sum_total(join(rel("S", ["B", "C"]), val_var("C")))),
+            ),
+        ));
+    }
+
+    /// A correlated `:=` over an empty slice binds 0.0: `S` has no row on
+    /// `B` = 30.
+    #[test]
+    fn correlated_assign_over_an_empty_slice_binds_zero() {
+        check(sum(
+            ["A", "X"],
+            join_all([
+                delta_rel("R", ["A", "B"]),
+                assign_query(
+                    "X",
+                    sum_total(join(rel("S", ["B", "C"]), cmp_lit("C", CmpOp::Gt, 100))),
+                ),
+                cmp_lit("X", CmpOp::Ge, 0),
+            ]),
+        ));
+    }
+
+    /// A grouped nested `Sum` emits two groups for the rows on `B` = 10.
+    #[test]
+    fn grouped_nested_sum_with_two_groups_per_row() {
+        check(sum(
+            ["A", "C"],
+            join_all([
+                delta_rel("R", ["A", "B"]),
+                sum(["C"], rel("S", ["B", "C"])),
+                val_var("C"),
+            ]),
+        ));
+    }
+
+    /// `Exists(Sum)` inside a chain counts emissions at both levels.
+    #[test]
+    fn exists_over_a_sum_inside_a_chain() {
+        check(sum(
+            ["A"],
+            join(
+                delta_rel("E", ["A", "B"]),
+                exists(sum(["C"], join(rel("S", ["B", "C"]), Expr::Const(-1.0)))),
+            ),
+        ));
+    }
+
+    /// The branches of a union fan out two rows, one row and no row per
+    /// source row; the rows merge by source row, in branch order.
+    #[test]
+    fn union_branches_fan_out_different_row_counts() {
+        let branches = union(
+            union(
+                rel("S", ["B", "C"]),
+                join(assign_val("C", ValExpr::var("B")), Expr::Const(0.5)),
+            ),
+            join(cmp_lit("A", CmpOp::Gt, 2), assign_val("C", ValExpr::lit(7))),
+        );
+        check(join(delta_rel("R", ["A", "B"]), branches.clone()));
+        check(sum(
+            ["C"],
+            join_all([delta_rel("U", ["A", "B"]), branches, val_var("A")]),
+        ));
+    }
+
+    /// Union branches that bind different variables, none read later.
+    #[test]
+    fn union_branches_binding_different_variables() {
+        check(sum_total(join(
             delta_rel("R", ["A", "B"]),
             union(
                 assign_val("X", ValExpr::lit(1)),
-                assign_val("Y", ValExpr::lit(2))
-            )
-        )))
-        .is_none());
-        // An aggregate inside the chain.
-        assert!(compile(&sum_total(join(
+                assign_val("Y", ValExpr::lit(2)),
+            ),
+        )));
+    }
+
+    /// A right-nested join multiplies its own subtree first.
+    #[test]
+    fn right_nested_join() {
+        check(Expr::Join(
+            Box::new(delta_rel("U", ["A", "B"])),
+            Box::new(join(view("V", ["B"]), val_var("A"))),
+        ));
+        check(sum(
+            ["A", "C"],
+            Expr::Join(
+                Box::new(delta_rel("R", ["A", "B"])),
+                Box::new(join(rel("S", ["B", "C"]), view("T", ["C"]))),
+            ),
+        ));
+    }
+
+    /// `R(A, A)`: the second position filters, without an emission.
+    #[test]
+    fn repeated_column_filters() {
+        check(rel("P", ["A", "A"]));
+        check(sum(
+            ["A"],
+            join(delta_rel("R", ["A", "B"]), rel("P", ["B", "B"])),
+        ));
+        check(sum_total(join(
             delta_rel("R", ["A", "B"]),
-            sum(["B"], rel("S", ["B", "C"]))
-        )))
-        .is_none());
-        assert!(compile(&sum_total(join(
-            rel("R", ["A", "B"]),
-            assign_query("X", sum_total(rel("S", ["B", "C"])))
-        )))
-        .is_none());
-        // Right-nested join: multiplication associativity differs.
-        assert!(compile(&Expr::Join(
-            Box::new(rel("R", ["A"])),
-            Box::new(join(rel("S", ["A"]), rel("T", ["A"])))
-        ))
-        .is_none());
+            rel("P", ["C", "C"]),
+        )));
     }
 
     #[test]
@@ -1424,6 +1573,20 @@ mod tests {
             join(
                 delta_rel("U", ["A", "B"]),
                 assign_query("X", union(view("V", ["B"]), view("W", ["B"]))),
+            ),
+        ));
+    }
+
+    /// `X := K(X)` binds `X` as a group column, then keeps the groups whose
+    /// total equals it.
+    #[test]
+    fn assign_over_its_own_group_column_is_a_check() {
+        check(assign_query("X", view("K", ["X"])));
+        check(sum(
+            ["A", "X"],
+            join(
+                delta_rel("R", ["A", "B"]),
+                assign_query("X", view("K", ["X"])),
             ),
         ));
     }
@@ -1503,11 +1666,10 @@ mod tests {
         check(q.clone());
         let plan = compile(&q).unwrap();
         let (a, b) = (0, 1);
-        assert!(plan.chain.live[0][b] && !plan.chain.live[0][a]);
+        let chain = &plan.term.branches[0];
+        assert!(chain.live[0][b] && !chain.live[0][a]);
         let plan = compile(&sum(["B"], delta_rel("R", ["A", "B"]))).unwrap();
-        let Source::Scan { cols, .. } = &plan.chain.source else {
-            panic!("a scan source");
-        };
-        assert_eq!(cols, &[(1, b)]);
+        let scan = plan.term.branches[0].scan.as_ref().expect("a scan");
+        assert_eq!(scan.cols, &[(1, b)]);
     }
 }

@@ -888,7 +888,6 @@ impl Wire for WorkerStats {
         self.applies.encode(out);
         self.tuples_applied.encode(out);
         self.tuples_touched.encode(out);
-        self.row_statements.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(WorkerStats {
@@ -898,7 +897,6 @@ impl Wire for WorkerStats {
             applies: u64::decode(r)?,
             tuples_applied: u64::decode(r)?,
             tuples_touched: u64::decode(r)?,
-            row_statements: u64::decode(r)?,
         })
     }
 }

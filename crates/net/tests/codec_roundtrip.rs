@@ -480,7 +480,6 @@ fn rand_snapshot(rng: &mut StdRng) -> hotdog_distributed::WorkerSnapshot {
             applies: rng.next_u64(),
             tuples_applied: rng.next_u64(),
             tuples_touched: rng.next_u64(),
-            row_statements: rng.next_u64(),
         },
     }
 }
@@ -639,7 +638,6 @@ fn stats_messages_roundtrip() {
             applies: 5,
             tuples_applied: 1 << 40,
             tuples_touched: (1 << 50) + 3,
-            row_statements: 9,
         },
         cardinalities: vec![("Q".to_string(), 12), ("part_R".to_string(), 0)],
     };

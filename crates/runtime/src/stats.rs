@@ -141,8 +141,6 @@ pub struct TelemetryTotals {
     pub tuples_applied: u64,
     /// Tuples touched by statement scans and slices across all workers.
     pub tuples_touched: u64,
-    /// `Compute` statements run on the row `Evaluator` across all workers.
-    pub row_statements: u64,
     /// Per-worker counters and view-partition cardinalities, in worker
     /// order.
     pub per_worker: Vec<WorkerStatsSnapshot>,
@@ -213,7 +211,6 @@ impl<T: Transport> Driver<T> {
             totals.statements += snap.stats.statements;
             totals.tuples_applied += snap.stats.tuples_applied;
             totals.tuples_touched += snap.stats.tuples_touched;
-            totals.row_statements += snap.stats.row_statements;
         }
         Ok(totals)
     }
@@ -230,7 +227,6 @@ impl<T: Transport> Driver<T> {
         snap.set_counter("worker.statements", totals.statements);
         snap.set_counter("worker.tuples_applied", totals.tuples_applied);
         snap.set_counter("worker.tuples_touched", totals.tuples_touched);
-        snap.set_counter("worker.row_statements", totals.row_statements);
         snap
     }
 

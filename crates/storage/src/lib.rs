@@ -15,8 +15,8 @@
 //!
 //! The [`columnar`] module also exports the **vectorized kernels**
 //! ([`columnar::compact_column`], [`columnar::compact_mults`],
-//! [`columnar::gather_column`]) that the trigger interpreter's columnar
-//! fast path (`hotdog_exec::vectorized`) applies to whole column slices —
+//! [`columnar::gather_column`]) that the columnar trigger interpreter
+//! (`hotdog_exec::vectorized`) applies to whole column slices —
 //! one dispatch per operator per batch instead of one per tuple.  They are
 //! plain functions over `&[Value]` so both the batch admission path and
 //! the trigger executor share one implementation.

@@ -22,10 +22,9 @@
 //! * **full recomputation** — from-scratch evaluation of the query over the
 //!   accumulated base relations (the ground truth).
 //!
-//! A separate arm switches the **columnar trigger path** off per run
-//! (the `set_columnar` test hook): the vectorized trigger path and the row
-//! `Evaluator` must agree bit-for-bit on every catalog query (see
-//! `columnar_vs_row_differential`).
+//! A separate arm holds the **columnar trigger interpreter** to the row
+//! `Evaluator` statement by statement, bit-for-bit, on every catalog query
+//! under every strategy (see `columnar_vs_row_differential`).
 //!
 //! Backends that execute the *same trigger sequence* perform identical
 //! per-node statement sequences over deterministically-hashed containers,
@@ -50,7 +49,9 @@
 mod common;
 
 use common::{tcp_config, workers_from_env};
-use hotdog::exec::set_columnar;
+use hotdog::algebra::EvalCounters;
+use hotdog::exec::vectorized::eval_vectorized;
+use hotdog::ivm::{StmtOp, Strategy, Trigger};
 use hotdog::prelude::*;
 use proptest::prelude::*;
 
@@ -305,55 +306,66 @@ fn batch_size_extremes_agree() {
     }
 }
 
-/// Columnar-vs-row interpreter differential: the vectorized trigger path
-/// (`hotdog_exec::vectorized`, on by default) must be *invisible* — for
-/// every catalog query, the same stream through the same backend with the
-/// `set_columnar` test hook flipped per arm must produce **bit-for-bit**
-/// identical results (integer and float workloads alike: the vectorized
-/// path reproduces the row interpreter's emission order and float
-/// operation order exactly), and coalesced pipelined runs — whose trigger
-/// sequence differs from the synchronous schedule but is identical
-/// *between the two arms* — are additionally held to the `1e-9` relative
-/// tolerance the coalescing contract uses.
-///
-/// The hook is process-global, so both arms run sequentially inside one
-/// test and columnar is switched back on afterwards.  Concurrent tests
-/// observing the row path still pass — that equality is exactly what this
-/// test asserts.
+/// Columnar-vs-row interpreter differential, statement by statement: for
+/// every catalog query under every strategy, a seeded stream runs through
+/// the [`LocalEngine`].  Before each batch is applied, every statement of
+/// its trigger is evaluated by the columnar interpreter and by the row
+/// [`Evaluator`] over one [`MapCatalog`] — the engine's views, the
+/// preprocessed batch, and what the statements before it produced — and
+/// both must emit the same `(tuple, multiplicity bits)` sequence and the
+/// same counters.
 #[test]
 fn columnar_vs_row_differential() {
-    let workers_list = workers_under_test();
+    let strategies = [
+        Strategy::RecursiveIvm,
+        Strategy::ClassicalIvm,
+        Strategy::Reevaluation,
+    ];
     for (i, q) in all_queries().iter().enumerate() {
-        let workers = workers_list[i % workers_list.len()];
-        let opt = OPT_LEVELS[i % OPT_LEVELS.len()];
-        let stream = mixed_stream(q, 200, 0xC01A + i as u64, 0.25);
-        let batches = stream.batches(32);
-        let coalesce = PipelineConfig::with_coalesce(256);
+        let stream = mixed_stream(q, 160, 0xC01A + i as u64, 0.25);
+        for strategy in strategies {
+            let plan = compile(q.id, &q.expr, strategy);
+            let mut engine =
+                LocalEngine::new(plan.clone(), ExecMode::Batched { preaggregate: true });
+            for batch in stream.batches(32) {
+                for (relation, delta) in &batch {
+                    if let Some(trigger) = plan.triggers.iter().find(|t| t.relation == *relation) {
+                        check_statements(q.id, &engine, trigger, delta);
+                    }
+                    engine.apply_batch(relation, delta);
+                }
+            }
+        }
+    }
+}
 
-        set_columnar(false);
-        let row_sync = run_backend(ThreadedCluster::new(compile_for(q, opt), workers), &batches);
-        let row_coalesced = run_backend(
-            ThreadedCluster::pipelined(compile_for(q, opt), workers, coalesce.clone()),
-            &batches,
-        );
-        set_columnar(true);
-        let col_sync = run_backend(ThreadedCluster::new(compile_for(q, opt), workers), &batches);
-        let col_coalesced = run_backend(
-            ThreadedCluster::pipelined(compile_for(q, opt), workers, coalesce),
-            &batches,
-        );
-
-        let (cs_row, cs_col) = (row_sync.checksum(), col_sync.checksum());
+/// Evaluate `trigger`'s statements over `batch` and the engine's views with
+/// both interpreters; see `columnar_vs_row_differential`.
+fn check_statements(id: &str, engine: &LocalEngine, trigger: &Trigger, batch: &Relation) {
+    let (prep, trigger) = trigger.preprocessing();
+    let mut catalog = MapCatalog::new();
+    for v in &engine.plan().views {
+        catalog.insert(v.name.clone(), RelKind::View, engine.view_contents(&v.name));
+    }
+    catalog.insert(trigger.relation.clone(), RelKind::Delta, prep.apply(batch));
+    let bits = |r: &Relation| -> Vec<(Tuple, u64)> {
+        r.iter().map(|(t, m)| (t.clone(), m.to_bits())).collect()
+    };
+    for stmt in &trigger.statements {
+        let mut counters = EvalCounters::default();
+        let got = eval_vectorized(&stmt.expr, &catalog, &mut counters)
+            .unwrap_or_else(|| panic!("{id}: the vectorizer refused {stmt}"));
+        let mut reference = Evaluator::new(&catalog);
+        let want = reference.eval(&stmt.expr);
+        assert_eq!(bits(&got), bits(&want), "{id}: results diverge on {stmt}");
         assert_eq!(
-            cs_row, cs_col,
-            "{} {opt:?} x{workers}: columnar != row bit-for-bit ({cs_col} vs {cs_row})",
-            q.id
+            counters, reference.counters,
+            "{id}: counters diverge on {stmt}"
         );
-        assert!(
-            col_coalesced.approx_eq_eps(&row_coalesced, 1e-9),
-            "{} {opt:?} x{workers}: coalesced columnar diverged from coalesced row\nrow {row_coalesced:?}\ncol {col_coalesced:?}",
-            q.id
-        );
+        match catalog.get_relation_mut(&stmt.target, RelKind::View) {
+            Some(view) if stmt.op == StmtOp::AddTo => view.merge(&got),
+            _ => catalog.insert(stmt.target.clone(), RelKind::View, got),
+        }
     }
 }
 

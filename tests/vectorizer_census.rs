@@ -1,55 +1,79 @@
-//! Census of the statements the vectorizer refuses.
+//! Census of the statements the vectorizer refuses: there are none.
 //!
-//! For every catalog query, every trigger statement of its recursive plan
-//! (the per-batch temps included) goes through
-//! `hotdog_exec::vectorized::compile`; a refused statement runs on the row
-//! `Evaluator`.  The per-query refusal counts are pinned: a change that
-//! vectorizes more statements lowers a count and re-records the table from
-//! the failure message; a count may never rise.  Run with `--nocapture` to
-//! print the table and every refused statement.
+//! Every trigger statement of every catalog query goes through
+//! `hotdog_exec::vectorized::compile`: the recursive plans (the per-batch
+//! temps included), the classical and the re-evaluation plans, and every
+//! `Compute` statement the distributed compiler lowers the recursive plan
+//! to at O0–O3.  `hotdog_exec::execute` has no other interpreter, so a
+//! refused statement would panic there; the census pins that none is
+//! refused.  Run with `--nocapture` to print the counts and any refusal.
 
+use hotdog::distributed::DistStmtKind;
 use hotdog::exec::vectorized;
 use hotdog::prelude::*;
 
-/// Refused statements across the catalog before nested-aggregate deltas
-/// were hoisted and `:=` lookups and unions vectorized.
-const REFUSED_BEFORE: usize = 33;
+const OPT_LEVELS: [OptLevel; 4] = [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3];
 
-/// `(query, refused statements)` for every query that still refuses one.
-const REFUSED: &[(&str, usize)] = &[("Q2", 2), ("Q11", 1), ("Q21", 3)];
+/// The statements of one plan family `compile` refuses, each printed.
+fn census<'a>(label: &str, statements: impl Iterator<Item = (&'a str, &'a Expr)>) -> usize {
+    let (mut refused, mut total) = (0usize, 0usize);
+    for (id, expr) in statements {
+        total += 1;
+        if vectorized::compile(expr).is_none() {
+            refused += 1;
+            println!("refused  {label} {id}: {expr}");
+        }
+    }
+    println!("{label:<14} refused {refused} of {total} statements");
+    refused
+}
 
 #[test]
 fn vectorizer_refusals_per_query_are_pinned() {
-    let mut refused: Vec<(&str, usize)> = Vec::new();
-    let (mut statements, mut total) = (0usize, 0usize);
-    for q in all_queries() {
-        let plan = compile_recursive(q.id, &q.expr);
-        let mut n = 0usize;
-        for t in &plan.triggers {
-            for s in &t.statements {
-                statements += 1;
-                if vectorized::compile(&s.expr).is_none() {
-                    n += 1;
-                    println!("refused  {} ON {}: {s}", q.id, t.relation);
-                }
-            }
-        }
-        println!("{:<6} {n}", q.id);
-        total += n;
-        if n > 0 {
-            refused.push((q.id, n));
-        }
+    let queries = all_queries();
+    let mut refused = 0usize;
+    for (label, strategy) in [
+        ("recursive", Strategy::RecursiveIvm),
+        ("classical", Strategy::ClassicalIvm),
+        ("re-evaluation", Strategy::Reevaluation),
+    ] {
+        let plans: Vec<(&str, MaintenancePlan)> = queries
+            .iter()
+            .map(|q| (q.id, compile(q.id, &q.expr, strategy)))
+            .collect();
+        refused += census(
+            label,
+            plans.iter().flat_map(|(id, plan)| {
+                plan.triggers
+                    .iter()
+                    .flat_map(|t| &t.statements)
+                    .map(move |s| (*id, &s.expr))
+            }),
+        );
     }
-    println!("refused {total} of {statements} statements");
-    let table: String = refused
-        .iter()
-        .map(|(id, n)| format!("    ({id:?}, {n}),\n"))
-        .collect();
-    assert_eq!(
-        refused.as_slice(),
-        REFUSED,
-        "the refusal census changed; current table:\n{table}"
-    );
-    assert!(total <= REFUSED_BEFORE, "{total} refused");
-    assert!(refused.iter().all(|(id, _)| *id != "Q18"));
+    for opt in OPT_LEVELS {
+        let plans: Vec<(&str, DistributedPlan)> = queries
+            .iter()
+            .map(|q| {
+                let plan = compile_recursive(q.id, &q.expr);
+                let spec = PartitioningSpec::heuristic(&plan, &q.partition_keys);
+                (q.id, compile_distributed(&plan, &spec, opt))
+            })
+            .collect();
+        refused += census(
+            &format!("distributed {opt:?}"),
+            plans.iter().flat_map(|(id, dplan)| {
+                dplan
+                    .programs
+                    .iter()
+                    .flat_map(|p| &p.blocks)
+                    .flat_map(|b| &b.statements)
+                    .filter_map(move |s| match &s.kind {
+                        DistStmtKind::Compute(e) => Some((*id, e)),
+                        DistStmtKind::Transform { .. } => None,
+                    })
+            }),
+        );
+    }
+    assert_eq!(refused, 0, "the vectorizer refused {refused} statements");
 }
