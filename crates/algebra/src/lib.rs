@@ -8,8 +8,6 @@
 //!
 //! * [`value::Value`] / [`tuple::Tuple`] — the scalar and row types of the
 //!   data model;
-//! * [`ring::Ring`] — the multiplicity rings (counts and aggregates live in
-//!   multiplicities, not columns);
 //! * [`relation::Relation`] — reference hash-map representation of a
 //!   generalized multiset relation;
 //! * [`schema::Schema`] — ordered column-name sets;
@@ -42,7 +40,7 @@ pub use expr::{
 };
 pub use hash::{DetMap, DetSet, DetState};
 pub use relation::{Relation, ViewChecksum};
-pub use ring::{Mult, Ring};
+pub use ring::Mult;
 pub use schema::Schema;
 pub use tuple::Tuple;
 pub use value::Value;

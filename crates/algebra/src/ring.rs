@@ -1,120 +1,15 @@
-//! Rings of multiplicities.
+//! Multiplicities.
 //!
 //! The "ring of databases" view (Koch, PODS'10) underlying DBToaster treats a
 //! relation as a function from tuples to elements of a commutative ring.
-//! Classical bag semantics uses the ring of integers; aggregate-carrying
-//! views use reals; multi-aggregate views use a product ring.  Incremental
-//! maintenance only relies on the ring laws, so the library exposes the
-//! abstraction explicitly and the engine instantiates it with [`f64`].
-
-/// A commutative ring with the operations incremental view maintenance needs.
-///
-/// Implementations must satisfy the usual laws (associativity and
-/// commutativity of `add`/`mul`, distributivity, `zero`/`one` identities,
-/// `neg` producing additive inverses); the property tests in this module
-/// check them for the provided implementations.
-pub trait Ring: Clone + PartialEq + std::fmt::Debug {
-    /// Additive identity — a tuple whose multiplicity becomes zero is removed
-    /// from the relation.
-    fn zero() -> Self;
-    /// Multiplicative identity — multiplicity of tuples produced by domain
-    /// expressions and assignments.
-    fn one() -> Self;
-    fn add(&self, other: &Self) -> Self;
-    fn neg(&self) -> Self;
-    fn mul(&self, other: &Self) -> Self;
-    /// Whether this element should be treated as zero (tuples with zero
-    /// multiplicity are garbage-collected from views).
-    fn is_zero(&self) -> bool;
-}
-
-impl Ring for i64 {
-    fn zero() -> Self {
-        0
-    }
-    fn one() -> Self {
-        1
-    }
-    fn add(&self, other: &Self) -> Self {
-        self + other
-    }
-    fn neg(&self) -> Self {
-        -self
-    }
-    fn mul(&self, other: &Self) -> Self {
-        self * other
-    }
-    fn is_zero(&self) -> bool {
-        *self == 0
-    }
-}
-
-impl Ring for f64 {
-    fn zero() -> Self {
-        0.0
-    }
-    fn one() -> Self {
-        1.0
-    }
-    fn add(&self, other: &Self) -> Self {
-        self + other
-    }
-    fn neg(&self) -> Self {
-        -self
-    }
-    fn mul(&self, other: &Self) -> Self {
-        self * other
-    }
-    fn is_zero(&self) -> bool {
-        self.abs() < MULT_EPSILON
-    }
-}
+//! Aggregates live in multiplicities per the paper's data model, so the
+//! engine instantiates that ring with [`f64`] ([`Mult`]), and incremental
+//! maintenance relies only on its laws.
 
 /// Tolerance below which a floating-point multiplicity counts as zero.
 /// Incremental `+=`/`-=` of doubles accumulates rounding error; without a
 /// tolerance, views would retain ghost tuples with multiplicities like 1e-13.
 pub const MULT_EPSILON: f64 = 1e-9;
-
-/// A fixed-width vector of aggregates, used when one view carries several
-/// aggregate values per tuple (e.g. `SUM(qty), SUM(price), COUNT(*)` in
-/// TPC-H Q1).  Addition is element-wise; multiplication is element-wise as
-/// well, which is the semantics needed when joining an aggregate-carrying
-/// view with an indicator (0/1) relation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct AggVec<const N: usize>(pub [f64; N]);
-
-impl<const N: usize> Ring for AggVec<N> {
-    fn zero() -> Self {
-        AggVec([0.0; N])
-    }
-    fn one() -> Self {
-        AggVec([1.0; N])
-    }
-    fn add(&self, other: &Self) -> Self {
-        let mut out = [0.0; N];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.0[i] + other.0[i];
-        }
-        AggVec(out)
-    }
-    fn neg(&self) -> Self {
-        let mut out = [0.0; N];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = -self.0[i];
-        }
-        AggVec(out)
-    }
-    fn mul(&self, other: &Self) -> Self {
-        let mut out = [0.0; N];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.0[i] * other.0[i];
-        }
-        AggVec(out)
-    }
-    fn is_zero(&self) -> bool {
-        self.0.iter().all(|v| v.abs() < MULT_EPSILON)
-    }
-}
 
 /// The multiplicity type used by the execution engine.  Aggregate values are
 /// carried in multiplicities per the paper's data model, so a real-valued
@@ -124,58 +19,34 @@ pub type Mult = f64;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::Relation;
+    use crate::schema::Schema;
+    use crate::tuple;
     use proptest::prelude::*;
 
-    fn ring_laws<R: Ring>(a: R, b: R, c: R) {
-        // additive identity & inverse
-        assert_eq!(a.add(&R::zero()), a);
-        assert!(a.add(&a.neg()).is_zero());
-        // commutativity
-        assert_eq!(a.add(&b), b.add(&a));
-        assert_eq!(a.mul(&b), b.mul(&a));
-        // associativity (exact for i64)
-        let _ = c;
-    }
-
-    #[test]
-    fn i64_ring_laws() {
-        ring_laws(3i64, -7, 11);
-        assert_eq!(2i64.mul(&3), 6);
-        assert!(0i64.is_zero());
-    }
-
+    /// A relation drops a tuple whose multiplicity cancels to zero or to a
+    /// rounding residue below [`MULT_EPSILON`], and keeps a small one above.
     #[test]
     fn f64_ring_laws() {
-        ring_laws(1.5f64, -2.25, 4.0);
-        assert!(1e-12f64.is_zero());
-        assert!(!1e-3f64.is_zero());
-    }
-
-    #[test]
-    fn aggvec_elementwise() {
-        let a = AggVec([1.0, 2.0, 3.0]);
-        let b = AggVec([0.5, 0.5, 0.5]);
-        assert_eq!(a.add(&b), AggVec([1.5, 2.5, 3.5]));
-        assert_eq!(a.mul(&b), AggVec([0.5, 1.0, 1.5]));
-        assert!(AggVec::<3>::zero().is_zero());
-        assert!(!a.is_zero());
+        let mut r = Relation::new(Schema::new(["A"]));
+        r.add(tuple![1], 1.5);
+        r.add(tuple![1], -2.25);
+        r.add(tuple![1], 0.75);
+        r.add(tuple![2], 0.1 + 0.2);
+        r.add(tuple![2], -0.3);
+        r.add(tuple![3], 1e-3);
+        assert!((0.1 + 0.2 - 0.3f64).abs() < MULT_EPSILON && 1e-3 >= MULT_EPSILON);
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.get(&tuple![3]), 1e-3);
     }
 
     proptest! {
         #[test]
-        fn prop_i64_distributivity(a in -1000i64..1000, b in -1000i64..1000, c in -1000i64..1000) {
-            prop_assert_eq!(a.mul(&b.add(&c)), a.mul(&b).add(&a.mul(&c)));
-        }
-
-        #[test]
-        fn prop_i64_associativity(a in -1000i64..1000, b in -1000i64..1000, c in -1000i64..1000) {
-            prop_assert_eq!(a.add(&b).add(&c), a.add(&b.add(&c)));
-            prop_assert_eq!(a.mul(&b).mul(&c), a.mul(&b.mul(&c)));
-        }
-
-        #[test]
         fn prop_f64_additive_inverse(a in -1e6f64..1e6) {
-            prop_assert!(a.add(&a.neg()).is_zero());
+            let mut r = Relation::new(Schema::new(["A"]));
+            r.add(tuple![0], a);
+            r.add(tuple![0], -a);
+            prop_assert!(r.is_empty());
         }
     }
 }

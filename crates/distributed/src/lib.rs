@@ -47,5 +47,6 @@ pub use program::{
 };
 pub use protocol::{handle_request, WorkerReply, WorkerRequest};
 pub use worker::{
-    StmtRef, Temps, UnknownStatement, WorkerSnapshot, WorkerState, WorkerStats, WorkerStatsSnapshot,
+    Programs, StmtRef, Temps, UnknownStatement, WorkerSnapshot, WorkerState, WorkerStats,
+    WorkerStatsSnapshot,
 };

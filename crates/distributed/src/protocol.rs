@@ -10,15 +10,19 @@
 //! byte-level encoding (an in-process `mpsc` move vs. the `hotdog-net`
 //! length-prefixed codec) differs.
 //!
-//! Statements cross the wire once.  Every worker starts with the plan's
-//! [`ProgramBlocks`] — handed over through an `Arc` in process, or in the
-//! TCP `Init` frame — and commands name statements by position in them:
+//! Statements cross the wire once, and compile once.  Every worker starts
+//! with the plan's [`ProgramBlocks`] installed as [`Programs`], each
+//! statement compiled — handed over through an `Arc` in process, or in the
+//! TCP `Init` frame, which the worker compiles on arrival and rejects if a
+//! statement does not compile — and commands name statements by position
+//! in them:
 //! a `RunBlock` names a `(program, block)`, an `ApplyMany` shard the
 //! `(program, block, statement)` ([`StmtRef`]) that installs it.  A
 //! position the worker's programs do not hold is an [`UnknownStatement`]
 //! error, never a panic.
 //!
 //! [`ProgramBlocks`]: crate::program::ProgramBlocks
+//! [`Programs`]: crate::worker::Programs
 //!
 //! Two-layer contract of the **tagged-reply protocol**:
 //!
@@ -241,6 +245,7 @@ pub fn handle_request(
 mod tests {
     use super::*;
     use crate::program::{DistStatement, DistStmtKind, StmtMode};
+    use crate::worker::Programs;
     use hotdog_algebra::expr::view;
     use hotdog_algebra::schema::Schema;
     use hotdog_algebra::tuple;
@@ -271,7 +276,7 @@ mod tests {
             ),
         );
         let programs = vec![vec![vec![buf_stmt(StmtOp::AddTo), buf_stmt(StmtOp::SetTo)]]];
-        WorkerState::with_programs(&plan, Arc::new(programs))
+        WorkerState::with_programs(&plan, Arc::new(Programs::install(programs).unwrap()))
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::program::{DistStatement, DistStmtKind, ProgramBlocks};
 use hotdog_algebra::eval::EvalCounters;
 use hotdog_algebra::relation::Relation;
-use hotdog_exec::Database;
+use hotdog_exec::{Database, Unsupported, VectorPlan};
 use hotdog_ivm::{MaintenancePlan, StmtOp};
 use hotdog_telemetry::trace::WorkerTracer;
 use std::collections::{HashMap, HashSet};
@@ -49,6 +49,62 @@ impl fmt::Display for UnknownStatement {
 }
 
 impl std::error::Error for UnknownStatement {}
+
+/// One installed statement; a `Compute` carries its plan, compiled once.
+type Installed = (DistStatement, Option<VectorPlan>);
+
+/// The statements a node runs, indexed like [`ProgramBlocks`], with every
+/// `Compute` statement compiled where the programs are installed — once
+/// per cluster for in-process workers, which share them by `Arc`, and once
+/// per worker process for a TCP worker's `Init`.
+#[derive(Debug, Default)]
+pub struct Programs(Vec<Vec<Vec<Installed>>>);
+
+impl Programs {
+    /// Compile every `Compute` statement of `blocks`, or name the first
+    /// that does not compile.
+    pub fn install(blocks: ProgramBlocks) -> Result<Self, Unsupported> {
+        let install = |stmt: DistStatement| {
+            let plan = match &stmt.kind {
+                DistStmtKind::Compute(expr) => Some(VectorPlan::new(expr)?),
+                DistStmtKind::Transform { .. } => None,
+            };
+            Ok((stmt, plan))
+        };
+        let block = |b: Vec<DistStatement>| b.into_iter().map(install).collect();
+        let program = |p: Vec<Vec<DistStatement>>| p.into_iter().map(block).collect();
+        blocks
+            .into_iter()
+            .map(program)
+            .collect::<Result<_, _>>()
+            .map(Programs)
+    }
+
+    fn block(&self, program: u32, block: u32) -> Result<&[Installed], UnknownStatement> {
+        let blocks = self.0.get(program as usize);
+        (blocks
+            .and_then(|b| b.get(block as usize))
+            .map(Vec::as_slice))
+        .ok_or(UnknownStatement {
+            program,
+            block,
+            statement: None,
+        })
+    }
+
+    fn statement(&self, at: StmtRef) -> Result<&Installed, UnknownStatement> {
+        let (program, block, statement) = at;
+        let installed = self
+            .block(program, block)
+            .ok()
+            .and_then(|b| b.get(statement as usize));
+        installed.ok_or(UnknownStatement {
+            program,
+            block,
+            statement: Some(statement),
+        })
+    }
+}
 
 /// One node's transient exchange buffers (scattered batches, repartitioned
 /// views, partial results), keyed by temp name.
@@ -135,21 +191,15 @@ pub struct WorkerState {
     /// contexts, drained by the `Stats` protocol round.  Set the display
     /// track via [`WorkerState::set_trace_track`] (worker `w` → `w + 1`).
     pub tracer: WorkerTracer,
-    /// The statements `RunBlock` and `ApplyMany` name by position.  Empty
-    /// on the driver node, which runs the statements it holds itself.
-    programs: Arc<ProgramBlocks>,
+    /// The statements `RunBlock` and `ApplyMany` name by position, and the
+    /// driver node's `Local` blocks run by position too.
+    programs: Arc<Programs>,
 }
 
 impl WorkerState {
-    /// Create empty node state for a maintenance plan, holding no
-    /// programs (the driver node's state).
-    pub fn for_plan(plan: &MaintenancePlan) -> Self {
-        Self::with_programs(plan, Arc::default())
-    }
-
-    /// Create empty worker state for a maintenance plan and the programs
-    /// its commands name statements in.
-    pub fn with_programs(plan: &MaintenancePlan, programs: Arc<ProgramBlocks>) -> Self {
+    /// Create empty node state for a maintenance plan and the installed
+    /// programs its commands name statements in.
+    pub fn with_programs(plan: &MaintenancePlan, programs: Arc<Programs>) -> Self {
         WorkerState {
             db: Database::for_plan(plan),
             temps: Temps::new(),
@@ -267,24 +317,39 @@ impl WorkerState {
         self.tracer.clear_buffer();
     }
 
-    /// Execute one `Compute` statement against this node's state and apply
-    /// the result; transformer statements are scheduling constructs handled
-    /// by the backend driver, not per-node work.  Evaluator operation counts
-    /// are accumulated into `counters`.
-    pub fn run_compute(
+    /// Execute one `Compute` statement, compiled as `plan`, against this
+    /// node's state and apply the result.  Evaluator operation counts are
+    /// accumulated into `counters`.
+    fn run_compute(
         &mut self,
         stmt: &DistStatement,
+        plan: &VectorPlan,
         deltas: &HashMap<String, Relation>,
         counters: &mut EvalCounters,
     ) {
-        if let DistStmtKind::Compute(expr) = &stmt.kind {
-            let executed = hotdog_exec::execute(expr, &self.db, &self.temps, deltas);
-            self.stats.statements += 1;
-            self.stats.instructions += executed.counters.instructions();
-            self.stats.tuples_touched += executed.counters.tuples_touched;
-            counters.add(&executed.counters);
-            self.apply(stmt, executed.result);
+        let executed = hotdog_exec::execute(plan, &self.db, &self.temps, deltas);
+        self.stats.statements += 1;
+        self.stats.instructions += executed.counters.instructions();
+        self.stats.tuples_touched += executed.counters.tuples_touched;
+        counters.add(&executed.counters);
+        self.apply(stmt, executed.result);
+    }
+
+    /// Execute the installed statement at `at` if it is a `Compute` (see
+    /// [`WorkerState::run_compute`]) — the driver node's side of a `Local`
+    /// block; transformer statements are scheduling constructs handled by
+    /// the backend driver, not per-node work.
+    pub fn run_statement(
+        &mut self,
+        at: StmtRef,
+        deltas: &HashMap<String, Relation>,
+        counters: &mut EvalCounters,
+    ) -> Result<(), UnknownStatement> {
+        let programs = Arc::clone(&self.programs);
+        if let (stmt, Some(plan)) = programs.statement(at)? {
+            self.run_compute(stmt, plan, deltas, counters);
         }
+        Ok(())
     }
 
     /// Apply a computed or received relation to a statement's target:
@@ -320,16 +385,12 @@ impl WorkerState {
         counters: &mut EvalCounters,
     ) -> Result<(), UnknownStatement> {
         let programs = Arc::clone(&self.programs);
-        let statements = programs
-            .get(program as usize)
-            .and_then(|p| p.get(block as usize))
-            .ok_or(UnknownStatement {
-                program,
-                block,
-                statement: None,
-            })?;
-        for stmt in statements {
-            self.run_compute(stmt, &HashMap::new(), counters);
+        let statements = programs.block(program, block)?;
+        let no_deltas = HashMap::new();
+        for (stmt, plan) in statements {
+            if let Some(plan) = plan {
+                self.run_compute(stmt, plan, &no_deltas, counters);
+            }
         }
         Ok(())
     }
@@ -341,16 +402,8 @@ impl WorkerState {
     /// message sequence would have.
     pub fn apply_all(&mut self, applies: Vec<(StmtRef, Relation)>) -> Result<(), UnknownStatement> {
         let programs = Arc::clone(&self.programs);
-        for ((program, block, statement), shard) in applies {
-            let stmt = programs
-                .get(program as usize)
-                .and_then(|p| p.get(block as usize))
-                .and_then(|b| b.get(statement as usize))
-                .ok_or(UnknownStatement {
-                    program,
-                    block,
-                    statement: Some(statement),
-                })?;
+        for (at, shard) in applies {
+            let (stmt, _) = programs.statement(at)?;
             self.stats.applies += 1;
             self.stats.tuples_applied += shard.len() as u64;
             self.apply(stmt, shard);
@@ -377,10 +430,12 @@ impl WorkerState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::StmtMode;
+    use crate::program::{StmtMode, Transform};
+    use hotdog_algebra::eval::{Evaluator, MapCatalog};
     use hotdog_algebra::expr::*;
     use hotdog_algebra::schema::Schema;
     use hotdog_algebra::tuple;
+    use hotdog_algebra::tuple::Tuple;
     use hotdog_ivm::compile_recursive;
 
     fn plan() -> MaintenancePlan {
@@ -393,7 +448,7 @@ mod tests {
     #[test]
     fn apply_routes_views_to_db_and_temps_to_buffers() {
         let plan = plan();
-        let mut node = WorkerState::for_plan(&plan);
+        let mut node = WorkerState::with_programs(&plan, Arc::default());
         let rel = Relation::from_pairs(Schema::new(["B"]), vec![(tuple![1], 2.0)]);
         let view_stmt = DistStatement {
             target: "Q".into(),
@@ -428,7 +483,7 @@ mod tests {
     #[test]
     fn read_prefers_exchange_buffers_over_view_partitions() {
         let plan = plan();
-        let mut node = WorkerState::for_plan(&plan);
+        let mut node = WorkerState::with_programs(&plan, Arc::default());
         let in_db = Relation::from_pairs(Schema::new(["B"]), vec![(tuple![1], 1.0)]);
         node.db.merge("Q", in_db.clone());
         assert!(node.read("Q").approx_eq(&in_db));
@@ -440,7 +495,7 @@ mod tests {
     #[test]
     fn stats_cardinalities_count_live_records() {
         let plan = plan();
-        let mut node = WorkerState::for_plan(&plan);
+        let mut node = WorkerState::with_programs(&plan, Arc::default());
         let schema = Schema::new(["B"]);
         node.db.merge(
             "Q",
@@ -459,10 +514,92 @@ mod tests {
         assert!(snapshot.cardinalities.contains(&("Q".to_string(), 2)));
     }
 
+    /// Programs compiled once bind the temps anew on every `RunBlock`:
+    /// two different shards through the same installed block equal a
+    /// fresh `Evaluator`, counters included.  Multiplicities are integral,
+    /// so the reference's catalog order cannot change result bits.
+    #[test]
+    fn installed_blocks_rebind_temps_on_every_run() {
+        let plan = plan();
+        let stmt = |target: &str, cols: &[&str], op, kind| DistStatement {
+            target: target.into(),
+            target_schema: Schema::new(cols.iter().copied()),
+            op,
+            kind,
+            mode: StmtMode::Distributed,
+        };
+        let scatter = DistStmtKind::Transform {
+            kind: Transform::Gather,
+            source: "ΔR".into(),
+        };
+        let tmp = sum(["B"], join(view("buf", ["A", "B"]), val_var("A")));
+        let top = sum(["B"], join(view("buf", ["A", "B"]), view("tmp", ["B"])));
+        let programs = vec![vec![
+            vec![stmt("buf", &["A", "B"], StmtOp::SetTo, scatter)],
+            vec![
+                stmt(
+                    "tmp",
+                    &["B"],
+                    StmtOp::SetTo,
+                    DistStmtKind::Compute(tmp.clone()),
+                ),
+                stmt(
+                    "Q",
+                    &["B"],
+                    StmtOp::AddTo,
+                    DistStmtKind::Compute(top.clone()),
+                ),
+            ],
+        ]];
+        let mut node =
+            WorkerState::with_programs(&plan, Arc::new(Programs::install(programs).unwrap()));
+        let schema = Schema::new(["A", "B"]);
+        let shards = [
+            vec![
+                (tuple![1, 10], 1.0),
+                (tuple![2, 10], 1.0),
+                (tuple![3, 20], 2.0),
+            ],
+            vec![
+                (tuple![4, 20], 1.0),
+                (tuple![5, 30], -1.0),
+                (tuple![2, 10], 3.0),
+            ],
+        ];
+        let bits = |r: &Relation| -> Vec<(Tuple, u64)> {
+            r.sorted()
+                .into_iter()
+                .map(|(t, m)| (t, m.to_bits()))
+                .collect()
+        };
+        for shard in shards {
+            let shard = Relation::from_pairs(schema.clone(), shard);
+            let mut catalog = MapCatalog::new();
+            catalog.insert("buf", RelKind::View, shard.clone());
+            let mut ev = Evaluator::new(&catalog);
+            let want_tmp = ev.eval(&tmp);
+            let mut want = ev.counters;
+            catalog.insert("tmp", RelKind::View, want_tmp.clone());
+            let mut ev = Evaluator::new(&catalog);
+            let mut want_q = node.snapshot("Q");
+            want_q.merge(&ev.eval(&top));
+            want.add(&ev.counters);
+            // Each statement scans `buf` once; `tmp` is looked up.
+            want.tuples_touched = 2 * shard.len() as u64;
+
+            node.apply_all(vec![((0, 0, 0), shard)]).unwrap();
+            let mut got = EvalCounters::default();
+            node.run_block(0, 1, &mut got).unwrap();
+            assert_eq!(got, want);
+            assert_eq!(bits(&node.temps["tmp"]), bits(&want_tmp));
+            assert_eq!(bits(&node.snapshot("Q")), bits(&want_q));
+        }
+    }
+
     #[test]
     fn run_compute_evaluates_against_node_state() {
         let plan = plan();
-        let mut node = WorkerState::for_plan(&plan);
+        let mut node = WorkerState::with_programs(&plan, Arc::default());
         node.db.merge(
             "Q",
             Relation::from_pairs(Schema::new(["B"]), vec![(tuple![3], 4.0)]),
@@ -475,7 +612,11 @@ mod tests {
             mode: StmtMode::Local,
         };
         let mut counters = EvalCounters::default();
-        node.run_compute(&stmt, &HashMap::new(), &mut counters);
+        let DistStmtKind::Compute(expr) = &stmt.kind else {
+            unreachable!("a compute statement")
+        };
+        let plan = VectorPlan::new(expr).unwrap();
+        node.run_compute(&stmt, &plan, &HashMap::new(), &mut counters);
         assert!(node.temps["copy_1"].approx_eq(&node.snapshot("Q")));
         assert!(counters.instructions() > 0);
         // One scan of a one-record pool.

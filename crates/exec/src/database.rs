@@ -1,13 +1,13 @@
 //! The view database: one record pool per materialized view, with the
 //! secondary indexes chosen by the plan's access-pattern analysis, plus
-//! [`execute`], the one statement executor, which runs a trigger statement
-//! directly against the pools, a node's exchange buffers and the current
-//! update batch.
+//! [`execute`], the one statement executor, which runs a compiled trigger
+//! statement directly against the pools, a node's exchange buffers and the
+//! current update batch.
 
 use crate::slice_index::{SliceIndex, Stored};
-use crate::vectorized::eval_vectorized;
-use hotdog_algebra::eval::{Catalog, EvalCounters};
-use hotdog_algebra::expr::{Expr, RelKind};
+use crate::vectorized::{Source, VectorPlan};
+use hotdog_algebra::eval::EvalCounters;
+use hotdog_algebra::expr::RelKind;
 use hotdog_algebra::hash::DetMap;
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::ring::Mult;
@@ -175,45 +175,78 @@ pub struct Executed {
     pub counters: EvalCounters,
 }
 
-/// Evaluate one trigger statement against a node's state: the one statement
-/// executor of the local engine and of every distributed node.
+/// Run one compiled trigger statement against a node's state: the one
+/// statement executor of the local engine and of every distributed node.
+/// The statement was compiled once, where it was installed.
 ///
-/// The statement reads through a catalog built for it alone, which
-/// resolves a `Delta` reference to `deltas` and any other reference to a
-/// temp of that name (an exchange buffer, or a batch-only term its trigger
-/// computed earlier in the batch), or else to the view's pool, and runs
-/// on the columnar interpreter, whose results and counters are
-/// bit-identical to the row `Evaluator`'s.
-///
-/// # Panics
-///
-/// When a term of `expr` reads a variable that is not bound on every path
-/// to it, where the row `Evaluator` panics too.
+/// Before the first row, each relation the plan reads is bound once: a
+/// `Delta` reference to `deltas`, any other reference to a temp of that
+/// name (an exchange buffer, or a batch-only term its trigger computed
+/// earlier in the batch), or else to the view's pool.  The columnar
+/// interpreter then reads through that binding; its results and counters
+/// are bit-identical to the row `Evaluator`'s.
 pub fn execute(
-    expr: &Expr,
+    plan: &VectorPlan,
     db: &Database,
     temps: &HashMap<String, Relation>,
     deltas: &HashMap<String, Relation>,
 ) -> Executed {
     let catalog = StatementCatalog::new(db, temps, deltas);
+    let bound = Bound {
+        rels: (plan.relations())
+            .map(|(name, kind)| catalog.resolve(name, kind))
+            .collect(),
+        index: &catalog.index,
+    };
     let mut counters = EvalCounters::default();
-    let result = eval_vectorized(expr, &catalog, &mut counters)
-        .unwrap_or_else(|| panic!("a variable is unbound on some path of {expr}"));
+    let result = plan.run(&bound, &mut counters);
     counters.tuples_touched = catalog.index.tuples_touched();
     Executed { result, counters }
 }
 
-/// The catalog of one [`execute`] call.  Its [`SliceIndex`] indexes the
-/// batch and temps for that statement only.
-struct StatementCatalog<'a> {
+/// A plan's relations, each bound to what one [`execute`] call resolved it
+/// to (`None`: nothing holds it, so it is empty).
+struct Bound<'c, 'a> {
+    rels: Vec<Option<Stored<'a>>>,
+    index: &'c SliceIndex<'a>,
+}
+
+impl Source for Bound<'_, '_> {
+    fn scan(&self, rel: usize, f: &mut dyn FnMut(&Tuple, Mult)) {
+        if let Some(stored) = self.rels[rel] {
+            self.index.scan(stored, f);
+        }
+    }
+
+    fn lookup(&self, rel: usize, key: &Tuple) -> Mult {
+        self.rels[rel].map_or(0.0, |s| s.get(key))
+    }
+
+    fn slice(
+        &self,
+        rel: usize,
+        positions: &[usize],
+        key_vals: &[Value],
+        f: &mut dyn FnMut(&Tuple, Mult),
+    ) {
+        if let Some(stored) = self.rels[rel] {
+            self.index.slice(stored, positions, key_vals, f);
+        }
+    }
+}
+
+/// The relations one [`execute`] call reads, by name.  Its [`SliceIndex`]
+/// indexes the batch and temps for that call only.  As a `Catalog`, it is
+/// what the row `Evaluator` reads in the tests that hold `execute` to it.
+pub(crate) struct StatementCatalog<'a> {
     db: &'a Database,
     temps: &'a HashMap<String, Relation>,
     deltas: &'a HashMap<String, Relation>,
-    index: SliceIndex<'a>,
+    pub(crate) index: SliceIndex<'a>,
 }
 
 impl<'a> StatementCatalog<'a> {
-    fn new(
+    pub(crate) fn new(
         db: &'a Database,
         temps: &'a HashMap<String, Relation>,
         deltas: &'a HashMap<String, Relation>,
@@ -237,7 +270,8 @@ impl<'a> StatementCatalog<'a> {
     }
 }
 
-impl Catalog for StatementCatalog<'_> {
+#[cfg(test)]
+impl hotdog_algebra::eval::Catalog for StatementCatalog<'_> {
     fn scan(&self, name: &str, kind: RelKind, f: &mut dyn FnMut(&Tuple, Mult)) {
         if let Some(stored) = self.resolve(name, kind) {
             self.index.scan(stored, f);
@@ -265,7 +299,7 @@ impl Catalog for StatementCatalog<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hotdog_algebra::eval::Evaluator;
+    use hotdog_algebra::eval::{Catalog, Evaluator};
     use hotdog_algebra::expr::*;
     use hotdog_algebra::tuple;
     use hotdog_ivm::compile_recursive;
@@ -387,7 +421,8 @@ mod tests {
             assign_query("X", sum_total(view("Q", ["B"]))),
         ));
         for expr in [left_deep, nested] {
-            let executed = execute(&expr, &db, &no_temps, &deltas);
+            let plan = VectorPlan::new(&expr).unwrap();
+            let executed = execute(&plan, &db, &no_temps, &deltas);
             let cat = StatementCatalog::new(&db, &no_temps, &deltas);
             let mut ev = Evaluator::new(&cat);
             let want = ev.eval(&expr);

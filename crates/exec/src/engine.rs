@@ -3,6 +3,7 @@
 //! optional batch pre-aggregation, and meters the work performed.
 
 use crate::database::{execute, Database};
+use crate::vectorized::VectorPlan;
 use hotdog_algebra::eval::EvalCounters;
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
@@ -90,6 +91,8 @@ struct ExecTrigger {
     /// rewritten to read its result), else [`BatchPrep::identity`].
     prep: BatchPrep,
     trigger: Trigger,
+    /// Each statement of `trigger`, compiled once.
+    plans: Vec<VectorPlan>,
 }
 
 /// The local view-maintenance engine for one compiled plan.
@@ -103,7 +106,13 @@ pub struct LocalEngine {
 }
 
 impl LocalEngine {
-    /// Build an engine (empty views) for a plan and execution mode.
+    /// Build an engine (empty views) for a plan and execution mode,
+    /// compiling every trigger statement once.
+    ///
+    /// # Panics
+    ///
+    /// When a statement reads a variable that is not bound on every path
+    /// to it ([`VectorPlan::new`]); the IVM compiler emits none.
     pub fn new(plan: MaintenancePlan, mode: ExecMode) -> Self {
         let db = Database::for_plan(&plan);
         let preagg = matches!(mode, ExecMode::Batched { preaggregate: true });
@@ -116,7 +125,15 @@ impl LocalEngine {
                 } else {
                     (BatchPrep::identity(&t.relation_schema), t.clone())
                 };
-                (t.relation.clone(), ExecTrigger { prep, trigger })
+                let plans = (trigger.statements.iter())
+                    .map(|s| VectorPlan::new(&s.expr).unwrap_or_else(|e| panic!("{e}")))
+                    .collect();
+                let exec = ExecTrigger {
+                    prep,
+                    trigger,
+                    plans,
+                };
+                (t.relation.clone(), exec)
             })
             .collect();
         LocalEngine {
@@ -163,26 +180,26 @@ impl LocalEngine {
             input_tuples: batch.len(),
             ..Default::default()
         };
-        let Some(ExecTrigger { prep, trigger }) = self.triggers.get(relation) else {
+        let Some(exec) = self.triggers.get(relation) else {
             return stats; // relation not referenced by this query
         };
         // Batches produced by the stream generators carry the table's
         // canonical column names; the compiled trigger uses the query's
         // variable names.  Preprocessing projects positionally, which
         // without pre-aggregation is a relabel.
-        let schema = &trigger.relation_schema;
-        let delta = prep.apply(batch);
+        let schema = &exec.trigger.relation_schema;
+        let delta = exec.prep.apply(batch);
         match self.mode {
             ExecMode::SingleTuple => {
                 for (t, m) in delta.iter() {
                     let single = Relation::from_pairs(schema.clone(), [(t.clone(), m)]);
-                    run_trigger(&mut self.db, relation, trigger, single, &mut stats);
+                    run_trigger(&mut self.db, relation, exec, single, &mut stats);
                     stats.processed_tuples += 1;
                 }
             }
             ExecMode::Batched { .. } => {
                 stats.processed_tuples = delta.len();
-                run_trigger(&mut self.db, relation, trigger, delta, &mut stats);
+                run_trigger(&mut self.db, relation, exec, delta, &mut stats);
             }
         }
         stats.elapsed = start.elapsed();
@@ -197,14 +214,14 @@ impl LocalEngine {
 fn run_trigger(
     db: &mut Database,
     relation: &str,
-    trigger: &Trigger,
+    exec: &ExecTrigger,
     delta: Relation,
     stats: &mut BatchStats,
 ) {
     let deltas = HashMap::from([(relation.to_string(), delta)]);
     let mut temps = HashMap::new();
-    for stmt in &trigger.statements {
-        let executed = execute(&stmt.expr, db, &temps, &deltas);
+    for (stmt, plan) in exec.trigger.statements.iter().zip(&exec.plans) {
+        let executed = execute(plan, db, &temps, &deltas);
         stats.eval.add(&executed.counters);
         if db.pool(&stmt.target).is_some() {
             db.apply(&stmt.target, stmt.op, executed.result);
@@ -242,9 +259,11 @@ pub fn relabel(rel: &Relation, schema: &Schema) -> Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hotdog_algebra::eval::{evaluate, MapCatalog};
+    use crate::database::StatementCatalog;
+    use hotdog_algebra::eval::{evaluate, EvalCounters, Evaluator, MapCatalog};
     use hotdog_algebra::expr::*;
     use hotdog_algebra::tuple;
+    use hotdog_algebra::tuple::Tuple;
     use hotdog_ivm::{compile, Strategy};
 
     /// Example 2.1 query.
@@ -488,6 +507,71 @@ mod tests {
         );
         assert_eq!(stats.statements_executed, 0);
         assert!(engine.query_result().is_empty());
+    }
+
+    /// The statements of `trigger` over `batch` and `db` on the row
+    /// `Evaluator`, each reading through the catalog `execute` reads
+    /// through, with the results applied to `db` as the engine applies
+    /// them; the summed counters.
+    fn evaluate_trigger(db: &mut Database, trigger: &Trigger, batch: &Relation) -> EvalCounters {
+        let delta = BatchPrep::identity(&trigger.relation_schema).apply(batch);
+        let deltas = HashMap::from([(trigger.relation.clone(), delta)]);
+        let mut temps = HashMap::new();
+        let mut total = EvalCounters::default();
+        for stmt in &trigger.statements {
+            let result = {
+                let catalog = StatementCatalog::new(db, &temps, &deltas);
+                let mut ev = Evaluator::new(&catalog);
+                let result = ev.eval(&stmt.expr);
+                ev.counters.tuples_touched = catalog.index.tuples_touched();
+                total.add(&ev.counters);
+                result
+            };
+            if db.pool(&stmt.target).is_some() {
+                db.apply(&stmt.target, stmt.op, result);
+            } else {
+                temps.insert(stmt.target.clone(), result);
+            }
+        }
+        total
+    }
+
+    /// Plans compiled once bind the batch and the temps anew on every
+    /// call: consecutive, different batches through the installed plans
+    /// equal a fresh `Evaluator` per statement, counters included.  The
+    /// nested query's `ΔS` trigger computes a per-batch temp.
+    #[test]
+    fn installed_plans_rebind_batch_and_temps_on_every_call() {
+        for query in [nested_query(), three_way_join()] {
+            let plan = compile("Q", &query, Strategy::RecursiveIvm);
+            let mode = ExecMode::Batched {
+                preaggregate: false,
+            };
+            let mut engine = LocalEngine::new(plan.clone(), mode);
+            let mut reference = Database::for_plan(&plan);
+            let mut temps_seen = false;
+            for (relation, batch) in batches() {
+                let Some(trigger) = plan.triggers.iter().find(|t| t.relation == relation) else {
+                    continue;
+                };
+                temps_seen |= (trigger.statements.iter()).any(|s| plan.view(&s.target).is_none());
+                let want = evaluate_trigger(&mut reference, trigger, &batch);
+                let got = engine.apply_batch(relation, &batch);
+                assert_eq!(got.eval, want, "{relation}");
+                assert!(want.instructions() > 0, "{relation}");
+                for v in &plan.views {
+                    let bits = |r: Relation| -> Vec<(Tuple, u64)> {
+                        r.sorted()
+                            .into_iter()
+                            .map(|(t, m)| (t, m.to_bits()))
+                            .collect()
+                    };
+                    let (got, want) = (engine.view_contents(&v.name), reference.snapshot(&v.name));
+                    assert_eq!(bits(got), bits(want), "{relation}: view {}", v.name);
+                }
+            }
+            assert_eq!(temps_seen, query == nested_query());
+        }
     }
 
     #[test]

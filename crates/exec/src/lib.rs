@@ -13,12 +13,12 @@
 //!   batch over column slices, nested aggregates included, bit-identical
 //!   to the reference [`Evaluator`](hotdog_algebra::eval::Evaluator);
 //! * [`execute`] — the one statement executor of the local engine and of
-//!   every distributed node: it builds the statement's catalog (a `Delta`
-//!   reference reads the batch, any other an exchange buffer or else a
-//!   view pool) and runs the statement's [`vectorized::VectorPlan`] — the
-//!   one execution path.  Its catalog slices deltas and temps through
-//!   hash indexes built once per statement, and counts every tuple
-//!   touched.
+//!   every distributed node: it runs a [`vectorized::VectorPlan`] compiled
+//!   once, where its statement was installed — the one execution path —
+//!   after binding each relation the plan reads (a `Delta` reference to
+//!   the batch, any other to an exchange buffer or else a view pool) once
+//!   per call.  It slices deltas and temps through hash indexes built
+//!   once per call, and counts every tuple touched.
 
 #![forbid(unsafe_code)]
 
@@ -29,4 +29,4 @@ pub mod vectorized;
 
 pub use database::{execute, Database, Executed};
 pub use engine::{relabel, BatchStats, EngineTotals, ExecMode, LocalEngine};
-pub use vectorized::{eval_vectorized, VectorPlan};
+pub use vectorized::{eval_vectorized, Unsupported, VectorPlan};

@@ -18,10 +18,11 @@
 //! [`EvalCounters`](hotdog_algebra::eval::EvalCounters) field the
 //! interpreters set stay unchanged.
 //!
-//! A catalog owns one `SliceIndex` and is built once per statement.  A
+//! Each [`execute`](crate::execute) call owns one `SliceIndex`.  A
 //! statement reads its inputs and writes its result only after evaluation,
 //! so no indexed relation changes while its index lives, and nothing needs
-//! invalidating.  No index outlives its statement.
+//! invalidating.  No index outlives its call, so a plan compiled once
+//! indexes each call's batch and temps afresh.
 
 use hotdog_algebra::hash::DetMap;
 use hotdog_algebra::relation::Relation;

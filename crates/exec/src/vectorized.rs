@@ -8,16 +8,21 @@
 //! batched IVM (the paper's Section 3.3 / 5.2.2 regime) that per-tuple
 //! interpretive overhead dominates the actual storage work.
 //!
-//! This module compiles a trigger statement into a [`VectorPlan`]:
-//! variable names are resolved to column *slots* once, and execution
-//! proceeds one operator at a time over whole column slices
-//! ([`ColumnarBatch`]-style `Vec<Value>` columns), using the kernels of
-//! `hotdog_storage::columnar` (`compact_column` for filters,
-//! `gather_column` for fan-out).  Hash-join probes go through the
-//! [`Catalog`], whose hash indexes *are* the join's build side: a view
-//! probe reads the `hotdog-storage` record pool's secondary index, and a
-//! delta or temp probe reads the hash index the [`execute`](crate::execute)
-//! catalog builds once per statement, so each probe costs O(matches).
+//! This module compiles a trigger statement into a [`VectorPlan`], once,
+//! where the statement is installed ([`VectorPlan::new`]): variable names
+//! are resolved to column *slots*, and relation references to numbers
+//! into the plan's relation list.  Execution proceeds one operator at a
+//! time over whole column slices ([`ColumnarBatch`]-style `Vec<Value>`
+//! columns), using the kernels of `hotdog_storage::columnar`
+//! (`compact_column` for filters, `gather_column` for fan-out).
+//! [`execute`](crate::execute) binds each numbered relation to the batch,
+//! a temp or a view's record pool once, before the first row, so no row
+//! resolves a name; [`VectorPlan::execute`] reads a [`Catalog`] by name
+//! instead (the row `Evaluator`'s catalogs, and the tests) through the
+//! same interpreter.  Hash-join probes read hash indexes that *are* the
+//! join's build side: a view probe reads the `hotdog-storage` record
+//! pool's secondary index, and a delta or temp probe reads the hash index
+//! `execute` builds once per call, so each probe costs O(matches).
 //!
 //! # Shapes: terms over frames
 //!
@@ -32,11 +37,19 @@
 //! * `Sum_[keys]` groups a source row's sub-rows by the keys the body binds
 //!   (keys the source row binds are constant within it), drops totals
 //!   below ε, sorts, and emits one row per group; `Exists` weighs each
-//!   group 1.0;
+//!   group 1.0.  Grouping runs in place: key columns are hashed (as
+//!   `Tuple` hashes) and compared straight from the frame through an
+//!   open-addressed table of row ids, the sort compares key columns in
+//!   place, and each surviving group builds one key tuple, from its first
+//!   row.  A head over one nested `Sum`/`Exists` with the same keys (a
+//!   domain guard) skips the regroup: its body already emits one sorted
+//!   group per key;
 //! * `v := query` binds `v` to each group's total (0.0 when no group
 //!   survives and the source row binds every column of the query), or,
-//!   over an already bound `v`, keeps the groups whose total equals it;
-//! * a `Union` or a right-nested join emits every sub-row.
+//!   over an already bound `v`, keeps the groups whose total equals it; a
+//!   scalar `:=` writes its totals straight into its column;
+//! * a `Union` or a right-nested join emits every sub-row.  A union's
+//!   branches share one sub-frame's columns.
 //!
 //! A chain's leftmost relation over the statement's frame is one scan.
 //! Every other term is one step over the whole frame: a comparison
@@ -44,9 +57,11 @@
 //! (point lookup when every column is bound, else a probe that fans out; a
 //! repeated column binds at its first position and filters at the others),
 //! or a nested term, whose rows fan out their source rows.  A column is
-//! carried only until its last reader.  [`compile`] refuses only a term
-//! that reads a variable not bound on every path to it (the reference path
-//! panics) or binds one some paths bound (it branches per row).
+//! carried only until its last reader.  [`VectorPlan::new`] refuses, with
+//! [`Unsupported`], only a term that reads a variable not bound on every
+//! path to it (the reference path panics) or binds one some paths bound
+//! (it branches per row), so a statement is refused where it is
+//! installed, never on the data path.
 //!
 //! # Bit-for-bit parity
 //!
@@ -61,7 +76,9 @@
 //! order from `0.0 +`, then are ε-filtered and sorted; a scalar head is
 //! one running sum per source row.  Every counter increments at the
 //! reference path's logical point: `Sum` and `Exists` count one emission
-//! per group, `:=` none.
+//! per group, `:=` none.  A group keeps the first key emitted into it
+//! (`Long(1)` before `Double(1.0)`), as the reference path's group map
+//! does; distinct groups never compare equal, so the sort has one result.
 //!
 //! # No knob
 //!
@@ -104,14 +121,17 @@
 
 use hotdog_algebra::eval::{Catalog, EvalCounters};
 use hotdog_algebra::expr::{CmpOp, Expr, RelKind, RelRef, ValExpr};
-use hotdog_algebra::hash::DetMap;
+use hotdog_algebra::hash::DetState;
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::ring::{Mult, MULT_EPSILON};
 use hotdog_algebra::schema::Schema;
 use hotdog_algebra::tuple::Tuple;
 use hotdog_algebra::value::Value;
 use hotdog_storage::columnar::{compact_column, compact_mults, gather_column};
+use std::cmp::Ordering;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::Range;
+use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
 // Compiled form
@@ -150,7 +170,7 @@ impl ValProg {
     /// Evaluate for row `i` of the frame — the same operation tree, in the
     /// same order, as `ValExpr::eval`, with slot loads instead of string
     /// lookups.
-    fn eval(&self, cols: &[Vec<Value>], i: usize) -> Value {
+    fn eval(&self, cols: &[Col], i: usize) -> Value {
         match self {
             ValProg::Slot(s) => cols[*s][i].clone(),
             ValProg::Lit(v) => v.clone(),
@@ -206,20 +226,15 @@ enum Step {
     Assign { slot: usize, value: ValProg },
     /// `AssignVal` over an already-bound variable: equality filter.
     AssignCheck { slot: usize, value: ValProg },
-    /// Relation term with every column bound: per-row point lookup through
-    /// the catalog (the record pool's primary index).
-    Lookup {
-        name: String,
-        kind: RelKind,
-        key_slots: Vec<usize>,
-    },
-    /// Relation term with some (or no) columns bound: per-row slice through
-    /// the catalog (the record pool's secondary hash index — the hash join's
-    /// build side) fanning out into fresh columns; previously bound columns
-    /// are gathered through the fan-out index.
+    /// Relation term with every column bound: per-row point lookup (the
+    /// record pool's primary index).
+    Lookup { rel: usize, key_slots: Vec<usize> },
+    /// Relation term with some (or no) columns bound: per-row slice (the
+    /// record pool's secondary hash index — the hash join's build side)
+    /// fanning out into fresh columns; previously bound columns are
+    /// gathered through the fan-out index.
     Probe {
-        name: String,
-        kind: RelKind,
+        rel: usize,
         /// `(position in the reference, frame slot)` of bound columns.
         bound: Vec<(usize, usize)>,
         /// `(position in the reference, frame slot)` of newly bound columns.
@@ -271,8 +286,7 @@ impl Step {
 /// The leftmost relation reference of a chain over the statement's
 /// one-row frame: one full scan.
 struct Scan {
-    name: String,
-    kind: RelKind,
+    rel: usize,
     /// `(position in the reference, frame slot)` of the columns read.
     cols: Vec<(usize, usize)>,
     /// `(position, earlier position)` of each repeated column.
@@ -314,6 +328,11 @@ struct Term {
     binds: Vec<usize>,
     /// The frame's slots the branches read (set by [`Term::prune`]).
     inputs: Vec<usize>,
+    /// A `Sum` or `Exists` head over one nested `Sum` or `Exists` with the
+    /// same keys (a domain guard, `Exists(Sum_[k](…))`): the body already
+    /// emits one group per key, sorted and at least ε, weighted exactly
+    /// `1.0 × m`, so the fold has nothing to regroup.
+    presorted: bool,
 }
 
 /// A trigger statement compiled for columnar execution.
@@ -324,7 +343,40 @@ pub struct VectorPlan {
     /// The slot of each result column.
     out: Vec<usize>,
     n_slots: usize,
+    /// The relations the statement reads, each once; steps name them by
+    /// position, and an execution binds each before the first row.
+    rels: Vec<(String, RelKind)>,
 }
+
+impl std::fmt::Debug for VectorPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("VectorPlan")
+            .field("schema", &self.schema)
+            .field("rels", &self.rels)
+            .finish_non_exhaustive()
+    }
+}
+
+/// A statement the interpreter cannot run: one of its terms reads a
+/// variable that is not bound on every path to it (where the row
+/// `Evaluator` panics) or binds one that only some paths bound.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Unsupported {
+    /// The statement, printed.
+    pub statement: String,
+}
+
+impl std::fmt::Display for Unsupported {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "a variable is unbound on some path of {}",
+            self.statement
+        )
+    }
+}
+
+impl std::error::Error for Unsupported {}
 
 /// The variables bound at a point of a chain, with their slots (a
 /// statement binds a few dozen at most, so a list beats a hash map).  A
@@ -368,28 +420,52 @@ impl<'e> Bound<'e> {
 /// environment) into a [`VectorPlan`], or `None` when a term reads a
 /// variable that is not bound on every path to it.
 pub fn compile(expr: &Expr) -> Option<VectorPlan> {
-    let mut slots = Slots::default();
-    let (mut term, bound) = slots.term(expr, &Bound::default(), true)?;
-    let schema = expr.schema();
-    let out: Vec<usize> = schema.iter().map(|c| bound.get(c)).collect::<Option<_>>()?;
-    let n_slots = slots.names.len();
-    let mut read = vec![false; n_slots];
-    out.iter().for_each(|&s| read[s] = true);
-    term.prune(&read);
-    Some(VectorPlan {
-        schema,
-        term,
-        out,
-        n_slots,
-    })
+    VectorPlan::new(expr).ok()
+}
+
+impl VectorPlan {
+    /// Compile `expr` (a statement right-hand side, evaluated from an empty
+    /// environment): once, where its statement is installed.
+    pub fn new(expr: &Expr) -> Result<VectorPlan, Unsupported> {
+        let unsupported = || Unsupported {
+            statement: expr.to_string(),
+        };
+        let mut slots = Slots::default();
+        let (mut term, bound) = slots
+            .term(expr, &Bound::default(), true)
+            .ok_or_else(unsupported)?;
+        let schema = expr.schema();
+        let out: Vec<usize> = (schema.iter().map(|c| bound.get(c)))
+            .collect::<Option<_>>()
+            .ok_or_else(unsupported)?;
+        let n_slots = slots.names.len();
+        let mut read = vec![false; n_slots];
+        out.iter().for_each(|&s| read[s] = true);
+        term.prune(&read);
+        Ok(VectorPlan {
+            schema,
+            term,
+            out,
+            n_slots,
+            rels: slots.rels,
+        })
+    }
+
+    /// The relations the statement reads, each once, by the number its
+    /// steps read it under.
+    pub fn relations(&self) -> impl Iterator<Item = (&str, RelKind)> {
+        self.rels.iter().map(|(name, kind)| (name.as_str(), *kind))
+    }
 }
 
 /// Slot allocation for one plan: each variable name gets one slot, shared
-/// by every term that binds it.
+/// by every term that binds it, and each relation one number.
 #[derive(Default)]
 struct Slots<'e> {
     /// The variable of each slot.
     names: Vec<&'e str>,
+    /// The relations read, by number.
+    rels: Vec<(String, RelKind)>,
 }
 
 impl<'e> Slots<'e> {
@@ -407,6 +483,18 @@ impl<'e> Slots<'e> {
         };
         bound.0.push((name, Some(slot)));
         Some(slot)
+    }
+
+    /// The number of the relation `r` reads.
+    fn rel(&mut self, r: &RelRef) -> usize {
+        let at = self
+            .rels
+            .iter()
+            .position(|(n, k)| *n == r.name && *k == r.kind);
+        at.unwrap_or_else(|| {
+            self.rels.push((r.name.clone(), r.kind));
+            self.rels.len() - 1
+        })
     }
 
     /// Compile the term `expr` run under `outer`'s bindings, and the
@@ -429,12 +517,19 @@ impl<'e> Slots<'e> {
             });
         }
         let after = after.expect("a union has a branch");
-        let term = |head, keys, binds| Term {
-            branches,
-            head,
-            keys,
-            binds,
-            inputs: Vec::new(),
+        let term = |head, keys: Vec<usize>, binds| {
+            let presorted = matches!(head, Head::Sum | Head::Exists)
+                && matches!(&branches[..], [Chain { scan: None, steps, .. }]
+                    if matches!(&steps[..], [Step::Nested(inner)]
+                        if matches!(inner.head, Head::Sum | Head::Exists) && inner.keys == keys));
+            Term {
+                branches,
+                head,
+                keys,
+                binds,
+                inputs: Vec::new(),
+                presorted,
+            }
         };
         let Some(names) = names else {
             let binds: Vec<usize> = after.0[outer.0.len()..]
@@ -486,8 +581,7 @@ impl<'e> Slots<'e> {
             Expr::Rel(r) if unit => {
                 let [_, cols, repeats] = self.columns(r, &mut bound)?;
                 Some(Scan {
-                    name: r.name.clone(),
-                    kind: r.kind,
+                    rel: self.rel(r),
                     cols,
                     repeats,
                 })
@@ -554,14 +648,12 @@ impl<'e> Slots<'e> {
                 let [bound_cols, unbound, repeats] = self.columns(r, bound)?;
                 if !r.cols.is_empty() && unbound.is_empty() {
                     Step::Lookup {
-                        name: r.name.clone(),
-                        kind: r.kind,
+                        rel: self.rel(r),
                         key_slots: bound_cols.iter().map(|&(_, s)| s).collect(),
                     }
                 } else {
                     Step::Probe {
-                        name: r.name.clone(),
-                        kind: r.kind,
+                        rel: self.rel(r),
                         bound: bound_cols,
                         unbound,
                         repeats,
@@ -678,12 +770,66 @@ impl Term {
 // Execution
 // ---------------------------------------------------------------------------
 
+/// What a plan's relation references read, by the number
+/// [`VectorPlan::relations`] gives each: the relations one execution bound
+/// them to before its first row ([`execute`](crate::execute)), or a
+/// [`Catalog`] by name (the `Evaluator` oracle's catalogs, and the tests).
+pub(crate) trait Source {
+    /// Iterate over every tuple of relation `rel`.
+    fn scan(&self, rel: usize, f: &mut dyn FnMut(&Tuple, Mult));
+    /// Multiplicity of an exact key of relation `rel` (0 when absent).
+    fn lookup(&self, rel: usize, key: &Tuple) -> Mult;
+    /// Iterate over the tuples of relation `rel` whose columns at
+    /// `positions` equal `key_vals`, in the relation's iteration order.
+    fn slice(
+        &self,
+        rel: usize,
+        positions: &[usize],
+        key_vals: &[Value],
+        f: &mut dyn FnMut(&Tuple, Mult),
+    );
+}
+
+/// A [`Catalog`] read by the names of a plan's relations.
+struct ByName<'a> {
+    catalog: &'a dyn Catalog,
+    rels: &'a [(String, RelKind)],
+}
+
+impl Source for ByName<'_> {
+    fn scan(&self, rel: usize, f: &mut dyn FnMut(&Tuple, Mult)) {
+        let (name, kind) = &self.rels[rel];
+        self.catalog.scan(name, *kind, f);
+    }
+
+    fn lookup(&self, rel: usize, key: &Tuple) -> Mult {
+        let (name, kind) = &self.rels[rel];
+        self.catalog.lookup(name, *kind, key)
+    }
+
+    fn slice(
+        &self,
+        rel: usize,
+        positions: &[usize],
+        key_vals: &[Value],
+        f: &mut dyn FnMut(&Tuple, Mult),
+    ) {
+        let (name, kind) = &self.rels[rel];
+        self.catalog.slice(name, *kind, positions, key_vals, f);
+    }
+}
+
+/// One column of a frame.  Shared: a nested term's branches all start from
+/// the columns of one sub-frame, and a step that keeps every row keeps its
+/// columns; a step that drops or fans out rows builds new ones.
+type Col = Rc<Vec<Value>>;
+
 /// The rows of a chain so far: one column per slot (empty unless live), one
 /// multiplicity per row, and the row of the chain's input frame each row
 /// came from.
 #[derive(Clone)]
 struct Frame {
-    cols: Vec<Vec<Value>>,
+    cols: Vec<Col>,
     mults: Vec<Mult>,
     src: Vec<u32>,
     /// Slots materialized, in binding order.
@@ -693,7 +839,7 @@ struct Frame {
 impl Frame {
     fn new(n_slots: usize) -> Self {
         Frame {
-            cols: vec![Vec::new(); n_slots],
+            cols: vec![Col::default(); n_slots],
             mults: Vec::new(),
             src: Vec::new(),
             live: Vec::new(),
@@ -712,7 +858,7 @@ impl Frame {
         sub.mults = vec![1.0; n];
         sub.src = (0..n as u32).collect();
         for &s in inputs {
-            sub.bind(s, self.cols[s].clone());
+            sub.share(s, Rc::clone(&self.cols[s]));
         }
         sub
     }
@@ -722,7 +868,7 @@ impl Frame {
         let cols = &mut self.cols;
         self.live.retain(|&s| {
             if !live[s] {
-                cols[s] = Vec::new();
+                cols[s] = Col::default();
             }
             live[s]
         });
@@ -731,8 +877,11 @@ impl Frame {
     /// Keep the rows `keep` marks, carrying the columns still live.
     fn retain(&mut self, keep: &[bool], live: &[bool]) {
         self.prune(live);
+        if keep.iter().all(|&k| k) {
+            return;
+        }
         for &s in &self.live {
-            self.cols[s] = compact_column(&self.cols[s], keep);
+            self.cols[s] = Rc::new(compact_column(&self.cols[s], keep));
         }
         self.mults = compact_mults(&self.mults, keep);
         self.src = self
@@ -752,7 +901,7 @@ impl Frame {
             && src_idx.iter().enumerate().all(|(i, &s)| s as usize == i);
         if !same_rows {
             for &s in &self.live {
-                self.cols[s] = gather_column(&self.cols[s], src_idx);
+                self.cols[s] = Rc::new(gather_column(&self.cols[s], src_idx));
             }
             self.src = src_idx.iter().map(|&i| self.src[i as usize]).collect();
         }
@@ -760,10 +909,18 @@ impl Frame {
     }
 
     fn bind(&mut self, slot: usize, col: Vec<Value>) {
+        self.share(slot, Rc::new(col));
+    }
+
+    fn share(&mut self, slot: usize, col: Col) {
         self.cols[slot] = col;
         self.live.push(slot);
     }
 }
+
+/// A folded row's group key: the rows it reads its key columns from, and
+/// the first row of its group there (`None` for a scalar head).
+type KeyRow<'r> = Option<(&'r Frame, usize)>;
 
 impl VectorPlan {
     /// Execute the plan against a catalog, producing the same [`Relation`]
@@ -771,17 +928,28 @@ impl VectorPlan {
     /// and the same counter increments as
     /// `Evaluator::new(catalog).eval(expr)`.
     pub fn execute(&self, catalog: &dyn Catalog, counters: &mut EvalCounters) -> Relation {
+        let rels = &self.rels;
+        self.run(&ByName { catalog, rels }, counters)
+    }
+
+    /// Execute the plan against `source`, as [`VectorPlan::execute`].
+    pub(crate) fn run(&self, source: &dyn Source, counters: &mut EvalCounters) -> Relation {
         let mut unit = Frame::new(self.n_slots);
         unit.mults.push(1.0);
         unit.src.push(0);
-        let outs = self.term.branch_rows(&unit, catalog, counters);
+        let outs = self.term.branch_rows(&unit, source, counters);
         let mut rel = Relation::new(self.schema.clone());
         if !matches!(self.term.head, Head::Rows) {
             // A head binds its keys, then its variable: the schema's order.
+            let keys = &self.term.keys;
             self.term
-                .fold(outs, 1, &unit, counters, &mut |_, mut key, v, m| {
-                    key.0.extend(v);
-                    rel.add(key, m);
+                .fold(outs, 1, &unit, counters, &mut |_, key, v, m| {
+                    let mut t = Vec::with_capacity(self.schema.len());
+                    if let Some((rows, row)) = key {
+                        t.extend(keys.iter().map(|&s| rows.cols[s][row].clone()));
+                    }
+                    t.extend(v);
+                    rel.add(Tuple(t), m);
                 });
             return rel;
         }
@@ -799,31 +967,35 @@ impl VectorPlan {
 impl Term {
     /// Run the term over every row of `f`: its rows, each with the row of
     /// `f` it came from, the columns it binds and its own multiplicity.
-    fn run(&self, f: &Frame, catalog: &dyn Catalog, counters: &mut EvalCounters) -> Frame {
-        let outs = self.branch_rows(f, catalog, counters);
+    fn run(&self, f: &Frame, source: &dyn Source, counters: &mut EvalCounters) -> Frame {
+        let outs = self.branch_rows(f, source, counters);
         if matches!(self.head, Head::Rows) {
             return merge(outs, f.len(), &self.binds);
         }
         let mut out = Frame::new(f.cols.len());
-        out.live = self.binds.clone();
-        let kept: Vec<(usize, usize)> = (self.keys.iter().enumerate())
-            .filter(|(_, s)| self.binds.contains(s))
-            .map(|(p, &s)| (p, s))
+        let mut cols: Vec<Vec<Value>> = vec![Vec::new(); f.cols.len()];
+        let kept: Vec<usize> = (self.keys.iter().copied())
+            .filter(|s| self.binds.contains(s))
             .collect();
         let var = match self.head {
             Head::Assign { var, check: false } if self.binds.contains(&var) => Some(var),
             _ => None,
         };
         self.fold(outs, f.len(), f, counters, &mut |src, key, v, m| {
-            for &(p, s) in &kept {
-                out.cols[s].push(key.0[p].clone());
+            if let Some((rows, row)) = key {
+                for &s in &kept {
+                    cols[s].push(rows.cols[s][row].clone());
+                }
             }
             if let (Some(var), Some(v)) = (var, v) {
-                out.cols[var].push(v);
+                cols[var].push(v);
             }
             out.src.push(src);
             out.mults.push(m);
         });
+        for &s in &self.binds {
+            out.bind(s, std::mem::take(&mut cols[s]));
+        }
         out
     }
 
@@ -831,47 +1003,53 @@ impl Term {
     fn branch_rows(
         &self,
         f: &Frame,
-        catalog: &dyn Catalog,
+        source: &dyn Source,
         counters: &mut EvalCounters,
     ) -> Vec<Frame> {
+        // One sub-frame: the branches share its columns.
         let sub = f.sub(&self.inputs);
         let (last, rest) = self.branches.split_last().expect("a term has a branch");
         let mut outs: Vec<Frame> = rest
             .iter()
-            .map(|chain| chain.run(sub.clone(), catalog, counters))
+            .map(|chain| chain.run(sub.clone(), source, counters))
             .collect();
-        outs.push(last.run(sub, catalog, counters));
+        outs.push(last.run(sub, source, counters));
         outs
+    }
+
+    /// A scalar head's total per source row of the `n` the branches ran
+    /// over, `None` where no sub-row survived.  One running sum per source
+    /// row, no map and no sort; adding the branches one after another adds
+    /// each row's sub-rows in merged order.
+    fn scalar_totals(outs: &[Frame], n: usize) -> Vec<Option<Mult>> {
+        let mut totals: Vec<Option<Mult>> = vec![None; n];
+        for o in outs {
+            for (&s, &m) in o.src.iter().zip(&o.mults) {
+                let t = &mut totals[s as usize];
+                *t = Some(t.map_or(0.0 + m, |acc| acc + m));
+            }
+        }
+        totals
     }
 
     /// Fold the branches' rows back into the `n` source rows of `outer`
     /// under the head's rule, emitting each folded row in order: its source
-    /// row, its keys, the value its `:=` binds, and its multiplicity.
+    /// row, its key, the value its `:=` binds, and its multiplicity.
     fn fold(
         &self,
         outs: Vec<Frame>,
         n: usize,
         outer: &Frame,
         counters: &mut EvalCounters,
-        emit: &mut impl FnMut(u32, Tuple, Option<Value>, Mult),
+        emit: &mut impl FnMut(u32, KeyRow<'_>, Option<Value>, Mult),
     ) {
         if self.keys.is_empty() {
-            // One running sum per source row, no map and no sort; adding
-            // the branches one after another adds each row's sub-rows in
-            // merged order.
-            let mut totals: Vec<Option<Mult>> = vec![None; n];
-            for o in &outs {
-                for (&s, &m) in o.src.iter().zip(&o.mults) {
-                    let t = &mut totals[s as usize];
-                    *t = Some(t.map_or(0.0 + m, |acc| acc + m));
-                }
-            }
-            for (src, total) in (0..).zip(totals) {
+            for (src, total) in (0..).zip(Self::scalar_totals(&outs, n)) {
                 match total.filter(|t| t.abs() >= MULT_EPSILON) {
-                    Some(t) => self.emit_group(src, Tuple(Vec::new()), t, outer, counters, emit),
+                    Some(t) => self.emit_group(src, None, t, outer, counters, emit),
                     // A scalar aggregate over no rows is 0.
                     None if matches!(self.head, Head::Assign { .. }) => {
-                        self.emit_group(src, Tuple(Vec::new()), 0.0, outer, counters, emit)
+                        self.emit_group(src, None, 0.0, outer, counters, emit)
                     }
                     None => {}
                 }
@@ -879,13 +1057,22 @@ impl Term {
             return;
         }
         let rows = merge(outs, n, &self.keys);
-        let mut groups = Vec::new();
+        if self.presorted {
+            for (i, (&src, &m)) in rows.src.iter().zip(&rows.mults).enumerate() {
+                let total = 0.0 + m;
+                if total.abs() >= MULT_EPSILON {
+                    self.emit_group(src, Some((&rows, i)), total, outer, counters, emit);
+                }
+            }
+            return;
+        }
+        let mut groups = Groups::default();
         let mut start = 0;
         for src in 0..n as u32 {
             let end = start + rows.src[start..].iter().take_while(|&&s| s == src).count();
-            self.groups(&rows, start..end, &mut groups);
-            for (key, m) in groups.drain(..) {
-                self.emit_group(src, key, m, outer, counters, emit);
+            groups.build(&rows, &self.keys, start..end);
+            for (first, total) in groups.sorted() {
+                self.emit_group(src, Some((&rows, first)), total, outer, counters, emit);
             }
             start = end;
         }
@@ -895,11 +1082,11 @@ impl Term {
     fn emit_group(
         &self,
         src: u32,
-        key: Tuple,
+        key: KeyRow<'_>,
         m: Mult,
         outer: &Frame,
         counters: &mut EvalCounters,
-        emit: &mut impl FnMut(u32, Tuple, Option<Value>, Mult),
+        emit: &mut impl FnMut(u32, KeyRow<'_>, Option<Value>, Mult),
     ) {
         match self.head {
             Head::Rows => unreachable!("a union emits its rows unfolded"),
@@ -913,9 +1100,9 @@ impl Term {
             }
             Head::Assign { check: false, .. } => emit(src, key, Some(Value::Double(m)), 1.0),
             Head::Assign { var, check: true } => {
-                let bound = match self.keys.iter().position(|&k| k == var) {
-                    Some(p) => &key.0[p],
-                    None => &outer.cols[var][src as usize],
+                let bound = match key {
+                    Some((rows, row)) if self.keys.contains(&var) => &rows.cols[var][row],
+                    _ => &outer.cols[var][src as usize],
                 };
                 if *bound == Value::Double(m) {
                     emit(src, key, None, 1.0);
@@ -923,21 +1110,118 @@ impl Term {
             }
         }
     }
+}
 
-    /// Fill the empty `groups` with the groups of the sub-rows `range` by
-    /// the head's keys: totals summed in emission order from `0.0 +`, those
-    /// below ε dropped, sorted by key — `Evaluator::aggregate`.
-    fn groups(&self, rows: &Frame, range: Range<usize>, groups: &mut Vec<(Tuple, Mult)>) {
-        if range.is_empty() {
+/// Scratch for grouping the sub-rows of one source row by the key columns,
+/// in place — `Evaluator::aggregate` without a key tuple per row — reused
+/// across the source rows of one fold.
+#[derive(Default)]
+struct Groups {
+    /// Open-addressed table over the groups: a group's index + 1, 0 free.
+    table: Vec<u32>,
+    /// Each group's key hash, first row and running total, in the order
+    /// the groups were first emitted.
+    hashes: Vec<u64>,
+    first: Vec<usize>,
+    totals: Vec<Mult>,
+    /// The groups at least ε, sorted by key.
+    order: Vec<usize>,
+    /// `order` by the first key column, when it is an integer in each.
+    ints: Vec<(i64, usize)>,
+}
+
+impl Groups {
+    /// Group the sub-rows `range` of `rows` by the columns `keys`: totals
+    /// summed in emission order from `0.0 +`, each group keyed by its
+    /// first row, those below ε dropped, the rest sorted by key.
+    fn build(&mut self, rows: &Frame, keys: &[usize], range: Range<usize>) {
+        self.hashes.clear();
+        self.first.clear();
+        self.totals.clear();
+        self.order.clear();
+        let cols = &rows.cols;
+        if range.len() == 1 {
+            self.first.push(range.start);
+            self.totals.push(0.0 + rows.mults[range.start]);
+        } else if !range.is_empty() {
+            let mask = (2 * range.len()).next_power_of_two() - 1;
+            self.table.clear();
+            self.table.resize(mask + 1, 0);
+            for i in range {
+                // `Tuple`'s `Hash`, fed from the columns.
+                let mut hasher = DetState::default().build_hasher();
+                hasher.write_usize(keys.len());
+                keys.iter().for_each(|&s| cols[s][i].hash(&mut hasher));
+                let h = hasher.finish();
+                let mut at = h as usize & mask;
+                loop {
+                    match self.table[at] {
+                        0 => {
+                            self.hashes.push(h);
+                            self.first.push(i);
+                            self.totals.push(0.0 + rows.mults[i]);
+                            self.table[at] = self.first.len() as u32;
+                            break;
+                        }
+                        g => {
+                            let g = g as usize - 1;
+                            let first = self.first[g];
+                            if self.hashes[g] == h
+                                && keys.iter().all(|&s| cols[s][first] == cols[s][i])
+                            {
+                                self.totals[g] += rows.mults[i];
+                                break;
+                            }
+                        }
+                    }
+                    at = (at + 1) & mask;
+                }
+            }
+        }
+        let totals = &self.totals;
+        (self.order).extend((0..totals.len()).filter(|&g| totals[g].abs() >= MULT_EPSILON));
+        if self.order.len() < 2 {
             return;
         }
-        let mut map: DetMap<Tuple, Mult> = DetMap::default();
-        for i in range {
-            let key = Tuple(self.keys.iter().map(|&s| rows.cols[s][i].clone()).collect());
-            *map.entry(key).or_insert(0.0) += rows.mults[i];
+        // Distinct groups never compare equal (`Value`'s order agrees with
+        // its equality), so any sort yields the one sorted order.
+        let first = &self.first;
+        let cmp = |keys: &[usize], a: usize, b: usize| {
+            let (a, b) = (first[a], first[b]);
+            (keys.iter().map(|&s| cols[s][a].cmp(&cols[s][b])))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
+        };
+        let lead = &cols[keys[0]];
+        self.ints.clear();
+        for &g in &self.order {
+            match lead[first[g]] {
+                Value::Long(v) => self.ints.push((v, g)),
+                _ => break,
+            }
         }
-        groups.extend(map.into_iter().filter(|(_, m)| m.abs() >= MULT_EPSILON));
-        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        if self.ints.len() < self.order.len() {
+            self.order.sort_unstable_by(|&a, &b| cmp(keys, a, b));
+            return;
+        }
+        // Every group leads with an integer: sort the integers, then each
+        // run that ties on them by the other key columns.
+        self.ints.sort_unstable();
+        self.order.clear();
+        self.order.extend(self.ints.iter().map(|&(_, g)| g));
+        let mut start = 0;
+        for (end, w) in (1..).zip(self.ints.windows(2)) {
+            if w[0].0 != w[1].0 {
+                self.order[start..end].sort_unstable_by(|&a, &b| cmp(&keys[1..], a, b));
+                start = end;
+            }
+        }
+        self.order[start..].sort_unstable_by(|&a, &b| cmp(&keys[1..], a, b));
+    }
+
+    /// Each surviving group's first row and total, in key order.
+    fn sorted(&self) -> impl Iterator<Item = (usize, Mult)> + '_ {
+        self.order.iter().map(|&g| (self.first[g], self.totals[g]))
     }
 }
 
@@ -951,7 +1235,8 @@ fn merge(mut outs: Vec<Frame>, n: usize, cols: &[usize]) -> Frame {
         let mut f = outs.next().expect("a union has a branch");
         for mut o in outs {
             for &s in cols {
-                f.cols[s].append(&mut o.cols[s]);
+                let col = Rc::unwrap_or_clone(std::mem::take(&mut o.cols[s]));
+                Rc::make_mut(&mut f.cols[s]).extend(col);
             }
             f.mults.append(&mut o.mults);
             f.src.append(&mut o.src);
@@ -974,7 +1259,7 @@ fn merge(mut outs: Vec<Frame>, n: usize, cols: &[usize]) -> Frame {
     for &s in cols {
         let mut its: Vec<_> = outs
             .iter_mut()
-            .map(|o| std::mem::take(&mut o.cols[s]).into_iter())
+            .map(|o| Rc::unwrap_or_clone(std::mem::take(&mut o.cols[s])).into_iter())
             .collect();
         let col = order
             .iter()
@@ -985,12 +1270,12 @@ fn merge(mut outs: Vec<Frame>, n: usize, cols: &[usize]) -> Frame {
 }
 
 impl Chain {
-    fn run(&self, mut f: Frame, catalog: &dyn Catalog, counters: &mut EvalCounters) -> Frame {
+    fn run(&self, mut f: Frame, source: &dyn Source, counters: &mut EvalCounters) -> Frame {
         if let Some(scan) = &self.scan {
-            scan.run(&mut f, catalog, counters);
+            scan.run(&mut f, source, counters);
         }
         for (step, live) in self.steps.iter().zip(&self.live) {
-            step.run(&mut f, live, catalog, counters);
+            step.run(&mut f, live, source, counters);
         }
         f
     }
@@ -999,35 +1284,33 @@ impl Chain {
 impl Scan {
     /// Replace the one row of the statement's frame by the scanned rows
     /// (1.0 × m is m, so the scan skips the product).
-    fn run(&self, f: &mut Frame, catalog: &dyn Catalog, counters: &mut EvalCounters) {
+    fn run(&self, f: &mut Frame, source: &dyn Source, counters: &mut EvalCounters) {
         f.mults.clear();
         f.src.clear();
         counters.scans += 1;
         let mut visited = 0u64;
-        catalog.scan(&self.name, self.kind, &mut |t, m| {
+        let mut cols: Vec<Vec<Value>> = vec![Vec::new(); self.cols.len()];
+        source.scan(self.rel, &mut |t, m| {
             visited += 1;
             if self.repeats.iter().all(|&(p, q)| t.get(p) == t.get(q)) {
-                for &(p, slot) in &self.cols {
-                    f.cols[slot].push(t.get(p).clone());
+                for (col, &(p, _)) in cols.iter_mut().zip(&self.cols) {
+                    col.push(t.get(p).clone());
                 }
                 f.mults.push(m);
                 f.src.push(0);
             }
         });
         counters.tuples_visited += visited;
-        f.live = self.cols.iter().map(|&(_, s)| s).collect();
+        f.live.clear();
+        for (col, &(_, slot)) in cols.into_iter().zip(&self.cols) {
+            f.bind(slot, col);
+        }
     }
 }
 
 impl Step {
     /// Apply this step to the frame; `live` marks the slots read after it.
-    fn run(
-        &self,
-        f: &mut Frame,
-        live: &[bool],
-        catalog: &dyn Catalog,
-        counters: &mut EvalCounters,
-    ) {
+    fn run(&self, f: &mut Frame, live: &[bool], source: &dyn Source, counters: &mut EvalCounters) {
         let n = f.len();
         match self {
             Step::Filter { op, lhs, rhs } => {
@@ -1064,11 +1347,7 @@ impl Step {
                     .collect();
                 f.retain(&keep, live);
             }
-            Step::Lookup {
-                name,
-                kind,
-                key_slots,
-            } => {
+            Step::Lookup { rel, key_slots } => {
                 let mut keep = vec![false; n];
                 let mut key = Tuple(Vec::with_capacity(key_slots.len()));
                 for (i, k) in keep.iter_mut().enumerate() {
@@ -1076,7 +1355,7 @@ impl Step {
                     key.0
                         .extend(key_slots.iter().map(|&s| f.cols[s][i].clone()));
                     counters.lookups += 1;
-                    let m = catalog.lookup(name, *kind, &key);
+                    let m = source.lookup(*rel, &key);
                     if m != 0.0 {
                         counters.tuples_visited += 1;
                         *k = true;
@@ -1086,8 +1365,7 @@ impl Step {
                 f.retain(&keep, live);
             }
             Step::Probe {
-                name,
-                kind,
+                rel,
                 bound,
                 unbound,
                 repeats,
@@ -1119,9 +1397,7 @@ impl Step {
                         counters.scans += 1;
                         let rows = scanned.get_or_insert_with(|| {
                             let mut rows = Vec::new();
-                            catalog.scan(name, *kind, &mut |t, m| {
-                                rows.push((t.clone(), m));
-                            });
+                            source.scan(*rel, &mut |t, m| rows.push((t.clone(), m)));
                             rows
                         });
                         counters.tuples_visited += rows.len() as u64;
@@ -1136,7 +1412,7 @@ impl Step {
                         key_vals.clear();
                         key_vals.extend(bound.iter().map(|&(_, s)| f.cols[s][i].clone()));
                         let mut visited = 0u64;
-                        catalog.slice(name, *kind, &positions, &key_vals, &mut |t, m| {
+                        source.slice(*rel, &positions, &key_vals, &mut |t, m| {
                             visited += 1;
                             emit(i, m_left * m, t);
                         });
@@ -1148,16 +1424,32 @@ impl Step {
                     f.bind(slot, col);
                 }
             }
-            Step::Nested(t) => {
-                let mut rows = t.run(f, catalog, counters);
-                let mults = (rows.src.iter().zip(&rows.mults))
-                    .map(|(&i, &m)| f.mults[i as usize] * m)
-                    .collect();
-                f.fan_out(&rows.src, mults, live);
-                for &s in &t.binds {
-                    f.bind(s, std::mem::take(&mut rows.cols[s]));
+            Step::Nested(t) => match t.head {
+                // A scalar `:=` binds every row to its total: the column,
+                // with no fold and no fan-out (each row's weight is × 1.0).
+                Head::Assign { var, check: false } if t.keys.is_empty() => {
+                    let outs = t.branch_rows(f, source, counters);
+                    let totals = Term::scalar_totals(&outs, n);
+                    f.prune(live);
+                    if t.binds.contains(&var) {
+                        let total = |t: Option<Mult>| t.filter(|t| t.abs() >= MULT_EPSILON);
+                        let col = totals
+                            .into_iter()
+                            .map(|t| Value::Double(total(t).unwrap_or(0.0)));
+                        f.bind(var, col.collect());
+                    }
                 }
-            }
+                _ => {
+                    let mut rows = t.run(f, source, counters);
+                    let mults = (rows.src.iter().zip(&rows.mults))
+                        .map(|(&i, &m)| f.mults[i as usize] * m)
+                        .collect();
+                    f.fan_out(&rows.src, mults, live);
+                    for &s in &t.binds {
+                        f.share(s, std::mem::take(&mut rows.cols[s]));
+                    }
+                }
+            },
         }
     }
 }
@@ -1285,22 +1577,34 @@ mod tests {
 
     /// Both interpreters must agree on result bytes *and* counters.
     fn check(q: Expr) {
-        let cat = catalog();
-        let mut ev = Evaluator::new(&cat);
+        check_in(&catalog(), q);
+    }
+
+    /// [`check`] against `cat`.
+    fn check_in(cat: &MapCatalog, q: Expr) {
+        let mut ev = Evaluator::new(cat);
         let want = ev.eval(&q);
         let plan = compile(&q).unwrap_or_else(|| panic!("expected {q:?} to compile"));
         let mut counters = EvalCounters::default();
-        let got = plan.execute(&cat, &mut counters);
+        let got = plan.execute(cat, &mut counters);
         assert_eq!(
             want.checksum(),
             got.checksum(),
             "results diverge for {q:?}: want {want:?} got {got:?}"
         );
         assert_eq!(ev.counters, counters, "counters diverge for {q:?}");
-        // Insertion order must match too: compare the raw iteration order.
-        let a: Vec<_> = want.iter().map(|(t, m)| (t.clone(), m)).collect();
-        let b: Vec<_> = got.iter().map(|(t, m)| (t.clone(), m)).collect();
-        assert_eq!(a, b, "iteration order diverges for {q:?}");
+        // Insertion order must match too, down to each key's variant and
+        // each multiplicity's bits: compare the raw iteration order.
+        let rows = |r: &Relation| -> Vec<(String, u64)> {
+            r.iter()
+                .map(|(t, m)| (format!("{t:?}"), m.to_bits()))
+                .collect()
+        };
+        assert_eq!(
+            rows(&want),
+            rows(&got),
+            "iteration order diverges for {q:?}"
+        );
     }
 
     #[test]
@@ -1649,6 +1953,131 @@ mod tests {
             ["B"],
             join(exists(delta_rel("E", ["A", "B"])), view("V", ["B"])),
         ));
+    }
+
+    /// Keys that are equal across variants: `Long(1)` and `Double(1.0)`,
+    /// `-0.0` and `+0.0`, and two NaNs each group together, keyed by the
+    /// first row emitted — at the top and per source row of a nested term.
+    #[test]
+    fn groups_keep_the_first_key_of_equal_variants() {
+        let mut cat = catalog();
+        let rows = [
+            (tuple![1, 10], 1.0),
+            (tuple![1.0, 11], 2.0),
+            (tuple![-0.0, 12], 1.0),
+            (tuple![0.0, 13], 0.5),
+            (tuple![f64::NAN, 14], 1.0),
+            (tuple![f64::NAN, 15], 3.0),
+            (tuple![2.0, 16], 1.0),
+            (tuple![2, 17], -1.0),
+            (tuple!["x", 18], 1.0),
+        ];
+        cat.insert(
+            "M",
+            RelKind::View,
+            Relation::from_pairs(Schema::new(["A", "B"]), rows.clone()),
+        );
+        // The same rows in the other order, so the other variant comes
+        // first wherever the iteration order allows.
+        let mut reversed = Relation::new(Schema::new(["A", "B"]));
+        for (t, m) in rows.into_iter().rev() {
+            reversed.add(t, m);
+        }
+        cat.insert("N", RelKind::View, reversed);
+        for name in ["M", "N"] {
+            check_in(&cat, sum(["A"], view(name, ["A", "B"])));
+            check_in(&cat, exists(sum(["A"], view(name, ["A", "B"]))));
+            check_in(
+                &cat,
+                join(
+                    delta_rel("R", ["C", "D"]),
+                    sum(["A"], join(view(name, ["A", "B"]), val_var("C"))),
+                ),
+            );
+            check_in(
+                &cat,
+                sum(
+                    ["A", "D"],
+                    join(delta_rel("R", ["C", "D"]), exists(view(name, ["A", "B"]))),
+                ),
+            );
+        }
+    }
+
+    /// A group whose running total cancels below ε and then grows again
+    /// survives; one that ends below ε does not.  Per source row, a group
+    /// cancelled under one row and nonzero under the next.
+    #[test]
+    fn groups_that_cancel_and_reappear() {
+        let mut cat = catalog();
+        cat.insert(
+            "Y",
+            RelKind::View,
+            Relation::from_pairs(
+                Schema::new(["B", "A", "C"]),
+                vec![
+                    (tuple![10, 5, 1], 1.0),
+                    (tuple![10, 5, 2], -1.0),
+                    (tuple![10, 5, 3], 0.25),
+                    (tuple![10, 6, 1], 0.1 + 0.2),
+                    (tuple![10, 6, 2], -0.3),
+                    (tuple![20, 5, 1], 1.0),
+                    (tuple![20, 5, 2], -1.0),
+                    (tuple![20, 6, 1], 2.0),
+                    (tuple![30, 6, 1], 1.0),
+                    (tuple![30, 6, 2], -1.0),
+                    (tuple![30, 5, 1], 4.0),
+                ],
+            ),
+        );
+        check_in(&cat, sum(["A"], view("Y", ["B", "A", "C"])));
+        check_in(&cat, sum(["B", "A"], view("Y", ["B", "A", "C"])));
+        check_in(
+            &cat,
+            sum(
+                ["A", "D"],
+                join(
+                    delta_rel("R", ["D", "B"]),
+                    sum(["A"], view("Y", ["B", "A", "C"])),
+                ),
+            ),
+        );
+        check_in(
+            &cat,
+            join(
+                delta_rel("R", ["D", "B"]),
+                assign_query("X", sum_total(view("Y", ["B", "A", "C"]))),
+            ),
+        );
+    }
+
+    /// More than 1 000 groups in one fold, keyed by an integer and a
+    /// string (the integer-led sort breaks ties on the string) and by the
+    /// string alone; at the top and under two source rows.
+    #[test]
+    fn folds_with_more_than_a_thousand_groups() {
+        let mut cat = catalog();
+        let mut g = Relation::new(Schema::new(["K", "S", "V"]));
+        for i in 0..3_000i64 {
+            let key = (i * 7_919) % 1_500;
+            let s = Value::str(format!("s{}", i % 3));
+            g.add(
+                Tuple(vec![Value::Long(key / 2), s, Value::Long(i)]),
+                0.5 + (i % 5) as f64,
+            );
+        }
+        cat.insert("G", RelKind::View, g);
+        let g = || view("G", ["K", "S", "V"]);
+        check_in(&cat, sum(["K", "S"], g()));
+        check_in(&cat, sum(["S", "K"], join(g(), val_var("V"))));
+        check_in(&cat, exists(sum(["K"], g())));
+        check_in(
+            &cat,
+            join(
+                delta_rel("R", ["A", "B"]),
+                sum(["K", "S"], join(g(), cmp_vars("V", CmpOp::Gt, "B"))),
+            ),
+        );
     }
 
     /// A column only the first step reads leaves the frame after it; a

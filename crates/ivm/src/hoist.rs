@@ -27,12 +27,16 @@
 //! same order, and a lookup returns the multiplicity the occurrence
 //! emitted.
 //!
-//! A term hoists only when some occurrence is correlated, and only when
-//! every correlated variable it reads is bound by the term itself before
-//! anything projects it away, so the uncorrelated form groups by it
-//! instead of summing over it.  Occurrences of the same temp in one
-//! statement share it, correlated or not.  A term no occurrence
-//! correlates stays in place: hoisting would save nothing.
+//! A term hoists only when some occurrence sits under outer bindings, and
+//! only when every correlated variable it reads is bound by the term
+//! itself before anything projects it away, so the uncorrelated form
+//! groups by it instead of summing over it.  An uncorrelated occurrence
+//! under outer bindings hoists too: an interpreter evaluates it once per
+//! outer row, so a batch total under the rows of the batch domain would
+//! cost |Δ|² per batch (Q11's `Sum_[](ΔPARTSUPP(…) * …)`); as a temp with
+//! no key columns it is one lookup per row.  Occurrences of the same temp
+//! in one statement share it, correlated or not.  A term no occurrence
+//! nests under outer bindings stays in place: hoisting would save nothing.
 
 use crate::plan::{MaintenancePlan, Statement, StmtOp};
 use hotdog_algebra::expr::{Expr, RelKind, RelRef};
@@ -61,20 +65,25 @@ type Temp = (Expr, Schema);
 /// reading them.
 fn hoist_statement(expr: &Expr, counter: &mut usize) -> (Vec<Statement>, Expr) {
     // First pass: every batch-only term, its temp, and whether some
-    // occurrence of that temp is correlated.
+    // occurrence of that temp sits under outer bindings (correlated or not).
     let mut found: Vec<(Temp, bool)> = Vec::new();
-    rewrite(expr, &mut Schema::empty(), &mut |term, correlated, _| {
-        if let Some(temp) = temp_of(term, correlated) {
-            match found.iter_mut().find(|(t, _)| *t == temp) {
-                Some((_, any)) => *any |= !correlated.is_empty(),
-                None => found.push((temp, !correlated.is_empty())),
+    rewrite(
+        expr,
+        &mut Schema::empty(),
+        &mut |term, correlated, bound| {
+            if let Some(temp) = temp_of(term, correlated) {
+                let nested = !correlated.is_empty() || !bound.is_empty();
+                match found.iter_mut().find(|(t, _)| *t == temp) {
+                    Some((_, any)) => *any |= nested,
+                    None => found.push((temp, nested)),
+                }
             }
-        }
-        None
-    });
+            None
+        },
+    );
     let hoisted: Vec<(Temp, String)> = found
         .into_iter()
-        .filter(|(_, correlated)| *correlated)
+        .filter(|(_, nested)| *nested)
         .map(|(temp, _)| {
             *counter += 1;
             (temp, format!("batch_{counter}"))

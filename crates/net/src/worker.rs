@@ -13,7 +13,7 @@
 use crate::codec::{ToDriver, ToWorker};
 use crate::frame::{recv_msg, send_msg};
 use hotdog_distributed::protocol::{handle_request, WorkerRequest};
-use hotdog_distributed::WorkerState;
+use hotdog_distributed::{Programs, WorkerState};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -27,9 +27,10 @@ pub fn run_worker(addr: &str, index: u32) -> io::Result<()> {
 }
 
 /// Serve one driver connection: `Hello` handshake, `Init` plan and
-/// programs, then the FIFO request loop.  A command naming a block or
-/// statement the `Init` did not contain ends the loop with
-/// `InvalidData`; the driver sees the closed connection as `WorkerDead`.
+/// programs, then the FIFO request loop.  An `Init` holding a statement
+/// that does not compile, or a command naming a block or statement the
+/// `Init` did not contain, ends the loop with `InvalidData`; the driver
+/// sees the closed connection as `WorkerDead`.
 pub fn serve(stream: TcpStream, index: u32) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -38,7 +39,12 @@ pub fn serve(stream: TcpStream, index: u32) -> io::Result<()> {
     writer.flush()?;
 
     let mut state = match recv_msg::<ToWorker>(&mut reader)? {
-        ToWorker::Init { plan, programs } => WorkerState::with_programs(&plan, Arc::new(programs)),
+        ToWorker::Init { plan, programs } => {
+            let programs = Programs::install(programs).map_err(|e| {
+                io::Error::new(io::ErrorKind::InvalidData, format!("protocol error: {e}"))
+            })?;
+            WorkerState::with_programs(&plan, Arc::new(programs))
+        }
         ToWorker::Request(_) => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,

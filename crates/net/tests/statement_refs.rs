@@ -1,13 +1,14 @@
-//! A TCP worker holds the programs its `Init` carried, and commands name
-//! statements by position in them.  A `RunBlock` or `ApplyMany` naming a
-//! position the `Init` did not contain must end `serve` with
-//! `InvalidData` — never a panic on an index — and the driver must see the
-//! closed connection as a typed `WorkerDead`.
+//! A TCP worker holds the programs its `Init` carried, compiled once, and
+//! commands name statements by position in them.  A `RunBlock` or
+//! `ApplyMany` naming a position the `Init` did not contain, or an `Init`
+//! holding a statement that does not compile, must end `serve` with
+//! `InvalidData` — never a panic on an index or in the interpreter — and
+//! the driver must see the closed connection as a typed `WorkerDead`.
 
 use hotdog_algebra::expr::{join, rel, sum};
 use hotdog_distributed::protocol::{WorkerReply, WorkerRequest};
 use hotdog_distributed::{compile_distributed, DistributedPlan, OptLevel, PartitioningSpec};
-use hotdog_distributed::{ProgramBlocks, StmtMode};
+use hotdog_distributed::{DistStmtKind, ProgramBlocks, StmtMode};
 use hotdog_ivm::compile_recursive;
 use hotdog_net::codec::{ToDriver, ToWorker};
 use hotdog_net::{encode_to_vec, recv_msg, serve, write_frame};
@@ -118,6 +119,36 @@ fn hand_encoded_frames_match_the_codec() {
         apply_many_frame(8, (4, 5, 6)),
         encode_to_vec(&ToWorker::Request(apply))
     );
+}
+
+/// A hostile `Init`: one statement of a distributed block groups by a
+/// column its body never binds.  The worker rejects it at install, before
+/// any `RunBlock` could reach it.
+#[test]
+fn serve_rejects_an_init_whose_statement_does_not_compile() -> io::Result<()> {
+    let dplan = dplan();
+    let (p, b) = distributed_block(&dplan);
+    let mut programs = dplan.program_blocks();
+    programs[p as usize][b as usize][0].kind =
+        DistStmtKind::Compute(sum(["Z"], rel("R", ["A", "B"])));
+    let listener = TcpListener::bind("127.0.0.1:0")?;
+    let addr = listener.local_addr()?;
+    let worker = thread::spawn(move || serve(TcpStream::connect(addr)?, 0));
+    let (mut stream, _) = listener.accept()?;
+    let mut reader = BufReader::new(stream.try_clone()?);
+    assert!(matches!(
+        recv_msg::<ToDriver>(&mut reader)?,
+        ToDriver::Hello { index: 0 }
+    ));
+    let init = ToWorker::Init {
+        plan: dplan.plan.clone(),
+        programs,
+    };
+    write_frame(&mut stream, &encode_to_vec(&init))?;
+    let err = worker.join().expect("serve must not panic").unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("Sum_[Z]"), "{err}");
+    Ok(())
 }
 
 #[test]

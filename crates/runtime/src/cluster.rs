@@ -4,7 +4,9 @@
 //! against partitioned state; only time is modelled, by a seeded virtual
 //! clock the driver reads through [`Transport::clock_secs`].
 
-use crate::{ClusterConfig, Driver, Reply, Request, Transport, TransportNames, WorkerDead};
+use crate::{
+    install, ClusterConfig, Driver, Reply, Request, Transport, TransportNames, WorkerDead,
+};
 use hotdog_distributed::{handle_request, DistributedPlan, WorkerState};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -52,7 +54,7 @@ impl SimTransport {
     /// `config.workers` empty workers for the plan, clock at zero.
     pub(crate) fn new(dplan: &DistributedPlan, config: ClusterConfig) -> Self {
         assert!(config.workers > 0);
-        let programs = Arc::new(dplan.program_blocks());
+        let programs = Arc::new(install(dplan));
         let nodes = (0..config.workers)
             .map(|i| {
                 let mut state = WorkerState::with_programs(&dplan.plan, programs.clone());

@@ -17,8 +17,8 @@ use crate::ledger::ReplyLedger;
 use crate::recovery::CheckpointState;
 use crate::stats::DriverMetrics;
 use crate::{
-    ChannelTransport, FaultConfig, PipelineConfig, PipelineStats, Reply, Request, Transport,
-    WorkerDead,
+    install, ChannelTransport, FaultConfig, PipelineConfig, PipelineStats, Reply, Request,
+    Transport, WorkerDead,
 };
 use hotdog_algebra::eval::EvalCounters;
 use hotdog_algebra::relation::Relation;
@@ -149,7 +149,7 @@ impl<T: Transport> Driver<T> {
     ) -> Self {
         let workers = transport.workers();
         assert!(workers > 0);
-        let driver = WorkerState::for_plan(&dplan.plan);
+        let driver = WorkerState::with_programs(&dplan.plan, Arc::new(install(&dplan)));
         let shuffle_seed = pipeline.as_ref().and_then(|c| c.shuffle_replies);
         let telemetry = transport.telemetry().unwrap_or_else(Telemetry::shared);
         telemetry.install_signal_dump();
@@ -422,7 +422,9 @@ impl<T: Transport> Driver<T> {
                     for (s, stmt) in block.statements.iter().enumerate() {
                         match &stmt.kind {
                             DistStmtKind::Compute(_) => {
-                                self.driver.run_compute(stmt, &deltas, &mut driver_counters);
+                                let at = (p as u32, b as u32, s as u32);
+                                (self.driver.run_statement(at, &deltas, &mut driver_counters))
+                                    .expect("the driver installed every statement of its plan");
                             }
                             DistStmtKind::Transform { kind, source } => {
                                 let at = (p as u32, b as u32, s as u32);

@@ -72,12 +72,19 @@ pub use stats::TelemetryTotals;
 use hotdog_distributed::protocol::{
     handle_request, WorkerReply as Reply, WorkerRequest as Request,
 };
-use hotdog_distributed::{DistributedPlan, WorkerState};
+use hotdog_distributed::{DistributedPlan, Programs, WorkerState};
 use hotdog_telemetry::Telemetry;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread;
+
+/// `dplan`'s programs, each statement compiled once, for the nodes of one
+/// in-process cluster to share.
+fn install(dplan: &DistributedPlan) -> Programs {
+    Programs::install(dplan.program_blocks())
+        .unwrap_or_else(|e| panic!("a compiled plan's statement does not compile: {e}"))
+}
 
 /// How a [`Driver`] reaches its workers: an in-process `mpsc` channel pair
 /// per worker thread ([`ChannelTransport`]), a TCP stream per worker
@@ -252,7 +259,7 @@ impl ChannelTransport {
     /// [`WorkerState`] for the plan and sharing one copy of its programs.
     pub fn spawn(dplan: &DistributedPlan, workers: usize) -> Self {
         assert!(workers > 0);
-        let programs = Arc::new(dplan.program_blocks());
+        let programs = Arc::new(install(dplan));
         let mut requests = Vec::with_capacity(workers);
         let mut replies = Vec::with_capacity(workers);
         let mut threads = Vec::with_capacity(workers);
