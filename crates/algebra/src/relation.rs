@@ -392,6 +392,13 @@ mod tests {
         assert_eq!(r.get(&tuple![1]), 5.0);
         r.add(tuple![1], -5.0);
         assert!(r.is_empty());
+        // A rounding residue below `MULT_EPSILON` counts as zero; a small
+        // multiplicity above it does not.
+        r.add(tuple![2], 0.1 + 0.2);
+        r.add(tuple![2], -0.3);
+        r.add(tuple![3], 1e-3);
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.get(&tuple![3]), 1e-3);
     }
 
     #[test]

@@ -48,8 +48,7 @@
 //!   survives and the source row binds every column of the query), or,
 //!   over an already bound `v`, keeps the groups whose total equals it; a
 //!   scalar `:=` writes its totals straight into its column;
-//! * a `Union` or a right-nested join emits every sub-row.  A union's
-//!   branches share one sub-frame's columns.
+//! * a `Union` or a right-nested join emits every sub-row.
 //!
 //! A chain's leftmost relation over the statement's frame is one scan.
 //! Every other term is one step over the whole frame: a comparison
@@ -131,7 +130,6 @@ use hotdog_storage::columnar::{compact_column, compact_mults, gather_column};
 use std::cmp::Ordering;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::Range;
-use std::rc::Rc;
 
 // ---------------------------------------------------------------------------
 // Compiled form
@@ -170,7 +168,7 @@ impl ValProg {
     /// Evaluate for row `i` of the frame — the same operation tree, in the
     /// same order, as `ValExpr::eval`, with slot loads instead of string
     /// lookups.
-    fn eval(&self, cols: &[Col], i: usize) -> Value {
+    fn eval(&self, cols: &[Vec<Value>], i: usize) -> Value {
         match self {
             ValProg::Slot(s) => cols[*s][i].clone(),
             ValProg::Lit(v) => v.clone(),
@@ -819,17 +817,12 @@ impl Source for ByName<'_> {
     }
 }
 
-/// One column of a frame.  Shared: a nested term's branches all start from
-/// the columns of one sub-frame, and a step that keeps every row keeps its
-/// columns; a step that drops or fans out rows builds new ones.
-type Col = Rc<Vec<Value>>;
-
 /// The rows of a chain so far: one column per slot (empty unless live), one
 /// multiplicity per row, and the row of the chain's input frame each row
 /// came from.
 #[derive(Clone)]
 struct Frame {
-    cols: Vec<Col>,
+    cols: Vec<Vec<Value>>,
     mults: Vec<Mult>,
     src: Vec<u32>,
     /// Slots materialized, in binding order.
@@ -839,7 +832,7 @@ struct Frame {
 impl Frame {
     fn new(n_slots: usize) -> Self {
         Frame {
-            cols: vec![Col::default(); n_slots],
+            cols: vec![Vec::new(); n_slots],
             mults: Vec::new(),
             src: Vec::new(),
             live: Vec::new(),
@@ -858,7 +851,7 @@ impl Frame {
         sub.mults = vec![1.0; n];
         sub.src = (0..n as u32).collect();
         for &s in inputs {
-            sub.share(s, Rc::clone(&self.cols[s]));
+            sub.bind(s, self.cols[s].clone());
         }
         sub
     }
@@ -868,7 +861,7 @@ impl Frame {
         let cols = &mut self.cols;
         self.live.retain(|&s| {
             if !live[s] {
-                cols[s] = Col::default();
+                cols[s] = Vec::new();
             }
             live[s]
         });
@@ -877,11 +870,8 @@ impl Frame {
     /// Keep the rows `keep` marks, carrying the columns still live.
     fn retain(&mut self, keep: &[bool], live: &[bool]) {
         self.prune(live);
-        if keep.iter().all(|&k| k) {
-            return;
-        }
         for &s in &self.live {
-            self.cols[s] = Rc::new(compact_column(&self.cols[s], keep));
+            self.cols[s] = compact_column(&self.cols[s], keep);
         }
         self.mults = compact_mults(&self.mults, keep);
         self.src = self
@@ -901,7 +891,7 @@ impl Frame {
             && src_idx.iter().enumerate().all(|(i, &s)| s as usize == i);
         if !same_rows {
             for &s in &self.live {
-                self.cols[s] = Rc::new(gather_column(&self.cols[s], src_idx));
+                self.cols[s] = gather_column(&self.cols[s], src_idx);
             }
             self.src = src_idx.iter().map(|&i| self.src[i as usize]).collect();
         }
@@ -909,10 +899,6 @@ impl Frame {
     }
 
     fn bind(&mut self, slot: usize, col: Vec<Value>) {
-        self.share(slot, Rc::new(col));
-    }
-
-    fn share(&mut self, slot: usize, col: Col) {
         self.cols[slot] = col;
         self.live.push(slot);
     }
@@ -1006,7 +992,6 @@ impl Term {
         source: &dyn Source,
         counters: &mut EvalCounters,
     ) -> Vec<Frame> {
-        // One sub-frame: the branches share its columns.
         let sub = f.sub(&self.inputs);
         let (last, rest) = self.branches.split_last().expect("a term has a branch");
         let mut outs: Vec<Frame> = rest
@@ -1126,8 +1111,6 @@ struct Groups {
     totals: Vec<Mult>,
     /// The groups at least ε, sorted by key.
     order: Vec<usize>,
-    /// `order` by the first key column, when it is an integer in each.
-    ints: Vec<(i64, usize)>,
 }
 
 impl Groups {
@@ -1180,43 +1163,15 @@ impl Groups {
         }
         let totals = &self.totals;
         (self.order).extend((0..totals.len()).filter(|&g| totals[g].abs() >= MULT_EPSILON));
-        if self.order.len() < 2 {
-            return;
-        }
         // Distinct groups never compare equal (`Value`'s order agrees with
         // its equality), so any sort yields the one sorted order.
         let first = &self.first;
-        let cmp = |keys: &[usize], a: usize, b: usize| {
+        self.order.sort_unstable_by(|&a, &b| {
             let (a, b) = (first[a], first[b]);
             (keys.iter().map(|&s| cols[s][a].cmp(&cols[s][b])))
                 .find(|o| o.is_ne())
                 .unwrap_or(Ordering::Equal)
-        };
-        let lead = &cols[keys[0]];
-        self.ints.clear();
-        for &g in &self.order {
-            match lead[first[g]] {
-                Value::Long(v) => self.ints.push((v, g)),
-                _ => break,
-            }
-        }
-        if self.ints.len() < self.order.len() {
-            self.order.sort_unstable_by(|&a, &b| cmp(keys, a, b));
-            return;
-        }
-        // Every group leads with an integer: sort the integers, then each
-        // run that ties on them by the other key columns.
-        self.ints.sort_unstable();
-        self.order.clear();
-        self.order.extend(self.ints.iter().map(|&(_, g)| g));
-        let mut start = 0;
-        for (end, w) in (1..).zip(self.ints.windows(2)) {
-            if w[0].0 != w[1].0 {
-                self.order[start..end].sort_unstable_by(|&a, &b| cmp(&keys[1..], a, b));
-                start = end;
-            }
-        }
-        self.order[start..].sort_unstable_by(|&a, &b| cmp(&keys[1..], a, b));
+        });
     }
 
     /// Each surviving group's first row and total, in key order.
@@ -1235,8 +1190,7 @@ fn merge(mut outs: Vec<Frame>, n: usize, cols: &[usize]) -> Frame {
         let mut f = outs.next().expect("a union has a branch");
         for mut o in outs {
             for &s in cols {
-                let col = Rc::unwrap_or_clone(std::mem::take(&mut o.cols[s]));
-                Rc::make_mut(&mut f.cols[s]).extend(col);
+                f.cols[s].append(&mut o.cols[s]);
             }
             f.mults.append(&mut o.mults);
             f.src.append(&mut o.src);
@@ -1259,7 +1213,7 @@ fn merge(mut outs: Vec<Frame>, n: usize, cols: &[usize]) -> Frame {
     for &s in cols {
         let mut its: Vec<_> = outs
             .iter_mut()
-            .map(|o| Rc::unwrap_or_clone(std::mem::take(&mut o.cols[s])).into_iter())
+            .map(|o| std::mem::take(&mut o.cols[s]).into_iter())
             .collect();
         let col = order
             .iter()
@@ -1446,7 +1400,7 @@ impl Step {
                         .collect();
                     f.fan_out(&rows.src, mults, live);
                     for &s in &t.binds {
-                        f.share(s, std::mem::take(&mut rows.cols[s]));
+                        f.bind(s, std::mem::take(&mut rows.cols[s]));
                     }
                 }
             },
