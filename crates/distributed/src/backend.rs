@@ -118,9 +118,9 @@ pub struct PipelineStats {
     /// Slowest worker's interpreter work observed across lazy reply drains.
     pub max_worker_instructions: u64,
     /// Gather/repartition fetches issued while distributed-block
-    /// completions were still pending: the tagged-reply protocol let the
-    /// fetch overlap in-flight worker work instead of draining the window
-    /// first.
+    /// completions were still unconsumed (the worker may already have sent
+    /// them): the fetch queues behind the in-flight blocks instead of
+    /// draining the window first.  A function of the schedule alone.
     pub gathers_overlapped: usize,
     /// Multi-statement `ApplyMany` scatter messages shipped to workers.
     pub scatter_messages_sent: usize,

@@ -31,12 +31,12 @@
 //!   and a `Fetch` enqueued after a `RunBlock` observes the block's writes.
 //!   This is what keeps worker *state evolution* identical to the
 //!   synchronous schedule.
-//! * **Reply accounting is by request id, never by position** — every
-//!   command that produces a reply carries an `id` the worker echoes back,
-//!   and the driver matches replies against its completion ledger.  The
-//!   driver never has to drain replies it is not interested in yet, so a
-//!   gather of batch *k* waits only for its own ids while block
-//!   completions of the in-flight window settle whenever they arrive.
+//! * **Replies come back in command order, tagged** — every command that
+//!   produces a reply carries an `id` the worker echoes back.  A worker
+//!   handles one command at a time, so the driver reads its replies in the
+//!   order it sent the commands and checks each id against its completion
+//!   ledger: a gather of batch *k* queues behind the in-flight blocks and
+//!   settles their completions as it reads past them to its own ids.
 
 use crate::worker::{StmtRef, UnknownStatement, WorkerSnapshot, WorkerState, WorkerStatsSnapshot};
 use hotdog_algebra::eval::EvalCounters;

@@ -15,6 +15,7 @@
 
 use crate::program::{DistStatement, DistStmtKind, ProgramBlocks};
 use hotdog_algebra::eval::EvalCounters;
+use hotdog_algebra::expr::Expr;
 use hotdog_algebra::relation::Relation;
 use hotdog_exec::{Database, Unsupported, VectorPlan};
 use hotdog_ivm::{MaintenancePlan, StmtOp};
@@ -78,6 +79,15 @@ impl Programs {
             .map(program)
             .collect::<Result<_, _>>()
             .map(Programs)
+    }
+
+    /// The expression of every installed `Compute` statement.
+    pub(crate) fn compute_exprs(&self) -> impl Iterator<Item = &Expr> {
+        let statements = self.0.iter().flatten().flatten();
+        statements.filter_map(|(stmt, _)| match &stmt.kind {
+            DistStmtKind::Compute(expr) => Some(expr),
+            DistStmtKind::Transform { .. } => None,
+        })
     }
 
     fn block(&self, program: u32, block: u32) -> Result<&[Installed], UnknownStatement> {
@@ -198,10 +208,13 @@ pub struct WorkerState {
 
 impl WorkerState {
     /// Create empty node state for a maintenance plan and the installed
-    /// programs its commands name statements in.
+    /// programs its commands name statements in.  The views carry the
+    /// secondary indexes the installed statements probe, not those of the
+    /// plan's local triggers, which no node runs.
     pub fn with_programs(plan: &MaintenancePlan, programs: Arc<Programs>) -> Self {
+        let indexes = plan.index_requirements_of(programs.compute_exprs());
         WorkerState {
-            db: Database::for_plan(plan),
+            db: Database::with_indexes(plan, indexes),
             temps: Temps::new(),
             stats: WorkerStats::default(),
             views: plan.views.iter().map(|v| v.name.clone()).collect(),

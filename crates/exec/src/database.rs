@@ -14,7 +14,7 @@ use hotdog_algebra::ring::Mult;
 use hotdog_algebra::schema::Schema;
 use hotdog_algebra::tuple::Tuple;
 use hotdog_algebra::value::Value;
-use hotdog_ivm::{MaintenancePlan, StmtOp};
+use hotdog_ivm::{IndexSpec, MaintenancePlan, StmtOp};
 use hotdog_storage::{PoolCounters, RecordPool};
 use std::collections::HashMap;
 
@@ -26,17 +26,24 @@ pub struct Database {
 }
 
 impl Database {
-    /// Create the pools (and their secondary indexes) required by a plan.
+    /// Create the pools (and their secondary indexes) required by a plan's
+    /// own triggers.
     pub fn for_plan(plan: &MaintenancePlan) -> Self {
+        Database::with_indexes(plan, plan.index_requirements())
+    }
+
+    /// Create a pool for every view of `plan`, with the secondary indexes
+    /// `indexes` (see [`MaintenancePlan::index_requirements_of`]).
+    pub fn with_indexes(plan: &MaintenancePlan, indexes: Vec<IndexSpec>) -> Self {
         let mut db = Database::default();
         for v in &plan.views {
             db.pools
                 .insert(v.name.clone(), RecordPool::new(v.schema.len()));
             db.schemas.insert(v.name.clone(), v.schema.clone());
         }
-        for spec in plan.index_requirements() {
+        for spec in indexes {
             if let Some(pool) = db.pools.get_mut(&spec.view) {
-                pool.add_secondary_index(spec.positions.clone());
+                pool.add_secondary_index(spec.positions);
             }
         }
         db

@@ -7,7 +7,7 @@ use hotdog_algebra::expr::{Expr, RelKind, RelRef, ValExpr};
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
 use hotdog_algebra::tuple::Tuple;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// Which maintenance strategy produced a plan.
@@ -471,17 +471,27 @@ impl MaintenancePlan {
     /// patterns of all trigger statements (Section 5.2.1): a `slice` access
     /// with columns `P` bound creates a non-unique hash index over `P`.
     pub fn index_requirements(&self) -> Vec<IndexSpec> {
-        let mut specs: BTreeMap<(String, Vec<usize>), ()> = BTreeMap::new();
-        for trig in &self.triggers {
-            for stmt in &trig.statements {
-                let mut bound = Schema::empty();
-                collect_access(&stmt.expr, &mut bound, &mut |view, positions| {
-                    specs.insert((view.to_string(), positions), ());
-                });
-            }
+        let statements = self.triggers.iter().flat_map(|t| &t.statements);
+        self.index_requirements_of(statements.map(|s| &s.expr))
+    }
+
+    /// The secondary indexes of this plan's views that the statement
+    /// expressions `exprs` probe, by the rule of
+    /// [`MaintenancePlan::index_requirements`]: a node that runs other
+    /// statements than the plan's own triggers (a distributed node) indexes
+    /// what *its* statements slice.
+    pub fn index_requirements_of<'a>(
+        &self,
+        exprs: impl IntoIterator<Item = &'a Expr>,
+    ) -> Vec<IndexSpec> {
+        let mut specs = BTreeSet::new();
+        for expr in exprs {
+            collect_access(expr, &mut Schema::empty(), &mut |view, positions| {
+                specs.insert((view.to_string(), positions));
+            });
         }
         specs
-            .into_keys()
+            .into_iter()
             .filter(|(view, positions)| {
                 // A probe with all positions bound uses the primary (unique)
                 // index; a probe with none bound is a scan.  Only partial
@@ -580,6 +590,7 @@ pub fn collect_access(expr: &Expr, bound: &mut Schema, report: &mut dyn FnMut(&s
 mod tests {
     use super::*;
     use hotdog_algebra::expr::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn collect_access_reports_bound_positions() {

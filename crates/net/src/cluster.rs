@@ -48,7 +48,7 @@ use std::ops::{Deref, DerefMut};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -211,8 +211,8 @@ struct WorkerConn {
     /// small command frames from stalling in the kernel).
     stream: TcpStream,
     /// Replies pumped off the socket by a dedicated reader thread —
-    /// giving `try_recv` channel semantics instead of non-blocking
-    /// partial-frame parsing.
+    /// giving `recv` a timeout (the heartbeat probe) instead of
+    /// partial-frame parsing on a socket read deadline.
     inbox: Receiver<WorkerReply>,
     reader: Option<JoinHandle<()>>,
     /// Subprocess handle (subprocess mode only).
@@ -713,17 +713,6 @@ impl Transport for TcpTransport {
                     }
                 }
             }
-        }
-    }
-
-    fn try_recv(&mut self, w: usize) -> Result<Option<WorkerReply>, WorkerDead> {
-        if self.conns[w].dead {
-            return Err(self.declare_dead(w, "previously declared dead"));
-        }
-        match self.conns[w].inbox.try_recv() {
-            Ok(rep) => Ok(Some(rep)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(self.declare_dead(w, "connection closed")),
         }
     }
 

@@ -132,11 +132,6 @@ fn tcp_pipelined_matches_sync_bit_for_bit() {
             inflight_blocks: 1,
             ..Default::default()
         },
-        PipelineConfig {
-            coalesce_tuples: 0,
-            ..Default::default()
-        }
-        .with_shuffled_replies(0xD15C0),
     ] {
         let mut tcp = TcpCluster::pipelined(
             example_dplan(OptLevel::O3),

@@ -123,10 +123,6 @@ impl Transport for SimTransport {
         })
     }
 
-    fn try_recv(&mut self, w: usize) -> Result<Option<Reply>, WorkerDead> {
-        Ok(self.replies[w].pop_front())
-    }
-
     /// The workers are dropped with the transport.
     fn shutdown(&mut self) {}
 

@@ -91,12 +91,6 @@ pub struct PipelineConfig {
     /// Maximum unsettled distributed-block completions per worker before
     /// the driver must wait for one to settle.
     pub inflight_blocks: usize,
-    /// Chaos/test knob: deterministically shuffle the driver's reply inbox
-    /// (seeded) on every arrival, forcing replies to be *consumed* out of
-    /// order.  Correctness must not depend on reply order — the ledger
-    /// matches by request id — so any seed must leave results and
-    /// watermarks bit-identical.  `None` (default) keeps arrival order.
-    pub shuffle_replies: Option<u64>,
 }
 
 impl Default for PipelineConfig {
@@ -107,7 +101,6 @@ impl Default for PipelineConfig {
             admit_bytes: 0,
             latency_target: None,
             inflight_blocks: 4,
-            shuffle_replies: None,
         }
     }
 }
@@ -132,13 +125,6 @@ impl PipelineConfig {
     /// [`PipelineConfig::admit_bytes`]).
     pub fn with_admit_bytes(mut self, admit_bytes: usize) -> Self {
         self.admit_bytes = admit_bytes;
-        self
-    }
-
-    /// Builder-style reply-inbox shuffling (see
-    /// [`PipelineConfig::shuffle_replies`]).
-    pub fn with_shuffled_replies(mut self, seed: u64) -> Self {
-        self.shuffle_replies = Some(seed);
         self
     }
 }

@@ -53,7 +53,7 @@ pub struct Driver<T: Transport> {
     /// The driver node's own state (driver-resident views).
     pub(crate) driver: WorkerState,
     pub(crate) transport: T,
-    /// Request ids, unsettled block completions, unclaimed replies.
+    /// Request ids and the block completions each worker owes.
     pub(crate) ledger: ReplyLedger,
     /// Per worker: scattered shards buffered on the driver, shipped as one
     /// `ApplyMany` before the worker's next command (or at batch end).
@@ -150,7 +150,6 @@ impl<T: Transport> Driver<T> {
         let workers = transport.workers();
         assert!(workers > 0);
         let driver = WorkerState::with_programs(&dplan.plan, Arc::new(install(&dplan)));
-        let shuffle_seed = pipeline.as_ref().and_then(|c| c.shuffle_replies);
         let telemetry = transport.telemetry().unwrap_or_else(Telemetry::shared);
         telemetry.install_signal_dump();
         let metrics = DriverMetrics::register(&telemetry);
@@ -159,7 +158,7 @@ impl<T: Transport> Driver<T> {
             dplan: Arc::new(dplan),
             driver,
             transport,
-            ledger: ReplyLedger::new(workers, shuffle_seed),
+            ledger: ReplyLedger::new(workers),
             pending_applies: (0..workers).map(|_| Vec::new()).collect(),
             batch_max_instructions: 0,
             applies_in_flight: false,
@@ -443,12 +442,10 @@ impl<T: Transport> Driver<T> {
                 }
                 StmtMode::Distributed => {
                     if pipelined {
-                        // Opportunistically settle completions that have
-                        // already arrived, then enforce the in-flight
-                        // window — blocking only when a worker's ledger is
-                        // genuinely full.
+                        // Enforce the in-flight window: replies arrive in
+                        // send order, so waiting for the oldest owed
+                        // completion blocks only when it has not arrived.
                         for w in 0..self.workers {
-                            self.settle_ready(w)?;
                             while self.ledger.pending(w) >= inflight_blocks.max(1) {
                                 self.await_one_completion(w)?;
                             }

@@ -1,33 +1,31 @@
 //! The tagged-reply ledger.  Every driver→worker instruction carries a
-//! request id which the worker echoes in its reply; the [`ReplyLedger`]
-//! keeps, per worker, the ids of unsettled `RunBlock`s and an inbox of
-//! replies nobody has claimed yet.  Replies are matched by *identity*,
-//! never by channel position, so a fetch waits only for its own ids while
-//! block completions of the in-flight window settle whenever they arrive —
-//! at the window bound, opportunistically, and at watermark commits.
-//! Command channels stay FIFO, which keeps every worker's *statement*
-//! sequence identical to the synchronous schedule.
+//! request id which the worker echoes in its reply.  Each worker runs its
+//! commands one at a time and every [`Transport`] returns its replies in
+//! the order the commands were sent, so the driver takes a worker's
+//! replies in that order and *checks* each id against what it expects
+//! instead of looking it up.  The [`ReplyLedger`] keeps, per worker, the
+//! ids of the `RunBlock`s whose `Ran` is still owed, oldest first: waiting
+//! for any reply settles the completions sent ahead of it, so block
+//! completions of the in-flight window settle at the window bound, in
+//! fetches and at watermark commits.  Command channels stay FIFO, which
+//! keeps every worker's *statement* sequence identical to the synchronous
+//! schedule.
 //!
 //! [`Driver::await_reply`] is the one function that waits for a tagged
 //! reply and [`Driver::round`] the one send-all/await-all loop.
 
 use crate::{Driver, Reply, Request, Transport, WorkerDead};
-use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::HashSet;
+use std::collections::VecDeque;
 
-/// Request ids, unsettled block completions and unclaimed replies.
+/// Request ids and the block completions each worker owes.
 pub(crate) struct ReplyLedger {
-    /// Monotonic id source, shared across workers: ids are globally unique,
-    /// so an id alone identifies a reply and a ledger mismatch is loud.
+    /// Monotonic id source, shared across workers: ids are globally unique
+    /// and grow in send order, so an id alone identifies a reply and tells
+    /// whether it is older than what the driver waits for.
     next_request_id: u64,
-    /// Per worker: ids of `RunBlock` requests whose `Ran` has not settled.
-    pending_blocks: Vec<HashSet<u64>>,
-    /// Per worker: replies received but not yet consumed (the stash that
-    /// makes reply *consumption* independent of arrival order).
-    inbox: Vec<Vec<Reply>>,
-    /// Seeded inbox shuffler
-    /// ([`PipelineConfig::shuffle_replies`](crate::PipelineConfig::shuffle_replies)).
-    shuffle: Option<StdRng>,
+    /// Per worker: ids of `RunBlock` requests whose `Ran` is owed, in send
+    /// order.
+    owed: Vec<VecDeque<u64>>,
 }
 
 fn reply_id(reply: &Reply) -> u64 {
@@ -43,12 +41,10 @@ fn reply_id(reply: &Reply) -> u64 {
 }
 
 impl ReplyLedger {
-    pub(crate) fn new(workers: usize, shuffle_seed: Option<u64>) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         ReplyLedger {
             next_request_id: 0,
-            pending_blocks: vec![HashSet::new(); workers],
-            inbox: (0..workers).map(|_| Vec::new()).collect(),
-            shuffle: shuffle_seed.map(StdRng::seed_from_u64),
+            owed: vec![VecDeque::new(); workers],
         }
     }
 
@@ -59,78 +55,37 @@ impl ReplyLedger {
 
     /// Record that worker `w` owes a `Ran` for the `RunBlock` tagged `id`.
     pub(crate) fn expect_completion(&mut self, w: usize, id: u64) {
-        self.pending_blocks[w].insert(id);
+        self.owed[w].push_back(id);
     }
 
     /// Unsettled block completions of worker `w`.
     pub(crate) fn pending(&self, w: usize) -> usize {
-        self.pending_blocks[w].len()
+        self.owed[w].len()
+    }
+
+    /// The id of worker `w`'s oldest owed block completion.
+    fn oldest(&self, w: usize) -> Option<u64> {
+        self.owed[w].front().copied()
     }
 
     /// Unsettled block completions across all workers.
     pub(crate) fn pending_total(&self) -> usize {
-        self.pending_blocks.iter().map(HashSet::len).sum()
+        self.owed.iter().map(VecDeque::len).sum()
     }
 
-    /// Unsettled completions plus unclaimed replies.
-    pub(crate) fn outstanding(&self) -> usize {
-        self.pending_total() + self.inbox.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// Stash one received reply.  Under the shuffle chaos knob the inbox is
-    /// re-shuffled on every arrival, so consumers can never rely on
-    /// position — only on request ids.
-    fn stash(&mut self, w: usize, reply: Reply) {
-        let inbox = &mut self.inbox[w];
-        inbox.push(reply);
-        if let Some(rng) = self.shuffle.as_mut() {
-            for i in (1..inbox.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                inbox.swap(i, j);
-            }
-        }
-    }
-
-    /// Remove the stashed reply tagged `id`, if it has arrived.
-    fn take(&mut self, w: usize, id: u64) -> Option<Reply> {
-        let pos = self.inbox[w].iter().position(|r| reply_id(r) == id)?;
-        Some(self.inbox[w].swap_remove(pos))
-    }
-
-    /// Settle every block completion in worker `w`'s inbox against its
-    /// pending ids, reporting each one's interpreter work.  Replies awaited
-    /// by someone else stay stashed.
-    fn settle(&mut self, w: usize, mut settled: impl FnMut(u64)) {
-        let mut i = 0;
-        while i < self.inbox[w].len() {
-            if let Reply::Ran { id, instructions } = self.inbox[w][i] {
-                self.inbox[w].swap_remove(i);
-                assert!(
-                    self.pending_blocks[w].remove(&id),
-                    "completion for request id {id} not in worker {w}'s ledger"
-                );
-                settled(instructions);
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Forget everything owed and everything stashed (recovery: the
-    /// abandoned epoch's effects are wiped by the restore).
+    /// Forget everything owed (recovery: the abandoned epoch's effects are
+    /// wiped by the restore, and its late replies are dropped on arrival).
     pub(crate) fn reset(&mut self) {
-        self.pending_blocks.iter_mut().for_each(HashSet::clear);
-        self.inbox.iter_mut().for_each(Vec::clear);
+        self.owed.iter_mut().for_each(VecDeque::clear);
     }
 }
 
 impl<T: Transport> Driver<T> {
-    /// Size of the request-id ledger: block completions issued to workers
-    /// but not yet settled, plus replies stashed unconsumed in the
-    /// driver's inbox.  [`Driver::flush`] (and every read) drains this to
-    /// zero — a flushed cluster owes its workers nothing.
+    /// Block completions issued to workers but not yet settled.
+    /// [`Driver::flush`] (and every read) drains this to zero — a flushed
+    /// cluster owes its workers nothing.
     pub fn outstanding_replies(&self) -> usize {
-        self.ledger.outstanding()
+        self.ledger.pending_total()
     }
 
     /// The single driver→worker send chokepoint: counts the message by
@@ -140,48 +95,66 @@ impl<T: Transport> Driver<T> {
         self.transport.send(w, request)
     }
 
-    fn stash_reply(&mut self, w: usize, reply: Reply) {
-        self.metrics.replies_total.inc();
-        self.ledger.stash(w, reply);
-    }
-
-    /// Block for one more reply from worker `w` and stash it.
-    fn recv_one(&mut self, w: usize) -> Result<(), WorkerDead> {
+    /// Take worker `w`'s next reply while the one tagged `awaited` is due;
+    /// the only consumer of [`Transport::recv`].  Replies arrive in send
+    /// order, so each is checked against one rule:
+    ///
+    /// * a `Ran` for the oldest owed block settles it, folding its
+    ///   interpreter work into the stats;
+    /// * the awaited reply is returned;
+    /// * a reply older than both belongs to a wait that recovery abandoned
+    ///   and is dropped uncounted;
+    /// * anything else is a protocol violation and panics.
+    fn next_reply(&mut self, w: usize, awaited: u64) -> Result<Option<Reply>, WorkerDead> {
         let reply = self.transport.recv(w)?;
-        self.stash_reply(w, reply);
-        Ok(())
-    }
-
-    /// Settle the block completions stashed for worker `w`, folding the
-    /// reported interpreter work into the stats.
-    fn settle_completions(&mut self, w: usize) {
-        self.ledger.settle(w, |instructions| {
+        let id = reply_id(&reply);
+        let oldest = self.ledger.oldest(w);
+        if id < awaited && oldest.is_none_or(|o| id < o) {
+            return Ok(None);
+        }
+        self.metrics.replies_total.inc();
+        if let Reply::Ran { instructions, .. } = reply {
+            assert_eq!(
+                Some(id),
+                oldest,
+                "worker {w} completed block {id} while {oldest:?} was the oldest it owed"
+            );
+            self.ledger.owed[w].pop_front();
             self.stats.max_worker_instructions =
                 self.stats.max_worker_instructions.max(instructions);
             self.batch_max_instructions = self.batch_max_instructions.max(instructions);
-        });
-    }
-
-    /// Opportunistically settle whatever completions have already arrived
-    /// from worker `w` (non-blocking).
-    pub(crate) fn settle_ready(&mut self, w: usize) -> Result<(), WorkerDead> {
-        while let Some(reply) = self.transport.try_recv(w)? {
-            self.stash_reply(w, reply);
+        } else if id != awaited {
+            panic!("worker {w} answered request {id} while request {awaited} was awaited");
         }
-        self.settle_completions(w);
-        Ok(())
+        Ok((id == awaited).then_some(reply))
     }
 
-    /// Block until at least one of worker `w`'s pending block ids settles.
+    /// Wait for the reply tagged `id` from worker `w`, settling the block
+    /// completions that arrive ahead of it.  `extract` destructures the
+    /// variant the caller asked for; a reply of any other variant is a
+    /// protocol violation that fails loudly instead of being waited past
+    /// forever.
+    pub(crate) fn await_reply<R>(
+        &mut self,
+        w: usize,
+        id: u64,
+        extract: impl FnOnce(Reply) -> Option<R>,
+    ) -> Result<R, WorkerDead> {
+        loop {
+            if let Some(reply) = self.next_reply(w, id)? {
+                return Ok(extract(reply).unwrap_or_else(|| {
+                    panic!("worker {w} answered request {id} with the wrong reply variant")
+                }));
+            }
+        }
+    }
+
+    /// Block until worker `w`'s oldest owed block completion settles.
     pub(crate) fn await_one_completion(&mut self, w: usize) -> Result<(), WorkerDead> {
-        let before = self.ledger.pending(w);
-        debug_assert!(before > 0, "no pending block to await");
-        self.settle_ready(w)?;
-        while self.ledger.pending(w) >= before {
-            self.recv_one(w)?;
-            self.settle_completions(w);
-        }
-        Ok(())
+        let id = self.ledger.oldest(w).expect("no pending block to await");
+        self.await_reply(w, id, |reply| {
+            matches!(reply, Reply::Ran { .. }).then_some(())
+        })
     }
 
     /// Settle every pending block completion (all workers) — the full
@@ -193,28 +166,6 @@ impl<T: Transport> Driver<T> {
             }
         }
         Ok(())
-    }
-
-    /// Wait for the reply tagged `id` from worker `w`, settling any block
-    /// completions that arrive (or were shuffled) ahead of it.  The id
-    /// alone identifies the reply; `extract` destructures the variant the
-    /// caller asked for, and a reply of any other variant is a protocol
-    /// violation that fails loudly instead of being waited past forever.
-    pub(crate) fn await_reply<R>(
-        &mut self,
-        w: usize,
-        id: u64,
-        extract: impl FnOnce(Reply) -> Option<R>,
-    ) -> Result<R, WorkerDead> {
-        loop {
-            self.settle_completions(w);
-            if let Some(reply) = self.ledger.take(w, id) {
-                return Ok(extract(reply).unwrap_or_else(|| {
-                    panic!("worker {w} answered request {id} with the wrong reply variant")
-                }));
-            }
-            self.recv_one(w)?;
-        }
     }
 
     /// One protocol round: send `make(id)` to *every* worker (behind its
@@ -245,10 +196,9 @@ impl<T: Transport> Driver<T> {
 mod tests {
     use super::*;
     use crate::tests::example_dplan;
-    use crate::{PipelineConfig, TransportNames};
+    use crate::TransportNames;
     use hotdog_algebra::relation::Relation;
     use hotdog_distributed::{OptLevel, WorkerSnapshot, WorkerStatsSnapshot};
-    use std::collections::VecDeque;
 
     /// A one-worker transport whose replies are scripted up front; reading
     /// past the script is a worker death, so an over-eager `recv` fails
@@ -268,9 +218,6 @@ mod tests {
                 reason: "script exhausted".to_string(),
             })
         }
-        fn try_recv(&mut self, _: usize) -> Result<Option<Reply>, WorkerDead> {
-            Ok(None)
-        }
         fn shutdown(&mut self) {}
         fn names(&self) -> TransportNames {
             TransportNames {
@@ -280,16 +227,16 @@ mod tests {
         }
     }
 
-    fn scripted(seed: u64, script: Vec<Reply>) -> Driver<Scripted> {
-        Driver::with_transport(
-            example_dplan(OptLevel::O3),
-            Scripted(script.into()),
-            Some(PipelineConfig::default().with_shuffled_replies(seed)),
-        )
+    fn scripted(script: Vec<Reply>) -> Driver<Scripted> {
+        Driver::with_transport(example_dplan(OptLevel::O3), Scripted(script.into()), None)
+    }
+
+    fn ran(id: u64, instructions: u64) -> Reply {
+        Reply::Ran { id, instructions }
     }
 
     #[test]
-    fn await_reply_matches_by_id_whatever_the_arrival_order() {
+    fn completions_ahead_of_the_awaited_reply_settle_in_order() {
         // One reply of each awaited kind, `Ran` completions interleaved.
         type Row = (u64, fn(u64) -> Reply, fn(&Reply) -> bool);
         let table: [Row; 5] = [
@@ -332,37 +279,72 @@ mod tests {
                 |r| matches!(r, Reply::Stats { .. }),
             ),
         ];
-        let ran = |id, instructions| Reply::Ran { id, instructions };
-        for seed in [1u64, 0xC0FFEE, 977] {
-            let mut script = vec![ran(1, 10)];
-            script.extend(table.iter().map(|(id, make, _)| make(*id)));
-            script.insert(3, ran(4, 30));
-            script.insert(6, ran(7, 20));
-            script.push(ran(9, 5));
-            let mut d = scripted(seed, script);
-            for id in [1, 4, 7, 9] {
-                d.ledger.expect_completion(0, id);
-            }
-            // Awaiting the last tagged reply first pulls everything ahead
-            // of it into the (shuffled) inbox; the `Ran`s that overtook it
-            // settle, the other replies wait there for their own callers.
-            for (id, _, is_kind) in table.iter().rev() {
-                let reply = d.await_reply(0, *id, Some).expect("scripted reply");
-                assert_eq!(reply_id(&reply), *id, "seed {seed}");
-                assert!(is_kind(&reply), "request {id} got another variant");
-            }
-            assert_eq!(d.ledger.pending(0), 1, "only the trailing Ran is owed");
-            assert_eq!(d.outstanding_replies(), 1);
-            d.drain_pending_blocks().expect("trailing completion");
-            assert_eq!(d.outstanding_replies(), 0);
-            assert_eq!(d.stats.max_worker_instructions, 30);
+        let mut script = vec![ran(1, 10)];
+        script.extend(table.iter().map(|(id, make, _)| make(*id)));
+        script.insert(3, ran(4, 30));
+        script.insert(6, ran(7, 20));
+        script.push(ran(9, 5));
+        let mut d = scripted(script);
+        for id in [1, 4, 7, 9] {
+            d.ledger.expect_completion(0, id);
         }
+        // Each wait settles exactly the completions sent ahead of it.
+        let owed_after = [3, 3, 2, 2, 1];
+        for ((id, _, is_kind), owed) in table.iter().zip(owed_after) {
+            let reply = d.await_reply(0, *id, Some).expect("scripted reply");
+            assert_eq!(reply_id(&reply), *id);
+            assert!(is_kind(&reply), "request {id} got another variant");
+            assert_eq!(d.outstanding_replies(), owed, "after request {id}");
+        }
+        assert_eq!(d.stats.max_worker_instructions, 30);
+        d.drain_pending_blocks().expect("trailing completion");
+        assert_eq!(d.outstanding_replies(), 0);
+        assert_eq!(d.metrics.replies_total.get(), 9);
+    }
+
+    #[test]
+    #[should_panic(expected = "while request 2 was awaited")]
+    fn a_reply_newer_than_the_awaited_one_fails_loudly() {
+        let mut d = scripted(vec![Reply::Ack { id: 3 }]);
+        let _ = d.await_reply(0, 2, Some);
+    }
+
+    #[test]
+    #[should_panic(expected = "was the oldest it owed")]
+    fn a_completion_that_skips_the_oldest_owed_block_fails_loudly() {
+        let mut d = scripted(vec![ran(2, 1)]);
+        d.ledger.expect_completion(0, 1);
+        d.ledger.expect_completion(0, 2);
+        let _ = d.await_one_completion(0);
+    }
+
+    #[test]
+    fn replies_older_than_everything_owed_are_dropped_uncounted() {
+        // Block 1 and fetch 3 belong to an epoch recovery abandoned; their
+        // replies still arrive, ahead of the new epoch's block 5 and fetch 6.
+        let stale_rel = Reply::Rel {
+            id: 3,
+            rel: Relation::default(),
+        };
+        let fresh_rel = Reply::Rel {
+            id: 6,
+            rel: Relation::default(),
+        };
+        let mut d = scripted(vec![ran(1, 40), stale_rel, ran(5, 7), fresh_rel]);
+        d.ledger.expect_completion(0, 1);
+        d.ledger.reset();
+        d.ledger.expect_completion(0, 5);
+        let reply = d.await_reply(0, 6, Some).expect("scripted reply");
+        assert_eq!(reply_id(&reply), 6);
+        assert_eq!(d.outstanding_replies(), 0);
+        assert_eq!(d.metrics.replies_total.get(), 2, "stale replies counted");
+        assert_eq!(d.stats.max_worker_instructions, 7);
     }
 
     #[test]
     #[should_panic(expected = "wrong reply variant")]
     fn a_reply_of_the_wrong_variant_fails_loudly() {
-        let mut d = scripted(7, vec![Reply::Ack { id: 1 }]);
+        let mut d = scripted(vec![Reply::Ack { id: 1 }]);
         let _ = d.await_reply(0, 1, |r| match r {
             Reply::Rel { rel, .. } => Some(rel),
             _ => None,

@@ -32,9 +32,10 @@
 //!   shards, `issued` / `watermark`; **the schedule** (`execute_canonical`,
 //!   `run_transform`, `scatter`, `commit_watermark`).  A read observes
 //!   every issued batch completely and no batch partially.
-//! * `ledger` — request ids, unsettled `RunBlock` ids, the reply inbox.
-//!   Replies are matched by id, never by arrival position; `await_reply`
-//!   is the only wait for a tagged reply, `round` the only
+//! * `ledger` — request ids and, per worker, a FIFO of owed `RunBlock`
+//!   ids.  It relies on replies arriving in send order: each is checked
+//!   against the oldest owed block and the awaited id, never looked up;
+//!   `await_reply` is the only wait for a tagged reply, `round` the only
 //!   send-all/await-all loop.
 //! * `admission` — the coalescing queue and its count / byte / staleness
 //!   bounds.  Per-relation admission order is preserved; the queue's byte
@@ -75,7 +76,7 @@ use hotdog_distributed::protocol::{
 use hotdog_distributed::{DistributedPlan, Programs, WorkerState};
 use hotdog_telemetry::Telemetry;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
@@ -101,10 +102,11 @@ fn install(dplan: &DistributedPlan) -> Programs {
 ///
 /// * [`Transport::send`] preserves per-worker FIFO command order;
 /// * [`Transport::recv`] blocks until one more reply from worker `w`
-///   arrives, in arrival order; [`Transport::try_recv`] is its
-///   non-blocking form;
+///   arrives, in arrival order.  A worker answers its commands one at a
+///   time, so its replies arrive in the order the commands were sent:
+///   the ledger takes them in that order and only *checks* their ids;
 /// * a dead worker is a **typed error**, never a panic and never a
-///   silent stall: `send`/`recv`/`try_recv` surface [`WorkerDead`] and
+///   silent stall: `send`/`recv` surface [`WorkerDead`] and
 ///   the driver decides — recover it (when a [`FaultConfig`] is set and
 ///   the transport can [`Transport::respawn`]) or propagate it;
 /// * [`Transport::shutdown`] is idempotent and must not hang on workers
@@ -119,8 +121,6 @@ pub trait Transport {
     fn send(&mut self, w: usize, request: Request) -> Result<(), WorkerDead>;
     /// Block for the next reply from worker `w`.
     fn recv(&mut self, w: usize) -> Result<Reply, WorkerDead>;
-    /// The next reply from worker `w` if one has already arrived.
-    fn try_recv(&mut self, w: usize) -> Result<Option<Reply>, WorkerDead>;
     /// Replace a dead worker `w` with a fresh, empty one (new process or
     /// thread, re-handshaken, plan and programs re-shipped).  The default
     /// refuses: transports that cannot respawn report the worker as still
@@ -303,14 +303,6 @@ impl Transport for ChannelTransport {
 
     fn recv(&mut self, w: usize) -> Result<Reply, WorkerDead> {
         self.replies[w].recv().map_err(|_| Self::dead(w))
-    }
-
-    fn try_recv(&mut self, w: usize) -> Result<Option<Reply>, WorkerDead> {
-        match self.replies[w].try_recv() {
-            Ok(reply) => Ok(Some(reply)),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(Self::dead(w)),
-        }
     }
 
     fn shutdown(&mut self) {

@@ -28,7 +28,7 @@ impl<T: Transport> Driver<T> {
     /// and a config installed mid-stream would have no checkpoint covering
     /// the batches already issued.
     pub fn set_fault_config(&mut self, fault: Option<FaultConfig>) {
-        debug_assert_eq!(
+        assert_eq!(
             self.issued, 0,
             "fault config must be installed before any batch is issued"
         );
@@ -173,15 +173,11 @@ impl<T: Transport> Driver<T> {
                     snapshot: Box::new(snap),
                 },
             )?;
-            // Drain whatever stale replies the abandoned epoch left on the
-            // wire; command FIFO means the Restore's own Ack is the first
-            // reply that post-dates the reset.
-            loop {
-                match self.transport.recv(w)? {
-                    Reply::Ack { id: rid } if rid == id => break,
-                    _ => {}
-                }
-            }
+            // Replies the abandoned epoch left on the wire are older than
+            // the Restore and than anything owed, so the wait drops them.
+            self.await_reply(w, id, |reply| {
+                matches!(reply, Reply::Ack { .. }).then_some(())
+            })?;
         }
         self.metrics
             .recovery_restored_workers

@@ -26,7 +26,6 @@ pub(crate) struct DriverMetrics {
     pub(crate) requests_snapshot: Arc<Counter>,
     pub(crate) requests_barrier: Arc<Counter>,
     pub(crate) requests_stats: Arc<Counter>,
-    pub(crate) requests_ping: Arc<Counter>,
     pub(crate) requests_checkpoint: Arc<Counter>,
     pub(crate) requests_restore: Arc<Counter>,
     pub(crate) requests_set_capture: Arc<Counter>,
@@ -58,7 +57,6 @@ impl DriverMetrics {
             requests_snapshot: t.counter("driver.requests.snapshot"),
             requests_barrier: t.counter("driver.requests.barrier"),
             requests_stats: t.counter("driver.requests.stats"),
-            requests_ping: t.counter("driver.requests.ping"),
             requests_checkpoint: t.counter("driver.requests.checkpoint"),
             requests_restore: t.counter("driver.requests.restore"),
             requests_set_capture: t.counter("driver.requests.set_capture"),
@@ -97,17 +95,13 @@ impl DriverMetrics {
             Request::Snapshot { .. } => self.requests_snapshot.inc(),
             Request::Barrier { .. } => self.requests_barrier.inc(),
             Request::Stats { .. } => self.requests_stats.inc(),
-            // The driver itself never sends Pings — heartbeats are a
-            // transport concern, injected below this chokepoint — so the
-            // counter deterministically stays zero; the arm exists for
-            // protocol completeness.
-            Request::Ping { .. } => self.requests_ping.inc(),
             Request::Checkpoint { .. } => self.requests_checkpoint.inc(),
             Request::Restore { .. } => self.requests_restore.inc(),
             Request::SetCapture { .. } => self.requests_set_capture.inc(),
             Request::TakeCaptured { .. } => self.requests_take_captured.inc(),
-            // Shutdown travels through `Transport::shutdown`, never here.
-            Request::Shutdown => {}
+            // Heartbeat Pings are a transport concern, injected below this
+            // chokepoint; Shutdown travels through `Transport::shutdown`.
+            Request::Ping { .. } | Request::Shutdown => {}
         }
     }
 }

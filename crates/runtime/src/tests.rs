@@ -689,53 +689,59 @@ fn flush_drains_reply_ledger_before_close() {
 }
 
 #[test]
-fn shuffled_replies_cannot_corrupt_the_watermark() {
-    // Chaos arm of the tagged-reply protocol: the driver's inbox is
-    // deterministically shuffled on every arrival, so a worker's
-    // answer to batch k+1's block can be *consumed* before batch k's
-    // gather fetch.  The ledger matches by request id, so watermarks,
-    // pre-flush reads and final state must all be unaffected.
-    for seed in [1u64, 0xC0FFEE, 977] {
-        let config = PipelineConfig {
-            coalesce_tuples: 0, // keep every batch a distinct trigger
-            admit_capacity: 1,  // eager execution, gathers mid-stream
-            inflight_blocks: 4,
-            ..Default::default()
-        }
-        .with_shuffled_replies(seed);
-        let mut piped = ThreadedCluster::pipelined(example_dplan(OptLevel::O3), 3, config);
-        let mut sync = ThreadedCluster::new(example_dplan(OptLevel::O3), 3);
-        let all = batches();
-        for (rel, batch) in &all {
-            piped.apply_batch(rel, batch);
-            sync.apply_batch(rel, batch);
-        }
-        // Pre-flush read: must still observe a consistent batch
-        // boundary, reproducible by re-running the issued prefix.
-        let partial = piped.query_result();
-        let committed = piped.watermark();
-        assert!(
-            committed >= all.len() as u64 - 1,
-            "eager execution should have issued all but the queued tail"
-        );
-        let mut prefix = ThreadedCluster::new(example_dplan(OptLevel::O3), 3);
-        for (rel, batch) in all.iter().take(committed as usize) {
-            prefix.apply_batch(rel, batch);
-        }
-        assert_eq!(
-            partial.checksum(),
-            prefix.query_result().checksum(),
-            "shuffled replies corrupted the pre-flush watermark (seed {seed})"
-        );
-        piped.flush();
-        assert_eq!(piped.watermark(), all.len() as u64);
-        assert_eq!(piped.outstanding_replies(), 0);
-        assert_eq!(
-            piped.query_result().checksum(),
-            sync.query_result().checksum(),
-            "shuffled replies changed the final state (seed {seed})"
-        );
+#[should_panic(expected = "before any batch is issued")]
+fn a_fault_config_installed_mid_stream_is_refused() {
+    // No checkpoint would cover the batches already issued: the first
+    // recovery would restore every node to empty and lose them.
+    let mut cluster = ThreadedCluster::new(example_dplan(OptLevel::O3), 2);
+    let (rel, batch) = &batches()[0];
+    cluster.apply_batch(rel, batch);
+    cluster.set_fault_config(Some(FaultConfig::default()));
+}
+
+#[test]
+fn eager_pipelined_reads_observe_an_issued_prefix() {
+    // Eager execution gathers mid-stream, with batch k+1's blocks in
+    // flight behind batch k's fetches.  A pre-flush read must still
+    // observe a consistent batch boundary, and the flushed state must
+    // match the synchronous schedule.
+    let config = PipelineConfig {
+        coalesce_tuples: 0, // keep every batch a distinct trigger
+        admit_capacity: 1,  // eager execution, gathers mid-stream
+        inflight_blocks: 4,
+        ..Default::default()
+    };
+    let mut piped = ThreadedCluster::pipelined(example_dplan(OptLevel::O3), 3, config);
+    let mut sync = ThreadedCluster::new(example_dplan(OptLevel::O3), 3);
+    let all = batches();
+    for (rel, batch) in &all {
+        piped.apply_batch(rel, batch);
+        sync.apply_batch(rel, batch);
     }
+    // Pre-flush read: reproducible by re-running the issued prefix.
+    let partial = piped.query_result();
+    let committed = piped.watermark();
+    assert!(
+        committed >= all.len() as u64 - 1,
+        "eager execution should have issued all but the queued tail"
+    );
+    let mut prefix = ThreadedCluster::new(example_dplan(OptLevel::O3), 3);
+    for (rel, batch) in all.iter().take(committed as usize) {
+        prefix.apply_batch(rel, batch);
+    }
+    assert_eq!(
+        partial.checksum(),
+        prefix.query_result().checksum(),
+        "the pre-flush read is not an issued prefix"
+    );
+    piped.flush();
+    assert_eq!(piped.watermark(), all.len() as u64);
+    assert_eq!(piped.outstanding_replies(), 0);
+    assert_eq!(
+        piped.query_result().checksum(),
+        sync.query_result().checksum(),
+        "the pipelined schedule changed the final state"
+    );
 }
 
 #[test]

@@ -4,8 +4,11 @@
 
 mod common;
 
-use hotdog::distributed::{DistStmtKind, Transform};
+use hotdog::distributed::{DistStmtKind, Programs, Transform};
+use hotdog::ivm::plan::collect_access;
 use hotdog::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn stream_for(q: &CatalogQuery, tuples: usize) -> UpdateStream {
     match q.workload {
@@ -242,6 +245,44 @@ fn no_plan_replicates_a_whole_view() {
     // Lower these when a placement change removes more of them.
     assert_eq!(broadcast, 23, "driver-view broadcasts across the catalog");
     assert_eq!(repartitioned, 9, "whole-view re-hashes across the catalog");
+}
+
+/// Every node indexes exactly what its installed statements probe: the
+/// partially bound view slices of the distributed programs' `Compute`
+/// statements, not those of the plan's local triggers, which no node runs.
+#[test]
+fn nodes_index_exactly_the_view_slices_their_statements_probe() {
+    for q in all_queries() {
+        for opt in [OptLevel::O0, OptLevel::O1, OptLevel::O2, OptLevel::O3] {
+            let dplan = catalog_plan(&q, opt);
+            let mut probed = BTreeSet::new();
+            let statements = dplan
+                .programs
+                .iter()
+                .flat_map(|p| &p.blocks)
+                .flat_map(|b| &b.statements);
+            for stmt in statements {
+                if let DistStmtKind::Compute(expr) = &stmt.kind {
+                    collect_access(expr, &mut Schema::empty(), &mut |view, positions| {
+                        let arity = dplan.plan.view(view).map(|v| v.schema.len());
+                        if arity.is_some_and(|a| !positions.is_empty() && positions.len() < a) {
+                            probed.insert((view.to_string(), positions));
+                        }
+                    });
+                }
+            }
+            let programs = Programs::install(dplan.program_blocks()).expect("plan installs");
+            let node = WorkerState::with_programs(&dplan.plan, Arc::new(programs));
+            let mut indexed = BTreeSet::new();
+            for view in &dplan.plan.views {
+                let pool = node.db.pool(&view.name).expect("every view has a pool");
+                for positions in pool.secondary_index_specs() {
+                    indexed.insert((view.name.clone(), positions));
+                }
+            }
+            assert_eq!(indexed, probed, "{} at {opt:?}", q.id);
+        }
+    }
 }
 
 /// Communication is O(|Δ|): for every catalog query whose O3 programs move

@@ -9,9 +9,7 @@
 //!   after every distributed block;
 //! * **pipelined** — `ThreadedCluster::pipelined`, admission queue, delta
 //!   coalescing and a bounded in-flight window over the tagged-reply
-//!   protocol (fully async gathers, batched scatters) — also exercised with
-//!   the reply inbox deterministically shuffled, which must stay bit-for-bit
-//!   with arrival order;
+//!   protocol (fully async gathers, batched scatters);
 //! * **backpressured pipelined** — the caller's coalescing bound with
 //!   byte-bounded backpressure and a latency target (timing-driven, so its
 //!   trigger schedule differs run to run — the state must not);
@@ -106,9 +104,6 @@ fn run_backend<B: Backend>(mut backend: B, batches: &[Vec<(&'static str, Relatio
 /// * pipelined (coalescing disabled, tagged-reply protocol) == simulated,
 ///   **bit-for-bit** — the admission queue, in-flight window, request-id
 ///   ledger and watermarks are transparent;
-/// * pipelined with the **reply inbox deterministically shuffled** ==
-///   simulated, **bit-for-bit** — the ledger matches replies by request
-///   id, so the order replies are *consumed* in must be irrelevant;
 /// * pipelined with coalescing ≈ simulated (`1e-9` relative) — ring-sum
 ///   coalescing is exact in real arithmetic but associates float additions
 ///   differently;
@@ -147,13 +142,6 @@ fn differential_check(
     };
     let piped = run_backend(
         ThreadedCluster::pipelined(compile_for(q, opt), workers, no_coalesce.clone()),
-        &batches,
-    );
-    let shuffled_config = no_coalesce
-        .clone()
-        .with_shuffled_replies(0x7A66ED ^ (batch_size as u64) << 8 ^ workers as u64);
-    let shuffled = run_backend(
-        ThreadedCluster::pipelined(compile_for(q, opt), workers, shuffled_config),
         &batches,
     );
     // Exercise both backpressure paths: a byte bound small enough to
@@ -207,13 +195,6 @@ fn differential_check(
     if cs_piped != cs_sim {
         return Err(format!(
             "{} {opt:?} x{workers} b{batch_size}: pipelined != simulated bit-for-bit ({cs_piped} vs {cs_sim})",
-            q.id
-        ));
-    }
-    let cs_shuffled = shuffled.checksum();
-    if cs_shuffled != cs_sim {
-        return Err(format!(
-            "{} {opt:?} x{workers} b{batch_size}: shuffled-reply pipeline != simulated bit-for-bit ({cs_shuffled} vs {cs_sim})",
             q.id
         ));
     }
@@ -411,22 +392,19 @@ fn aggressive_pipeline_configs_agree() {
             admit_capacity: 2,
             ..Default::default()
         },
-        // Tagged schedule with the reply inbox shuffled on every arrival
-        // *and* a one-block window: every issue blocks on a completion
-        // that may be consumed out of order.
+        // Eager execution behind a one-block window: every issue blocks
+        // on the oldest owed completion.
         PipelineConfig {
             coalesce_tuples: 0,
             admit_capacity: 1,
             inflight_blocks: 1,
-            shuffle_replies: Some(0xD15C0),
             ..Default::default()
         },
-        // Shuffled replies with a wide window and coalescing.
+        // A wide window with coalescing.
         PipelineConfig {
             coalesce_tuples: 100_000,
             admit_capacity: 4,
             inflight_blocks: 16,
-            shuffle_replies: Some(7),
             ..Default::default()
         },
     ] {

@@ -264,7 +264,7 @@ fn tcp_chaos_seeded_kill_recovers_bit_identically() {
 }
 
 /// Aggressive pipelined configurations over the socket transport: tiny
-/// windows, shuffled reply consumption, heavy coalescing —
+/// and wide windows, heavy coalescing —
 /// all bit-for-bit (or 1e-9 when coalescing re-associates floats)
 /// against the simulated cluster.
 #[test]
@@ -296,8 +296,7 @@ fn tcp_aggressive_pipeline_configs_agree() {
                 coalesce_tuples: 0,
                 inflight_blocks: 16,
                 ..Default::default()
-            }
-            .with_shuffled_replies(0x5EED),
+            },
         ),
         (
             false,
