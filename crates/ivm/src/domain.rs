@@ -8,6 +8,14 @@
 //! variables whose values can be affected by the update.  Prepending the
 //! domain expression to the delta restricts the recomputation to the affected
 //! tuples only.
+//!
+//! A domain is a filter, never a weight: each of its factors is 0 or 1 — an
+//! `Exists` over the batch, a comparison, a value assignment — and a value
+//! term restricts nothing, so it becomes `1`.  A signed sum of values could
+//! read 0 for a key whose nested aggregate did change.  A domain may admit
+//! more bindings than the delta touches, never fewer; batch preprocessing
+//! relies on that to project a guard's batch like the delta's
+//! ([`Trigger::kept_delta_positions`](crate::plan::Trigger::kept_delta_positions)).
 
 use crate::simplify::{is_one, is_zero, join_of, simplify};
 use hotdog_algebra::expr::{Expr, RelKind};
@@ -79,11 +87,12 @@ fn extract(e: &Expr) -> Expr {
                 Expr::Const(1.0)
             }
         }
-        // Comparisons, values, and assignments over values can further
-        // restrict the domain and are kept verbatim (they are filtered later
-        // if their variables end up unbound — see `union_doms`).
-        Expr::Cmp { .. } | Expr::Val(_) | Expr::AssignVal { .. } => e.clone(),
-        Expr::Const(_) => Expr::Const(1.0),
+        // Comparisons and assignments over values can further restrict the
+        // domain and are kept verbatim (they are filtered later if their
+        // variables end up unbound — see `union_doms`).
+        Expr::Cmp { .. } | Expr::AssignVal { .. } => e.clone(),
+        // A value weighs a tuple but admits every binding.
+        Expr::Const(_) | Expr::Val(_) => Expr::Const(1.0),
         Expr::AssignQuery { .. } => Expr::Const(1.0),
     }
 }
@@ -124,20 +133,20 @@ fn inter_doms(a: &Expr, b: &Expr) -> Expr {
 }
 
 /// Merge the domains of the two factors of a product, dropping
-/// non-relational restriction terms whose variables would be unbound in the
-/// merged domain (they referred to columns of factors that contributed no
-/// domain).
+/// comparisons and value assignments whose variables would be unbound in
+/// the merged domain (they referred to columns of factors that contributed
+/// no domain).
 fn union_doms(a: Expr, b: Expr) -> Expr {
     let mut factors = Vec::new();
     collect_factors(a, &mut factors);
     collect_factors(b, &mut factors);
-    // Drop value/comparison terms whose variables are not bound by the
-    // relational part of the domain accumulated to their left.
+    // Drop comparisons whose variables are not bound by the relational part
+    // of the domain accumulated to their left.
     let mut bound = Schema::empty();
     let mut kept = Vec::new();
     for f in factors {
         match &f {
-            Expr::Cmp { .. } | Expr::Val(_) => {
+            Expr::Cmp { .. } => {
                 let needed = f.input_variables();
                 if needed.subset_of(&bound) {
                     kept.push(f);
@@ -175,13 +184,6 @@ fn collect_factors(e: Expr, out: &mut Vec<Expr>) {
     }
 }
 
-/// Build the domain expression used by the revised assignment delta rule:
-/// the domain of `delta_of_nested`, projected with `Exists` so every tuple
-/// carries multiplicity one (the paper's `Q_dom`).
-pub fn domain_guard(delta_of_nested: &Expr) -> Expr {
-    extract_domain(delta_of_nested)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,6 +218,16 @@ mod tests {
         let dom = extract_domain(&delta);
         assert_eq!(dom.schema().columns(), ["B", "C"]);
         assert!(dom.has_delta_relations());
+    }
+
+    #[test]
+    fn a_value_term_restricts_nothing() {
+        // Δ of `Sum_[A](S(A,B) * [B])`: a guard that kept `[B]` would sum
+        // the batch's `B`s and read 0 for `A` when they cancel.
+        let e = sum(["A"], join(delta_rel("S", ["A", "B"]), val_var("B")));
+        let dom = extract_domain(&e);
+        assert_eq!(dom, extract_domain(&sum(["A"], delta_rel("S", ["A", "B"]))));
+        assert!(!dom.to_string().contains("[B]"), "got {dom}");
     }
 
     #[test]

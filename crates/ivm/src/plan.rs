@@ -238,25 +238,51 @@ impl Trigger {
     /// the statements need, ascending.  Every other position is *dead* and
     /// can be summed out of the batch before the trigger runs: in every
     /// statement, each reference to `Δrelation` binds it to a variable that
-    /// occurs nowhere else in the statement (no other relation reference,
-    /// value term, comparison, assignment, group-by or target column), and
-    /// no `Exists` or `:=` sits between the reference and its nearest
-    /// enclosing `Sum` (or the statement root) — those two are not linear
-    /// in the multiplicity, so they must see the batch un-aggregated.
+    /// occurs nowhere else in the reference's scope (no other relation
+    /// reference, value term, comparison, assignment, group-by or target
+    /// column), and no `Exists` or `:=` sits between the reference and its
+    /// nearest enclosing `Sum` (or the statement root) — those two are not
+    /// linear in the multiplicity, so they must see the batch un-aggregated.
+    ///
+    /// * `Union` branches are separate scopes: each branch is linear in the
+    ///   batch, so a variable named again only on another branch of the
+    ///   same union is still dead there.
+    /// * A domain guard's leaf — the bare `Exists(Δrelation(…))` that
+    ///   [`extract_domain`](crate::domain::extract_domain) emits, always
+    ///   inside the guard's own `Exists` — pins no position by itself.  A
+    ///   guard may admit more bindings than the delta it guards touches,
+    ///   never fewer (its factors are all 0/1), and that delta reads the
+    ///   same projected batch: a key whose batch tuples cancel once
+    ///   projected is a key the delta does not touch.  A bare `Exists` over
+    ///   the batch that no other `Exists` encloses is no guard, and keeps
+    ///   every position.
+    ///
+    /// So Q18's LINEITEM trigger, whose nested `Sum` of `l_quantity` per
+    /// order is guarded by `Exists(Sum_[OK](Exists(ΔLINEITEM(OK, …))))`,
+    /// reads `Δ keeps 2/10: OK, l_quantity`.
     ///
     /// The analysis is by position, not by name: a batch read twice under
     /// different variable names is handled reference by reference.
     pub fn kept_delta_positions(&self) -> Vec<usize> {
         let mut kept = vec![false; self.relation_schema.len()];
         for stmt in &self.statements {
-            let uses = variable_uses(stmt);
-            visit_refs(&stmt.expr, false, &mut |r, nonlinear| {
-                if r.kind == RelKind::Delta && r.name == self.relation {
-                    for (i, c) in r.cols.iter().enumerate() {
-                        kept[i] |= nonlinear || uses[c.as_str()] > 1;
+            let mut uses = variable_uses(&stmt.expr);
+            for c in stmt.target_schema.iter() {
+                *uses.entry(c.to_string()).or_insert(0) += 1;
+            }
+            visit_refs(
+                &stmt.expr,
+                false,
+                false,
+                &uses,
+                &mut |r, nonlinear, uses| {
+                    if r.kind == RelKind::Delta && r.name == self.relation {
+                        for (i, c) in r.cols.iter().enumerate() {
+                            kept[i] |= nonlinear || uses[c.as_str()] > 1;
+                        }
                     }
-                }
-            });
+                },
+            );
         }
         (0..kept.len()).filter(|&i| kept[i]).collect()
     }
@@ -366,14 +392,15 @@ fn rename_vars(v: &ValExpr, rename: &dyn Fn(&str) -> String) -> ValExpr {
     }
 }
 
-/// How often each variable name occurs in a statement: once per relation
-/// column, value term, comparison, assignment, group-by and target column
-/// that mentions it.
-fn variable_uses(stmt: &Statement) -> HashMap<String, usize> {
+/// How often each variable name occurs in some part of a statement.
+type Uses = HashMap<String, usize>;
+
+/// How often each variable name occurs in `expr`: once per relation
+/// column, value term, comparison, assignment and group-by that mentions it.
+fn variable_uses(expr: &Expr) -> Uses {
     let mut uses = HashMap::new();
     let mut count = |c: &str| *uses.entry(c.to_string()).or_insert(0) += 1;
-    stmt.target_schema.iter().for_each(&mut count);
-    stmt.expr.visit(&mut |e| match e {
+    expr.visit(&mut |e| match e {
         Expr::Rel(r) => r.cols.iter().for_each(|c| count(c)),
         Expr::Val(v) => v.variables().iter().for_each(&mut count),
         Expr::Cmp { lhs, rhs, .. } => {
@@ -391,17 +418,45 @@ fn variable_uses(stmt: &Statement) -> HashMap<String, usize> {
     uses
 }
 
-/// Visit every relation reference, with whether an `Exists` or `:=` sits
-/// between it and its nearest enclosing `Sum`.
-fn visit_refs(expr: &Expr, nonlinear: bool, f: &mut dyn FnMut(&RelRef, bool)) {
+/// Visit every relation reference with whether it is read non-linearly —
+/// an `Exists` or `:=` sits between it and its nearest enclosing `Sum`,
+/// unless it is a domain guard's leaf, a bare `Exists` over a batch inside
+/// another `Exists` — and the `uses` in its scope: those of the statement,
+/// less the other branch of each enclosing `Union`.
+fn visit_refs(
+    expr: &Expr,
+    nonlinear: bool,
+    in_exists: bool,
+    uses: &Uses,
+    f: &mut dyn FnMut(&RelRef, bool, &Uses),
+) {
     match expr {
-        Expr::Rel(r) => f(r, nonlinear),
-        Expr::Sum { body, .. } => visit_refs(body, false, f),
-        Expr::Exists(q) | Expr::AssignQuery { query: q, .. } => visit_refs(q, true, f),
+        Expr::Rel(r) => f(r, nonlinear, uses),
+        Expr::Sum { body, .. } => visit_refs(body, false, in_exists, uses, f),
+        Expr::Exists(q)
+            if in_exists && matches!(&**q, Expr::Rel(r) if r.kind == RelKind::Delta) =>
+        {
+            visit_refs(q, false, true, uses, f)
+        }
+        Expr::Exists(q) => visit_refs(q, true, true, uses, f),
+        Expr::AssignQuery { query, .. } => visit_refs(query, true, in_exists, uses, f),
+        Expr::Union(l, r) => {
+            let without = |branch: &Expr| {
+                let mut scope = uses.clone();
+                for (v, n) in variable_uses(branch) {
+                    *scope
+                        .get_mut(&v)
+                        .expect("a branch's uses are the statement's") -= n;
+                }
+                scope
+            };
+            visit_refs(l, nonlinear, in_exists, &without(r), f);
+            visit_refs(r, nonlinear, in_exists, &without(l), f);
+        }
         _ => expr
             .children()
             .into_iter()
-            .for_each(|c| visit_refs(c, nonlinear, f)),
+            .for_each(|c| visit_refs(c, nonlinear, in_exists, uses, f)),
     }
 }
 
@@ -710,6 +765,43 @@ mod tests {
     }
 
     #[test]
+    fn a_guard_leaf_pins_no_position_by_itself() {
+        let leaf = || exists(delta_rel("R", ["A", "B"]));
+        // A domain guard over `A`: `B` is read nowhere else.
+        let guard = sum(["A"], exists(sum(["A"], leaf())));
+        assert_eq!(kept_checked(&trigger_on_r(vec![(&["A"], guard)])), [0]);
+        // A comparison inside the guard still reads `B`.
+        let guard = exists(sum(["A"], join(leaf(), cmp_lit("B", CmpOp::Gt, 3))));
+        assert_eq!(
+            kept_checked(&trigger_on_r(vec![(&["A"], sum(["A"], guard))])),
+            [0, 1]
+        );
+        // So does the delta the guard sits beside.
+        let guarded = sum(
+            ["A"],
+            join(
+                exists(sum(["A"], leaf())),
+                sum(["A"], join(delta_rel("R", ["A", "B"]), val_var("B"))),
+            ),
+        );
+        assert_eq!(kept_checked(&trigger_on_r(vec![(&["A"], guarded)])), [0, 1]);
+    }
+
+    #[test]
+    fn union_branches_are_separate_scopes() {
+        let d = || delta_rel("R", ["A", "B"]);
+        // `B` is named on both branches, but each branch sums it away.
+        let e = sum(["A"], union(d(), d()));
+        assert_eq!(kept_checked(&trigger_on_r(vec![(&["A"], e)])), [0]);
+        // A use on one branch pins it.
+        let e = sum(["A"], union(d(), join(d(), val_var("B"))));
+        assert_eq!(kept_checked(&trigger_on_r(vec![(&["A"], e)])), [0, 1]);
+        // A use outside the union sees both branches.
+        let e = sum_total(join(union(d(), d()), val_var("B")));
+        assert_eq!(kept_checked(&trigger_on_r(vec![(&[], e)])), [1]);
+    }
+
+    #[test]
     fn a_column_used_anywhere_else_is_kept() {
         let d = || delta_rel("R", ["A", "B"]);
         let cases: Vec<(&[&str], Expr)> = vec![
@@ -911,12 +1003,15 @@ mod tests {
         );
     }
 
+    /// LINEITEM's batch is read by a domain guard and on two branches of
+    /// one union; neither pins a column, so it keeps the order key and the
+    /// quantity its nested `Sum` adds up.
     #[test]
     fn q18_keeps_keys_and_all_of_the_lineitem_it_tests_for_existence() {
         let prep = catalog_prep("Q18");
         assert_eq!(prep["CUSTOMER"].schema.columns(), ["CK"]);
         assert_eq!(prep["ORDERS"].schema.columns(), ["OK", "CK"]);
-        assert_eq!(prep["LINEITEM"].kept.len(), 10);
+        assert_eq!(prep["LINEITEM"].describe(), "Δ keeps 2/10: OK, l_quantity");
         for (relation, p) in &prep {
             assert!(p.filter.is_empty(), "{relation}: {}", p.describe());
         }
