@@ -13,9 +13,9 @@
 //! reproduce the *shapes*: which strategy wins, how throughput moves with
 //! batch size, and how latency scales with workers.
 
-use hotdog::distributed::ClusterTotals;
 use hotdog::ivm::Strategy;
 use hotdog::prelude::*;
+use hotdog::runtime::ClusterTotals;
 use std::time::Instant;
 
 pub mod json;
@@ -81,9 +81,9 @@ pub fn single_tuple_baseline(q: &CatalogQuery, stream: &UpdateStream) -> LocalRu
     run_local(q, stream, Strategy::RecursiveIvm, ExecMode::SingleTuple, 1)
 }
 
-/// Which execution backend a distributed experiment runs on.  All of them
-/// implement the [`Backend`] trait, so the experiment driver
-/// ([`run_distributed_on`]) is written once.
+/// Which execution backend a distributed experiment runs on.  Each is a
+/// [`Driver`] over its own [`Transport`], so the experiment driver
+/// ([`run_distributed_on`]) is written once, generic over the transport.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum BackendKind {
     /// Single-threaded simulator with the modelled cost model (the default).
@@ -441,7 +441,7 @@ fn measure<T: Transport>(
     cluster.apply_stream(batches);
     let stats = cluster.pipeline_stats();
     let telemetry = collect_telemetry(cluster);
-    (cluster.totals().clone(), stats, telemetry)
+    (cluster.totals.clone(), stats, telemetry)
 }
 
 /// Run a query on the simulated cluster, chunking the stream into batches of

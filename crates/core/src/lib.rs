@@ -58,9 +58,9 @@ pub mod prelude {
         MapCatalog, Mult, RelKind, Relation, Schema, Tuple, ValExpr, Value, ViewChecksum,
     };
     pub use hotdog_distributed::{
-        compile_distributed, Backend, CaptureBatch, CapturedView, DeltaCapture, DistributedPlan,
-        LocTag, OptLevel, PartitionFn, PartitioningSpec, ViewAccumulator, WorkerSnapshot,
-        WorkerState, WorkerStats, WorkerStatsSnapshot,
+        compile_distributed, CaptureBatch, CapturedView, DistributedPlan, LocTag, OptLevel,
+        PartitionFn, PartitioningSpec, ViewAccumulator, WorkerSnapshot, WorkerState, WorkerStats,
+        WorkerStatsSnapshot,
     };
     pub use hotdog_exec::{BatchStats, Database, ExecMode, LocalEngine};
     pub use hotdog_ivm::{
@@ -74,6 +74,12 @@ pub mod prelude {
         ChannelTransport, Cluster, ClusterConfig, Driver, FaultConfig, PipelineConfig,
         PipelineStats, TelemetryTotals, ThreadedCluster, Transport, WorkerDead,
     };
+
+    /// The old name of [`Driver`], kept so code written against the
+    /// removed backend trait — `Backend::pipeline_stats(&driver)` in the
+    /// repo benchmark — still compiles.  A type alias rather than a
+    /// re-export, so diagnostics keep naming `Driver<T>`.
+    pub type Backend<T> = Driver<T>;
     pub use hotdog_serve::{
         ParamFilter, QueryShape, SubscribeClient, SubscriberView, SubscriptionHub, SubscriptionId,
         ViewDelta,

@@ -5,8 +5,8 @@
 //! log**: when capture is enabled for a view, every statement applied to a
 //! node's partition of it ([`WorkerState::apply`]) is also recorded as a
 //! `(view, op, relation)` entry, in exact application order.  After each
-//! committed batch the driver drains the logs (watermark-consistent by
-//! command FIFO) and assembles a [`CaptureBatch`] whose per-view parts are
+//! committed batch the driver (`hotdog-runtime`'s `Driver::take_captured`)
+//! drains the logs (watermark-consistent by command FIFO) and assembles a [`CaptureBatch`] whose per-view parts are
 //! ordered exactly like `view_contents` merges node partitions — so a
 //! client replaying the log against its own accumulator
 //! ([`ViewAccumulator`]) performs the *same float operations in the same
@@ -50,22 +50,6 @@ pub struct CaptureBatch {
     /// accumulate, which is how recovery avoids both gaps and duplicates.
     pub resync: bool,
     pub views: Vec<CapturedView>,
-}
-
-/// A backend that can capture per-batch view deltas for push-based
-/// subscriptions.  Implemented by `hotdog-runtime`'s driver over every
-/// transport (simulated, threaded, TCP) and the shared [`WorkerState`] log.
-///
-/// [`WorkerState`]: crate::worker::WorkerState
-pub trait DeltaCapture {
-    /// Enable capture for `views` (replacing any previous capture set and
-    /// discarding its pending log) on every node.  An empty slice disables
-    /// capture.
-    fn enable_capture(&mut self, views: &[String]);
-
-    /// Synchronize to a committed batch boundary, then drain every node's
-    /// capture log into one watermark-stamped batch.
-    fn take_captured(&mut self) -> CaptureBatch;
 }
 
 /// Client-side reconstruction of one captured view: one accumulator

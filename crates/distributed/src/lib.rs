@@ -17,29 +17,25 @@
 //! * [`worker`] — backend-agnostic per-node state ([`worker::WorkerState`]):
 //!   one node's view partitions, exchange buffers and the statement
 //!   execution/application rules shared by every execution backend;
-//! * [`backend`] — the [`Backend`] trait shared by every execution backend
-//!   (simulated, synchronous-threaded, pipelined), so benches and
-//!   differential tests are written once, and the per-batch
-//!   [`BatchExecution`] / lifetime [`ClusterTotals`] it reports.
+//! * [`capture`] — the per-node capture log's batch format and the
+//!   client-side [`ViewAccumulator`] that replays it.
 //!
-//! Every backend — the simulated cluster included — is `hotdog-runtime`'s
-//! one transport-generic driver running these programs over
-//! [`worker::WorkerState`]s: `Cluster` = `Driver<SimTransport>` executes
-//! the workers inline and models latency (per-stage synchronization,
-//! shuffle bandwidth, stragglers); the threaded and TCP backends measure
-//! it.
+//! This crate defines no backend interface.  Every backend — the simulated
+//! cluster included — is `hotdog-runtime`'s one transport-generic
+//! `Driver<T>` running these programs over [`worker::WorkerState`]s:
+//! `Cluster` = `Driver<SimTransport>` executes the workers inline and
+//! models latency (per-stage synchronization, shuffle bandwidth,
+//! stragglers); the threaded and TCP backends measure it.
 
 #![forbid(unsafe_code)]
 
-pub mod backend;
 pub mod capture;
 pub mod partition;
 pub mod program;
 pub mod protocol;
 pub mod worker;
 
-pub use backend::{Backend, BatchExecution, ClusterTotals, PipelineStats};
-pub use capture::{assemble_views, CaptureBatch, CapturedView, DeltaCapture, ViewAccumulator};
+pub use capture::{assemble_views, CaptureBatch, CapturedView, ViewAccumulator};
 pub use partition::{partition_shards, LocTag, PartitionFn, PartitioningSpec};
 pub use program::{
     compile_distributed, Block, DistStatement, DistStmtKind, DistributedPlan, OptLevel,

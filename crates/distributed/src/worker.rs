@@ -348,10 +348,10 @@ impl WorkerState {
         self.apply(stmt, executed.result);
     }
 
-    /// Execute the installed statement at `at` if it is a `Compute` (see
-    /// [`WorkerState::run_compute`]) — the driver node's side of a `Local`
-    /// block; transformer statements are scheduling constructs handled by
-    /// the backend driver, not per-node work.
+    /// Execute the installed statement at `at` if it is a `Compute` and
+    /// apply its result — the driver node's side of a `Local` block;
+    /// transformer statements are scheduling constructs handled by the
+    /// backend driver, not per-node work.
     pub fn run_statement(
         &mut self,
         at: StmtRef,

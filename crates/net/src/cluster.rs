@@ -34,14 +34,10 @@
 use crate::codec::{decode_from_slice, encode_to_vec, ToDriver, ToWorker};
 use crate::faults::{FaultPlan, FaultState, KillSpec, Phase};
 use crate::frame::{read_frame, recv_msg, send_payload};
-use hotdog_algebra::relation::Relation;
 use hotdog_distributed::protocol::{WorkerReply, WorkerRequest};
-use hotdog_distributed::{
-    Backend, BatchExecution, CaptureBatch, ClusterTotals, DeltaCapture, DistributedPlan,
-    PipelineStats,
-};
-use hotdog_runtime::{Driver, PipelineConfig, Transport, TransportNames, WorkerDead};
-use hotdog_telemetry::{Counter, Histogram, SpanContext, Telemetry};
+use hotdog_distributed::DistributedPlan;
+use hotdog_runtime::{Driver, PipelineConfig, PipelineStats, Transport, WorkerDead};
+use hotdog_telemetry::{Counter, Histogram, Telemetry};
 use std::io::{self, BufReader};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::ops::{Deref, DerefMut};
@@ -751,13 +747,6 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn names(&self) -> TransportNames {
-        TransportNames {
-            sync: "tcp",
-            pipelined: "tcp-pipelined",
-        }
-    }
-
     fn telemetry(&self) -> Option<Arc<Telemetry>> {
         Some(self.telemetry.clone())
     }
@@ -831,10 +820,11 @@ fn join(handle: Option<JoinHandle<()>>) {
 /// [`Driver`] over [`TcpTransport`].
 ///
 /// Same public surface as `ThreadedCluster` (via `Deref`), same
-/// [`Backend`] impl, same FIFO-command/tagged-reply contract including
-/// fully async gathers and `ApplyMany` scatter batching — only the bytes
-/// move through the kernel instead of an `mpsc` channel.  Construction is
-/// fallible (sockets, subprocesses), hence `io::Result`.
+/// FIFO-command/tagged-reply contract including fully async gathers and
+/// `ApplyMany` scatter batching — only the bytes move through the kernel
+/// instead of an `mpsc` channel.  Construction is fallible (sockets,
+/// subprocesses), hence `io::Result`.  Code written over
+/// `&mut Driver<T>` takes a `&mut TcpCluster` by deref.
 pub struct TcpCluster {
     inner: Driver<TcpTransport>,
 }
@@ -879,53 +869,5 @@ impl Deref for TcpCluster {
 impl DerefMut for TcpCluster {
     fn deref_mut(&mut self) -> &mut Self::Target {
         &mut self.inner
-    }
-}
-
-impl Backend for TcpCluster {
-    fn backend_name(&self) -> &'static str {
-        self.inner.backend_name()
-    }
-
-    fn plan(&self) -> &DistributedPlan {
-        Backend::plan(&self.inner)
-    }
-
-    fn apply_batch(&mut self, relation: &str, batch: &Relation) -> BatchExecution {
-        Backend::apply_batch(&mut self.inner, relation, batch)
-    }
-
-    fn flush(&mut self) {
-        Backend::flush(&mut self.inner);
-    }
-
-    fn view_contents(&mut self, name: &str) -> Relation {
-        Backend::view_contents(&mut self.inner, name)
-    }
-
-    fn totals(&self) -> &ClusterTotals {
-        Backend::totals(&self.inner)
-    }
-
-    fn pipeline_stats(&self) -> Option<PipelineStats> {
-        Backend::pipeline_stats(&self.inner)
-    }
-
-    fn telemetry(&self) -> Arc<Telemetry> {
-        Backend::telemetry(&self.inner)
-    }
-
-    fn trace_scope(&self) -> SpanContext {
-        Backend::trace_scope(&self.inner)
-    }
-}
-
-impl DeltaCapture for TcpCluster {
-    fn enable_capture(&mut self, views: &[String]) {
-        self.inner.enable_capture(views);
-    }
-
-    fn take_captured(&mut self) -> CaptureBatch {
-        DeltaCapture::take_captured(&mut self.inner)
     }
 }

@@ -19,7 +19,7 @@ use hotdog_distributed::{compile_distributed, DistributedPlan, OptLevel, Partiti
 use hotdog_ivm::compile_recursive;
 use hotdog_net::codec::ToDriver;
 use hotdog_net::{send_msg, FaultKind, FaultPlan, Phase, TcpCluster, TcpConfig, WorkerSpawn};
-use hotdog_runtime::FaultConfig;
+use hotdog_runtime::{FaultConfig, PipelineConfig};
 
 fn example_dplan(opt: OptLevel) -> DistributedPlan {
     let q = sum(
@@ -174,44 +174,76 @@ fn heartbeat_declares_a_silent_worker_dead() {
 
 /// Kill → respawn → restore → replay: the final views of a faulted run
 /// are bit-identical to an unfaulted run under the same [`FaultConfig`],
-/// and the recovery counters record exactly one death, one respawn, one
-/// recovery.
+/// the recovery counters record exactly one death, one respawn, one
+/// recovery, and the replay counts no batch twice — the totals and the
+/// pipeline counters equal the unfaulted run's.  Arms: a cut after every
+/// batch (the log holds only the killed batch); a cut every four batches
+/// (two finished batches replay with the killed one); and the pipelined
+/// schedule, which replays on the synchronous one.
 #[test]
 fn killed_worker_respawns_and_recovers_bit_identically() {
-    let fault_config = FaultConfig::every(1);
+    let no_coalesce = PipelineConfig {
+        coalesce_tuples: 0,
+        ..Default::default()
+    };
+    // (checkpoint interval, pipeline, the `RunBlock` the kill is aimed at)
+    let arms = [(1, None, 2), (4, None, 3), (1, Some(no_coalesce), 2)];
+    for (every, pipeline, run_block) in arms {
+        let run = |config: TcpConfig| {
+            let dplan = example_dplan(OptLevel::O3);
+            let mut tcp = match &pipeline {
+                None => TcpCluster::new(dplan, &config),
+                Some(pipeline) => TcpCluster::pipelined(dplan, &config, pipeline.clone()),
+            }
+            .expect("tcp cluster");
+            tcp.set_fault_config(Some(FaultConfig::every(every)));
+            for (rel, batch) in batches() {
+                tcp.apply_batch(rel, &batch); // recovery is internal
+            }
+            tcp.flush();
+            tcp
+        };
+        // Baseline: same FaultConfig (checkpoint epochs canonicalize
+        // storage, so this is the comparable run), no kill.
+        let mut clean = run(thread_config(2));
+        let expected = clean.query_result().checksum();
 
-    // Baseline: same FaultConfig (checkpoint epochs canonicalize
-    // storage, so this is the comparable run), no kill.
-    let mut clean =
-        TcpCluster::new(example_dplan(OptLevel::O3), &thread_config(2)).expect("tcp cluster");
-    clean.set_fault_config(Some(fault_config.clone()));
-    for (rel, batch) in batches() {
-        clean.apply_batch(rel, &batch);
-    }
-    let expected = clean.query_result().checksum();
-
-    for phase in [Phase::Before, Phase::After] {
-        let plan = FaultPlan::kill(1, FaultKind::RunBlock, 2, phase);
-        let mut tcp = TcpCluster::new(
-            example_dplan(OptLevel::O3),
-            &thread_config(2).with_faults(plan),
-        )
-        .expect("tcp cluster");
-        tcp.set_fault_config(Some(fault_config.clone()));
-        for (rel, batch) in batches() {
-            tcp.apply_batch(rel, &batch); // recovery is internal
+        for phase in [Phase::Before, Phase::After] {
+            let label = format!(
+                "every({every}), {}, RunBlock {run_block} {phase:?}",
+                if pipeline.is_some() {
+                    "pipelined"
+                } else {
+                    "sync"
+                }
+            );
+            let plan = FaultPlan::kill(1, FaultKind::RunBlock, run_block, phase);
+            let mut tcp = run(thread_config(2).with_faults(plan));
+            assert_eq!(
+                tcp.query_result().checksum(),
+                expected,
+                "faulted run diverged ({label})"
+            );
+            assert_eq!(tcp.recoveries(), 1, "exactly one recovery ({label})");
+            let snap = tcp.metrics_snapshot();
+            assert_eq!(snap.counter("fault.injected"), 1);
+            assert_eq!(snap.counter("worker.declared_dead"), 1);
+            assert_eq!(snap.counter("worker.respawned"), 1);
+            assert_eq!(snap.counter("recovery.attempts"), 1);
+            assert_eq!(tcp.totals.tuples, clean.totals.tuples, "tuples ({label})");
+            assert_eq!(
+                tcp.totals.batches, clean.totals.batches,
+                "batches ({label})"
+            );
+            assert_eq!(
+                tcp.stats.batches_executed, clean.stats.batches_executed,
+                "batches executed ({label})"
+            );
+            assert_eq!(
+                tcp.stats.tuples_executed, clean.stats.tuples_executed,
+                "tuples executed ({label})"
+            );
         }
-        assert_eq!(
-            tcp.query_result().checksum(),
-            expected,
-            "faulted run diverged ({phase:?})"
-        );
-        assert_eq!(tcp.recoveries(), 1, "exactly one recovery ({phase:?})");
-        let snap = tcp.metrics_snapshot();
-        assert_eq!(snap.counter("fault.injected"), 1);
-        assert_eq!(snap.counter("worker.declared_dead"), 1);
-        assert_eq!(snap.counter("worker.respawned"), 1);
-        assert_eq!(snap.counter("recovery.attempts"), 1);
     }
 }
 

@@ -16,13 +16,11 @@ use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
 use hotdog_algebra::tuple;
 use hotdog_distributed::protocol::WorkerReply;
-use hotdog_distributed::{
-    compile_distributed, Backend, DistributedPlan, OptLevel, PartitioningSpec,
-};
+use hotdog_distributed::{compile_distributed, DistributedPlan, OptLevel, PartitioningSpec};
 use hotdog_ivm::compile_recursive;
 use hotdog_net::codec::ToDriver;
 use hotdog_net::{send_msg, FaultKind, FaultPlan, Phase, TcpCluster, TcpConfig, WorkerSpawn};
-use hotdog_runtime::{FaultConfig, PipelineConfig, ThreadedCluster};
+use hotdog_runtime::{Driver, FaultConfig, PipelineConfig, ThreadedCluster, Transport};
 use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -80,13 +78,12 @@ fn thread_config(workers: usize) -> TcpConfig {
 }
 
 /// Compare every view of two backends bit-for-bit.
-fn assert_views_equal<A: Backend, B: Backend>(a: &mut A, b: &mut B, label: &str) {
-    let views: Vec<String> = Backend::plan(a)
-        .plan
-        .views
-        .iter()
-        .map(|v| v.name.clone())
-        .collect();
+fn assert_views_equal<A: Transport, B: Transport>(
+    a: &mut Driver<A>,
+    b: &mut Driver<B>,
+    label: &str,
+) {
+    let views: Vec<String> = a.plan().plan.views.iter().map(|v| v.name.clone()).collect();
     for v in views {
         assert_eq!(
             a.view_contents(&v).checksum(),
@@ -203,7 +200,6 @@ fn tcp_subprocess_mode_matches_threaded() {
         real.query_result().checksum(),
         "subprocess tcp diverged from threaded"
     );
-    assert_eq!(tcp.backend_name(), "tcp");
     // Shut down explicitly: close() must reap the worker processes.
     let stats = tcp.close();
     assert_eq!(stats.batches_abandoned, 0);

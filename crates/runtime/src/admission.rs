@@ -10,9 +10,8 @@
 //! Invariants: per-relation admission order is preserved and
 //! `queue_bytes` is the exact serialized footprint of `queue`.
 
-use crate::{Driver, Transport, WorkerDead};
+use crate::{BatchExecution, Driver, Transport, WorkerDead};
 use hotdog_algebra::relation::Relation;
-use hotdog_distributed::BatchExecution;
 use hotdog_telemetry::ActiveSpan;
 use std::time::Instant;
 
@@ -86,6 +85,11 @@ impl<T: Transport> Driver<T> {
         };
         self.queue_bytes -= entry.delta.serialized_size();
         let tuples = entry.delta.len();
+        // Counted at first issue: a recovery replays the delta uncounted.
+        // Its admitted tuples were counted into the totals at admission.
+        self.stats.batches_executed += 1;
+        self.stats.tuples_executed += tuples;
+        self.totals.batches += 1;
         self.execute_canonical(&entry.relation, entry.delta, tuples, true, Some(entry.root))?;
         Ok(())
     }

@@ -8,10 +8,33 @@
 //! drain resynchronizes from snapshots — no gaps, no duplicates.
 
 use crate::{Driver, Reply, Request, Transport, WorkerDead};
-use hotdog_distributed::{assemble_views, CaptureBatch, CapturedView, DeltaCapture};
+use hotdog_distributed::{assemble_views, CaptureBatch, CapturedView};
 use hotdog_ivm::StmtOp;
 
 impl<T: Transport> Driver<T> {
+    /// Enable capture for `views` on every node, replacing any previous
+    /// capture set and discarding its pending log.  An empty slice
+    /// disables capture.
+    pub fn enable_capture(&mut self, views: &[String]) {
+        self.capture_views = views.to_vec();
+        self.capture_epoch = self.recoveries;
+        self.with_recovery(Self::broadcast_set_capture)
+            .unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"));
+    }
+
+    /// Synchronize to a committed batch boundary, then drain every node's
+    /// capture log into one watermark-stamped batch.
+    pub fn take_captured(&mut self) -> CaptureBatch {
+        self.try_take_captured()
+            .unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"))
+    }
+
+    /// Fallible [`Driver::take_captured`]: surfaces an unrecovered worker
+    /// death instead of panicking.
+    pub fn try_take_captured(&mut self) -> Result<CaptureBatch, WorkerDead> {
+        self.with_recovery(Self::take_captured_inner)
+    }
+
     /// Arm (or re-arm) capture on every node for the current capture set,
     /// discarding any pending logs.
     fn broadcast_set_capture(&mut self) -> Result<(), WorkerDead> {
@@ -77,26 +100,6 @@ impl<T: Transport> Driver<T> {
             views: assembled,
         })
     }
-
-    /// Fallible [`DeltaCapture::take_captured`]: surfaces an unrecovered
-    /// worker death instead of panicking.
-    pub fn try_take_captured(&mut self) -> Result<CaptureBatch, WorkerDead> {
-        self.with_recovery(Self::take_captured_inner)
-    }
-}
-
-impl<T: Transport> DeltaCapture for Driver<T> {
-    fn enable_capture(&mut self, views: &[String]) {
-        self.capture_views = views.to_vec();
-        self.capture_epoch = self.recoveries;
-        self.with_recovery(Self::broadcast_set_capture)
-            .unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"));
-    }
-
-    fn take_captured(&mut self) -> CaptureBatch {
-        self.try_take_captured()
-            .unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"))
-    }
 }
 
 #[cfg(test)]
@@ -106,9 +109,7 @@ mod tests {
     use hotdog_algebra::relation::Relation;
     use hotdog_algebra::schema::Schema;
     use hotdog_algebra::tuple;
-    use hotdog_distributed::{
-        compile_distributed, DeltaCapture, OptLevel, PartitioningSpec, ViewAccumulator,
-    };
+    use hotdog_distributed::{compile_distributed, OptLevel, PartitioningSpec, ViewAccumulator};
     use hotdog_ivm::compile_recursive;
 
     fn make_cluster(workers: usize) -> Cluster {

@@ -4,9 +4,7 @@
 //! against partitioned state; only time is modelled, by a seeded virtual
 //! clock the driver reads through [`Transport::clock_secs`].
 
-use crate::{
-    install, ClusterConfig, Driver, Reply, Request, Transport, TransportNames, WorkerDead,
-};
+use crate::{install, ClusterConfig, Driver, Reply, Request, Transport, WorkerDead};
 use hotdog_distributed::{handle_request, DistributedPlan, WorkerState};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -126,13 +124,6 @@ impl Transport for SimTransport {
     /// The workers are dropped with the transport.
     fn shutdown(&mut self) {}
 
-    fn names(&self) -> TransportNames {
-        TransportNames {
-            sync: "simulated",
-            pipelined: "simulated-pipelined",
-        }
-    }
-
     fn clock_secs(&self) -> Option<f64> {
         Some(self.clock)
     }
@@ -142,13 +133,13 @@ impl Transport for SimTransport {
 mod tests {
     use super::*;
     use crate::tests::{batches, example_dplan, example_query};
+    use crate::ClusterTotals;
     use hotdog_algebra::expr::*;
     use hotdog_algebra::relation::Relation;
     use hotdog_algebra::schema::Schema;
     use hotdog_algebra::tuple;
     use hotdog_distributed::{
-        compile_distributed, ClusterTotals, DistStmtKind, LocTag, OptLevel, PartitioningSpec,
-        Transform,
+        compile_distributed, DistStmtKind, LocTag, OptLevel, PartitioningSpec, Transform,
     };
     use hotdog_exec::{ExecMode, LocalEngine};
     use hotdog_ivm::compile_recursive;

@@ -60,7 +60,7 @@ impl ClusterConfig {
 pub struct PipelineConfig {
     /// Ring-sum each admitted batch into the latest queued delta of the
     /// same relation until that delta — counted after batch preprocessing,
-    /// as [`PipelineStats::tuples_executed`](hotdog_distributed::PipelineStats::tuples_executed)
+    /// as [`PipelineStats::tuples_executed`](crate::PipelineStats::tuples_executed)
     /// is — could exceed this many tuples.  `0`
     /// disables coalescing (making pipelined execution bit-identical to
     /// the synchronous schedule; with coalescing the state is identical in

@@ -17,14 +17,14 @@ use crate::ledger::ReplyLedger;
 use crate::recovery::CheckpointState;
 use crate::stats::DriverMetrics;
 use crate::{
-    install, ChannelTransport, FaultConfig, PipelineConfig, PipelineStats, Reply, Request,
-    Transport, WorkerDead,
+    install, BatchExecution, ChannelTransport, ClusterTotals, FaultConfig, PipelineConfig,
+    PipelineStats, Reply, Request, Transport, WorkerDead,
 };
 use hotdog_algebra::eval::EvalCounters;
 use hotdog_algebra::relation::Relation;
 use hotdog_distributed::{
-    partition_shards, Backend, BatchExecution, ClusterTotals, DistStatement, DistStmtKind,
-    DistributedPlan, LocTag, PartitionFn, StmtMode, StmtRef, Transform, WorkerState,
+    partition_shards, DistStatement, DistStmtKind, DistributedPlan, LocTag, PartitionFn, StmtMode,
+    StmtRef, Transform, WorkerState,
 };
 use hotdog_exec::relabel;
 use hotdog_telemetry::{ActiveSpan, SpanContext, Telemetry};
@@ -244,6 +244,16 @@ impl<T: Transport> Driver<T> {
         }
     }
 
+    /// Admit a pre-batched update stream in order, then [`Driver::flush`].
+    pub fn apply_stream<S: AsRef<str>>(&mut self, batches: &[Vec<(S, Relation)>]) {
+        for batch in batches {
+            for (rel, delta) in batch {
+                self.apply_batch(rel.as_ref(), delta);
+            }
+        }
+        self.flush();
+    }
+
     /// Execute every queued batch, commit the watermark and fold the stream
     /// wall-clock into the totals.  After `flush`, reads observe the entire
     /// admitted stream.  No-op in epoch-synchronous mode.
@@ -345,6 +355,19 @@ impl<T: Transport> Driver<T> {
         self.stats.clone() // `Drop` shuts the workers down
     }
 
+    /// The pipelined-ingestion counters, or `None` in epoch-synchronous
+    /// mode.
+    pub fn pipeline_stats(&self) -> Option<PipelineStats> {
+        self.is_pipelined().then(|| self.stats.clone())
+    }
+
+    /// Context of the most recently executed batch's root span: the parent
+    /// for stages that run after execution, such as a subscription hub's
+    /// fan-out.
+    pub fn trace_scope(&self) -> SpanContext {
+        self.trace_scope
+    }
+
     /// Epoch-synchronous execution of one maintenance program over a batch
     /// (preprocesses the batch, then delegates).
     fn execute_program(
@@ -358,6 +381,9 @@ impl<T: Transport> Driver<T> {
                 ..Default::default()
             });
         };
+        // Counted at first issue: a recovery replays the batch uncounted.
+        self.totals.batches += 1;
+        self.totals.tuples += batch.len();
         let root = self.telemetry.begin_batch_root();
         let admit_span = self.telemetry.begin_span(root.context(), "admit");
         let delta = program.preprocess(batch);
@@ -366,10 +392,12 @@ impl<T: Transport> Driver<T> {
     }
 
     /// Run one maintenance program over an owned, preprocessed delta
-    /// ([`TriggerProgram::preprocess`]).  `input_tuples` is the size the
-    /// stats report: the admitted batch's on the synchronous path, the
-    /// delta's own for queued and replayed deltas (see
-    /// [`PipelineStats::tuples_executed`](hotdog_distributed::PipelineStats::tuples_executed)).
+    /// ([`TriggerProgram::preprocess`](hotdog_distributed::TriggerProgram::preprocess)).
+    /// `input_tuples` is the size the stats report: the admitted batch's
+    /// on the synchronous path, the delta's own for queued and replayed
+    /// deltas (see [`PipelineStats::tuples_executed`]).  The batch's input
+    /// is counted into the totals by its first-issue caller, not here, so
+    /// a recovery replay does not count it again.
     ///
     /// `pipelined = false` is the epoch-synchronous schedule: every
     /// distributed block is barriered before the next starts and trailing
@@ -508,17 +536,11 @@ impl<T: Transport> Driver<T> {
                 ("wall_secs", stats.wall_secs.into()),
             ],
         );
-        if pipelined {
-            // Stream tuples were counted at admission; stream wall-clock is
-            // folded in at `flush`.
-            self.stats.batches_executed += 1;
-            self.stats.tuples_executed += stats.input_tuples;
-        } else {
+        if !pipelined {
+            // Pipelined stream wall-clock is folded in at `flush` instead.
             self.watermark = self.issued;
             self.totals.latency_secs += stats.latency_secs;
-            self.totals.tuples += stats.input_tuples;
         }
-        self.totals.batches += 1;
         self.totals.bytes_shuffled += stats.bytes_shuffled;
         self.totals.latencies.push(stats.latency_secs);
         // After the batch's own accounting, so a checkpointed batch never
@@ -737,49 +759,6 @@ fn rel_reply(reply: Reply) -> Option<Relation> {
     match reply {
         Reply::Rel { rel, .. } => Some(rel),
         _ => None,
-    }
-}
-
-impl<T: Transport> Backend for Driver<T> {
-    fn backend_name(&self) -> &'static str {
-        let names = self.transport.names();
-        if self.is_pipelined() {
-            names.pipelined
-        } else {
-            names.sync
-        }
-    }
-
-    fn plan(&self) -> &DistributedPlan {
-        Driver::plan(self)
-    }
-
-    fn apply_batch(&mut self, relation: &str, batch: &Relation) -> BatchExecution {
-        Driver::apply_batch(self, relation, batch)
-    }
-
-    fn flush(&mut self) {
-        Driver::flush(self);
-    }
-
-    fn view_contents(&mut self, name: &str) -> Relation {
-        Driver::view_contents(self, name)
-    }
-
-    fn totals(&self) -> &ClusterTotals {
-        &self.totals
-    }
-
-    fn pipeline_stats(&self) -> Option<PipelineStats> {
-        self.is_pipelined().then(|| self.stats.clone())
-    }
-
-    fn telemetry(&self) -> Arc<Telemetry> {
-        self.telemetry.clone()
-    }
-
-    fn trace_scope(&self) -> SpanContext {
-        self.trace_scope
     }
 }
 

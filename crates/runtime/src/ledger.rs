@@ -196,7 +196,6 @@ impl<T: Transport> Driver<T> {
 mod tests {
     use super::*;
     use crate::tests::example_dplan;
-    use crate::TransportNames;
     use hotdog_algebra::relation::Relation;
     use hotdog_distributed::{OptLevel, WorkerSnapshot, WorkerStatsSnapshot};
 
@@ -219,12 +218,6 @@ mod tests {
             })
         }
         fn shutdown(&mut self) {}
-        fn names(&self) -> TransportNames {
-            TransportNames {
-                sync: "scripted",
-                pipelined: "scripted",
-            }
-        }
     }
 
     fn scripted(script: Vec<Reply>) -> Driver<Scripted> {

@@ -15,6 +15,10 @@
 //! overlaps execution inside a bounded in-flight window.  "Life of a
 //! batch" in `docs/ARCHITECTURE.md` walks the whole path.
 //!
+//! `Driver<T>` is the one backend type: code that must run on every
+//! backend (benches, differential tests, `hotdog-serve`'s hub) is generic
+//! over `T: Transport` and takes a `&mut Driver<T>`.
+//!
 //! ## Module map
 //!
 //! [`Driver`] is one struct; each module is an `impl` block over the state
@@ -45,11 +49,11 @@
 //!   unfaulted run bit for bit.
 //! * `capture` — the captured view set and its recovery epoch.  A capture
 //!   batch never precedes its batches' watermark commit.
-//! * `stats` — [`TelemetryTotals`], cached metric handles.  `driver.*`
-//!   counters depend on the admission sequence and the schedule only, so
-//!   they agree across transports.
-//!
-//! [`BatchExecution::latency_secs`]: hotdog_distributed::BatchExecution
+//! * `stats` — [`BatchExecution`], [`ClusterTotals`], [`PipelineStats`],
+//!   [`TelemetryTotals`], cached metric handles.  A batch's input is
+//!   counted once, when it is first issued; a recovery replay re-executes
+//!   it uncounted.  `driver.*` counters depend on the admission sequence
+//!   and the schedule only, so they agree across transports.
 
 #![forbid(unsafe_code)]
 
@@ -67,8 +71,7 @@ mod tests;
 pub use cluster::{Cluster, SimTransport};
 pub use config::{ClusterConfig, FaultConfig, PipelineConfig};
 pub use driver::{Driver, ThreadedCluster};
-pub use hotdog_distributed::PipelineStats;
-pub use stats::TelemetryTotals;
+pub use stats::{BatchExecution, ClusterTotals, PipelineStats, TelemetryTotals};
 
 use hotdog_distributed::protocol::{
     handle_request, WorkerReply as Reply, WorkerRequest as Request,
@@ -134,8 +137,6 @@ pub trait Transport {
     }
     /// Stop all workers (idempotent).
     fn shutdown(&mut self);
-    /// Backend names a [`Driver`] over this transport reports, by mode.
-    fn names(&self) -> TransportNames;
     /// The transport's own [`Telemetry`] instance, if it keeps one (the
     /// TCP transport counts frames, bytes and codec time).  The driver
     /// *adopts* it, so wire-level and scheduler-level metrics land in one
@@ -151,14 +152,6 @@ pub trait Transport {
     fn clock_secs(&self) -> Option<f64> {
         None
     }
-}
-
-/// The [`Backend::backend_name`](hotdog_distributed::Backend::backend_name)
-/// strings of a transport, per execution mode.
-#[derive(Clone, Copy, Debug)]
-pub struct TransportNames {
-    pub sync: &'static str,
-    pub pipelined: &'static str,
 }
 
 /// A worker failed: its connection closed, its heartbeat deadline
@@ -322,13 +315,6 @@ impl Transport for ChannelTransport {
                     .expect("worker pool poisoned")
                     .push(thread);
             }
-        }
-    }
-
-    fn names(&self) -> TransportNames {
-        TransportNames {
-            sync: "threaded",
-            pipelined: "pipelined",
         }
     }
 }

@@ -1,5 +1,6 @@
-//! What the driver counts: the cached metric handles every hot path
-//! updates ([`DriverMetrics`]), the deterministic cross-backend
+//! What the driver counts: per-batch [`BatchExecution`] stats, lifetime
+//! [`ClusterTotals`] and [`PipelineStats`], the cached metric handles every
+//! hot path updates ([`DriverMetrics`]), the deterministic cross-backend
 //! [`TelemetryTotals`], and the snapshot / trace accessors built on the
 //! protocol's `Stats` round.
 
@@ -9,6 +10,116 @@ use hotdog_telemetry::{
     Counter, CriticalPath, Gauge, Histogram, MetricsSnapshot, SpanRecord, Telemetry,
 };
 use std::sync::Arc;
+
+/// Statistics of processing one batch on the cluster.
+#[derive(Clone, Debug, Default)]
+pub struct BatchExecution {
+    pub input_tuples: usize,
+    /// End-to-end latency of the batch (seconds): modelled on the
+    /// simulated cluster, measured wall-clock elsewhere.
+    pub latency_secs: f64,
+    /// Total bytes moved over the network.
+    pub bytes_shuffled: usize,
+    /// Bytes moved per worker (average).
+    pub bytes_per_worker: f64,
+    /// Distributed stages executed.
+    pub stages: usize,
+    /// Jobs launched.
+    pub jobs: usize,
+    /// Interpreter work of the slowest worker (instruction count).
+    pub max_worker_instructions: u64,
+    /// Interpreter work performed on the driver.
+    pub driver_instructions: u64,
+    /// Real wall-clock time spent executing the batch.
+    pub wall_secs: f64,
+}
+
+/// Accumulated totals over a cluster's lifetime.
+#[derive(Clone, Debug, Default)]
+pub struct ClusterTotals {
+    /// Batches issued, each counted once: a recovery replay re-executes
+    /// batches without counting them again.
+    pub batches: usize,
+    /// Tuples admitted, counted like `batches`.
+    pub tuples: usize,
+    pub latency_secs: f64,
+    pub bytes_shuffled: usize,
+    pub latencies: Vec<f64>,
+}
+
+impl ClusterTotals {
+    /// Throughput (tuples per second of latency).
+    pub fn throughput(&self) -> f64 {
+        if self.latency_secs == 0.0 {
+            0.0
+        } else {
+            self.tuples as f64 / self.latency_secs
+        }
+    }
+
+    /// Median batch latency in seconds.
+    pub fn median_latency(&self) -> f64 {
+        self.latency_percentile(0.50)
+    }
+
+    /// Batch latency percentile in seconds (`p` in `[0, 1]`, nearest-rank).
+    pub fn latency_percentile(&self, p: f64) -> f64 {
+        if self.latencies.is_empty() {
+            return 0.0;
+        }
+        let mut v = self.latencies.clone();
+        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let idx = ((v.len() as f64 * p) as usize).min(v.len() - 1);
+        v[idx]
+    }
+}
+
+/// Counters of a pipelined ingestion path (admission queue, delta
+/// coalescing, backpressure); [`Driver::pipeline_stats`] reports them, and
+/// `None` for a synchronous driver.
+#[derive(Clone, Debug, Default)]
+pub struct PipelineStats {
+    /// Batches admitted via `apply_batch`.
+    pub batches_admitted: usize,
+    /// Admitted batches that were ring-summed into an already-queued delta
+    /// instead of triggering on their own.
+    pub batches_coalesced: usize,
+    /// Maintenance-program executions actually triggered.
+    pub batches_executed: usize,
+    /// Admitted-but-unissued batches abandoned by an explicit close/drop
+    /// (never executed).
+    pub batches_abandoned: usize,
+    /// Tuples admitted (pre-coalescing).
+    pub tuples_admitted: usize,
+    /// Tuples in the executed deltas, after batch preprocessing and
+    /// coalescing: tuples that collide once projected onto the columns the
+    /// trigger reads are summed, and opposing deltas cancel, so both shrink
+    /// this below `tuples_admitted`.  The coalescing bound counts the same
+    /// tuples.
+    pub tuples_executed: usize,
+    /// High-water mark of the admission queue depth (batches).
+    pub max_queue_depth: usize,
+    /// High-water mark of the admission queue footprint (serialized bytes).
+    pub max_queue_bytes: usize,
+    /// Executions forced by the byte-bounded backpressure
+    /// (`admit_bytes`), not by the count capacity.
+    pub executions_forced_by_bytes: usize,
+    /// Executions forced by the latency target (watermark lag exceeded the
+    /// configured staleness bound).
+    pub executions_forced_by_latency: usize,
+    /// Slowest worker's interpreter work observed across lazy reply drains.
+    pub max_worker_instructions: u64,
+    /// Gather/repartition fetches issued while distributed-block
+    /// completions were still unconsumed (the worker may already have sent
+    /// them): the fetch queues behind the in-flight blocks instead of
+    /// draining the window first.  A function of the schedule alone.
+    pub gathers_overlapped: usize,
+    /// Multi-statement `ApplyMany` scatter messages shipped to workers.
+    pub scatter_messages_sent: usize,
+    /// Per-statement scatter messages avoided by batching (sum over
+    /// shipped messages of `statements - 1`).
+    pub scatter_messages_saved: usize,
+}
 
 /// Cached handles into the driver's metric registry, registered once at
 /// construction so every hot-path update is a single relaxed atomic op.

@@ -3,7 +3,7 @@ use hotdog_algebra::expr::*;
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
 use hotdog_algebra::tuple;
-use hotdog_distributed::{compile_distributed, Backend, LocTag, OptLevel, PartitioningSpec};
+use hotdog_distributed::{compile_distributed, LocTag, OptLevel, PartitioningSpec};
 use hotdog_exec::{ExecMode, LocalEngine};
 use hotdog_ivm::compile_recursive;
 use std::time::Duration;
@@ -762,7 +762,7 @@ fn workers_shut_down_cleanly_on_drop() {
     drop(piped); // queued + in-flight work abandoned, no hang
 }
 
-fn run_generic<B: Backend>(backend: &mut B) -> Relation {
+fn run_generic<T: Transport>(driver: &mut Driver<T>) -> Relation {
     let batches: Vec<Vec<(&str, Relation)>> = vec![vec![
         (
             "R",
@@ -779,12 +779,12 @@ fn run_generic<B: Backend>(backend: &mut B) -> Relation {
             ),
         ),
     ]];
-    backend.apply_stream(&batches);
-    backend.query_result()
+    driver.apply_stream(&batches);
+    driver.query_result()
 }
 
 #[test]
-fn cluster_implements_backend() {
+fn generic_driver_code_runs_on_the_simulated_cluster() {
     let q = sum(["B"], join(rel("R", ["A", "B"]), rel("S", ["B", "C"])));
     let plan = compile_recursive("Q", &q);
     let spec = PartitioningSpec::heuristic(&plan, &["A"]);
@@ -792,6 +792,5 @@ fn cluster_implements_backend() {
     let mut cluster = Cluster::new(dplan, ClusterConfig::with_workers(3));
     let result = run_generic(&mut cluster);
     assert!(!result.is_empty());
-    assert_eq!(cluster.backend_name(), "simulated");
-    assert_eq!(Backend::totals(&cluster).batches, 2);
+    assert_eq!(cluster.totals.batches, 2);
 }

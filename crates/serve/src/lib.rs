@@ -36,6 +36,10 @@
 //! `resync` batch — full snapshot parts as `SetTo` ops — so subscribers
 //! reset instead of accumulating: no gaps, no duplicates.
 //!
+//! Each shape's backend is a `hotdog-runtime` [`Driver<T>`](Driver), and
+//! the hub is generic over its [`Transport`]: the same hub serves from the
+//! simulated cluster, worker threads or TCP worker processes.
+//!
 //! The TCP protocol extension (`Subscribe`/`Unsubscribe`/`ViewDelta`
 //! frames over the bit-preserving codec) lives in [`net`].
 
@@ -50,10 +54,10 @@ use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
 use hotdog_algebra::value::Value;
 use hotdog_distributed::{
-    compile_distributed, Backend, CaptureBatch, DeltaCapture, DistributedPlan, OptLevel,
-    PartitioningSpec, ViewAccumulator,
+    compile_distributed, CaptureBatch, DistributedPlan, OptLevel, PartitioningSpec, ViewAccumulator,
 };
 use hotdog_ivm::{compile_recursive, StmtOp};
+use hotdog_runtime::{Driver, Transport};
 use std::collections::HashMap;
 
 /// A registered query shape: the query all its subscribers share, plus
@@ -221,8 +225,8 @@ impl SubscriberView {
 }
 
 /// One shape's shared backend plus its subscriber table.
-struct ShapeEntry<B> {
-    backend: B,
+struct ShapeEntry<T: Transport> {
+    backend: Driver<T>,
     view: String,
     schema: Schema,
     subscribers: HashMap<SubscriptionId, ParamFilter>,
@@ -236,26 +240,26 @@ struct ShapeEntry<B> {
 /// The serving front-end: routes subscriptions onto shared per-shape
 /// backends and fans captured deltas out to subscribers.
 ///
-/// Generic over the backend so the same hub runs on the simulated cluster,
-/// the threaded runtime, or TCP worker processes; `make_backend` builds
-/// one backend per *shape* (not per subscriber) from the shape's compiled
-/// plan.
-pub struct SubscriptionHub<B, F>
+/// Generic over the driver's [`Transport`] so the same hub runs on the
+/// simulated cluster, the threaded runtime, or TCP worker processes;
+/// `make_backend` builds one driver per *shape* (not per subscriber) from
+/// the shape's compiled plan.
+pub struct SubscriptionHub<T, F>
 where
-    B: Backend + DeltaCapture,
-    F: FnMut(&QueryShape, DistributedPlan) -> B,
+    T: Transport,
+    F: FnMut(&QueryShape, DistributedPlan) -> Driver<T>,
 {
     make_backend: F,
-    shapes: HashMap<String, ShapeEntry<B>>,
+    shapes: HashMap<String, ShapeEntry<T>>,
     /// `subscription id -> shape name` (ids are hub-unique).
     routes: HashMap<SubscriptionId, String>,
     next_id: SubscriptionId,
 }
 
-impl<B, F> SubscriptionHub<B, F>
+impl<T, F> SubscriptionHub<T, F>
 where
-    B: Backend + DeltaCapture,
-    F: FnMut(&QueryShape, DistributedPlan) -> B,
+    T: Transport,
+    F: FnMut(&QueryShape, DistributedPlan) -> Driver<T>,
 {
     pub fn new(make_backend: F) -> Self {
         SubscriptionHub {
@@ -425,7 +429,7 @@ where
 
     /// Mutable access to a shape's shared backend (oracle assertions and
     /// fault injection reach through here).
-    pub fn backend(&mut self, shape: &str) -> Option<&mut B> {
+    pub fn backend(&mut self, shape: &str) -> Option<&mut Driver<T>> {
         self.shapes.get_mut(shape).map(|e| &mut e.backend)
     }
 
@@ -442,7 +446,7 @@ mod tests {
     use hotdog_algebra::expr::{join, rel, sum};
     use hotdog_algebra::tuple;
     use hotdog_ivm::StmtOp;
-    use hotdog_runtime::{Cluster, ClusterConfig};
+    use hotdog_runtime::{Cluster, ClusterConfig, SimTransport};
 
     fn shape(name: &str) -> QueryShape {
         QueryShape::new(
@@ -452,14 +456,17 @@ mod tests {
         )
     }
 
-    fn hub() -> SubscriptionHub<Cluster, impl FnMut(&QueryShape, DistributedPlan) -> Cluster> {
+    fn hub() -> SubscriptionHub<SimTransport, impl FnMut(&QueryShape, DistributedPlan) -> Cluster> {
         SubscriptionHub::new(|_shape: &QueryShape, dplan: DistributedPlan| {
             Cluster::new(dplan, ClusterConfig::with_workers(3))
         })
     }
 
     fn feed(
-        hub: &mut SubscriptionHub<Cluster, impl FnMut(&QueryShape, DistributedPlan) -> Cluster>,
+        hub: &mut SubscriptionHub<
+            SimTransport,
+            impl FnMut(&QueryShape, DistributedPlan) -> Cluster,
+        >,
     ) {
         hub.apply_batch(
             "R",

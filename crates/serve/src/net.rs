@@ -21,9 +21,10 @@ use crate::{ParamFilter, QueryShape, SubscriptionHub, ViewDelta};
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
 use hotdog_algebra::value::Value;
-use hotdog_distributed::{Backend, DeltaCapture, DistributedPlan};
+use hotdog_distributed::DistributedPlan;
 use hotdog_ivm::StmtOp;
 use hotdog_net::{recv_msg, send_msg, DecodeError, Reader, Wire};
+use hotdog_runtime::{Driver, Transport};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 
@@ -178,14 +179,14 @@ impl Wire for ServerMsg {
 /// Serve the subscription protocol to one connected client until it sends
 /// `Close` (or hangs up).  `shapes` is the server's registered shape
 /// catalog; clients subscribe by shape name and bind parameters.
-pub fn serve_connection<B, F>(
+pub fn serve_connection<T, F>(
     stream: TcpStream,
-    hub: &mut SubscriptionHub<B, F>,
+    hub: &mut SubscriptionHub<T, F>,
     shapes: &[QueryShape],
 ) -> io::Result<()>
 where
-    B: Backend + DeltaCapture,
-    F: FnMut(&QueryShape, DistributedPlan) -> B,
+    T: Transport,
+    F: FnMut(&QueryShape, DistributedPlan) -> Driver<T>,
 {
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -254,15 +255,15 @@ where
 
 /// Accept clients on `listener` one at a time, serving each to completion
 /// (the single-tenant demo server; a production front-end would multiplex).
-pub fn serve_subscriptions<B, F>(
+pub fn serve_subscriptions<T, F>(
     listener: TcpListener,
-    hub: &mut SubscriptionHub<B, F>,
+    hub: &mut SubscriptionHub<T, F>,
     shapes: &[QueryShape],
     max_clients: usize,
 ) -> io::Result<()>
 where
-    B: Backend + DeltaCapture,
-    F: FnMut(&QueryShape, DistributedPlan) -> B,
+    T: Transport,
+    F: FnMut(&QueryShape, DistributedPlan) -> Driver<T>,
 {
     for _ in 0..max_clients {
         let (stream, _addr) = listener.accept()?;

@@ -89,25 +89,25 @@ impl Event {
             "{{\"seq\":{},\"t_us\":{},\"event\":\"{}\"",
             self.seq,
             self.micros,
-            escape(self.kind)
+            escape_json(self.kind)
         );
         for (k, v) in &self.fields {
             match v {
                 FieldValue::U64(n) => {
-                    let _ = write!(out, ",\"{}\":{n}", escape(k));
+                    let _ = write!(out, ",\"{}\":{n}", escape_json(k));
                 }
                 FieldValue::I64(n) => {
-                    let _ = write!(out, ",\"{}\":{n}", escape(k));
+                    let _ = write!(out, ",\"{}\":{n}", escape_json(k));
                 }
                 FieldValue::F64(x) => {
                     if x.is_finite() {
-                        let _ = write!(out, ",\"{}\":{x}", escape(k));
+                        let _ = write!(out, ",\"{}\":{x}", escape_json(k));
                     } else {
-                        let _ = write!(out, ",\"{}\":\"{x}\"", escape(k));
+                        let _ = write!(out, ",\"{}\":\"{x}\"", escape_json(k));
                     }
                 }
                 FieldValue::Str(s) => {
-                    let _ = write!(out, ",\"{}\":\"{}\"", escape(k), escape(s));
+                    let _ = write!(out, ",\"{}\":\"{}\"", escape_json(k), escape_json(s));
                 }
             }
         }
@@ -116,8 +116,9 @@ impl Event {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-fn escape(s: &str) -> String {
+/// Minimal JSON string escaping (quotes, backslashes, control bytes), for
+/// flight events and trace span names alike.
+pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -27,6 +27,7 @@
 //!   the `trace.*` histograms, the [`critical_path`] analyzer and the
 //!   Chrome trace export, and are excluded from the deterministic slice.
 
+use crate::flight::escape_json;
 use crate::metrics::Registry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -504,23 +505,6 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
         );
     }
     out.push_str("]}");
-    out
-}
-
-/// Minimal JSON string escaping for span names (stage names are plain
-/// identifiers today; escaping keeps ingested records safe).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

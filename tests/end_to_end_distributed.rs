@@ -39,7 +39,7 @@ fn cluster_result(
     batch_size: usize,
     workers: usize,
     opt: OptLevel,
-) -> (Relation, hotdog::distributed::ClusterTotals) {
+) -> (Relation, hotdog::runtime::ClusterTotals) {
     let plan = compile_recursive(q.id, &q.expr);
     let spec = PartitioningSpec::heuristic(&plan, &q.partition_keys);
     let dplan = compile_distributed(&plan, &spec, opt);
@@ -406,10 +406,9 @@ fn benchmark_plan_shapes_shuffle_pinned_bytes_on_every_backend() {
             sim.query_result().checksum(),
             "{id} x{workers}: threaded != simulated"
         );
-        let bytes = threaded.totals().bytes_shuffled;
+        let bytes = threaded.totals.bytes_shuffled;
         assert_eq!(
-            bytes,
-            sim.totals().bytes_shuffled,
+            bytes, sim.totals.bytes_shuffled,
             "{id} x{workers}: threaded and simulated count different shuffle bytes"
         );
         assert!(

@@ -91,9 +91,12 @@ fn compile_for(q: &CatalogQuery, opt: OptLevel) -> DistributedPlan {
 
 /// Stream a pre-batched workload through a backend and return the final
 /// query result (generic over every execution backend).
-fn run_backend<B: Backend>(mut backend: B, batches: &[Vec<(&'static str, Relation)>]) -> Relation {
-    backend.apply_stream(batches);
-    backend.query_result()
+fn run_backend<T: Transport>(
+    driver: &mut Driver<T>,
+    batches: &[Vec<(&'static str, Relation)>],
+) -> Relation {
+    driver.apply_stream(batches);
+    driver.query_result()
 }
 
 /// Run every maintenance backend over the same stream and check:
@@ -132,16 +135,19 @@ fn differential_check(
     let reference = recompute_reference(q, stream);
 
     let sim = run_backend(
-        Cluster::new(compile_for(q, opt), ClusterConfig::with_workers(workers)),
+        &mut Cluster::new(compile_for(q, opt), ClusterConfig::with_workers(workers)),
         &batches,
     );
-    let sync = run_backend(ThreadedCluster::new(compile_for(q, opt), workers), &batches);
+    let sync = run_backend(
+        &mut ThreadedCluster::new(compile_for(q, opt), workers),
+        &batches,
+    );
     let no_coalesce = PipelineConfig {
         coalesce_tuples: 0,
         ..pipeline.clone()
     };
     let piped = run_backend(
-        ThreadedCluster::pipelined(compile_for(q, opt), workers, no_coalesce.clone()),
+        &mut ThreadedCluster::pipelined(compile_for(q, opt), workers, no_coalesce.clone()),
         &batches,
     );
     // Exercise both backpressure paths: a byte bound small enough to
@@ -153,11 +159,11 @@ fn differential_check(
         ..pipeline.clone()
     };
     let backpressured = run_backend(
-        ThreadedCluster::pipelined(compile_for(q, opt), workers, backpressure_config),
+        &mut ThreadedCluster::pipelined(compile_for(q, opt), workers, backpressure_config),
         &batches,
     );
     let coalesced = run_backend(
-        ThreadedCluster::pipelined(compile_for(q, opt), workers, pipeline.clone()),
+        &mut ThreadedCluster::pipelined(compile_for(q, opt), workers, pipeline.clone()),
         &batches,
     );
     // The socket transport, both modes: pipelined with coalescing
@@ -165,7 +171,7 @@ fn differential_check(
     // threads are pure transport) and with the same coalescing bound as
     // the threaded arm (1e-9, same as every coalesced schedule).
     let tcp = run_backend(
-        TcpCluster::pipelined(
+        &mut TcpCluster::pipelined(
             compile_for(q, opt),
             &tcp_config(workers),
             no_coalesce.clone(),
@@ -174,7 +180,7 @@ fn differential_check(
         &batches,
     );
     let tcp_coalesced = run_backend(
-        TcpCluster::pipelined(compile_for(q, opt), &tcp_config(workers), pipeline)
+        &mut TcpCluster::pipelined(compile_for(q, opt), &tcp_config(workers), pipeline)
             .expect("tcp cluster"),
         &batches,
     );

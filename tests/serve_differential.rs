@@ -14,6 +14,7 @@
 mod common;
 
 use common::{chaos_plan, seed_from_env, tcp_config, workers_under_test};
+use hotdog::net::TcpTransport;
 use hotdog::prelude::*;
 
 fn shape_for(q: &CatalogQuery) -> QueryShape {
@@ -52,16 +53,16 @@ fn binding_from(reference: &Relation, schema: &Schema) -> Option<(String, Value)
 /// Drive one hub through the stream — subscribe a full-view client and a
 /// parameter-bound client, push every batch round, pump, replay — and
 /// assert both reconstructions.
-fn check_subscriptions<B, F>(
-    mut hub: SubscriptionHub<B, F>,
+fn check_subscriptions<T, F>(
+    mut hub: SubscriptionHub<T, F>,
     q: &CatalogQuery,
     batches: &[Vec<(&str, Relation)>],
     reference: &Relation,
     bit_exact_vs_fresh: bool,
     label: &str,
 ) where
-    B: Backend + DeltaCapture,
-    F: FnMut(&QueryShape, DistributedPlan) -> B,
+    T: Transport,
+    F: FnMut(&QueryShape, DistributedPlan) -> Driver<T>,
 {
     let shape = shape_for(q);
     let (full_id, init_full) = hub.subscribe(&shape, ParamFilter::all());
@@ -151,7 +152,9 @@ fn subscriptions_reconstruct_views_across_backends() {
         );
         check_subscriptions(
             SubscriptionHub::new(|_s: &QueryShape, dplan: DistributedPlan| {
-                TcpCluster::new(dplan, &tcp_config(workers)).expect("tcp cluster")
+                let transport =
+                    TcpTransport::connect(&dplan, &tcp_config(workers)).expect("tcp cluster");
+                Driver::with_transport(dplan, transport, None)
             }),
             &q,
             &batches,
@@ -310,7 +313,8 @@ fn fault_during_active_subscription_resyncs_without_gaps_or_duplicates() {
     );
     let config = tcp_config(workers).with_faults(plan);
     let mut hub = SubscriptionHub::new(move |_s: &QueryShape, dplan: DistributedPlan| {
-        let mut tcp = TcpCluster::new(dplan, &config).expect("tcp cluster");
+        let transport = TcpTransport::connect(&dplan, &config).expect("tcp cluster");
+        let mut tcp = Driver::with_transport(dplan, transport, None);
         tcp.set_fault_config(Some(FaultConfig::every(1)));
         tcp
     });

@@ -267,7 +267,7 @@ fn trace_oracle_span_structure_agrees_threaded_vs_tcp() {
         let roots: Vec<_> = threaded_spans.iter().filter(|s| s.parent == 0).collect();
         assert_eq!(
             roots.len(),
-            threaded.totals().batches,
+            threaded.totals.batches,
             "{}: one root span per executed batch",
             q.id
         );
