@@ -7,9 +7,7 @@
 //! axis bounded by the machine's cores); `--pipeline` / `--coalesce=N`
 //! select its pipelined ingestion path and `--tcp` the multi-process socket
 //! backend (this binary re-runs itself as the workers).
-//! `--strong-batch=N` sets the largest batch (default 10 000).  With
-//! `BENCH_JSON=<path>` the rows are also written there as a
-//! `fig10_strong_scaling` JSON section.
+//! `--strong-batch=N` sets the largest batch (default 10 000).
 
 use hotdog::prelude::*;
 use hotdog_bench::*;
@@ -29,7 +27,6 @@ fn main() {
         _ => &["Q6", "Q17", "Q3", "Q7"],
     };
     let mut rows = Vec::new();
-    let mut runs = Vec::new();
     for id in queries {
         let q = query(id).unwrap();
         for &batch in &batch_sizes {
@@ -43,7 +40,6 @@ fn main() {
                     f(run.median_latency_secs * 1e3),
                     f(run.throughput / 1e3),
                 ]);
-                runs.push(run);
             }
         }
     }
@@ -61,5 +57,4 @@ fn main() {
         ],
         &rows,
     );
-    emit_bench_json("fig10_strong_scaling", &runs);
 }

@@ -6,12 +6,11 @@
 //! backend (measured wall-clock), with `--pipeline` (optionally
 //! `--coalesce=N`) on its pipelined ingestion path, and with `--tcp` on the
 //! multi-process socket backend (this binary re-runs itself as the
-//! workers).  A second table, `pipeline_stream`, compares the
+//! workers).  A second table compares the
 //! epoch-synchronous and pipelined+coalescing paths head-to-head on a
 //! many-small-batch stream.
 //! `--per-worker=N`, `--stream-batch=N` and `--stream-workers=N` size the
-//! two tables.  With `BENCH_JSON=<path>` both tables are also written there
-//! as JSON sections (throughput, latency percentiles, telemetry counters).
+//! two tables.
 
 use hotdog::prelude::*;
 use hotdog_bench::*;
@@ -25,7 +24,6 @@ fn main() {
         _ => &[1, 2, 4, 8],
     };
     let mut rows = Vec::new();
-    let mut runs = Vec::new();
     for id in ["Q6", "Q17", "Q3", "Q7"] {
         let q = query(id).unwrap();
         for &workers in workers_axis {
@@ -40,7 +38,6 @@ fn main() {
                 f(run.throughput / 1e3),
                 f(run.mb_shuffled_per_worker),
             ]);
-            runs.push(run);
         }
     }
     print_table(
@@ -58,7 +55,6 @@ fn main() {
         ],
         &rows,
     );
-    emit_bench_json("fig9_weak_scaling", &runs);
 
     // Streaming head-to-head (the acceptance number for the pipelined
     // runtime): 64 small batches through the epoch-synchronous path vs. the
@@ -66,7 +62,6 @@ fn main() {
     let tuples_per_batch = args.stream_batch;
     let workers = args.stream_workers;
     let mut cmp_rows = Vec::new();
-    let mut cmp_json = Vec::new();
     for id in ["Q3", "Q6"] {
         let q = query(id).unwrap();
         let cmp =
@@ -84,7 +79,6 @@ fn main() {
                 .map(|c| format!("{} -> {}", c.batches_admitted, c.batches_executed))
                 .unwrap_or_default(),
         ]);
-        cmp_json.push(cmp.to_json());
     }
     print_table(
         "Pipelined stream throughput (epoch-synchronous vs pipelined+coalescing)",
@@ -99,5 +93,4 @@ fn main() {
         ],
         &cmp_rows,
     );
-    emit_bench_section("pipeline_stream", &json::jarray(cmp_json));
 }

@@ -2,11 +2,10 @@
 //!
 //! Benchmark harness reproducing every table and figure of the paper's
 //! evaluation section on the laptop-scale simulator.  Each binary under
-//! `src/bin/` regenerates one artifact and prints it as a plain-text table
-//! (fig9/fig10 also write their rows as JSON to the file named by
-//! `BENCH_JSON`, when that is set); this library holds the shared
-//! experiment drivers and table printing.  Performance regressions are
-//! judged by the repo benchmark (`BENCHMARK.json`, `benchmark/`), not here.
+//! `src/bin/` regenerates one artifact and prints it as a plain-text table;
+//! this library holds the shared experiment drivers and table printing.
+//! Performance regressions are judged by the repo benchmark
+//! (`BENCHMARK.json`, `benchmark/`), not here.
 //!
 //! Absolute numbers differ from the paper (interpreter vs. generated C++,
 //! simulated cluster vs. 100 Spark servers); the harness is built to
@@ -17,8 +16,6 @@ use hotdog::ivm::Strategy;
 use hotdog::prelude::*;
 use hotdog::runtime::ClusterTotals;
 use std::time::Instant;
-
-pub mod json;
 
 /// Generate the stream matching a catalog query's workload family.
 pub fn stream_for(q: &CatalogQuery, tuples: usize, seed: u64) -> UpdateStream {
@@ -118,24 +115,12 @@ impl BackendKind {
         }
     }
 
-    /// What the latency percentiles of a run on this backend measure.
-    /// Simulated/threaded runs report end-to-end batch latencies; the
+    /// Table column header for this backend's median latency.  The
     /// pipelined backends execute batches asynchronously, so their
     /// per-batch numbers are *driver-side issue times* (worker execution
     /// overlaps and is excluded) — not comparable across backends.
     /// Throughput is comparable everywhere (pipelined throughput is stream
     /// wall-clock).
-    pub fn latency_kind(&self) -> &'static str {
-        match self {
-            BackendKind::Simulated => "modelled_batch",
-            BackendKind::Threaded | BackendKind::Tcp => "measured_batch_wall",
-            BackendKind::Pipelined { .. } | BackendKind::TcpPipelined { .. } => "driver_issue_time",
-        }
-    }
-
-    /// Table column header for this backend's latency percentiles (flags
-    /// the pipelined backends' issue-time semantics, see
-    /// [`BackendKind::latency_kind`]).
     pub fn latency_column(&self) -> &'static str {
         match self {
             BackendKind::Pipelined { .. } | BackendKind::TcpPipelined { .. } => "median issue (ms)",
@@ -261,158 +246,16 @@ impl Args {
     }
 }
 
-/// Per-run telemetry counters embedded into a run's JSON row: the
-/// deterministic totals gathered over the protocol's `Stats` message,
-/// plus the wire-level `net.*` counters (zero on the in-process
-/// transports — only the TCP backend moves frames).
-#[derive(Clone, Debug, Default)]
-pub struct TelemetryRun {
-    pub messages_sent: u64,
-    pub replies_received: u64,
-    pub instructions: u64,
-    pub blocks_run: u64,
-    pub statements: u64,
-    pub tuples_applied: u64,
-    pub net_frames_sent: u64,
-    pub net_bytes_sent: u64,
-    pub net_frames_received: u64,
-    pub net_bytes_received: u64,
-    /// Critical-path analysis of the last traced batch (`None` when no
-    /// batch ran): which stage the batch was actually waiting on, from
-    /// the stitched span tree.
-    pub critical_path: Option<CriticalPath>,
-}
-
-/// Gather a driver's telemetry for a bench row (flushes the pipeline and
-/// collects every worker's counters over the protocol).
-fn collect_telemetry<T: Transport>(d: &mut Driver<T>) -> TelemetryRun {
-    let totals = d.telemetry_totals();
-    let snap = d.telemetry().snapshot();
-    TelemetryRun {
-        messages_sent: totals.messages_sent,
-        replies_received: totals.replies_received,
-        instructions: totals.instructions,
-        blocks_run: totals.blocks_run,
-        statements: totals.statements,
-        tuples_applied: totals.tuples_applied,
-        net_frames_sent: snap.counter("net.frames.sent"),
-        net_bytes_sent: snap.counter("net.bytes.sent"),
-        net_frames_received: snap.counter("net.frames.received"),
-        net_bytes_received: snap.counter("net.bytes.received"),
-        critical_path: d.critical_path(),
-    }
-}
-
 /// Result of one distributed run.
 #[derive(Clone, Debug)]
 pub struct DistRun {
-    pub query: String,
-    pub workers: usize,
-    pub batch_tuples: usize,
-    pub opt: OptLevel,
-    pub backend: BackendKind,
     pub median_latency_secs: f64,
-    pub p95_latency_secs: f64,
-    pub p99_latency_secs: f64,
     pub throughput: f64,
     pub mb_shuffled_per_worker: f64,
     pub jobs: usize,
     pub stages: usize,
     /// Pipelined-ingestion counters (`None` for synchronous backends).
     pub coalesce: Option<PipelineStats>,
-    /// Per-run telemetry counters.
-    pub telemetry: TelemetryRun,
-}
-
-impl DistRun {
-    /// One JSON object per run (a row of a `BENCH_JSON` section).
-    pub fn to_json(&self) -> String {
-        let mut obj = json::JsonObj::new()
-            .str("query", &self.query)
-            .str("backend", self.backend.label())
-            .str("opt", self.opt.label())
-            .int("workers", self.workers as u64)
-            .int("batch_tuples", self.batch_tuples as u64)
-            .num("throughput_tps", self.throughput)
-            .str("latency_kind", self.backend.latency_kind())
-            .num("median_latency_secs", self.median_latency_secs)
-            .num("p95_latency_secs", self.p95_latency_secs)
-            .num("p99_latency_secs", self.p99_latency_secs)
-            .num("mb_shuffled_per_worker", self.mb_shuffled_per_worker)
-            .int("jobs", self.jobs as u64)
-            .int("stages", self.stages as u64);
-        if let Some(c) = &self.coalesce {
-            obj = obj.raw(
-                "coalesce",
-                json::JsonObj::new()
-                    .int("batches_admitted", c.batches_admitted as u64)
-                    .int("batches_coalesced", c.batches_coalesced as u64)
-                    .int("batches_executed", c.batches_executed as u64)
-                    .int("tuples_admitted", c.tuples_admitted as u64)
-                    .int("tuples_executed", c.tuples_executed as u64)
-                    .int("max_queue_depth", c.max_queue_depth as u64)
-                    .int("max_queue_bytes", c.max_queue_bytes as u64)
-                    .int("forced_by_bytes", c.executions_forced_by_bytes as u64)
-                    .int("forced_by_latency", c.executions_forced_by_latency as u64)
-                    .int("gathers_overlapped", c.gathers_overlapped as u64)
-                    .int("scatter_messages_sent", c.scatter_messages_sent as u64)
-                    .int("scatter_messages_saved", c.scatter_messages_saved as u64)
-                    .render(),
-            );
-        }
-        let t = &self.telemetry;
-        obj = obj
-            .int("telemetry_messages_sent", t.messages_sent)
-            .int("telemetry_replies_received", t.replies_received)
-            .int("telemetry_instructions", t.instructions)
-            .int("telemetry_blocks_run", t.blocks_run)
-            .int("telemetry_statements", t.statements)
-            .int("telemetry_tuples_applied", t.tuples_applied)
-            .int("telemetry_net_frames_sent", t.net_frames_sent)
-            .int("telemetry_net_bytes_sent", t.net_bytes_sent)
-            .int("telemetry_net_frames_received", t.net_frames_received)
-            .int("telemetry_net_bytes_received", t.net_bytes_received);
-        if let Some(cp) = &t.critical_path {
-            obj = obj.raw(
-                "critical_path",
-                json::JsonObj::new()
-                    .int("trace", cp.trace)
-                    .int("total_micros", cp.total_micros)
-                    .num("attributed_fraction", cp.attributed_fraction())
-                    .raw(
-                        "stages",
-                        json::jarray(
-                            cp.stages
-                                .iter()
-                                .map(|(name, micros)| format!("[{}, {micros}]", json::jstr(name))),
-                        ),
-                    )
-                    .render(),
-            );
-        }
-        obj.render()
-    }
-}
-
-/// Write one experiment's runs as a section of the file named by
-/// `BENCH_JSON`, preserving other experiments' sections.  Without
-/// `BENCH_JSON` nothing is written: the tables on stdout are the artifact.
-pub fn emit_bench_json(section: &str, runs: &[DistRun]) {
-    let value = json::JsonObj::new()
-        .raw("rows", json::jarray(runs.iter().map(|r| r.to_json())))
-        .render();
-    emit_bench_section(section, &value);
-}
-
-/// Write one raw JSON `value` as `section` of the `BENCH_JSON` file, if set.
-pub fn emit_bench_section(section: &str, value: &str) {
-    let Some(path) = json::bench_json_path() else {
-        return;
-    };
-    match json::update_bench_json(&path, section, value) {
-        Ok(()) => eprintln!("wrote section {section:?} to {path}"),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
-    }
 }
 
 /// Available hardware parallelism, capped (measured experiments only make
@@ -437,11 +280,9 @@ fn tcp_config(workers: usize) -> TcpConfig {
 fn measure<T: Transport>(
     cluster: &mut Driver<T>,
     batches: &[Vec<(&'static str, Relation)>],
-) -> (ClusterTotals, Option<PipelineStats>, TelemetryRun) {
+) -> (ClusterTotals, Option<PipelineStats>) {
     cluster.apply_stream(batches);
-    let stats = cluster.pipeline_stats();
-    let telemetry = collect_telemetry(cluster);
-    (cluster.totals.clone(), stats, telemetry)
+    (cluster.totals.clone(), cluster.pipeline_stats())
 }
 
 /// Run a query on the simulated cluster, chunking the stream into batches of
@@ -478,7 +319,7 @@ pub fn run_distributed_on(
     let spec = PartitioningSpec::heuristic(&plan, &q.partition_keys);
     let dplan = compile_distributed(&plan, &spec, opt);
     let (jobs, stages) = dplan.complexity();
-    let (totals, coalesce, telemetry) = match (backend, backend.pipeline_config()) {
+    let (totals, coalesce) = match (backend, backend.pipeline_config()) {
         (BackendKind::Simulated, _) => measure(
             &mut Cluster::new(dplan, ClusterConfig::with_workers(workers)),
             &batches,
@@ -499,14 +340,7 @@ pub fn run_distributed_on(
         ),
     };
     DistRun {
-        query: q.id.to_string(),
-        workers,
-        batch_tuples,
-        opt,
-        backend,
         median_latency_secs: totals.median_latency(),
-        p95_latency_secs: totals.latency_percentile(0.95),
-        p99_latency_secs: totals.latency_percentile(0.99),
         throughput: totals.throughput(),
         mb_shuffled_per_worker: totals.bytes_shuffled as f64
             / 1e6
@@ -515,7 +349,6 @@ pub fn run_distributed_on(
         jobs,
         stages,
         coalesce,
-        telemetry,
     }
 }
 
@@ -525,10 +358,6 @@ pub fn run_distributed_on(
 /// thesis: fewer, larger triggers amortize per-batch overhead).
 #[derive(Clone, Debug)]
 pub struct StreamComparison {
-    pub query: String,
-    pub workers: usize,
-    pub n_batches: usize,
-    pub tuples_per_batch: usize,
     pub sync: DistRun,
     pub pipelined: DistRun,
 }
@@ -540,18 +369,6 @@ impl StreamComparison {
         } else {
             self.pipelined.throughput / self.sync.throughput
         }
-    }
-
-    pub fn to_json(&self) -> String {
-        json::JsonObj::new()
-            .str("query", &self.query)
-            .int("workers", self.workers as u64)
-            .int("n_batches", self.n_batches as u64)
-            .int("tuples_per_batch", self.tuples_per_batch as u64)
-            .num("speedup", self.speedup())
-            .raw("sync", self.sync.to_json())
-            .raw("pipelined", self.pipelined.to_json())
-            .render()
     }
 }
 
@@ -582,14 +399,7 @@ pub fn compare_stream_throughput(
         OptLevel::O3,
         BackendKind::Pipelined { coalesce_tuples },
     );
-    StreamComparison {
-        query: q.id.to_string(),
-        workers,
-        n_batches,
-        tuples_per_batch,
-        sync,
-        pipelined,
-    }
+    StreamComparison { sync, pipelined }
 }
 
 /// Print a plain-text table: header row then rows, columns padded.

@@ -236,6 +236,15 @@ fn killed_worker_respawns_and_recovers_bit_identically() {
                 "batches ({label})"
             );
             assert_eq!(
+                tcp.totals.latencies.len(),
+                clean.totals.latencies.len(),
+                "latencies ({label})"
+            );
+            assert_eq!(
+                tcp.totals.bytes_shuffled, clean.totals.bytes_shuffled,
+                "bytes shuffled ({label})"
+            );
+            assert_eq!(
                 tcp.stats.batches_executed, clean.stats.batches_executed,
                 "batches executed ({label})"
             );

@@ -126,7 +126,6 @@ fn tcp_pipelined_matches_sync_bit_for_bit() {
         PipelineConfig {
             coalesce_tuples: 0,
             admit_capacity: 1,
-            inflight_blocks: 1,
             ..Default::default()
         },
     ] {
@@ -228,7 +227,6 @@ fn tcp_drop_with_inflight_work_shuts_down() {
     let config = PipelineConfig {
         coalesce_tuples: 0,
         admit_capacity: 2,
-        inflight_blocks: 8,
         ..Default::default()
     };
     let mut tcp = TcpCluster::pipelined(example_dplan(OptLevel::O3), &thread_config(3), config)

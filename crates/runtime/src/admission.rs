@@ -3,7 +3,7 @@
 //! latest queued delta of the same relation (batched IVM triggers are
 //! exact for any delta, so same-relation deltas commute past other
 //! relations' batches — exact in real arithmetic, re-associated in float).
-//! The count, byte and staleness bounds of
+//! The count and byte bounds of
 //! [`PipelineConfig`](crate::PipelineConfig) each drive execution of the
 //! queue front.
 //!
@@ -19,9 +19,6 @@ use std::time::Instant;
 pub(crate) struct QueuedDelta {
     relation: String,
     delta: Relation,
-    /// When the *oldest* event folded into this delta was admitted: the
-    /// staleness clock the latency target is enforced against.
-    admitted_at: Instant,
     /// This batch's root span, opened at admission so queue dwell time is
     /// inside the root window; coalesced admissions record their
     /// `coalesce` child under it, and execution closes it.
@@ -30,8 +27,7 @@ pub(crate) struct QueuedDelta {
 
 impl<T: Transport> Driver<T> {
     /// Admitted-but-unissued batches currently held in the admission queue
-    /// (post-coalescing).  The latency-target mode bounds how long any of
-    /// them may wait.
+    /// (post-coalescing).
     pub fn queued_batches(&self) -> usize {
         self.queue.len()
     }
@@ -40,39 +36,6 @@ impl<T: Transport> Driver<T> {
     /// `admit_bytes` backpressure bound is enforced against).
     pub fn queued_bytes(&self) -> usize {
         self.queue_bytes
-    }
-
-    /// Execute every queued delta that has outlived the latency target
-    /// (no-op without one).  Runs at every admission and before every
-    /// read, so neither the queue nor a reader can outwait the staleness
-    /// budget — but there is no background timer, so a fully quiescent
-    /// stream holds its queue until the next admission, read or flush.
-    pub(crate) fn enforce_latency_target(&mut self) -> Result<(), WorkerDead> {
-        let Some(target) = self.pipeline.as_ref().and_then(|c| c.latency_target) else {
-            return Ok(());
-        };
-        // `>=` so a zero budget forces unconditionally, independent of
-        // clock resolution (a coarse monotonic clock can report elapsed()
-        // == 0 across two admissions).
-        while self
-            .queue
-            .front()
-            .is_some_and(|q| q.admitted_at.elapsed() >= target)
-        {
-            self.telemetry.event(
-                "backpressure.latency",
-                vec![
-                    ("queue_depth", self.queue.len().into()),
-                    (
-                        "target_micros",
-                        (target.as_micros().min(u64::MAX as u128) as u64).into(),
-                    ),
-                ],
-            );
-            self.execute_queue_front()?;
-            self.stats.executions_forced_by_latency += 1;
-        }
-        Ok(())
     }
 
     /// Pop and execute the queue front.  A worker death mid-execution
@@ -104,10 +67,10 @@ impl<T: Transport> Driver<T> {
 
     /// Pipelined admission: coalesce into the queue tail or enqueue.
     /// Driver-only (infallible); [`Driver::drain_admission_bounds`] then
-    /// drives execution while the queue exceeds the admission capacity,
-    /// the byte bound, or the latency target's staleness budget —
-    /// keeping the fallible worker traffic out of the enqueue step so an
-    /// admission is never double-counted across a recovery retry.
+    /// drives execution while the queue exceeds the admission capacity or
+    /// the byte bound — keeping the fallible worker traffic out of the
+    /// enqueue step so an admission is never double-counted across a
+    /// recovery retry.
     ///
     /// Every admitted batch is preprocessed first
     /// ([`TriggerProgram::preprocess`](hotdog_distributed::TriggerProgram::preprocess)),
@@ -135,9 +98,7 @@ impl<T: Transport> Driver<T> {
             ..Default::default()
         };
         // Batches to relations the plan has no trigger for are no-ops; do
-        // not let them split a coalescing run.  (The bounds drain still
-        // runs after a no-op admission, so already-queued deltas cannot
-        // outlive the latency budget.)
+        // not let them split a coalescing run.
         let Some(program) = self.dplan.program(relation) else {
             return stats;
         };
@@ -151,21 +112,10 @@ impl<T: Transport> Driver<T> {
         // same-relation batches are rare) still coalesce well.  Per-relation
         // admission order is preserved.
         let coalesce_bound = self.pipeline.as_ref().map_or(0, |c| c.coalesce_tuples);
-        // Under a latency target, a queued delta that has already burned
-        // half its staleness budget stops growing: coalescing into it would
-        // keep resetting the work it carries while its oldest event ages.
-        let latency_target = self.pipeline.as_ref().and_then(|c| c.latency_target);
-        let stale_cutoff = latency_target.map(|t| t / 2);
         let coalesced = match self.queue.iter_mut().rev().find(|q| q.relation == relation) {
             // The preprocessed batch is at most `batch.len()` tuples, so
             // the merged delta stays within the bound.
-            Some(q)
-                if coalesce_bound > 0
-                    && q.delta.len() + batch.len() <= coalesce_bound
-                    // Strict `<` so a zero budget vetoes coalescing
-                    // unconditionally, independent of clock resolution.
-                    && stale_cutoff.is_none_or(|cut| q.admitted_at.elapsed() < cut) =>
-            {
+            Some(q) if coalesce_bound > 0 && q.delta.len() + batch.len() <= coalesce_bound => {
                 // The merged-into delta's root is still open (it closes at
                 // execution), so the coalesce lands inside its window.
                 let span = self.telemetry.begin_span(q.root.context(), "coalesce");
@@ -201,7 +151,6 @@ impl<T: Transport> Driver<T> {
             self.queue.push_back(QueuedDelta {
                 relation: relation.to_string(),
                 delta,
-                admitted_at: Instant::now(),
                 root,
             });
         }
@@ -213,10 +162,10 @@ impl<T: Transport> Driver<T> {
     }
 
     /// Enforce the admission bounds after an [`Driver::admit`]: byte
-    /// budget, latency target and count capacity, oldest first.  This is
-    /// the fallible half of pipelined admission (it issues worker
-    /// traffic); retrying it after a recovery is safe because every bound
-    /// is re-checked from current queue state.
+    /// budget, then count capacity, oldest first.  This is the fallible
+    /// half of pipelined admission (it issues worker traffic); retrying it
+    /// after a recovery is safe because every bound is re-checked from
+    /// current queue state.
     pub(crate) fn drain_admission_bounds(&mut self) -> Result<(), WorkerDead> {
         let Some(config) = self.pipeline.clone() else {
             return Ok(());
@@ -235,9 +184,6 @@ impl<T: Transport> Driver<T> {
             self.execute_queue_front()?;
             self.stats.executions_forced_by_bytes += 1;
         }
-        // Latency target: any delta older than the staleness budget is
-        // overdue — force it (and anything queued ahead of it already ran).
-        self.enforce_latency_target()?;
         // Count capacity.
         while self.queue.len() > config.admit_capacity {
             self.execute_queue_front()?;

@@ -1,10 +1,8 @@
 //! The configuration objects of a [`Driver`](crate::Driver): how the
-//! pipelined ingestion path admits and windows work ([`PipelineConfig`]),
+//! pipelined ingestion path admits work ([`PipelineConfig`]),
 //! how worker deaths are survived ([`FaultConfig`]) and what the simulated
 //! cluster's messages cost ([`ClusterConfig`]).  Pure data — this module
 //! owns no state and sends no messages.
-
-use std::time::Duration;
 
 /// Size and cost model of the simulated cluster
 /// ([`Cluster`](crate::Cluster)): what each message a
@@ -75,22 +73,6 @@ pub struct PipelineConfig {
     /// drives execution of the queue front until the footprint fits.
     /// `0` disables the bound.
     pub admit_bytes: usize,
-    /// Latency-target mode: an upper bound on how stale a queued batch may
-    /// get before it is forced through.  Enforced at every admission *and*
-    /// at every read: whenever the oldest queued delta has been waiting
-    /// longer than this, the queue front is executed (counted in
-    /// `PipelineStats::executions_forced_by_latency`), and a queued
-    /// delta older than *half* the target stops accepting coalesced
-    /// merges — trading coalescing throughput for bounded watermark lag
-    /// (a read never observes data staler than the target).  There is no
-    /// background timer: on a stream that goes fully quiescent (no
-    /// admissions, no reads), queued deltas wait until the next
-    /// admission, read or `Driver::flush`.  `None` leaves staleness
-    /// unbounded (pure-throughput mode).
-    pub latency_target: Option<Duration>,
-    /// Maximum unsettled distributed-block completions per worker before
-    /// the driver must wait for one to settle.
-    pub inflight_blocks: usize,
 }
 
 impl Default for PipelineConfig {
@@ -99,8 +81,6 @@ impl Default for PipelineConfig {
             coalesce_tuples: 4096,
             admit_capacity: 16,
             admit_bytes: 0,
-            latency_target: None,
-            inflight_blocks: 4,
         }
     }
 }
@@ -112,13 +92,6 @@ impl PipelineConfig {
             coalesce_tuples,
             ..Default::default()
         }
-    }
-
-    /// Builder-style latency target (see
-    /// [`PipelineConfig::latency_target`]).
-    pub fn with_latency_target(mut self, target: Duration) -> Self {
-        self.latency_target = Some(target);
-        self
     }
 
     /// Builder-style byte bound on the admission queue (see

@@ -32,6 +32,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Distributed-block completions each worker may owe the pipelined
+/// schedule before the driver waits for the oldest to settle.
+const INFLIGHT_BLOCKS: usize = 4;
+
 /// One driver + N workers executing a distributed plan, generic over the
 /// [`Transport`] that reaches the workers.
 ///
@@ -61,9 +65,11 @@ pub struct Driver<T: Transport> {
     /// Slowest worker's interpreter work settled during the current
     /// `execute_canonical` call (reported per batch in synchronous mode).
     pub(crate) batch_max_instructions: u64,
-    /// Whether `ApplyMany` messages have been shipped with no barrier
-    /// behind them yet (a trailing scatter must be drained before worker
-    /// state is read, or before a synchronous batch's wall clock stops).
+    /// Whether `ApplyMany` messages have been shipped with nothing behind
+    /// them that the driver waits for: no later `RunBlock` (whose owed
+    /// completion every commit settles) and no reply round.  Such a
+    /// trailing scatter must be barriered before worker state is read, or
+    /// before a synchronous batch's wall clock stops.
     pub(crate) applies_in_flight: bool,
     /// `Some` iff this cluster runs the pipelined ingestion path.
     pub(crate) pipeline: Option<PipelineConfig>,
@@ -126,7 +132,7 @@ impl ThreadedCluster {
 
     /// Spawn `workers` worker threads with empty view partitions, in
     /// pipelined mode: `apply_batch` admits into a coalescing queue and
-    /// execution overlaps driver and worker work within the configured
+    /// execution overlaps driver and worker work within a bounded
     /// in-flight window.  Call [`ThreadedCluster::flush`] (or read a view)
     /// to force admitted batches through.
     pub fn pipelined(dplan: DistributedPlan, workers: usize, config: PipelineConfig) -> Self {
@@ -304,9 +310,6 @@ impl<T: Transport> Driver<T> {
 
     fn view_contents_inner(&mut self, name: &str) -> Result<Relation, WorkerDead> {
         self.telemetry.poll_dump();
-        // Under a latency target, overdue queued deltas are forced through
-        // first: a read never observes data staler than the target.
-        self.enforce_latency_target()?;
         self.commit_watermark()?;
         let mut out = Relation::new(self.dplan.schema_of(name).unwrap_or_default());
         for part in self.read_view_parts(name)? {
@@ -396,8 +399,9 @@ impl<T: Transport> Driver<T> {
     /// `input_tuples` is the size the stats report: the admitted batch's
     /// on the synchronous path, the delta's own for queued and replayed
     /// deltas (see [`PipelineStats::tuples_executed`]).  The batch's input
-    /// is counted into the totals by its first-issue caller, not here, so
-    /// a recovery replay does not count it again.
+    /// is counted into the totals by its first-issue caller, not here, and
+    /// its latency and shuffled bytes only by its first completed issue, so
+    /// a recovery replay counts neither again.
     ///
     /// `pipelined = false` is the epoch-synchronous schedule: every
     /// distributed block is barriered before the next starts and trailing
@@ -436,7 +440,6 @@ impl<T: Transport> Driver<T> {
         self.metrics.batches_executed.inc();
         self.metrics.batch_tuples.record(stats.input_tuples as u64);
         self.batch_max_instructions = 0;
-        let inflight_blocks = self.pipeline.as_ref().map_or(0, |c| c.inflight_blocks);
 
         let mut deltas = HashMap::new();
         deltas.insert(relation.to_string(), delta);
@@ -474,7 +477,7 @@ impl<T: Transport> Driver<T> {
                         // send order, so waiting for the oldest owed
                         // completion blocks only when it has not arrived.
                         for w in 0..self.workers {
-                            while self.ledger.pending(w) >= inflight_blocks.max(1) {
+                            while self.ledger.pending(w) >= INFLIGHT_BLOCKS {
                                 self.await_one_completion(w)?;
                             }
                         }
@@ -486,8 +489,6 @@ impl<T: Transport> Driver<T> {
                         stats.max_worker_instructions = stats
                             .max_worker_instructions
                             .max(self.batch_max_instructions);
-                        // The block barrier also drained any earlier applies.
-                        self.applies_in_flight = false;
                     }
                 }
             }
@@ -537,12 +538,19 @@ impl<T: Transport> Driver<T> {
             ],
         );
         if !pipelined {
-            // Pipelined stream wall-clock is folded in at `flush` instead.
             self.watermark = self.issued;
-            self.totals.latency_secs += stats.latency_secs;
         }
-        self.totals.bytes_shuffled += stats.bytes_shuffled;
-        self.totals.latencies.push(stats.latency_secs);
+        // Counted when a batch first completes its issue: `latencies` holds
+        // one entry per issue position reached, so a recovery replaying a
+        // batch that already got one stays out of the totals.
+        if self.issued as usize > self.totals.latencies.len() {
+            if self.pipeline.is_none() {
+                // Pipelined stream wall-clock is folded in at `flush` instead.
+                self.totals.latency_secs += stats.latency_secs;
+            }
+            self.totals.bytes_shuffled += stats.bytes_shuffled;
+            self.totals.latencies.push(stats.latency_secs);
+        }
         // After the batch's own accounting, so a checkpointed batch never
         // rides the replay log past its own checkpoint.
         self.checkpoint_if_due()?;
@@ -566,6 +574,9 @@ impl<T: Transport> Driver<T> {
             )?;
             self.ledger.expect_completion(w, id);
         }
+        // Each worker runs the block behind its applies, and the owed
+        // completion is settled before any read: it covers them.
+        self.applies_in_flight = false;
         Ok(())
     }
 
@@ -719,7 +730,6 @@ impl<T: Transport> Driver<T> {
             |id| Request::Barrier { id },
             |reply| matches!(reply, Reply::Ack { .. }).then_some(()),
         )?;
-        self.applies_in_flight = false;
         Ok(())
     }
 

@@ -188,6 +188,8 @@ impl<T: Transport> Driver<T> {
         for (w, id) in ids.into_iter().enumerate() {
             replies.push(self.await_reply(w, id, &extract)?);
         }
+        // Every worker answered behind its shipped applies.
+        self.applies_in_flight = false;
         Ok(replies)
     }
 }

@@ -41,8 +41,8 @@
 //!   against the oldest owed block and the awaited id, never looked up;
 //!   `await_reply` is the only wait for a tagged reply, `round` the only
 //!   send-all/await-all loop.
-//! * `admission` — the coalescing queue and its count / byte / staleness
-//!   bounds.  Per-relation admission order is preserved; the queue's byte
+//! * `admission` — the coalescing queue and its count and byte bounds.
+//!   Per-relation admission order is preserved; the queue's byte
 //!   footprint is exact.
 //! * `recovery` — the checkpoint cut and the replay log.  A batch is
 //!   logged before its first message, so restore + replay reproduces the
@@ -50,9 +50,10 @@
 //! * `capture` — the captured view set and its recovery epoch.  A capture
 //!   batch never precedes its batches' watermark commit.
 //! * `stats` — [`BatchExecution`], [`ClusterTotals`], [`PipelineStats`],
-//!   [`TelemetryTotals`], cached metric handles.  A batch's input is
-//!   counted once, when it is first issued; a recovery replay re-executes
-//!   it uncounted.  `driver.*` counters depend on the admission sequence
+//!   [`TelemetryTotals`], cached metric handles.  A batch is counted
+//!   once: its input when it is first issued, its latency and shuffled
+//!   bytes when an issue of it first completes; a recovery replay
+//!   re-executes it uncounted.  `driver.*` counters depend on the admission sequence
 //!   and the schedule only, so they agree across transports.
 
 #![forbid(unsafe_code)]

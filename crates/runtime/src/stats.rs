@@ -42,8 +42,12 @@ pub struct ClusterTotals {
     pub batches: usize,
     /// Tuples admitted, counted like `batches`.
     pub tuples: usize,
+    /// Summed batch latencies on a synchronous driver; the admitted
+    /// stream's wall-clock up to each flush on a pipelined one.
     pub latency_secs: f64,
+    /// Bytes shuffled, counted like `batches`.
     pub bytes_shuffled: usize,
+    /// One latency per issued batch, counted like `batches`.
     pub latencies: Vec<f64>,
 }
 
@@ -57,20 +61,11 @@ impl ClusterTotals {
         }
     }
 
-    /// Median batch latency in seconds.
+    /// Median batch latency in seconds (nearest-rank; 0 before any batch).
     pub fn median_latency(&self) -> f64 {
-        self.latency_percentile(0.50)
-    }
-
-    /// Batch latency percentile in seconds (`p` in `[0, 1]`, nearest-rank).
-    pub fn latency_percentile(&self, p: f64) -> f64 {
-        if self.latencies.is_empty() {
-            return 0.0;
-        }
         let mut v = self.latencies.clone();
-        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let idx = ((v.len() as f64 * p) as usize).min(v.len() - 1);
-        v[idx]
+        v.sort_by(f64::total_cmp);
+        v.get(v.len() / 2).copied().unwrap_or(0.0)
     }
 }
 
@@ -104,9 +99,6 @@ pub struct PipelineStats {
     /// Executions forced by the byte-bounded backpressure
     /// (`admit_bytes`), not by the count capacity.
     pub executions_forced_by_bytes: usize,
-    /// Executions forced by the latency target (watermark lag exceeded the
-    /// configured staleness bound).
-    pub executions_forced_by_latency: usize,
     /// Slowest worker's interpreter work observed across lazy reply drains.
     pub max_worker_instructions: u64,
     /// Gather/repartition fetches issued while distributed-block

@@ -6,7 +6,6 @@ use hotdog_algebra::tuple;
 use hotdog_distributed::{compile_distributed, LocTag, OptLevel, PartitioningSpec};
 use hotdog_exec::{ExecMode, LocalEngine};
 use hotdog_ivm::compile_recursive;
-use std::time::Duration;
 
 pub(crate) fn example_query() -> Expr {
     sum(
@@ -188,7 +187,6 @@ fn watermark_exposes_consistent_prefix_without_flush() {
     let config = PipelineConfig {
         coalesce_tuples: 0, // keep every batch distinct
         admit_capacity: 1,  // force eager execution
-        inflight_blocks: 2,
         ..Default::default()
     };
     let mut piped = ThreadedCluster::pipelined(example_dplan(OptLevel::O3), 3, config);
@@ -230,7 +228,6 @@ fn coalesced_reads_observe_commuted_prefix() {
     let config = PipelineConfig {
         coalesce_tuples: 1_000,
         admit_capacity: 2,
-        inflight_blocks: 2,
         ..Default::default()
     };
     let mut piped = ThreadedCluster::pipelined(example_dplan(OptLevel::O3), 3, config);
@@ -280,26 +277,23 @@ fn coalesced_reads_observe_commuted_prefix() {
 
 #[test]
 fn tiny_inflight_window_still_correct() {
-    for inflight in [1usize, 2] {
-        let config = PipelineConfig {
-            coalesce_tuples: 64,
-            admit_capacity: 2,
-            inflight_blocks: inflight,
-            ..Default::default()
-        };
-        let mut piped = ThreadedCluster::pipelined(example_dplan(OptLevel::O3), 4, config);
-        let mut sync = ThreadedCluster::new(example_dplan(OptLevel::O3), 4);
-        for (rel, batch) in batches() {
-            piped.apply_batch(rel, &batch);
-            sync.apply_batch(rel, &batch);
-        }
-        piped.flush();
-        assert_eq!(
-            piped.query_result().checksum(),
-            sync.query_result().checksum(),
-            "inflight window {inflight} diverged"
-        );
+    // A small coalescing bound and queue at the driver's in-flight window.
+    let config = PipelineConfig {
+        coalesce_tuples: 64,
+        admit_capacity: 2,
+        ..Default::default()
+    };
+    let mut piped = ThreadedCluster::pipelined(example_dplan(OptLevel::O3), 4, config);
+    let mut sync = ThreadedCluster::new(example_dplan(OptLevel::O3), 4);
+    for (rel, batch) in batches() {
+        piped.apply_batch(rel, &batch);
+        sync.apply_batch(rel, &batch);
     }
+    piped.flush();
+    assert_eq!(
+        piped.query_result().checksum(),
+        sync.query_result().checksum()
+    );
 }
 
 #[test]
@@ -486,90 +480,6 @@ fn byte_bound_backpressures_the_admission_queue() {
 }
 
 #[test]
-fn latency_target_bounds_watermark_lag() {
-    // A zero staleness budget makes every queued delta overdue at the
-    // next admission: the queue can never hold more than the batch
-    // currently being admitted, so reads are never more than one batch
-    // stale — the latency end of the latency/throughput tradeoff.
-    let config = PipelineConfig {
-        coalesce_tuples: 1_000_000,
-        admit_capacity: 1_000,
-        ..Default::default()
-    }
-    .with_latency_target(Duration::ZERO);
-    let mut piped = ThreadedCluster::pipelined(example_dplan(OptLevel::O3), 2, config);
-    for (rel, batch) in batches() {
-        piped.apply_batch(rel, &batch);
-        assert!(
-            piped.queued_batches() <= 1,
-            "latency target must keep the queue drained"
-        );
-    }
-    assert!(
-        piped.stats.executions_forced_by_latency > 0,
-        "the latency target never engaged: {:?}",
-        piped.stats
-    );
-    // Zero budget also vetoes coalescing into aged deltas: nothing may
-    // ring-sum into a delta that is already overdue.
-    assert_eq!(piped.stats.batches_coalesced, 0);
-    piped.flush();
-
-    // An unbounded budget must never force executions.
-    let lax = PipelineConfig {
-        coalesce_tuples: 1_000_000,
-        admit_capacity: 1_000,
-        ..Default::default()
-    }
-    .with_latency_target(Duration::from_secs(3_600));
-    let mut relaxed = ThreadedCluster::pipelined(example_dplan(OptLevel::O3), 2, lax);
-    for (rel, batch) in batches() {
-        relaxed.apply_batch(rel, &batch);
-    }
-    assert_eq!(relaxed.stats.executions_forced_by_latency, 0);
-    relaxed.flush();
-}
-
-#[test]
-fn reads_enforce_the_latency_target() {
-    // A finite budget, then a sleep that guarantees anything still
-    // queued is overdue: the next *read* must force it through — no
-    // flush, no further admissions.  (A scheduler pause may legally
-    // force some deltas during admission already, so only the
-    // post-read state is asserted exactly.)
-    let config = PipelineConfig {
-        coalesce_tuples: 0, // keep every batch distinct
-        admit_capacity: 1_000,
-        ..Default::default()
-    }
-    .with_latency_target(Duration::from_millis(100));
-    let mut piped = ThreadedCluster::pipelined(example_dplan(OptLevel::O3), 2, config);
-    for (rel, batch) in batches() {
-        piped.apply_batch(rel, &batch);
-    }
-    assert!(piped.queued_batches() <= batches().len());
-    std::thread::sleep(Duration::from_millis(150));
-    let read = piped.query_result();
-    assert_eq!(
-        piped.queued_batches(),
-        0,
-        "the read must flush overdue deltas"
-    );
-    // Every execution was latency-forced, whether the admission loop or
-    // the read drove it.
-    assert!(piped.stats.executions_forced_by_latency >= 1);
-    assert_eq!(
-        piped.stats.executions_forced_by_latency,
-        piped.stats.batches_executed
-    );
-    let mut sync = ThreadedCluster::new(example_dplan(OptLevel::O3), 2);
-    for (rel, batch) in batches() {
-        sync.apply_batch(rel, &batch);
-    }
-    assert_eq!(read.checksum(), sync.query_result().checksum());
-}
-
-#[test]
 fn close_abandons_queued_batches_without_executing() {
     let config = PipelineConfig {
         coalesce_tuples: 0, // keep every admitted batch distinct
@@ -595,7 +505,6 @@ fn close_abandons_queued_batches_without_executing() {
     let config = PipelineConfig {
         coalesce_tuples: 0,
         admit_capacity: 2, // forces some eager (pipelined) executions
-        inflight_blocks: 8,
         ..Default::default()
     };
     let mut piped = ThreadedCluster::pipelined(example_dplan(OptLevel::O3), 4, config);
@@ -610,13 +519,12 @@ fn close_abandons_queued_batches_without_executing() {
 
 #[test]
 fn async_gather_overlaps_inflight_blocks() {
-    // Eager per-batch execution with a roomy window: by the time batch
-    // k's repart/gather fetches, blocks of earlier batches are still
-    // pending, so the tagged schedule must record overlapped gathers.
+    // Eager per-batch execution: by the time batch k's repart/gather
+    // fetches, blocks of earlier batches are still pending, so the tagged
+    // schedule must record overlapped gathers.
     let config = PipelineConfig {
         coalesce_tuples: 0,
         admit_capacity: 0,
-        inflight_blocks: 8,
         ..Default::default()
     };
     let mut piped = ThreadedCluster::pipelined(example_dplan(OptLevel::O3), 2, config);
@@ -654,14 +562,13 @@ fn scatter_batching_reduces_messages() {
 
 #[test]
 fn flush_drains_reply_ledger_before_close() {
-    // Eager pipelined execution with a wide window leaves block
-    // completions unsettled in the request-id ledger; `flush` must
+    // Eager pipelined execution leaves block completions unsettled in
+    // the request-id ledger; `flush` must
     // settle all of them (and barrier trailing scatters) so a
     // subsequent close/Drop abandons nothing and owes workers nothing.
     let config = PipelineConfig {
         coalesce_tuples: 0,
         admit_capacity: 1,
-        inflight_blocks: 16,
         ..Default::default()
     };
     let mut piped = ThreadedCluster::pipelined(join_dplan(OptLevel::O3), 4, config);
@@ -708,7 +615,6 @@ fn eager_pipelined_reads_observe_an_issued_prefix() {
     let config = PipelineConfig {
         coalesce_tuples: 0, // keep every batch a distinct trigger
         admit_capacity: 1,  // eager execution, gathers mid-stream
-        inflight_blocks: 4,
         ..Default::default()
     };
     let mut piped = ThreadedCluster::pipelined(example_dplan(OptLevel::O3), 3, config);
@@ -793,4 +699,28 @@ fn generic_driver_code_runs_on_the_simulated_cluster() {
     let result = run_generic(&mut cluster);
     assert!(!result.is_empty());
     assert_eq!(cluster.totals.batches, 2);
+}
+
+#[test]
+fn commits_behind_a_block_send_no_barrier_round() {
+    // Every scatter of this plan is followed by a `RunBlock` to the same
+    // worker, whose owed completion the watermark commit settles anyway:
+    // neither schedule may add a `Barrier` round on top of it.
+    for pipeline in [None, Some(PipelineConfig::default())] {
+        let dplan = example_dplan(OptLevel::O3);
+        let transport = ChannelTransport::spawn(&dplan, 2);
+        let mut d = Driver::with_transport(dplan, transport, pipeline.clone());
+        for _ in 0..3 {
+            for (rel, batch) in batches() {
+                d.apply_batch(rel, &batch);
+            }
+            d.flush();
+            d.query_result();
+        }
+        let barriers = d
+            .telemetry()
+            .registry()
+            .counter_value("driver.requests.barrier");
+        assert_eq!(barriers, 0, "pipelined: {}", pipeline.is_some());
+    }
 }

@@ -7,7 +7,7 @@
 //! events, bundled as one [`Telemetry`] handle that driver, transport and
 //! benches share through an `Arc`.
 //!
-//! Three read paths:
+//! Two read paths:
 //!
 //! * **[`MetricsSnapshot`]** — frozen maps with derived equality.  Its
 //!   [`MetricsSnapshot::deterministic`] subset (`driver.*` / `worker.*`
@@ -19,8 +19,6 @@
 //!   [`Telemetry::dump_text`] to stderr.  With `HOTDOG_TELEMETRY=<path>`
 //!   set, dropping the owning cluster appends the flight ring as JSON
 //!   lines (plus one final `metrics.snapshot` line) to `<path>`.
-//! * **bench embedding** — `hotdog-bench` folds key counters (messages,
-//!   bytes, instructions) into the rows it writes to the `BENCH_JSON` file.
 //!
 //! `HOTDOG_LOG=1` additionally mirrors every flight event to stderr as
 //! it happens.

@@ -11,8 +11,8 @@
 //!   coalescing and a bounded in-flight window over the tagged-reply
 //!   protocol (fully async gathers, batched scatters);
 //! * **backpressured pipelined** — the caller's coalescing bound with
-//!   byte-bounded backpressure and a latency target (timing-driven, so its
-//!   trigger schedule differs run to run — the state must not);
+//!   byte-bounded backpressure, which moves trigger boundaries but must
+//!   not move the state;
 //! * **TCP** — `hotdog-net`'s `TcpCluster`: worker *subprocesses* on
 //!   loopback speaking the length-prefixed binary codec, behind the same
 //!   transport-generic driver.  Framing, codec, handshake, reader threads
@@ -111,9 +111,8 @@ fn run_backend<T: Transport>(
 ///   coalescing is exact in real arithmetic but associates float additions
 ///   differently;
 /// * **backpressured** pipelined (the caller's coalescing bound +
-///   byte-bounded backpressure + a latency target) ≈ simulated (`1e-9`
-///   relative): the backpressure paths only move *trigger boundaries*,
-///   never view state — whatever schedule the measured timings produce;
+///   byte-bounded backpressure) ≈ simulated (`1e-9` relative): the byte
+///   bound only moves *trigger boundaries*, never view state;
 /// * **TCP** (worker subprocesses, binary codec, no coalescing) ==
 ///   simulated, **bit-for-bit** — the wire is pure transport: floats
 ///   travel as raw bits and decoded relations reproduce the canonical
@@ -150,12 +149,9 @@ fn differential_check(
         &mut ThreadedCluster::pipelined(compile_for(q, opt), workers, no_coalesce.clone()),
         &batches,
     );
-    // Exercise both backpressure paths: a byte bound small enough to
-    // engage on these streams, and a staleness budget that forces some
-    // deltas through mid-stream.
+    // A byte bound small enough to engage on these streams.
     let backpressure_config = PipelineConfig {
         admit_bytes: 4_096,
-        latency_target: Some(std::time::Duration::from_micros(200)),
         ..pipeline.clone()
     };
     let backpressured = run_backend(
@@ -356,9 +352,8 @@ fn check_statements(id: &str, engine: &LocalEngine, trigger: &Trigger, batch: &R
     }
 }
 
-/// An aggressive pipeline configuration (tiny admission queue, tiny
-/// in-flight window, huge coalescing threshold, starved byte budget, zero
-/// staleness budget) must not change results.
+/// An aggressive pipeline configuration (tiny admission queue, huge
+/// coalescing threshold, starved byte budget) must not change results.
 #[test]
 fn aggressive_pipeline_configs_agree() {
     let workers = *workers_under_test().last().unwrap();
@@ -368,13 +363,11 @@ fn aggressive_pipeline_configs_agree() {
         PipelineConfig {
             coalesce_tuples: 100_000,
             admit_capacity: 1,
-            inflight_blocks: 1,
             ..Default::default()
         },
         PipelineConfig {
             coalesce_tuples: 0,
             admit_capacity: 64,
-            inflight_blocks: 16,
             ..Default::default()
         },
         // Byte backpressure so tight every admission forces execution.
@@ -382,15 +375,6 @@ fn aggressive_pipeline_configs_agree() {
             coalesce_tuples: 100_000,
             admit_capacity: 64,
             admit_bytes: 1,
-            ..Default::default()
-        },
-        // Zero staleness budget: the latency target drains the queue on
-        // every admission and vetoes all coalescing into aged deltas.
-        PipelineConfig {
-            coalesce_tuples: 100_000,
-            admit_capacity: 64,
-            latency_target: Some(std::time::Duration::ZERO),
-            ..Default::default()
         },
         // Near-minimal coalescing bound behind a two-batch queue.
         PipelineConfig {
@@ -398,19 +382,16 @@ fn aggressive_pipeline_configs_agree() {
             admit_capacity: 2,
             ..Default::default()
         },
-        // Eager execution behind a one-block window: every issue blocks
-        // on the oldest owed completion.
+        // Eager execution: every admission issues its batch.
         PipelineConfig {
             coalesce_tuples: 0,
             admit_capacity: 1,
-            inflight_blocks: 1,
             ..Default::default()
         },
-        // A wide window with coalescing.
+        // Coalescing behind a four-batch queue.
         PipelineConfig {
             coalesce_tuples: 100_000,
             admit_capacity: 4,
-            inflight_blocks: 16,
             ..Default::default()
         },
     ] {

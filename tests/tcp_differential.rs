@@ -263,9 +263,8 @@ fn tcp_chaos_seeded_kill_recovers_bit_identically() {
     assert_eq!(tcp.outstanding_replies(), 0);
 }
 
-/// Aggressive pipelined configurations over the socket transport: tiny
-/// and wide windows, heavy coalescing —
-/// all bit-for-bit (or 1e-9 when coalescing re-associates floats)
+/// Aggressive pipelined configurations over the socket transport: eager
+/// execution, the default queue, heavy coalescing — all bit-for-bit (or 1e-9 when coalescing re-associates floats)
 /// against the simulated cluster.
 #[test]
 fn tcp_aggressive_pipeline_configs_agree() {
@@ -286,15 +285,6 @@ fn tcp_aggressive_pipeline_configs_agree() {
             PipelineConfig {
                 coalesce_tuples: 0,
                 admit_capacity: 1,
-                inflight_blocks: 1,
-                ..Default::default()
-            },
-        ),
-        (
-            false,
-            PipelineConfig {
-                coalesce_tuples: 0,
-                inflight_blocks: 16,
                 ..Default::default()
             },
         ),
