@@ -12,6 +12,8 @@
 //! reproduce the *shapes*: which strategy wins, how throughput moves with
 //! batch size, and how latency scales with workers.
 
+#![forbid(unsafe_code)]
+
 use hotdog::ivm::Strategy;
 use hotdog::prelude::*;
 use hotdog::runtime::ClusterTotals;

@@ -16,7 +16,7 @@
 //! | runtime | [`runtime`] | the transport-generic driver: the simulated cluster (`Cluster` = `Driver<SimTransport>`, modelled time) and the thread-per-worker backend (`ThreadedCluster`) |
 //! | socket transport | [`net`] | length-prefixed binary codec and the multi-process TCP backend (`TcpCluster`) |
 //! | subscriptions | [`serve`] | multi-tenant standing-query hub: shared-plan fan-out, pushed [`serve::ViewDelta`]s, TCP subscribe protocol |
-//! | telemetry | [`telemetry`] | dependency-free metrics registry and the bounded flight recorder shared by every backend |
+//! | telemetry | [`telemetry`] | dependency-free metrics registry and the per-batch span tracer shared by every backend |
 //! | workloads | [`workload`] | TPC-H / TPC-DS style generators, streams and the query catalog |
 //!
 //! ## Quickstart
@@ -86,8 +86,8 @@ pub mod prelude {
     };
     pub use hotdog_storage::{ColumnarBatch, RecordPool};
     pub use hotdog_telemetry::{
-        chrome_trace_json, critical_path, trace_structure, CriticalPath, FlightRecorder,
-        MetricsSnapshot, Registry, SpanContext, SpanRecord, SpanStructure, Telemetry,
+        chrome_trace_json, critical_path, trace_structure, CriticalPath, MetricsSnapshot, Registry,
+        SpanContext, SpanRecord, SpanStructure, Telemetry,
     };
     pub use hotdog_workload::{
         all_queries, generate_tpcds, generate_tpch, query, tpcds_queries, tpch_queries,

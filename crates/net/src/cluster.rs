@@ -209,7 +209,7 @@ struct WorkerConn {
     /// Replies pumped off the socket by a dedicated reader thread —
     /// giving `recv` a timeout (the heartbeat probe) instead of
     /// partial-frame parsing on a socket read deadline.
-    inbox: Receiver<WorkerReply>,
+    inbox: Receiver<PumpedReply>,
     reader: Option<JoinHandle<()>>,
     /// Subprocess handle (subprocess mode only).
     child: Option<Child>,
@@ -223,6 +223,11 @@ struct WorkerConn {
     /// error until [`Transport::respawn`] replaces the connection.
     dead: bool,
 }
+
+/// One item of a connection's reply pump: a reply, or — as the pump's
+/// last word — the protocol error that ended it, which becomes the
+/// worker's [`WorkerDead::reason`].
+type PumpedReply = Result<WorkerReply, String>;
 
 /// What [`TcpTransport::launch`] started for one slot: a subprocess, an
 /// in-process serve thread, or (external worker) neither.
@@ -320,8 +325,8 @@ impl TcpTransport {
     }
 
     /// Start slot `w`'s endpoint per the spawn mode: a `worker_bin`
-    /// subprocess, an in-process serve thread, or — external — nothing but
-    /// an event naming the command to run.
+    /// subprocess, an in-process serve thread, or — external — nothing
+    /// (the accept-timeout error names the command to run).
     fn launch(&self, w: usize, addr: &str) -> io::Result<Launched> {
         match self.config.spawn {
             WorkerSpawn::Subprocess => {
@@ -338,49 +343,18 @@ impl TcpTransport {
                     .map_err(|e| {
                         io::Error::new(e.kind(), format!("spawning {}: {e}", bin.display()))
                     })?;
-                self.telemetry.event(
-                    "worker.spawned",
-                    vec![
-                        ("worker", w.into()),
-                        ("mode", "subprocess".into()),
-                        ("pid", u64::from(child.id()).into()),
-                    ],
-                );
                 Ok((Some(child), None))
             }
             WorkerSpawn::Thread => {
                 let addr = addr.to_string();
-                let t = self.telemetry.clone();
                 let handle = thread::Builder::new()
                     .name(format!("hotdog-tcp-worker-{w}"))
                     .spawn(move || {
-                        if let Err(e) = crate::worker::run_worker(&addr, w as u32) {
-                            t.event(
-                                "worker.error",
-                                vec![("worker", w.into()), ("error", e.to_string().into())],
-                            );
-                        }
+                        let _ = crate::worker::run_worker(&addr, w as u32);
                     })?;
-                self.telemetry.event(
-                    "worker.spawned",
-                    vec![("worker", w.into()), ("mode", "thread".into())],
-                );
                 Ok((None, Some(handle)))
             }
-            WorkerSpawn::External => {
-                self.telemetry.event(
-                    "net.waiting_external",
-                    vec![
-                        ("worker", w.into()),
-                        ("addr", addr.into()),
-                        (
-                            "hint",
-                            format!("hotdog-worker --connect {addr} --index {w}").into(),
-                        ),
-                    ],
-                );
-                Ok((None, None))
-            }
+            WorkerSpawn::External => Ok((None, None)),
         }
     }
 
@@ -405,30 +379,17 @@ impl TcpTransport {
                 }
             }
             match self.listener.accept() {
-                Ok((stream, peer)) => {
+                Ok((stream, _)) => {
                     let open = |i: usize| {
                         let k = slots.iter().position(|&w| w == i)?;
                         accepted[k].is_none().then_some(k)
                     };
                     match handshake(stream, |i| open(i).is_some(), deadline) {
                         Ok((i, stream, reader)) => {
-                            self.telemetry.event(
-                                "worker.connected",
-                                vec![("worker", i.into()), ("peer", peer.to_string().into())],
-                            );
                             let k = open(i).expect("handshake admits open slots only");
                             accepted[k] = Some((stream, reader));
                         }
-                        Err(e) => {
-                            self.metrics.rejected_connections.inc();
-                            self.telemetry.event(
-                                "net.connection_rejected",
-                                vec![
-                                    ("peer", peer.to_string().into()),
-                                    ("error", e.to_string().into()),
-                                ],
-                            );
-                        }
+                        Err(_) => self.metrics.rejected_connections.inc(),
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -438,13 +399,19 @@ impl TcpTransport {
                             .zip(&accepted)
                             .filter_map(|(&w, a)| a.is_none().then_some(w))
                             .collect();
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            format!(
-                                "worker(s) {missing:?} did not connect within {:?}",
-                                self.config.accept_timeout
-                            ),
-                        ));
+                        let mut msg = format!(
+                            "worker(s) {missing:?} did not connect within {:?}",
+                            self.config.accept_timeout
+                        );
+                        if self.config.spawn == WorkerSpawn::External {
+                            let addr = self.listener.local_addr()?;
+                            for w in &missing {
+                                msg.push_str(&format!(
+                                    "; start `hotdog-worker --connect {addr} --index {w}`"
+                                ));
+                            }
+                        }
+                        return Err(io::Error::new(io::ErrorKind::TimedOut, msg));
                     }
                     thread::sleep(Duration::from_millis(2));
                 }
@@ -486,17 +453,18 @@ impl TcpTransport {
     /// Spawn the reply-pump thread for one connection.  EOF (or our own
     /// shutdown) closes the inbox by dropping the sender; the driver sees
     /// a disconnected channel and reports the typed [`WorkerDead`] if it
-    /// still expected replies.  `Pong`s are counted into `pongs` and
+    /// still expected replies.  A protocol error (an undecodable frame, a
+    /// second `Hello`) is pumped as the last item, so the driver's
+    /// [`WorkerDead`] carries it.  `Pong`s are counted into `pongs` and
     /// dropped — heartbeat answers never reach the driver's accounting.
     #[allow(clippy::type_complexity)]
     fn spawn_reader(
         &self,
         i: usize,
         mut reader: BufReader<TcpStream>,
-    ) -> (JoinHandle<()>, Receiver<WorkerReply>, Arc<AtomicU64>) {
+    ) -> (JoinHandle<()>, Receiver<PumpedReply>, Arc<AtomicU64>) {
         let (tx, rx) = channel();
         let pongs = Arc::new(AtomicU64::new(0));
-        let t = self.telemetry.clone();
         let m = self.metrics.clone();
         let p = pongs.clone();
         let handle = thread::Builder::new()
@@ -515,28 +483,16 @@ impl TcpTransport {
                         p.fetch_add(1, Ordering::Relaxed);
                     }
                     Ok(ToDriver::Reply(rep)) => {
-                        if tx.send(rep).is_err() {
+                        if tx.send(Ok(rep)).is_err() {
                             return; // driver gone
                         }
                     }
                     Ok(ToDriver::Hello { .. }) => {
-                        t.event(
-                            "net.protocol_error",
-                            vec![
-                                ("worker", i.into()),
-                                ("error", "unexpected Hello after handshake".into()),
-                            ],
-                        );
+                        let _ = tx.send(Err("unexpected Hello after handshake".into()));
                         return;
                     }
                     Err(e) => {
-                        t.event(
-                            "net.protocol_error",
-                            vec![
-                                ("worker", i.into()),
-                                ("error", format!("bad frame: {e}").into()),
-                            ],
-                        );
+                        let _ = tx.send(Err(format!("bad frame: {e}")));
                         return;
                     }
                 }
@@ -551,20 +507,10 @@ impl TcpTransport {
     /// serve thread (both end with the socket).  Idempotent.
     fn teardown(&mut self, w: usize, grace: Duration) {
         let conn = &mut self.conns[w];
-        let killed = stop_child(conn.child.take(), grace);
+        stop_child(conn.child.take(), grace);
         let _ = conn.stream.shutdown(Shutdown::Both);
         join(conn.reader.take());
         join(conn.serve_thread.take());
-        if killed {
-            self.telemetry.event(
-                "worker.killed",
-                vec![
-                    ("worker", w.into()),
-                    ("reason", "shutdown_grace_expired".into()),
-                    ("grace_secs", grace.as_secs().into()),
-                ],
-            );
-        }
     }
 
     /// Mark worker `w` dead and fence it off (see [`Self::teardown`]), so
@@ -575,10 +521,6 @@ impl TcpTransport {
         if !self.conns[w].dead {
             self.conns[w].dead = true;
             self.teardown(w, Duration::ZERO);
-            self.telemetry.event(
-                "net.worker_dead",
-                vec![("worker", w.into()), ("reason", reason.into())],
-            );
         }
         WorkerDead {
             index: w,
@@ -591,13 +533,6 @@ impl TcpTransport {
     /// thread-mode workers, whose event loop dies with its socket).
     fn inject_kill(&mut self, spec: &KillSpec) {
         self.metrics.fault_injected.inc();
-        self.telemetry.event(
-            "fault.injected",
-            vec![
-                ("worker", spec.worker.into()),
-                ("spec", spec.to_string().into()),
-            ],
-        );
         self.declare_dead(spec.worker, &format!("fault injected: {spec}"));
     }
 
@@ -663,7 +598,8 @@ impl Transport for TcpTransport {
         let interval = self.config.heartbeat_interval;
         if interval.is_zero() {
             return match self.conns[w].inbox.recv() {
-                Ok(rep) => Ok(rep),
+                Ok(Ok(rep)) => Ok(rep),
+                Ok(Err(reason)) => Err(self.declare_dead(w, &reason)),
                 Err(_) => Err(self.declare_dead(w, "connection closed")),
             };
         }
@@ -677,7 +613,8 @@ impl Transport for TcpTransport {
         let mut pongs_at_probe = 0u64;
         loop {
             match self.conns[w].inbox.recv_timeout(interval) {
-                Ok(rep) => return Ok(rep),
+                Ok(Ok(rep)) => return Ok(rep),
+                Ok(Err(reason)) => return Err(self.declare_dead(w, &reason)),
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err(self.declare_dead(w, "connection closed"))
                 }
@@ -686,10 +623,6 @@ impl Transport for TcpTransport {
                     if pinged && pongs == pongs_at_probe {
                         misses += 1;
                         self.metrics.heartbeat_missed.inc();
-                        self.telemetry.event(
-                            "worker.heartbeat_missed",
-                            vec![("worker", w.into()), ("misses", u64::from(misses).into())],
-                        );
                         if misses >= self.config.heartbeat_misses.max(1) {
                             return Err(self.declare_dead(
                                 w,
@@ -793,21 +726,20 @@ fn handshake(
 }
 
 /// Stop a launched subprocess: give it `grace` to exit on its own, then
-/// kill and reap it.  Returns whether a non-zero grace ran out.
-fn stop_child(child: Option<Child>, grace: Duration) -> bool {
+/// kill and reap it.
+fn stop_child(child: Option<Child>, grace: Duration) {
     let Some(mut child) = child else {
-        return false;
+        return;
     };
     let deadline = Instant::now() + grace;
     while Instant::now() < deadline {
         if !matches!(child.try_wait(), Ok(None)) {
-            return false;
+            return;
         }
         thread::sleep(Duration::from_millis(5));
     }
     let _ = child.kill();
     let _ = child.wait();
-    !grace.is_zero()
 }
 
 fn join(handle: Option<JoinHandle<()>>) {

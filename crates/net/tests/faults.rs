@@ -18,7 +18,10 @@ use hotdog_algebra::tuple;
 use hotdog_distributed::{compile_distributed, DistributedPlan, OptLevel, PartitioningSpec};
 use hotdog_ivm::compile_recursive;
 use hotdog_net::codec::ToDriver;
-use hotdog_net::{send_msg, FaultKind, FaultPlan, Phase, TcpCluster, TcpConfig, WorkerSpawn};
+use hotdog_net::{
+    read_frame, send_msg, write_frame, FaultKind, FaultPlan, Phase, TcpCluster, TcpConfig,
+    WorkerSpawn,
+};
 use hotdog_runtime::{FaultConfig, PipelineConfig};
 
 fn example_dplan(opt: OptLevel) -> DistributedPlan {
@@ -172,11 +175,65 @@ fn heartbeat_declares_a_silent_worker_dead() {
     peer.join().expect("silent peer thread");
 }
 
+/// A protocol error keeps its reason: an external "worker" that
+/// handshakes, reads its `Init` and then writes a frame with an unknown
+/// tag is declared dead with the reply pump's decode error as the
+/// [`WorkerDead`](hotdog_runtime::WorkerDead) reason — not a bare
+/// "connection closed".
+#[test]
+fn protocol_error_is_the_worker_dead_reason() {
+    let port = {
+        let probe = TcpListener::bind("127.0.0.1:0").expect("probe bind");
+        probe.local_addr().expect("probe addr").port()
+    };
+    let addr = format!("127.0.0.1:{port}");
+
+    let peer_addr = addr.clone();
+    let peer = std::thread::spawn(move || {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut stream = loop {
+            match TcpStream::connect(&peer_addr) {
+                Ok(s) => break s,
+                Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(5)),
+                Err(e) => panic!("garbling peer could not connect: {e}"),
+            }
+        };
+        send_msg(&mut stream, &ToDriver::Hello { index: 0 }).expect("hello");
+        read_frame(&mut stream).expect("init");
+        write_frame(&mut stream, &[0xEE]).expect("garbage frame");
+        // Stay connected until the driver fences the slot.
+        let mut sink = [0u8; 4096];
+        while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
+    });
+
+    let config = TcpConfig {
+        workers: 1,
+        bind_addr: addr,
+        spawn: WorkerSpawn::External,
+        accept_timeout: Duration::from_secs(10),
+        ..Default::default()
+    };
+    let mut tcp = TcpCluster::new(example_dplan(OptLevel::O0), &config).expect("tcp cluster");
+
+    let (rel, batch) = &batches()[0];
+    let dead = tcp
+        .try_apply_batch(rel, batch)
+        .expect_err("a worker that sends garbage must be declared dead");
+    assert_eq!(dead.index, 0);
+    assert!(
+        dead.reason.contains("bad frame"),
+        "death should carry the protocol error: {}",
+        dead.reason
+    );
+    peer.join().expect("garbling peer thread");
+}
+
 /// Kill → respawn → restore → replay: the final views of a faulted run
 /// are bit-identical to an unfaulted run under the same [`FaultConfig`],
 /// the recovery counters record exactly one death, one respawn, one
-/// recovery, and the replay counts no batch twice — the totals and the
-/// pipeline counters equal the unfaulted run's.  Arms: a cut after every
+/// recovery and one `recovery.micros` sample, and the replay counts no
+/// batch twice — the totals and the pipeline counters equal the
+/// unfaulted run's.  Arms: a cut after every
 /// batch (the log holds only the killed batch); a cut every four batches
 /// (two finished batches replay with the killed one); and the pipelined
 /// schedule, which replays on the synchronous one.
@@ -230,6 +287,11 @@ fn killed_worker_respawns_and_recovers_bit_identically() {
             assert_eq!(snap.counter("worker.declared_dead"), 1);
             assert_eq!(snap.counter("worker.respawned"), 1);
             assert_eq!(snap.counter("recovery.attempts"), 1);
+            assert_eq!(
+                snap.histograms["recovery.micros"].count,
+                snap.counter("recovery.attempts"),
+                "one recovery.micros sample per recovery ({label})"
+            );
             assert_eq!(tcp.totals.tuples, clean.totals.tuples, "tuples ({label})");
             assert_eq!(
                 tcp.totals.batches, clean.totals.batches,

@@ -81,18 +81,9 @@ impl<T: Transport> Driver<T> {
     /// costs the same tuple copies as the synchronous path.
     pub(crate) fn admit(&mut self, relation: &str, batch: &Relation) -> BatchExecution {
         self.stream_start.get_or_insert_with(Instant::now);
-        self.telemetry.poll_dump();
         self.stats.batches_admitted += 1;
         self.stats.tuples_admitted += batch.len();
         self.metrics.batches_admitted.inc();
-        self.telemetry.event(
-            "batch.admitted",
-            vec![
-                ("relation", relation.into()),
-                ("tuples", batch.len().into()),
-                ("queue_depth", self.queue.len().into()),
-            ],
-        );
         let stats = BatchExecution {
             input_tuples: batch.len(),
             ..Default::default()
@@ -130,14 +121,6 @@ impl<T: Transport> Driver<T> {
         if coalesced {
             self.stats.batches_coalesced += 1;
             self.metrics.batches_coalesced.inc();
-            self.telemetry.event(
-                "batch.coalesced",
-                vec![
-                    ("relation", relation.into()),
-                    ("tuples", batch.len().into()),
-                    ("bound", coalesce_bound.into()),
-                ],
-            );
         } else {
             // Same preprocessing as the synchronous path, so a
             // non-coalesced pipelined run is bit-identical to it.  The
@@ -174,13 +157,6 @@ impl<T: Transport> Driver<T> {
         // the footprint fits (a single oversized delta executes
         // immediately, emptying the queue).
         while config.admit_bytes > 0 && self.queue_bytes > config.admit_bytes {
-            self.telemetry.event(
-                "backpressure.bytes",
-                vec![
-                    ("queue_bytes", self.queue_bytes.into()),
-                    ("bound", config.admit_bytes.into()),
-                ],
-            );
             self.execute_queue_front()?;
             self.stats.executions_forced_by_bytes += 1;
         }

@@ -106,7 +106,7 @@ pub struct Driver<T: Transport> {
     /// Accumulated totals (latencies measured, or modelled over a
     /// transport with a clock).
     pub totals: ClusterTotals,
-    /// Shared metrics registry + flight recorder (adopted from the
+    /// Shared metrics registry + span tracer (adopted from the
     /// transport when it keeps one, so wire- and scheduler-level metrics
     /// land together).
     pub(crate) telemetry: Arc<Telemetry>,
@@ -157,7 +157,6 @@ impl<T: Transport> Driver<T> {
         assert!(workers > 0);
         let driver = WorkerState::with_programs(&dplan.plan, Arc::new(install(&dplan)));
         let telemetry = transport.telemetry().unwrap_or_else(Telemetry::shared);
-        telemetry.install_signal_dump();
         let metrics = DriverMetrics::register(&telemetry);
         Driver {
             workers,
@@ -309,7 +308,6 @@ impl<T: Transport> Driver<T> {
     }
 
     fn view_contents_inner(&mut self, name: &str) -> Result<Relation, WorkerDead> {
-        self.telemetry.poll_dump();
         self.commit_watermark()?;
         let mut out = Relation::new(self.dplan.schema_of(name).unwrap_or_default());
         for part in self.read_view_parts(name)? {
@@ -528,15 +526,6 @@ impl<T: Transport> Driver<T> {
         self.metrics
             .ledger_outstanding
             .set(self.ledger.pending_total() as u64);
-        self.telemetry.event(
-            "batch.executed",
-            vec![
-                ("relation", relation.into()),
-                ("tuples", stats.input_tuples.into()),
-                ("pipelined", u64::from(pipelined).into()),
-                ("wall_secs", stats.wall_secs.into()),
-            ],
-        );
         if !pipelined {
             self.watermark = self.issued;
         }
@@ -640,22 +629,13 @@ impl<T: Transport> Driver<T> {
     /// workers flow from their in-flight blocks straight into the fetch
     /// with the request already queued.
     fn fetch_all(&mut self, make: impl Fn(u64) -> Request) -> Result<Vec<Relation>, WorkerDead> {
-        let outstanding = self.ledger.pending_total();
-        if outstanding > 0 {
+        if self.ledger.pending_total() > 0 {
             self.stats.gathers_overlapped += 1;
         }
         let gather_start = Instant::now();
         let rels = self.round(make, rel_reply)?;
         let micros = gather_start.elapsed().as_micros().min(u64::MAX as u128) as u64;
         self.metrics.gather_micros.record(micros);
-        self.telemetry.event(
-            "batch.gathered",
-            vec![
-                ("workers", self.workers.into()),
-                ("overlapped", outstanding.into()),
-                ("micros", micros.into()),
-            ],
-        );
         Ok(rels)
     }
 
@@ -693,21 +673,6 @@ impl<T: Transport> Driver<T> {
         let applies = std::mem::take(&mut self.pending_applies[w]);
         self.stats.scatter_messages_sent += 1;
         self.stats.scatter_messages_saved += applies.len() - 1;
-        self.telemetry.event(
-            "batch.scattered",
-            vec![
-                ("worker", w.into()),
-                ("shards", applies.len().into()),
-                (
-                    "tuples",
-                    applies
-                        .iter()
-                        .map(|(_, shard)| shard.len() as u64)
-                        .sum::<u64>()
-                        .into(),
-                ),
-            ],
-        );
         let id = self.ledger.fresh_id();
         let ctx = self.trace_scope;
         self.send_to(w, Request::ApplyMany { id, ctx, applies })?;
@@ -787,8 +752,6 @@ impl<T: Transport> Drop for Driver<T> {
         // Workers only need their command channels drained; uncollected
         // block replies are discarded with the reply channels.
         self.transport.shutdown();
-        // After shutdown, so worker-teardown flight events make the flush.
-        self.telemetry.flush_on_drop();
         self.telemetry.flush_trace_on_drop();
     }
 }

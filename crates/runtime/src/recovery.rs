@@ -9,6 +9,7 @@
 use crate::{Driver, FaultConfig, Reply, Request, Transport, WorkerDead};
 use hotdog_algebra::relation::Relation;
 use hotdog_distributed::WorkerSnapshot;
+use std::time::Instant;
 
 /// One consistent cut: everything needed to roll the whole cluster —
 /// driver included — back to `issued` batches.
@@ -101,8 +102,6 @@ impl<T: Transport> Driver<T> {
         });
         self.replay_log.clear();
         self.metrics.recovery_checkpoints.inc();
-        self.telemetry
-            .event("checkpoint.taken", vec![("issued", self.issued.into())]);
         Ok(())
     }
 
@@ -122,15 +121,13 @@ impl<T: Transport> Driver<T> {
             self.recoveries += 1;
             self.metrics.recovery_attempts.inc();
             self.metrics.worker_declared_dead.inc();
-            self.telemetry.event(
-                "worker.dead",
-                vec![
-                    ("worker", cause.index.into()),
-                    ("reason", cause.reason.clone().into()),
-                ],
-            );
+            let start = Instant::now();
             match self.recover_once(cause.index) {
-                Ok(()) => return Ok(()),
+                Ok(()) => {
+                    let micros = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
+                    self.metrics.recovery_micros.record(micros);
+                    return Ok(());
+                }
                 Err(next) => cause = next,
             }
         }
@@ -145,8 +142,6 @@ impl<T: Transport> Driver<T> {
     fn recover_once(&mut self, dead_worker: usize) -> Result<(), WorkerDead> {
         self.transport.respawn(dead_worker)?;
         self.metrics.worker_respawned.inc();
-        self.telemetry
-            .event("worker.respawned", vec![("worker", dead_worker.into())]);
 
         // Outstanding ids and buffered shards belong to the abandoned
         // epoch: the restore wipes their effects, and replay re-issues
@@ -187,14 +182,6 @@ impl<T: Transport> Driver<T> {
 
         let log = std::mem::take(&mut self.replay_log);
         self.metrics.recovery_replayed.add(log.len() as u64);
-        self.telemetry.event(
-            "recovery.replay",
-            vec![
-                ("worker", dead_worker.into()),
-                ("from_issued", ckpt_issued.into()),
-                ("batches", log.len().into()),
-            ],
-        );
         for (rel, delta) in log {
             // Epoch-synchronous replay: re-enters the log (and re-takes
             // checkpoints) exactly as the original schedule did, under a

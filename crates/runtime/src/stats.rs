@@ -140,6 +140,7 @@ pub(crate) struct DriverMetrics {
     pub(crate) recovery_checkpoints: Arc<Counter>,
     pub(crate) recovery_replayed: Arc<Counter>,
     pub(crate) recovery_restored_workers: Arc<Counter>,
+    pub(crate) recovery_micros: Arc<Histogram>,
     pub(crate) batches_admitted: Arc<Counter>,
     pub(crate) batches_coalesced: Arc<Counter>,
     pub(crate) batches_executed: Arc<Counter>,
@@ -178,6 +179,7 @@ impl DriverMetrics {
             recovery_checkpoints: t.counter("recovery.checkpoints"),
             recovery_replayed: t.counter("recovery.replayed_batches"),
             recovery_restored_workers: t.counter("recovery.restored_workers"),
+            recovery_micros: t.histogram("recovery.micros"),
             batches_admitted: t.counter("driver.batches.admitted"),
             batches_coalesced: t.counter("driver.batches.coalesced"),
             batches_executed: t.counter("driver.batches.executed"),

@@ -27,7 +27,6 @@
 //!   the `trace.*` histograms, the [`critical_path`] analyzer and the
 //!   Chrome trace export, and are excluded from the deterministic slice.
 
-use crate::flight::escape_json;
 use crate::metrics::Registry;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -508,6 +507,26 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
     out
 }
 
+/// Minimal JSON string escaping (quotes, backslashes, control bytes) for
+/// span names in the trace export.
+fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,8 +630,10 @@ mod tests {
         let spans = vec![
             rec(1, 1, 0, "batch", 0, 0, 100),
             rec(1, (1 << 32) | 1, 1, "worker.run_block", 1, 10, 40),
+            rec(1, 2, 1, "say \"why\"\n\\\u{1}", 0, 50, 60),
         ];
         let json = chrome_trace_json(&spans);
+        assert!(json.contains(r#""name":"say \"why\"\n\\\u0001""#), "{json}");
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"ph\":\"M\""));
         assert!(!json.contains("\"ph\":\"B\""));

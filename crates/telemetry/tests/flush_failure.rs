@@ -1,78 +1,72 @@
-//! Regression test for the `flush_on_drop` silent-failure path: an
-//! unwritable `HOTDOG_TELEMETRY` target used to swallow the `io::Error`;
-//! it must now record one `telemetry.flush_failed` flight event (mirrored
-//! to stderr).  Own integration binary: it mutates process environment
-//! variables, which must not race the crate's other tests.
+//! The drop-time trace export's failure contract: an unwritable
+//! `HOTDOG_TRACE` target returns its `io::Error` from `flush_trace`, and
+//! `flush_trace_on_drop` — which runs inside destructors — neither panics
+//! nor leaves a file behind (it prints one line to stderr instead).  Own
+//! integration binary: it mutates process environment variables, which
+//! must not race the crate's other tests; `ENV` serializes the tests here.
 
-use hotdog_telemetry::Telemetry;
+use hotdog_telemetry::{Telemetry, TRACE_ENV};
 use std::fs;
-use std::os::unix::fs::PermissionsExt as _;
+use std::sync::Mutex;
+
+static ENV: Mutex<()> = Mutex::new(());
 
 fn scratch(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("hotdog-flush-fail-{}-{name}", std::process::id()))
 }
 
+fn traced() -> Telemetry {
+    let t = Telemetry::new();
+    let root = t.begin_batch_root();
+    t.finish_span(Some(root));
+    t
+}
+
 #[test]
-fn unwritable_flush_target_records_a_flight_event() {
-    // A read-only target directory.  Root (CI containers) bypasses
-    // permission bits via CAP_DAC_OVERRIDE, so the guaranteed-unwritable
-    // arm routes the path through a regular file: opening
-    // `<file>/out.jsonl` fails with ENOTDIR for every uid.
-    let ro_dir = scratch("ro-dir");
-    let _ = fs::remove_dir_all(&ro_dir);
-    fs::create_dir_all(&ro_dir).expect("create scratch dir");
-    fs::set_permissions(&ro_dir, fs::Permissions::from_mode(0o555)).expect("chmod 555");
+fn unwritable_trace_target_returns_the_error() {
+    let _env = ENV.lock().unwrap_or_else(|e| e.into_inner());
+    // Root (CI containers) bypasses permission bits via CAP_DAC_OVERRIDE,
+    // so the path routes through a regular file: opening
+    // `<file>/trace.json` fails with ENOTDIR for every uid.
     let blocker = scratch("not-a-dir");
     fs::write(&blocker, b"plain file standing where a directory should be").expect("write");
-    let target = blocker.join("out.jsonl");
+    let target = blocker.join("trace.json");
+    let target_str = target.to_string_lossy().to_string();
 
-    std::env::set_var(
-        hotdog_telemetry::TELEMETRY_ENV,
-        target.to_string_lossy().to_string(),
-    );
-    let t = Telemetry::new();
-    t.counter("driver.requests.total").add(1);
-    t.flush_on_drop(); // must not panic, must not stay silent
+    let t = traced();
+    let err = t.flush_trace(&target_str).expect_err("unwritable path");
+    assert_eq!(err.kind(), std::io::ErrorKind::NotADirectory, "{err}");
 
-    let failures = t.flight().events_of("telemetry.flush_failed");
-    assert_eq!(failures.len(), 1, "exactly one failure event: {failures:?}");
-    let line = failures[0].to_json();
-    assert!(
-        line.contains("\"error\":"),
-        "carries the io::Error text: {line}"
-    );
-    assert!(
-        line.contains("out.jsonl"),
-        "names the offending path: {line}"
-    );
+    std::env::set_var(TRACE_ENV, &target_str);
+    assert!(Telemetry::trace_export_enabled());
+    t.flush_trace_on_drop(); // must not panic
+    std::env::remove_var(TRACE_ENV);
+    assert!(!target.exists(), "a failed export leaves no file");
 
-    // The read-only directory arm only bites without CAP_DAC_OVERRIDE,
-    // but when it does, the same contract holds.
-    let ro_target = ro_dir.join("out.jsonl");
-    std::env::set_var(
-        hotdog_telemetry::TELEMETRY_ENV,
-        ro_target.to_string_lossy().to_string(),
-    );
-    let t2 = Telemetry::new();
-    t2.flush_on_drop();
-    match fs::metadata(&ro_target) {
-        Ok(_) => assert!(t2.flight().events_of("telemetry.flush_failed").is_empty()),
-        Err(_) => assert_eq!(t2.flight().events_of("telemetry.flush_failed").len(), 1),
-    }
-
-    std::env::remove_var(hotdog_telemetry::TELEMETRY_ENV);
-    fs::set_permissions(&ro_dir, fs::Permissions::from_mode(0o755)).ok();
-    let _ = fs::remove_dir_all(&ro_dir);
     let _ = fs::remove_file(&blocker);
 }
 
 #[test]
 fn writable_flush_target_stays_quiet() {
-    let ok_path = scratch("ok.jsonl");
+    let _env = ENV.lock().unwrap_or_else(|e| e.into_inner());
+    let ok_path = scratch("ok.json");
     let _ = fs::remove_file(&ok_path);
-    let t = Telemetry::new();
-    t.flush_jsonl(&ok_path.to_string_lossy())
-        .expect("writable path flushes");
-    assert!(t.flight().events_of("telemetry.flush_failed").is_empty());
+    let t = traced();
+
+    std::env::set_var(TRACE_ENV, ok_path.to_string_lossy().to_string());
+    t.flush_trace_on_drop();
+    std::env::remove_var(TRACE_ENV);
+
+    let text = fs::read_to_string(&ok_path).expect("writable path receives the trace");
     let _ = fs::remove_file(&ok_path);
+    assert!(text.contains("\"name\":\"batch\""), "{text}");
+}
+
+#[test]
+fn empty_trace_path_writes_nothing() {
+    let _env = ENV.lock().unwrap_or_else(|e| e.into_inner());
+    std::env::set_var(TRACE_ENV, "");
+    assert!(!Telemetry::trace_export_enabled());
+    traced().flush_trace_on_drop(); // no path: no write, no error line
+    std::env::remove_var(TRACE_ENV);
 }

@@ -1,21 +1,17 @@
 //! Tour of the observability layer: run a pipelined threaded cluster over
-//! a TPC-H stream, then read the three telemetry surfaces —
+//! a TPC-H stream, then read what the telemetry records —
 //!
 //! 1. the deterministic cross-backend totals (`telemetry_totals`),
-//! 2. the full metrics registry + recent flight events (`dump_text`,
-//!    the same text a `SIGUSR1` prints mid-run),
-//! 3. the JSONL flight flush (`HOTDOG_TELEMETRY=path`), written when the
-//!    driver drops.
+//! 2. the full metrics registry (`metrics_snapshot().render_text()`),
+//! 3. the per-batch trace, written as Chrome trace-event JSON to
+//!    `HOTDOG_TRACE=path` when the driver drops.
 //!
 //! Run with:
 //!
 //! ```text
-//! HOTDOG_TELEMETRY=/tmp/flight.jsonl HOTDOG_LOG=1 \
+//! HOTDOG_TRACE=/tmp/tour.json \
 //!     cargo run --release --example telemetry_tour [query] [tuples]
 //! ```
-//!
-//! `HOTDOG_LOG=1` mirrors every flight event to stderr as it happens;
-//! `kill -USR1 <pid>` dumps the metrics mid-run without stopping anything.
 
 use hotdog::prelude::*;
 
@@ -64,13 +60,13 @@ fn main() {
         );
     }
 
-    // Surface 2: the full registry + recent flight events (what SIGUSR1
-    // prints mid-run).
-    println!("\n{}", cluster.telemetry().dump_text());
+    // Surface 2: the full registry, worker counters folded in.
+    println!("\n{}", cluster.metrics_snapshot().render_text());
 
-    // Surface 3: on drop, HOTDOG_TELEMETRY=path appends the flight ring
-    // and a final metrics.snapshot line as JSONL.
-    if let Ok(path) = std::env::var("HOTDOG_TELEMETRY") {
-        println!("flight recorder will flush to {path} on exit");
+    // Surface 3: on drop, HOTDOG_TRACE=path writes every batch's span
+    // tree (open it in Perfetto or chrome://tracing).
+    match std::env::var(hotdog::telemetry::TRACE_ENV) {
+        Ok(path) if !path.is_empty() => println!("trace will be written to {path} on exit"),
+        _ => println!("set HOTDOG_TRACE=<path> to write the trace on exit"),
     }
 }

@@ -1,14 +1,20 @@
-//! Census of environment-variable configuration in crate source, so it
-//! cannot grow back silently.  Configuration lives in config structs
-//! (`TcpConfig`, `PipelineConfig`, …) and command-line flags; the
-//! environment names only *output paths*, and only `hotdog-telemetry`
-//! reads it (`HOTDOG_*`).  The test-harness variables are read in
-//! `tests/common/mod.rs`, which is not crate source.  The README's
-//! "Environment variables" table lists the same names.
+//! Censuses of crate source, so what they count cannot grow back
+//! silently.
+//!
+//! * Environment-variable configuration.  Configuration lives in config
+//!   structs (`TcpConfig`, `PipelineConfig`, …) and command-line flags;
+//!   the environment names only the trace's *output path*, and only
+//!   `hotdog-telemetry` reads it (`HOTDOG_TRACE`).  The test-harness
+//!   variables are read in `tests/common/mod.rs`, which is not crate
+//!   source.  The README's "Environment variables" table lists the same
+//!   names.
+//! * `unsafe`: every crate forbids it.
+//! * Metric names: every name crate source registers has a row in the
+//!   README's "Metric catalog".
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// The code part of every line of every `.rs` file under `dir`, as
 /// `(file, line number, code)` — comments stripped.
@@ -43,17 +49,22 @@ fn hotdog_literals(code: &str) -> Vec<String> {
         .collect()
 }
 
-#[test]
-fn only_telemetry_and_bench_read_hotdog_variables() {
+/// Every crate directory under `crates/`.
+fn crate_dirs() -> Vec<PathBuf> {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
-    let mut names: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut crate_dirs: Vec<_> = fs::read_dir(&crates)
+    let mut dirs: Vec<_> = fs::read_dir(&crates)
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| p.join("src").is_dir())
         .collect();
-    crate_dirs.sort();
-    for dir in crate_dirs {
+    dirs.sort();
+    dirs
+}
+
+#[test]
+fn only_telemetry_and_bench_read_hotdog_variables() {
+    let mut names: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for dir in crate_dirs() {
         let name = dir.file_name().unwrap().to_string_lossy().into_owned();
         let may_read_env = name == "telemetry";
         let mut lines = Vec::new();
@@ -72,7 +83,90 @@ fn only_telemetry_and_bench_read_hotdog_variables() {
     let telemetry: Vec<&str> = names["telemetry"].iter().map(String::as_str).collect();
     assert_eq!(
         telemetry,
-        ["HOTDOG_LOG", "HOTDOG_TELEMETRY", "HOTDOG_TRACE"],
+        ["HOTDOG_TRACE"],
         "hotdog-telemetry reads output paths only"
+    );
+}
+
+#[test]
+fn every_crate_forbids_unsafe_code() {
+    let dirs = crate_dirs();
+    assert!(dirs.len() >= 12, "found only {dirs:?}");
+    for dir in dirs {
+        let lib = dir.join("src").join("lib.rs");
+        let text = fs::read_to_string(&lib).unwrap();
+        assert!(
+            text.lines().any(|l| l.trim() == "#![forbid(unsafe_code)]"),
+            "{} lacks #![forbid(unsafe_code)]",
+            lib.display()
+        );
+    }
+}
+
+/// Every metric name literal registered in `code`: the first string
+/// argument of each `.counter(`, `.gauge(` or `.histogram(` call.
+fn registered_metrics(code: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    for call in [".counter(\"", ".gauge(\"", ".histogram(\""] {
+        for (at, _) in code.match_indices(call) {
+            let rest = &code[at + call.len()..];
+            names.push(rest[..rest.find('"').unwrap()].to_string());
+        }
+    }
+    names
+}
+
+#[test]
+fn metric_catalog_lists_every_registered_metric() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let readme = fs::read_to_string(root.join("README.md")).unwrap();
+    let section = readme
+        .split("### Metric catalog")
+        .nth(1)
+        .expect("README has a Metric catalog section");
+    let catalog: BTreeSet<&str> = section
+        .lines()
+        .take_while(|l| !l.starts_with('#'))
+        .filter(|l| l.starts_with('|'))
+        .flat_map(|l| l.split('`').skip(1).step_by(2))
+        .collect();
+
+    let mut registered: BTreeMap<String, String> = BTreeMap::new();
+    for dir in crate_dirs() {
+        let mut lines = Vec::new();
+        code_lines(&dir.join("src"), &mut lines);
+        // Test code registers throwaway names: `tests.rs` files are all
+        // test code, and a `#[cfg(test)] mod … {` ends its file.
+        let mut test_from: Option<&str> = None;
+        for (k, (file, line, code)) in lines.iter().enumerate() {
+            let opens_test_mod = code.trim() == "#[cfg(test)]"
+                && lines.get(k + 1).is_some_and(|(next_file, _, next)| {
+                    next_file == file
+                        && next.trim_start().starts_with("mod ")
+                        && next.trim_end().ends_with('{')
+                });
+            if opens_test_mod {
+                test_from = Some(file.as_str());
+            }
+            if file.ends_with("/tests.rs") || test_from == Some(file.as_str()) {
+                continue;
+            }
+            for name in registered_metrics(code) {
+                registered.entry(name).or_insert(format!("{file}:{line}"));
+            }
+        }
+    }
+    assert!(
+        registered.contains_key("driver.requests.total"),
+        "census found no registrations: {registered:?}"
+    );
+    let missing: Vec<String> = registered
+        .iter()
+        .filter(|(name, _)| !catalog.contains(name.as_str()))
+        .map(|(name, at)| format!("{name} ({at})"))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "README's Metric catalog lacks rows for: {missing:?}"
     );
 }
