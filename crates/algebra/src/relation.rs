@@ -160,30 +160,29 @@ impl Relation {
     /// as `project_sum_at`'s and the result is bit-identical to it, in
     /// content and in layout.
     pub fn project_canonical(&self, positions: &[usize], schema: Schema) -> Relation {
-        self.project_canonical_where(positions, schema, |_| true)
+        self.project_canonical_weighted(positions, schema, |_, m| m)
     }
 
-    /// [`Relation::project_canonical`] of only the tuples `keep` admits, in
-    /// the same pass: a selection followed by the projection, with no
-    /// intermediate relation.
-    pub fn project_canonical_where(
+    /// [`Relation::project_canonical`] with each tuple's multiplicity first
+    /// mapped by `weigh`, in the same pass: a tuple `weigh` maps to 0 is
+    /// dropped, so a selection and a weighing precede the projection with
+    /// no intermediate relation.
+    pub fn project_canonical_weighted(
         &self,
         positions: &[usize],
         schema: Schema,
-        keep: impl Fn(&Tuple) -> bool,
+        weigh: impl Fn(&Tuple, Mult) -> Mult,
     ) -> Relation {
         let mut rows: Vec<(Tuple, Mult)> = self
             .iter()
-            .filter(|(t, _)| keep(t))
+            .map(|(t, m)| (t, weigh(t, m)))
+            .filter(|&(_, m)| m != 0.0)
             .map(|(t, m)| (t.project(positions), m))
             .collect();
         rows.sort_by(|a, b| a.0.cmp(&b.0));
         let mut out = Relation::new(schema);
         let mut live: Option<(Tuple, Mult)> = None;
         for (t, m) in rows {
-            if m == 0.0 {
-                continue;
-            }
             match &mut live {
                 Some((key, sum)) if *key == t => {
                     *sum += m;
@@ -264,7 +263,7 @@ impl Relation {
     /// collapses both to the *same* insertion history (pure inserts, sorted
     /// order, from empty), making the layout a pure function of content.
     /// Every execution backend builds relations canonically at its exchange
-    /// points (batch preprocessing via [`Relation::project_canonical_where`],
+    /// points (batch preprocessing via [`Relation::project_canonical_weighted`],
     /// `partition_shards`, gathers via `relabel`), which is what lets a real
     /// socket transport — whose decoder can only replay the pair list — be
     /// held bit-for-bit against the in-process backends.
@@ -573,16 +572,18 @@ mod tests {
         assert_eq!(by_key.get(&tuple![101]), 0.0);
         assert!(!by_key.iter().any(|(t, _)| *t == tuple![101]));
 
-        // A selection in the same pass equals selecting first.
-        let keep = |t: &Tuple| *t.get(2) != Value::Long(3);
-        let selected = Relation::from_pairs(
+        // A selection and a weighing in the same pass equal doing them
+        // first.
+        let weigh = |t: &Tuple, m: Mult| match t.get(2) {
+            Value::Long(3) => 0.0,
+            x => m * x.as_f64(),
+        };
+        let weighed = Relation::from_pairs(
             src.schema().clone(),
-            src.iter()
-                .filter(|(t, _)| keep(t))
-                .map(|(t, m)| (t.clone(), m)),
+            src.iter().map(|(t, m)| (t.clone(), weigh(t, m))),
         );
-        let want = selected.project_canonical(&[0, 1], Schema::new(["k", "x"]));
-        let got = src.project_canonical_where(&[0, 1], Schema::new(["k", "x"]), keep);
+        let want = weighed.project_canonical(&[0, 1], Schema::new(["k", "x"]));
+        let got = src.project_canonical_weighted(&[0, 1], Schema::new(["k", "x"]), weigh);
         assert_eq!(layout(&got), layout(&want));
         assert!(got.len() < src.len());
     }

@@ -143,7 +143,7 @@ pub struct TriggerProgram {
     pub relation: String,
     /// Batch preprocessing (Section 3.3): the filter and the kept positions
     /// ([`hotdog_ivm::Trigger::preprocessing`]).  The statements read the
-    /// preprocessed batch, whose schema is `prep.schema`.
+    /// preprocessed batch, whose schema is `prep.schema()`.
     pub prep: BatchPrep,
     /// Fused statement blocks, in execution order.
     pub blocks: Vec<Block>,
@@ -1169,7 +1169,7 @@ mod tests {
     #[test]
     fn q18_program_computes_its_batch_temps_beside_their_reader() {
         let dp = catalog_program("Q18", OptLevel::O3);
-        assert!(dp.programs.iter().all(|p| p.prep.filter.is_empty()));
+        assert!(dp.programs.iter().all(|p| p.prep.filter().is_empty()));
         assert_eq!(dp.pretty(), include_str!("testdata/q18_o3.plan"));
         let lineitem = dp.program("LINEITEM").unwrap();
         let block = &lineitem.blocks[1].statements;
@@ -1189,7 +1189,9 @@ mod tests {
     }
 
     /// Q3 has no nested aggregate, so no temps: its programs at every
-    /// level are the ones recorded before temps existed, byte for byte.
+    /// level, byte for byte.  They were recorded before temps existed and
+    /// re-recorded when the revenue term was folded into `M1`, `M3` and
+    /// the LINEITEM batch's weight.
     #[test]
     fn q3_programs_are_unchanged_by_batch_temps() {
         let recorded = [
@@ -1203,8 +1205,9 @@ mod tests {
         }
     }
 
-    /// Q3 filters every batch by its trigger's date or segment condition
-    /// and ships only the columns its statements then read.
+    /// Q3 filters every batch by its trigger's date or segment condition,
+    /// weighs LINEITEM's by the revenue term, and ships only the columns
+    /// its statements then read.
     #[test]
     fn q3_programs_print_their_batch_filters() {
         let q = hotdog_workload::query("Q3").unwrap();
@@ -1221,7 +1224,7 @@ mod tests {
             heads,
             [
                 "Δ keeps 1/4: CK; Δ filter (c_mktsegment = 1)",
-                "Δ keeps 3/10: OK, l_extendedprice, l_discount; Δ filter (l_shipdate > 19950315)",
+                "Δ keeps 1/10: OK; Δ weight [(l_extendedprice * (1 - l_discount))]; Δ filter (l_shipdate > 19950315)",
                 "Δ keeps 4/7: OK, CK, o_orderdate, o_shippriority; Δ filter (o_orderdate < 19950315)",
             ]
         );

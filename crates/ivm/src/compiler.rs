@@ -16,11 +16,13 @@
 
 use crate::delta::{base_relations, delta};
 use crate::hoist::hoist_batch_terms;
-use crate::plan::{MaintenancePlan, Statement, StmtOp, Strategy, Trigger, ViewDef};
+use crate::plan::{
+    variable_uses, MaintenancePlan, Statement, StmtOp, Strategy, Trigger, Uses, ViewDef,
+};
 use crate::simplify::{is_zero, join_factors, join_of, simplify};
 use hotdog_algebra::expr::{Expr, RelKind, RelRef};
 use hotdog_algebra::schema::Schema;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// Compile a query with the requested maintenance strategy.
 pub fn compile(name: &str, query: &Expr, strategy: Strategy) -> MaintenancePlan {
@@ -44,18 +46,56 @@ struct RecursiveCompiler {
     /// canonical schema of each base relation (first-occurrence column names)
     base_schemas: BTreeMap<String, Vec<String>>,
     counter: usize,
+    /// Canonical definition of the view each value-term fold replaced.
+    /// Canonical definition of the view each value-term fold replaced.
+    folded: Vec<String>,
+    /// Views that must not be replaced by a fold: each has a twin in an
+    /// earlier compilation of the same query.
+    no_fold: BTreeSet<String>,
 }
 
 /// Compile a query into a recursive incremental view maintenance plan,
 /// with the batch-only terms of its statements hoisted into per-batch
 /// temps ([`hoist_batch_terms`]).
+///
+/// A value term folded into a view must not leave the view it replaced
+/// beside it: the two would store the same relations twice.  So when a
+/// fold's unfolded twin is among the plan's views, the query is compiled
+/// again without that fold, until no fold has a twin.
 pub fn compile_recursive(name: &str, query: &Expr) -> MaintenancePlan {
+    let mut no_fold = BTreeSet::new();
+    loop {
+        let c = recursive_views(name, query, no_fold.clone());
+        let twins: Vec<String> = (c.folded.iter())
+            .filter(|&unfolded| c.canon.contains_key(unfolded))
+            .cloned()
+            .collect();
+        if twins.is_empty() {
+            let mut plan = build_plan(
+                name,
+                Strategy::RecursiveIvm,
+                c.views,
+                c.statements,
+                &c.base_schemas,
+            );
+            hoist_batch_terms(&mut plan);
+            return plan;
+        }
+        no_fold.extend(twins);
+    }
+}
+
+/// The views and statements of `query`'s recursive plan, with no fold
+/// that would replace a view in `no_fold`.
+fn recursive_views(name: &str, query: &Expr, no_fold: BTreeSet<String>) -> RecursiveCompiler {
     let mut c = RecursiveCompiler {
         views: Vec::new(),
         canon: HashMap::new(),
         statements: Vec::new(),
         base_schemas: BTreeMap::new(),
         counter: 0,
+        folded: Vec::new(),
+        no_fold,
     };
     for r in query.relations() {
         if r.kind == RelKind::Base {
@@ -94,7 +134,7 @@ pub fn compile_recursive(name: &str, query: &Expr) -> MaintenancePlan {
             // schema); `bound` = columns already bound by the evaluation
             // context (none at statement entry — bindings are produced by the
             // batch and the views as evaluation proceeds left to right).
-            let rewritten = c.materialize(&d, &vdef.schema, &Schema::empty(), &mut new_views);
+            let rewritten = c.materialize(&d, &vdef.schema, &Schema::empty(), &d, &mut new_views);
             let expr = simplify(&Expr::Sum {
                 group_by: vdef.schema.clone(),
                 body: Box::new(rewritten),
@@ -117,16 +157,7 @@ pub fn compile_recursive(name: &str, query: &Expr) -> MaintenancePlan {
             }
         }
     }
-
-    let mut plan = build_plan(
-        name,
-        Strategy::RecursiveIvm,
-        c.views,
-        c.statements,
-        &c.base_schemas,
-    );
-    hoist_batch_terms(&mut plan);
-    plan
+    c
 }
 
 impl RecursiveCompiler {
@@ -139,12 +170,16 @@ impl RecursiveCompiler {
     /// * `bound` — columns already bound by the evaluation context *before*
     ///   this subexpression is reached (batch columns of factors to the
     ///   left, etc.); only these may be re-exposed as correlation columns of
-    ///   an auxiliary view.
+    ///   an auxiliary view;
+    /// * `scope` — the nearest `Sum` enclosing `e`, else the statement: a
+    ///   variable its body binds that is neither grouped by nor bound by
+    ///   the context is local to it.
     fn materialize(
         &mut self,
         e: &Expr,
         needed: &Schema,
         bound: &Schema,
+        scope: &Expr,
         new_views: &mut Vec<usize>,
     ) -> Expr {
         // A whole delta-free, *flat* stored subexpression is materialized
@@ -166,21 +201,21 @@ impl RecursiveCompiler {
                 let needed2 = needed.union(group_by);
                 Expr::Sum {
                     group_by: group_by.clone(),
-                    body: Box::new(self.materialize(body, &needed2, bound, new_views)),
+                    body: Box::new(self.materialize(body, &needed2, bound, e, new_views)),
                 }
             }
             Expr::Union(l, r) => Expr::Union(
-                Box::new(self.materialize(l, needed, bound, new_views)),
-                Box::new(self.materialize(r, needed, bound, new_views)),
+                Box::new(self.materialize(l, needed, bound, scope, new_views)),
+                Box::new(self.materialize(r, needed, bound, scope, new_views)),
             ),
-            Expr::Exists(q) => {
-                Expr::Exists(Box::new(self.materialize(q, needed, bound, new_views)))
-            }
+            Expr::Exists(q) => Expr::Exists(Box::new(
+                self.materialize(q, needed, bound, scope, new_views),
+            )),
             Expr::AssignQuery { var, query } => Expr::AssignQuery {
                 var: var.clone(),
-                query: Box::new(self.materialize(query, needed, bound, new_views)),
+                query: Box::new(self.materialize(query, needed, bound, scope, new_views)),
             },
-            Expr::Join(..) => self.materialize_join(e, needed, bound, new_views),
+            Expr::Join(..) => self.materialize_join(e, needed, bound, scope, new_views),
             other => other.clone(),
         }
     }
@@ -193,6 +228,7 @@ impl RecursiveCompiler {
         e: &Expr,
         needed: &Schema,
         bound: &Schema,
+        scope: &Expr,
         new_views: &mut Vec<usize>,
     ) -> Expr {
         let factors = join_factors(e);
@@ -279,11 +315,11 @@ impl RecursiveCompiler {
             let mut out: Vec<Expr> = Vec::new();
             let mut running_bound = bound.clone();
             for f in delta_factors {
-                out.push(self.materialize(&f, &term_needed, &running_bound, new_views));
+                out.push(self.materialize(&f, &term_needed, &running_bound, scope, new_views));
                 running_bound = running_bound.union(&f.schema());
             }
             for f in assign_factors {
-                out.push(self.materialize(&f, &term_needed, &running_bound, new_views));
+                out.push(self.materialize(&f, &term_needed, &running_bound, scope, new_views));
                 running_bound = running_bound.union(&f.schema());
             }
             out.extend(rest_factors);
@@ -301,6 +337,52 @@ impl RecursiveCompiler {
             used_elsewhere = used_elsewhere.union(&f.input_variables());
             used_elsewhere = used_elsewhere.union(&inner_columns(f));
         }
+
+        // Fold each value term into the component that binds all of its
+        // variables, when each of them occurs in exactly one relation
+        // column of that component and nowhere else in its scope (no other
+        // factor, comparison, value term, `:=`, `Exists`, group-by or
+        // target column) or context (`needed`, `bound`): the view then
+        // stores the term's sum in its multiplicity, as F-IVM's views carry
+        // payloads, and the columns drop out of its schema.  A fold whose
+        // unfolded view is in `no_fold` is skipped (see
+        // [`compile_recursive`]).
+        let mut scope_uses: Option<Uses> = None;
+        rest_factors.retain(|f| {
+            let Expr::Val(v) = f else {
+                return true;
+            };
+            let vars = v.variables();
+            if vars.is_empty() {
+                return true;
+            }
+            let uses = scope_uses.get_or_insert_with(|| variable_uses(scope));
+            let value_only = |c: &str| {
+                uses.get(c) == Some(&2) && !needed.contains(c) && !bound_after_deltas.contains(c)
+            };
+            if !vars.iter().all(value_only) {
+                return true;
+            }
+            let binds = |comp: &&mut Vec<Expr>| {
+                let schema = (comp.iter()).fold(Schema::empty(), |s, g| s.union(&g.schema()));
+                vars.subset_of(&schema)
+            };
+            let Some(comp) = components.iter_mut().find(binds) else {
+                return true;
+            };
+            let unfolded = canonical(&view_definition(
+                &join_of(comp.clone()),
+                &bound_after_deltas,
+                &used_elsewhere,
+            ));
+            if self.no_fold.contains(&unfolded) {
+                return true;
+            }
+            comp.push(f.clone());
+            self.folded.push(unfolded);
+            used_elsewhere = used_elsewhere.difference(&vars);
+            false
+        });
 
         let mut view_refs = Vec::new();
         for comp in components {
@@ -363,7 +445,7 @@ impl RecursiveCompiler {
             });
             let (_, _, f, recurse) = pending.remove(pos);
             let placed = if recurse {
-                self.materialize(&f, &term_needed, &running_bound, new_views)
+                self.materialize(&f, &term_needed, &running_bound, scope, new_views)
             } else {
                 f
             };
@@ -383,15 +465,7 @@ impl RecursiveCompiler {
         used_elsewhere: &Schema,
         new_views: &mut Vec<usize>,
     ) -> Expr {
-        let out_schema = group.schema();
-        let inner = inner_columns(group);
-        let used = corr_sources.union(used_elsewhere);
-        // Output columns used downstream plus inner columns correlated with
-        // the already-bound context (safe to re-expose: they will be bound
-        // at the view's use site, turning the probe into a lookup/slice).
-        let mut view_schema = out_schema.intersect(&used);
-        view_schema = view_schema.union(&inner.intersect(corr_sources));
-        let definition = simplify(&lift(group, &view_schema));
+        let definition = view_definition(group, corr_sources, used_elsewhere);
         let key = canonical(&definition);
         let idx = if let Some(&i) = self.canon.get(&key) {
             i
@@ -416,6 +490,17 @@ impl RecursiveCompiler {
             cols: v.schema.columns().to_vec(),
         })
     }
+}
+
+/// The definition of the view materializing `group`: projected onto its
+/// output columns used downstream plus its inner columns correlated with
+/// the already-bound context (safe to re-expose: they will be bound at the
+/// view's use site, turning the probe into a lookup/slice).
+fn view_definition(group: &Expr, corr_sources: &Schema, used_elsewhere: &Schema) -> Expr {
+    let used = corr_sources.union(used_elsewhere);
+    let view_schema =
+        (group.schema().intersect(&used)).union(&inner_columns(group).intersect(corr_sources));
+    simplify(&lift(group, &view_schema))
 }
 
 /// Whether a factor is a "flat" stored expression that can be grouped and
@@ -871,6 +956,104 @@ mod tests {
             compile("Q", &q, Strategy::RecursiveIvm).strategy,
             Strategy::RecursiveIvm
         );
+    }
+
+    /// Whether `e` multiplies by a value term anywhere.
+    fn has_value_term(e: &Expr) -> bool {
+        let mut found = false;
+        e.visit(&mut |n| found |= matches!(n, Expr::Val(_)));
+        found
+    }
+
+    #[test]
+    fn a_value_only_column_folds_into_the_view_and_the_batch() {
+        // In ΔR, S's `B` is read only by `[B]`: the view sums it away.
+        let q = sum(
+            ["A"],
+            join_all([rel("R", ["A"]), rel("S", ["A", "B"]), val_var("B")]),
+        );
+        let plan = compile_recursive("Q", &q);
+        let folded: Vec<&ViewDef> = (plan.views.iter())
+            .filter(|v| !v.is_top && has_value_term(&v.definition))
+            .collect();
+        assert_eq!(folded.len(), 1, "{}", plan.pretty());
+        assert_eq!(folded[0].schema.columns(), ["A"]);
+        // In ΔS, every statement weighs the batch by `[B]`.
+        let prep = plan.trigger("S").unwrap().preprocessing().0;
+        assert_eq!(prep.describe(), "Δ keeps 1/2: A; Δ weight [B]");
+    }
+
+    #[test]
+    fn a_value_term_whose_variable_is_read_again_does_not_fold() {
+        let r = || rel("R", ["A"]);
+        let s = || rel("S", ["A", "B"]);
+        let cases = [
+            // `B` is also a group-by column.
+            sum(["A", "B"], join_all([r(), s(), val_var("B")])),
+            // `B` is also read by a comparison.
+            sum(
+                ["A"],
+                join_all([r(), s(), val_var("B"), cmp_lit("B", CmpOp::Gt, 3)]),
+            ),
+            // `B` is also a column of a second relation.
+            sum(["A"], join_all([r(), s(), rel("T", ["B"]), val_var("B")])),
+        ];
+        for q in cases {
+            let plan = compile_recursive("Q", &q);
+            for v in plan.views.iter().filter(|v| !v.is_top) {
+                assert!(!has_value_term(&v.definition), "{}", plan.pretty());
+                if v.definition.relations().iter().any(|r| r.name == "S") {
+                    assert!(v.schema.contains("B"), "{}", plan.pretty());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_read_under_a_union_gets_no_weight() {
+        // A self-join's delta reads the batch on three union branches.
+        let q = sum(
+            ["A"],
+            join_all([rel("R", ["A", "B"]), rel("R", ["A", "C"]), val_var("B")]),
+        );
+        let prep = compile_recursive("Q", &q).triggers[0].preprocessing().0;
+        assert!(prep.weight().is_empty(), "{}", prep.describe());
+        assert_eq!(prep.kept(), [0, 1]);
+    }
+
+    #[test]
+    fn q3_stores_revenue_sums_not_lineitems() {
+        let q = hotdog_workload::query("Q3").unwrap();
+        let plan = compile_recursive(q.id, &q.expr);
+        for v in &plan.views {
+            assert!(
+                !v.schema.contains("l_extendedprice") && !v.schema.contains("l_discount"),
+                "{}",
+                plan.pretty()
+            );
+        }
+        let schema = |name: &str| plan.view(name).unwrap().schema.columns().to_vec();
+        assert_eq!(schema("M1"), ["OK", "CK", "o_orderdate", "o_shippriority"]);
+        assert_eq!(schema("M3"), ["OK"]);
+    }
+
+    /// Q18's `M1(OK, CK, l_quantity)` would fold `[l_quantity]` for the
+    /// CUSTOMER trigger, but `M6`'s CUSTOMER delta reads the unfolded view:
+    /// the fold would store the same lineitems twice, so it is skipped.
+    #[test]
+    fn a_fold_with_an_unfolded_twin_is_skipped() {
+        let q = hotdog_workload::query("Q18").unwrap();
+        let plan = compile_recursive(q.id, &q.expr);
+        let quantity = Expr::Val(ValExpr::var("l_quantity"));
+        for v in plan.views.iter().filter(|v| !v.is_top) {
+            let mut folded = false;
+            v.definition.visit(&mut |n| folded |= *n == quantity);
+            assert!(!folded, "{}", plan.pretty());
+        }
+        assert!(plan
+            .views
+            .iter()
+            .any(|v| v.schema.columns() == ["OK", "CK", "l_quantity"]));
     }
 
     #[test]

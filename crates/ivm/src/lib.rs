@@ -16,8 +16,9 @@
 //!   full re-evaluation;
 //! * [`plan`] — the compiled representation (views, statements, triggers),
 //!   each trigger's batch preprocessing (Section 3.3: the static-condition
-//!   filter and the kept columns, [`BatchPrep`]), plus access-pattern
-//!   analysis for automatic index selection (Section 5.2.1).
+//!   filter, the value-term weight and the kept columns, [`BatchPrep`]),
+//!   plus access-pattern analysis for automatic index selection (Section
+//!   5.2.1).
 
 #![forbid(unsafe_code)]
 

@@ -3,10 +3,13 @@
 //! secondary indexes each view needs (Section 5.1/5.2.1).
 
 use crate::simplify::{join_factors, join_of};
-use hotdog_algebra::expr::{Expr, RelKind, RelRef, ValExpr};
+use hotdog_algebra::expr::{CmpOp, Expr, RelKind, RelRef, ValExpr};
 use hotdog_algebra::relation::Relation;
+use hotdog_algebra::ring::Mult;
 use hotdog_algebra::schema::Schema;
 use hotdog_algebra::tuple::Tuple;
+use hotdog_algebra::value::Value;
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -110,43 +113,41 @@ impl fmt::Display for Trigger {
 impl Trigger {
     /// Batch preprocessing (Section 3.3): the trigger's [`BatchPrep`], and
     /// this trigger rewritten to read the preprocessed batch.  The filter
-    /// is [`Trigger::batch_filter`], whose comparisons leave every
+    /// and the weight are [`Trigger::batch_factors`], which leave every
     /// statement; then [`Trigger::kept_delta_positions`] of what remains
-    /// decides the projection, so columns only the filter read die too.
+    /// decides the projection, so columns only the filter or the weight
+    /// read die too.
     pub fn preprocessing(&self) -> (BatchPrep, Trigger) {
-        let filter = self.batch_filter();
-        let unfiltered = Trigger {
+        let (filter, weight) = self.batch_factors();
+        let factored = Trigger {
             statements: self
                 .statements
                 .iter()
                 .map(|s| Statement {
-                    expr: self.without_comparisons(&s.expr, &filter),
+                    expr: self.without_factors(&s.expr, &filter, &weight),
                     ..s.clone()
                 })
                 .collect(),
             ..self.clone()
         };
-        let kept = unfiltered.kept_delta_positions();
-        let narrowed = unfiltered.narrowed(&kept);
-        let prep = BatchPrep {
-            filter,
-            batch_schema: self.relation_schema.clone(),
-            kept,
-            schema: narrowed.relation_schema.clone(),
-        };
+        let kept = factored.kept_delta_positions();
+        let narrowed = factored.narrowed(&kept);
+        let prep = BatchPrep::new(filter, weight, self.relation_schema.clone(), kept);
         (prep, narrowed)
     }
 
-    /// The static conditions of the trigger (Section 3.3): the comparisons
-    /// on batch columns only that *every* statement multiplies its batch
-    /// by, over the trigger's relation schema.  Filtering the batch by them
-    /// changes no statement's result, provided each statement reads
+    /// The static conditions and value terms of the trigger (Section 3.3):
+    /// the comparisons (the filter) and the value terms (the weight) on
+    /// batch columns only that *every* statement multiplies its batch by,
+    /// over the trigger's relation schema.  Filtering the batch by the
+    /// comparisons and multiplying each tuple's multiplicity by the value
+    /// terms changes no statement's result, provided each statement reads
     /// `Δrelation` exactly once, as a top-level factor of its root `Sum`'s
-    /// join, beside the comparison.  Any other read — under `Union`,
-    /// `Exists` or `:=`, or a second reference — disables the filter, and
-    /// so does a statement whose root is no `Sum`.
-    /// Comparisons match by position, not by name.
-    pub fn batch_filter(&self) -> Vec<Expr> {
+    /// join, beside them.  Any other read — under `Union`, `Exists` or
+    /// `:=`, a domain guard's, or a second reference — disables both, and
+    /// so does a statement whose root is no `Sum`: a guard must see counts,
+    /// never weights.  Factors match by position, not by name.
+    pub fn batch_factors(&self) -> (Vec<Expr>, Vec<Expr>) {
         let mut common: Option<Vec<Expr>> = None;
         for stmt in &self.statements {
             let reads = stmt
@@ -156,12 +157,12 @@ impl Trigger {
                 .filter(|r| r.kind == RelKind::Delta && r.name == self.relation)
                 .count();
             let Expr::Sum { body, .. } = &stmt.expr else {
-                return Vec::new();
+                return (Vec::new(), Vec::new());
             };
             let factors = join_factors(body);
             let batch = factors.iter().find_map(|f| self.batch_ref(f));
             let (1, Some(batch)) = (reads, batch) else {
-                return Vec::new();
+                return (Vec::new(), Vec::new());
             };
             let mut mine: Vec<Expr> = Vec::new();
             for p in factors.iter().filter_map(|f| self.positional(f, batch)) {
@@ -174,7 +175,10 @@ impl Trigger {
                 Some(c) => c.into_iter().filter(|f| mine.contains(f)).collect(),
             });
         }
-        common.unwrap_or_default()
+        common
+            .unwrap_or_default()
+            .into_iter()
+            .partition(|f| matches!(f, Expr::Cmp { .. }))
     }
 
     /// `f` as a reference to this trigger's batch.
@@ -185,17 +189,19 @@ impl Trigger {
         }
     }
 
-    /// `f`, when it is a comparison over the columns of `batch` only,
-    /// renamed to the relation schema's names at the same positions.
+    /// `f`, when it is a comparison or a value term over the columns of
+    /// `batch` only, renamed to the relation schema's names at the same
+    /// positions.
     fn positional(&self, f: &Expr, batch: &RelRef) -> Option<Expr> {
-        let Expr::Cmp { op, lhs, rhs } = f else {
-            return None;
-        };
         let name_at = |v: &str| {
             let i = batch.cols.iter().position(|c| c == v)?;
             Some(self.relation_schema.columns()[i].clone())
         };
-        let vars = lhs.variables().union(&rhs.variables());
+        let vars = match f {
+            Expr::Cmp { lhs, rhs, .. } => lhs.variables().union(&rhs.variables()),
+            Expr::Val(v) => v.variables(),
+            _ => return None,
+        };
         if !vars.iter().all(|v| name_at(v).is_some()) {
             return None;
         }
@@ -204,29 +210,42 @@ impl Trigger {
                 name_at(name).expect("every variable is a batch column")
             })
         };
-        Some(Expr::Cmp {
-            op: *op,
-            lhs: rename(lhs),
-            rhs: rename(rhs),
+        Some(match f {
+            Expr::Cmp { op, lhs, rhs } => Expr::Cmp {
+                op: *op,
+                lhs: rename(lhs),
+                rhs: rename(rhs),
+            },
+            Expr::Val(v) => Expr::Val(rename(v)),
+            _ => unreachable!("only comparisons and value terms get here"),
         })
     }
 
-    /// `expr` without the root-join comparisons that `filter` holds.
-    fn without_comparisons(&self, expr: &Expr, filter: &[Expr]) -> Expr {
-        if filter.is_empty() {
+    /// `expr` without the root-join comparisons that `filter` holds, and
+    /// without one occurrence of each value term that `weight` holds.
+    fn without_factors(&self, expr: &Expr, filter: &[Expr], weight: &[Expr]) -> Expr {
+        if filter.is_empty() && weight.is_empty() {
             return expr.clone();
         }
         let Expr::Sum { group_by, body } = expr else {
-            unreachable!("a filtered statement's root is a `Sum`")
+            unreachable!("a factored statement's root is a `Sum`")
         };
         let factors = join_factors(body);
         let batch = factors
             .iter()
             .find_map(|f| self.batch_ref(f))
-            .expect("a filtered statement reads its batch");
-        let kept = factors.iter().filter(|f| {
-            self.positional(f, batch)
-                .is_none_or(|p| !filter.contains(&p))
+            .expect("a factored statement reads its batch");
+        let mut unweighed = weight.to_vec();
+        let kept = factors.iter().filter(|f| match self.positional(f, batch) {
+            Some(p @ Expr::Cmp { .. }) => !filter.contains(&p),
+            Some(p) => match unweighed.iter().position(|w| *w == p) {
+                Some(i) => {
+                    unweighed.remove(i);
+                    false
+                }
+                None => true,
+            },
+            None => true,
         });
         Expr::Sum {
             group_by: group_by.clone(),
@@ -310,72 +329,191 @@ impl Trigger {
 
 /// Batch preprocessing of one trigger (Section 3.3), the one step every
 /// backend runs on an update batch before the trigger's statements see it:
-/// keep the tuples every `filter` comparison admits, and project them onto
-/// the `kept` positions, summing the multiplicities of tuples that collide.
-/// Built by [`Trigger::preprocessing`].
+/// keep the tuples every `filter` comparison admits, multiply each one's
+/// multiplicity by the `weight` value terms, and project them onto the
+/// `kept` positions, summing the multiplicities of tuples that collide.
+/// Built by [`Trigger::preprocessing`].  The fields are read through
+/// accessors: the compiled filter and weight must stay those of `filter`
+/// and `weight`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BatchPrep {
-    /// Comparisons over the update batch, named by `batch_schema`
-    /// ([`Trigger::batch_filter`]); a tuple passes when all of them hold.
-    pub filter: Vec<Expr>,
-    /// Schema of the update batch: the trigger's relation schema.
-    pub batch_schema: Schema,
-    /// Positions of the update batch the trigger reads
-    /// ([`Trigger::kept_delta_positions`]), ascending.
-    pub kept: Vec<usize>,
-    /// Schema of the preprocessed batch: `batch_schema` at `kept`.
-    pub schema: Schema,
+    filter: Vec<Expr>,
+    weight: Vec<Expr>,
+    batch_schema: Schema,
+    kept: Vec<usize>,
+    schema: Schema,
+    /// `filter`, compiled to batch positions.
+    compiled_filter: Vec<(CmpOp, PosTerm, PosTerm)>,
+    /// `weight`, compiled to batch positions.
+    compiled_weight: Vec<PosTerm>,
 }
 
 impl BatchPrep {
-    /// Relabel only: no filter, every position kept.
-    pub fn identity(batch_schema: &Schema) -> BatchPrep {
+    /// The preprocessing that filters by `filter`, weighs by `weight` and
+    /// keeps the `kept` positions of batches over `batch_schema`.  Each
+    /// variable is resolved to its batch position here, once.
+    pub fn new(
+        filter: Vec<Expr>,
+        weight: Vec<Expr>,
+        batch_schema: Schema,
+        kept: Vec<usize>,
+    ) -> BatchPrep {
+        let at = |v: &ValExpr| PosTerm::compile(v, &batch_schema);
+        let compiled_filter = (filter.iter())
+            .map(|f| match f {
+                Expr::Cmp { op, lhs, rhs } => (*op, at(lhs), at(rhs)),
+                other => panic!("a batch filter holds comparisons only, not {other}"),
+            })
+            .collect();
+        let compiled_weight = (weight.iter())
+            .map(|w| match w {
+                Expr::Val(v) => at(v),
+                other => panic!("a batch weight holds value terms only, not {other}"),
+            })
+            .collect();
+        let schema = Schema::new(kept.iter().map(|&i| batch_schema.columns()[i].clone()));
         BatchPrep {
-            filter: Vec::new(),
-            batch_schema: batch_schema.clone(),
-            kept: (0..batch_schema.len()).collect(),
-            schema: batch_schema.clone(),
+            filter,
+            weight,
+            batch_schema,
+            kept,
+            schema,
+            compiled_filter,
+            compiled_weight,
         }
     }
 
-    /// Whether `filter` admits update tuple `t`.
-    fn admits(&self, t: &Tuple) -> bool {
-        let lookup = |name: &str| self.batch_schema.position(name).map(|i| t.get(i).clone());
-        self.filter.iter().all(|f| match f {
-            Expr::Cmp { op, lhs, rhs } => op.eval(&lhs.eval(&lookup), &rhs.eval(&lookup)),
-            other => unreachable!("a batch filter holds comparisons only, not {other}"),
-        })
+    /// Comparisons over the update batch, named by
+    /// [`BatchPrep::batch_schema`] ([`Trigger::batch_factors`]); a tuple
+    /// passes when all of them hold.
+    pub fn filter(&self) -> &[Expr] {
+        &self.filter
     }
 
-    /// The preprocessed `batch`, filtered and projected in one pass, in
-    /// wire-canonical layout ([`Relation::project_canonical_where`]).
+    /// Value terms over the update batch, named by
+    /// [`BatchPrep::batch_schema`] ([`Trigger::batch_factors`]); each
+    /// admitted tuple's multiplicity is multiplied by all of them.
+    pub fn weight(&self) -> &[Expr] {
+        &self.weight
+    }
+
+    /// Schema of the update batch: the trigger's relation schema.
+    pub fn batch_schema(&self) -> &Schema {
+        &self.batch_schema
+    }
+
+    /// Positions of the update batch the trigger reads
+    /// ([`Trigger::kept_delta_positions`]), ascending.
+    pub fn kept(&self) -> &[usize] {
+        &self.kept
+    }
+
+    /// Schema of the preprocessed batch: the batch schema at
+    /// [`BatchPrep::kept`].
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// Relabel only: no filter, no weight, every position kept.
+    pub fn identity(batch_schema: &Schema) -> BatchPrep {
+        let all = (0..batch_schema.len()).collect();
+        BatchPrep::new(Vec::new(), Vec::new(), batch_schema.clone(), all)
+    }
+
+    /// Update tuple `t`'s multiplicity `m` once preprocessed: 0 when the
+    /// filter rejects `t`, else `m` times the weight.
+    fn weigh(&self, t: &Tuple, m: Mult) -> Mult {
+        let admits =
+            (self.compiled_filter.iter()).all(|(op, lhs, rhs)| op.eval(&lhs.eval(t), &rhs.eval(t)));
+        if !admits {
+            return 0.0;
+        }
+        (self.compiled_weight.iter()).fold(m, |m, w| m * w.eval(t).as_f64())
+    }
+
+    /// The preprocessed `batch`, filtered, weighed and projected in one
+    /// pass, in wire-canonical layout
+    /// ([`Relation::project_canonical_weighted`]).
     pub fn apply(&self, batch: &Relation) -> Relation {
-        batch.project_canonical_where(&self.kept, self.schema.clone(), |t| self.admits(t))
+        batch.project_canonical_weighted(&self.kept, self.schema.clone(), |t, m| self.weigh(t, m))
     }
 
     /// Ring-sum `batch`, preprocessed, into an already preprocessed `delta`
     /// (pipelined admission's coalescing), without building the canonical
     /// relation the merge would not keep.
     pub fn apply_into(&self, batch: &Relation, delta: &mut Relation) {
-        for (t, m) in batch.iter().filter(|(t, _)| self.admits(t)) {
-            delta.add(t.project(&self.kept), m);
+        for (t, m) in batch.iter().map(|(t, m)| (t, self.weigh(t, m))) {
+            if m != 0.0 {
+                delta.add(t.project(&self.kept), m);
+            }
         }
     }
 
-    /// `Δ keeps 3/10: OK, l_extendedprice, l_discount; Δ filter
-    /// (l_shipdate > 19950315)` — the filter part only when there is one.
+    /// `Δ keeps 1/10: OK; Δ weight [(l_extendedprice * (1 - l_discount))];
+    /// Δ filter (l_shipdate > 19950315)` — the weight and the filter part
+    /// only when there is one.
     pub fn describe(&self) -> String {
-        let mut out = format!(
-            "Δ keeps {}/{}: {}",
-            self.kept.len(),
-            self.batch_schema.len(),
-            self.schema.columns().join(", ")
-        );
-        if !self.filter.is_empty() {
-            let filter: Vec<String> = self.filter.iter().map(|f| f.to_string()).collect();
-            out.push_str(&format!("; Δ filter {}", filter.join(" * ")));
+        let mut out = format!("Δ keeps {}/{}", self.kept.len(), self.batch_schema.len());
+        if !self.kept.is_empty() {
+            out.push_str(&format!(": {}", self.schema.columns().join(", ")));
+        }
+        for (label, factors) in [("weight", &self.weight), ("filter", &self.filter)] {
+            if !factors.is_empty() {
+                let shown: Vec<String> = factors.iter().map(|f| f.to_string()).collect();
+                out.push_str(&format!("; Δ {label} {}", shown.join(" * ")));
+            }
         }
         out
+    }
+}
+
+/// A value term over tuple positions: [`ValExpr`] with every variable
+/// resolved to its position in the batch schema.
+#[derive(Clone, Debug, PartialEq)]
+enum PosTerm {
+    At(usize),
+    Lit(Value),
+    Add(Box<PosTerm>, Box<PosTerm>),
+    Sub(Box<PosTerm>, Box<PosTerm>),
+    Mul(Box<PosTerm>, Box<PosTerm>),
+    Div(Box<PosTerm>, Box<PosTerm>),
+}
+
+impl PosTerm {
+    fn compile(v: &ValExpr, schema: &Schema) -> PosTerm {
+        let c = |e: &ValExpr| Box::new(PosTerm::compile(e, schema));
+        match v {
+            ValExpr::Var(x) => PosTerm::At(
+                schema
+                    .position(x)
+                    .unwrap_or_else(|| panic!("`{x}` is no column of {schema:?}")),
+            ),
+            ValExpr::Lit(l) => PosTerm::Lit(l.clone()),
+            ValExpr::Add(a, b) => PosTerm::Add(c(a), c(b)),
+            ValExpr::Sub(a, b) => PosTerm::Sub(c(a), c(b)),
+            ValExpr::Mul(a, b) => PosTerm::Mul(c(a), c(b)),
+            ValExpr::Div(a, b) => PosTerm::Div(c(a), c(b)),
+        }
+    }
+
+    /// The term's value on `t`, as [`ValExpr::eval`] computes it by name.
+    fn eval<'a>(&'a self, t: &'a Tuple) -> Cow<'a, Value> {
+        let num = |e: &PosTerm| e.eval(t).as_f64();
+        Cow::Owned(Value::Double(match self {
+            PosTerm::At(i) => return Cow::Borrowed(t.get(*i)),
+            PosTerm::Lit(v) => return Cow::Borrowed(v),
+            PosTerm::Add(a, b) => num(a) + num(b),
+            PosTerm::Sub(a, b) => num(a) - num(b),
+            PosTerm::Mul(a, b) => num(a) * num(b),
+            PosTerm::Div(a, b) => {
+                let d = num(b);
+                if d == 0.0 {
+                    0.0
+                } else {
+                    num(a) / d
+                }
+            }
+        }))
     }
 }
 
@@ -393,11 +531,11 @@ fn rename_vars(v: &ValExpr, rename: &dyn Fn(&str) -> String) -> ValExpr {
 }
 
 /// How often each variable name occurs in some part of a statement.
-type Uses = HashMap<String, usize>;
+pub(crate) type Uses = HashMap<String, usize>;
 
 /// How often each variable name occurs in `expr`: once per relation
 /// column, value term, comparison, assignment and group-by that mentions it.
-fn variable_uses(expr: &Expr) -> Uses {
+pub(crate) fn variable_uses(expr: &Expr) -> Uses {
     let mut uses = HashMap::new();
     let mut count = |c: &str| *uses.entry(c.to_string()).or_insert(0) += 1;
     expr.visit(&mut |e| match e {
@@ -713,11 +851,12 @@ mod tests {
     fn kept_checked(trigger: &Trigger) -> Vec<usize> {
         let kept = trigger.kept_delta_positions();
         let narrowed = trigger.narrowed(&kept);
-        let prep = BatchPrep {
-            kept: kept.clone(),
-            schema: narrowed.relation_schema.clone(),
-            ..BatchPrep::identity(&trigger.relation_schema)
-        };
+        let prep = BatchPrep::new(
+            Vec::new(),
+            Vec::new(),
+            trigger.relation_schema.clone(),
+            kept.clone(),
+        );
         assert_equivalent(trigger, &prep, &narrowed);
         kept
     }
@@ -936,31 +1075,139 @@ mod tests {
         assert!(prep_checked(&t).filter.is_empty());
     }
 
+    /// The weight too: every case multiplies its batch by `(A > 5) * [B]`.
     #[test]
     fn any_other_read_of_the_batch_disables_the_filter() {
         let d = || delta_rel("R", ["A", "B"]);
-        let a_gt_5 = || cmp_lit("A", CmpOp::Gt, 5);
+        let factors = || join(cmp_lit("A", CmpOp::Gt, 5), val_var("B"));
         let cases: Vec<Expr> = vec![
             // Under `Union`.
-            sum_total(join(union(d(), d()), a_gt_5())),
+            sum_total(join(union(d(), d()), factors())),
             // Under `Exists`.
-            sum_total(join(exists(d()), a_gt_5())),
+            sum_total(join(exists(d()), factors())),
             // Under `:=`.
-            sum_total(join_all([assign_query("X", d()), a_gt_5(), val_var("X")])),
+            sum_total(join_all([assign_query("X", d()), factors(), val_var("X")])),
             // A top-level read plus a second one under `:=`.
             sum_total(join_all([
                 d(),
-                a_gt_5(),
+                factors(),
                 assign_query("X", sum(["B"], delta_rel("R", ["A2", "B"]))),
                 val_var("X"),
             ])),
             // Read twice.
-            sum_total(join_all([d(), delta_rel("R", ["A", "C"]), a_gt_5()])),
+            sum_total(join_all([d(), delta_rel("R", ["A", "C"]), factors()])),
         ];
         for expr in cases {
             let t = trigger_on_r(vec![(&[], expr.clone())]);
-            assert_eq!(t.batch_filter(), Vec::<Expr>::new(), "{expr}");
+            assert_eq!(t.batch_factors(), (vec![], vec![]), "{expr}");
             prep_checked(&t);
+        }
+    }
+
+    #[test]
+    fn a_value_term_every_statement_applies_weighs_the_batch() {
+        let d = || delta_rel("R", ["A", "B"]);
+        let t = trigger_on_r(vec![
+            (&["A"], sum(["A"], join(d(), val_var("B")))),
+            (
+                &[],
+                sum_total(join_all([d(), view("S", ["A"]), val_var("B")])),
+            ),
+        ]);
+        let prep = prep_checked(&t);
+        assert_eq!(prep.weight, [val_var("B")]);
+        // `B` was read by the weight only, so it dies.
+        assert_eq!(prep.describe(), "Δ keeps 1/2: A; Δ weight [B]");
+        let (_, narrowed) = t.preprocessing();
+        assert_eq!(
+            narrowed.statements[0].expr,
+            sum(["A"], delta_rel("R", ["A"]))
+        );
+        // A term one statement lacks is no weight; a term applied twice
+        // leaves one application in the statement.
+        let t = trigger_on_r(vec![
+            (&["A"], sum(["A"], join(d(), val_var("B")))),
+            (&["A"], sum(["A"], d())),
+        ]);
+        assert!(prep_checked(&t).weight.is_empty());
+        let twice = sum(["A"], join_all([d(), val_var("B"), val_var("B")]));
+        let t = trigger_on_r(vec![(&["A"], twice)]);
+        assert_eq!(prep_checked(&t).weight, [val_var("B")]);
+        assert_eq!(
+            t.preprocessing().1.statements[0].expr,
+            sum(["A"], join(delta_rel("R", ["A", "B"]), val_var("B")))
+        );
+    }
+
+    /// The filter and the weight compiled to positions agree, tuple by
+    /// tuple, with [`ValExpr::eval`] and [`CmpOp::eval`] by name.
+    #[test]
+    fn compiled_filter_and_weight_agree_with_evaluation_by_name() {
+        use hotdog_algebra::tuple;
+        let schema = Schema::new(["A", "B", "C"]);
+        let var = ValExpr::var;
+        let bin = |f: fn(Box<ValExpr>, Box<ValExpr>) -> ValExpr, a: ValExpr, b: ValExpr| {
+            f(Box::new(a), Box::new(b))
+        };
+        let weight = vec![
+            Expr::Val(bin(
+                ValExpr::Div,
+                bin(
+                    ValExpr::Mul,
+                    var("A"),
+                    bin(ValExpr::Sub, ValExpr::lit(1i64), var("C")),
+                ),
+                bin(ValExpr::Add, var("B"), ValExpr::lit(0.5)),
+            )),
+            Expr::Val(var("C")),
+        ];
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let batch = Relation::from_pairs(
+            schema.clone(),
+            (0..60i64).map(|i| {
+                let t = tuple![i % 5, (i % 7) as f64 - 0.5, (i % 3) as f64 * 0.25];
+                (t, if i % 4 == 0 { -1.0 } else { 2.0 })
+            }),
+        );
+        for op in ops {
+            let filter = vec![
+                cmp_lit("A", op, 2),
+                Expr::Cmp {
+                    op,
+                    lhs: bin(ValExpr::Add, var("B"), ValExpr::lit(1i64)),
+                    rhs: var("C"),
+                },
+            ];
+            let prep = BatchPrep::new(filter.clone(), weight.clone(), schema.clone(), vec![0]);
+            for (t, m) in batch.iter() {
+                let lookup = |name: &str| schema.position(name).map(|i| t.get(i).clone());
+                let admits = filter.iter().all(|f| match f {
+                    Expr::Cmp { op, lhs, rhs } => op.eval(&lhs.eval(&lookup), &rhs.eval(&lookup)),
+                    _ => unreachable!(),
+                });
+                let by_name = match admits {
+                    false => 0.0,
+                    true => weight.iter().fold(m, |m, w| match w {
+                        Expr::Val(v) => m * v.eval(&lookup).as_f64(),
+                        _ => unreachable!(),
+                    }),
+                };
+                assert_eq!(
+                    prep.weigh(t, m).to_bits(),
+                    by_name.to_bits(),
+                    "{op:?} {t:?}"
+                );
+            }
+            let mut into = Relation::new(prep.schema.clone());
+            prep.apply_into(&batch, &mut into);
+            assert!(into.approx_eq(&prep.apply(&batch)), "{op:?}");
         }
     }
 
@@ -988,7 +1235,17 @@ mod tests {
             cols("ORDERS"),
             ["OK", "CK", "o_orderdate", "o_shippriority"]
         );
-        assert_eq!(cols("LINEITEM"), ["OK", "l_extendedprice", "l_discount"]);
+        // The revenue term is LINEITEM's weight, so its columns die.
+        assert_eq!(cols("LINEITEM"), ["OK"]);
+        let revenue = ValExpr::Mul(
+            Box::new(ValExpr::var("l_extendedprice")),
+            Box::new(ValExpr::Sub(
+                Box::new(ValExpr::lit(1i64)),
+                Box::new(ValExpr::var("l_discount")),
+            )),
+        );
+        assert_eq!(prep["LINEITEM"].weight, [Expr::Val(revenue)]);
+        assert!(prep["CUSTOMER"].weight.is_empty() && prep["ORDERS"].weight.is_empty());
         assert_eq!(
             prep["CUSTOMER"].filter,
             [cmp_lit("c_mktsegment", CmpOp::Eq, 1)]

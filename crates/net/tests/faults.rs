@@ -225,6 +225,12 @@ fn protocol_error_is_the_worker_dead_reason() {
         "death should carry the protocol error: {}",
         dead.reason
     );
+    // The driver's own registry: a full snapshot would ask the dead worker.
+    assert_eq!(
+        tcp.telemetry().snapshot().counter("worker.declared_dead"),
+        1,
+        "a death surfaced with recovery off still counts"
+    );
     peer.join().expect("garbling peer thread");
 }
 

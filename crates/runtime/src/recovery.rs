@@ -112,6 +112,8 @@ impl<T: Transport> Driver<T> {
     /// attempt from [`FaultConfig::max_recoveries`].
     pub(crate) fn recover(&mut self, mut cause: WorkerDead) -> Result<(), WorkerDead> {
         loop {
+            // Every death counts, also one that surfaces as the error.
+            self.metrics.worker_declared_dead.inc();
             let Some(cfg) = &self.fault else {
                 return Err(cause);
             };
@@ -120,7 +122,6 @@ impl<T: Transport> Driver<T> {
             }
             self.recoveries += 1;
             self.metrics.recovery_attempts.inc();
-            self.metrics.worker_declared_dead.inc();
             let start = Instant::now();
             match self.recover_once(cause.index) {
                 Ok(()) => {
