@@ -43,7 +43,7 @@ pub trait Catalog {
     fn scan(&self, name: &str, kind: RelKind, f: &mut dyn FnMut(&Tuple, Mult));
 
     /// Multiplicity of an exact key (0 when absent).
-    fn lookup(&self, name: &str, kind: RelKind, key: &Tuple) -> Mult;
+    fn lookup(&self, name: &str, kind: RelKind, key: &[Value]) -> Mult;
 
     /// Iterate over tuples whose columns at `positions` equal `key_vals`,
     /// in the relation's iteration order.
@@ -405,9 +405,7 @@ impl<'a> Evaluator<'a> {
         if positions.len() == cols.len() && !cols.is_empty() {
             // All columns bound: point lookup.
             self.counters.lookups += 1;
-            let probe = Tuple(key);
-            let m = catalog.lookup(name, kind, &probe);
-            key = probe.0;
+            let m = catalog.lookup(name, kind, &key);
             if m != 0.0 {
                 self.counters.tuples_visited += 1;
                 out(env, m);
@@ -451,7 +449,7 @@ impl<'a> Evaluator<'a> {
                 // `0.0 + m`, not `m`: a new group starts at 0 and adds, so
                 // a first `-0.0` lands as `0.0`.
                 None => {
-                    groups.insert(Tuple(key.clone()), 0.0 + m);
+                    groups.insert(Tuple::from(key.clone()), 0.0 + m);
                 }
             }
         });
@@ -541,7 +539,7 @@ impl Catalog for MapCatalog {
         }
     }
 
-    fn lookup(&self, name: &str, kind: RelKind, key: &Tuple) -> Mult {
+    fn lookup(&self, name: &str, kind: RelKind, key: &[Value]) -> Mult {
         self.relations
             .get(&(kind, name.to_string()))
             .map(|r| r.get(key))

@@ -136,6 +136,8 @@ impl Fnv1a {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::{Relation, ViewChecksum};
+    use crate::schema::Schema;
     use crate::tuple;
     use std::hash::BuildHasher;
 
@@ -163,6 +165,27 @@ mod tests {
         assert_eq!(
             DetState::default().hash_one(tuple![1, 2]),
             15_615_100_593_251_831_815
+        );
+        // Every variant's hash reads the value, never its representation.
+        assert_eq!(
+            DetState::default().hash_one(tuple!["ab", 2.5, -7]),
+            4_530_222_478_916_315_806
+        );
+        let mixed = Relation::from_pairs(
+            Schema::new(["a", "b", "c"]),
+            [
+                (tuple!["ab", 2.5, -7], 1.5),
+                (tuple![3, "x", -0.0], -2.0),
+                (tuple![true, -1e300, "é"], 0.25),
+                (tuple![-9_007_199_254_740_993i64, 1, 1.0], 3.0),
+            ],
+        );
+        assert_eq!(
+            mixed.checksum(),
+            ViewChecksum {
+                tuples: 4,
+                digest: 6_809_863_798_270_995_868
+            }
         );
     }
 

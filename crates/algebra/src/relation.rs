@@ -11,7 +11,9 @@ use crate::ring::{Mult, MULT_EPSILON};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::fmt;
+use std::hash::Hash;
 
 /// A generalized multiset relation: unique tuples with non-zero multiplicity.
 ///
@@ -75,8 +77,12 @@ impl Relation {
         self.data.is_empty()
     }
 
-    /// Multiplicity of a tuple (0 if absent).
-    pub fn get(&self, tuple: &Tuple) -> Mult {
+    /// Multiplicity of a tuple (0 if absent); `tuple` is a `&Tuple` or,
+    /// to probe without building one, a `&[Value]`.
+    pub fn get<K: Hash + Eq + ?Sized>(&self, tuple: &K) -> Mult
+    where
+        Tuple: Borrow<K>,
+    {
         self.data.get(tuple).copied().unwrap_or(0.0)
     }
 

@@ -8,16 +8,20 @@ use std::fmt;
 /// An immutable-by-convention row of scalar values.
 ///
 /// Tuples are the keys of generalized multiset relations: each distinct tuple
-/// maps to a non-zero multiplicity.  Tuples are small (TPC-H style views keep
-/// at most a handful of columns after projection) so a plain `Vec` is used.
+/// maps to a non-zero multiplicity.  A tuple never grows once built, so it
+/// is a boxed slice: a 16-byte header (pointer and length, no capacity
+/// word) over exactly `arity` values, with no slack.  Build one from a
+/// `Vec` whose capacity equals its length (`vec![…]`, `collect` over an
+/// exact-size iterator, `Vec::with_capacity(arity)`), so that boxing it
+/// does not reallocate.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct Tuple(pub Vec<Value>);
+pub struct Tuple(pub Box<[Value]>);
 
 impl Tuple {
     /// The empty tuple — the key of 0-ary (scalar) views such as a top-level
     /// `COUNT(*)` aggregate.
     pub fn empty() -> Self {
-        Tuple(Vec::new())
+        Tuple(Box::default())
     }
 
     /// Build a tuple from anything convertible to values.
@@ -41,10 +45,7 @@ impl Tuple {
 
     /// Concatenate two tuples.
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.0.len() + other.0.len());
-        v.extend_from_slice(&self.0);
-        v.extend_from_slice(&other.0);
-        Tuple(v)
+        Tuple(self.0.iter().chain(other.0.iter()).cloned().collect())
     }
 
     /// Access a column.
@@ -57,13 +58,6 @@ impl Tuple {
     /// wire format, where arity lives in the schema, not in each row.
     pub fn values_size(&self) -> usize {
         self.0.iter().map(Value::serialized_size).sum()
-    }
-
-    /// Approximate serialized size in bytes of a *standalone* tuple (for
-    /// shuffle accounting): the values plus the u16 arity prefix the
-    /// standalone wire encoding carries.
-    pub fn serialized_size(&self) -> usize {
-        self.values_size() + 2
     }
 }
 
@@ -87,11 +81,17 @@ impl fmt::Display for Tuple {
 }
 
 /// Lets a map keyed by [`Tuple`] be probed with a borrowed `&[Value]`,
-/// with no allocation per probe.  Sound because the derived `Hash` and `Eq`
-/// of `Tuple` are its `Vec`'s, which hash and compare exactly as the slice.
+/// with no allocation per probe.  Sound because the derived `Hash`, `Eq`
+/// and `Ord` of `Tuple` are its boxed slice's, which are the slice's own.
 impl Borrow<[Value]> for Tuple {
     fn borrow(&self) -> &[Value] {
         &self.0
+    }
+}
+
+impl From<Vec<Value>> for Tuple {
+    fn from(vals: Vec<Value>) -> Self {
+        Tuple(vals.into_boxed_slice())
     }
 }
 
@@ -106,13 +106,21 @@ impl<V: Into<Value>> FromIterator<V> for Tuple {
 #[macro_export]
 macro_rules! tuple {
     ($($v:expr),* $(,)?) => {
-        $crate::tuple::Tuple(vec![$($crate::value::Value::from($v)),*])
+        $crate::tuple::Tuple::from(vec![$($crate::value::Value::from($v)),*])
     };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Record pools and relation maps hold a `Tuple` per record, and each
+    /// holds its `Value`s inline: a word more in either is a third more.
+    #[test]
+    fn values_and_tuples_are_16_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+        assert_eq!(std::mem::size_of::<Tuple>(), 16);
+    }
 
     #[test]
     fn empty_tuple_has_zero_arity() {
@@ -139,8 +147,8 @@ mod tests {
     }
 
     #[test]
-    fn serialized_size_sums_fields() {
-        assert_eq!(tuple![1i64, 2i64].serialized_size(), 18);
+    fn values_size_sums_fields() {
+        assert_eq!(tuple![1i64, 2i64].values_size(), 16);
     }
 
     #[test]

@@ -21,9 +21,12 @@ pub enum Value {
     Long(i64),
     /// 64-bit IEEE float.  Compared and hashed by normalized bit pattern.
     Double(f64),
-    /// Interned UTF-8 string.  `Arc` keeps cloning cheap: tuples are copied
-    /// into record pools, shuffle buffers and columnar batches constantly.
-    Str(Arc<str>),
+    /// UTF-8 string, shared and never interned.  `Arc` keeps cloning cheap
+    /// (tuples are copied into record pools, shuffle buffers and columnar
+    /// batches constantly), and `Arc<String>` is one word where `Arc<str>`
+    /// is two, which keeps `Value` at 16 bytes.  Hashing, comparison and the
+    /// codec read only the string's content.
+    Str(Arc<String>),
     /// Boolean flag (e.g. precomputed predicate results).
     Bool(bool),
 }
@@ -31,7 +34,7 @@ pub enum Value {
 impl Value {
     /// Build a string value.
     pub fn str(s: impl AsRef<str>) -> Self {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Arc::new(s.as_ref().to_owned()))
     }
 
     /// Numeric view of the value used by arithmetic value terms.
@@ -110,6 +113,27 @@ impl Value {
         }
     }
 
+    /// Exact order of an integer against a double: by real value, with NaN
+    /// above every number (as in `total_order_key`).  Rounding `a` to `f64`
+    /// instead would make `Long(2^53 + 1)` and `Long(2^53)` both equal
+    /// `Double(2^53)` while unequal to each other: neither `Eq` nor `Ord`
+    /// would be transitive, and a relation mixing such keys would depend on
+    /// its insertion order.
+    fn cmp_long_double(a: i64, b: f64) -> Ordering {
+        // 2^63: the doubles in `[-2^63, 2^63)` are exactly those whose
+        // integral part fits an `i64`.
+        const LIMIT: f64 = 9_223_372_036_854_775_808.0;
+        if b.is_nan() || b >= LIMIT {
+            return Ordering::Less;
+        }
+        if b < -LIMIT {
+            return Ordering::Greater;
+        }
+        let whole = b.trunc();
+        a.cmp(&(whole as i64))
+            .then_with(|| whole.partial_cmp(&b).expect("not NaN"))
+    }
+
     /// Total order over values of *any* variant: variants are ordered by a
     /// discriminant rank first, then by value.  This gives `Value` a lawful
     /// `Ord`, which index structures and deterministic test output rely on.
@@ -134,9 +158,9 @@ impl PartialEq for Value {
             (Value::Bool(a), Value::Bool(b)) => a == b,
             // Cross-variant numeric equality: Long(3) == Double(3.0).  The
             // workload generators mix integer and double columns, and join
-            // keys must match across them.
+            // keys must match across them.  Exact, so that it is transitive.
             (Value::Long(a), Value::Double(b)) | (Value::Double(b), Value::Long(a)) => {
-                (*a as f64) == *b
+                Self::cmp_long_double(*a, *b) == Ordering::Equal
             }
             _ => false,
         }
@@ -162,12 +186,8 @@ impl Ord for Value {
             (Value::Double(a), Value::Double(b)) => {
                 Self::total_order_key(*a).cmp(&Self::total_order_key(*b))
             }
-            (Value::Long(a), Value::Double(b)) => {
-                Self::total_order_key(*a as f64).cmp(&Self::total_order_key(*b))
-            }
-            (Value::Double(a), Value::Long(b)) => {
-                Self::total_order_key(*a).cmp(&Self::total_order_key(*b as f64))
-            }
+            (Value::Long(a), Value::Double(b)) => Self::cmp_long_double(*a, *b),
+            (Value::Double(a), Value::Long(b)) => Self::cmp_long_double(*b, *a).reverse(),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
             _ => self.rank().cmp(&other.rank()),
@@ -239,6 +259,9 @@ impl From<bool> for Value {
 mod tests {
     use super::*;
     use crate::hash::DetState;
+    use crate::relation::Relation;
+    use crate::schema::Schema;
+    use crate::tuple::Tuple;
     use std::hash::BuildHasher;
 
     /// Hashed with the data path's own hasher: the equalities below are
@@ -252,6 +275,75 @@ mod tests {
         assert_eq!(Value::Long(3), Value::Double(3.0));
         assert_ne!(Value::Long(3), Value::Double(3.5));
         assert_eq!(hash_of(&Value::Long(3)), hash_of(&Value::Double(3.0)));
+    }
+
+    /// Around ±2^53 not every `i64` is a double, so comparing through a
+    /// rounded `Long` would give `Long(2^53 + 1) == Double(2^53) ==
+    /// Long(2^53)` with the two `Long`s unequal, and a relation mixing such
+    /// keys would depend on the order of its inserts.
+    #[test]
+    fn long_double_comparison_is_exact_and_transitive_near_2_pow_53() {
+        const P: i64 = 1 << 53;
+        let longs: Vec<Value> = [P, -P]
+            .iter()
+            .flat_map(|&base| (-64..=64).map(move |d| Value::Long(base + d)))
+            .collect();
+        let doubles: Vec<Value> = longs.iter().map(|v| Value::Double(v.as_f64())).collect();
+        let mut vals: Vec<Value> = longs.iter().chain(&doubles).cloned().collect();
+        for a in &vals {
+            for b in &vals {
+                assert_eq!(a == b, a.cmp(b) == Ordering::Equal, "{a:?} vs {b:?}");
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a:?} vs {b:?}");
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b), "{a:?} vs {b:?}");
+                }
+            }
+        }
+        // Transitive: sorted, every pair compares as the runs of equal
+        // neighbours say it must.
+        vals.sort();
+        let mut run = vec![0usize; vals.len()];
+        for i in 1..vals.len() {
+            run[i] = run[i - 1] + usize::from(vals[i - 1] < vals[i]);
+        }
+        for i in 0..vals.len() {
+            for j in i + 1..vals.len() {
+                let want = if run[i] == run[j] {
+                    Ordering::Equal
+                } else {
+                    Ordering::Less
+                };
+                assert_eq!(
+                    vals[i].cmp(&vals[j]),
+                    want,
+                    "{:?} vs {:?}",
+                    vals[i],
+                    vals[j]
+                );
+            }
+        }
+        assert!(Value::Long(i64::MAX) < Value::Double(9_223_372_036_854_775_808.0));
+        assert_eq!(
+            Value::Long(i64::MIN),
+            Value::Double(-9_223_372_036_854_775_808.0)
+        );
+        assert!(Value::Long(i64::MIN) > Value::Double(f64::NEG_INFINITY));
+        assert!(Value::Long(3) > Value::Double(2.5) && Value::Long(-3) < Value::Double(-2.5));
+
+        // Same adds, two insertion orders (each `Long` before the doubles,
+        // so both keep the same representative): the same relation.
+        let add = |order: &mut dyn Iterator<Item = (usize, &Value)>| {
+            let mut rel = Relation::new(Schema::new(["k"]));
+            for (i, v) in order {
+                rel.add(Tuple::from(vec![v.clone()]), 1.0 + i as f64);
+            }
+            rel.checksum()
+        };
+        let n = longs.len();
+        let forward = add(&mut longs.iter().chain(&doubles).enumerate());
+        let reverse = add(&mut (longs.iter().enumerate().rev())
+            .chain(doubles.iter().enumerate().rev().map(|(i, v)| (n + i, v))));
+        assert_eq!(forward, reverse);
     }
 
     #[test]

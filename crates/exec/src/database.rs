@@ -151,11 +151,6 @@ impl Database {
         self.pools.values().map(RecordPool::len).sum()
     }
 
-    /// Approximate total payload bytes across all views.
-    pub fn total_bytes(&self) -> usize {
-        self.pools.values().map(RecordPool::payload_bytes).sum()
-    }
-
     /// Aggregate storage-operation counters across all pools.
     pub fn counters(&self) -> PoolCounters {
         let mut c = PoolCounters::default();
@@ -225,7 +220,7 @@ impl Source for Bound<'_, '_> {
         }
     }
 
-    fn lookup(&self, rel: usize, key: &Tuple) -> Mult {
+    fn lookup(&self, rel: usize, key: &[Value]) -> Mult {
         self.rels[rel].map_or(0.0, |s| s.get(key))
     }
 
@@ -285,7 +280,7 @@ impl hotdog_algebra::eval::Catalog for StatementCatalog<'_> {
         }
     }
 
-    fn lookup(&self, name: &str, kind: RelKind, key: &Tuple) -> Mult {
+    fn lookup(&self, name: &str, kind: RelKind, key: &[Value]) -> Mult {
         self.resolve(name, kind).map_or(0.0, |s| s.get(key))
     }
 
@@ -378,8 +373,8 @@ mod tests {
         );
         let no_temps = HashMap::new();
         let cat = StatementCatalog::new(&db, &no_temps, &deltas);
-        assert_eq!(cat.lookup("Q", RelKind::View, &tuple![5]), 7.0);
-        assert_eq!(cat.lookup("R", RelKind::Delta, &tuple![1, 5]), 1.0);
+        assert_eq!(cat.lookup("Q", RelKind::View, &tuple![5].0), 7.0);
+        assert_eq!(cat.lookup("R", RelKind::Delta, &tuple![1, 5].0), 1.0);
         let mut n = 0;
         cat.scan("R", RelKind::Delta, &mut |_, _| n += 1);
         assert_eq!(n, 1);
@@ -397,9 +392,9 @@ mod tests {
             ),
         ]);
         let cat = StatementCatalog::new(&db, &temps, &deltas);
-        assert_eq!(cat.lookup("Q", RelKind::View, &tuple![6]), 4.0);
-        assert_eq!(cat.lookup("Q", RelKind::View, &tuple![5]), 0.0);
-        assert_eq!(cat.lookup("R", RelKind::Delta, &tuple![2, 5]), 0.0);
+        assert_eq!(cat.lookup("Q", RelKind::View, &tuple![6].0), 4.0);
+        assert_eq!(cat.lookup("Q", RelKind::View, &tuple![5].0), 0.0);
+        assert_eq!(cat.lookup("R", RelKind::Delta, &tuple![2, 5].0), 0.0);
         let mut rows = Vec::new();
         cat.slice("R", RelKind::Delta, &[1], &[Value::Long(5)], &mut |t, m| {
             rows.push((t.clone(), m))
@@ -418,7 +413,7 @@ mod tests {
             &mut |_, _| n += 1,
         );
         assert_eq!(n, 0);
-        assert_eq!(cat.lookup("NOPE", RelKind::View, &tuple![5]), 0.0);
+        assert_eq!(cat.lookup("NOPE", RelKind::View, &tuple![5].0), 0.0);
 
         // Through `execute`: a left-deep join and a nested aggregate both
         // report the row interpreter's results and counters.

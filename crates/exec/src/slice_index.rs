@@ -44,7 +44,7 @@ pub(crate) enum Stored<'a> {
 
 impl Stored<'_> {
     /// Multiplicity of an exact key (0 when absent).
-    pub fn get(&self, key: &Tuple) -> Mult {
+    pub fn get(&self, key: &[Value]) -> Mult {
         match self {
             Stored::Relation(rel) => rel.get(key),
             Stored::Pool(pool) => pool.get(key),

@@ -99,10 +99,10 @@
 //!
 //! let mut catalog = MapCatalog::new();
 //! let mut r = Relation::new(Schema::new(["A", "B"]));
-//! r.add(Tuple(vec![Value::Long(1), Value::Long(10)]), 1.0);
-//! r.add(Tuple(vec![Value::Long(2), Value::Long(10)]), 1.0);
+//! r.add(Tuple::from(vec![Value::Long(1), Value::Long(10)]), 1.0);
+//! r.add(Tuple::from(vec![Value::Long(2), Value::Long(10)]), 1.0);
 //! let mut s = Relation::new(Schema::new(["B", "C"]));
-//! s.add(Tuple(vec![Value::Long(10), Value::Long(7)]), 1.0);
+//! s.add(Tuple::from(vec![Value::Long(10), Value::Long(7)]), 1.0);
 //! catalog.insert("R", RelKind::Base, r);
 //! catalog.insert("S", RelKind::Base, s);
 //!
@@ -776,7 +776,7 @@ pub(crate) trait Source {
     /// Iterate over every tuple of relation `rel`.
     fn scan(&self, rel: usize, f: &mut dyn FnMut(&Tuple, Mult));
     /// Multiplicity of an exact key of relation `rel` (0 when absent).
-    fn lookup(&self, rel: usize, key: &Tuple) -> Mult;
+    fn lookup(&self, rel: usize, key: &[Value]) -> Mult;
     /// Iterate over the tuples of relation `rel` whose columns at
     /// `positions` equal `key_vals`, in the relation's iteration order.
     fn slice(
@@ -800,7 +800,7 @@ impl Source for ByName<'_> {
         self.catalog.scan(name, *kind, f);
     }
 
-    fn lookup(&self, rel: usize, key: &Tuple) -> Mult {
+    fn lookup(&self, rel: usize, key: &[Value]) -> Mult {
         let (name, kind) = &self.rels[rel];
         self.catalog.lookup(name, *kind, key)
     }
@@ -935,7 +935,7 @@ impl VectorPlan {
                         t.extend(keys.iter().map(|&s| rows.cols[s][row].clone()));
                     }
                     t.extend(v);
-                    rel.add(Tuple(t), m);
+                    rel.add(Tuple::from(t), m);
                 });
             return rel;
         }
@@ -1303,11 +1303,10 @@ impl Step {
             }
             Step::Lookup { rel, key_slots } => {
                 let mut keep = vec![false; n];
-                let mut key = Tuple(Vec::with_capacity(key_slots.len()));
+                let mut key = Vec::with_capacity(key_slots.len());
                 for (i, k) in keep.iter_mut().enumerate() {
-                    key.0.clear();
-                    key.0
-                        .extend(key_slots.iter().map(|&s| f.cols[s][i].clone()));
+                    key.clear();
+                    key.extend(key_slots.iter().map(|&s| f.cols[s][i].clone()));
                     counters.lookups += 1;
                     let m = source.lookup(*rel, &key);
                     if m != 0.0 {
@@ -2016,7 +2015,7 @@ mod tests {
             let key = (i * 7_919) % 1_500;
             let s = Value::str(format!("s{}", i % 3));
             g.add(
-                Tuple(vec![Value::Long(key / 2), s, Value::Long(i)]),
+                Tuple::from(vec![Value::Long(key / 2), s, Value::Long(i)]),
                 0.5 + (i % 5) as f64,
             );
         }

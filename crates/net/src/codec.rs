@@ -327,7 +327,7 @@ impl Wire for Tuple {
         for _ in 0..arity {
             vals.push(Value::decode(r)?);
         }
-        Ok(Tuple(vals))
+        Ok(Tuple::from(vals))
     }
 }
 

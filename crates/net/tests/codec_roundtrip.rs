@@ -187,9 +187,9 @@ fn empty_relation_and_empty_tuple_roundtrip() {
 #[test]
 fn negative_zero_and_nan_multiplicities_survive() {
     let mut rel = Relation::new(Schema::new(["k"]));
-    rel.add(Tuple(vec![Value::Long(1)]), -0.0_f64.min(-1e-300)); // tiny negative
-    rel.add(Tuple(vec![Value::Long(2)]), f64::NAN);
-    rel.add(Tuple(vec![Value::Double(-0.0)]), 3.0);
+    rel.add(Tuple::from(vec![Value::Long(1)]), -0.0_f64.min(-1e-300)); // tiny negative
+    rel.add(Tuple::from(vec![Value::Long(2)]), f64::NAN);
+    rel.add(Tuple::from(vec![Value::Double(-0.0)]), 3.0);
     let decoded: Relation = decode_from_slice(&encode_to_vec(&rel)).unwrap();
     assert_eq!(
         rel.checksum(),
@@ -208,7 +208,7 @@ fn long_strings_roundtrip() {
     assert_eq!(v, decoded);
 
     let mut rel = Relation::new(Schema::new(["s"]));
-    rel.add(Tuple(vec![Value::str(&big)]), 1.0);
+    rel.add(Tuple::from(vec![Value::str(&big)]), 1.0);
     let decoded: Relation = decode_from_slice(&encode_to_vec(&rel)).unwrap();
     assert_eq!(rel.checksum(), decoded.checksum());
     // serialized_size reconciliation holds at this scale too.

@@ -35,8 +35,8 @@ use hotdog_algebra::value::Value;
 /// let batch = ColumnarBatch::from_rows(
 ///     Schema::new(["a", "b"]),
 ///     vec![
-///         (Tuple(vec![Value::Long(1), Value::Long(10)]), 1.0),
-///         (Tuple(vec![Value::Long(2), Value::Long(10)]), -1.0),
+///         (Tuple::from(vec![Value::Long(1), Value::Long(10)]), 1.0),
+///         (Tuple::from(vec![Value::Long(2), Value::Long(10)]), -1.0),
 ///     ],
 /// );
 /// assert_eq!(batch.len(), 2);

@@ -58,13 +58,13 @@ mod proptests {
             let mut pool = RecordPool::with_secondary_indexes(2, &[vec![1]]);
             let mut reference = Relation::new(Schema::new(["a", "b"]));
             for (a, b, m) in ops {
-                let t = Tuple(vec![Value::Long(a), Value::Long(b)]);
+                let t = Tuple::from(vec![Value::Long(a), Value::Long(b)]);
                 pool.update(t.clone(), m);
                 reference.add(t, m);
             }
             prop_assert_eq!(pool.len(), reference.len());
             for (t, m) in reference.iter() {
-                prop_assert!((pool.get(t) - m).abs() < 1e-6);
+                prop_assert!((pool.get(&t.0) - m).abs() < 1e-6);
             }
             // Slices through the secondary index agree with a filtered scan
             // of the reference.
@@ -90,13 +90,13 @@ mod proptests {
             let batch = ColumnarBatch::from_rows(
                 schema,
                 rows.iter().map(|(a, b, m)| {
-                    (Tuple(vec![Value::Long(*a), Value::Long(*b)]), *m)
+                    (Tuple::from(vec![Value::Long(*a), Value::Long(*b)]), *m)
                 }),
             );
             let agg = batch.pre_aggregate(&Schema::new(["b"]));
             for b in 0i64..10 {
                 let want: f64 = rows.iter().filter(|(_, rb, _)| *rb == b).map(|(_, _, m)| m).sum();
-                let got = agg.get(&Tuple(vec![Value::Long(b)]));
+                let got = agg.get(&Tuple::from(vec![Value::Long(b)]));
                 prop_assert!((got - want).abs() < 1e-6);
             }
         }

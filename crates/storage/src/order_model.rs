@@ -255,8 +255,8 @@ fn check(pool: &RecordPool, model: &mut Model, arity: usize, probe: &Tuple) -> R
     for key in live.iter().chain([probe]) {
         let doubled = Tuple(key.0.iter().map(|v| Value::Double(v.as_f64())).collect());
         for key in [key, &doubled] {
-            prop_assert_eq!(pool.get(key).to_bits(), model.get(key).to_bits());
-            prop_assert_eq!(pool.contains(key), model.find(key).is_some());
+            prop_assert_eq!(pool.get(&key.0).to_bits(), model.get(key).to_bits());
+            prop_assert_eq!(pool.contains(&key.0), model.find(key).is_some());
         }
     }
     prop_assert_eq!(pool.len(), model.live().count());
@@ -283,7 +283,7 @@ fn run(arity: usize, ops: &[Op]) -> Result<(), String> {
                 model.set(key.clone(), m);
             }
             14..=16 => {
-                pool.delete(&key);
+                pool.delete(&key.0);
                 model.delete(&key);
             }
             17 | 18 => {

@@ -71,8 +71,8 @@ fn hash_values<'v>(values: impl ExactSizeIterator<Item = &'v Value>) -> u64 {
 
 /// A key's hash in the unique index, which covers every column in order
 /// (a key of the wrong arity hashes too, and is found nowhere).
-fn key_hash(key: &Tuple) -> u64 {
-    hash_values(key.0.iter())
+fn key_hash(key: &[Value]) -> u64 {
+    hash_values(key.iter())
 }
 
 /// A record: the key tuple plus its multiplicity (aggregate value).
@@ -423,8 +423,8 @@ impl RecordPool {
     }
 
     /// Slot of the record keyed `key`, whose hash is `h`.
-    fn find(&self, h: u64, key: &Tuple) -> Option<u32> {
-        let bucket = self.primary.find(&self.slots, h, &key.0)?;
+    fn find(&self, h: u64, key: &[Value]) -> Option<u32> {
+        let bucket = self.primary.find(&self.slots, h, key)?;
         Some(bucket.first)
     }
 
@@ -434,7 +434,7 @@ impl RecordPool {
     }
 
     /// Multiplicity stored for `key` (0 when absent).
-    pub fn get(&self, key: &Tuple) -> Mult {
+    pub fn get(&self, key: &[Value]) -> Mult {
         self.bump(|c| {
             c.lookups += 1;
             c.slots_touched += 1;
@@ -444,7 +444,7 @@ impl RecordPool {
     }
 
     /// Whether a record for `key` exists.
-    pub fn contains(&self, key: &Tuple) -> bool {
+    pub fn contains(&self, key: &[Value]) -> bool {
         self.find(key_hash(key), key).is_some()
     }
 
@@ -457,8 +457,8 @@ impl RecordPool {
             return;
         }
         self.bump(|c| c.updates += 1);
-        let h = key_hash(&key);
-        match self.find(h, &key) {
+        let h = key_hash(&key.0);
+        match self.find(h, &key.0) {
             Some(slot) => {
                 let value = self.value_mut(slot);
                 *value += delta;
@@ -473,9 +473,9 @@ impl RecordPool {
     /// Set the multiplicity of `key` to exactly `value` (the `:=` of local
     /// delta views), removing the record when the value is zero.
     pub fn set(&mut self, key: Tuple, value: Mult) {
-        let h = key_hash(&key);
+        let h = key_hash(&key.0);
         let zero = value.abs() < MULT_EPSILON;
-        match self.find(h, &key) {
+        match self.find(h, &key.0) {
             Some(slot) if zero => self.remove(h, slot),
             Some(slot) => {
                 self.bump(|c| c.updates += 1);
@@ -507,7 +507,7 @@ impl RecordPool {
     }
 
     /// Remove the record for `key` (no-op when absent).
-    pub fn delete(&mut self, key: &Tuple) {
+    pub fn delete(&mut self, key: &[Value]) {
         let h = key_hash(key);
         if let Some(slot) = self.find(h, key) {
             self.remove(h, slot);
@@ -610,15 +610,6 @@ impl RecordPool {
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v
     }
-
-    /// Total approximate memory footprint in bytes of the live records.
-    pub fn payload_bytes(&self) -> usize {
-        self.slots
-            .iter()
-            .flatten()
-            .map(|r| r.key.serialized_size() + 8)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -626,16 +617,23 @@ mod tests {
     use super::*;
     use hotdog_algebra::tuple;
 
+    /// A slot is a 16-byte key header and an 8-byte multiplicity; a free
+    /// slot costs no more (the boxed slice's pointer is never null).
+    #[test]
+    fn a_slot_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Option<Record>>(), 24);
+    }
+
     #[test]
     fn update_inserts_accumulates_and_deletes() {
         let mut p = RecordPool::new(2);
         p.update(tuple![1, 2], 1.0);
         p.update(tuple![1, 2], 2.0);
-        assert_eq!(p.get(&tuple![1, 2]), 3.0);
+        assert_eq!(p.get(&tuple![1, 2].0), 3.0);
         assert_eq!(p.len(), 1);
         p.update(tuple![1, 2], -3.0);
         assert_eq!(p.len(), 0);
-        assert_eq!(p.get(&tuple![1, 2]), 0.0);
+        assert_eq!(p.get(&tuple![1, 2].0), 0.0);
     }
 
     #[test]
@@ -643,7 +641,7 @@ mod tests {
         let mut p = RecordPool::new(1);
         p.update(tuple![1], 1.0);
         p.update(tuple![2], 1.0);
-        p.delete(&tuple![1]);
+        p.delete(&tuple![1].0);
         let cap = p.capacity();
         p.update(tuple![3], 1.0);
         assert_eq!(p.capacity(), cap, "deleted slot should be reused");
@@ -702,7 +700,7 @@ mod tests {
         assert!(!by_long.0.is_empty());
         assert_eq!(slice(&[Value::Double(1.0), Value::Long(1)]), by_long);
         assert_eq!(slice(&[Value::Double(1.0), Value::Double(1.0)]), by_long);
-        assert_eq!(p.get(&tuple![1.0, 1, 1.0]), p.get(&tuple![1, 1, 1]));
+        assert_eq!(p.get(&tuple![1.0, 1, 1.0].0), p.get(&tuple![1, 1, 1].0));
     }
 
     #[test]
@@ -725,9 +723,9 @@ mod tests {
     fn a_key_of_the_wrong_arity_is_found_nowhere() {
         let mut p = RecordPool::new(2);
         p.update(tuple![1, 2], 1.0);
-        assert_eq!(p.get(&tuple![1]), 0.0);
-        assert!(!p.contains(&tuple![1, 2, 3]));
-        p.delete(&tuple![1]);
+        assert_eq!(p.get(&tuple![1].0), 0.0);
+        assert!(!p.contains(&tuple![1, 2, 3].0));
+        p.delete(&tuple![1].0);
         assert_eq!(p.len(), 1);
     }
 
@@ -736,7 +734,7 @@ mod tests {
         let mut p = RecordPool::new(1);
         p.set(tuple![1], 5.0);
         p.set(tuple![1], 2.0);
-        assert_eq!(p.get(&tuple![1]), 2.0);
+        assert_eq!(p.get(&tuple![1].0), 2.0);
         p.set(tuple![1], 0.0);
         assert!(p.is_empty());
     }
@@ -747,7 +745,7 @@ mod tests {
         for i in 0..10i64 {
             p.update(tuple![i], 1.0);
         }
-        p.delete(&tuple![4]);
+        p.delete(&tuple![4].0);
         let mut n = 0;
         p.foreach(&mut |_, _| n += 1);
         assert_eq!(n, 9);
@@ -777,7 +775,7 @@ mod tests {
     fn counters_track_operations() {
         let mut p = RecordPool::new(1);
         p.update(tuple![1], 1.0);
-        p.get(&tuple![1]);
+        p.get(&tuple![1].0);
         p.foreach(&mut |_, _| {});
         let c = p.counters();
         assert_eq!(c.inserts, 1);

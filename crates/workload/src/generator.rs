@@ -191,7 +191,7 @@ pub fn generate_tpch(seed: u64, total_tuples: usize) -> UpdateStream {
     for _ in 0..n_lineitem {
         let qty = rng.gen_range(1..=50i64);
         let price = qty as f64 * rng.gen_range(900.0..10_000.0);
-        lineitem.push(Tuple(vec![
+        lineitem.push(Tuple::from(vec![
             lng(rng.gen_range(1..=n_orders as i64)),      // l_orderkey
             lng(rng.gen_range(1..=n_part as i64)),        // l_partkey
             lng(rng.gen_range(1..=n_supplier as i64)),    // l_suppkey
@@ -207,7 +207,7 @@ pub fn generate_tpch(seed: u64, total_tuples: usize) -> UpdateStream {
 
     let mut orders = Vec::with_capacity(n_orders);
     for k in 1..=n_orders as i64 {
-        orders.push(Tuple(vec![
+        orders.push(Tuple::from(vec![
             lng(k),                                    // o_orderkey
             lng(rng.gen_range(1..=n_customer as i64)), // o_custkey
             lng(rng.gen_range(0..3i64)),               // o_orderstatus
@@ -220,7 +220,7 @@ pub fn generate_tpch(seed: u64, total_tuples: usize) -> UpdateStream {
 
     let mut customer = Vec::with_capacity(n_customer);
     for k in 1..=n_customer as i64 {
-        customer.push(Tuple(vec![
+        customer.push(Tuple::from(vec![
             lng(k),                       // c_custkey
             lng(rng.gen_range(0..25i64)), // c_nationkey
             lng(rng.gen_range(0..5i64)),  // c_mktsegment
@@ -230,7 +230,7 @@ pub fn generate_tpch(seed: u64, total_tuples: usize) -> UpdateStream {
 
     let mut supplier = Vec::with_capacity(n_supplier);
     for k in 1..=n_supplier as i64 {
-        supplier.push(Tuple(vec![
+        supplier.push(Tuple::from(vec![
             lng(k),
             lng(rng.gen_range(0..25i64)),
             dbl(rng.gen_range(-999.0..10_000.0)),
@@ -239,7 +239,7 @@ pub fn generate_tpch(seed: u64, total_tuples: usize) -> UpdateStream {
 
     let mut part = Vec::with_capacity(n_part);
     for k in 1..=n_part as i64 {
-        part.push(Tuple(vec![
+        part.push(Tuple::from(vec![
             lng(k),                        // p_partkey
             lng(rng.gen_range(0..25i64)),  // p_brand
             lng(rng.gen_range(0..150i64)), // p_type
@@ -251,7 +251,7 @@ pub fn generate_tpch(seed: u64, total_tuples: usize) -> UpdateStream {
 
     let mut partsupp = Vec::with_capacity(n_partsupp);
     for _ in 0..n_partsupp {
-        partsupp.push(Tuple(vec![
+        partsupp.push(Tuple::from(vec![
             lng(rng.gen_range(1..=n_part as i64)),
             lng(rng.gen_range(1..=n_supplier as i64)),
             lng(rng.gen_range(1..=9_999i64)),
@@ -260,9 +260,11 @@ pub fn generate_tpch(seed: u64, total_tuples: usize) -> UpdateStream {
     }
 
     let nation: Vec<Tuple> = (0..n_nation as i64)
-        .map(|k| Tuple(vec![lng(k), lng(k % n_region as i64)]))
+        .map(|k| Tuple::from(vec![lng(k), lng(k % n_region as i64)]))
         .collect();
-    let region: Vec<Tuple> = (0..n_region as i64).map(|k| Tuple(vec![lng(k)])).collect();
+    let region: Vec<Tuple> = (0..n_region as i64)
+        .map(|k| Tuple::from(vec![lng(k)]))
+        .collect();
 
     interleave(vec![
         (&TPCH_TABLES[0], lineitem),
@@ -295,7 +297,7 @@ pub fn generate_tpcds(seed: u64, total_tuples: usize) -> UpdateStream {
     for t in 0..n_sales as i64 {
         let qty = rng.gen_range(1..=100i64);
         let price = rng.gen_range(1.0..300.0);
-        sales.push(Tuple(vec![
+        sales.push(Tuple::from(vec![
             lng(rng.gen_range(1..=n_item as i64)),
             lng(rng.gen_range(1..=n_customer as i64)),
             lng(rng.gen_range(1..=n_demo as i64)),
@@ -310,7 +312,7 @@ pub fn generate_tpcds(seed: u64, total_tuples: usize) -> UpdateStream {
     }
     let mut date_dim = Vec::with_capacity(n_date);
     for k in 1..=n_date as i64 {
-        date_dim.push(Tuple(vec![
+        date_dim.push(Tuple::from(vec![
             lng(k),
             lng(1998 + (k % 7)), // d_year
             lng(1 + (k % 12)),   // d_moy
@@ -320,7 +322,7 @@ pub fn generate_tpcds(seed: u64, total_tuples: usize) -> UpdateStream {
     }
     let mut item = Vec::with_capacity(n_item);
     for k in 1..=n_item as i64 {
-        item.push(Tuple(vec![
+        item.push(Tuple::from(vec![
             lng(k),
             lng(rng.gen_range(0..1_000i64)), // i_brand_id
             lng(rng.gen_range(0..10i64)),    // i_category_id
@@ -329,21 +331,21 @@ pub fn generate_tpcds(seed: u64, total_tuples: usize) -> UpdateStream {
         ]));
     }
     let store: Vec<Tuple> = (1..=n_store as i64)
-        .map(|k| Tuple(vec![lng(k), lng(k % 30), lng(k % 50)]))
+        .map(|k| Tuple::from(vec![lng(k), lng(k % 30), lng(k % 50)]))
         .collect();
     let mut customer = Vec::with_capacity(n_customer);
     for k in 1..=n_customer as i64 {
-        customer.push(Tuple(vec![
+        customer.push(Tuple::from(vec![
             lng(k),
             lng(rng.gen_range(1..=n_demo as i64)),
             lng(rng.gen_range(1..=50_000i64)),
         ]));
     }
     let demographics: Vec<Tuple> = (1..=n_demo as i64)
-        .map(|k| Tuple(vec![lng(k), lng(k % 2), lng(k % 5), lng(k % 7)]))
+        .map(|k| Tuple::from(vec![lng(k), lng(k % 2), lng(k % 5), lng(k % 7)]))
         .collect();
     let hdemo: Vec<Tuple> = (1..=n_hdemo as i64)
-        .map(|k| Tuple(vec![lng(k), lng(k % 10), lng(k % 5)]))
+        .map(|k| Tuple::from(vec![lng(k), lng(k % 10), lng(k % 5)]))
         .collect();
 
     interleave(vec![
