@@ -72,7 +72,7 @@ pub mod prelude {
     };
     pub use hotdog_runtime::{
         ChannelTransport, Cluster, ClusterConfig, Driver, FaultConfig, PipelineConfig,
-        PipelineStats, TelemetryTotals, ThreadedCluster, Transport, WorkerDead,
+        PipelineStats, ThreadedCluster, Transport, WorkerDead,
     };
 
     /// The old name of [`Driver`], kept so code written against the

@@ -145,7 +145,7 @@ pub enum WorkerReply {
         /// This node's finished spans since the previous `Stats` round,
         /// drained for the driver to stitch into its trace trees.  Rides
         /// *next to* the snapshot, not inside it: the snapshot is part of
-        /// the deterministic `TelemetryTotals` equality the oracle
+        /// the deterministic `worker_stats()` equality the oracle
         /// compares, while span durations are wall-clock by definition.
         spans: Vec<SpanRecord>,
     },

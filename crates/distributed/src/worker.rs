@@ -134,9 +134,7 @@ pub struct WorkerStats {
     pub statements: u64,
     /// Weighted interpreter work (see `EvalCounters::instructions`).
     pub instructions: u64,
-    /// Scattered shards installed via `ApplyMany`.
-    pub applies: u64,
-    /// Tuples across those installed shards.
+    /// Tuples across the scattered shards installed via `ApplyMany`.
     pub tuples_applied: u64,
     /// Tuples touched by statement scans and slices (see
     /// `EvalCounters::tuples_touched`).
@@ -417,7 +415,6 @@ impl WorkerState {
         let programs = Arc::clone(&self.programs);
         for (at, shard) in applies {
             let (stmt, _) = programs.statement(at)?;
-            self.stats.applies += 1;
             self.stats.tuples_applied += shard.len() as u64;
             self.apply(stmt, shard);
         }

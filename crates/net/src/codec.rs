@@ -885,7 +885,6 @@ impl Wire for WorkerStats {
         self.blocks_run.encode(out);
         self.statements.encode(out);
         self.instructions.encode(out);
-        self.applies.encode(out);
         self.tuples_applied.encode(out);
         self.tuples_touched.encode(out);
     }
@@ -894,7 +893,6 @@ impl Wire for WorkerStats {
             blocks_run: u64::decode(r)?,
             statements: u64::decode(r)?,
             instructions: u64::decode(r)?,
-            applies: u64::decode(r)?,
             tuples_applied: u64::decode(r)?,
             tuples_touched: u64::decode(r)?,
         })

@@ -477,7 +477,6 @@ fn rand_snapshot(rng: &mut StdRng) -> hotdog_distributed::WorkerSnapshot {
             blocks_run: rng.next_u64(),
             statements: rng.next_u64(),
             instructions: rng.next_u64(),
-            applies: rng.next_u64(),
             tuples_applied: rng.next_u64(),
             tuples_touched: rng.next_u64(),
         },
@@ -635,7 +634,6 @@ fn stats_messages_roundtrip() {
             blocks_run: 3,
             statements: 17,
             instructions: u64::MAX, // counters must survive the full range
-            applies: 5,
             tuples_applied: 1 << 40,
             tuples_touched: (1 << 50) + 3,
         },

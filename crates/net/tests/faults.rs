@@ -22,7 +22,8 @@ use hotdog_net::{
     read_frame, send_msg, write_frame, FaultKind, FaultPlan, Phase, TcpCluster, TcpConfig,
     WorkerSpawn,
 };
-use hotdog_runtime::{FaultConfig, PipelineConfig};
+use hotdog_runtime::{FaultConfig, PipelineConfig, PipelineStats};
+use hotdog_telemetry::MetricsSnapshot;
 
 fn example_dplan(opt: OptLevel) -> DistributedPlan {
     let q = sum(
@@ -234,12 +235,37 @@ fn protocol_error_is_the_worker_dead_reason() {
     peer.join().expect("garbling peer thread");
 }
 
+/// The batch counts a recovery replay must not inflate:
+/// `driver.batches.executed` and the count and sum of
+/// `driver.batch_tuples`.
+fn batches_counted(snap: &MetricsSnapshot) -> (u64, u64, u64) {
+    let tuples = &snap.histograms["driver.batch_tuples"];
+    (
+        snap.counter("driver.batches.executed"),
+        tuples.count,
+        tuples.sum,
+    )
+}
+
+/// The batch and tuple fields of [`PipelineStats`]; the scatter fields are
+/// left out, since a replay really does resend its `ApplyMany` messages.
+fn batch_fields(stats: &PipelineStats) -> [usize; 6] {
+    [
+        stats.batches_admitted,
+        stats.batches_coalesced,
+        stats.batches_executed,
+        stats.batches_abandoned,
+        stats.tuples_admitted,
+        stats.tuples_executed,
+    ]
+}
+
 /// Kill → respawn → restore → replay: the final views of a faulted run
 /// are bit-identical to an unfaulted run under the same [`FaultConfig`],
 /// the recovery counters record exactly one death, one respawn, one
 /// recovery and one `recovery.micros` sample, and the replay counts no
-/// batch twice — the totals and the pipeline counters equal the
-/// unfaulted run's.  Arms: a cut after every
+/// batch twice — the totals, the registry's batch counts and the
+/// pipeline counters equal the unfaulted run's.  Arms: a cut after every
 /// batch (the log holds only the killed batch); a cut every four batches
 /// (two finished batches replay with the killed one); and the pipelined
 /// schedule, which replays on the synchronous one.
@@ -270,6 +296,8 @@ fn killed_worker_respawns_and_recovers_bit_identically() {
         // storage, so this is the comparable run), no kill.
         let mut clean = run(thread_config(2));
         let expected = clean.query_result().checksum();
+        let clean_counted = batches_counted(&clean.metrics_snapshot());
+        let clean_fields = clean.pipeline_stats().as_ref().map(batch_fields);
 
         for phase in [Phase::Before, Phase::After] {
             let label = format!(
@@ -313,12 +341,14 @@ fn killed_worker_respawns_and_recovers_bit_identically() {
                 "bytes shuffled ({label})"
             );
             assert_eq!(
-                tcp.stats.batches_executed, clean.stats.batches_executed,
-                "batches executed ({label})"
+                batches_counted(&snap),
+                clean_counted,
+                "driver.batches.executed and driver.batch_tuples ({label})"
             );
             assert_eq!(
-                tcp.stats.tuples_executed, clean.stats.tuples_executed,
-                "tuples executed ({label})"
+                tcp.pipeline_stats().as_ref().map(batch_fields),
+                clean_fields,
+                "pipeline batch and tuple counts ({label})"
             );
         }
     }

@@ -173,10 +173,13 @@ fn tcp_coalescing_matches_coalesced_threaded_bit_for_bit() {
         threaded.query_result().checksum(),
         "coalesced tcp diverged from coalesced threaded"
     );
+    // The whole struct, high-water marks included: coalescing decisions,
+    // queue occupancy and the message schedule must not depend on the
+    // transport.
     assert_eq!(
-        tcp.pipeline_stats().unwrap().batches_coalesced,
-        threaded.pipeline_stats().unwrap().batches_coalesced,
-        "coalescing decisions must not depend on the transport"
+        tcp.pipeline_stats().unwrap(),
+        threaded.pipeline_stats().unwrap(),
+        "pipeline counters diverged tcp vs threaded"
     );
 }
 

@@ -50,9 +50,9 @@ impl<T: Transport> Driver<T> {
         let tuples = entry.delta.len();
         // Counted at first issue: a recovery replays the delta uncounted.
         // Its admitted tuples were counted into the totals at admission.
-        self.stats.batches_executed += 1;
-        self.stats.tuples_executed += tuples;
         self.totals.batches += 1;
+        self.metrics.batches_executed.inc();
+        self.metrics.batch_tuples.record(tuples as u64);
         self.execute_canonical(&entry.relation, entry.delta, tuples, true, Some(entry.root))?;
         Ok(())
     }
@@ -81,9 +81,8 @@ impl<T: Transport> Driver<T> {
     /// costs the same tuple copies as the synchronous path.
     pub(crate) fn admit(&mut self, relation: &str, batch: &Relation) -> BatchExecution {
         self.stream_start.get_or_insert_with(Instant::now);
-        self.stats.batches_admitted += 1;
-        self.stats.tuples_admitted += batch.len();
         self.metrics.batches_admitted.inc();
+        self.metrics.tuples_admitted.add(batch.len() as u64);
         let stats = BatchExecution {
             input_tuples: batch.len(),
             ..Default::default()
@@ -119,7 +118,6 @@ impl<T: Transport> Driver<T> {
             _ => false,
         };
         if coalesced {
-            self.stats.batches_coalesced += 1;
             self.metrics.batches_coalesced.inc();
         } else {
             // Same preprocessing as the synchronous path, so a
@@ -137,8 +135,6 @@ impl<T: Transport> Driver<T> {
                 root,
             });
         }
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(self.queue.len());
-        self.stats.max_queue_bytes = self.stats.max_queue_bytes.max(self.queue_bytes);
         self.metrics.queue_depth.set(self.queue.len() as u64);
         self.metrics.queue_bytes.set(self.queue_bytes as u64);
         stats
@@ -158,7 +154,7 @@ impl<T: Transport> Driver<T> {
         // immediately, emptying the queue).
         while config.admit_bytes > 0 && self.queue_bytes > config.admit_bytes {
             self.execute_queue_front()?;
-            self.stats.executions_forced_by_bytes += 1;
+            self.metrics.batches_forced_by_bytes.inc();
         }
         // Count capacity.
         while self.queue.len() > config.admit_capacity {
@@ -172,7 +168,7 @@ impl<T: Transport> Driver<T> {
     /// Drop queued deltas without executing them (no maintenance program
     /// runs, no worker messages are sent).
     pub(crate) fn abandon_queue(&mut self) {
-        self.stats.batches_abandoned += self.queue.len();
+        self.metrics.batches_abandoned.add(self.queue.len() as u64);
         self.queue.clear();
         self.queue_bytes = 0;
     }

@@ -62,9 +62,6 @@ pub struct Driver<T: Transport> {
     /// Per worker: scattered shards buffered on the driver, shipped as one
     /// `ApplyMany` before the worker's next command (or at batch end).
     pub(crate) pending_applies: Vec<Vec<(StmtRef, Relation)>>,
-    /// Slowest worker's interpreter work settled during the current
-    /// `execute_canonical` call (reported per batch in synchronous mode).
-    pub(crate) batch_max_instructions: u64,
     /// Whether `ApplyMany` messages have been shipped with nothing behind
     /// them that the driver waits for: no later `RunBlock` (whose owed
     /// completion every commit settles) and no reply round.  Such a
@@ -101,8 +98,6 @@ pub struct Driver<T: Transport> {
     pub(crate) capture_views: Vec<String>,
     /// `recoveries` as of the last capture drain.
     pub(crate) capture_epoch: usize,
-    /// Pipelined-ingestion counters (all zero in epoch-synchronous mode).
-    pub stats: PipelineStats,
     /// Accumulated totals (latencies measured, or modelled over a
     /// transport with a clock).
     pub totals: ClusterTotals,
@@ -165,7 +160,6 @@ impl<T: Transport> Driver<T> {
             transport,
             ledger: ReplyLedger::new(workers),
             pending_applies: (0..workers).map(|_| Vec::new()).collect(),
-            batch_max_instructions: 0,
             applies_in_flight: false,
             pipeline,
             queue: VecDeque::new(),
@@ -179,7 +173,6 @@ impl<T: Transport> Driver<T> {
             recoveries: 0,
             capture_views: Vec::new(),
             capture_epoch: 0,
-            stats: PipelineStats::default(),
             totals: ClusterTotals::default(),
             telemetry,
             metrics,
@@ -351,15 +344,16 @@ impl<T: Transport> Driver<T> {
     /// [`PipelineStats::batches_abandoned`] counting the dropped queue).
     /// This is the observable form of the `Drop` path; use
     /// [`ThreadedCluster::flush`] first if queued batches must be applied.
+    /// On an epoch-synchronous driver the admission fields are zero.
     pub fn close(mut self) -> PipelineStats {
         self.abandon_queue();
-        self.stats.clone() // `Drop` shuts the workers down
+        self.metrics.pipeline_stats() // `Drop` shuts the workers down
     }
 
-    /// The pipelined-ingestion counters, or `None` in epoch-synchronous
-    /// mode.
+    /// The pipelined-ingestion counters, read from the metric registry, or
+    /// `None` in epoch-synchronous mode.
     pub fn pipeline_stats(&self) -> Option<PipelineStats> {
-        self.is_pipelined().then(|| self.stats.clone())
+        self.is_pipelined().then(|| self.metrics.pipeline_stats())
     }
 
     /// Context of the most recently executed batch's root span: the parent
@@ -385,6 +379,8 @@ impl<T: Transport> Driver<T> {
         // Counted at first issue: a recovery replays the batch uncounted.
         self.totals.batches += 1;
         self.totals.tuples += batch.len();
+        self.metrics.batches_executed.inc();
+        self.metrics.batch_tuples.record(batch.len() as u64);
         let root = self.telemetry.begin_batch_root();
         let admit_span = self.telemetry.begin_span(root.context(), "admit");
         let delta = program.preprocess(batch);
@@ -396,10 +392,11 @@ impl<T: Transport> Driver<T> {
     /// ([`TriggerProgram::preprocess`](hotdog_distributed::TriggerProgram::preprocess)).
     /// `input_tuples` is the size the stats report: the admitted batch's
     /// on the synchronous path, the delta's own for queued and replayed
-    /// deltas (see [`PipelineStats::tuples_executed`]).  The batch's input
-    /// is counted into the totals by its first-issue caller, not here, and
-    /// its latency and shuffled bytes only by its first completed issue, so
-    /// a recovery replay counts neither again.
+    /// deltas (see [`PipelineStats::tuples_executed`]).  The batch and its
+    /// input are counted (`totals`, `driver.batches.executed`,
+    /// `driver.batch_tuples`) by its first-issue caller, not here, and its
+    /// latency and shuffled bytes only by its first completed issue, so a
+    /// recovery replay counts none of them again.
     ///
     /// `pipelined = false` is the epoch-synchronous schedule: every
     /// distributed block is barriered before the next starts and trailing
@@ -435,9 +432,6 @@ impl<T: Transport> Driver<T> {
         self.trace_scope = root.context();
         // Before any message is issued: a death mid-batch replays it.
         self.log_for_replay(relation, &delta);
-        self.metrics.batches_executed.inc();
-        self.metrics.batch_tuples.record(stats.input_tuples as u64);
-        self.batch_max_instructions = 0;
 
         let mut deltas = HashMap::new();
         deltas.insert(relation.to_string(), delta);
@@ -484,9 +478,6 @@ impl<T: Transport> Driver<T> {
                     if !pipelined {
                         // One epoch: barrier on the tagged completions.
                         self.drain_pending_blocks()?;
-                        stats.max_worker_instructions = stats
-                            .max_worker_instructions
-                            .max(self.batch_max_instructions);
                     }
                 }
             }
@@ -503,10 +494,8 @@ impl<T: Transport> Driver<T> {
             self.barrier_applies()?;
         }
 
-        stats.driver_instructions = driver_counters.instructions();
         stats.stages = program.stages();
         stats.jobs = program.jobs();
-        stats.bytes_per_worker = stats.bytes_shuffled as f64 / self.workers as f64;
         // Synchronous mode: the batch's end-to-end wall-clock, or the
         // modelled clock's advance when the transport keeps one.  Pipelined
         // mode: the driver-side issue time only (the stream's end-to-end
@@ -630,7 +619,7 @@ impl<T: Transport> Driver<T> {
     /// with the request already queued.
     fn fetch_all(&mut self, make: impl Fn(u64) -> Request) -> Result<Vec<Relation>, WorkerDead> {
         if self.ledger.pending_total() > 0 {
-            self.stats.gathers_overlapped += 1;
+            self.metrics.gathers_overlapped.inc();
         }
         let gather_start = Instant::now();
         let rels = self.round(make, rel_reply)?;
@@ -671,8 +660,7 @@ impl<T: Transport> Driver<T> {
             return Ok(());
         }
         let applies = std::mem::take(&mut self.pending_applies[w]);
-        self.stats.scatter_messages_sent += 1;
-        self.stats.scatter_messages_saved += applies.len() - 1;
+        self.metrics.scatter_shards.add(applies.len() as u64);
         let id = self.ledger.fresh_id();
         let ctx = self.trace_scope;
         self.send_to(w, Request::ApplyMany { id, ctx, applies })?;

@@ -99,8 +99,7 @@ impl<T: Transport> Driver<T> {
     /// the only consumer of [`Transport::recv`].  Replies arrive in send
     /// order, so each is checked against one rule:
     ///
-    /// * a `Ran` for the oldest owed block settles it, folding its
-    ///   interpreter work into the stats;
+    /// * a `Ran` for the oldest owed block settles it;
     /// * the awaited reply is returned;
     /// * a reply older than both belongs to a wait that recovery abandoned
     ///   and is dropped uncounted;
@@ -113,16 +112,13 @@ impl<T: Transport> Driver<T> {
             return Ok(None);
         }
         self.metrics.replies_total.inc();
-        if let Reply::Ran { instructions, .. } = reply {
+        if matches!(reply, Reply::Ran { .. }) {
             assert_eq!(
                 Some(id),
                 oldest,
                 "worker {w} completed block {id} while {oldest:?} was the oldest it owed"
             );
             self.ledger.owed[w].pop_front();
-            self.stats.max_worker_instructions =
-                self.stats.max_worker_instructions.max(instructions);
-            self.batch_max_instructions = self.batch_max_instructions.max(instructions);
         } else if id != awaited {
             panic!("worker {w} answered request {id} while request {awaited} was awaited");
         }
@@ -291,7 +287,6 @@ mod tests {
             assert!(is_kind(&reply), "request {id} got another variant");
             assert_eq!(d.outstanding_replies(), owed, "after request {id}");
         }
-        assert_eq!(d.stats.max_worker_instructions, 30);
         d.drain_pending_blocks().expect("trailing completion");
         assert_eq!(d.outstanding_replies(), 0);
         assert_eq!(d.metrics.replies_total.get(), 9);
@@ -333,7 +328,6 @@ mod tests {
         assert_eq!(reply_id(&reply), 6);
         assert_eq!(d.outstanding_replies(), 0);
         assert_eq!(d.metrics.replies_total.get(), 2, "stale replies counted");
-        assert_eq!(d.stats.max_worker_instructions, 7);
     }
 
     #[test]

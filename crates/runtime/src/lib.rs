@@ -49,12 +49,16 @@
 //!   unfaulted run bit for bit.
 //! * `capture` — the captured view set and its recovery epoch.  A capture
 //!   batch never precedes its batches' watermark commit.
-//! * `stats` — [`BatchExecution`], [`ClusterTotals`], [`PipelineStats`],
-//!   [`TelemetryTotals`], cached metric handles.  A batch is counted
-//!   once: its input when it is first issued, its latency and shuffled
-//!   bytes when an issue of it first completes; a recovery replay
-//!   re-executes it uncounted.  `driver.*` counters depend on the admission sequence
-//!   and the schedule only, so they agree across transports.
+//! * `stats` — [`BatchExecution`], [`ClusterTotals`], the cached metric
+//!   handles and [`PipelineStats`], which is read from them: every
+//!   driver-side count is incremented once, in the registry.  A batch is
+//!   counted once: its input and `driver.batches.executed` when it is
+//!   first issued, its latency and shuffled bytes when an issue of it
+//!   first completes; a recovery replay re-executes it uncounted.
+//!   `driver.*` counters depend on the admission sequence and the
+//!   schedule only, so they agree across transports.  Worker counts stay
+//!   on the worker and reach the registry through one `Stats` round
+//!   (`metrics_snapshot`, `worker_stats`).
 
 #![forbid(unsafe_code)]
 
@@ -72,7 +76,7 @@ mod tests;
 pub use cluster::{Cluster, SimTransport};
 pub use config::{ClusterConfig, FaultConfig, PipelineConfig};
 pub use driver::{Driver, ThreadedCluster};
-pub use stats::{BatchExecution, ClusterTotals, PipelineStats, TelemetryTotals};
+pub use stats::{BatchExecution, ClusterTotals, PipelineStats};
 
 use hotdog_distributed::protocol::{
     handle_request, WorkerReply as Reply, WorkerRequest as Request,

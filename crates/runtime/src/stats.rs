@@ -1,11 +1,10 @@
 //! What the driver counts: per-batch [`BatchExecution`] stats, lifetime
-//! [`ClusterTotals`] and [`PipelineStats`], the cached metric handles every
-//! hot path updates ([`DriverMetrics`]), the deterministic cross-backend
-//! [`TelemetryTotals`], and the snapshot / trace accessors built on the
-//! protocol's `Stats` round.
+//! [`ClusterTotals`], the cached metric handles every hot path updates
+//! ([`DriverMetrics`]) and the [`PipelineStats`] read back from them, and
+//! the snapshot / trace accessors built on the protocol's `Stats` round.
 
 use crate::{Driver, Reply, Request, Transport, WorkerDead};
-use hotdog_distributed::WorkerStatsSnapshot;
+use hotdog_distributed::{WorkerStats, WorkerStatsSnapshot};
 use hotdog_telemetry::{
     Counter, CriticalPath, Gauge, Histogram, MetricsSnapshot, SpanRecord, Telemetry,
 };
@@ -20,16 +19,10 @@ pub struct BatchExecution {
     pub latency_secs: f64,
     /// Total bytes moved over the network.
     pub bytes_shuffled: usize,
-    /// Bytes moved per worker (average).
-    pub bytes_per_worker: f64,
     /// Distributed stages executed.
     pub stages: usize,
     /// Jobs launched.
     pub jobs: usize,
-    /// Interpreter work of the slowest worker (instruction count).
-    pub max_worker_instructions: u64,
-    /// Interpreter work performed on the driver.
-    pub driver_instructions: u64,
     /// Real wall-clock time spent executing the batch.
     pub wall_secs: f64,
 }
@@ -71,45 +64,53 @@ impl ClusterTotals {
 
 /// Counters of a pipelined ingestion path (admission queue, delta
 /// coalescing, backpressure); [`Driver::pipeline_stats`] reports them, and
-/// `None` for a synchronous driver.
-#[derive(Clone, Debug, Default)]
+/// `None` for a synchronous driver.  Every field is read from the driver's
+/// metric registry (each field's doc names the metric), so the struct is a
+/// view of those counters, never a second count.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
-    /// Batches admitted via `apply_batch`.
+    /// Batches admitted via `apply_batch` (`driver.batches.admitted`).
     pub batches_admitted: usize,
     /// Admitted batches that were ring-summed into an already-queued delta
-    /// instead of triggering on their own.
+    /// instead of triggering on their own (`driver.batches.coalesced`).
     pub batches_coalesced: usize,
-    /// Maintenance-program executions actually triggered.
+    /// Maintenance-program executions triggered, each counted at its first
+    /// issue (`driver.batches.executed`): a recovery replay is counted only
+    /// in `recovery.replayed_batches`.
     pub batches_executed: usize,
     /// Admitted-but-unissued batches abandoned by an explicit close/drop
-    /// (never executed).
+    /// (never executed; `driver.batches.abandoned`).
     pub batches_abandoned: usize,
-    /// Tuples admitted (pre-coalescing).
+    /// Tuples admitted, pre-coalescing (`driver.tuples.admitted`).
     pub tuples_admitted: usize,
     /// Tuples in the executed deltas, after batch preprocessing and
     /// coalescing: tuples that collide once projected onto the columns the
     /// trigger reads are summed, and opposing deltas cancel, so both shrink
     /// this below `tuples_admitted`.  The coalescing bound counts the same
-    /// tuples.
+    /// tuples.  The sum of the `driver.batch_tuples` histogram.
     pub tuples_executed: usize,
-    /// High-water mark of the admission queue depth (batches).
+    /// High-water mark of the admission queue depth in batches
+    /// (`driver.queue.depth`).
     pub max_queue_depth: usize,
-    /// High-water mark of the admission queue footprint (serialized bytes).
+    /// High-water mark of the admission queue footprint in serialized
+    /// bytes (`driver.queue.bytes`).
     pub max_queue_bytes: usize,
     /// Executions forced by the byte-bounded backpressure
-    /// (`admit_bytes`), not by the count capacity.
+    /// (`admit_bytes`), not by the count capacity
+    /// (`driver.batches.forced_by_bytes`).
     pub executions_forced_by_bytes: usize,
-    /// Slowest worker's interpreter work observed across lazy reply drains.
-    pub max_worker_instructions: u64,
     /// Gather/repartition fetches issued while distributed-block
     /// completions were still unconsumed (the worker may already have sent
     /// them): the fetch queues behind the in-flight blocks instead of
-    /// draining the window first.  A function of the schedule alone.
+    /// draining the window first.  A function of the schedule alone
+    /// (`driver.gathers.overlapped`).
     pub gathers_overlapped: usize,
-    /// Multi-statement `ApplyMany` scatter messages shipped to workers.
+    /// Multi-statement `ApplyMany` scatter messages shipped to workers
+    /// (`driver.requests.apply_many`).
     pub scatter_messages_sent: usize,
     /// Per-statement scatter messages avoided by batching (sum over
-    /// shipped messages of `statements - 1`).
+    /// shipped messages of `statements - 1`): `driver.scatter.shards` less
+    /// `driver.requests.apply_many`.
     pub scatter_messages_saved: usize,
 }
 
@@ -144,6 +145,11 @@ pub(crate) struct DriverMetrics {
     pub(crate) batches_admitted: Arc<Counter>,
     pub(crate) batches_coalesced: Arc<Counter>,
     pub(crate) batches_executed: Arc<Counter>,
+    pub(crate) batches_abandoned: Arc<Counter>,
+    pub(crate) batches_forced_by_bytes: Arc<Counter>,
+    pub(crate) tuples_admitted: Arc<Counter>,
+    pub(crate) gathers_overlapped: Arc<Counter>,
+    pub(crate) scatter_shards: Arc<Counter>,
     pub(crate) queue_depth: Arc<Gauge>,
     pub(crate) queue_bytes: Arc<Gauge>,
     pub(crate) ledger_outstanding: Arc<Gauge>,
@@ -183,6 +189,11 @@ impl DriverMetrics {
             batches_admitted: t.counter("driver.batches.admitted"),
             batches_coalesced: t.counter("driver.batches.coalesced"),
             batches_executed: t.counter("driver.batches.executed"),
+            batches_abandoned: t.counter("driver.batches.abandoned"),
+            batches_forced_by_bytes: t.counter("driver.batches.forced_by_bytes"),
+            tuples_admitted: t.counter("driver.tuples.admitted"),
+            gathers_overlapped: t.counter("driver.gathers.overlapped"),
+            scatter_shards: t.counter("driver.scatter.shards"),
             queue_depth: t.gauge("driver.queue.depth"),
             queue_bytes: t.gauge("driver.queue.bytes"),
             ledger_outstanding: t.gauge("driver.ledger.outstanding"),
@@ -209,40 +220,26 @@ impl DriverMetrics {
             Request::Ping { .. } | Request::Shutdown => {}
         }
     }
-}
 
-/// The deterministic cross-backend telemetry totals: every field is a
-/// function of the admission sequence and the shared driver schedule
-/// only — never of wall-clock time or of how bytes move — so for the
-/// same update stream the threaded and TCP backends must produce
-/// **bit-identical** values.  The workspace telemetry oracle asserts
-/// exactly that (derived `Eq`).
-///
-/// Obtained from [`Driver::telemetry_totals`], which flushes the
-/// pipeline and gathers every worker's counters over the protocol's
-/// `Stats` message.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TelemetryTotals {
-    /// Messages the driver sent to workers (all kinds except `Shutdown`),
-    /// captured after the flush but *before* the `Stats` gather round that
-    /// collects the worker counters.
-    pub messages_sent: u64,
-    /// Replies received from workers, captured at the same instant as
-    /// `messages_sent`.
-    pub replies_received: u64,
-    /// Total worker interpreter work (weighted `EvalCounters` units).
-    pub instructions: u64,
-    /// Distributed blocks run across all workers (triggers fired).
-    pub blocks_run: u64,
-    /// `Compute` statements interpreted across all workers.
-    pub statements: u64,
-    /// Scattered tuples installed across all workers.
-    pub tuples_applied: u64,
-    /// Tuples touched by statement scans and slices across all workers.
-    pub tuples_touched: u64,
-    /// Per-worker counters and view-partition cardinalities, in worker
-    /// order.
-    pub per_worker: Vec<WorkerStatsSnapshot>,
+    /// The [`PipelineStats`] view of these counters: plain loads, no lock
+    /// and no worker round.
+    pub(crate) fn pipeline_stats(&self) -> PipelineStats {
+        let get = |c: &Counter| c.get() as usize;
+        PipelineStats {
+            batches_admitted: get(&self.batches_admitted),
+            batches_coalesced: get(&self.batches_coalesced),
+            batches_executed: get(&self.batches_executed),
+            batches_abandoned: get(&self.batches_abandoned),
+            tuples_admitted: get(&self.tuples_admitted),
+            tuples_executed: self.batch_tuples.sum() as usize,
+            max_queue_depth: self.queue_depth.high_water() as usize,
+            max_queue_bytes: self.queue_bytes.high_water() as usize,
+            executions_forced_by_bytes: get(&self.batches_forced_by_bytes),
+            gathers_overlapped: get(&self.gathers_overlapped),
+            scatter_messages_sent: get(&self.requests_apply_many),
+            scatter_messages_saved: get(&self.scatter_shards) - get(&self.requests_apply_many),
+        }
+    }
 }
 
 impl<T: Transport> Driver<T> {
@@ -274,58 +271,32 @@ impl<T: Transport> Driver<T> {
         )
     }
 
-    /// Flush the pipeline and return the deterministic cross-backend
-    /// telemetry totals (see [`TelemetryTotals`]): driver-side message
-    /// counts captured *before* the stats gather itself, plus every
-    /// worker's counters collected over the protocol.
-    pub fn telemetry_totals(&mut self) -> TelemetryTotals {
-        self.try_telemetry_totals()
-            .unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"))
-    }
-
-    /// Fallible [`Driver::telemetry_totals`]: recovers worker deaths per
-    /// the [`FaultConfig`](crate::FaultConfig), surfacing [`WorkerDead`]
-    /// when recovery is disabled or exhausted.
-    pub fn try_telemetry_totals(&mut self) -> Result<TelemetryTotals, WorkerDead> {
-        self.with_recovery(Self::telemetry_totals_inner)
-    }
-
-    fn telemetry_totals_inner(&mut self) -> Result<TelemetryTotals, WorkerDead> {
-        self.flush_inner()?;
-        // Capture the driver-side counters before the `Stats` round so
-        // repeated calls still agree across backends: each call adds
-        // exactly `workers` requests and `workers` replies.
-        let messages_sent = self.metrics.requests_total.get();
-        let replies_received = self.metrics.replies_total.get();
-        let per_worker = self.fetch_worker_stats()?;
-        let mut totals = TelemetryTotals {
-            messages_sent,
-            replies_received,
-            per_worker,
-            ..Default::default()
-        };
-        for snap in &totals.per_worker {
-            totals.instructions += snap.stats.instructions;
-            totals.blocks_run += snap.stats.blocks_run;
-            totals.statements += snap.stats.statements;
-            totals.tuples_applied += snap.stats.tuples_applied;
-            totals.tuples_touched += snap.stats.tuples_touched;
-        }
-        Ok(totals)
+    /// Flush, then gather every worker's [`WorkerStatsSnapshot`] (its
+    /// work counters and view-partition cardinalities) in worker order.
+    /// Recovers worker deaths per the [`FaultConfig`](crate::FaultConfig);
+    /// panics with the typed [`WorkerDead`] message when recovery is
+    /// disabled or exhausted.
+    pub fn worker_stats(&mut self) -> Vec<WorkerStatsSnapshot> {
+        self.with_recovery(|d| {
+            d.flush_inner()?;
+            d.fetch_worker_stats()
+        })
+        .unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"))
     }
 
     /// Flush, gather worker counters, and return a [`MetricsSnapshot`] of
-    /// the whole registry with the aggregated `worker.*` counters folded
-    /// in as absolute values (idempotent across repeated calls — the
-    /// worker counters are cumulative on the worker, not re-summed here).
+    /// the whole registry with the workers' counters summed in as absolute
+    /// `worker.*` values (idempotent across repeated calls — the worker
+    /// counters are cumulative on the worker, not re-summed here).
     pub fn metrics_snapshot(&mut self) -> MetricsSnapshot {
-        let totals = self.telemetry_totals();
+        let per_worker = self.worker_stats();
         let mut snap = self.telemetry.snapshot();
-        snap.set_counter("worker.instructions", totals.instructions);
-        snap.set_counter("worker.blocks_run", totals.blocks_run);
-        snap.set_counter("worker.statements", totals.statements);
-        snap.set_counter("worker.tuples_applied", totals.tuples_applied);
-        snap.set_counter("worker.tuples_touched", totals.tuples_touched);
+        let sum = |field: fn(&WorkerStats) -> u64| per_worker.iter().map(|w| field(&w.stats)).sum();
+        snap.set_counter("worker.instructions", sum(|s| s.instructions));
+        snap.set_counter("worker.blocks_run", sum(|s| s.blocks_run));
+        snap.set_counter("worker.statements", sum(|s| s.statements));
+        snap.set_counter("worker.tuples_applied", sum(|s| s.tuples_applied));
+        snap.set_counter("worker.tuples_touched", sum(|s| s.tuples_touched));
         snap
     }
 
@@ -336,7 +307,7 @@ impl<T: Transport> Driver<T> {
     /// the admission sequence and identical across transports; durations
     /// are wall-clock.
     pub fn trace_spans(&mut self) -> Vec<SpanRecord> {
-        self.telemetry_totals();
+        self.worker_stats();
         self.telemetry.trace_spans()
     }
 

@@ -151,13 +151,14 @@ fn coalescing_merges_consecutive_same_relation_batches() {
         &Relation::from_pairs(Schema::new(["B", "CK"]), vec![(tuple![0, 0], 1.0)]),
     );
     piped.flush();
-    assert_eq!(piped.stats.batches_admitted, 17);
-    assert_eq!(piped.stats.batches_coalesced, 15);
-    assert_eq!(piped.stats.batches_executed, 2);
-    assert_eq!(piped.stats.tuples_admitted, 17);
+    let stats = piped.pipeline_stats().unwrap();
+    assert_eq!(stats.batches_admitted, 17);
+    assert_eq!(stats.batches_coalesced, 15);
+    assert_eq!(stats.batches_executed, 2);
+    assert_eq!(stats.tuples_admitted, 17);
     // One trigger run carries all 16 R tuples, preprocessed onto the only
     // column the R trigger reads (`B`, 5 values), plus the S tuple.
-    assert_eq!(piped.stats.tuples_executed, 5 + 1);
+    assert_eq!(stats.tuples_executed, 5 + 1);
 }
 
 #[test]
@@ -176,9 +177,10 @@ fn coalescing_ring_sum_cancels_opposing_deltas() {
         &Relation::from_pairs(Schema::new(["OK", "B"]), vec![(tuple![7, 1], -1.0)]),
     );
     piped.flush();
-    assert_eq!(piped.stats.batches_coalesced, 1);
+    let stats = piped.pipeline_stats().unwrap();
+    assert_eq!(stats.batches_coalesced, 1);
     // The insert and the delete annihilate before ever triggering.
-    assert_eq!(piped.stats.tuples_executed, 0);
+    assert_eq!(stats.tuples_executed, 0);
     assert!(piped.query_result().is_empty());
 }
 
@@ -237,7 +239,7 @@ fn coalesced_reads_observe_commuted_prefix() {
     piped.apply_batch("S", s1); // queue [R1, S1]
     piped.apply_batch("R", r2); // merges into R1's entry, ahead of S1
     piped.apply_batch("T", t1); // queue exceeds capacity -> issue R1⊕R2
-    assert_eq!(piped.stats.batches_coalesced, 1);
+    assert_eq!(piped.pipeline_stats().unwrap().batches_coalesced, 1);
     let read = piped.query_result();
     assert_eq!(piped.watermark(), 1, "exactly the coalesced R delta issued");
     // The committed boundary is the commuted prefix [R1 ⊕ R2]: both R
@@ -465,10 +467,10 @@ fn byte_bound_backpressures_the_admission_queue() {
             );
         }
     }
+    let stats = piped.pipeline_stats().unwrap();
     assert!(
-        piped.stats.executions_forced_by_bytes > 0,
-        "the byte bound never engaged: {:?}",
-        piped.stats
+        stats.executions_forced_by_bytes > 0,
+        "the byte bound never engaged: {stats:?}"
     );
     piped.flush();
     assert_eq!(piped.queued_bytes(), 0);
@@ -491,7 +493,7 @@ fn close_abandons_queued_batches_without_executing() {
         piped.apply_batch(rel, &batch);
     }
     assert_eq!(piped.queued_batches(), batches().len());
-    assert_eq!(piped.stats.batches_executed, 0);
+    assert_eq!(piped.pipeline_stats().unwrap().batches_executed, 0);
     let final_stats = piped.close(); // must not hang, execute, or leak
     assert_eq!(final_stats.batches_abandoned, batches().len());
     assert_eq!(
@@ -534,10 +536,10 @@ fn async_gather_overlaps_inflight_blocks() {
         }
     }
     piped.flush();
+    let stats = piped.pipeline_stats().unwrap();
     assert!(
-        piped.stats.gathers_overlapped > 0,
-        "no gather ever overlapped in-flight blocks: {:?}",
-        piped.stats
+        stats.gathers_overlapped > 0,
+        "no gather ever overlapped in-flight blocks: {stats:?}"
     );
 }
 
@@ -552,11 +554,11 @@ fn scatter_batching_reduces_messages() {
         piped.apply_batch(rel, &batch);
     }
     piped.flush();
-    assert!(piped.stats.scatter_messages_sent > 0);
+    let stats = piped.pipeline_stats().unwrap();
+    assert!(stats.scatter_messages_sent > 0);
     assert!(
-        piped.stats.scatter_messages_saved > 0,
-        "batching saved no messages: {:?}",
-        piped.stats
+        stats.scatter_messages_saved > 0,
+        "batching saved no messages: {stats:?}"
     );
 }
 

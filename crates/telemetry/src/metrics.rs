@@ -133,6 +133,11 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
+    /// Sum of the recorded values.
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+
     /// Freeze into a snapshot (non-empty buckets only).
     pub fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count.load(Ordering::Relaxed);

@@ -104,16 +104,14 @@ fn main() {
             "pipelined result must match the synchronous backend"
         );
         let speedup = piped.totals.throughput() / sync.totals.throughput().max(1e-12);
+        let stats = piped.pipeline_stats().expect("pipelined backend");
         println!(
             "{:>8} {:>18.0} {:>9.2}x {:>22} {:>10}",
             workers,
             piped.totals.throughput(),
             speedup,
-            format!(
-                "{} -> {}",
-                piped.stats.batches_admitted, piped.stats.batches_executed
-            ),
-            piped.stats.max_queue_depth,
+            format!("{} -> {}", stats.batches_admitted, stats.batches_executed),
+            stats.max_queue_depth,
         );
     }
 }

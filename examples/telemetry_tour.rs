@@ -1,9 +1,10 @@
 //! Tour of the observability layer: run a pipelined threaded cluster over
 //! a TPC-H stream, then read what the telemetry records —
 //!
-//! 1. the deterministic cross-backend totals (`telemetry_totals`),
-//! 2. the full metrics registry (`metrics_snapshot().render_text()`),
-//! 3. the per-batch trace, written as Chrome trace-event JSON to
+//! 1. the metrics registry (`metrics_snapshot()`), whose deterministic
+//!    slice is bit-identical on every backend, with each worker's own
+//!    counters and view cardinalities beside it (`worker_stats()`),
+//! 2. the per-batch trace, written as Chrome trace-event JSON to
 //!    `HOTDOG_TRACE=path` when the driver drops.
 //!
 //! Run with:
@@ -42,28 +43,22 @@ fn main() {
     cluster.flush();
     println!("result checksum: {:?}\n", cluster.query_result().checksum());
 
-    // Surface 1: the deterministic totals — bit-identical on the TCP
-    // backend for the same stream.
-    let totals = cluster.telemetry_totals();
-    println!("deterministic cross-backend totals:");
-    println!("  messages sent     {:>12}", totals.messages_sent);
-    println!("  replies received  {:>12}", totals.replies_received);
-    println!("  blocks run        {:>12}", totals.blocks_run);
-    println!("  statements        {:>12}", totals.statements);
-    println!("  instructions      {:>12}", totals.instructions);
-    println!("  tuples applied    {:>12}", totals.tuples_applied);
-    for (w, snap) in totals.per_worker.iter().enumerate() {
+    // Surface 1: the registry, worker counters summed in.  Its
+    // deterministic slice is bit-identical on the TCP backend for the
+    // same stream.
+    let snapshot = cluster.metrics_snapshot();
+    println!("deterministic cross-backend counters:");
+    println!("{}", snapshot.deterministic().render_text());
+    for (w, snap) in cluster.worker_stats().iter().enumerate() {
         let held: u64 = snap.cardinalities.iter().map(|(_, n)| n).sum();
         println!(
-            "  worker {w}: {} blocks, {} instructions, {held} tuples held",
+            "worker {w}: {} blocks, {} instructions, {held} tuples held",
             snap.stats.blocks_run, snap.stats.instructions
         );
     }
+    println!("\nthe whole registry:\n{}", snapshot.render_text());
 
-    // Surface 2: the full registry, worker counters folded in.
-    println!("\n{}", cluster.metrics_snapshot().render_text());
-
-    // Surface 3: on drop, HOTDOG_TRACE=path writes every batch's span
+    // Surface 2: on drop, HOTDOG_TRACE=path writes every batch's span
     // tree (open it in Perfetto or chrome://tracing).
     match std::env::var(hotdog::telemetry::TRACE_ENV) {
         Ok(path) if !path.is_empty() => println!("trace will be written to {path} on exit"),

@@ -362,7 +362,7 @@ fn tuples_touched_per_delta_tuple_do_not_grow_with_the_batch() {
             ClusterConfig::with_workers(workers),
         );
         cluster.apply_batch("LINEITEM", &delta);
-        cluster.telemetry_totals().tuples_touched as f64 / size as f64
+        cluster.metrics_snapshot().counter("worker.tuples_touched") as f64 / size as f64
     };
     let (small, large) = (touched_per_tuple(512), touched_per_tuple(4096));
     assert!(

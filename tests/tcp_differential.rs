@@ -212,8 +212,11 @@ fn tcp_rescatter_recovery_matches_unfaulted_run() {
 /// The CI chaos job's entry point: run one seeded kill (from
 /// `HOTDOG_FAULT`, typically `seed:<run id>`; a fixed default seed when
 /// unset) against the pipelined TCP backend mid-stream and demand the
-/// unfaulted checksum.  `HOTDOG_FAULT=<printed spec>` replays a red run
-/// bit-for-bit.
+/// unfaulted checksum, and that the recovery counted no batch twice:
+/// `driver.batches.executed` and the batch and tuple fields of
+/// `pipeline_stats()` equal the unfaulted run's.  The scatter fields are
+/// not compared, since a replay really does resend `ApplyMany`.
+/// `HOTDOG_FAULT=<printed spec>` replays a red run bit-for-bit.
 #[test]
 fn tcp_chaos_seeded_kill_recovers_bit_identically() {
     let workers = workers_under_test();
@@ -261,6 +264,28 @@ fn tcp_chaos_seeded_kill_recovers_bit_identically() {
         "chaos run diverged from unfaulted run"
     );
     assert_eq!(tcp.outstanding_replies(), 0);
+    let executed = |d: &TcpCluster| d.telemetry().snapshot().counter("driver.batches.executed");
+    assert_eq!(
+        executed(&tcp),
+        executed(&clean),
+        "recovery counted a replayed batch as executed"
+    );
+    let batch_fields = |d: &TcpCluster| {
+        let s = d.pipeline_stats().expect("pipelined backend");
+        [
+            s.batches_admitted,
+            s.batches_coalesced,
+            s.batches_executed,
+            s.batches_abandoned,
+            s.tuples_admitted,
+            s.tuples_executed,
+        ]
+    };
+    assert_eq!(
+        batch_fields(&tcp),
+        batch_fields(&clean),
+        "recovery changed the pipeline's batch or tuple counts"
+    );
 }
 
 /// Aggressive pipelined configurations over the socket transport: eager

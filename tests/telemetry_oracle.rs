@@ -26,11 +26,11 @@ fn seeded_stream(q: &CatalogQuery, tuples: usize, seed: u64) -> UpdateStream {
     base.with_deletions(seed, 0.25)
 }
 
-/// Every catalog query, epoch-synchronous: the full [`TelemetryTotals`]
-/// (driver message counts + per-worker counters + per-view partition
-/// cardinalities) and the deterministic slice of the metrics registry
-/// must agree bit-for-bit between the threaded and TCP backends and the
-/// simulated cluster.
+/// Every catalog query, epoch-synchronous: every worker's
+/// `worker_stats()` (its counters and per-view partition cardinalities)
+/// and the deterministic slice of the metrics registry (driver message
+/// counts, worker sums) must agree bit-for-bit between the threaded and
+/// TCP backends and the simulated cluster.
 #[test]
 fn telemetry_totals_agree_threaded_vs_tcp_across_catalog() {
     let workers = workers_under_test();
@@ -47,33 +47,22 @@ fn telemetry_totals_agree_threaded_vs_tcp_across_catalog() {
         tcp.apply_stream(&batches);
         sim.apply_stream(&batches);
 
-        let threaded_totals = threaded.telemetry_totals();
-        let tcp_totals = tcp.telemetry_totals();
+        let threaded_workers = threaded.worker_stats();
         assert_eq!(
-            threaded_totals, tcp_totals,
-            "{} {opt:?} x{workers}: telemetry totals diverged threaded vs TCP",
+            threaded_workers,
+            tcp.worker_stats(),
+            "{} {opt:?} x{workers}: worker stats diverged threaded vs TCP",
             q.id
         );
         assert_eq!(
-            threaded_totals,
-            sim.telemetry_totals(),
-            "{} {opt:?} x{workers}: telemetry totals diverged threaded vs simulated",
-            q.id
-        );
-        assert!(
-            threaded_totals.instructions > 0,
-            "{}: a maintained catalog query must execute interpreter work",
-            q.id
-        );
-        assert!(
-            threaded_totals.messages_sent > 0 && threaded_totals.replies_received > 0,
-            "{}: driver traffic counters must be live",
+            threaded_workers,
+            sim.worker_stats(),
+            "{} {opt:?} x{workers}: worker stats diverged threaded vs simulated",
             q.id
         );
 
-        // The deterministic registry slice (driver.* and worker.*
-        // counters) agrees too — the snapshot path and the totals path
-        // are two views of the same counters.
+        // The deterministic registry slice (driver.* counters and the
+        // worker.* sums) agrees too.
         let threaded_snap = threaded.metrics_snapshot().deterministic();
         let tcp_snap = tcp.metrics_snapshot().deterministic();
         assert_eq!(
@@ -87,7 +76,12 @@ fn telemetry_totals_agree_threaded_vs_tcp_across_catalog() {
             "{} {opt:?} x{workers}: deterministic metrics snapshot diverged threaded vs simulated",
             q.id
         );
-        for counter in ["worker.instructions", "worker.tuples_touched"] {
+        for counter in [
+            "worker.instructions",
+            "worker.tuples_touched",
+            "driver.requests.total",
+            "driver.replies.total",
+        ] {
             assert!(
                 threaded_snap.counter(counter) > 0,
                 "{}: {counter} missing from the snapshot",
@@ -101,13 +95,13 @@ fn telemetry_totals_agree_threaded_vs_tcp_across_catalog() {
     }
 }
 
-/// Pipelined mode with a coalescing bound and no latency target (the
-/// target is wall-clock-driven, hence excluded): same
-/// admission stream, same coalesced schedule, same totals on both
-/// backends — and repeated gathers stay in agreement (each round adds
+/// Pipelined mode with a coalescing bound: same admission stream, same
+/// coalesced schedule, same worker stats, deterministic snapshot and
+/// whole [`PipelineStats`] (high-water marks included) on both backends —
+/// and repeated snapshots stay in agreement (each `Stats` round adds
 /// exactly `workers` requests and replies on each side).
 #[test]
-fn telemetry_totals_agree_pipelined_fixed_coalesce() {
+fn telemetry_agrees_pipelined_fixed_coalesce() {
     let workers = workers_under_test();
     let q = query("Q3").unwrap();
     let stream = seeded_stream(&q, 140, 0xD06);
@@ -126,20 +120,42 @@ fn telemetry_totals_agree_pipelined_fixed_coalesce() {
     threaded.apply_stream(&batches);
     tcp.apply_stream(&batches);
 
-    let first = (threaded.telemetry_totals(), tcp.telemetry_totals());
+    assert_eq!(
+        threaded.worker_stats(),
+        tcp.worker_stats(),
+        "pipelined worker stats diverged threaded vs TCP"
+    );
+    assert_eq!(
+        threaded.pipeline_stats().unwrap(),
+        tcp.pipeline_stats().unwrap(),
+        "pipelined pipeline stats diverged threaded vs TCP"
+    );
+    let first = (
+        threaded.metrics_snapshot().deterministic(),
+        tcp.metrics_snapshot().deterministic(),
+    );
     assert_eq!(
         first.0, first.1,
-        "pipelined totals diverged threaded vs TCP"
+        "pipelined snapshot diverged threaded vs TCP"
     );
-    assert!(first.0.instructions > 0);
+    assert!(first.0.counter("worker.instructions") > 0);
 
-    let second = (threaded.telemetry_totals(), tcp.telemetry_totals());
-    assert_eq!(second.0, second.1, "repeated gathers diverged");
-    assert_eq!(
-        second.0.messages_sent,
-        first.0.messages_sent + workers as u64,
-        "a stats gather costs exactly one request per worker"
+    let second = (
+        threaded.metrics_snapshot().deterministic(),
+        tcp.metrics_snapshot().deterministic(),
     );
+    assert_eq!(second.0, second.1, "repeated snapshots diverged");
+    for counter in [
+        "driver.requests.total",
+        "driver.requests.stats",
+        "driver.replies.total",
+    ] {
+        assert_eq!(
+            second.0.counter(counter),
+            first.0.counter(counter) + workers as u64,
+            "a stats round costs exactly one {counter} per worker"
+        );
+    }
     assert_eq!(threaded.outstanding_replies(), 0);
     assert_eq!(tcp.outstanding_replies(), 0);
 }
@@ -171,9 +187,9 @@ fn fault_counters_match_the_plan_exactly() {
     threaded.apply_stream(&batches);
     tcp.apply_stream(&batches);
     assert_eq!(
-        threaded.telemetry_totals(),
-        tcp.telemetry_totals(),
-        "totals diverged threaded vs TCP with checkpointing enabled"
+        threaded.worker_stats(),
+        tcp.worker_stats(),
+        "worker stats diverged threaded vs TCP with checkpointing enabled"
     );
     let threaded_snap = threaded.metrics_snapshot();
     let tcp_snap = tcp.metrics_snapshot();
@@ -395,10 +411,9 @@ fn worker_cardinalities_are_live() {
     let batches = stream.batches(16);
     let mut threaded = ThreadedCluster::new(compile_for(&q, OptLevel::O3), workers);
     threaded.apply_stream(&batches);
-    let totals = threaded.telemetry_totals();
-    assert_eq!(totals.per_worker.len(), workers);
-    let held: u64 = totals
-        .per_worker
+    let per_worker = threaded.worker_stats();
+    assert_eq!(per_worker.len(), workers);
+    let held: u64 = per_worker
         .iter()
         .flat_map(|w| w.cardinalities.iter().map(|(_, n)| *n))
         .sum();
