@@ -40,7 +40,7 @@ use std::collections::HashMap;
 /// hits the update batch currently being processed.
 pub trait Catalog {
     /// Iterate over all tuples of a relation.
-    fn scan(&self, name: &str, kind: RelKind, f: &mut dyn FnMut(&Tuple, Mult));
+    fn scan(&self, name: &str, kind: RelKind, f: &mut dyn FnMut(&[Value], Mult));
 
     /// Multiplicity of an exact key (0 when absent).
     fn lookup(&self, name: &str, kind: RelKind, key: &[Value]) -> Mult;
@@ -60,10 +60,10 @@ pub trait Catalog {
         kind: RelKind,
         positions: &[usize],
         key_vals: &[Value],
-        f: &mut dyn FnMut(&Tuple, Mult),
+        f: &mut dyn FnMut(&[Value], Mult),
     ) {
         self.scan(name, kind, &mut |t, m| {
-            if positions.iter().zip(key_vals).all(|(&p, v)| t.get(p) == v) {
+            if positions.iter().zip(key_vals).all(|(&p, v)| &t[p] == v) {
                 f(t, m);
             }
         });
@@ -381,19 +381,19 @@ impl<'a> Evaluator<'a> {
         // inside the catalog's callback.
         let catalog = self.catalog;
         let mut visited = 0u64;
-        let mut emit = |t: &Tuple, m: Mult| {
+        let mut emit = |t: &[Value], m: Mult| {
             visited += 1;
             let base = env.len();
             let mut ok = true;
             for (i, col) in cols.iter().enumerate() {
                 match env.get(col) {
                     Some(existing) => {
-                        if existing != t.get(i) {
+                        if existing != &t[i] {
                             ok = false;
                             break;
                         }
                     }
-                    None => env.push(col, t.get(i).clone()),
+                    None => env.push(col, t[i].clone()),
                 }
             }
             if ok {
@@ -531,10 +531,10 @@ impl MapCatalog {
 }
 
 impl Catalog for MapCatalog {
-    fn scan(&self, name: &str, kind: RelKind, f: &mut dyn FnMut(&Tuple, Mult)) {
+    fn scan(&self, name: &str, kind: RelKind, f: &mut dyn FnMut(&[Value], Mult)) {
         if let Some(rel) = self.relations.get(&(kind, name.to_string())) {
             for (t, m) in rel.iter() {
-                f(t, m);
+                f(&t.0, m);
             }
         }
     }

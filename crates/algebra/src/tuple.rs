@@ -95,6 +95,13 @@ impl From<Vec<Value>> for Tuple {
     }
 }
 
+/// Copy a borrowed key (a record pool's slot, a scan's row) into a tuple.
+impl From<&[Value]> for Tuple {
+    fn from(vals: &[Value]) -> Self {
+        Tuple(vals.into())
+    }
+}
+
 impl<V: Into<Value>> FromIterator<V> for Tuple {
     fn from_iter<T: IntoIterator<Item = V>>(iter: T) -> Self {
         Tuple(iter.into_iter().map(Into::into).collect())

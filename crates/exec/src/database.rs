@@ -74,7 +74,7 @@ impl Database {
         let schema = self.schemas.get(view).cloned().unwrap_or_default();
         let mut rel = Relation::new(schema);
         if let Some(pool) = self.pools.get(view) {
-            pool.foreach(&mut |t, m| rel.add(t.clone(), m));
+            pool.foreach(&mut |t, m| rel.add(Tuple::from(t), m));
         }
         rel
     }
@@ -151,6 +151,12 @@ impl Database {
         self.pools.values().map(RecordPool::len).sum()
     }
 
+    /// Heap bytes held by every view's pool (see
+    /// [`RecordPool::heap_bytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        self.pools.values().map(RecordPool::heap_bytes).sum()
+    }
+
     /// Aggregate storage-operation counters across all pools.
     pub fn counters(&self) -> PoolCounters {
         let mut c = PoolCounters::default();
@@ -214,7 +220,7 @@ struct Bound<'c, 'a> {
 }
 
 impl Source for Bound<'_, '_> {
-    fn scan(&self, rel: usize, f: &mut dyn FnMut(&Tuple, Mult)) {
+    fn scan(&self, rel: usize, f: &mut dyn FnMut(&[Value], Mult)) {
         if let Some(stored) = self.rels[rel] {
             self.index.scan(stored, f);
         }
@@ -229,7 +235,7 @@ impl Source for Bound<'_, '_> {
         rel: usize,
         positions: &[usize],
         key_vals: &[Value],
-        f: &mut dyn FnMut(&Tuple, Mult),
+        f: &mut dyn FnMut(&[Value], Mult),
     ) {
         if let Some(stored) = self.rels[rel] {
             self.index.slice(stored, positions, key_vals, f);
@@ -274,7 +280,7 @@ impl<'a> StatementCatalog<'a> {
 
 #[cfg(test)]
 impl hotdog_algebra::eval::Catalog for StatementCatalog<'_> {
-    fn scan(&self, name: &str, kind: RelKind, f: &mut dyn FnMut(&Tuple, Mult)) {
+    fn scan(&self, name: &str, kind: RelKind, f: &mut dyn FnMut(&[Value], Mult)) {
         if let Some(stored) = self.resolve(name, kind) {
             self.index.scan(stored, f);
         }
@@ -290,7 +296,7 @@ impl hotdog_algebra::eval::Catalog for StatementCatalog<'_> {
         kind: RelKind,
         positions: &[usize],
         key_vals: &[Value],
-        f: &mut dyn FnMut(&Tuple, Mult),
+        f: &mut dyn FnMut(&[Value], Mult),
     ) {
         if let Some(stored) = self.resolve(name, kind) {
             self.index.slice(stored, positions, key_vals, f);
@@ -397,7 +403,7 @@ mod tests {
         assert_eq!(cat.lookup("R", RelKind::Delta, &tuple![2, 5].0), 0.0);
         let mut rows = Vec::new();
         cat.slice("R", RelKind::Delta, &[1], &[Value::Long(5)], &mut |t, m| {
-            rows.push((t.clone(), m))
+            rows.push((Tuple::from(t), m))
         });
         assert_eq!(rows, vec![(tuple![1, 5], 1.0)]);
 

@@ -53,7 +53,7 @@ impl Stored<'_> {
 }
 
 /// Tuples of one relation grouped by their values at some positions.
-type Buckets<'a> = DetMap<Tuple, Vec<(&'a Tuple, Mult)>>;
+type Buckets<'a> = DetMap<Tuple, Vec<(&'a [Value], Mult)>>;
 
 /// A built index: the relation, the positions it groups by, its buckets.
 type Built<'a> = (&'a Relation, Vec<usize>, Rc<Buckets<'a>>);
@@ -71,11 +71,11 @@ pub(crate) struct SliceIndex<'a> {
 
 impl<'a> SliceIndex<'a> {
     /// Iterate over every tuple of `stored`.
-    pub fn scan(&self, stored: Stored<'a>, f: &mut dyn FnMut(&Tuple, Mult)) {
+    pub fn scan(&self, stored: Stored<'a>, f: &mut dyn FnMut(&[Value], Mult)) {
         match stored {
             Stored::Relation(rel) => {
                 for (t, m) in rel.iter() {
-                    f(t, m);
+                    f(&t.0, m);
                 }
                 self.touch(rel.len());
             }
@@ -93,7 +93,7 @@ impl<'a> SliceIndex<'a> {
         stored: Stored<'a>,
         positions: &[usize],
         key_vals: &[Value],
-        f: &mut dyn FnMut(&Tuple, Mult),
+        f: &mut dyn FnMut(&[Value], Mult),
     ) {
         let touched = match stored {
             Stored::Relation(rel) => {
@@ -134,7 +134,7 @@ impl<'a> SliceIndex<'a> {
             buckets
                 .entry(t.project(positions))
                 .or_default()
-                .push((t, m));
+                .push((&t.0, m));
         }
         self.touch(rel.len());
         let buckets = Rc::new(buckets);
@@ -161,7 +161,7 @@ mod tests {
     ) -> Rows {
         let mut rows = Vec::new();
         index.slice(Stored::Relation(rel), positions, key, &mut |t, m| {
-            rows.push((t.clone(), m))
+            rows.push((Tuple::from(t), m))
         });
         rows
     }
@@ -169,7 +169,7 @@ mod tests {
     fn via_scan(catalog: &MapCatalog, positions: &[usize], key: &[Value]) -> Rows {
         let mut rows = Vec::new();
         catalog.slice("R", RelKind::Delta, positions, key, &mut |t, m| {
-            rows.push((t.clone(), m))
+            rows.push((Tuple::from(t), m))
         });
         rows
     }

@@ -774,7 +774,7 @@ impl Term {
 /// [`Catalog`] by name (the `Evaluator` oracle's catalogs, and the tests).
 pub(crate) trait Source {
     /// Iterate over every tuple of relation `rel`.
-    fn scan(&self, rel: usize, f: &mut dyn FnMut(&Tuple, Mult));
+    fn scan(&self, rel: usize, f: &mut dyn FnMut(&[Value], Mult));
     /// Multiplicity of an exact key of relation `rel` (0 when absent).
     fn lookup(&self, rel: usize, key: &[Value]) -> Mult;
     /// Iterate over the tuples of relation `rel` whose columns at
@@ -784,7 +784,7 @@ pub(crate) trait Source {
         rel: usize,
         positions: &[usize],
         key_vals: &[Value],
-        f: &mut dyn FnMut(&Tuple, Mult),
+        f: &mut dyn FnMut(&[Value], Mult),
     );
 }
 
@@ -795,7 +795,7 @@ struct ByName<'a> {
 }
 
 impl Source for ByName<'_> {
-    fn scan(&self, rel: usize, f: &mut dyn FnMut(&Tuple, Mult)) {
+    fn scan(&self, rel: usize, f: &mut dyn FnMut(&[Value], Mult)) {
         let (name, kind) = &self.rels[rel];
         self.catalog.scan(name, *kind, f);
     }
@@ -810,7 +810,7 @@ impl Source for ByName<'_> {
         rel: usize,
         positions: &[usize],
         key_vals: &[Value],
-        f: &mut dyn FnMut(&Tuple, Mult),
+        f: &mut dyn FnMut(&[Value], Mult),
     ) {
         let (name, kind) = &self.rels[rel];
         self.catalog.slice(name, *kind, positions, key_vals, f);
@@ -1246,9 +1246,9 @@ impl Scan {
         let mut cols: Vec<Vec<Value>> = vec![Vec::new(); self.cols.len()];
         source.scan(self.rel, &mut |t, m| {
             visited += 1;
-            if self.repeats.iter().all(|&(p, q)| t.get(p) == t.get(q)) {
+            if self.repeats.iter().all(|&(p, q)| t[p] == t[q]) {
                 for (col, &(p, _)) in cols.iter_mut().zip(&self.cols) {
-                    col.push(t.get(p).clone());
+                    col.push(t[p].clone());
                 }
                 f.mults.push(m);
                 f.src.push(0);
@@ -1329,13 +1329,13 @@ impl Step {
                 let mut src_idx: Vec<u32> = Vec::new();
                 let mut new_cols: Vec<Vec<Value>> = vec![Vec::new(); fresh.len()];
                 let mut new_mults: Vec<Mult> = Vec::new();
-                let mut emit = |i: usize, m: Mult, t: &Tuple| {
-                    if !repeats.iter().all(|&(p, q)| t.get(p) == t.get(q)) {
+                let mut emit = |i: usize, m: Mult, t: &[Value]| {
+                    if !repeats.iter().all(|&(p, q)| t[p] == t[q]) {
                         return;
                     }
                     src_idx.push(i as u32);
                     for (j, &(p, _)) in fresh.iter().enumerate() {
-                        new_cols[j].push(t.get(p).clone());
+                        new_cols[j].push(t[p].clone());
                     }
                     new_mults.push(m);
                 };
@@ -1350,12 +1350,12 @@ impl Step {
                         counters.scans += 1;
                         let rows = scanned.get_or_insert_with(|| {
                             let mut rows = Vec::new();
-                            source.scan(*rel, &mut |t, m| rows.push((t.clone(), m)));
+                            source.scan(*rel, &mut |t, m| rows.push((Tuple::from(t), m)));
                             rows
                         });
                         counters.tuples_visited += rows.len() as u64;
                         for (t, m) in rows.iter() {
-                            emit(i, m_left * m, t);
+                            emit(i, m_left * m, &t.0);
                         }
                     }
                 } else {

@@ -495,15 +495,14 @@ impl<T: Transport> Driver<T> {
         }
 
         stats.stages = program.stages();
-        stats.jobs = program.jobs();
         // Synchronous mode: the batch's end-to-end wall-clock, or the
         // modelled clock's advance when the transport keeps one.  Pipelined
         // mode: the driver-side issue time only (the stream's end-to-end
         // wall-clock is folded into the totals at `flush`).
-        stats.wall_secs = wall_start.elapsed().as_secs_f64();
+        let wall_secs = wall_start.elapsed().as_secs_f64();
         stats.latency_secs = match clock_start {
             Some(start) => self.transport.clock_secs().unwrap_or(start) - start,
-            None => stats.wall_secs,
+            None => wall_secs,
         };
         // The root closes here even in pipelined mode (where trailing
         // applies are still in flight): the window is the driver's issue

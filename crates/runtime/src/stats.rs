@@ -21,10 +21,6 @@ pub struct BatchExecution {
     pub bytes_shuffled: usize,
     /// Distributed stages executed.
     pub stages: usize,
-    /// Jobs launched.
-    pub jobs: usize,
-    /// Real wall-clock time spent executing the batch.
-    pub wall_secs: f64,
 }
 
 /// Accumulated totals over a cluster's lifetime.

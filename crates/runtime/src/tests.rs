@@ -306,7 +306,6 @@ fn measured_stats_are_populated() {
     for (rel, batch) in batches() {
         let stats = cluster.apply_batch(rel, &batch);
         assert!(stats.latency_secs > 0.0, "latency must be measured");
-        assert_eq!(stats.latency_secs, stats.wall_secs);
         stages += stats.stages;
     }
     assert!(stages > 0);

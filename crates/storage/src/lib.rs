@@ -4,7 +4,8 @@
 //! (Section 5.2 of the paper):
 //!
 //! * [`pool::RecordPool`] — the multi-indexed record pool used for dynamic
-//!   materialized views: each record stored once in a slab, a unique index
+//!   materialized views: every key stored once in one value slab with an
+//!   arity stride (a record is no allocation of its own), a unique index
 //!   over the full key and non-unique indexes for `slice` access patterns,
 //!   all of one kind (a table from a 64-bit hash to a bucket of slots).
 //!   Its scan and slice order (slot order, LIFO slot reuse,

@@ -1,8 +1,10 @@
 //! Record pools: the multi-indexed in-memory structure the paper uses for
 //! dynamic materialized views (Section 5.2, Figure 6).
 //!
-//! A record pool stores fixed-format records (key tuple + aggregate value)
-//! in a slab that recycles free slots.  Each record's key lives in exactly
+//! A record pool stores fixed-format records (key columns + aggregate
+//! value) in one value slab that recycles free slots: slot `s`'s key is
+//! `values[s·arity .. (s+1)·arity]` and its multiplicity `mults[s]`, so a
+//! record is no allocation of its own.  Each record's key lives in exactly
 //! one place, its slot; the pool's hash indexes hold slot ids, keyed by a
 //! 64-bit [`FoldHasher`] hash of the indexed columns, and never own, clone
 //! or re-hash a key:
@@ -45,9 +47,18 @@ use hotdog_algebra::value::Value;
 use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::hash::{Hash, Hasher};
+use std::mem::size_of;
 
 /// No slot or bucket: the end of a bucket chain, or no predecessor.
 const NIL: u32 = u32::MAX;
+
+/// The multiplicity of a free slot.  No record holds it: a record goes
+/// once its magnitude drops below [`MULT_EPSILON`].
+const FREE: Mult = 0.0;
+
+/// What a free slot's key columns hold, so that no value (and no string a
+/// value shares) outlives its record.
+const VACANT: Value = Value::Long(0);
 
 #[cfg(test)]
 thread_local! {
@@ -75,18 +86,71 @@ fn key_hash(key: &[Value]) -> u64 {
     hash_values(key.iter())
 }
 
-/// A record: the key tuple plus its multiplicity (aggregate value).
-#[derive(Clone, Debug)]
-struct Record {
-    key: Tuple,
-    value: Mult,
+/// Heap bytes of a hash table, from its capacity by std's (hashbrown's)
+/// layout: a power-of-two number of buckets filled to at most 7/8 (to all
+/// but one below 8 buckets), each an entry and a control byte, plus one
+/// 16-byte group of trailing control bytes.
+fn table_bytes<K, V>(map: &DetMap<K, V>) -> usize {
+    let buckets = match map.capacity() {
+        0 => return 0,
+        cap if cap < 8 => cap + 1,
+        cap => cap / 7 * 8,
+    };
+    buckets * (size_of::<(K, V)>() + 1) + 16
 }
 
-/// The record an index points at.
-fn record(slots: &[Option<Record>], slot: u32) -> &Record {
-    slots[slot as usize]
-        .as_ref()
-        .expect("an indexed slot holds a record")
+/// Every record of a pool: slot `s` holds the key
+/// `values[s·arity .. (s+1)·arity]` and the multiplicity `mults[s]`, which
+/// is [`FREE`] when the slot is.
+#[derive(Clone, Debug, Default)]
+struct Slab {
+    arity: usize,
+    values: Vec<Value>,
+    mults: Vec<Mult>,
+}
+
+impl Slab {
+    /// Number of slots, live and free.
+    fn slots(&self) -> usize {
+        self.mults.len()
+    }
+
+    fn key(&self, slot: u32) -> &[Value] {
+        let start = slot as usize * self.arity;
+        &self.values[start..start + self.arity]
+    }
+
+    /// Live slots with their keys and multiplicities, in slot order.
+    fn live(&self) -> impl Iterator<Item = (u32, &[Value], Mult)> {
+        (self.mults.iter().enumerate())
+            .filter(|&(_, &m)| m != FREE)
+            .map(|(slot, &m)| (slot as u32, self.key(slot as u32), m))
+    }
+
+    /// Store `key` and `value` in `slot`, a free slot or one past the end,
+    /// moving the key's values in.  A key of another arity would shift
+    /// every later slot, so it panics.
+    fn put(&mut self, slot: u32, key: Tuple, value: Mult) {
+        assert_eq!(key.arity(), self.arity, "key arity mismatch");
+        let key = key.0.into_vec();
+        if slot as usize == self.slots() {
+            self.values.extend(key);
+            self.mults.push(value);
+        } else {
+            let start = slot as usize * self.arity;
+            for (col, v) in self.values[start..start + self.arity].iter_mut().zip(key) {
+                *col = v;
+            }
+            self.mults[slot as usize] = value;
+        }
+    }
+
+    /// Free `slot`, dropping its key's values.
+    fn vacate(&mut self, slot: u32) {
+        let start = slot as usize * self.arity;
+        self.values[start..start + self.arity].fill(VACANT);
+        self.mults[slot as usize] = FREE;
+    }
 }
 
 /// The records that agree on an index's columns: `len` slots from `first`
@@ -181,19 +245,19 @@ impl Index {
         }
     }
 
-    fn hash(&self, key: &Tuple) -> u64 {
-        hash_values(self.positions.iter().map(|&p| key.get(p)))
+    fn hash(&self, key: &[Value]) -> u64 {
+        hash_values(self.positions.iter().map(|&p| &key[p]))
     }
 
     /// The bucket of the records whose indexed columns equal `key_vals`,
     /// whose hash is `h`.
-    fn find(&self, slots: &[Option<Record>], h: u64, key_vals: &[Value]) -> Option<&Bucket> {
+    fn find(&self, slab: &Slab, h: u64, key_vals: &[Value]) -> Option<&Bucket> {
         if key_vals.len() != self.positions.len() {
             return None;
         }
         let matches = |b: &Bucket| {
-            let member = &record(slots, b.first).key;
-            (self.positions.iter().zip(key_vals)).all(|(&p, v)| member.get(p) == v)
+            let member = slab.key(b.first);
+            (self.positions.iter().zip(key_vals)).all(|(&p, v)| &member[p] == v)
         };
         let mut bucket = self.buckets.get(&h)?;
         while !matches(bucket) {
@@ -216,11 +280,12 @@ impl Index {
         })
     }
 
-    /// Append `slot`, whose record has key `key` (hash `h`), to its bucket.
-    fn insert(&mut self, slots: &[Option<Record>], h: u64, key: &Tuple, slot: u32) {
+    /// Append `slot`, whose record has key `key` (hash `h`) and is not yet
+    /// indexed here, to its bucket.
+    fn insert(&mut self, slab: &Slab, h: u64, key: &[Value], slot: u32) {
         let same = |b: &Bucket| {
-            let member = &record(slots, b.first).key;
-            self.positions.iter().all(|&p| member.get(p) == key.get(p))
+            let member = slab.key(b.first);
+            self.positions.iter().all(|&p| member[p] == key[p])
         };
         let head = match self.buckets.entry(h) {
             Entry::Vacant(e) => {
@@ -299,6 +364,14 @@ impl Index {
         self.overflow.clear();
         self.free.clear();
     }
+
+    /// Heap bytes this index holds (see [`RecordPool::heap_bytes`]).
+    fn heap_bytes(&self) -> usize {
+        self.positions.capacity() * size_of::<usize>()
+            + table_bytes(&self.buckets)
+            + self.overflow.capacity() * size_of::<Bucket>()
+            + (self.free.capacity() + self.links.capacity()) * size_of::<u32>()
+    }
 }
 
 /// Operation counters for a pool; these stand in for the hardware counters
@@ -334,8 +407,7 @@ impl PoolCounters {
 /// A multi-indexed record pool storing one materialized view.
 #[derive(Clone, Debug, Default)]
 pub struct RecordPool {
-    arity: usize,
-    slots: Vec<Option<Record>>,
+    slab: Slab,
     /// Free slots, reused last-in first-out.
     free: Vec<u32>,
     /// The unique index, over every key column.
@@ -348,7 +420,10 @@ impl RecordPool {
     /// Create an empty pool for records of the given arity.
     pub fn new(arity: usize) -> Self {
         RecordPool {
-            arity,
+            slab: Slab {
+                arity,
+                ..Default::default()
+            },
             primary: Index::over((0..arity).collect()),
             ..Default::default()
         }
@@ -372,10 +447,8 @@ impl RecordPool {
             return;
         }
         let mut ix = Index::over(positions);
-        for (slot, rec) in self.slots.iter().enumerate() {
-            if let Some(rec) = rec {
-                ix.insert(&self.slots, ix.hash(&rec.key), &rec.key, slot as u32);
-            }
+        for (slot, key, _) in self.slab.live() {
+            ix.insert(&self.slab, ix.hash(key), key, slot);
         }
         self.secondary.push(ix);
     }
@@ -389,12 +462,12 @@ impl RecordPool {
     }
 
     pub fn arity(&self) -> usize {
-        self.arity
+        self.slab.arity
     }
 
     /// Number of live records: every slot not on the free list.
     pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.slab.slots() - self.free.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -403,7 +476,20 @@ impl RecordPool {
 
     /// Capacity of the underlying slab (live + free slots).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.slab.slots()
+    }
+
+    /// Heap bytes the pool holds, computed from the lengths and capacities
+    /// of its slab, free list and indexes (hash tables by std's layout).
+    /// Strings are counted by their 16-byte `Value`, not their text, which
+    /// other tuples may share.
+    pub fn heap_bytes(&self) -> usize {
+        self.slab.values.capacity() * size_of::<Value>()
+            + self.slab.mults.capacity() * size_of::<Mult>()
+            + self.free.capacity() * size_of::<u32>()
+            + self.primary.heap_bytes()
+            + self.secondary.capacity() * size_of::<Index>()
+            + self.secondary.iter().map(Index::heap_bytes).sum::<usize>()
     }
 
     fn bump(&self, f: impl FnOnce(&mut PoolCounters)) {
@@ -424,13 +510,8 @@ impl RecordPool {
 
     /// Slot of the record keyed `key`, whose hash is `h`.
     fn find(&self, h: u64, key: &[Value]) -> Option<u32> {
-        let bucket = self.primary.find(&self.slots, h, key)?;
+        let bucket = self.primary.find(&self.slab, h, key)?;
         Some(bucket.first)
-    }
-
-    fn value_mut(&mut self, slot: u32) -> &mut Mult {
-        let rec = self.slots[slot as usize].as_mut();
-        &mut rec.expect("an indexed slot holds a record").value
     }
 
     /// Multiplicity stored for `key` (0 when absent).
@@ -440,7 +521,7 @@ impl RecordPool {
             c.slots_touched += 1;
         });
         self.find(key_hash(key), key)
-            .map_or(0.0, |slot| record(&self.slots, slot).value)
+            .map_or(0.0, |slot| self.slab.mults[slot as usize])
     }
 
     /// Whether a record for `key` exists.
@@ -452,7 +533,6 @@ impl RecordPool {
     /// deleting one whose multiplicity reaches zero.  This is the `+=` of the
     /// maintenance triggers.
     pub fn update(&mut self, key: Tuple, delta: Mult) {
-        debug_assert_eq!(key.arity(), self.arity, "key arity mismatch");
         if delta == 0.0 {
             return;
         }
@@ -460,7 +540,7 @@ impl RecordPool {
         let h = key_hash(&key.0);
         match self.find(h, &key.0) {
             Some(slot) => {
-                let value = self.value_mut(slot);
+                let value = &mut self.slab.mults[slot as usize];
                 *value += delta;
                 if value.abs() < MULT_EPSILON {
                     self.remove(h, slot);
@@ -479,7 +559,7 @@ impl RecordPool {
             Some(slot) if zero => self.remove(h, slot),
             Some(slot) => {
                 self.bump(|c| c.updates += 1);
-                *self.value_mut(slot) = value;
+                self.slab.mults[slot as usize] = value;
             }
             None if zero => {}
             None => self.insert(h, key, value),
@@ -493,16 +573,12 @@ impl RecordPool {
             c.inserts += 1;
             c.slots_touched += 1;
         });
-        let slot = self.free.pop().unwrap_or(self.slots.len() as u32);
-        self.primary.insert(&self.slots, h, &key, slot);
+        let slot = self.free.pop().unwrap_or(self.slab.slots() as u32);
+        self.slab.put(slot, key, value);
+        let key = self.slab.key(slot);
+        self.primary.insert(&self.slab, h, key, slot);
         for ix in &mut self.secondary {
-            ix.insert(&self.slots, ix.hash(&key), &key, slot);
-        }
-        let rec = Some(Record { key, value });
-        if slot as usize == self.slots.len() {
-            self.slots.push(rec);
-        } else {
-            self.slots[slot as usize] = rec;
+            ix.insert(&self.slab, ix.hash(key), key, slot);
         }
     }
 
@@ -520,13 +596,12 @@ impl RecordPool {
             c.deletes += 1;
             c.slots_touched += 1;
         });
-        let rec = self.slots[slot as usize]
-            .take()
-            .expect("a removed slot holds a record");
         self.primary.remove(h, slot);
+        let key = self.slab.key(slot);
         for ix in &mut self.secondary {
-            ix.remove(ix.hash(&rec.key), slot);
+            ix.remove(ix.hash(key), slot);
         }
+        self.slab.vacate(slot);
         self.free.push(slot);
     }
 
@@ -537,18 +612,19 @@ impl RecordPool {
             ix.clear();
         }
         self.free.clear();
-        self.free.extend(0..self.slots.len() as u32);
-        self.slots.iter_mut().for_each(|s| *s = None);
+        self.free.extend(0..self.slab.slots() as u32);
+        self.slab.values.fill(VACANT);
+        self.slab.mults.fill(FREE);
     }
 
     /// Iterate over all live records.
-    pub fn foreach(&self, f: &mut dyn FnMut(&Tuple, Mult)) {
+    pub fn foreach(&self, f: &mut dyn FnMut(&[Value], Mult)) {
         self.bump(|c| {
             c.scans += 1;
             c.slots_touched += self.len() as u64;
         });
-        for rec in self.slots.iter().flatten() {
-            f(&rec.key, rec.value);
+        for (_, key, m) in self.slab.live() {
+            f(key, m);
         }
     }
 
@@ -560,18 +636,17 @@ impl RecordPool {
         &self,
         positions: &[usize],
         key_vals: &[Value],
-        f: &mut dyn FnMut(&Tuple, Mult),
+        f: &mut dyn FnMut(&[Value], Mult),
     ) -> usize {
         if let Some(ix) = self.secondary.iter().find(|ix| ix.positions == positions) {
-            let bucket = ix.find(&self.slots, hash_values(key_vals.iter()), key_vals);
+            let bucket = ix.find(&self.slab, hash_values(key_vals.iter()), key_vals);
             let len = bucket.map_or(0, |b| b.len as usize);
             self.bump(|c| {
                 c.slices += 1;
                 c.slots_touched += len as u64;
             });
             for slot in bucket.into_iter().flat_map(|b| ix.members(b)) {
-                let rec = record(&self.slots, slot);
-                f(&rec.key, rec.value);
+                f(self.slab.key(slot), self.slab.mults[slot as usize]);
             }
             len
         } else {
@@ -581,13 +656,9 @@ impl RecordPool {
                 c.slices += 1;
                 c.slots_touched += len as u64;
             });
-            for rec in self.slots.iter().flatten() {
-                if positions
-                    .iter()
-                    .zip(key_vals)
-                    .all(|(&p, v)| rec.key.get(p) == v)
-                {
-                    f(&rec.key, rec.value);
+            for (_, key, m) in self.slab.live() {
+                if positions.iter().zip(key_vals).all(|(&p, v)| &key[p] == v) {
+                    f(key, m);
                 }
             }
             len
@@ -601,11 +672,8 @@ impl RecordPool {
 
     /// Deterministically ordered contents (tests, debugging, result output).
     pub fn sorted(&self) -> Vec<(Tuple, Mult)> {
-        let mut v: Vec<(Tuple, Mult)> = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|r| (r.key.clone(), r.value))
+        let mut v: Vec<(Tuple, Mult)> = (self.slab.live())
+            .map(|(_, key, m)| (Tuple::from(key), m))
             .collect();
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v
@@ -617,11 +685,43 @@ mod tests {
     use super::*;
     use hotdog_algebra::tuple;
 
-    /// A slot is a 16-byte key header and an 8-byte multiplicity; a free
-    /// slot costs no more (the boxed slice's pointer is never null).
+    /// A slot is its key's values and one multiplicity in the slab:
+    /// 16·arity + 8 bytes, with no allocation or header of its own.
     #[test]
-    fn a_slot_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<Option<Record>>(), 24);
+    fn a_slot_is_16_bytes_per_column_plus_8() {
+        for arity in 0..5 {
+            let mut p = RecordPool::new(arity);
+            for i in 0..50i64 {
+                p.update(
+                    Tuple((0..arity as i64).map(|c| Value::Long(i + c)).collect()),
+                    1.0,
+                );
+            }
+            let slab =
+                p.slab.values.len() * size_of::<Value>() + p.slab.mults.len() * size_of::<Mult>();
+            assert_eq!(slab, p.capacity() * (16 * arity + 8), "arity {arity}");
+        }
+    }
+
+    /// A freed slot holds no clone of its key: after `delete`, `set(…, 0.0)`
+    /// and `clear`, the only reference to a key's string is the caller's.
+    #[test]
+    fn a_freed_slot_drops_its_key() {
+        let s = std::sync::Arc::new("x".to_string());
+        let key = || Tuple::from(vec![Value::Long(1), Value::Str(s.clone())]);
+        let mut p = RecordPool::with_secondary_indexes(2, &[vec![1]]);
+        p.update(key(), 1.0);
+        assert_eq!(std::sync::Arc::strong_count(&s), 2);
+        p.delete(&key().0);
+        assert_eq!(std::sync::Arc::strong_count(&s), 1, "delete");
+        p.update(key(), 1.0);
+        p.set(key(), 0.0);
+        assert_eq!(std::sync::Arc::strong_count(&s), 1, "set to 0");
+        p.update(key(), 1.0);
+        p.update(tuple![2, "y"], 1.0);
+        p.clear();
+        assert_eq!(std::sync::Arc::strong_count(&s), 1, "clear");
+        assert!(p.is_empty());
     }
 
     #[test]
@@ -656,7 +756,7 @@ mod tests {
         p.update(tuple![3, 20], 3.0);
         let mut seen = Vec::new();
         p.slice(&[1], &[Value::Long(10)], &mut |t, m| {
-            seen.push((t.clone(), m));
+            seen.push((Tuple::from(t), m));
         });
         seen.sort_by(|a, b| a.0.cmp(&b.0));
         assert_eq!(seen.len(), 2);
@@ -684,7 +784,9 @@ mod tests {
         }
         let slice = |key_vals: &[Value]| {
             let mut rows = Vec::new();
-            let touched = p.slice(&[2, 0], key_vals, &mut |t, m| rows.push((t.clone(), m)));
+            let touched = p.slice(&[2, 0], key_vals, &mut |t, m| {
+                rows.push((Tuple::from(t), m))
+            });
             (rows, touched)
         };
         for a in 0..5i64 {

@@ -11,7 +11,10 @@
 //! table in `RECORDS`' own syntax.
 //!
 //! `cargo test --release --test view_census -- --nocapture` prints the
-//! census of every query.
+//! census of every query, each with the heap bytes its pools hold
+//! (`Database::heap_bytes`).  The bytes are printed, not pinned: they
+//! follow the capacities std's growth policy gives the pools' vectors and
+//! tables.
 
 use hotdog::prelude::*;
 use hotdog::workload::Workload;
@@ -62,8 +65,9 @@ const RECORDS: [(&str, usize); 32] = [
     ("DS68", 3325),
 ];
 
-/// Live records over all views of `q`'s recursive plan after the stream.
-fn live_records(q: &CatalogQuery) -> usize {
+/// Live records over all views of `q`'s recursive plan after the stream,
+/// and the heap bytes the pools holding them take.
+fn live_records(q: &CatalogQuery) -> (usize, usize) {
     let stream = match q.workload {
         Workload::TpcH => generate_tpch(SEED, TUPLES),
         Workload::TpcDs => generate_tpcds(SEED, TUPLES),
@@ -77,23 +81,28 @@ fn live_records(q: &CatalogQuery) -> usize {
         }
     }
     let plan = engine.plan();
-    plan.views
+    let records = plan
+        .views
         .iter()
         .map(|v| engine.view_contents(&v.name).len())
-        .sum()
+        .sum();
+    (records, engine.database().heap_bytes())
 }
 
 #[test]
 fn no_query_holds_more_live_records() {
-    let got: Vec<(&str, usize)> = all_queries()
+    let census: Vec<(&str, (usize, usize))> = all_queries()
         .iter()
         .map(|q| (q.id, live_records(q)))
         .collect();
+    let got: Vec<(&str, usize)> = census.iter().map(|&(id, (n, _))| (id, n)).collect();
     let table: Vec<String> = got
         .iter()
         .map(|(id, n)| format!("    (\"{id}\", {n}),"))
         .collect();
-    println!("{}", table.join("\n"));
+    for (row, (_, (_, bytes))) in table.iter().zip(&census) {
+        println!("{row:<20} // {bytes} B");
+    }
     let mut rose = Vec::new();
     for (id, n) in &got {
         let pinned = RECORDS.iter().find(|(q, _)| q == id).map(|&(_, p)| p);
