@@ -284,6 +284,12 @@ fn measure<T: Transport>(
     batches: &[Vec<(&'static str, Relation)>],
 ) -> (ClusterTotals, Option<PipelineStats>) {
     cluster.apply_stream(batches);
+    let executed = cluster.telemetry().counter("driver.batches.executed").get();
+    assert_eq!(
+        cluster.totals.latencies.len() as u64,
+        executed,
+        "one latency per executed batch"
+    );
     (cluster.totals.clone(), cluster.pipeline_stats())
 }
 
@@ -347,7 +353,7 @@ pub fn run_distributed_on(
         mb_shuffled_per_worker: totals.bytes_shuffled as f64
             / 1e6
             / workers as f64
-            / totals.batches.max(1) as f64,
+            / totals.latencies.len().max(1) as f64,
         jobs,
         stages,
         coalesce,

@@ -12,6 +12,7 @@
 
 use crate::partition::{LocTag, PartitionFn, PartitioningSpec};
 use hotdog_algebra::expr::{Expr, RelKind, RelRef};
+use hotdog_algebra::hash::Fnv1a;
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
 use hotdog_ivm::{BatchPrep, MaintenancePlan, StmtOp};
@@ -336,6 +337,15 @@ impl DistributedPlan {
             out.push_str(&p.pretty());
         }
         out
+    }
+
+    /// 64-bit FNV-1a of [`pretty`](Self::pretty): what a TCP worker checks
+    /// its own compile of the query against, so a worker whose compiler
+    /// lowers the query differently refuses to start.
+    pub fn digest(&self) -> u64 {
+        let mut digest = Fnv1a::default();
+        digest.write(self.pretty().as_bytes());
+        digest.finish()
     }
 }
 

@@ -10,12 +10,13 @@
 //! byte-level encoding (an in-process `mpsc` move vs. the `hotdog-net`
 //! length-prefixed codec) differs.
 //!
-//! Statements cross the wire once, and compile once.  Every worker starts
-//! with the plan's [`ProgramBlocks`] installed as [`Programs`], each
-//! statement compiled — handed over through an `Arc` in process, or in the
-//! TCP `Init` frame, which the worker compiles on arrival and rejects if a
-//! statement does not compile — and commands name statements by position
-//! in them:
+//! Statements never cross the wire, and compile once.  Every worker
+//! starts with the plan's [`ProgramBlocks`] installed as [`Programs`],
+//! each statement compiled — handed over through an `Arc` in process, or
+//! compiled by a TCP worker from the query its `Init` frame names (the
+//! worker refuses a plan digest it does not reproduce, or a statement
+//! that does not compile) — and commands name statements by position in
+//! them:
 //! a `RunBlock` names a `(program, block)`, an `ApplyMany` shard the
 //! `(program, block, statement)` ([`StmtRef`]) that installs it.  A
 //! position the worker's programs do not hold is an [`UnknownStatement`]

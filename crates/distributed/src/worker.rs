@@ -57,7 +57,7 @@ type Installed = (DistStatement, Option<VectorPlan>);
 /// The statements a node runs, indexed like [`ProgramBlocks`], with every
 /// `Compute` statement compiled where the programs are installed — once
 /// per cluster for in-process workers, which share them by `Arc`, and once
-/// per worker process for a TCP worker's `Init`.
+/// per TCP worker process, from the plan it compiles out of its `Init`.
 #[derive(Debug, Default)]
 pub struct Programs(Vec<Vec<Vec<Installed>>>);
 

@@ -8,15 +8,18 @@
 //! `hotdog-worker` subprocess per worker slot — or waits for externally
 //! started workers ([`WorkerSpawn::External`]) — and handshakes each
 //! connection: the worker sends `Hello{index}` (connections race, so the
-//! slot travels in-band), the driver answers with `Init{plan, programs}`,
-//! and from then on the connection carries the same FIFO-command/tagged-
-//! reply protocol as the in-process channel transport.
+//! slot travels in-band), the driver answers with `Init`, and from then on
+//! the connection carries the same FIFO-command/tagged-reply protocol as
+//! the in-process channel transport.
 //!
-//! `Init` is the only frame that carries statements: it ships every
-//! trigger program once per (re)connection, and `RunBlock` / `ApplyMany`
-//! name blocks and statements by index into them.  So every command is
-//! encoded fresh per send, with nothing cached: a `RunBlock` is 34 bytes
-//! of payload whatever its block holds.
+//! No frame carries a statement.  `Init` ships the query, its strategy,
+//! the final partitioning spec, the opt level and a digest of the compiled
+//! plan; each worker compiles the same programs from it (the compiler is
+//! deterministic) and refuses to start on a digest mismatch, so a worker
+//! — an external one above all — must be the same build as its driver.
+//! `RunBlock` / `ApplyMany` name blocks and statements by index into the
+//! programs, so every command is encoded fresh per send, with nothing
+//! cached: a `RunBlock` is 34 bytes of payload whatever its block holds.
 //!
 //! Construction is the respawn of every slot: one bring-up routine
 //! (`TcpTransport::bring_up` — launch, accept, handshake, `Init` and
@@ -31,7 +34,7 @@
 //! can only differ in how bytes move.  The differential oracle holds
 //! `TcpCluster` bit-for-bit against the simulated cluster.
 
-use crate::codec::{decode_from_slice, encode_to_vec, ToDriver, ToWorker};
+use crate::codec::{decode_from_slice, encode_to_vec, Init, ToDriver, ToWorker};
 use crate::faults::{FaultPlan, FaultState, KillSpec, Phase};
 use crate::frame::{read_frame, recv_msg, send_payload};
 use hotdog_distributed::protocol::{WorkerReply, WorkerRequest};
@@ -64,7 +67,10 @@ pub enum WorkerSpawn {
     Thread,
     /// Spawn nothing: wait for `workers` externally started
     /// `hotdog-worker --connect <addr> --index <i>` processes (possibly
-    /// on other hosts) to connect to [`TcpConfig::bind_addr`].
+    /// on other hosts) to connect to [`TcpConfig::bind_addr`].  Each
+    /// compiles its programs from the query `Init` names, so it must be
+    /// the same build as the driver: a worker whose compile gives another
+    /// plan digest refuses the `Init` and closes the connection.
     External,
 }
 
@@ -245,8 +251,9 @@ pub struct TcpTransport {
     /// to the same address the original cluster handshook on.
     listener: TcpListener,
     config: TcpConfig,
-    /// The encoded `Init{plan, programs}` frame, kept for replays to
-    /// respawned workers (encode once, ship per (re)connection).
+    /// The encoded `Init` frame (the query, how it was compiled and the
+    /// plan's digest), kept for replays to respawned workers (encode once,
+    /// ship per (re)connection).
     init: Vec<u8>,
     faults: FaultState,
     ping_seq: u64,
@@ -277,10 +284,7 @@ impl TcpTransport {
             shut: false,
             listener,
             config: config.clone(),
-            init: encode_to_vec(&ToWorker::Init {
-                plan: dplan.plan.clone(),
-                programs: dplan.program_blocks(),
-            }),
+            init: encode_to_vec(&ToWorker::Init(Init::of(dplan))),
             faults: FaultState::new(config.faults.clone().unwrap_or_default()),
             ping_seq: 0,
             metrics: NetMetrics::register(&telemetry),

@@ -34,13 +34,12 @@ use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
 use hotdog_algebra::tuple::Tuple;
 use hotdog_algebra::value::Value;
-use hotdog_distributed::program::{DistStatement, DistStmtKind, StmtMode, Transform};
 use hotdog_distributed::protocol::{WorkerReply, WorkerRequest};
 use hotdog_distributed::{
-    PartitionFn, ProgramBlocks, WorkerSnapshot, WorkerStats, WorkerStatsSnapshot,
+    DistributedPlan, LocTag, OptLevel, PartitionFn, WorkerSnapshot, WorkerStats,
+    WorkerStatsSnapshot,
 };
-use hotdog_ivm::StmtOp;
-use hotdog_ivm::{MaintenancePlan, Statement, Strategy, Trigger, ViewDef};
+use hotdog_ivm::{StmtOp, Strategy};
 use hotdog_telemetry::trace::{SpanContext, SpanRecord};
 use std::fmt;
 
@@ -608,7 +607,7 @@ impl Wire for Expr {
 }
 
 // ---------------------------------------------------------------------------
-// Plans and statements
+// Statement ops, placement and compile settings
 // ---------------------------------------------------------------------------
 
 impl Wire for StmtOp {
@@ -624,25 +623,6 @@ impl Wire for StmtOp {
             1 => Ok(StmtOp::SetTo),
             tag => Err(DecodeError::BadTag {
                 what: "StmtOp",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for StmtMode {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            StmtMode::Local => 0,
-            StmtMode::Distributed => 1,
-        });
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => Ok(StmtMode::Local),
-            1 => Ok(StmtMode::Distributed),
-            tag => Err(DecodeError::BadTag {
-                what: "StmtMode",
                 tag,
             }),
         }
@@ -671,81 +651,6 @@ impl Wire for PartitionFn {
     }
 }
 
-impl Wire for Transform {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Transform::Scatter(pf) => {
-                out.push(0);
-                pf.encode(out);
-            }
-            Transform::Repart(pf) => {
-                out.push(1);
-                pf.encode(out);
-            }
-            Transform::Gather => out.push(2),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => Ok(Transform::Scatter(PartitionFn::decode(r)?)),
-            1 => Ok(Transform::Repart(PartitionFn::decode(r)?)),
-            2 => Ok(Transform::Gather),
-            tag => Err(DecodeError::BadTag {
-                what: "Transform",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for DistStmtKind {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            DistStmtKind::Compute(e) => {
-                out.push(0);
-                e.encode(out);
-            }
-            DistStmtKind::Transform { kind, source } => {
-                out.push(1);
-                kind.encode(out);
-                source.encode(out);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
-            0 => Ok(DistStmtKind::Compute(Expr::decode(r)?)),
-            1 => Ok(DistStmtKind::Transform {
-                kind: Transform::decode(r)?,
-                source: String::decode(r)?,
-            }),
-            tag => Err(DecodeError::BadTag {
-                what: "DistStmtKind",
-                tag,
-            }),
-        }
-    }
-}
-
-impl Wire for DistStatement {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.target.encode(out);
-        self.target_schema.encode(out);
-        self.op.encode(out);
-        self.kind.encode(out);
-        self.mode.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(DistStatement {
-            target: String::decode(r)?,
-            target_schema: Schema::decode(r)?,
-            op: StmtOp::decode(r)?,
-            kind: DistStmtKind::decode(r)?,
-            mode: StmtMode::decode(r)?,
-        })
-    }
-}
-
 impl Wire for Strategy {
     fn encode(&self, out: &mut Vec<u8>) {
         out.push(match self {
@@ -767,71 +672,52 @@ impl Wire for Strategy {
     }
 }
 
-impl Wire for ViewDef {
+impl Wire for LocTag {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.name.encode(out);
-        self.schema.encode(out);
-        self.definition.encode(out);
-        self.is_top.encode(out);
+        match self {
+            LocTag::Local => out.push(0),
+            LocTag::Dist(pf) => {
+                out.push(1);
+                pf.encode(out);
+            }
+            LocTag::Random => out.push(2),
+            LocTag::Replicated => out.push(3),
+        }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ViewDef {
-            name: String::decode(r)?,
-            schema: Schema::decode(r)?,
-            definition: Expr::decode(r)?,
-            is_top: bool::decode(r)?,
-        })
+        match r.u8()? {
+            0 => Ok(LocTag::Local),
+            1 => Ok(LocTag::Dist(PartitionFn::decode(r)?)),
+            2 => Ok(LocTag::Random),
+            3 => Ok(LocTag::Replicated),
+            tag => Err(DecodeError::BadTag {
+                what: "LocTag",
+                tag,
+            }),
+        }
     }
 }
 
-impl Wire for Statement {
+impl Wire for OptLevel {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.target.encode(out);
-        self.target_schema.encode(out);
-        self.op.encode(out);
-        self.expr.encode(out);
+        out.push(match self {
+            OptLevel::O0 => 0,
+            OptLevel::O1 => 1,
+            OptLevel::O2 => 2,
+            OptLevel::O3 => 3,
+        });
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Statement {
-            target: String::decode(r)?,
-            target_schema: Schema::decode(r)?,
-            op: StmtOp::decode(r)?,
-            expr: Expr::decode(r)?,
-        })
-    }
-}
-
-impl Wire for Trigger {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.relation.encode(out);
-        self.relation_schema.encode(out);
-        self.statements.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Trigger {
-            relation: String::decode(r)?,
-            relation_schema: Schema::decode(r)?,
-            statements: Vec::decode(r)?,
-        })
-    }
-}
-
-impl Wire for MaintenancePlan {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.query_name.encode(out);
-        self.strategy.encode(out);
-        self.top_view.encode(out);
-        self.views.encode(out);
-        self.triggers.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(MaintenancePlan {
-            query_name: String::decode(r)?,
-            strategy: Strategy::decode(r)?,
-            top_view: String::decode(r)?,
-            views: Vec::decode(r)?,
-            triggers: Vec::decode(r)?,
-        })
+        match r.u8()? {
+            0 => Ok(OptLevel::O0),
+            1 => Ok(OptLevel::O1),
+            2 => Ok(OptLevel::O2),
+            3 => Ok(OptLevel::O3),
+            tag => Err(DecodeError::BadTag {
+                what: "OptLevel",
+                tag,
+            }),
+        }
     }
 }
 
@@ -928,7 +814,7 @@ impl Wire for WorkerSnapshot {
 }
 
 /// One tag byte per variant.  Statements never travel in a request — the
-/// worker got them in `Init` — so `RunBlock` is a fixed 33 bytes,
+/// worker compiled them from `Init` — so `RunBlock` is a fixed 33 bytes,
 /// `[0x00][id: 8B][trace: 8B][parent: 8B][program: 4B][block: 4B]`, and
 /// each `ApplyMany` shard is its `(program, block, statement)` position
 /// (three `u32`s) followed by the relation.
@@ -1131,29 +1017,81 @@ impl Wire for WorkerReply {
     }
 }
 
-/// Driver → worker frames: the `Init` handshake carrying the plan and its
-/// programs, then a stream of protocol requests.
+/// What a worker builds its programs from: the query and how the driver
+/// compiled it, plus a digest of the result.  The worker runs the same
+/// deterministic compiler ([`compile_init`]) and refuses to start unless
+/// its own plan has the same [`DistributedPlan::digest`].
+///
+/// [`compile_init`]: crate::worker::compile_init
+pub struct Init {
+    pub query_name: String,
+    /// The query: the top view's definition under every strategy.
+    pub query: Expr,
+    pub strategy: Strategy,
+    /// The driver's *final* placement (after `compile_distributed`'s
+    /// placement pass), sorted by view name.
+    pub spec: Vec<(String, LocTag)>,
+    pub opt: OptLevel,
+    pub digest: u64,
+}
+
+impl Init {
+    /// The `Init` a driver running `dplan` sends.
+    pub fn of(dplan: &DistributedPlan) -> Self {
+        let mut spec: Vec<(String, LocTag)> = dplan
+            .spec
+            .views()
+            .map(|(view, tag)| (view.clone(), tag.clone()))
+            .collect();
+        spec.sort_by(|a, b| a.0.cmp(&b.0));
+        Init {
+            query_name: dplan.plan.query_name.clone(),
+            query: dplan.plan.top().definition.clone(),
+            strategy: dplan.plan.strategy,
+            spec,
+            opt: dplan.opt,
+            digest: dplan.digest(),
+        }
+    }
+}
+
+impl Wire for Init {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.query_name.encode(out);
+        self.query.encode(out);
+        self.strategy.encode(out);
+        self.spec.encode(out);
+        self.opt.encode(out);
+        self.digest.encode(out);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(Init {
+            query_name: String::decode(r)?,
+            query: Expr::decode(r)?,
+            strategy: Strategy::decode(r)?,
+            spec: Vec::decode(r)?,
+            opt: OptLevel::decode(r)?,
+            digest: u64::decode(r)?,
+        })
+    }
+}
+
+/// Driver → worker frames: the `Init` handshake, then a stream of protocol
+/// requests.
 pub enum ToWorker {
-    /// First frame after the connection is slotted: the maintenance plan
-    /// the worker builds its [`WorkerState`] from, and every statement of
-    /// every trigger program — the only time statements cross the wire.
-    /// Later commands name them by position in `programs`.
-    ///
-    /// [`WorkerState`]: hotdog_distributed::WorkerState
-    Init {
-        plan: MaintenancePlan,
-        programs: ProgramBlocks,
-    },
+    /// First frame after the connection is slotted.  No statement ever
+    /// crosses the wire: the worker compiles its programs from the query,
+    /// and later commands name statements by position in them.
+    Init(Init),
     Request(WorkerRequest),
 }
 
 impl Wire for ToWorker {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            ToWorker::Init { plan, programs } => {
+            ToWorker::Init(init) => {
                 out.push(0x40);
-                plan.encode(out);
-                programs.encode(out);
+                init.encode(out);
             }
             ToWorker::Request(req) => {
                 out.push(0x41);
@@ -1163,10 +1101,7 @@ impl Wire for ToWorker {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         match r.u8()? {
-            0x40 => Ok(ToWorker::Init {
-                plan: MaintenancePlan::decode(r)?,
-                programs: Vec::decode(r)?,
-            }),
+            0x40 => Ok(ToWorker::Init(Init::decode(r)?)),
             0x41 => Ok(ToWorker::Request(WorkerRequest::decode(r)?)),
             tag => Err(DecodeError::BadTag {
                 what: "ToWorker",

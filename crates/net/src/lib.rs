@@ -9,15 +9,18 @@
 //!
 //! * [`codec`] — a hand-rolled, length-prefixed binary encoding (no
 //!   serde; the build image is offline) for the full driver↔worker
-//!   message set: values, tuples, relations, expressions, maintenance
-//!   plans and their trigger programs (sent once, in `Init`), commands
-//!   that name statements by index, and the `Ran`/`Rel`/`Ack` replies.
+//!   message set: values, tuples, relations, expressions, the `Init`
+//!   that names the query and how the driver compiled it (never a
+//!   statement), commands that name statements by index, and the
+//!   `Ran`/`Rel`/`Ack` replies.
 //!   Floats travel as raw IEEE-754 bits and relations as sorted pair
 //!   lists, so decoded state is **bit-identical** — in content and in map
 //!   layout — to what an in-process backend holds.
 //! * [`worker`] — the worker event loop over one TCP stream (what the
-//!   `hotdog-worker` binary runs): `Hello` handshake, `Init` plan and
-//!   programs, then
+//!   `hotdog-worker` binary runs): `Hello` handshake, `Init` — from which
+//!   the worker compiles its own programs ([`compile_init`]), refusing a
+//!   plan digest its compile does not reproduce, so a worker must be the
+//!   same build as its driver — then
 //!   [`handle_request`](hotdog_distributed::protocol::handle_request) per
 //!   frame — the exact interpreter the threaded runtime's workers use.
 //! * [`cluster`] — [`TcpTransport`] and [`TcpCluster`]: the driver binds
@@ -51,4 +54,4 @@ pub use cluster::{TcpCluster, TcpConfig, TcpTransport, WorkerSpawn};
 pub use codec::{decode_from_slice, encode_to_vec, DecodeError, Reader, Wire};
 pub use faults::{FaultKind, FaultPlan, FaultState, KillSpec, Phase};
 pub use frame::{read_frame, recv_msg, send_msg, write_frame, MAX_FRAME};
-pub use worker::{run_worker, serve};
+pub use worker::{compile_init, run_worker, serve};

@@ -4,15 +4,19 @@
 //! This is the function the `hotdog-worker` binary runs; it is also
 //! spawnable on an in-process thread ([`TcpConfig::spawn`]'s
 //! `WorkerSpawn::Thread` mode), which exercises the identical wire path
-//! without a subprocess.  All request semantics live in
+//! without a subprocess.  The worker compiles its own programs from the
+//! query its `Init` names ([`compile_init`]) — the calls the in-process
+//! backends make — so it must be the same build as the driver, which the
+//! `Init` digest enforces.  All request semantics live in
 //! [`hotdog_distributed::protocol::handle_request`], shared with the
 //! thread-channel runtime — the loop here only moves frames.
 //!
 //! [`TcpConfig::spawn`]: crate::cluster::TcpConfig
 
-use crate::codec::{ToDriver, ToWorker};
+use crate::codec::{Init, ToDriver, ToWorker};
 use crate::frame::{recv_msg, send_msg};
 use hotdog_distributed::protocol::{handle_request, WorkerRequest};
+use hotdog_distributed::{compile_distributed, DistributedPlan, PartitioningSpec};
 use hotdog_distributed::{Programs, WorkerState};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -26,11 +30,38 @@ pub fn run_worker(addr: &str, index: u32) -> io::Result<()> {
     serve(stream, index)
 }
 
-/// Serve one driver connection: `Hello` handshake, `Init` plan and
-/// programs, then the FIFO request loop.  An `Init` holding a statement
-/// that does not compile, or a command naming a block or statement the
-/// `Init` did not contain, ends the loop with `InvalidData`; the driver
-/// sees the closed connection as `WorkerDead`.
+fn protocol_error(msg: impl std::fmt::Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("protocol error: {msg}"))
+}
+
+/// Compile `init`'s query as the driver did — [`hotdog_ivm::compile`],
+/// then [`compile_distributed`] under the driver's final placement — and
+/// check the result against the driver's digest.  A mismatch (a worker
+/// built from other sources than its driver) is `InvalidData` naming both
+/// digests.
+pub fn compile_init(init: &Init) -> io::Result<DistributedPlan> {
+    let plan = hotdog_ivm::compile(&init.query_name, &init.query, init.strategy);
+    let mut spec = PartitioningSpec::new();
+    for (view, tag) in &init.spec {
+        spec.set(view, tag.clone());
+    }
+    let dplan = compile_distributed(&plan, &spec, init.opt);
+    let digest = dplan.digest();
+    if digest != init.digest {
+        return Err(protocol_error(format_args!(
+            "Init digest {:016x}, but this worker compiles `{}` to {digest:016x}",
+            init.digest, init.query_name
+        )));
+    }
+    Ok(dplan)
+}
+
+/// Serve one driver connection: `Hello` handshake, `Init` (compiled here,
+/// see [`compile_init`]), then the FIFO request loop.  An `Init` whose
+/// digest differs or one of whose statements does not compile, or a
+/// command naming a block or statement the programs do not hold, ends the
+/// loop with `InvalidData`; the driver sees the closed connection as
+/// `WorkerDead`.
 pub fn serve(stream: TcpStream, index: u32) -> io::Result<()> {
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -39,18 +70,12 @@ pub fn serve(stream: TcpStream, index: u32) -> io::Result<()> {
     writer.flush()?;
 
     let mut state = match recv_msg::<ToWorker>(&mut reader)? {
-        ToWorker::Init { plan, programs } => {
-            let programs = Programs::install(programs).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("protocol error: {e}"))
-            })?;
-            WorkerState::with_programs(&plan, Arc::new(programs))
+        ToWorker::Init(init) => {
+            let dplan = compile_init(&init)?;
+            let programs = Programs::install(dplan.program_blocks()).map_err(protocol_error)?;
+            WorkerState::with_programs(&dplan.plan, Arc::new(programs))
         }
-        ToWorker::Request(_) => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "protocol error: request before Init",
-            ))
-        }
+        ToWorker::Request(_) => return Err(protocol_error("request before Init")),
     };
     // Same track numbering as the thread-channel transport (driver is
     // track 0), so a trace stitched over TCP is structurally identical.
@@ -66,17 +91,10 @@ pub fn serve(stream: TcpStream, index: u32) -> io::Result<()> {
             Err(e) => return Err(e),
         };
         match msg {
-            ToWorker::Init { .. } => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "protocol error: duplicate Init",
-                ))
-            }
+            ToWorker::Init(_) => return Err(protocol_error("duplicate Init")),
             ToWorker::Request(WorkerRequest::Shutdown) => return Ok(()),
             ToWorker::Request(req) => {
-                let reply = handle_request(&mut state, req).map_err(|e| {
-                    io::Error::new(io::ErrorKind::InvalidData, format!("protocol error: {e}"))
-                })?;
+                let reply = handle_request(&mut state, req).map_err(protocol_error)?;
                 if let Some(reply) = reply {
                     send_msg(&mut writer, &ToDriver::Reply(reply))?;
                     // One flush per reply: the driver may be blocked on

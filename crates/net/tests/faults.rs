@@ -328,13 +328,14 @@ fn killed_worker_respawns_and_recovers_bit_identically() {
             );
             assert_eq!(tcp.totals.tuples, clean.totals.tuples, "tuples ({label})");
             assert_eq!(
-                tcp.totals.batches, clean.totals.batches,
-                "batches ({label})"
-            );
-            assert_eq!(
                 tcp.totals.latencies.len(),
                 clean.totals.latencies.len(),
                 "latencies ({label})"
+            );
+            assert_eq!(
+                tcp.totals.latencies.len() as u64,
+                snap.counter("driver.batches.executed"),
+                "one latency per executed batch ({label})"
             );
             assert_eq!(
                 tcp.totals.bytes_shuffled, clean.totals.bytes_shuffled,

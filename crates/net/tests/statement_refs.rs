@@ -1,16 +1,17 @@
-//! A TCP worker holds the programs its `Init` carried, compiled once, and
-//! commands name statements by position in them.  A `RunBlock` or
-//! `ApplyMany` naming a position the `Init` did not contain, or an `Init`
-//! holding a statement that does not compile, must end `serve` with
+//! A TCP worker compiles its programs from the query its `Init` names,
+//! once, and commands name statements by position in them.  A `RunBlock`
+//! or `ApplyMany` naming a position the programs do not hold, an `Init`
+//! whose query lowers to a statement that does not compile, or one whose
+//! digest differs from the worker's own compile must end `serve` with
 //! `InvalidData` — never a panic on an index or in the interpreter — and
 //! the driver must see the closed connection as a typed `WorkerDead`.
 
-use hotdog_algebra::expr::{join, rel, sum};
+use hotdog_algebra::expr::{join, rel, sum, Expr};
 use hotdog_distributed::protocol::{WorkerReply, WorkerRequest};
+use hotdog_distributed::StmtMode;
 use hotdog_distributed::{compile_distributed, DistributedPlan, OptLevel, PartitioningSpec};
-use hotdog_distributed::{DistStmtKind, ProgramBlocks, StmtMode};
 use hotdog_ivm::compile_recursive;
-use hotdog_net::codec::{ToDriver, ToWorker};
+use hotdog_net::codec::{Init, ToDriver, ToWorker};
 use hotdog_net::{encode_to_vec, recv_msg, serve, write_frame};
 use hotdog_net::{TcpConfig, TcpTransport, WorkerSpawn};
 use hotdog_runtime::Transport;
@@ -20,10 +21,11 @@ use std::net::{TcpListener, TcpStream};
 use std::thread;
 
 fn dplan() -> DistributedPlan {
-    let plan = compile_recursive(
-        "Q",
-        &sum(["B"], join(rel("R", ["A", "B"]), rel("S", ["B", "C"]))),
-    );
+    compiled(sum(["B"], join(rel("R", ["A", "B"]), rel("S", ["B", "C"]))))
+}
+
+fn compiled(query: Expr) -> DistributedPlan {
+    let plan = compile_recursive("Q", &query);
     let spec = PartitioningSpec::heuristic(&plan, &["A"]);
     compile_distributed(&plan, &spec, OptLevel::O3)
 }
@@ -67,12 +69,12 @@ fn distributed_block(dplan: &DistributedPlan) -> (u32, u32) {
     panic!("plan has no distributed block");
 }
 
-/// Run `serve` against a hand-driven driver end: `Hello` in, `Init` out,
-/// one valid `RunBlock` (answered with `Ran`), then `bad`.  Returns what
-/// `serve` returned.
-fn serve_then(bad: Vec<u8>) -> io::Result<()> {
-    let dplan = dplan();
-    let programs: ProgramBlocks = dplan.program_blocks();
+/// Run `serve` against a hand-driven driver end: `Hello` in, `init` out,
+/// then whatever `frames` exchanges.  Returns what `serve` returned.
+fn serve_with(
+    init: Init,
+    frames: impl FnOnce(&mut TcpStream, &mut BufReader<TcpStream>) -> io::Result<()>,
+) -> io::Result<()> {
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     let worker = thread::spawn(move || serve(TcpStream::connect(addr)?, 0));
@@ -82,19 +84,24 @@ fn serve_then(bad: Vec<u8>) -> io::Result<()> {
         recv_msg::<ToDriver>(&mut reader)?,
         ToDriver::Hello { index: 0 }
     ));
-    let init = ToWorker::Init {
-        plan: dplan.plan.clone(),
-        programs,
-    };
-    write_frame(&mut stream, &encode_to_vec(&init))?;
-    let (p, b) = distributed_block(&dplan);
-    write_frame(&mut stream, &run_block_frame(1, p, b))?;
-    assert!(matches!(
-        recv_msg::<ToDriver>(&mut reader)?,
-        ToDriver::Reply(WorkerReply::Ran { id: 1, .. })
-    ));
-    write_frame(&mut stream, &bad)?;
+    write_frame(&mut stream, &encode_to_vec(&ToWorker::Init(init)))?;
+    frames(&mut stream, &mut reader)?;
     worker.join().expect("serve must not panic")
+}
+
+/// Run `serve` with a valid `Init`, one valid `RunBlock` (answered with
+/// `Ran`), then `bad`.  Returns what `serve` returned.
+fn serve_then(bad: Vec<u8>) -> io::Result<()> {
+    let dplan = dplan();
+    let (p, b) = distributed_block(&dplan);
+    serve_with(Init::of(&dplan), |stream, reader| {
+        write_frame(stream, &run_block_frame(1, p, b))?;
+        assert!(matches!(
+            recv_msg::<ToDriver>(reader)?,
+            ToDriver::Reply(WorkerReply::Ran { id: 1, .. })
+        ));
+        write_frame(stream, &bad)
+    })
 }
 
 #[test]
@@ -121,34 +128,33 @@ fn hand_encoded_frames_match_the_codec() {
     );
 }
 
-/// A hostile `Init`: one statement of a distributed block groups by a
-/// column its body never binds.  The worker rejects it at install, before
-/// any `RunBlock` could reach it.
+/// A hostile `Init`: a query grouping by a column its body never binds,
+/// shipped with its true digest.  The compiler lowers it, and the worker
+/// rejects the lowered statement at install, before any `RunBlock` could
+/// reach it.
 #[test]
-fn serve_rejects_an_init_whose_statement_does_not_compile() -> io::Result<()> {
-    let dplan = dplan();
-    let (p, b) = distributed_block(&dplan);
-    let mut programs = dplan.program_blocks();
-    programs[p as usize][b as usize][0].kind =
-        DistStmtKind::Compute(sum(["Z"], rel("R", ["A", "B"])));
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let worker = thread::spawn(move || serve(TcpStream::connect(addr)?, 0));
-    let (mut stream, _) = listener.accept()?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    assert!(matches!(
-        recv_msg::<ToDriver>(&mut reader)?,
-        ToDriver::Hello { index: 0 }
-    ));
-    let init = ToWorker::Init {
-        plan: dplan.plan.clone(),
-        programs,
-    };
-    write_frame(&mut stream, &encode_to_vec(&init))?;
-    let err = worker.join().expect("serve must not panic").unwrap_err();
+fn serve_rejects_an_init_whose_statement_does_not_compile() {
+    let init = Init::of(&compiled(sum(["Z"], rel("R", ["A", "B"]))));
+    let err = serve_with(init, |_, _| Ok(())).unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     assert!(err.to_string().contains("Sum_[Z]"), "{err}");
-    Ok(())
+}
+
+/// An `Init` whose digest is not what the worker's own compile of the
+/// query gives — a driver built from other sources — is refused, and the
+/// error names both digests.
+#[test]
+fn serve_rejects_an_init_whose_digest_differs() {
+    let mut init = Init::of(&dplan());
+    let ours = init.digest;
+    init.digest ^= 1;
+    let theirs = init.digest;
+    let err = serve_with(init, |_, _| Ok(())).unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    let msg = err.to_string();
+    for digest in [ours, theirs] {
+        assert!(msg.contains(&format!("{digest:016x}")), "{msg}");
+    }
 }
 
 #[test]

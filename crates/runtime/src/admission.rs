@@ -50,7 +50,6 @@ impl<T: Transport> Driver<T> {
         let tuples = entry.delta.len();
         // Counted at first issue: a recovery replays the delta uncounted.
         // Its admitted tuples were counted into the totals at admission.
-        self.totals.batches += 1;
         self.metrics.batches_executed.inc();
         self.metrics.batch_tuples.record(tuples as u64);
         self.execute_canonical(&entry.relation, entry.delta, tuples, true, Some(entry.root))?;

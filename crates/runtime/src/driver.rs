@@ -377,7 +377,6 @@ impl<T: Transport> Driver<T> {
             });
         };
         // Counted at first issue: a recovery replays the batch uncounted.
-        self.totals.batches += 1;
         self.totals.tuples += batch.len();
         self.metrics.batches_executed.inc();
         self.metrics.batch_tuples.record(batch.len() as u64);

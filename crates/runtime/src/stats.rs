@@ -26,17 +26,17 @@ pub struct BatchExecution {
 /// Accumulated totals over a cluster's lifetime.
 #[derive(Clone, Debug, Default)]
 pub struct ClusterTotals {
-    /// Batches issued, each counted once: a recovery replay re-executes
+    /// Tuples admitted, each counted once: a recovery replay re-executes
     /// batches without counting them again.
-    pub batches: usize,
-    /// Tuples admitted, counted like `batches`.
     pub tuples: usize,
     /// Summed batch latencies on a synchronous driver; the admitted
     /// stream's wall-clock up to each flush on a pipelined one.
     pub latency_secs: f64,
-    /// Bytes shuffled, counted like `batches`.
+    /// Bytes shuffled, counted like `tuples`.
     pub bytes_shuffled: usize,
-    /// One latency per issued batch, counted like `batches`.
+    /// One latency per issued batch, counted like `tuples`: its length is
+    /// the number of batches issued (`driver.batches.executed` counts the
+    /// same batches).
     pub latencies: Vec<f64>,
 }
 

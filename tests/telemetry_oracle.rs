@@ -283,8 +283,17 @@ fn trace_oracle_span_structure_agrees_threaded_vs_tcp() {
         let roots: Vec<_> = threaded_spans.iter().filter(|s| s.parent == 0).collect();
         assert_eq!(
             roots.len(),
-            threaded.totals.batches,
+            threaded.totals.latencies.len(),
             "{}: one root span per executed batch",
+            q.id
+        );
+        assert_eq!(
+            threaded.totals.latencies.len() as u64,
+            threaded
+                .telemetry()
+                .counter("driver.batches.executed")
+                .get(),
+            "{}: one latency per executed batch",
             q.id
         );
         assert!(roots.iter().all(|r| r.name == "batch" && r.track == 0));
