@@ -98,9 +98,9 @@ pub enum WorkerRequest {
     Ping { id: u64 },
     /// Checkpoint epoch: canonicalize this node's state (the epoch barrier
     /// that makes restored and surviving nodes bit-identical) and reply
-    /// with a `Checkpoint` carrying the node's full [`WorkerSnapshot`]
-    /// (view partitions, exchange buffers, work counters), which recovery
-    /// sends back in a `Restore`.
+    /// with a `Checkpoint` carrying the node's [`WorkerSnapshot`] (view
+    /// partitions and work counters), which recovery sends back in a
+    /// `Restore`.
     Checkpoint { id: u64 },
     /// Reset this node to a previously checkpointed state (or to empty,
     /// for a respawned worker with no checkpoint yet); answered with an

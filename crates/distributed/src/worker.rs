@@ -152,22 +152,22 @@ pub struct WorkerStatsSnapshot {
     pub cardinalities: Vec<(String, u64)>,
 }
 
-/// A full serializable image of one node's state: every view partition and
-/// exchange buffer in **canonical** (sorted-content) form, plus the work
-/// counters — the payload of the fault-tolerance `Checkpoint`/`Restore`
-/// protocol round.
+/// A serializable image of one node's state: every view partition in
+/// **canonical** (sorted-content) form, plus the work counters — the
+/// payload of the fault-tolerance `Checkpoint`/`Restore` protocol round.
 ///
-/// Both vectors are sorted by name so the encoded bytes are a pure function
-/// of the state, and every relation is [`Relation::canonical`] so a node
+/// Views are sorted by name so the encoded bytes are a pure function of
+/// the state, and every relation is [`Relation::canonical`] so a node
 /// rebuilt from a snapshot lands in exactly the layout the checkpoint
 /// epoch's canonicalization barrier left the original node in (see
-/// [`WorkerState::canonicalize`]).
+/// [`WorkerState::canonicalize`]).  Exchange buffers are not carried: the
+/// compiler makes every one a `SetTo` that its trigger writes before it
+/// reads it in each batch (a scatter ships every worker a shard, empty or
+/// not), so a buffer held at a checkpoint is never read again.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerSnapshot {
     /// `(view name, canonical partition contents)`, sorted by name.
     pub views: Vec<(String, Relation)>,
-    /// `(temp name, canonical buffer contents)`, sorted by name.
-    pub temps: Vec<(String, Relation)>,
     /// The node's cumulative work counters at the checkpoint cut.
     pub stats: WorkerStats,
 }
@@ -259,20 +259,17 @@ impl WorkerState {
         }
     }
 
-    /// Rebuild this node's state in canonical layout — the **epoch
+    /// Rebuild this node's views in canonical layout — the **epoch
     /// barrier** of the fault-tolerant runtime.  Every view pool is rebuilt
-    /// from scratch in sorted-content order and every exchange buffer is
-    /// replaced by its canonical twin, making all subsequent scan-order-
-    /// dependent float arithmetic a pure function of *contents* rather than
-    /// of the node's insertion history.  A node restored from a
+    /// from scratch in sorted-content order, making all subsequent scan-
+    /// order-dependent float arithmetic a pure function of *contents*
+    /// rather than of the node's insertion history (exchange buffers are
+    /// rewritten before their next read; see [`WorkerSnapshot`]).  A node restored from a
     /// [`WorkerSnapshot`] taken at this cut is bit-identical to a node that
     /// canonicalized and kept running — which is what lets the recovery
     /// oracle assert exact equality instead of epsilon closeness.
     pub fn canonicalize(&mut self) {
         self.db.canonicalize();
-        for rel in self.temps.values_mut() {
-            *rel = rel.canonical();
-        }
     }
 
     /// Freeze this node's full state as a canonical [`WorkerSnapshot`]
@@ -284,24 +281,18 @@ impl WorkerState {
             .map(|v| (v.clone(), self.db.snapshot(v).canonical()))
             .collect();
         views.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut temps: Vec<(String, Relation)> = self
-            .temps
-            .iter()
-            .map(|(k, r)| (k.clone(), r.canonical()))
-            .collect();
-        temps.sort_by(|a, b| a.0.cmp(&b.0));
         WorkerSnapshot {
             views,
-            temps,
             stats: self.stats,
         }
     }
 
     /// Reset this node to the state captured in `snapshot` (the handler of
     /// a `Restore` protocol request).  Views absent from the snapshot are
-    /// emptied; every pool is rebuilt from scratch in canonical order, so
-    /// the restored node's layout is bit-identical to the snapshotted
-    /// node's post-[`canonicalize`](WorkerState::canonicalize) layout.
+    /// emptied and exchange buffers dropped; every pool is rebuilt from
+    /// scratch in canonical order, so the restored node's layout is
+    /// bit-identical to the snapshotted node's
+    /// post-[`canonicalize`](WorkerState::canonicalize) layout.
     pub fn restore_state(&mut self, snapshot: &WorkerSnapshot) {
         let names: Vec<String> = self.views.iter().cloned().collect();
         for v in names {
@@ -313,11 +304,7 @@ impl WorkerState {
                 }
             }
         }
-        self.temps = snapshot
-            .temps
-            .iter()
-            .map(|(k, r)| (k.clone(), r.canonical()))
-            .collect();
+        self.temps.clear();
         self.stats = snapshot.stats;
         // A restored node's views no longer correspond to what the capture
         // log recorded; subscribers resynchronize from a snapshot instead.
@@ -335,10 +322,10 @@ impl WorkerState {
         &mut self,
         stmt: &DistStatement,
         plan: &VectorPlan,
-        deltas: &HashMap<String, Relation>,
+        batch: Option<(&str, &Relation)>,
         counters: &mut EvalCounters,
     ) {
-        let executed = hotdog_exec::execute(plan, &self.db, &self.temps, deltas);
+        let executed = hotdog_exec::execute(plan, &self.db, &self.temps, batch);
         self.stats.statements += 1;
         self.stats.instructions += executed.counters.instructions();
         self.stats.tuples_touched += executed.counters.tuples_touched;
@@ -349,16 +336,17 @@ impl WorkerState {
     /// Execute the installed statement at `at` if it is a `Compute` and
     /// apply its result — the driver node's side of a `Local` block;
     /// transformer statements are scheduling constructs handled by the
-    /// backend driver, not per-node work.
+    /// backend driver, not per-node work.  `batch` is the trigger's
+    /// relation and update batch.
     pub fn run_statement(
         &mut self,
         at: StmtRef,
-        deltas: &HashMap<String, Relation>,
+        batch: (&str, &Relation),
         counters: &mut EvalCounters,
     ) -> Result<(), UnknownStatement> {
         let programs = Arc::clone(&self.programs);
         if let (stmt, Some(plan)) = programs.statement(at)? {
-            self.run_compute(stmt, plan, deltas, counters);
+            self.run_compute(stmt, plan, Some(batch), counters);
         }
         Ok(())
     }
@@ -388,7 +376,7 @@ impl WorkerState {
     /// Run every statement of block `block` of program `program` — the
     /// worker side of a `RunBlock`.  Worker blocks never read the batch
     /// (the compiler lowers every delta reference into a scattered temp),
-    /// so they run against an empty deltas map.
+    /// so they run with none.
     pub fn run_block(
         &mut self,
         program: u32,
@@ -397,10 +385,9 @@ impl WorkerState {
     ) -> Result<(), UnknownStatement> {
         let programs = Arc::clone(&self.programs);
         let statements = programs.block(program, block)?;
-        let no_deltas = HashMap::new();
         for (stmt, plan) in statements {
             if let Some(plan) = plan {
-                self.run_compute(stmt, plan, &no_deltas, counters);
+                self.run_compute(stmt, plan, None, counters);
             }
         }
         Ok(())
@@ -626,7 +613,7 @@ mod tests {
             unreachable!("a compute statement")
         };
         let plan = VectorPlan::new(expr).unwrap();
-        node.run_compute(&stmt, &plan, &HashMap::new(), &mut counters);
+        node.run_compute(&stmt, &plan, None, &mut counters);
         assert!(node.temps["copy_1"].approx_eq(&node.snapshot("Q")));
         assert!(counters.instructions() > 0);
         // One scan of a one-record pool.

@@ -188,7 +188,8 @@ pub struct Executed {
 /// The statement was compiled once, where it was installed.
 ///
 /// Before the first row, each relation the plan reads is bound once: a
-/// `Delta` reference to `deltas`, any other reference to a temp of that
+/// `Delta` reference to `batch` when it names the batch's relation (else
+/// to nothing), any other reference to a temp of that
 /// name (an exchange buffer, or a batch-only term its trigger computed
 /// earlier in the batch), or else to the view's pool.  The columnar
 /// interpreter then reads through that binding; its results and counters
@@ -197,9 +198,9 @@ pub fn execute(
     plan: &VectorPlan,
     db: &Database,
     temps: &HashMap<String, Relation>,
-    deltas: &HashMap<String, Relation>,
+    batch: Option<(&str, &Relation)>,
 ) -> Executed {
-    let catalog = StatementCatalog::new(db, temps, deltas);
+    let catalog = StatementCatalog::new(db, temps, batch);
     let bound = Bound {
         rels: (plan.relations())
             .map(|(name, kind)| catalog.resolve(name, kind))
@@ -249,7 +250,8 @@ impl Source for Bound<'_, '_> {
 pub(crate) struct StatementCatalog<'a> {
     db: &'a Database,
     temps: &'a HashMap<String, Relation>,
-    deltas: &'a HashMap<String, Relation>,
+    /// The trigger's relation and its batch, if the statement has one.
+    batch: Option<(&'a str, &'a Relation)>,
     pub(crate) index: SliceIndex<'a>,
 }
 
@@ -257,19 +259,21 @@ impl<'a> StatementCatalog<'a> {
     pub(crate) fn new(
         db: &'a Database,
         temps: &'a HashMap<String, Relation>,
-        deltas: &'a HashMap<String, Relation>,
+        batch: Option<(&'a str, &'a Relation)>,
     ) -> Self {
         StatementCatalog {
             db,
             temps,
-            deltas,
+            batch,
             index: SliceIndex::default(),
         }
     }
 
     fn resolve(&self, name: &str, kind: RelKind) -> Option<Stored<'a>> {
         match kind {
-            RelKind::Delta => self.deltas.get(name).map(Stored::Relation),
+            RelKind::Delta => (self.batch)
+                .filter(|&(relation, _)| relation == name)
+                .map(|(_, rel)| Stored::Relation(rel)),
             _ => match self.temps.get(name) {
                 Some(rel) => Some(Stored::Relation(rel)),
                 None => self.db.pool(name).map(Stored::Pool),
@@ -372,13 +376,10 @@ mod tests {
             "Q",
             Relation::from_pairs(Schema::new(["B"]), vec![(tuple![5], 7.0)]),
         );
-        let mut deltas = HashMap::new();
-        deltas.insert(
-            "R".to_string(),
-            Relation::from_pairs(Schema::new(["A", "B"]), vec![(tuple![1, 5], 1.0)]),
-        );
+        let delta = Relation::from_pairs(Schema::new(["A", "B"]), vec![(tuple![1, 5], 1.0)]);
+        let batch = Some(("R", &delta));
         let no_temps = HashMap::new();
-        let cat = StatementCatalog::new(&db, &no_temps, &deltas);
+        let cat = StatementCatalog::new(&db, &no_temps, batch);
         assert_eq!(cat.lookup("Q", RelKind::View, &tuple![5].0), 7.0);
         assert_eq!(cat.lookup("R", RelKind::Delta, &tuple![1, 5].0), 1.0);
         let mut n = 0;
@@ -397,7 +398,7 @@ mod tests {
                 Relation::from_pairs(Schema::new(["A", "B"]), vec![(tuple![2, 5], 3.0)]),
             ),
         ]);
-        let cat = StatementCatalog::new(&db, &temps, &deltas);
+        let cat = StatementCatalog::new(&db, &temps, batch);
         assert_eq!(cat.lookup("Q", RelKind::View, &tuple![6].0), 4.0);
         assert_eq!(cat.lookup("Q", RelKind::View, &tuple![5].0), 0.0);
         assert_eq!(cat.lookup("R", RelKind::Delta, &tuple![2, 5].0), 0.0);
@@ -430,8 +431,8 @@ mod tests {
         ));
         for expr in [left_deep, nested] {
             let plan = VectorPlan::new(&expr).unwrap();
-            let executed = execute(&plan, &db, &no_temps, &deltas);
-            let cat = StatementCatalog::new(&db, &no_temps, &deltas);
+            let executed = execute(&plan, &db, &no_temps, batch);
+            let cat = StatementCatalog::new(&db, &no_temps, batch);
             let mut ev = Evaluator::new(&cat);
             let want = ev.eval(&expr);
             ev.counters.tuples_touched = cat.index.tuples_touched();

@@ -218,10 +218,9 @@ fn run_trigger(
     delta: Relation,
     stats: &mut BatchStats,
 ) {
-    let deltas = HashMap::from([(relation.to_string(), delta)]);
     let mut temps = HashMap::new();
     for (stmt, plan) in exec.trigger.statements.iter().zip(&exec.plans) {
-        let executed = execute(plan, db, &temps, &deltas);
+        let executed = execute(plan, db, &temps, Some((relation, &delta)));
         stats.eval.add(&executed.counters);
         if db.pool(&stmt.target).is_some() {
             db.apply(&stmt.target, stmt.op, executed.result);
@@ -515,12 +514,11 @@ mod tests {
     /// them; the summed counters.
     fn evaluate_trigger(db: &mut Database, trigger: &Trigger, batch: &Relation) -> EvalCounters {
         let delta = BatchPrep::identity(&trigger.relation_schema).apply(batch);
-        let deltas = HashMap::from([(trigger.relation.clone(), delta)]);
         let mut temps = HashMap::new();
         let mut total = EvalCounters::default();
         for stmt in &trigger.statements {
             let result = {
-                let catalog = StatementCatalog::new(db, &temps, &deltas);
+                let catalog = StatementCatalog::new(db, &temps, Some((&trigger.relation, &delta)));
                 let mut ev = Evaluator::new(&catalog);
                 let result = ev.eval(&stmt.expr);
                 ev.counters.tuples_touched = catalog.index.tuples_touched();

@@ -6,13 +6,16 @@
 //! temps are plain [`Relation`]s rebuilt every batch.  Answering each slice
 //! of one by scanning and filtering makes a statement that probes the batch
 //! once per batch tuple (Q18's nested aggregate on `OK`) cost O(|Δ|²).
-//! [`SliceIndex`] instead builds `key values → [(tuple, mult)]` the first
-//! time a relation is sliced on a given set of positions, in one pass over
-//! [`Relation::iter`], and answers that probe and every later one from the
-//! index in O(matches).
+//! [`SliceIndex`] instead, the first time a relation is sliced on a given
+//! set of positions, collects its rows in one pass over [`Relation::iter`]
+//! and chains their positions in a [`HashIndex`] (the record pools' index
+//! type) by the rows' values there; it answers that probe and every later
+//! one in O(matches), with no key copied.
 //!
-//! Each bucket lists its tuples in the relation's iteration order, so a
-//! probe emits exactly what the scan-and-filter default of
+//! Each key's chain lists its rows in the relation's iteration order (only
+//! a 64-bit hash collision shares a chain between keys, and a probe
+//! confirms every member then), so a probe emits exactly what the
+//! scan-and-filter default of
 //! [`Catalog::slice`](hotdog_algebra::eval::Catalog::slice) emits, in the
 //! same order: emission order, float accumulation order and every
 //! [`EvalCounters`](hotdog_algebra::eval::EvalCounters) field the
@@ -24,12 +27,13 @@
 //! invalidating.  No index outlives its call, so a plan compiled once
 //! indexes each call's batch and temps afresh.
 
-use hotdog_algebra::hash::DetMap;
 use hotdog_algebra::relation::Relation;
 use hotdog_algebra::ring::Mult;
+#[cfg(test)]
 use hotdog_algebra::tuple::Tuple;
 use hotdog_algebra::value::Value;
-use hotdog_storage::RecordPool;
+use hotdog_storage::index::{agrees, hash_at, hash_values, same_at};
+use hotdog_storage::{HashIndex, RecordPool};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -52,11 +56,14 @@ impl Stored<'_> {
     }
 }
 
-/// Tuples of one relation grouped by their values at some positions.
-type Buckets<'a> = DetMap<Tuple, Vec<(&'a [Value], Mult)>>;
-
-/// A built index: the relation, the positions it groups by, its buckets.
-type Built<'a> = (&'a Relation, Vec<usize>, Rc<Buckets<'a>>);
+/// A built index: a relation's rows in iteration order, chained by their
+/// values at `positions`.
+struct Built<'a> {
+    rel: &'a Relation,
+    positions: Vec<usize>,
+    rows: Vec<(&'a [Value], Mult)>,
+    index: HashIndex,
+}
 
 /// One catalog's scan and slice path: relation slices are answered from
 /// hash indexes built on first use, and every tuple a scan, slice or index
@@ -65,7 +72,7 @@ type Built<'a> = (&'a Relation, Vec<usize>, Rc<Buckets<'a>>);
 pub(crate) struct SliceIndex<'a> {
     /// Every index built so far; a statement slices only a few distinct
     /// (relation, positions) pairs, so a list suffices.
-    built: RefCell<Vec<Built<'a>>>,
+    built: RefCell<Vec<Rc<Built<'a>>>>,
     touched: Cell<u64>,
 }
 
@@ -97,12 +104,15 @@ impl<'a> SliceIndex<'a> {
     ) {
         let touched = match stored {
             Stored::Relation(rel) => {
-                let buckets = self.buckets(rel, positions);
-                let rows = buckets.get(key_vals).map_or(&[][..], Vec::as_slice);
-                for &(t, m) in rows {
+                let built = self.built(rel, positions);
+                let is_key = |i: u32| agrees(positions, built.rows[i as usize].0, key_vals);
+                let mut len = 0;
+                for i in built.index.find(hash_values(key_vals.iter()), is_key) {
+                    let (t, m) = built.rows[i as usize];
                     f(t, m);
+                    len += 1;
                 }
-                rows.len()
+                len
             }
             Stored::Pool(pool) => pool.slice(positions, key_vals, f),
         };
@@ -121,25 +131,28 @@ impl<'a> SliceIndex<'a> {
     /// The index of `rel` on `positions`, built by one pass over `rel` on
     /// first use.  Shared out by `Rc` so no borrow of the cache is held
     /// while a probe's callback runs.
-    fn buckets(&self, rel: &'a Relation, positions: &[usize]) -> Rc<Buckets<'a>> {
+    fn built(&self, rel: &'a Relation, positions: &[usize]) -> Rc<Built<'a>> {
         let mut built = self.built.borrow_mut();
-        if let Some((_, _, buckets)) = built
-            .iter()
-            .find(|(r, p, _)| std::ptr::eq(*r, rel) && p == positions)
+        if let Some(b) =
+            (built.iter()).find(|b| std::ptr::eq(b.rel, rel) && b.positions == positions)
         {
-            return Rc::clone(buckets);
+            return Rc::clone(b);
         }
-        let mut buckets = Buckets::default();
-        for (t, m) in rel.iter() {
-            buckets
-                .entry(t.project(positions))
-                .or_default()
-                .push((&t.0, m));
+        let rows: Vec<(&[Value], Mult)> = rel.iter().map(|(t, m)| (&t.0[..], m)).collect();
+        let mut index = HashIndex::default();
+        for (i, &(t, _)) in rows.iter().enumerate() {
+            let same = |x: u32| same_at(positions, rows[x as usize].0, t);
+            index.insert(hash_at(positions, t), i as u32, same);
         }
         self.touch(rel.len());
-        let buckets = Rc::new(buckets);
-        built.push((rel, positions.to_vec(), Rc::clone(&buckets)));
-        buckets
+        let b = Rc::new(Built {
+            rel,
+            positions: positions.to_vec(),
+            rows,
+            index,
+        });
+        built.push(Rc::clone(&b));
+        b
     }
 }
 

@@ -56,6 +56,8 @@ pub enum DecodeError {
     BadBool(u8),
     /// The message decoded fully but bytes were left over.
     TrailingBytes(usize),
+    /// Query expressions nest deeper than [`MAX_NESTING`].
+    TooDeep,
 }
 
 impl fmt::Display for DecodeError {
@@ -66,21 +68,34 @@ impl fmt::Display for DecodeError {
             DecodeError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             DecodeError::BadBool(b) => write!(f, "bad boolean byte {b:#x}"),
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
+            DecodeError::TooDeep => write!(f, "expressions nest deeper than {MAX_NESTING}"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
 
+/// Deepest nesting of `Expr` and `ValExpr` levels, counted together, that
+/// a frame may carry.  Decoding recurses once per level, so the bound is
+/// what keeps a hostile frame from overflowing the decoding thread's
+/// stack; the deepest catalog query nests 13 levels.
+pub const MAX_NESTING: usize = 128;
+
 /// Cursor over a received frame's payload.
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Expression levels being decoded (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            pos: 0,
+            depth: 0,
+        }
     }
 
     /// Bytes not yet consumed.
@@ -99,6 +114,21 @@ impl<'a> Reader<'a> {
 
     fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
+    }
+
+    /// Decode one level of a recursive expression, failing past
+    /// [`MAX_NESTING`] levels.
+    fn nested<T>(
+        &mut self,
+        decode: impl FnOnce(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<T, DecodeError> {
+        if self.depth == MAX_NESTING {
+            return Err(DecodeError::TooDeep);
+        }
+        self.depth += 1;
+        let decoded = decode(self);
+        self.depth -= 1;
+        decoded
     }
 }
 
@@ -467,7 +497,7 @@ impl Wire for ValExpr {
         let pair = |r: &mut Reader<'_>| -> Result<(Box<ValExpr>, Box<ValExpr>), DecodeError> {
             Ok((Box::new(ValExpr::decode(r)?), Box::new(ValExpr::decode(r)?)))
         };
-        match r.u8()? {
+        r.nested(|r| match r.u8()? {
             0 => Ok(ValExpr::Var(String::decode(r)?)),
             1 => Ok(ValExpr::Lit(Value::decode(r)?)),
             2 => pair(r).map(|(a, b)| ValExpr::Add(a, b)),
@@ -478,7 +508,7 @@ impl Wire for ValExpr {
                 what: "ValExpr",
                 tag,
             }),
-        }
+        })
     }
 }
 
@@ -571,7 +601,7 @@ impl Wire for Expr {
         }
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match r.u8()? {
+        r.nested(|r| match r.u8()? {
             0 => Ok(Expr::Rel(RelRef::decode(r)?)),
             1 => Ok(Expr::Union(
                 Box::new(Expr::decode(r)?),
@@ -602,7 +632,7 @@ impl Wire for Expr {
             }),
             9 => Ok(Expr::Exists(Box::new(Expr::decode(r)?))),
             tag => Err(DecodeError::BadTag { what: "Expr", tag }),
-        }
+        })
     }
 }
 
@@ -801,13 +831,11 @@ impl Wire for WorkerStatsSnapshot {
 impl Wire for WorkerSnapshot {
     fn encode(&self, out: &mut Vec<u8>) {
         self.views.encode(out);
-        self.temps.encode(out);
         self.stats.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(WorkerSnapshot {
             views: Vec::decode(r)?,
-            temps: Vec::decode(r)?,
             stats: WorkerStats::decode(r)?,
         })
     }

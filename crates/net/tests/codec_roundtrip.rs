@@ -503,10 +503,8 @@ fn rand_snapshot(rng: &mut StdRng) -> hotdog_distributed::WorkerSnapshot {
             .collect::<Vec<_>>()
     };
     let views = rng.gen_range(0usize..4);
-    let temps = rng.gen_range(0usize..3);
     WorkerSnapshot {
         views: pick(rng, views),
-        temps: pick(rng, temps),
         stats: WorkerStats {
             blocks_run: rng.next_u64(),
             statements: rng.next_u64(),
@@ -521,16 +519,11 @@ fn assert_snapshots_bit_equal(
     a: &hotdog_distributed::WorkerSnapshot,
     b: &hotdog_distributed::WorkerSnapshot,
 ) {
-    for (side, (xs, ys)) in [
-        ("views", (&a.views, &b.views)),
-        ("temps", (&a.temps, &b.temps)),
-    ] {
-        assert_eq!(xs.len(), ys.len(), "{side} count changed");
-        for ((xn, xr), (yn, yr)) in xs.iter().zip(ys) {
-            assert_eq!(xn, yn, "{side} name changed");
-            assert_eq!(xr.checksum(), yr.checksum(), "{side} {xn} bits changed");
-            assert!(xr.schema() == yr.schema(), "{side} {xn} schema changed");
-        }
+    assert_eq!(a.views.len(), b.views.len(), "view count changed");
+    for ((xn, xr), (yn, yr)) in a.views.iter().zip(&b.views) {
+        assert_eq!(xn, yn, "view name changed");
+        assert_eq!(xr.checksum(), yr.checksum(), "view {xn} bits changed");
+        assert!(xr.schema() == yr.schema(), "view {xn} schema changed");
     }
     assert_eq!(a.stats, b.stats);
 }
@@ -608,7 +601,6 @@ proptest! {
         let footprint: usize = snapshot
             .views
             .iter()
-            .chain(&snapshot.temps)
             .map(|(_, r)| r.serialized_size())
             .sum();
         prop_assert!(encoded.len() >= footprint);

@@ -11,7 +11,7 @@ use hotdog_distributed::protocol::{WorkerReply, WorkerRequest};
 use hotdog_distributed::StmtMode;
 use hotdog_distributed::{compile_distributed, DistributedPlan, OptLevel, PartitioningSpec};
 use hotdog_ivm::compile_recursive;
-use hotdog_net::codec::{Init, ToDriver, ToWorker};
+use hotdog_net::codec::{decode_from_slice, DecodeError, Init, ToDriver, ToWorker};
 use hotdog_net::{encode_to_vec, recv_msg, serve, write_frame};
 use hotdog_net::{TcpConfig, TcpTransport, WorkerSpawn};
 use hotdog_runtime::Transport;
@@ -155,6 +155,21 @@ fn serve_rejects_an_init_whose_digest_differs() {
     for digest in [ours, theirs] {
         assert!(msg.contains(&format!("{digest:016x}")), "{msg}");
     }
+}
+
+/// An `Init` whose query is a million nested `Exists` is refused with a
+/// typed error when its nesting passes the codec's bound, instead of
+/// recursing until the decoding thread's stack overflows.
+#[test]
+fn an_init_nested_past_the_bound_is_a_decode_error() {
+    let mut frame = vec![0x40];
+    frame.extend(1u32.to_le_bytes());
+    frame.push(b'Q');
+    frame.extend(std::iter::repeat_n(0x09, 1_000_000));
+    assert!(matches!(
+        decode_from_slice::<ToWorker>(&frame),
+        Err(DecodeError::TooDeep)
+    ));
 }
 
 #[test]

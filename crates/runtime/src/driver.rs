@@ -28,7 +28,7 @@ use hotdog_distributed::{
 };
 use hotdog_exec::relabel;
 use hotdog_telemetry::{ActiveSpan, SpanContext, Telemetry};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -432,10 +432,6 @@ impl<T: Transport> Driver<T> {
         // Before any message is issued: a death mid-batch replays it.
         self.log_for_replay(relation, &delta);
 
-        let mut deltas = HashMap::new();
-        deltas.insert(relation.to_string(), delta);
-        let delta_name = format!("Δ{relation}");
-
         let mut driver_counters = EvalCounters::default();
         for (b, block) in program.blocks.iter().enumerate() {
             match block.mode {
@@ -444,19 +440,14 @@ impl<T: Transport> Driver<T> {
                         match &stmt.kind {
                             DistStmtKind::Compute(_) => {
                                 let at = (p as u32, b as u32, s as u32);
-                                (self.driver.run_statement(at, &deltas, &mut driver_counters))
+                                let batch = (relation, &delta);
+                                (self.driver.run_statement(at, batch, &mut driver_counters))
                                     .expect("the driver installed every statement of its plan");
                             }
                             DistStmtKind::Transform { kind, source } => {
                                 let at = (p as u32, b as u32, s as u32);
-                                let bytes = self.run_transform(
-                                    at,
-                                    stmt,
-                                    kind,
-                                    source,
-                                    &delta_name,
-                                    &deltas,
-                                )?;
+                                let bytes =
+                                    self.run_transform(at, stmt, kind, source, (relation, &delta))?;
                                 stats.bytes_shuffled += bytes;
                             }
                         }
@@ -563,15 +554,14 @@ impl<T: Transport> Driver<T> {
         stmt: &DistStatement,
         kind: &Transform,
         source: &str,
-        delta_name: &str,
-        deltas: &HashMap<String, Relation>,
+        (relation, delta): (&str, &Relation),
     ) -> Result<usize, WorkerDead> {
         match kind {
             // `partition_shards` re-keys the source to the target schema
             // and builds every shard canonically: the batch is scattered by
             // reference, with no copy or relabel first.
-            Transform::Scatter(pf) => Ok(if source == delta_name {
-                let delta = deltas.values().next().expect("one delta per batch");
+            // The batch's scatter reads `Δ<relation>`.
+            Transform::Scatter(pf) => Ok(if source.strip_prefix('Δ') == Some(relation) {
                 self.scatter(pf, delta, at, stmt)
             } else {
                 let view = self.driver.read(source);

@@ -6,11 +6,14 @@
 //! * [`pool::RecordPool`] — the multi-indexed record pool used for dynamic
 //!   materialized views: every key stored once in one value slab with an
 //!   arity stride (a record is no allocation of its own), a unique index
-//!   over the full key and non-unique indexes for `slice` access patterns,
-//!   all of one kind (a table from a 64-bit hash to a bucket of slots).
-//!   Its scan and slice order (slot order, LIFO slot reuse,
-//!   vector-ordered buckets) is part of its contract, pinned by an
-//!   order-model property test;
+//!   over the full key and non-unique indexes for `slice` access patterns.
+//!   Its scan and slice order (slot order, LIFO slot reuse, vector order
+//!   per key) is part of its contract, pinned by an order-model property
+//!   test;
+//! * [`index::HashIndex`] — the one hash index: a table from a 64-bit hash
+//!   to a chain of member ids (16 bytes an entry), behind every index of a
+//!   record pool and `hotdog-exec`'s per-call slice index over a batch or
+//!   an exchange buffer;
 //! * [`columnar::ColumnarBatch`] — column-oriented update batches supporting
 //!   static-predicate filtering and batch pre-aggregation.
 //!
@@ -30,11 +33,13 @@
 #![forbid(unsafe_code)]
 
 pub mod columnar;
+pub mod index;
 #[cfg(test)]
 mod order_model;
 pub mod pool;
 
 pub use columnar::ColumnarBatch;
+pub use index::HashIndex;
 pub use pool::{PoolCounters, RecordPool};
 
 #[cfg(test)]

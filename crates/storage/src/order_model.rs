@@ -10,8 +10,10 @@
 //!   live slots in slot order;
 //! * a new record takes the most recently freed slot, else one past the
 //!   end; `clear` frees every slot so that the highest is reused first;
-//! * an indexed `slice` visits its bucket in order: an insert appends to
-//!   the bucket, a removal swap-removes from it;
+//! * an indexed `slice` visits its bucket, the key's records, in order:
+//!   an insert appends to the bucket, a removal swap-removes from it (the
+//!   pool keeps buckets as [`HashIndex`](crate::HashIndex) chains, which
+//!   only a hash collision shares between keys);
 //! * a record keeps the key it was first inserted with, and `Long(1)` and
 //!   `Double(1.0)` are one key;
 //! * a record goes when its multiplicity's magnitude drops below

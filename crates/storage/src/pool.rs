@@ -6,19 +6,20 @@
 //! `values[s·arity .. (s+1)·arity]` and its multiplicity `mults[s]`, so a
 //! record is no allocation of its own.  Each record's key lives in exactly
 //! one place, its slot; the pool's hash indexes hold slot ids, keyed by a
-//! 64-bit [`FoldHasher`] hash of the indexed columns, and never own, clone
-//! or re-hash a key:
+//! 64-bit hash of the indexed columns, and never own, clone or re-hash a
+//! key:
 //!
 //! * the **unique index** covers the full key and supports `get`,
 //!   `update`, `set` and `delete`;
 //! * any number of **non-unique indexes** over column subsets support
 //!   `slice` (iterate all records matching a partial key).
 //!
-//! An index maps a hash to a bucket: the first and last slot of a list
-//! linked through a per-slot array of the index, so a bucket allocates
-//! nothing (a unique index's buckets hold one record each and never link).
-//! A probe hashes its key once and confirms the hit against the first
-//! member's stored key; buckets whose hashes collide are chained, so
+//! Every index is a [`HashIndex`]: a table from a hash to the first and
+//! last slot of a chain linked through a per-slot array, so a chain
+//! allocates nothing (a unique index's chains hold one record each and
+//! never link unless two keys' hashes collide).  A probe hashes its key
+//! once and confirms the hit against the chain's head's stored key, or
+//! against every member once a collision has mixed two keys in a chain, so
 //! colliding keys still get exact answers.
 //!
 //! Which secondary indexes exist is decided at compile time by the access
@@ -34,23 +35,21 @@
 //! * `foreach` and an unindexed `slice` visit live records in slot order;
 //! * a new record takes the most recently freed slot, else one past the
 //!   end; `clear` frees every slot so that the highest is reused first;
-//! * an indexed `slice` visits its bucket in order: an insert appends to
-//!   the bucket, a removal swap-removes from it;
+//! * an indexed `slice` visits its key's records in vector order: an
+//!   insert appends to them, a removal swap-removes from them (the key's
+//!   last record takes the removed one's place);
 //! * a record keeps the key it was first inserted with (`Long(1)` and
 //!   `Double(1.0)` are one key), and goes when the magnitude of its
 //!   multiplicity drops below [`MULT_EPSILON`].
 
-use hotdog_algebra::hash::{DetMap, FoldHasher};
+#[cfg(test)]
+pub(crate) use crate::index::HASH_MASK;
+use crate::index::{agrees, hash_at, hash_values, same_at, HashIndex};
 use hotdog_algebra::ring::{Mult, MULT_EPSILON};
 use hotdog_algebra::tuple::Tuple;
 use hotdog_algebra::value::Value;
 use std::cell::Cell;
-use std::collections::hash_map::Entry;
-use std::hash::{Hash, Hasher};
 use std::mem::size_of;
-
-/// No slot or bucket: the end of a bucket chain, or no predecessor.
-const NIL: u32 = u32::MAX;
 
 /// The multiplicity of a free slot.  No record holds it: a record goes
 /// once its magnitude drops below [`MULT_EPSILON`].
@@ -60,43 +59,10 @@ const FREE: Mult = 0.0;
 /// value shares) outlives its record.
 const VACANT: Value = Value::Long(0);
 
-#[cfg(test)]
-thread_local! {
-    /// Bits of every index hash that are kept: tests narrow it to force
-    /// 64-bit hash collisions.
-    pub(crate) static HASH_MASK: Cell<u64> = const { Cell::new(u64::MAX) };
-}
-
-/// An index hash: of a key's indexed columns, or of a probe's values.
-fn hash_values<'v>(values: impl ExactSizeIterator<Item = &'v Value>) -> u64 {
-    let mut h = FoldHasher::default();
-    h.write_usize(values.len());
-    for v in values {
-        v.hash(&mut h);
-    }
-    #[cfg(test)]
-    return h.finish() & HASH_MASK.with(Cell::get);
-    #[cfg(not(test))]
-    h.finish()
-}
-
 /// A key's hash in the unique index, which covers every column in order
 /// (a key of the wrong arity hashes too, and is found nowhere).
 fn key_hash(key: &[Value]) -> u64 {
     hash_values(key.iter())
-}
-
-/// Heap bytes of a hash table, from its capacity by std's (hashbrown's)
-/// layout: a power-of-two number of buckets filled to at most 7/8 (to all
-/// but one below 8 buckets), each an entry and a control byte, plus one
-/// 16-byte group of trailing control bytes.
-fn table_bytes<K, V>(map: &DetMap<K, V>) -> usize {
-    let buckets = match map.capacity() {
-        0 => return 0,
-        cap if cap < 8 => cap + 1,
-        cap => cap / 7 * 8,
-    };
-    buckets * (size_of::<(K, V)>() + 1) + 16
 }
 
 /// Every record of a pool: slot `s` holds the key
@@ -153,225 +119,11 @@ impl Slab {
     }
 }
 
-/// The records that agree on an index's columns: `len` slots from `first`
-/// to `last`, linked through the index's `links`.  Bucket order is kept as
-/// one vector would keep it: an insert appends, a removal swap-removes
-/// (the last member takes the removed one's place).  Only members other
-/// than the last are linked.
-#[derive(Clone, Copy, Debug)]
-struct Bucket {
-    first: u32,
-    last: u32,
-    len: u32,
-    /// Next bucket (in the index's `overflow`) with the same hash.
-    next: u32,
-}
-
-impl Bucket {
-    fn new(slot: u32, next: u32) -> Self {
-        Bucket {
-            first: slot,
-            last: slot,
-            len: 1,
-            next,
-        }
-    }
-
-    fn push(&mut self, links: &mut Vec<u32>, slot: u32) {
-        // Every member of a bucket of two or more has a link entry.
-        let need = self.last.max(slot) as usize + 1;
-        if links.len() < need {
-            links.resize(need, NIL);
-        }
-        links[self.last as usize] = slot;
-        self.last = slot;
-        self.len += 1;
-    }
-
-    /// Swap-remove `slot`: `None` when it is not a member, else whether the
-    /// bucket is now empty.
-    fn remove(&mut self, links: &mut [u32], slot: u32) -> Option<bool> {
-        // One walk finds the member before `slot` and the one before `last`.
-        let (mut before_slot, mut prev, mut cur) = (None, NIL, self.first);
-        while cur != self.last {
-            if cur == slot {
-                before_slot = Some(prev);
-            }
-            (prev, cur) = (cur, links[cur as usize]);
-        }
-        if slot == self.last {
-            if prev == NIL {
-                return Some(true);
-            }
-            self.last = prev;
-        } else {
-            let before_slot = before_slot?;
-            let last = self.last;
-            if links[slot as usize] != last {
-                links[last as usize] = links[slot as usize];
-                self.last = prev;
-            }
-            match before_slot {
-                NIL => self.first = last,
-                before => links[before as usize] = last,
-            }
-        }
-        self.len -= 1;
-        Some(false)
-    }
-}
-
-/// A hash index over the key columns at `positions`: the pool's unique
-/// index covers every column, a secondary index some.
+/// A non-unique index over the key columns at `positions`.
 #[derive(Clone, Debug, Default)]
-struct Index {
+struct Secondary {
     positions: Vec<usize>,
-    /// Hash -> the first bucket with that hash.
-    buckets: DetMap<u64, Bucket>,
-    /// Buckets whose hash a bucket in `buckets` already has, chained from
-    /// it (64-bit collisions only).
-    overflow: Vec<Bucket>,
-    /// Ids of emptied overflow buckets, reused last-in first-out.
-    free: Vec<u32>,
-    /// Per slot: the next member of its record's bucket.
-    links: Vec<u32>,
-}
-
-impl Index {
-    fn over(positions: Vec<usize>) -> Self {
-        Index {
-            positions,
-            ..Default::default()
-        }
-    }
-
-    fn hash(&self, key: &[Value]) -> u64 {
-        hash_values(self.positions.iter().map(|&p| &key[p]))
-    }
-
-    /// The bucket of the records whose indexed columns equal `key_vals`,
-    /// whose hash is `h`.
-    fn find(&self, slab: &Slab, h: u64, key_vals: &[Value]) -> Option<&Bucket> {
-        if key_vals.len() != self.positions.len() {
-            return None;
-        }
-        let matches = |b: &Bucket| {
-            let member = slab.key(b.first);
-            (self.positions.iter().zip(key_vals)).all(|(&p, v)| &member[p] == v)
-        };
-        let mut bucket = self.buckets.get(&h)?;
-        while !matches(bucket) {
-            if bucket.next == NIL {
-                return None;
-            }
-            bucket = &self.overflow[bucket.next as usize];
-        }
-        Some(bucket)
-    }
-
-    /// The slots of `bucket`'s members, in bucket order.
-    fn members<'a>(&'a self, bucket: &Bucket) -> impl Iterator<Item = u32> + 'a {
-        let mut slot = bucket.first;
-        (0..bucket.len).map(move |i| {
-            if i > 0 {
-                slot = self.links[slot as usize];
-            }
-            slot
-        })
-    }
-
-    /// Append `slot`, whose record has key `key` (hash `h`) and is not yet
-    /// indexed here, to its bucket.
-    fn insert(&mut self, slab: &Slab, h: u64, key: &[Value], slot: u32) {
-        let same = |b: &Bucket| {
-            let member = slab.key(b.first);
-            self.positions.iter().all(|&p| member[p] == key[p])
-        };
-        let head = match self.buckets.entry(h) {
-            Entry::Vacant(e) => {
-                e.insert(Bucket::new(slot, NIL));
-                return;
-            }
-            Entry::Occupied(e) => e.into_mut(),
-        };
-        if same(head) {
-            head.push(&mut self.links, slot);
-            return;
-        }
-        let mut id = head.next;
-        while id != NIL {
-            let bucket = &mut self.overflow[id as usize];
-            if same(bucket) {
-                bucket.push(&mut self.links, slot);
-                return;
-            }
-            id = bucket.next;
-        }
-        let bucket = Bucket::new(slot, head.next);
-        head.next = match self.free.pop() {
-            Some(id) => {
-                self.overflow[id as usize] = bucket;
-                id
-            }
-            None => {
-                self.overflow.push(bucket);
-                (self.overflow.len() - 1) as u32
-            }
-        };
-    }
-
-    /// Swap-remove `slot`, whose record's hash here is `h`, from its
-    /// bucket, and free the bucket if that empties it.
-    fn remove(&mut self, h: u64, slot: u32) {
-        let Entry::Occupied(mut e) = self.buckets.entry(h) else {
-            unreachable!("an indexed record's hash has a bucket");
-        };
-        let head = e.get_mut();
-        match head.remove(&mut self.links, slot) {
-            Some(false) => {}
-            // The first bucket emptied: its overflow successor takes its
-            // place, or the hash goes.
-            Some(true) if head.next == NIL => drop(e.remove()),
-            Some(true) => {
-                let id = head.next;
-                *head = self.overflow[id as usize];
-                self.free.push(id);
-            }
-            None => {
-                let (mut prev, mut id) = (NIL, head.next);
-                loop {
-                    let bucket = &mut self.overflow[id as usize];
-                    match bucket.remove(&mut self.links, slot) {
-                        Some(false) => return,
-                        Some(true) => {
-                            let next = bucket.next;
-                            match prev {
-                                NIL => head.next = next,
-                                prev => self.overflow[prev as usize].next = next,
-                            }
-                            self.free.push(id);
-                            return;
-                        }
-                        None => (prev, id) = (id, bucket.next),
-                    }
-                }
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        self.buckets.clear();
-        self.overflow.clear();
-        self.free.clear();
-    }
-
-    /// Heap bytes this index holds (see [`RecordPool::heap_bytes`]).
-    fn heap_bytes(&self) -> usize {
-        self.positions.capacity() * size_of::<usize>()
-            + table_bytes(&self.buckets)
-            + self.overflow.capacity() * size_of::<Bucket>()
-            + (self.free.capacity() + self.links.capacity()) * size_of::<u32>()
-    }
+    index: HashIndex,
 }
 
 /// Operation counters for a pool; these stand in for the hardware counters
@@ -411,8 +163,8 @@ pub struct RecordPool {
     /// Free slots, reused last-in first-out.
     free: Vec<u32>,
     /// The unique index, over every key column.
-    primary: Index,
-    secondary: Vec<Index>,
+    primary: HashIndex,
+    secondary: Vec<Secondary>,
     counters: Cell<PoolCounters>,
 }
 
@@ -424,7 +176,6 @@ impl RecordPool {
                 arity,
                 ..Default::default()
             },
-            primary: Index::over((0..arity).collect()),
             ..Default::default()
         }
     }
@@ -446,11 +197,12 @@ impl RecordPool {
         if self.has_secondary_index(&positions) {
             return;
         }
-        let mut ix = Index::over(positions);
+        let mut index = HashIndex::default();
         for (slot, key, _) in self.slab.live() {
-            ix.insert(&self.slab, ix.hash(key), key, slot);
+            let same = |s| same_at(&positions, self.slab.key(s), key);
+            index.insert(hash_at(&positions, key), slot, same);
         }
-        self.secondary.push(ix);
+        self.secondary.push(Secondary { positions, index });
     }
 
     /// Positions covered by each secondary index (for introspection/tests).
@@ -488,8 +240,10 @@ impl RecordPool {
             + self.slab.mults.capacity() * size_of::<Mult>()
             + self.free.capacity() * size_of::<u32>()
             + self.primary.heap_bytes()
-            + self.secondary.capacity() * size_of::<Index>()
-            + self.secondary.iter().map(Index::heap_bytes).sum::<usize>()
+            + self.secondary.capacity() * size_of::<Secondary>()
+            + (self.secondary.iter())
+                .map(|ix| ix.positions.capacity() * size_of::<usize>() + ix.index.heap_bytes())
+                .sum::<usize>()
     }
 
     fn bump(&self, f: impl FnOnce(&mut PoolCounters)) {
@@ -510,8 +264,7 @@ impl RecordPool {
 
     /// Slot of the record keyed `key`, whose hash is `h`.
     fn find(&self, h: u64, key: &[Value]) -> Option<u32> {
-        let bucket = self.primary.find(&self.slab, h, key)?;
-        Some(bucket.first)
+        self.primary.find(h, |s| self.slab.key(s) == key).next()
     }
 
     /// Multiplicity stored for `key` (0 when absent).
@@ -575,10 +328,11 @@ impl RecordPool {
         });
         let slot = self.free.pop().unwrap_or(self.slab.slots() as u32);
         self.slab.put(slot, key, value);
-        let key = self.slab.key(slot);
-        self.primary.insert(&self.slab, h, key, slot);
-        for ix in &mut self.secondary {
-            ix.insert(&self.slab, ix.hash(key), key, slot);
+        let (slab, key) = (&self.slab, self.slab.key(slot));
+        self.primary.insert(h, slot, |s| slab.key(s) == key);
+        for Secondary { positions, index } in &mut self.secondary {
+            let same = |s| same_at(positions, slab.key(s), key);
+            index.insert(hash_at(positions, key), slot, same);
         }
     }
 
@@ -596,10 +350,11 @@ impl RecordPool {
             c.deletes += 1;
             c.slots_touched += 1;
         });
-        self.primary.remove(h, slot);
-        let key = self.slab.key(slot);
-        for ix in &mut self.secondary {
-            ix.remove(ix.hash(key), slot);
+        let (slab, key) = (&self.slab, self.slab.key(slot));
+        self.primary.remove(h, slot, |s| slab.key(s) == key);
+        for Secondary { positions, index } in &mut self.secondary {
+            let same = |s| same_at(positions, slab.key(s), key);
+            index.remove(hash_at(positions, key), slot, same);
         }
         self.slab.vacate(slot);
         self.free.push(slot);
@@ -609,7 +364,7 @@ impl RecordPool {
     pub fn clear(&mut self) {
         self.primary.clear();
         for ix in &mut self.secondary {
-            ix.clear();
+            ix.index.clear();
         }
         self.free.clear();
         self.free.extend(0..self.slab.slots() as u32);
@@ -639,15 +394,16 @@ impl RecordPool {
         f: &mut dyn FnMut(&[Value], Mult),
     ) -> usize {
         if let Some(ix) = self.secondary.iter().find(|ix| ix.positions == positions) {
-            let bucket = ix.find(&self.slab, hash_values(key_vals.iter()), key_vals);
-            let len = bucket.map_or(0, |b| b.len as usize);
+            let is_key = |s| agrees(positions, self.slab.key(s), key_vals);
+            let mut len = 0;
+            for slot in ix.index.find(hash_values(key_vals.iter()), is_key) {
+                f(self.slab.key(slot), self.slab.mults[slot as usize]);
+                len += 1;
+            }
             self.bump(|c| {
                 c.slices += 1;
                 c.slots_touched += len as u64;
             });
-            for slot in bucket.into_iter().flat_map(|b| ix.members(b)) {
-                f(self.slab.key(slot), self.slab.mults[slot as usize]);
-            }
             len
         } else {
             // Unindexed slice: filtered scan.
@@ -683,6 +439,7 @@ impl RecordPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::table_bytes;
     use hotdog_algebra::tuple;
 
     /// A slot is its key's values and one multiplicity in the slab:
@@ -700,6 +457,23 @@ mod tests {
             let slab =
                 p.slab.values.len() * size_of::<Value>() + p.slab.mults.len() * size_of::<Mult>();
             assert_eq!(slab, p.capacity() * (16 * arity + 8), "arity {arity}");
+        }
+    }
+
+    /// The unique index is a table of 16-byte entries (a hash and a chain's
+    /// two ends) and nothing else: for N keys, a pool's heap bytes are its
+    /// slab plus the table std builds for N such entries.
+    #[test]
+    fn the_unique_index_holds_16_bytes_per_table_entry() {
+        for n in [1u32, 7, 8, 100, 1000] {
+            let mut p = RecordPool::new(1);
+            let mut table = hotdog_algebra::hash::DetMap::<u64, (u32, u32)>::default();
+            for i in 0..n {
+                p.update(tuple![i64::from(i)], 1.0);
+                table.insert(i.into(), (i, i));
+            }
+            let slab = p.slab.values.capacity() * 16 + p.slab.mults.capacity() * 8;
+            assert_eq!(p.heap_bytes(), slab + table_bytes(&table), "{n} keys");
         }
     }
 
