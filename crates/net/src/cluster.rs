@@ -21,6 +21,16 @@
 //! programs, so every command is encoded fresh per send, with nothing
 //! cached: a `RunBlock` is 34 bytes of payload whatever its block holds.
 //!
+//! Commands leave in bursts.  [`Transport::send`] encodes each frame
+//! straight into its connection's outgoing buffer; the buffer reaches the
+//! socket in one `write_all` at a *flush point*: when the driver stops
+//! issuing ([`Transport::flush_sends`], after a block's `ApplyMany` and
+//! `RunBlock` are queued for every worker and at the end of a batch's
+//! issue), before any [`Transport::recv`] waits, before a heartbeat
+//! `Ping`, a fault kill and `Shutdown`.  Buffering sets how many writes
+//! the frames take, never the frames or their order: a Q3 round at two
+//! workers is six socket writes, one per worker per block.
+//!
 //! Construction is the respawn of every slot: one bring-up routine
 //! (`TcpTransport::bring_up` — launch, accept, handshake, `Init` and
 //! reply pump) runs for `0..workers` at construction and for `[w]` when
@@ -34,14 +44,14 @@
 //! can only differ in how bytes move.  The differential oracle holds
 //! `TcpCluster` bit-for-bit against the simulated cluster.
 
-use crate::codec::{decode_from_slice, encode_to_vec, Init, ToDriver, ToWorker};
+use crate::codec::{decode_from_slice, Init, ToDriver, ToWorker};
 use crate::faults::{FaultPlan, FaultState, KillSpec, Phase};
-use crate::frame::{read_frame, recv_msg, send_payload};
+use crate::frame::{encode_frame, read_frame, recv_msg};
 use hotdog_distributed::protocol::{WorkerReply, WorkerRequest};
 use hotdog_distributed::DistributedPlan;
 use hotdog_runtime::{Driver, PipelineConfig, PipelineStats, Transport, WorkerDead};
 use hotdog_telemetry::{Counter, Histogram, Telemetry};
-use std::io::{self, BufReader};
+use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::ops::{Deref, DerefMut};
 use std::path::PathBuf;
@@ -187,6 +197,11 @@ struct NetMetrics {
     heartbeat_missed: Arc<Counter>,
     /// Kill specs fired by the fault-injection schedule.
     fault_injected: Arc<Counter>,
+    /// Socket writes of a connection's command buffer, one per flush
+    /// that found it non-empty (the `Init` handshake is not counted, as in
+    /// `net.frames.sent`).
+    writes: Arc<Counter>,
+    write_micros: Arc<Histogram>,
     encode_micros: Arc<Histogram>,
     decode_micros: Arc<Histogram>,
 }
@@ -201,6 +216,8 @@ impl NetMetrics {
             rejected_connections: t.counter("net.rejected_connections"),
             heartbeat_missed: t.counter("worker.heartbeat_missed"),
             fault_injected: t.counter("fault.injected"),
+            writes: t.counter("net.writes"),
+            write_micros: t.histogram("net.write_micros"),
             encode_micros: t.histogram("net.encode_micros"),
             decode_micros: t.histogram("net.decode_micros"),
         }
@@ -209,9 +226,12 @@ impl NetMetrics {
 
 /// One connected worker endpoint, driver side.
 struct WorkerConn {
-    /// Command stream (writes are frame-at-a-time; `TCP_NODELAY` keeps
-    /// small command frames from stalling in the kernel).
+    /// Command stream.  Written only by [`TcpTransport::flush_conn`], one
+    /// `write_all` of `out` per flush point; `TCP_NODELAY` sends each burst
+    /// at once instead of holding it for the previous one's ACK.
     stream: TcpStream,
+    /// Command frames queued since the last flush point, in send order.
+    out: Vec<u8>,
     /// Replies pumped off the socket by a dedicated reader thread —
     /// giving `recv` a timeout (the heartbeat probe) instead of
     /// partial-frame parsing on a socket read deadline.
@@ -243,6 +263,9 @@ type Launched = (Option<Child>, Option<JoinHandle<()>>);
 /// its reply pump will own.
 type Accepted = (TcpStream, BufReader<TcpStream>);
 
+/// A running reply pump: its thread, the inbox it fills and its pong count.
+type Pump = (JoinHandle<()>, Receiver<PumpedReply>, Arc<AtomicU64>);
+
 /// [`Transport`] implementation over per-worker TCP connections.
 pub struct TcpTransport {
     conns: Vec<WorkerConn>,
@@ -251,9 +274,9 @@ pub struct TcpTransport {
     /// to the same address the original cluster handshook on.
     listener: TcpListener,
     config: TcpConfig,
-    /// The encoded `Init` frame (the query, how it was compiled and the
-    /// plan's digest), kept for replays to respawned workers (encode once,
-    /// ship per (re)connection).
+    /// The encoded `Init` frame, length prefix included (the query, how it
+    /// was compiled and the plan's digest), kept for replays to respawned
+    /// workers (encode once, ship per (re)connection).
     init: Vec<u8>,
     faults: FaultState,
     ping_seq: u64,
@@ -279,12 +302,14 @@ impl TcpTransport {
         let listener = TcpListener::bind(&config.bind_addr)?;
         listener.set_nonblocking(true)?;
         let telemetry = Telemetry::shared();
+        let mut init = Vec::new();
+        encode_frame(&mut init, &ToWorker::Init(Init::of(dplan)))?;
         let mut transport = TcpTransport {
             conns: Vec::new(),
             shut: false,
             listener,
             config: config.clone(),
-            init: encode_to_vec(&ToWorker::Init(Init::of(dplan))),
+            init,
             faults: FaultState::new(config.faults.clone().unwrap_or_default()),
             ping_seq: 0,
             metrics: NetMetrics::register(&telemetry),
@@ -427,7 +452,10 @@ impl TcpTransport {
 
     /// Ship the retained `Init` to every accepted connection, then start
     /// each one's reply pump.  All sends come first: until the pumps run,
-    /// a failure just drops the streams, which closes them.
+    /// a failure just drops the streams, which closes them.  A pump that
+    /// cannot be spawned shuts every stream, which ends the pumps already
+    /// running (and fells thread-mode workers), and joins those pumps
+    /// before the error returns; `bring_up` reaps the launched endpoints.
     fn start(
         &self,
         slots: &[usize],
@@ -435,22 +463,36 @@ impl TcpTransport {
         launched: &mut Vec<Launched>,
     ) -> io::Result<Vec<WorkerConn>> {
         for (stream, _) in &mut accepted {
-            send_payload(stream, &self.init)?;
+            stream.write_all(&self.init)?;
         }
-        let conns = slots.iter().zip(accepted).zip(launched.drain(..));
+        let mut spawned = Vec::with_capacity(slots.len());
+        for (&w, (stream, reader)) in slots.iter().zip(accepted) {
+            match self.spawn_reader(w, reader) {
+                Ok(pump) => spawned.push((stream, pump)),
+                Err(e) => {
+                    let _ = stream.shutdown(Shutdown::Both);
+                    for (stream, (handle, ..)) in spawned {
+                        let _ = stream.shutdown(Shutdown::Both);
+                        join(Some(handle));
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        let conns = spawned.into_iter().zip(launched.drain(..));
         Ok(conns
-            .map(|((&w, (stream, reader)), (child, serve_thread))| {
-                let (handle, inbox, pongs) = self.spawn_reader(w, reader);
-                WorkerConn {
+            .map(
+                |((stream, (handle, inbox, pongs)), (child, serve_thread))| WorkerConn {
                     stream,
+                    out: Vec::new(),
                     inbox,
                     reader: Some(handle),
                     child,
                     serve_thread,
                     pongs,
                     dead: false,
-                }
-            })
+                },
+            )
             .collect())
     }
 
@@ -461,12 +503,8 @@ impl TcpTransport {
     /// second `Hello`) is pumped as the last item, so the driver's
     /// [`WorkerDead`] carries it.  `Pong`s are counted into `pongs` and
     /// dropped — heartbeat answers never reach the driver's accounting.
-    #[allow(clippy::type_complexity)]
-    fn spawn_reader(
-        &self,
-        i: usize,
-        mut reader: BufReader<TcpStream>,
-    ) -> (JoinHandle<()>, Receiver<PumpedReply>, Arc<AtomicU64>) {
+    /// Failing to spawn the thread is an I/O error, not a panic.
+    fn spawn_reader(&self, i: usize, mut reader: BufReader<TcpStream>) -> io::Result<Pump> {
         let (tx, rx) = channel();
         let pongs = Arc::new(AtomicU64::new(0));
         let m = self.metrics.clone();
@@ -500,17 +538,18 @@ impl TcpTransport {
                         return;
                     }
                 }
-            })
-            .expect("failed to spawn reader thread");
-        (handle, rx, pongs)
+            })?;
+        Ok((handle, rx, pongs))
     }
 
     /// The one per-slot teardown, shared by fencing a dead slot, clearing
-    /// one before respawn, and shutdown: stop the child (killed once
-    /// `grace` runs out), shut the stream, join the reply pump and the
-    /// serve thread (both end with the socket).  Idempotent.
+    /// one before respawn, and shutdown: drop the unwritten command
+    /// frames, stop the child (killed once `grace` runs out), shut the
+    /// stream, join the reply pump and the serve thread (both end with the
+    /// socket).  Idempotent.
     fn teardown(&mut self, w: usize, grace: Duration) {
         let conn = &mut self.conns[w];
+        conn.out.clear();
         stop_child(conn.child.take(), grace);
         let _ = conn.stream.shutdown(Shutdown::Both);
         join(conn.reader.take());
@@ -540,18 +579,50 @@ impl TcpTransport {
         self.declare_dead(spec.worker, &format!("fault injected: {spec}"));
     }
 
-    /// Probe worker `w` with a transport-private `Ping` (bypasses fault
-    /// counting: ping traffic is wall-clock scheduled, so letting kill
-    /// specs fire on it would break the deterministic-kill-point
-    /// contract).
-    fn send_ping(&mut self, w: usize) -> io::Result<()> {
-        self.ping_seq += 1;
-        let payload = encode_to_vec(&ToWorker::Request(WorkerRequest::Ping {
-            id: PING_ID_BASE | self.ping_seq,
-        }));
+    /// Append one command frame to worker `w`'s outgoing buffer.  Only a
+    /// payload over `MAX_FRAME` fails, and it leaves the buffer as it was.
+    fn queue(&mut self, w: usize, request: WorkerRequest) -> io::Result<()> {
+        let out = &mut self.conns[w].out;
+        let before = out.len();
+        let encode_start = Instant::now();
+        encode_frame(out, &ToWorker::Request(request))?;
+        self.metrics
+            .encode_micros
+            .record_duration(encode_start.elapsed());
         self.metrics.frames_sent.inc();
-        self.metrics.bytes_sent.add(payload.len() as u64 + 4);
-        send_payload(&mut self.conns[w].stream, &payload)
+        self.metrics.bytes_sent.add((out.len() - before) as u64);
+        Ok(())
+    }
+
+    /// The flush point of one connection: write its buffered frames in one
+    /// `write_all`.  A failed write declares the slot dead.
+    fn flush_conn(&mut self, w: usize) -> Result<(), WorkerDead> {
+        let conn = &mut self.conns[w];
+        if conn.out.is_empty() {
+            return Ok(());
+        }
+        let write_start = Instant::now();
+        let written = conn.stream.write_all(&conn.out);
+        conn.out.clear();
+        self.metrics.writes.inc();
+        self.metrics
+            .write_micros
+            .record_duration(write_start.elapsed());
+        written.map_err(|e| self.declare_dead(w, &format!("send failed: {e}")))
+    }
+
+    /// Probe worker `w` with a transport-private `Ping`, written behind
+    /// the connection's buffered frames (bypasses fault counting: ping
+    /// traffic is wall-clock scheduled, so letting kill specs fire on it
+    /// would break the deterministic-kill-point contract).
+    fn send_ping(&mut self, w: usize) -> Result<(), WorkerDead> {
+        self.ping_seq += 1;
+        let ping = WorkerRequest::Ping {
+            id: PING_ID_BASE | self.ping_seq,
+        };
+        self.queue(w, ping)
+            .map_err(|e| self.declare_dead(w, &format!("send failed: {e}")))?;
+        self.flush_conn(w)
     }
 }
 
@@ -566,10 +637,13 @@ impl Transport for TcpTransport {
         }
         // The fault schedule counts at this chokepoint: a `before` kill
         // fells the worker in place of the send (the message is never
-        // written), an `after` kill lets the send land first.
+        // written), an `after` kill lets the send land first.  Either way
+        // the connection's earlier frames reach the socket before the
+        // kill, so the kill point is the same protocol moment.
         let fired = self.faults.on_send(w, &request);
         if let Some(spec) = &fired {
             if spec.phase == Phase::Before {
+                self.flush_conn(w)?;
                 self.inject_kill(spec);
                 return Err(WorkerDead {
                     index: w,
@@ -577,28 +651,35 @@ impl Transport for TcpTransport {
                 });
             }
         }
-        let encode_start = Instant::now();
-        let payload = encode_to_vec(&ToWorker::Request(request));
-        self.metrics
-            .encode_micros
-            .record_duration(encode_start.elapsed());
-        self.metrics.frames_sent.inc();
-        self.metrics.bytes_sent.add(payload.len() as u64 + 4);
-        if let Err(e) = send_payload(&mut self.conns[w].stream, &payload) {
+        if let Err(e) = self.queue(w, request) {
             return Err(self.declare_dead(w, &format!("send failed: {e}")));
         }
         if let Some(spec) = &fired {
             // `after`: the command reached the socket; the crash is
             // detected at the next interaction with the slot.
+            self.flush_conn(w)?;
             self.inject_kill(spec);
         }
         Ok(())
+    }
+
+    /// Write every connection's buffered frames, one `write_all` each.  A
+    /// connection whose write fails is declared dead; its next `send` or
+    /// `recv` reports it.
+    fn flush_sends(&mut self) {
+        for w in 0..self.conns.len() {
+            let _ = self.flush_conn(w);
+        }
     }
 
     fn recv(&mut self, w: usize) -> Result<WorkerReply, WorkerDead> {
         if self.conns[w].dead {
             return Err(self.declare_dead(w, "previously declared dead"));
         }
+        // No wait may be for a command still in memory: every connection's
+        // buffer goes out first, this one's with its own error.
+        self.flush_conn(w)?;
+        self.flush_sends();
         let interval = self.config.heartbeat_interval;
         if interval.is_zero() {
             return match self.conns[w].inbox.recv() {
@@ -669,13 +750,13 @@ impl Transport for TcpTransport {
             return;
         }
         self.shut = true;
-        let payload = encode_to_vec(&ToWorker::Request(WorkerRequest::Shutdown));
-        for conn in &mut self.conns {
+        for w in 0..self.conns.len() {
             // Best effort: a worker that already died must not fail the
-            // others' shutdown.
-            self.metrics.frames_sent.inc();
-            self.metrics.bytes_sent.add(payload.len() as u64 + 4);
-            let _ = send_payload(&mut conn.stream, &payload);
+            // others' shutdown.  `Shutdown` goes out behind the frames
+            // still buffered, in the same write.
+            if self.queue(w, WorkerRequest::Shutdown).is_ok() {
+                let _ = self.flush_conn(w);
+            }
         }
         // Give each worker a moment to exit cleanly before it is killed.
         const KILL_GRACE: Duration = Duration::from_secs(10);
@@ -805,5 +886,62 @@ impl Deref for TcpCluster {
 impl DerefMut for TcpCluster {
     fn deref_mut(&mut self) -> &mut Self::Target {
         &mut self.inner
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hotdog_distributed::{compile_distributed, OptLevel, PartitioningSpec};
+    use hotdog_ivm::compile_recursive;
+
+    /// Bytes queued on every connection but not yet written.
+    fn buffered(tcp: &TcpCluster) -> usize {
+        tcp.transport().conns.iter().map(|c| c.out.len()).sum()
+    }
+
+    #[test]
+    fn pipelined_issue_leaves_no_command_in_memory() {
+        let q = hotdog_workload::query("Q3").expect("catalog query");
+        let plan = compile_recursive(q.id, &q.expr);
+        let spec = PartitioningSpec::heuristic(&plan, &q.partition_keys);
+        let dplan = compile_distributed(&plan, &spec, OptLevel::O3);
+        // Heartbeats off: no `Ping` write may flush a buffer behind the
+        // driver's back.
+        let config = TcpConfig::with_workers(2)
+            .with_spawn(WorkerSpawn::Thread)
+            .with_heartbeat(Duration::ZERO, 0);
+        let pipeline = PipelineConfig {
+            coalesce_tuples: 0,
+            admit_capacity: 1,
+            ..Default::default()
+        };
+        let mut tcp = TcpCluster::pipelined(dplan, &config, pipeline).expect("tcp cluster");
+        let frames = |tcp: &TcpCluster| tcp.telemetry().counter("net.frames.sent").get();
+        let mut issues = 0;
+        let mut issued_in_flight = 0;
+        for round in hotdog_workload::generate_tpch(7, 600).batches(100) {
+            for (rel, batch) in &round {
+                let before = frames(&tcp);
+                tcp.apply_batch(rel, batch);
+                if frames(&tcp) > before {
+                    issues += 1;
+                    // Written at the flush point, not left for a later
+                    // wait: workers start on the block while it is owed.
+                    assert_eq!(buffered(&tcp), 0, "{rel} batch left frames buffered");
+                    if tcp.outstanding_replies() > 0 {
+                        issued_in_flight += 1;
+                    }
+                }
+            }
+        }
+        assert!(issues > 0, "no batch issued a block");
+        assert!(
+            issued_in_flight > 0,
+            "no block was still owed after its issue"
+        );
+        tcp.flush();
+        assert_eq!(buffered(&tcp), 0, "flush left frames buffered");
+        assert_eq!(tcp.outstanding_replies(), 0);
     }
 }

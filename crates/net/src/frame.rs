@@ -14,33 +14,52 @@
 //! fails to decode (bad tag, truncation, trailing bytes) surfaces as an
 //! `InvalidData` I/O error, killing the connection loudly.
 
-use crate::codec::{decode_from_slice, encode_to_vec, Wire};
+use crate::codec::{decode_from_slice, Wire};
 use std::io::{self, Read, Write};
 
 /// Upper bound on one frame's payload (256 MiB — far above any real
 /// message; a `u32` length beyond it is treated as stream corruption).
 pub const MAX_FRAME: usize = 256 << 20;
 
-/// Write one frame (length prefix + payload).
-///
-/// Enforced on the send side too: an oversized payload errors *here*,
-/// with a message naming the limit — otherwise it would be shipped, and
-/// the peer's `read_frame` would misdiagnose a working cluster as stream
+/// Append one frame to `out`: a length prefix, then the payload `body`
+/// writes straight after it.  The one `MAX_FRAME` check of the send side:
+/// an oversized payload errors *here*, with a message naming the limit,
+/// and leaves `out` as it was — otherwise it would be shipped, and the
+/// peer's `read_frame` would misdiagnose a working cluster as stream
 /// corruption (and beyond 4 GiB the `u32` prefix would silently truncate
 /// and desynchronize the stream).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME {
+fn append_frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    body(out);
+    let len = out.len() - start - 4;
+    if len > MAX_FRAME {
+        out.truncate(start);
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
-                "refusing to send frame of {} bytes (MAX_FRAME is {MAX_FRAME}); \
-                 a relation this large must be split before shipping",
-                payload.len()
+                "refusing to send frame of {len} bytes (MAX_FRAME is {MAX_FRAME}); \
+                 a relation this large must be split before shipping"
             ),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    Ok(())
+}
+
+/// Encode `msg` as one frame (length prefix + [`Wire`] payload) at the end
+/// of `out`, with no intermediate buffer.  A payload over [`MAX_FRAME`] is
+/// refused and `out` left as it was.
+pub fn encode_frame<M: Wire>(out: &mut Vec<u8>, msg: &M) -> io::Result<()> {
+    append_frame(out, |out| msg.encode(out))
+}
+
+/// Write one frame (length prefix + already-encoded payload) in one
+/// `write_all`.  A payload over [`MAX_FRAME`] is refused.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(payload.len() + 4);
+    append_frame(&mut frame, |out| out.extend_from_slice(payload))?;
+    w.write_all(&frame)
 }
 
 /// Read one frame's payload.  `Err(UnexpectedEof)` with an empty message
@@ -61,15 +80,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     Ok(payload)
 }
 
-/// Encode and send one message as a frame.
+/// Encode and send one message as a frame, in one `write_all`.
 pub fn send_msg<M: Wire>(w: &mut impl Write, msg: &M) -> io::Result<()> {
-    write_frame(w, &encode_to_vec(msg))
-}
-
-/// Send an already-encoded payload (for broadcasts: encode once, frame
-/// per peer).
-pub fn send_payload(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    write_frame(w, payload)
+    let mut frame = Vec::new();
+    encode_frame(&mut frame, msg)?;
+    w.write_all(&frame)
 }
 
 /// Receive and decode one message.
@@ -77,4 +92,66 @@ pub fn recv_msg<M: Wire>(r: &mut impl Read) -> io::Result<M> {
     let payload = read_frame(r)?;
     decode_from_slice(&payload)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("bad frame: {e}")))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::{encode_to_vec, ToWorker};
+    use hotdog_algebra::relation::Relation;
+    use hotdog_algebra::schema::Schema;
+    use hotdog_algebra::tuple;
+    use hotdog_distributed::protocol::WorkerRequest;
+    use hotdog_telemetry::trace::SpanContext;
+
+    /// The reference frame: the length prefix, then `encode_to_vec(msg)`.
+    fn prefixed_payload(msg: &ToWorker) -> Vec<u8> {
+        let payload = encode_to_vec(msg);
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&payload);
+        frame
+    }
+
+    #[test]
+    fn encode_frame_writes_the_prefixed_payload_byte_for_byte() {
+        let ctx = SpanContext {
+            trace: 7,
+            parent: 0xBEEF,
+        };
+        let shard = |k: i64| {
+            Relation::from_pairs(
+                Schema::new(["A", "B"]),
+                (0..5i64).map(|i| (tuple![k, i], 0.5 + i as f64)),
+            )
+        };
+        let messages = [
+            ToWorker::Request(WorkerRequest::RunBlock {
+                id: 41,
+                ctx,
+                program: 2,
+                block: 1,
+            }),
+            ToWorker::Request(WorkerRequest::ApplyMany {
+                id: 42,
+                ctx,
+                applies: vec![((0, 0, 1), shard(1)), ((0, 0, 2), shard(2))],
+            }),
+            ToWorker::Request(WorkerRequest::Shutdown),
+        ];
+        // Frames append: one buffer holds the three back to back, exactly
+        // as three separate writes would have left them on the stream.
+        let mut buffer = Vec::new();
+        let mut want = Vec::new();
+        for msg in &messages {
+            let mut alone = Vec::new();
+            encode_frame(&mut alone, msg).unwrap();
+            assert_eq!(alone, prefixed_payload(msg));
+            encode_frame(&mut buffer, msg).unwrap();
+            want.extend(prefixed_payload(msg));
+        }
+        assert_eq!(buffer, want);
+        let mut sent = Vec::new();
+        send_msg(&mut sent, &messages[1]).unwrap();
+        assert_eq!(sent, prefixed_payload(&messages[1]));
+    }
 }

@@ -53,5 +53,5 @@ pub mod worker;
 pub use cluster::{TcpCluster, TcpConfig, TcpTransport, WorkerSpawn};
 pub use codec::{decode_from_slice, encode_to_vec, DecodeError, Reader, Wire};
 pub use faults::{FaultKind, FaultPlan, FaultState, KillSpec, Phase};
-pub use frame::{read_frame, recv_msg, send_msg, write_frame, MAX_FRAME};
+pub use frame::{encode_frame, read_frame, recv_msg, send_msg, write_frame, MAX_FRAME};
 pub use worker::{compile_init, run_worker, serve};

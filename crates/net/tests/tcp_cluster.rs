@@ -16,7 +16,9 @@ use hotdog_algebra::relation::Relation;
 use hotdog_algebra::schema::Schema;
 use hotdog_algebra::tuple;
 use hotdog_distributed::protocol::WorkerReply;
-use hotdog_distributed::{compile_distributed, DistributedPlan, OptLevel, PartitioningSpec};
+use hotdog_distributed::{
+    compile_distributed, DistributedPlan, OptLevel, PartitioningSpec, StmtMode,
+};
 use hotdog_ivm::compile_recursive;
 use hotdog_net::codec::ToDriver;
 use hotdog_net::{send_msg, FaultKind, FaultPlan, Phase, TcpCluster, TcpConfig, WorkerSpawn};
@@ -180,6 +182,60 @@ fn tcp_coalescing_matches_coalesced_threaded_bit_for_bit() {
         tcp.pipeline_stats().unwrap(),
         threaded.pipeline_stats().unwrap(),
         "pipeline counters diverged tcp vs threaded"
+    );
+}
+
+/// Q3 compiled at `opt` as the repo benchmark runs it.
+fn q3_dplan(opt: OptLevel) -> DistributedPlan {
+    let q = hotdog_workload::query("Q3").expect("catalog query");
+    let plan = compile_recursive(q.id, &q.expr);
+    let spec = PartitioningSpec::heuristic(&plan, &q.partition_keys);
+    compile_distributed(&plan, &spec, opt)
+}
+
+#[test]
+fn sync_q3_writes_each_worker_once_per_block() {
+    // Heartbeats off, so no `Ping` lands in a count.
+    const WORKERS: usize = 2;
+    let config = thread_config(WORKERS).with_heartbeat(Duration::ZERO, 0);
+    let dplan = q3_dplan(OptLevel::O3);
+    let mut tcp = TcpCluster::new(dplan.clone(), &config).expect("tcp cluster");
+    let mut threaded = ThreadedCluster::new(dplan.clone(), WORKERS);
+    // One chunk of the stream, grouped: one batch per relation.
+    let stream = hotdog_workload::generate_tpch(7, 400);
+    let round = stream.batches(stream.len()).remove(0);
+    let mut blocks = 0;
+    for (rel, batch) in &round {
+        tcp.apply_batch(rel, batch);
+        threaded.apply_batch(rel, batch);
+        if let Some(program) = dplan.programs.iter().find(|p| p.relation == *rel) {
+            blocks += program
+                .blocks
+                .iter()
+                .filter(|b| b.mode == StmtMode::Distributed)
+                .count();
+        }
+    }
+    // Read before any read or stats round adds frames of its own.
+    let snap = tcp.telemetry().snapshot();
+    assert_eq!(blocks, 3, "Q3 at O3: one distributed block per trigger");
+    assert_eq!(
+        snap.counter("net.frames.sent"),
+        12,
+        "each block costs every worker an ApplyMany and a RunBlock"
+    );
+    assert_eq!(
+        snap.counter("net.writes"),
+        (WORKERS * blocks) as u64,
+        "one socket write per worker per block"
+    );
+    assert_eq!(
+        snap.histograms["net.write_micros"].count,
+        snap.counter("net.writes")
+    );
+    assert_eq!(
+        tcp.query_result().checksum(),
+        threaded.query_result().checksum()
     );
 }
 

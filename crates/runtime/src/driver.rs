@@ -185,6 +185,11 @@ impl<T: Transport> Driver<T> {
         &self.dplan
     }
 
+    /// The transport this cluster issues its commands through.
+    pub fn transport(&self) -> &T {
+        &self.transport
+    }
+
     /// Whether this cluster runs the pipelined ingestion path.
     pub fn is_pipelined(&self) -> bool {
         self.pipeline.is_some()
@@ -480,6 +485,7 @@ impl<T: Transport> Driver<T> {
         // them in flight (command FIFO protects the next batch) and the
         // watermark commit drains them before any read.
         self.ship_all_applies()?;
+        self.transport.flush_sends();
         if !pipelined && self.applies_in_flight {
             self.barrier_applies()?;
         }
@@ -541,6 +547,8 @@ impl<T: Transport> Driver<T> {
             )?;
             self.ledger.expect_completion(w, id);
         }
+        // Every worker's commands for the block are queued: send them.
+        self.transport.flush_sends();
         // Each worker runs the block behind its applies, and the owed
         // completion is settled before any read: it covers them.
         self.applies_in_flight = false;

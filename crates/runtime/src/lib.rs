@@ -108,7 +108,9 @@ fn install(dplan: &DistributedPlan) -> Programs {
 ///
 /// Contract (what the driver's ledger accounting relies on):
 ///
-/// * [`Transport::send`] preserves per-worker FIFO command order;
+/// * [`Transport::send`] preserves per-worker FIFO command order; it may
+///   hold commands back until [`Transport::flush_sends`] or the next
+///   [`Transport::recv`];
 /// * [`Transport::recv`] blocks until one more reply from worker `w`
 ///   arrives, in arrival order.  A worker answers its commands one at a
 ///   time, so its replies arrive in the order the commands were sent:
@@ -127,8 +129,17 @@ pub trait Transport {
     fn workers(&self) -> usize;
     /// Enqueue one command to worker `w` (per-worker FIFO).
     fn send(&mut self, w: usize, request: Request) -> Result<(), WorkerDead>;
-    /// Block for the next reply from worker `w`.
+    /// Block for the next reply from worker `w`.  A transport that holds
+    /// sent commands back ([`Transport::flush_sends`]) delivers every one
+    /// of them before it waits.
     fn recv(&mut self, w: usize) -> Result<Reply, WorkerDead>;
+    /// The driver has stopped issuing for now: deliver every command sent
+    /// so far, so pipelined workers start on them without waiting for the
+    /// next `recv`.  For a transport that buffers its sends (TCP writes
+    /// each worker's queued frames in one socket write); the default, for
+    /// one that delivers at `send`, does nothing.  A worker whose delivery
+    /// fails is reported by its next `send` or `recv`.
+    fn flush_sends(&mut self) {}
     /// Replace a dead worker `w` with a fresh, empty one (new process or
     /// thread, re-handshaken, plan and programs re-shipped).  The default
     /// refuses: transports that cannot respawn report the worker as still
