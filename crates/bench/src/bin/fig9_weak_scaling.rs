@@ -7,7 +7,7 @@
 //! `--coalesce=N`) on its pipelined ingestion path, and with `--tcp` on the
 //! multi-process socket backend (this binary re-runs itself as the
 //! workers).  A second table compares the
-//! epoch-synchronous and pipelined+coalescing paths head-to-head on a
+//! synchronous and pipelined+coalescing paths head-to-head on a
 //! many-small-batch stream.
 //! `--per-worker=N`, `--stream-batch=N` and `--stream-workers=N` size the
 //! two tables.
@@ -57,7 +57,7 @@ fn main() {
     );
 
     // Streaming head-to-head (the acceptance number for the pipelined
-    // runtime): 64 small batches through the epoch-synchronous path vs. the
+    // runtime): 64 small batches through the synchronous path vs. the
     // pipelined path coalescing up to 64 batches into one trigger.
     let tuples_per_batch = args.stream_batch;
     let workers = args.stream_workers;
@@ -81,7 +81,7 @@ fn main() {
         ]);
     }
     print_table(
-        "Pipelined stream throughput (epoch-synchronous vs pipelined+coalescing)",
+        "Pipelined stream throughput (synchronous vs pipelined+coalescing)",
         &[
             "query",
             "workers",

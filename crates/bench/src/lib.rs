@@ -87,14 +87,14 @@ pub fn single_tuple_baseline(q: &CatalogQuery, stream: &UpdateStream) -> LocalRu
 pub enum BackendKind {
     /// Single-threaded simulator with the modelled cost model (the default).
     Simulated,
-    /// `hotdog-runtime` epoch-synchronous thread-per-worker backend;
+    /// `hotdog-runtime` synchronous thread-per-worker backend;
     /// latencies are measured wall-clock.
     Threaded,
     /// `hotdog-runtime` pipelined thread-per-worker backend with delta
     /// coalescing up to the given static tuple threshold; throughput is
     /// measured over the whole stream's wall-clock.
     Pipelined { coalesce_tuples: usize },
-    /// `hotdog-net`'s multi-process TCP backend, epoch-synchronous:
+    /// `hotdog-net`'s multi-process TCP backend, synchronous:
     /// worker subprocesses on loopback speaking the binary codec — same
     /// driver and schedule as [`BackendKind::Threaded`], real sockets
     /// instead of channels.  The workers are this executable re-run in
@@ -361,7 +361,7 @@ pub fn run_distributed_on(
 }
 
 /// Head-to-head stream throughput: the same many-small-batch stream pushed
-/// through the epoch-synchronous path and through the pipelined+coalescing
+/// through the synchronous path and through the pipelined+coalescing
 /// path on the same host (the runtime-layer version of the paper's batching
 /// thesis: fewer, larger triggers amortize per-batch overhead).
 #[derive(Clone, Debug)]

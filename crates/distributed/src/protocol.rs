@@ -30,8 +30,8 @@
 //! * **Command order is per-channel FIFO** — an `ApplyMany` enqueued before
 //!   a `RunBlock` is guaranteed to be installed before the block executes,
 //!   and a `Fetch` enqueued after a `RunBlock` observes the block's writes.
-//!   This is what keeps worker *state evolution* identical to the
-//!   synchronous schedule.
+//!   This is what keeps worker *state evolution* identical to awaiting
+//!   every block before issuing the next.
 //! * **Replies come back in command order, tagged** — every command that
 //!   produces a reply carries an `id` the worker echoes back.  A worker
 //!   handles one command at a time, so the driver reads its replies in the

@@ -847,7 +847,8 @@ pub struct TcpCluster {
 }
 
 impl TcpCluster {
-    /// Epoch-synchronous TCP cluster (one batch in the system at a time).
+    /// Synchronous TCP cluster (one batch in the system at a time: each
+    /// batch commits before `apply_batch` returns).
     pub fn new(dplan: DistributedPlan, config: &TcpConfig) -> io::Result<Self> {
         let transport = TcpTransport::connect(&dplan, config)?;
         Ok(TcpCluster {

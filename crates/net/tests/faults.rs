@@ -19,8 +19,8 @@ use hotdog_distributed::{compile_distributed, DistributedPlan, OptLevel, Partiti
 use hotdog_ivm::compile_recursive;
 use hotdog_net::codec::ToDriver;
 use hotdog_net::{
-    read_frame, send_msg, write_frame, FaultKind, FaultPlan, Phase, TcpCluster, TcpConfig,
-    WorkerSpawn,
+    read_frame, send_msg, write_frame, FaultKind, FaultPlan, KillSpec, Phase, TcpCluster,
+    TcpConfig, WorkerSpawn,
 };
 use hotdog_runtime::{FaultConfig, PipelineConfig, PipelineStats};
 use hotdog_telemetry::MetricsSnapshot;
@@ -267,8 +267,8 @@ fn batch_fields(stats: &PipelineStats) -> [usize; 6] {
 /// batch twice — the totals, the registry's batch counts and the
 /// pipeline counters equal the unfaulted run's.  Arms: a cut after every
 /// batch (the log holds only the killed batch); a cut every four batches
-/// (two finished batches replay with the killed one); and the pipelined
-/// schedule, which replays on the synchronous one.
+/// (two finished batches replay with the killed one); and a pipelined
+/// driver, whose replay runs inside its in-flight window.
 #[test]
 fn killed_worker_respawns_and_recovers_bit_identically() {
     let no_coalesce = PipelineConfig {
@@ -352,6 +352,62 @@ fn killed_worker_respawns_and_recovers_bit_identically() {
                 "pipeline batch and tuple counts ({label})"
             );
         }
+    }
+}
+
+/// A second death while recovery replays the log: the deltas the first
+/// replay had not reached yet stay logged, so the second recovery replays
+/// them and the run still ends bit-identical to an unfaulted one.  Worker
+/// 1 dies at its third `RunBlock` (the third batch); worker 0 then dies at
+/// its fourth, the replay of the first batch.
+#[test]
+fn a_death_during_replay_loses_no_batch() {
+    let no_coalesce = PipelineConfig {
+        coalesce_tuples: 0,
+        ..Default::default()
+    };
+    for pipeline in [None, Some(no_coalesce)] {
+        let run = |config: TcpConfig| {
+            let dplan = example_dplan(OptLevel::O3);
+            let mut tcp = match &pipeline {
+                None => TcpCluster::new(dplan, &config),
+                Some(pipeline) => TcpCluster::pipelined(dplan, &config, pipeline.clone()),
+            }
+            .expect("tcp cluster");
+            tcp.set_fault_config(Some(FaultConfig::every(4)));
+            for (rel, batch) in batches() {
+                tcp.apply_batch(rel, &batch);
+            }
+            tcp.flush();
+            tcp
+        };
+        let mut clean = run(thread_config(2));
+        let kill = |worker, nth| KillSpec {
+            worker,
+            kind: FaultKind::RunBlock,
+            nth,
+            phase: Phase::Before,
+        };
+        let plan = FaultPlan {
+            kills: vec![kill(1, 3), kill(0, 4)],
+        };
+        let mut tcp = run(thread_config(2).with_faults(plan));
+        let label = if pipeline.is_some() {
+            "pipelined"
+        } else {
+            "sync"
+        };
+        assert_eq!(tcp.recoveries(), 2, "two recoveries ({label})");
+        assert_eq!(
+            tcp.query_result().checksum(),
+            clean.query_result().checksum(),
+            "a batch was lost to the second death ({label})"
+        );
+        assert_eq!(
+            tcp.totals.latencies.len(),
+            clean.totals.latencies.len(),
+            "latencies ({label})"
+        );
     }
 }
 

@@ -240,6 +240,38 @@ fn sync_q3_writes_each_worker_once_per_block() {
 }
 
 #[test]
+fn sync_tcp_batches_commit_before_apply_batch_returns() {
+    // A synchronous `apply_batch` returns with no block completion owed
+    // and the watermark one further for each batch the plan triggers on.
+    let mut stream = batches();
+    let unrelated = Relation::from_pairs(Schema::new(["X"]), vec![(tuple![1], 1.0)]);
+    stream.insert(1, ("UNRELATED", unrelated));
+    let dplan = example_dplan(OptLevel::O3);
+    let mut tcp = TcpCluster::new(dplan.clone(), &thread_config(2)).expect("tcp cluster");
+    let mut threaded = ThreadedCluster::new(dplan, 2);
+    for (i, (rel, batch)) in stream.iter().enumerate() {
+        let before = tcp.watermark();
+        tcp.apply_batch(rel, batch);
+        threaded.apply_batch(rel, batch);
+        let triggered = tcp.plan().program(rel).is_some();
+        assert_eq!(
+            tcp.outstanding_replies(),
+            0,
+            "batch {i} ({rel}) left completions owed"
+        );
+        assert_eq!(
+            tcp.watermark(),
+            before + u64::from(triggered),
+            "batch {i} ({rel}) did not commit"
+        );
+    }
+    assert_eq!(
+        tcp.query_result().checksum(),
+        threaded.query_result().checksum()
+    );
+}
+
+#[test]
 fn tcp_subprocess_mode_matches_threaded() {
     // Real worker subprocesses on loopback: the worker bin cargo built for
     // this test target.

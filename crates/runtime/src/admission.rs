@@ -1,11 +1,13 @@
-//! Pipelined admission: the coalescing queue in front of the schedule.
-//! `apply_batch` only *admits*; an admitted batch is ring-summed into the
+//! Admission: the coalescing queue in front of the schedule.
+//! `apply_batch` *admits*; an admitted batch is ring-summed into the
 //! latest queued delta of the same relation (batched IVM triggers are
 //! exact for any delta, so same-relation deltas commute past other
 //! relations' batches — exact in real arithmetic, re-associated in float).
 //! The count and byte bounds of
 //! [`PipelineConfig`](crate::PipelineConfig) each drive execution of the
-//! queue front.
+//! queue front.  A synchronous driver (no `PipelineConfig`) admits with
+//! capacity 0, coalescing off and no byte bound, so every batch it admits
+//! executes at once.
 //!
 //! Invariants: per-relation admission order is preserved and
 //! `queue_bytes` is the exact serialized footprint of `queue`.
@@ -38,22 +40,18 @@ impl<T: Transport> Driver<T> {
         self.queue_bytes
     }
 
-    /// Pop and execute the queue front.  A worker death mid-execution
-    /// leaves the entry popped: it was logged before any message was
-    /// issued, so recovery replays it to completion rather than
-    /// re-queueing it.
-    fn execute_queue_front(&mut self) -> Result<(), WorkerDead> {
-        let Some(entry) = self.queue.pop_front() else {
-            return Ok(());
-        };
+    /// Pop and execute the front of a non-empty queue.  A worker death
+    /// mid-execution leaves the entry popped: it was logged before any
+    /// message was issued, so recovery replays it to completion rather
+    /// than re-queueing it.
+    fn execute_queue_front(&mut self) -> Result<BatchExecution, WorkerDead> {
+        let entry = self.queue.pop_front().expect("the queue is not empty");
         self.queue_bytes -= entry.delta.serialized_size();
-        let tuples = entry.delta.len();
         // Counted at first issue: a recovery replays the delta uncounted.
         // Its admitted tuples were counted into the totals at admission.
         self.metrics.batches_executed.inc();
-        self.metrics.batch_tuples.record(tuples as u64);
-        self.execute_canonical(&entry.relation, entry.delta, tuples, true, Some(entry.root))?;
-        Ok(())
+        self.metrics.batch_tuples.record(entry.delta.len() as u64);
+        self.execute_canonical(&entry.relation, entry.delta, Some(entry.root))
     }
 
     /// Execute every queued delta, oldest first.
@@ -64,7 +62,7 @@ impl<T: Transport> Driver<T> {
         Ok(())
     }
 
-    /// Pipelined admission: coalesce into the queue tail or enqueue.
+    /// Admission: coalesce into the queue tail or enqueue.
     /// Driver-only (infallible); [`Driver::drain_admission_bounds`] then
     /// drives execution while the queue exceeds the admission capacity or
     /// the byte bound — keeping the fallible worker traffic out of the
@@ -74,22 +72,20 @@ impl<T: Transport> Driver<T> {
     /// Every admitted batch is preprocessed first
     /// ([`TriggerProgram::preprocess`](hotdog_distributed::TriggerProgram::preprocess)),
     /// so queued deltas carry only the tuples the trigger's filter admits and
-    /// the columns the trigger reads: coalescing
-    /// is a plain ring-sum into the tail, and execution moves the delta
-    /// straight into the trigger with no further copy — the admission path
-    /// costs the same tuple copies as the synchronous path.
-    pub(crate) fn admit(&mut self, relation: &str, batch: &Relation) -> BatchExecution {
-        self.stream_start.get_or_insert_with(Instant::now);
+    /// the columns the trigger reads: coalescing is a plain ring-sum into
+    /// the tail, and execution moves the delta straight into the trigger
+    /// with no further copy.
+    pub(crate) fn admit(&mut self, relation: &str, batch: &Relation) {
+        if self.pipeline.is_some() {
+            // A synchronous driver sums per-batch latencies instead.
+            self.stream_start.get_or_insert_with(Instant::now);
+        }
         self.metrics.batches_admitted.inc();
         self.metrics.tuples_admitted.add(batch.len() as u64);
-        let stats = BatchExecution {
-            input_tuples: batch.len(),
-            ..Default::default()
-        };
         // Batches to relations the plan has no trigger for are no-ops; do
         // not let them split a coalescing run.
         let Some(program) = self.dplan.program(relation) else {
-            return stats;
+            return;
         };
         self.totals.tuples += batch.len();
 
@@ -119,10 +115,8 @@ impl<T: Transport> Driver<T> {
         if coalesced {
             self.metrics.batches_coalesced.inc();
         } else {
-            // Same preprocessing as the synchronous path, so a
-            // non-coalesced pipelined run is bit-identical to it.  The
-            // batch root opens here, not at execution, so queue dwell time
-            // is part of the batch's wall-clock window.
+            // The batch root opens here, not at execution, so queue dwell
+            // time is part of the batch's wall-clock window.
             let root = self.telemetry.begin_batch_root();
             let admit_span = self.telemetry.begin_span(root.context(), "admit");
             let delta = program.preprocess(batch);
@@ -136,32 +130,32 @@ impl<T: Transport> Driver<T> {
         }
         self.metrics.queue_depth.set(self.queue.len() as u64);
         self.metrics.queue_bytes.set(self.queue_bytes as u64);
-        stats
     }
 
     /// Enforce the admission bounds after an [`Driver::admit`]: byte
     /// budget, then count capacity, oldest first.  This is the fallible
-    /// half of pipelined admission (it issues worker traffic); retrying it
-    /// after a recovery is safe because every bound is re-checked from
-    /// current queue state.
-    pub(crate) fn drain_admission_bounds(&mut self) -> Result<(), WorkerDead> {
-        let Some(config) = self.pipeline.clone() else {
-            return Ok(());
-        };
+    /// half of admission (it issues worker traffic); retrying it after a
+    /// recovery is safe because every bound is re-checked from current
+    /// queue state.  Returns the stats of the last batch it executed: on a
+    /// synchronous driver (capacity 0) the batch just admitted.
+    pub(crate) fn drain_admission_bounds(&mut self) -> Result<Option<BatchExecution>, WorkerDead> {
+        let (admit_bytes, admit_capacity) =
+            (self.pipeline.as_ref()).map_or((0, 0), |c| (c.admit_bytes, c.admit_capacity));
+        let mut executed = None;
         // Backpressure, oldest first.  Byte bound: shed queued work until
         // the footprint fits (a single oversized delta executes
         // immediately, emptying the queue).
-        while config.admit_bytes > 0 && self.queue_bytes > config.admit_bytes {
-            self.execute_queue_front()?;
+        while admit_bytes > 0 && self.queue_bytes > admit_bytes {
+            executed = Some(self.execute_queue_front()?);
             self.metrics.batches_forced_by_bytes.inc();
         }
         // Count capacity.
-        while self.queue.len() > config.admit_capacity {
-            self.execute_queue_front()?;
+        while self.queue.len() > admit_capacity {
+            executed = Some(self.execute_queue_front()?);
         }
         self.metrics.queue_depth.set(self.queue.len() as u64);
         self.metrics.queue_bytes.set(self.queue_bytes as u64);
-        Ok(())
+        Ok(executed)
     }
 
     /// Drop queued deltas without executing them (no maintenance program

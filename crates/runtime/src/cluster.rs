@@ -16,8 +16,8 @@ pub type Cluster = Driver<SimTransport>;
 
 impl Cluster {
     /// `config.workers` simulated workers with empty view partitions, in
-    /// epoch-synchronous mode; batch latencies follow `config`'s cost
-    /// model.
+    /// synchronous mode (each batch commits before `apply_batch`
+    /// returns); batch latencies follow `config`'s cost model.
     pub fn new(dplan: DistributedPlan, config: ClusterConfig) -> Self {
         let transport = SimTransport::new(&dplan, config);
         Driver::with_transport(dplan, transport, None)

@@ -60,9 +60,10 @@ pub struct PipelineConfig {
     /// same relation until that delta — counted after batch preprocessing,
     /// as [`PipelineStats::tuples_executed`](crate::PipelineStats::tuples_executed)
     /// is — could exceed this many tuples.  `0`
-    /// disables coalescing (making pipelined execution bit-identical to
-    /// the synchronous schedule; with coalescing the state is identical in
-    /// real arithmetic but float additions associate differently).
+    /// disables coalescing (every admitted batch then triggers on its own,
+    /// as on a synchronous driver, so the state is bit-identical to one;
+    /// with coalescing it is identical in real arithmetic but float
+    /// additions associate differently).
     pub coalesce_tuples: usize,
     /// Maximum admitted-but-unissued batches held in the admission queue;
     /// admitting beyond it drives execution of the queue front.

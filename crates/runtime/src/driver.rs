@@ -3,9 +3,12 @@
 //! driver program).  `execute_canonical` runs `Local` blocks on the driver
 //! node, moves relations between driver and workers for transformer
 //! statements (`run_transform`: scatter / repartition / gather) and
-//! broadcasts every `Distributed` block.  The epoch-synchronous schedule
-//! barriers after each block; the pipelined one defers completions to the
-//! `ledger`.
+//! broadcasts every `Distributed` block, deferring its completions to the
+//! `ledger` within an in-flight window.  There is one schedule: every batch
+//! is admitted, drained through the admission bounds and executed.  A
+//! synchronous driver (`pipeline: None`) admits with capacity 0 and
+//! coalescing off, so each batch executes at once and commits the
+//! watermark before `apply_batch` returns.
 //!
 //! Invariant: reads first `commit_watermark`, so they observe every issued
 //! batch completely and no batch partially — a prefix of the admitted
@@ -32,8 +35,8 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Distributed-block completions each worker may owe the pipelined
-/// schedule before the driver waits for the oldest to settle.
+/// Distributed-block completions each worker may owe the schedule before
+/// the driver waits for the oldest to settle.
 const INFLIGHT_BLOCKS: usize = 4;
 
 /// One driver + N workers executing a distributed plan, generic over the
@@ -65,10 +68,12 @@ pub struct Driver<T: Transport> {
     /// Whether `ApplyMany` messages have been shipped with nothing behind
     /// them that the driver waits for: no later `RunBlock` (whose owed
     /// completion every commit settles) and no reply round.  Such a
-    /// trailing scatter must be barriered before worker state is read, or
-    /// before a synchronous batch's wall clock stops.
+    /// trailing scatter must be barriered before worker state is read: the
+    /// watermark commit does it.
     pub(crate) applies_in_flight: bool,
-    /// `Some` iff this cluster runs the pipelined ingestion path.
+    /// The admission bounds of a pipelined driver; `None` on a synchronous
+    /// one, which admits with capacity 0 and no coalescing and commits the
+    /// watermark after every batch.
     pub(crate) pipeline: Option<PipelineConfig>,
     /// Admitted-but-unissued coalesced delta batches.
     pub(crate) queue: VecDeque<QueuedDelta>,
@@ -119,7 +124,8 @@ pub type ThreadedCluster = Driver<ChannelTransport>;
 
 impl ThreadedCluster {
     /// Spawn `workers` worker threads with empty view partitions, in
-    /// epoch-synchronous mode (one batch in the system at a time).
+    /// synchronous mode (one batch in the system at a time: each batch
+    /// commits before `apply_batch` returns).
     pub fn new(dplan: DistributedPlan, workers: usize) -> Self {
         let transport = ChannelTransport::spawn(&dplan, workers);
         Driver::with_transport(dplan, transport, None)
@@ -138,8 +144,9 @@ impl ThreadedCluster {
 
 impl<T: Transport> Driver<T> {
     /// Build a driver over an already-connected transport (whose workers
-    /// hold empty view partitions for `dplan`), in epoch-synchronous mode
-    /// when `pipeline` is `None` and pipelined mode otherwise.  This is
+    /// hold empty view partitions for `dplan`), in synchronous mode when
+    /// `pipeline` is `None` (admission capacity 0, no coalescing, a
+    /// watermark commit per batch) and pipelined mode otherwise.  This is
     /// the constructor other transports (e.g. `hotdog-net`'s TCP backend)
     /// use; the thread-channel backend wraps it as
     /// [`ThreadedCluster::new`] / [`ThreadedCluster::pipelined`].
@@ -190,28 +197,24 @@ impl<T: Transport> Driver<T> {
         &self.transport
     }
 
-    /// Whether this cluster runs the pipelined ingestion path.
-    pub fn is_pipelined(&self) -> bool {
-        self.pipeline.is_some()
-    }
-
     /// Number of batches guaranteed visible to reads: reads observe
     /// exactly this many *issued* batches (post-coalescing), a prefix of
     /// the admitted stream when coalescing is off and of its commuted
     /// schedule otherwise (see [`ThreadedCluster::view_contents`]).
-    /// Advanced by reads and by `flush`.
+    /// Advanced by reads, by `flush` and, on a synchronous driver, by
+    /// every batch.
     pub fn watermark(&self) -> u64 {
         self.watermark
     }
 
     /// Process one batch of updates to `relation`.
     ///
-    /// Epoch-synchronous mode: executes the batch to completion and returns
-    /// **measured** execution statistics.  Pipelined mode: *admits* the
-    /// batch (possibly ring-summing it into an already-queued delta) and
-    /// returns admission statistics; execution overlaps subsequent
-    /// admissions and is forced by [`ThreadedCluster::flush`] or any view
-    /// read.
+    /// Both modes *admit* the batch, then enforce the admission bounds.
+    /// Synchronous mode (capacity 0) thereby executes and commits the batch
+    /// and returns its **measured** execution statistics.  Pipelined mode
+    /// may ring-sum the batch into an already-queued delta and returns
+    /// admission statistics; execution overlaps subsequent admissions and
+    /// is forced by [`ThreadedCluster::flush`] or any view read.
     pub fn apply_batch(&mut self, relation: &str, batch: &Relation) -> BatchExecution {
         self.try_apply_batch(relation, batch)
             .unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"))
@@ -228,23 +231,14 @@ impl<T: Transport> Driver<T> {
         relation: &str,
         batch: &Relation,
     ) -> Result<BatchExecution, WorkerDead> {
-        match self.pipeline {
-            None => match self.execute_program(relation, batch) {
-                Ok(stats) => Ok(stats),
-                Err(dead) => {
-                    self.recover(dead)?;
-                    Ok(BatchExecution {
-                        input_tuples: batch.len(),
-                        ..Default::default()
-                    })
-                }
-            },
-            Some(_) => {
-                let stats = self.admit(relation, batch);
-                self.with_recovery(Self::drain_admission_bounds)?;
-                Ok(stats)
-            }
-        }
+        self.admit(relation, batch);
+        let executed = self.with_recovery(Self::drain_admission_bounds)?;
+        // Synchronous: what ran is the batch just admitted, now committed.
+        let run = executed.filter(|_| self.pipeline.is_none());
+        Ok(BatchExecution {
+            input_tuples: batch.len(),
+            ..run.unwrap_or_default()
+        })
     }
 
     /// Admit a pre-batched update stream in order, then [`Driver::flush`].
@@ -259,7 +253,7 @@ impl<T: Transport> Driver<T> {
 
     /// Execute every queued batch, commit the watermark and fold the stream
     /// wall-clock into the totals.  After `flush`, reads observe the entire
-    /// admitted stream.  No-op in epoch-synchronous mode.
+    /// admitted stream.  A synchronous driver has nothing left to flush.
     ///
     /// Recovers worker deaths per the [`FaultConfig`]; panics with the
     /// typed [`WorkerDead`] message when recovery is disabled or
@@ -349,16 +343,19 @@ impl<T: Transport> Driver<T> {
     /// [`PipelineStats::batches_abandoned`] counting the dropped queue).
     /// This is the observable form of the `Drop` path; use
     /// [`ThreadedCluster::flush`] first if queued batches must be applied.
-    /// On an epoch-synchronous driver the admission fields are zero.
+    /// A synchronous driver's queue is always empty, so it abandons
+    /// nothing; its admission counters still count every batch.
     pub fn close(mut self) -> PipelineStats {
         self.abandon_queue();
         self.metrics.pipeline_stats() // `Drop` shuts the workers down
     }
 
     /// The pipelined-ingestion counters, read from the metric registry, or
-    /// `None` in epoch-synchronous mode.
+    /// `None` in synchronous mode.
     pub fn pipeline_stats(&self) -> Option<PipelineStats> {
-        self.is_pipelined().then(|| self.metrics.pipeline_stats())
+        self.pipeline
+            .is_some()
+            .then(|| self.metrics.pipeline_stats())
     }
 
     /// Context of the most recently executed batch's root span: the parent
@@ -368,66 +365,35 @@ impl<T: Transport> Driver<T> {
         self.trace_scope
     }
 
-    /// Epoch-synchronous execution of one maintenance program over a batch
-    /// (preprocesses the batch, then delegates).
-    fn execute_program(
-        &mut self,
-        relation: &str,
-        batch: &Relation,
-    ) -> Result<BatchExecution, WorkerDead> {
-        let Some(program) = self.dplan.program(relation) else {
-            return Ok(BatchExecution {
-                input_tuples: batch.len(),
-                ..Default::default()
-            });
-        };
-        // Counted at first issue: a recovery replays the batch uncounted.
-        self.totals.tuples += batch.len();
-        self.metrics.batches_executed.inc();
-        self.metrics.batch_tuples.record(batch.len() as u64);
-        let root = self.telemetry.begin_batch_root();
-        let admit_span = self.telemetry.begin_span(root.context(), "admit");
-        let delta = program.preprocess(batch);
-        self.telemetry.finish_span(admit_span);
-        self.execute_canonical(relation, delta, batch.len(), false, Some(root))
-    }
-
     /// Run one maintenance program over an owned, preprocessed delta
-    /// ([`TriggerProgram::preprocess`](hotdog_distributed::TriggerProgram::preprocess)).
-    /// `input_tuples` is the size the stats report: the admitted batch's
-    /// on the synchronous path, the delta's own for queued and replayed
-    /// deltas (see [`PipelineStats::tuples_executed`]).  The batch and its
-    /// input are counted (`totals`, `driver.batches.executed`,
-    /// `driver.batch_tuples`) by its first-issue caller, not here, and its
-    /// latency and shuffled bytes only by its first completed issue, so a
-    /// recovery replay counts none of them again.
+    /// ([`TriggerProgram::preprocess`](hotdog_distributed::TriggerProgram::preprocess));
+    /// the stats report the delta's size as the input (see
+    /// [`PipelineStats::tuples_executed`]).  The batch and its input are
+    /// counted (`totals`, `driver.batches.executed`, `driver.batch_tuples`)
+    /// by its first-issue caller, not here, and its latency and shuffled
+    /// bytes only by its first completed issue, so a recovery replay counts
+    /// none of them again.
     ///
-    /// `pipelined = false` is the epoch-synchronous schedule: every
-    /// distributed block is barriered before the next starts and trailing
-    /// scatters are drained, so the returned stats carry the batch's full
-    /// measured wall-clock latency.  `pipelined = true` issues distributed
-    /// blocks without collecting their completions (up to the in-flight
-    /// window) and leaves trailing scatters un-barriered; completion is
-    /// deferred to the next fetch, watermark commit or window bound.
+    /// Distributed blocks are issued without collecting their completions
+    /// (up to the in-flight window) and trailing scatters are left
+    /// un-barriered; completion is deferred to the next fetch, window bound
+    /// or watermark commit.  A synchronous driver commits at the end of
+    /// every batch, so its stats carry the batch's full latency.
     pub(crate) fn execute_canonical(
         &mut self,
         relation: &str,
         delta: Relation,
-        input_tuples: usize,
-        pipelined: bool,
         root: Option<ActiveSpan>,
     ) -> Result<BatchExecution, WorkerDead> {
         let wall_start = Instant::now();
         let clock_start = self.transport.clock_secs();
         let mut stats = BatchExecution {
-            input_tuples,
+            input_tuples: delta.len(),
             ..Default::default()
         };
         let dplan = Arc::clone(&self.dplan);
-        let Some(p) = dplan.programs.iter().position(|pr| pr.relation == relation) else {
-            self.telemetry.finish_span(root);
-            return Ok(stats);
-        };
+        let p = (dplan.programs.iter().position(|pr| pr.relation == relation))
+            .expect("only a relation with a trigger program is admitted");
         let program = &dplan.programs[p];
         // Replayed batches (recovery) arrive rootless: open a fresh root so
         // the replay gets its own tree rather than grafting onto the
@@ -459,35 +425,31 @@ impl<T: Transport> Driver<T> {
                     }
                 }
                 StmtMode::Distributed => {
-                    if pipelined {
-                        // Enforce the in-flight window: replies arrive in
-                        // send order, so waiting for the oldest owed
-                        // completion blocks only when it has not arrived.
-                        for w in 0..self.workers {
-                            while self.ledger.pending(w) >= INFLIGHT_BLOCKS {
-                                self.await_one_completion(w)?;
-                            }
+                    // Enforce the in-flight window: replies arrive in send
+                    // order, so waiting for the oldest owed completion
+                    // blocks only when it has not arrived.
+                    for w in 0..self.workers {
+                        while self.ledger.pending(w) >= INFLIGHT_BLOCKS {
+                            self.await_one_completion(w)?;
                         }
                     }
                     self.broadcast_block(p as u32, b as u32)?;
-                    if !pipelined {
-                        // One epoch: barrier on the tagged completions.
-                        self.drain_pending_blocks()?;
-                    }
                 }
             }
         }
 
         // A program ending in scatter/repart leaves shards buffered: ship
-        // them now as the batch's trailing `ApplyMany` per worker.  The
-        // synchronous schedule additionally barriers so the measured
-        // latency covers shard installation; the pipelined schedule leaves
-        // them in flight (command FIFO protects the next batch) and the
-        // watermark commit drains them before any read.
+        // them now as the batch's trailing `ApplyMany` per worker, in
+        // flight (command FIFO protects the next batch) until the
+        // watermark commit barriers them.
         self.ship_all_applies()?;
         self.transport.flush_sends();
-        if !pipelined && self.applies_in_flight {
-            self.barrier_applies()?;
+
+        self.issued += 1;
+        if self.pipeline.is_none() {
+            // Behind the increment: with `watermark == issued` the commit
+            // would return at once and leave the last completion owed.
+            self.commit_watermark()?;
         }
 
         stats.stages = program.stages();
@@ -500,19 +462,15 @@ impl<T: Transport> Driver<T> {
             Some(start) => self.transport.clock_secs().unwrap_or(start) - start,
             None => wall_secs,
         };
-        // The root closes here even in pipelined mode (where trailing
-        // applies are still in flight): the window is the driver's issue
-        // span, and post-close stages (watermark commit, fan-out) record
-        // under `trace_scope` as clipped children.
+        // In pipelined mode the root closes with completions and trailing
+        // applies still in flight: the window is the driver's issue span,
+        // and post-close stages (watermark commit, fan-out) record under
+        // `trace_scope` as clipped children.
         self.telemetry.finish_span(Some(root));
 
-        self.issued += 1;
         self.metrics
             .ledger_outstanding
             .set(self.ledger.pending_total() as u64);
-        if !pipelined {
-            self.watermark = self.issued;
-        }
         // Counted when a batch first completes its issue: `latencies` holds
         // one entry per issue position reached, so a recovery replaying a
         // batch that already got one stays out of the totals.

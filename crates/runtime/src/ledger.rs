@@ -8,8 +8,8 @@
 //! for any reply settles the completions sent ahead of it, so block
 //! completions of the in-flight window settle at the window bound, in
 //! fetches and at watermark commits.  Command channels stay FIFO, which
-//! keeps every worker's *statement* sequence identical to the synchronous
-//! schedule.
+//! keeps every worker's *statement* sequence identical to awaiting every
+//! block before issuing the next.
 //!
 //! [`Driver::await_reply`] is the one function that waits for a tagged
 //! reply and [`Driver::round`] the one send-all/await-all loop.
@@ -154,7 +154,7 @@ impl<T: Transport> Driver<T> {
     }
 
     /// Settle every pending block completion (all workers) — the full
-    /// ledger drain used by watermark commits and epoch barriers.
+    /// ledger drain of a watermark commit.
     pub(crate) fn drain_pending_blocks(&mut self) -> Result<(), WorkerDead> {
         for w in 0..self.workers {
             while self.ledger.pending(w) > 0 {

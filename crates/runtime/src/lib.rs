@@ -9,11 +9,14 @@
 //! [`ThreadedCluster`] runs the workers on threads and measures wall-clock
 //! time; the simulated [`Cluster`] runs them inline on the caller's thread
 //! and models time ([`BatchExecution::latency_secs`] is its virtual clock's
-//! advance).  [`ThreadedCluster::new`] is the epoch-synchronous runtime
-//! (one batch in the system, a barrier after every distributed block);
-//! [`ThreadedCluster::pipelined`] admits into a coalescing queue and
-//! overlaps execution inside a bounded in-flight window.  "Life of a
-//! batch" in `docs/ARCHITECTURE.md` walks the whole path.
+//! advance).  Every driver runs one schedule: a batch is admitted, the
+//! admission bounds drive execution of the queue front, and distributed
+//! blocks overlap inside a bounded in-flight window.
+//! [`ThreadedCluster::pipelined`] admits into a coalescing queue;
+//! [`ThreadedCluster::new`] is the synchronous runtime, the same schedule
+//! with a queue of capacity 0 and no coalescing, so each batch executes
+//! at once and commits the watermark before `apply_batch` returns.
+//! "Life of a batch" in `docs/ARCHITECTURE.md` walks the whole path.
 //!
 //! `Driver<T>` is the one backend type: code that must run on every
 //! backend (benches, differential tests, `hotdog-serve`'s hub) is generic

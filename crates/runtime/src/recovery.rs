@@ -3,8 +3,9 @@
 //! its first message, so a death mid-batch replays it to completion; a
 //! checkpoint follows the batch's own accounting, so a batch never rides
 //! the log past its own cut; recovery restores *every* node to the cut and
-//! replays on the epoch-synchronous schedule — which makes a faulted run
-//! bit-identical to an unfaulted one under the same [`FaultConfig`].
+//! replays the log through the driver's one schedule — which makes a
+//! faulted run bit-identical to an unfaulted one under the same
+//! [`FaultConfig`].
 
 use crate::{Driver, FaultConfig, Reply, Request, Transport, WorkerDead};
 use hotdog_algebra::relation::Relation;
@@ -181,14 +182,19 @@ impl<T: Transport> Driver<T> {
         self.issued = ckpt_issued;
         self.watermark = ckpt_issued;
 
-        let log = std::mem::take(&mut self.replay_log);
+        let mut log = std::mem::take(&mut self.replay_log).into_iter();
         self.metrics.recovery_replayed.add(log.len() as u64);
-        for (rel, delta) in log {
-            // Epoch-synchronous replay: re-enters the log (and re-takes
-            // checkpoints) exactly as the original schedule did, under a
-            // fresh root span per replayed batch.
-            let tuples = delta.len();
-            self.execute_canonical(&rel, delta, tuples, false, None)?;
+        while let Some((rel, delta)) = log.next() {
+            // Re-enters the log (and re-takes checkpoints) exactly as the
+            // original schedule did, under a fresh root span per replayed
+            // batch.
+            if let Err(dead) = self.execute_canonical(&rel, delta, None) {
+                // A death mid-replay: the deltas not yet replayed stay
+                // logged behind the re-logged ones, so the next attempt
+                // replays them too.
+                self.replay_log.extend(log);
+                return Err(dead);
+            }
         }
         Ok(())
     }

@@ -619,7 +619,7 @@ fn eager_pipelined_reads_observe_an_issued_prefix() {
     // Eager execution gathers mid-stream, with batch k+1's blocks in
     // flight behind batch k's fetches.  A pre-flush read must still
     // observe a consistent batch boundary, and the flushed state must
-    // match the synchronous schedule.
+    // match a synchronous driver's.
     let config = PipelineConfig {
         coalesce_tuples: 0, // keep every batch a distinct trigger
         admit_capacity: 1,  // eager execution, gathers mid-stream
@@ -731,5 +731,46 @@ fn commits_behind_a_block_send_no_barrier_round() {
             .registry()
             .counter_value("driver.requests.barrier");
         assert_eq!(barriers, 0, "pipelined: {}", pipeline.is_some());
+    }
+}
+
+/// Apply `stream` one batch at a time on a synchronous driver and check
+/// that each `apply_batch` returns committed: no block completion owed,
+/// and the watermark one further for each batch the plan triggers on.
+fn assert_each_batch_commits<T: Transport>(d: &mut Driver<T>, stream: &[(&str, Relation)]) {
+    for (i, (rel, batch)) in stream.iter().enumerate() {
+        let before = d.watermark();
+        d.apply_batch(rel, batch);
+        let triggered = d.plan().program(rel).is_some();
+        assert_eq!(
+            d.outstanding_replies(),
+            0,
+            "batch {i} ({rel}) left completions owed"
+        );
+        assert_eq!(
+            d.watermark(),
+            before + u64::from(triggered),
+            "batch {i} ({rel}) did not commit"
+        );
+    }
+}
+
+#[test]
+fn a_synchronous_batch_commits_before_apply_batch_returns() {
+    // The commit runs behind the batch's `issued += 1`: in front of it,
+    // `watermark == issued` would make the commit return at once with the
+    // last block's completion still owed.
+    let mut stream = batches();
+    let unrelated = Relation::from_pairs(Schema::new(["X"]), vec![(tuple![1], 1.0)]);
+    stream.insert(1, ("UNRELATED", unrelated));
+    for make in [example_dplan, join_dplan] {
+        let mut threaded = ThreadedCluster::new(make(OptLevel::O3), 3);
+        assert_each_batch_commits(&mut threaded, &stream);
+        let mut sim = Cluster::new(make(OptLevel::O3), ClusterConfig::with_workers(3));
+        assert_each_batch_commits(&mut sim, &stream);
+        assert_eq!(
+            threaded.query_result().checksum(),
+            sim.query_result().checksum()
+        );
     }
 }

@@ -162,3 +162,87 @@ fn threaded_is_bit_identical_on_integer_workload() {
         );
     }
 }
+
+/// What a simulated run leaves behind that the modelled figures rest on:
+/// the summed modelled latency (bits), the per-batch latency count, the
+/// shuffled bytes and the driver's request counts by kind.
+#[derive(Debug, PartialEq)]
+struct ModelledRun {
+    latency_bits: u64,
+    latencies: usize,
+    bytes_shuffled: usize,
+    requests: [(&'static str, u64); 4],
+}
+
+fn modelled_run(id: &str) -> ModelledRun {
+    let q = query(id).unwrap();
+    let stream = generate_tpch(7, 4000).with_deletions(7, 0.25);
+    let mut cluster = Cluster::new(
+        compile_for(&q, OptLevel::O3),
+        ClusterConfig::with_workers(3),
+    );
+    for batch in stream.batches(200) {
+        for (rel, delta) in batch {
+            cluster.apply_batch(rel, &delta);
+        }
+    }
+    let snap = cluster.metrics_snapshot();
+    let request = |kind| (kind, snap.counter(&format!("driver.requests.{kind}")));
+    ModelledRun {
+        latency_bits: cluster.totals.latency_secs.to_bits(),
+        latencies: cluster.totals.latencies.len(),
+        bytes_shuffled: cluster.totals.bytes_shuffled,
+        requests: [
+            request("barrier"),
+            request("run_block"),
+            request("apply_many"),
+            request("fetch"),
+        ],
+    }
+}
+
+/// The simulated cluster's modelled clock advances on sends only, so its
+/// figures (fig9/fig10's modelled rows) depend on which messages a batch
+/// sends, not on when the driver waits for the replies.  Pinned exactly.
+#[test]
+fn simulated_modelled_figures_are_pinned() {
+    let expected = [
+        (
+            "Q3",
+            ModelledRun {
+                latency_bits: 0x3ff9_f03f_a173_8062,
+                latencies: 77,
+                bytes_shuffled: 44_096,
+                requests: [
+                    ("barrier", 0),
+                    ("run_block", 231),
+                    ("apply_many", 231),
+                    ("fetch", 0),
+                ],
+            },
+        ),
+        (
+            "Q9",
+            ModelledRun {
+                latency_bits: 0x4002_636f_2cb2_26c9,
+                latencies: 109,
+                bytes_shuffled: 1_282_184,
+                requests: [
+                    ("barrier", 156),
+                    ("run_block", 327),
+                    ("apply_many", 1029),
+                    ("fetch", 1029),
+                ],
+            },
+        ),
+    ];
+    for (id, want) in expected {
+        let got = modelled_run(id);
+        assert_eq!(
+            got,
+            want,
+            "{id}: latency_secs = {}",
+            f64::from_bits(got.latency_bits)
+        );
+    }
+}

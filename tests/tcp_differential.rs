@@ -27,7 +27,7 @@ fn seeded_stream(q: &CatalogQuery, tuples: usize, seed: u64) -> UpdateStream {
     base.with_deletions(seed, 0.25)
 }
 
-/// Every catalog query through the epoch-synchronous TCP cluster,
+/// Every catalog query through the synchronous TCP cluster,
 /// bit-for-bit against the simulated cluster.
 #[test]
 fn tcp_sync_matches_simulated_across_catalog() {

@@ -26,7 +26,7 @@ fn seeded_stream(q: &CatalogQuery, tuples: usize, seed: u64) -> UpdateStream {
     base.with_deletions(seed, 0.25)
 }
 
-/// Every catalog query, epoch-synchronous: every worker's
+/// Every catalog query, synchronous: every worker's
 /// `worker_stats()` (its counters and per-view partition cardinalities)
 /// and the deterministic slice of the metrics registry (driver message
 /// counts, worker sums) must agree bit-for-bit between the threaded and
