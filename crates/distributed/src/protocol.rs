@@ -149,6 +149,9 @@ pub enum WorkerReply {
         /// the deterministic `worker_stats()` equality the oracle
         /// compares, while span durations are wall-clock by definition.
         spans: Vec<SpanRecord>,
+        /// Spans this node evicted at its buffer bound since the previous
+        /// `Stats` round (added to the driver's drop count).
+        spans_dropped: u64,
     },
     Pong {
         id: u64,
@@ -213,11 +216,15 @@ pub fn handle_request(
             rel: state.snapshot(&view),
         }),
         WorkerRequest::Barrier { id } => Some(WorkerReply::Ack { id }),
-        WorkerRequest::Stats { id } => Some(WorkerReply::Stats {
-            id,
-            snapshot: state.stats_snapshot(),
-            spans: state.tracer.take(),
-        }),
+        WorkerRequest::Stats { id } => {
+            let (spans, spans_dropped) = state.tracer.take();
+            Some(WorkerReply::Stats {
+                id,
+                snapshot: state.stats_snapshot(),
+                spans,
+                spans_dropped,
+            })
+        }
         WorkerRequest::Ping { id } => Some(WorkerReply::Pong { id }),
         WorkerRequest::Checkpoint { id } => {
             state.canonicalize();

@@ -19,7 +19,7 @@ use hotdog_algebra::expr::Expr;
 use hotdog_algebra::relation::Relation;
 use hotdog_exec::{Database, Unsupported, VectorPlan};
 use hotdog_ivm::{MaintenancePlan, StmtOp};
-use hotdog_telemetry::trace::WorkerTracer;
+use hotdog_telemetry::trace::SpanBuffer;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
@@ -198,7 +198,7 @@ pub struct WorkerState {
     /// This node's span buffer: spans opened under wire-propagated trace
     /// contexts, drained by the `Stats` protocol round.  Set the display
     /// track via [`WorkerState::set_trace_track`] (worker `w` → `w + 1`).
-    pub tracer: WorkerTracer,
+    pub tracer: SpanBuffer,
     /// The statements `RunBlock` and `ApplyMany` name by position, and the
     /// driver node's `Local` blocks run by position too.
     programs: Arc<Programs>,
@@ -218,7 +218,7 @@ impl WorkerState {
             views: plan.views.iter().map(|v| v.name.clone()).collect(),
             capture: HashSet::new(),
             captured: Vec::new(),
-            tracer: WorkerTracer::default(),
+            tracer: SpanBuffer::default(),
             programs,
         }
     }
@@ -312,7 +312,7 @@ impl WorkerState {
         // Same for buffered spans: the batches that produced them are being
         // replayed and will open fresh spans (the id counter is *not*
         // reset, so replayed spans never collide with pre-fault ids).
-        self.tracer.clear_buffer();
+        self.tracer.clear();
     }
 
     /// Execute one `Compute` statement, compiled as `plan`, against this

@@ -40,7 +40,7 @@ use hotdog_distributed::{
     WorkerStatsSnapshot,
 };
 use hotdog_ivm::{StmtOp, Strategy};
-use hotdog_telemetry::trace::{SpanContext, SpanRecord};
+use hotdog_telemetry::trace::{SpanContext, SpanRecord, STAGES};
 use std::fmt;
 
 /// Decoding failure: the buffer does not contain a well-formed message.
@@ -58,6 +58,8 @@ pub enum DecodeError {
     TrailingBytes(usize),
     /// Query expressions nest deeper than [`MAX_NESTING`].
     TooDeep,
+    /// A span record named no stage of the [`STAGES`] catalog.
+    UnknownStage,
 }
 
 impl fmt::Display for DecodeError {
@@ -69,6 +71,7 @@ impl fmt::Display for DecodeError {
             DecodeError::BadBool(b) => write!(f, "bad boolean byte {b:#x}"),
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes after message"),
             DecodeError::TooDeep => write!(f, "expressions nest deeper than {MAX_NESTING}"),
+            DecodeError::UnknownStage => write!(f, "span names no known stage"),
         }
     }
 }
@@ -772,7 +775,9 @@ impl Wire for SpanContext {
 
 /// Finished spans piggybacked on the `Stats` reply.  Durations ride as
 /// plain micros off the sending process's epoch; the driver only compares
-/// the structural fields across transports, never the clocks.
+/// the structural fields across transports, never the clocks.  The name
+/// travels as a string and decodes, without allocating, to its entry in
+/// the [`STAGES`] catalog; any other name is [`DecodeError::UnknownStage`].
 impl Wire for SpanRecord {
     fn encode(&self, out: &mut Vec<u8>) {
         self.trace.encode(out);
@@ -781,7 +786,8 @@ impl Wire for SpanRecord {
         self.track.encode(out);
         self.start_micros.encode(out);
         self.end_micros.encode(out);
-        self.name.encode(out);
+        (self.name.len() as u32).encode(out);
+        out.extend_from_slice(self.name.as_bytes());
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(SpanRecord {
@@ -791,7 +797,13 @@ impl Wire for SpanRecord {
             track: u32::decode(r)?,
             start_micros: u64::decode(r)?,
             end_micros: u64::decode(r)?,
-            name: String::decode(r)?,
+            name: {
+                let len = u32::decode(r)? as usize;
+                let bytes = r.take(len)?;
+                (STAGES.iter().map(|&(stage, _)| stage))
+                    .find(|stage| stage.as_bytes() == bytes)
+                    .ok_or(DecodeError::UnknownStage)?
+            },
         })
     }
 }
@@ -986,11 +998,13 @@ impl Wire for WorkerReply {
                 id,
                 snapshot,
                 spans,
+                spans_dropped,
             } => {
                 out.push(3);
                 id.encode(out);
                 snapshot.encode(out);
                 spans.encode(out);
+                spans_dropped.encode(out);
             }
             WorkerReply::Pong { id } => {
                 out.push(4);
@@ -1025,6 +1039,7 @@ impl Wire for WorkerReply {
                 id: u64::decode(r)?,
                 snapshot: WorkerStatsSnapshot::decode(r)?,
                 spans: Vec::decode(r)?,
+                spans_dropped: u64::decode(r)?,
             }),
             4 => Ok(WorkerReply::Pong {
                 id: u64::decode(r)?,

@@ -18,7 +18,7 @@ use hotdog_net::codec::{Init, ToDriver, ToWorker};
 use hotdog_net::DecodeError;
 use hotdog_net::{compile_init, decode_from_slice, encode_to_vec, read_frame, write_frame};
 use hotdog_serve::QueryShape;
-use hotdog_telemetry::SpanContext;
+use hotdog_telemetry::{SpanContext, SpanRecord, STAGES};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -667,41 +667,51 @@ fn stats_messages_roundtrip() {
     };
     // Piggybacked spans must survive the wire field-for-field, including
     // the structural ids the oracle compares and the raw micros it
-    // ignores.
-    let spans = vec![
-        hotdog_telemetry::SpanRecord {
+    // ignores: one span per stage of the catalog.
+    let spans: Vec<SpanRecord> = (STAGES.iter().zip(1u64..))
+        .map(|(&(name, _), seq)| SpanRecord {
             trace: 1,
-            id: (2u64 << 32) | 1,
+            id: (2u64 << 32) | seq,
             parent: 1,
-            name: "worker.run_block".to_string(),
+            name,
             track: 2,
-            start_micros: 10,
-            end_micros: u64::MAX,
-        },
-        hotdog_telemetry::SpanRecord {
-            trace: 1,
-            id: (2u64 << 32) | 2,
-            parent: 1,
-            name: "worker.apply".to_string(),
-            track: 2,
-            start_micros: 0,
-            end_micros: 0,
-        },
-    ];
+            start_micros: seq,
+            end_micros: if seq == 1 { u64::MAX } else { 0 },
+        })
+        .collect();
+    // A span's layout: trace, id, parent, track, start, end, then the
+    // name as a `u32` length and its bytes.
+    let first = spans[0];
+    let mut layout = Vec::new();
+    for word in [first.trace, first.id, first.parent] {
+        layout.extend(word.to_le_bytes());
+    }
+    layout.extend(first.track.to_le_bytes());
+    layout.extend(first.start_micros.to_le_bytes());
+    layout.extend(first.end_micros.to_le_bytes());
+    layout.extend((first.name.len() as u32).to_le_bytes());
+    layout.extend(first.name.as_bytes());
+    assert_eq!(encode_to_vec(&first), layout);
     let rep = ToDriver::Reply(WorkerReply::Stats {
         id: 42,
         snapshot: snapshot.clone(),
         spans: spans.clone(),
+        spans_dropped: 1 << 33,
     });
-    match decode_from_slice::<ToDriver>(&encode_to_vec(&rep)).unwrap() {
+    let bytes = encode_to_vec(&rep);
+    let decoded = decode_from_slice::<ToDriver>(&bytes).unwrap();
+    assert_eq!(encode_to_vec(&decoded), bytes, "byte-for-byte");
+    match decoded {
         ToDriver::Reply(WorkerReply::Stats {
             id,
             snapshot: s,
             spans: sp,
+            spans_dropped,
         }) => {
             assert_eq!(id, 42);
             assert_eq!(s, snapshot);
             assert_eq!(sp, spans);
+            assert_eq!(spans_dropped, 1 << 33);
         }
         _ => panic!("wrong variant"),
     }

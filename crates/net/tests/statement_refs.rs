@@ -5,17 +5,19 @@
 //! digest differs from the worker's own compile must end `serve` with
 //! `InvalidData` — never a panic on an index or in the interpreter — and
 //! the driver must see the closed connection as a typed `WorkerDead`.
+//! A `Stats` reply whose span names no known stage is a typed decode
+//! error.
 
 use hotdog_algebra::expr::{join, rel, sum, Expr};
 use hotdog_distributed::protocol::{WorkerReply, WorkerRequest};
-use hotdog_distributed::StmtMode;
 use hotdog_distributed::{compile_distributed, DistributedPlan, OptLevel, PartitioningSpec};
+use hotdog_distributed::{StmtMode, WorkerStatsSnapshot};
 use hotdog_ivm::compile_recursive;
 use hotdog_net::codec::{decode_from_slice, DecodeError, Init, ToDriver, ToWorker};
 use hotdog_net::{encode_to_vec, recv_msg, serve, write_frame};
 use hotdog_net::{TcpConfig, TcpTransport, WorkerSpawn};
 use hotdog_runtime::Transport;
-use hotdog_telemetry::SpanContext;
+use hotdog_telemetry::{SpanContext, SpanRecord};
 use std::io::{self, BufReader};
 use std::net::{TcpListener, TcpStream};
 use std::thread;
@@ -169,6 +171,45 @@ fn an_init_nested_past_the_bound_is_a_decode_error() {
     assert!(matches!(
         decode_from_slice::<ToWorker>(&frame),
         Err(DecodeError::TooDeep)
+    ));
+}
+
+/// A `Stats` reply whose span names a stage outside the catalog is a
+/// typed decode error: a peer cannot make the driver store an arbitrary
+/// name.  Every truncation of the frame, and a name length past its end,
+/// is an error too, never a panic.
+#[test]
+fn a_stats_reply_naming_an_unknown_stage_is_a_decode_error() {
+    let span = SpanRecord {
+        trace: 1,
+        id: (1 << 32) | 1,
+        parent: 1,
+        name: "bogus",
+        track: 1,
+        start_micros: 2,
+        end_micros: 3,
+    };
+    let frame = encode_to_vec(&ToDriver::Reply(WorkerReply::Stats {
+        id: 9,
+        snapshot: WorkerStatsSnapshot::default(),
+        spans: vec![span],
+        spans_dropped: 0,
+    }));
+    assert!(matches!(
+        decode_from_slice::<ToDriver>(&frame),
+        Err(DecodeError::UnknownStage)
+    ));
+    for len in 0..frame.len() {
+        assert!(decode_from_slice::<ToDriver>(&frame[..len]).is_err());
+    }
+    // The name's length field sits 8 bytes (the drop count) plus the
+    // name before the end of the frame.
+    let mut long = frame.clone();
+    let at = frame.len() - 8 - span.name.len() - 4;
+    long[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert!(matches!(
+        decode_from_slice::<ToDriver>(&long),
+        Err(DecodeError::UnexpectedEof)
     ));
 }
 

@@ -12,7 +12,7 @@
 //! Invariants: per-relation admission order is preserved and
 //! `queue_bytes` is the exact serialized footprint of `queue`.
 
-use crate::{BatchExecution, Driver, Transport, WorkerDead};
+use crate::{Driver, Transport, WorkerDead};
 use hotdog_algebra::relation::Relation;
 use hotdog_telemetry::ActiveSpan;
 use std::time::Instant;
@@ -44,7 +44,7 @@ impl<T: Transport> Driver<T> {
     /// mid-execution leaves the entry popped: it was logged before any
     /// message was issued, so recovery replays it to completion rather
     /// than re-queueing it.
-    fn execute_queue_front(&mut self) -> Result<BatchExecution, WorkerDead> {
+    fn execute_queue_front(&mut self) -> Result<(), WorkerDead> {
         let entry = self.queue.pop_front().expect("the queue is not empty");
         self.queue_bytes -= entry.delta.serialized_size();
         // Counted at first issue: a recovery replays the delta uncounted.
@@ -136,26 +136,25 @@ impl<T: Transport> Driver<T> {
     /// budget, then count capacity, oldest first.  This is the fallible
     /// half of admission (it issues worker traffic); retrying it after a
     /// recovery is safe because every bound is re-checked from current
-    /// queue state.  Returns the stats of the last batch it executed: on a
-    /// synchronous driver (capacity 0) the batch just admitted.
-    pub(crate) fn drain_admission_bounds(&mut self) -> Result<Option<BatchExecution>, WorkerDead> {
+    /// queue state.  On a synchronous driver (capacity 0) it executes the
+    /// batch just admitted.
+    pub(crate) fn drain_admission_bounds(&mut self) -> Result<(), WorkerDead> {
         let (admit_bytes, admit_capacity) =
             (self.pipeline.as_ref()).map_or((0, 0), |c| (c.admit_bytes, c.admit_capacity));
-        let mut executed = None;
         // Backpressure, oldest first.  Byte bound: shed queued work until
         // the footprint fits (a single oversized delta executes
         // immediately, emptying the queue).
         while admit_bytes > 0 && self.queue_bytes > admit_bytes {
-            executed = Some(self.execute_queue_front()?);
+            self.execute_queue_front()?;
             self.metrics.batches_forced_by_bytes.inc();
         }
         // Count capacity.
         while self.queue.len() > admit_capacity {
-            executed = Some(self.execute_queue_front()?);
+            self.execute_queue_front()?;
         }
         self.metrics.queue_depth.set(self.queue.len() as u64);
         self.metrics.queue_bytes.set(self.queue_bytes as u64);
-        Ok(executed)
+        Ok(())
     }
 
     /// Drop queued deltas without executing them (no maintenance program

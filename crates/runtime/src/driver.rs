@@ -20,8 +20,8 @@ use crate::ledger::ReplyLedger;
 use crate::recovery::CheckpointState;
 use crate::stats::DriverMetrics;
 use crate::{
-    install, BatchExecution, ChannelTransport, ClusterTotals, FaultConfig, PipelineConfig,
-    PipelineStats, Reply, Request, Transport, WorkerDead,
+    install, ChannelTransport, ClusterTotals, FaultConfig, PipelineConfig, PipelineStats, Reply,
+    Request, Transport, WorkerDead,
 };
 use hotdog_algebra::eval::EvalCounters;
 use hotdog_algebra::relation::Relation;
@@ -48,9 +48,10 @@ const INFLIGHT_BLOCKS: usize = 4;
 /// simulated [`Cluster`](crate::Cluster) (= `Driver<SimTransport>`) over
 /// workers executed inline, so the backends can only differ in how bytes
 /// move.
-/// [`BatchExecution::latency_secs`] is the transport's modelled clock when
-/// it has one ([`Transport::clock_secs`]) and measured wall-clock time
-/// otherwise.  The crate docs say which module owns which fields.
+/// A batch's latency in [`ClusterTotals::latencies`] is the transport's
+/// modelled clock when it has one ([`Transport::clock_secs`]) and measured
+/// wall-clock time otherwise.  The crate docs say which module owns which
+/// fields.
 pub struct Driver<T: Transport> {
     /// Number of workers.
     pub workers: usize,
@@ -211,11 +212,11 @@ impl<T: Transport> Driver<T> {
     ///
     /// Both modes *admit* the batch, then enforce the admission bounds.
     /// Synchronous mode (capacity 0) thereby executes and commits the batch
-    /// and returns its **measured** execution statistics.  Pipelined mode
-    /// may ring-sum the batch into an already-queued delta and returns
-    /// admission statistics; execution overlaps subsequent admissions and
+    /// before returning; its measured latency and shuffled bytes land in
+    /// [`Driver::totals`].  Pipelined mode may ring-sum the batch into an
+    /// already-queued delta; execution overlaps subsequent admissions and
     /// is forced by [`ThreadedCluster::flush`] or any view read.
-    pub fn apply_batch(&mut self, relation: &str, batch: &Relation) -> BatchExecution {
+    pub fn apply_batch(&mut self, relation: &str, batch: &Relation) {
         self.try_apply_batch(relation, batch)
             .unwrap_or_else(|dead| panic!("{dead} (recovery unavailable)"))
     }
@@ -224,21 +225,10 @@ impl<T: Transport> Driver<T> {
     /// per the [`FaultConfig`] and surfaces the typed [`WorkerDead`]
     /// when recovery is disabled or exhausted.  An interrupted batch is
     /// logged *before* any message is issued, so a successful recovery
-    /// replays it to completion — the returned stats for a recovered
-    /// batch carry only its input size, not measured execution numbers.
-    pub fn try_apply_batch(
-        &mut self,
-        relation: &str,
-        batch: &Relation,
-    ) -> Result<BatchExecution, WorkerDead> {
+    /// replays it to completion.
+    pub fn try_apply_batch(&mut self, relation: &str, batch: &Relation) -> Result<(), WorkerDead> {
         self.admit(relation, batch);
-        let executed = self.with_recovery(Self::drain_admission_bounds)?;
-        // Synchronous: what ran is the batch just admitted, now committed.
-        let run = executed.filter(|_| self.pipeline.is_none());
-        Ok(BatchExecution {
-            input_tuples: batch.len(),
-            ..run.unwrap_or_default()
-        })
+        self.with_recovery(Self::drain_admission_bounds)
     }
 
     /// Admit a pre-batched update stream in order, then [`Driver::flush`].
@@ -366,31 +356,27 @@ impl<T: Transport> Driver<T> {
     }
 
     /// Run one maintenance program over an owned, preprocessed delta
-    /// ([`TriggerProgram::preprocess`](hotdog_distributed::TriggerProgram::preprocess));
-    /// the stats report the delta's size as the input (see
-    /// [`PipelineStats::tuples_executed`]).  The batch and its input are
-    /// counted (`totals`, `driver.batches.executed`, `driver.batch_tuples`)
-    /// by its first-issue caller, not here, and its latency and shuffled
-    /// bytes only by its first completed issue, so a recovery replay counts
-    /// none of them again.
+    /// ([`TriggerProgram::preprocess`](hotdog_distributed::TriggerProgram::preprocess)).
+    /// The batch and its input are counted (`totals`,
+    /// `driver.batches.executed`, `driver.batch_tuples`) by its first-issue
+    /// caller, not here, and its latency and shuffled bytes only by its
+    /// first completed issue, so a recovery replay counts none of them
+    /// again.
     ///
     /// Distributed blocks are issued without collecting their completions
     /// (up to the in-flight window) and trailing scatters are left
     /// un-barriered; completion is deferred to the next fetch, window bound
     /// or watermark commit.  A synchronous driver commits at the end of
-    /// every batch, so its stats carry the batch's full latency.
+    /// every batch, so its recorded latency is the batch's full latency.
     pub(crate) fn execute_canonical(
         &mut self,
         relation: &str,
         delta: Relation,
         root: Option<ActiveSpan>,
-    ) -> Result<BatchExecution, WorkerDead> {
+    ) -> Result<(), WorkerDead> {
         let wall_start = Instant::now();
         let clock_start = self.transport.clock_secs();
-        let mut stats = BatchExecution {
-            input_tuples: delta.len(),
-            ..Default::default()
-        };
+        let mut bytes_shuffled = 0;
         let dplan = Arc::clone(&self.dplan);
         let p = (dplan.programs.iter().position(|pr| pr.relation == relation))
             .expect("only a relation with a trigger program is admitted");
@@ -419,7 +405,7 @@ impl<T: Transport> Driver<T> {
                                 let at = (p as u32, b as u32, s as u32);
                                 let bytes =
                                     self.run_transform(at, stmt, kind, source, (relation, &delta))?;
-                                stats.bytes_shuffled += bytes;
+                                bytes_shuffled += bytes;
                             }
                         }
                     }
@@ -452,15 +438,13 @@ impl<T: Transport> Driver<T> {
             self.commit_watermark()?;
         }
 
-        stats.stages = program.stages();
         // Synchronous mode: the batch's end-to-end wall-clock, or the
         // modelled clock's advance when the transport keeps one.  Pipelined
         // mode: the driver-side issue time only (the stream's end-to-end
         // wall-clock is folded into the totals at `flush`).
-        let wall_secs = wall_start.elapsed().as_secs_f64();
-        stats.latency_secs = match clock_start {
+        let latency_secs = match clock_start {
             Some(start) => self.transport.clock_secs().unwrap_or(start) - start,
-            None => wall_secs,
+            None => wall_start.elapsed().as_secs_f64(),
         };
         // In pipelined mode the root closes with completions and trailing
         // applies still in flight: the window is the driver's issue span,
@@ -477,15 +461,14 @@ impl<T: Transport> Driver<T> {
         if self.issued as usize > self.totals.latencies.len() {
             if self.pipeline.is_none() {
                 // Pipelined stream wall-clock is folded in at `flush` instead.
-                self.totals.latency_secs += stats.latency_secs;
+                self.totals.latency_secs += latency_secs;
             }
-            self.totals.bytes_shuffled += stats.bytes_shuffled;
-            self.totals.latencies.push(stats.latency_secs);
+            self.totals.bytes_shuffled += bytes_shuffled;
+            self.totals.latencies.push(latency_secs);
         }
         // After the batch's own accounting, so a checkpointed batch never
         // rides the replay log past its own checkpoint.
-        self.checkpoint_if_due()?;
-        Ok(stats)
+        self.checkpoint_if_due()
     }
 
     /// Run block `block` of program `program` on every worker (behind its

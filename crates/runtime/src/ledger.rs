@@ -266,6 +266,7 @@ mod tests {
                     id,
                     snapshot: WorkerStatsSnapshot::default(),
                     spans: Vec::new(),
+                    spans_dropped: 0,
                 },
                 |r| matches!(r, Reply::Stats { .. }),
             ),

@@ -8,8 +8,8 @@
 //! transport holds identical view contents and only the *time* differs.
 //! [`ThreadedCluster`] runs the workers on threads and measures wall-clock
 //! time; the simulated [`Cluster`] runs them inline on the caller's thread
-//! and models time ([`BatchExecution::latency_secs`] is its virtual clock's
-//! advance).  Every driver runs one schedule: a batch is admitted, the
+//! and models time (each latency in [`ClusterTotals::latencies`] is its
+//! virtual clock's advance).  Every driver runs one schedule: a batch is admitted, the
 //! admission bounds drive execution of the queue front, and distributed
 //! blocks overlap inside a bounded in-flight window.
 //! [`ThreadedCluster::pipelined`] admits into a coalescing queue;
@@ -52,7 +52,7 @@
 //!   unfaulted run bit for bit.
 //! * `capture` — the captured view set and its recovery epoch.  A capture
 //!   batch never precedes its batches' watermark commit.
-//! * `stats` — [`BatchExecution`], [`ClusterTotals`], the cached metric
+//! * `stats` — [`ClusterTotals`], the cached metric
 //!   handles and [`PipelineStats`], which is read from them: every
 //!   driver-side count is incremented once, in the registry.  A batch is
 //!   counted once: its input and `driver.batches.executed` when it is
@@ -79,7 +79,7 @@ mod tests;
 pub use cluster::{Cluster, SimTransport};
 pub use config::{ClusterConfig, FaultConfig, PipelineConfig};
 pub use driver::{Driver, ThreadedCluster};
-pub use stats::{BatchExecution, ClusterTotals, PipelineStats};
+pub use stats::{ClusterTotals, PipelineStats};
 
 use hotdog_distributed::protocol::{
     handle_request, WorkerReply as Reply, WorkerRequest as Request,

@@ -1,5 +1,5 @@
-//! What the driver counts: per-batch [`BatchExecution`] stats, lifetime
-//! [`ClusterTotals`], the cached metric handles every hot path updates
+//! What the driver counts: lifetime [`ClusterTotals`] (per-batch
+//! latencies among them), the cached metric handles every hot path updates
 //! ([`DriverMetrics`]) and the [`PipelineStats`] read back from them, and
 //! the snapshot / trace accessors built on the protocol's `Stats` round.
 
@@ -9,19 +9,6 @@ use hotdog_telemetry::{
     Counter, CriticalPath, Gauge, Histogram, MetricsSnapshot, SpanRecord, Telemetry,
 };
 use std::sync::Arc;
-
-/// Statistics of processing one batch on the cluster.
-#[derive(Clone, Debug, Default)]
-pub struct BatchExecution {
-    pub input_tuples: usize,
-    /// End-to-end latency of the batch (seconds): modelled on the
-    /// simulated cluster, measured wall-clock elsewhere.
-    pub latency_secs: f64,
-    /// Total bytes moved over the network.
-    pub bytes_shuffled: usize,
-    /// Distributed stages executed.
-    pub stages: usize,
-}
 
 /// Accumulated totals over a cluster's lifetime.
 #[derive(Clone, Debug, Default)]
@@ -257,9 +244,12 @@ impl<T: Transport> Driver<T> {
             |id| Request::Stats { id },
             |reply| match reply {
                 Reply::Stats {
-                    snapshot, spans, ..
+                    snapshot,
+                    spans,
+                    spans_dropped,
+                    ..
                 } => {
-                    telemetry.ingest_spans(spans);
+                    telemetry.ingest_spans(spans, spans_dropped);
                     Some(snapshot)
                 }
                 _ => None,

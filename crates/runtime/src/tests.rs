@@ -307,12 +307,14 @@ fn tiny_inflight_window_still_correct() {
 #[test]
 fn measured_stats_are_populated() {
     let dplan = example_dplan(OptLevel::O3);
+    let stages: usize = (batches().iter())
+        .filter_map(|(rel, _)| dplan.program(rel).map(|p| p.stages()))
+        .sum();
     let mut cluster = ThreadedCluster::new(dplan, 3);
-    let mut stages = 0;
     for (rel, batch) in batches() {
-        let stats = cluster.apply_batch(rel, &batch);
-        assert!(stats.latency_secs > 0.0, "latency must be measured");
-        stages += stats.stages;
+        cluster.apply_batch(rel, &batch);
+        let latest = cluster.totals.latencies.last().copied();
+        assert!(latest > Some(0.0), "latency must be measured");
     }
     assert!(stages > 0);
     assert_eq!(cluster.totals.latencies.len(), batches().len());
@@ -443,11 +445,11 @@ fn replicated_view_reads_return_one_copy() {
 fn unknown_relation_batches_are_ignored() {
     let dplan = example_dplan(OptLevel::O3);
     let mut cluster = ThreadedCluster::new(dplan, 2);
-    let stats = cluster.apply_batch(
+    cluster.apply_batch(
         "UNRELATED",
         &Relation::from_pairs(Schema::new(["X"]), vec![(tuple![1], 1.0)]),
     );
-    assert_eq!(stats.stages, 0);
+    assert!(cluster.totals.latencies.is_empty(), "nothing executed");
     assert!(cluster.query_result().is_empty());
 }
 

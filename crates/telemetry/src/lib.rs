@@ -13,9 +13,13 @@
 //!   counters) must be bit-identical across the threaded and TCP
 //!   backends; the workspace telemetry oracle asserts it.
 //!   [`MetricsSnapshot::render_text`] prints it one metric per line.
-//! * **The trace** — every recorded [`SpanRecord`].  With
-//!   `HOTDOG_TRACE=<path>` set, dropping the owning cluster writes it as
-//!   one Chrome trace-event JSON file to `<path>`.
+//! * **The trace** — every held [`SpanRecord`]: a plain `Copy` record
+//!   named from the static [`STAGES`] catalog, kept in one [`SpanBuffer`]
+//!   type by the driver and by every worker (the newest [`MAX_SPANS`],
+//!   every eviction counted in [`Tracer::dropped`]).  Spans are recorded
+//!   whether or not `HOTDOG_TRACE` is set; with `HOTDOG_TRACE=<path>`,
+//!   dropping the owning cluster also writes them as one Chrome
+//!   trace-event JSON file to `<path>`.
 
 #![forbid(unsafe_code)]
 
@@ -28,7 +32,7 @@ pub use metrics::{
 };
 pub use trace::{
     chrome_trace_json, critical_path, structure as trace_structure, ActiveSpan, CriticalPath,
-    SpanContext, SpanRecord, SpanStructure, Tracer, WorkerTracer, TRACE_ENV,
+    SpanBuffer, SpanContext, SpanRecord, SpanStructure, Tracer, MAX_SPANS, STAGES, TRACE_ENV,
 };
 
 use std::sync::Arc;
@@ -73,25 +77,25 @@ impl Telemetry {
     /// Open a driver-side span (track 0) under `ctx`; `None` when the
     /// context carries no trace.
     pub fn begin_span(&self, ctx: SpanContext, name: &'static str) -> Option<ActiveSpan> {
-        self.tracer.begin(ctx, name, 0)
+        self.tracer.begin(ctx, name)
     }
 
     /// Close a driver-side span, folding its duration into the matching
     /// `trace.*` stage histogram.  No-op for `None` (the untraced case).
     pub fn finish_span(&self, span: Option<ActiveSpan>) {
-        if let Some(span) = span {
-            let rec = self.tracer.finish(span);
+        if let Some(rec) = self.tracer.finish(span) {
             trace::fold_span_histogram(&self.registry, &rec);
         }
     }
 
-    /// Ingest worker-reported span records (the `Stats` piggyback),
-    /// folding each duration into its `trace.*` stage histogram.
-    pub fn ingest_spans(&self, spans: Vec<SpanRecord>) {
+    /// Ingest a worker's `Stats` piggyback: its span records, each folded
+    /// into its `trace.*` stage histogram, and the count of spans it
+    /// dropped since the previous round, added to [`Tracer::dropped`].
+    pub fn ingest_spans(&self, spans: Vec<SpanRecord>, dropped: u64) {
         for rec in &spans {
             trace::fold_span_histogram(&self.registry, rec);
         }
-        self.tracer.record_all(spans);
+        self.tracer.ingest(spans, dropped);
     }
 
     /// Every span recorded so far (driver plus ingested worker records).

@@ -11,26 +11,34 @@
 //! on the tagged `Stats` round, so one batch yields one stitched tree
 //! whether the backend is simulated, threaded or TCP.
 //!
+//! A finished span is a plain `Copy` record whose name is a `&'static
+//! str` from the [`STAGES`] catalog, so recording one allocates nothing.
+//! Records live in one buffer type, [`SpanBuffer`]: each worker node owns
+//! one, and the driver's [`Tracer`] holds one on track 0 behind a mutex.
+//! A buffer keeps the newest [`MAX_SPANS`] records and counts every
+//! eviction; a worker's count travels home with its spans.
+//!
 //! Two disjoint determinism domains, mirroring the metrics registry's
 //! counter/histogram split:
 //!
 //! * The **structure slice** ([`structure`]) — `(trace, id, parent, name,
 //!   track)` per span — is a pure function of the admission sequence and
 //!   the shared driver schedule, and must be bit-identical threaded vs
-//!   TCP (the `trace_oracle` arm asserts it).  Driver spans number from a
-//!   per-tracer counter on track 0; worker spans number from a per-node
-//!   counter namespaced by `(track << 32)`, so ids cannot collide across
-//!   tracks and each node's FIFO command stream yields the same ids on
-//!   every transport.
+//!   TCP (the `trace_oracle` arm asserts it).  Span ids are
+//!   `(track << 32) | seq` from a per-buffer counter, so ids cannot
+//!   collide across tracks (the driver's, on track 0, are plain `seq`) and
+//!   each node's FIFO command stream yields the same ids on every
+//!   transport.
 //! * The **durations** (`start_micros`/`end_micros`, measured against a
 //!   process-wide monotonic epoch) are wall-clock by definition: they feed
 //!   the `trace.*` histograms, the [`critical_path`] analyzer and the
 //!   Chrome trace export, and are excluded from the deterministic slice.
 
 use crate::metrics::Registry;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Environment variable naming the Chrome trace-event JSON export path.
@@ -38,9 +46,27 @@ use std::time::Instant;
 /// (thread-per-worker track layout, loadable in Perfetto / `chrome://tracing`).
 pub const TRACE_ENV: &str = "HOTDOG_TRACE";
 
-/// Spans held per tracer before older records are dropped (a runaway-
-/// stream backstop; the drop count is reported, never silent).
+/// Spans a buffer holds before it evicts its oldest record (a runaway-
+/// stream backstop; every eviction is counted, never silent).
 pub const MAX_SPANS: usize = 1 << 20;
+
+/// The stage catalog: every span name the runtime opens, with the
+/// histogram its durations fold into.  All histograms sit under the
+/// `trace.` prefix, which the deterministic snapshot slice excludes
+/// (they are latency-valued).  A span name arriving over the wire must be
+/// one of these.
+pub const STAGES: &[(&str, &str)] = &[
+    ("batch", "trace.batch_micros"),
+    ("admit", "trace.admit_micros"),
+    ("coalesce", "trace.coalesce_micros"),
+    ("scatter.encode", "trace.scatter_encode_micros"),
+    ("gather", "trace.gather_micros"),
+    ("watermark.commit", "trace.watermark_commit_micros"),
+    ("fanout.split", "trace.fanout_split_micros"),
+    ("worker.run_block", "trace.worker_run_block_micros"),
+    ("worker.apply", "trace.worker_apply_micros"),
+    ("worker.fetch", "trace.worker_fetch_micros"),
+];
 
 /// Microseconds since the process-wide trace epoch (the first call).
 /// Span timestamps share one epoch so tracks from every node of an
@@ -76,8 +102,8 @@ impl SpanContext {
     }
 }
 
-/// One finished span, as stored in a tracer or shipped in a `Stats` reply.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One finished span, as stored in a buffer or shipped in a `Stats` reply.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
     /// The batch's trace id (1-based admission sequence of the tracer).
     pub trace: u64,
@@ -85,8 +111,9 @@ pub struct SpanRecord {
     pub id: u64,
     /// Parent span id (`0` for the root).
     pub parent: u64,
-    /// Stage name (`"batch"`, `"admit"`, `"worker.run_block"`, …).
-    pub name: String,
+    /// Stage name (`"batch"`, `"admit"`, `"worker.run_block"`, …; see
+    /// [`STAGES`]).
+    pub name: &'static str,
     /// Display track: `0` for the driver, `w + 1` for worker `w`.
     pub track: u32,
     /// Start, microseconds since the process trace epoch.
@@ -104,13 +131,13 @@ impl SpanRecord {
 
 /// The deterministic slice of one span: everything except the durations.
 /// Ordered so sorted slices from two backends compare positionally.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SpanStructure {
     pub trace: u64,
     pub track: u32,
     pub id: u64,
     pub parent: u64,
-    pub name: String,
+    pub name: &'static str,
 }
 
 /// Project spans onto their deterministic structure slice, sorted — the
@@ -123,7 +150,7 @@ pub fn structure(spans: &[SpanRecord]) -> Vec<SpanStructure> {
             track: s.track,
             id: s.id,
             parent: s.parent,
-            name: s.name.clone(),
+            name: s.name,
         })
         .collect();
     out.sort();
@@ -153,132 +180,29 @@ impl ActiveSpan {
     }
 }
 
-/// The driver-side span store: finished records plus the trace/span id
-/// counters.  One per [`Telemetry`](crate::Telemetry) handle; worker nodes
-/// use the lock-free [`WorkerTracer`] instead and piggyback their records
-/// here over the `Stats` protocol round.
+/// One node's span store: its finished records (the newest
+/// [`MAX_SPANS`]), its span-id counter, its display track and the number
+/// of records evicted at the bound.  A worker node owns one outright and
+/// drains it in the `Stats` round; the driver's [`Tracer`] holds one on
+/// track 0.  Ids are `(track << 32) | seq`, so records stitched into the
+/// driver's tree cannot collide with driver span ids or with other
+/// workers'.
 #[derive(Debug, Default)]
-pub struct Tracer {
-    inner: Mutex<TracerInner>,
-}
-
-#[derive(Debug, Default)]
-struct TracerInner {
-    spans: Vec<SpanRecord>,
-    next_trace: u64,
-    next_span: u64,
+pub struct SpanBuffer {
+    spans: VecDeque<SpanRecord>,
+    next: u64,
+    track: u32,
     dropped: u64,
 }
 
-impl Tracer {
-    /// Allocate the next trace id (1-based, the admission sequence).
-    pub fn new_trace(&self) -> u64 {
-        let mut inner = self.inner.lock().expect("tracer poisoned");
-        inner.next_trace += 1;
-        inner.next_trace
-    }
-
-    /// Open a span on `track` under `ctx`; `None` when the context carries
-    /// no trace (nothing is recorded, callers stay branch-free).
-    pub fn begin(&self, ctx: SpanContext, name: &'static str, track: u32) -> Option<ActiveSpan> {
-        if ctx.is_none() {
-            return None;
-        }
-        let id = {
-            let mut inner = self.inner.lock().expect("tracer poisoned");
-            inner.next_span += 1;
-            inner.next_span
-        };
-        Some(ActiveSpan {
-            trace: ctx.trace,
-            id,
-            parent: ctx.parent,
-            name,
-            track,
-            start_micros: micros_now(),
-        })
-    }
-
-    /// Open a fresh root span for a new batch trace on track 0.
-    pub fn begin_root(&self, name: &'static str) -> ActiveSpan {
-        let trace = self.new_trace();
-        self.begin(SpanContext { trace, parent: 0 }, name, 0)
-            .expect("fresh trace id is never 0")
-    }
-
-    /// Close an open span, storing its record; returns the record.
-    pub fn finish(&self, span: ActiveSpan) -> SpanRecord {
-        let rec = SpanRecord {
-            trace: span.trace,
-            id: span.id,
-            parent: span.parent,
-            name: span.name.to_string(),
-            track: span.track,
-            start_micros: span.start_micros,
-            end_micros: micros_now(),
-        };
-        self.record(rec.clone());
-        rec
-    }
-
-    /// Store one finished record (bounded; see [`MAX_SPANS`]).
-    pub fn record(&self, rec: SpanRecord) {
-        let mut inner = self.inner.lock().expect("tracer poisoned");
-        if inner.spans.len() >= MAX_SPANS {
-            inner.dropped += 1;
-            return;
-        }
-        inner.spans.push(rec);
-    }
-
-    /// Store a batch of finished records (worker piggyback ingest).
-    pub fn record_all(&self, recs: impl IntoIterator<Item = SpanRecord>) {
-        let mut inner = self.inner.lock().expect("tracer poisoned");
-        for rec in recs {
-            if inner.spans.len() >= MAX_SPANS {
-                inner.dropped += 1;
-                continue;
-            }
-            inner.spans.push(rec);
-        }
-    }
-
-    /// Every span recorded so far (cloned out; recording continues).
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        self.inner.lock().expect("tracer poisoned").spans.clone()
-    }
-
-    /// Number of spans dropped at the [`MAX_SPANS`] bound.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("tracer poisoned").dropped
-    }
-
-    /// The highest trace id allocated so far.
-    pub fn latest_trace(&self) -> u64 {
-        self.inner.lock().expect("tracer poisoned").next_trace
-    }
-}
-
-/// A worker node's span buffer: no lock (each node is single-threaded),
-/// ids namespaced by `(track << 32) | seq` so records stitched into the
-/// driver's tree cannot collide with driver span ids or with other
-/// workers'.  Drained by the `Stats` protocol round; cleared (buffer only,
-/// never the id counter — replayed batches must not reuse ids) on
-/// `Restore`.
-#[derive(Debug, Default)]
-pub struct WorkerTracer {
-    spans: Vec<SpanRecord>,
-    next: u64,
-    track: u32,
-}
-
-impl WorkerTracer {
+impl SpanBuffer {
     /// Set this node's display track (`w + 1` for worker `w`).
     pub fn set_track(&mut self, track: u32) {
         self.track = track;
     }
 
-    /// Open a span under a wire context; `None` when untraced.
+    /// Open a span under `ctx`; `None` when the context carries no trace
+    /// (nothing is recorded, callers stay branch-free).
     pub fn begin(&mut self, ctx: SpanContext, name: &'static str) -> Option<ActiveSpan> {
         if ctx.is_none() {
             return None;
@@ -294,59 +218,112 @@ impl WorkerTracer {
         })
     }
 
-    /// Close an open span (no-op for `None`, the untraced case).
-    pub fn finish(&mut self, span: Option<ActiveSpan>) {
-        let Some(span) = span else { return };
-        if self.spans.len() >= MAX_SPANS {
-            return;
-        }
-        self.spans.push(SpanRecord {
+    /// Close an open span, storing its record; returns the record.  No-op
+    /// for `None` (the untraced case).
+    pub fn finish(&mut self, span: Option<ActiveSpan>) -> Option<SpanRecord> {
+        let span = span?;
+        let rec = SpanRecord {
             trace: span.trace,
             id: span.id,
             parent: span.parent,
-            name: span.name.to_string(),
+            name: span.name,
             track: span.track,
             start_micros: span.start_micros,
             end_micros: micros_now(),
-        });
+        };
+        self.record(rec);
+        Some(rec)
     }
 
-    /// Drain the buffered records (the `Stats` piggyback payload).
-    pub fn take(&mut self) -> Vec<SpanRecord> {
-        std::mem::take(&mut self.spans)
+    /// Store one finished record, evicting (and counting) the oldest when
+    /// the buffer holds [`MAX_SPANS`].
+    fn record(&mut self, rec: SpanRecord) {
+        if self.spans.len() >= MAX_SPANS {
+            self.spans.pop_front();
+            self.dropped += 1;
+        }
+        self.spans.push_back(rec);
+    }
+
+    /// Drain the buffered records and the drop count since the last
+    /// drain (the `Stats` piggyback payload).
+    pub fn take(&mut self) -> (Vec<SpanRecord>, u64) {
+        let spans = std::mem::take(&mut self.spans).into();
+        (spans, std::mem::take(&mut self.dropped))
     }
 
     /// Discard buffered records without resetting the id counter (the
     /// `Restore` path: replayed batches allocate fresh ids).
-    pub fn clear_buffer(&mut self) {
+    pub fn clear(&mut self) {
         self.spans.clear();
     }
 }
 
-/// Histogram name a finished span's duration folds into, `None` for stage
-/// names outside the catalog.  All under the `trace.` prefix, which the
-/// deterministic snapshot slice excludes (histograms are latency-valued).
-pub fn stage_histogram_name(stage: &str) -> Option<&'static str> {
-    Some(match stage {
-        "batch" => "trace.batch_micros",
-        "admit" => "trace.admit_micros",
-        "coalesce" => "trace.coalesce_micros",
-        "scatter.encode" => "trace.scatter_encode_micros",
-        "gather" => "trace.gather_micros",
-        "watermark.commit" => "trace.watermark_commit_micros",
-        "fanout.split" => "trace.fanout_split_micros",
-        "worker.run_block" => "trace.worker_run_block_micros",
-        "worker.apply" => "trace.worker_apply_micros",
-        "worker.fetch" => "trace.worker_fetch_micros",
-        _ => return None,
-    })
+/// The driver-side span store: the trace-id counter beside one
+/// [`SpanBuffer`] on track 0.  One per [`Telemetry`](crate::Telemetry)
+/// handle; worker nodes own their buffers and piggyback their records here
+/// over the `Stats` protocol round.
+#[derive(Debug, Default)]
+pub struct Tracer {
+    next_trace: AtomicU64,
+    buffer: Mutex<SpanBuffer>,
 }
 
-/// Fold a span's duration into its stage histogram (no-op for stages
-/// outside the catalog).
+impl Tracer {
+    fn buffer(&self) -> MutexGuard<'_, SpanBuffer> {
+        self.buffer.lock().expect("tracer poisoned")
+    }
+
+    /// Open a span on track 0 under `ctx`; `None` when the context carries
+    /// no trace.
+    pub fn begin(&self, ctx: SpanContext, name: &'static str) -> Option<ActiveSpan> {
+        self.buffer().begin(ctx, name)
+    }
+
+    /// Open a fresh root span for a new batch trace: the trace id is the
+    /// next in the admission sequence (1-based).
+    pub fn begin_root(&self, name: &'static str) -> ActiveSpan {
+        let trace = self.next_trace.fetch_add(1, Ordering::Relaxed) + 1;
+        self.begin(SpanContext { trace, parent: 0 }, name)
+            .expect("fresh trace id is never 0")
+    }
+
+    /// Close an open span, storing its record; returns the record.
+    pub fn finish(&self, span: Option<ActiveSpan>) -> Option<SpanRecord> {
+        self.buffer().finish(span)
+    }
+
+    /// Store a worker's shipped records and add the spans it dropped.
+    pub fn ingest(&self, spans: Vec<SpanRecord>, dropped: u64) {
+        let mut buffer = self.buffer();
+        buffer.dropped += dropped;
+        for rec in spans {
+            buffer.record(rec);
+        }
+    }
+
+    /// Every span held (copied out; recording continues).
+    pub fn spans(&self) -> Vec<SpanRecord> {
+        self.buffer().spans.iter().copied().collect()
+    }
+
+    /// Number of spans dropped at the [`MAX_SPANS`] bound, here and on
+    /// every worker whose spans were ingested.
+    pub fn dropped(&self) -> u64 {
+        self.buffer().dropped
+    }
+
+    /// The highest trace id allocated so far.
+    pub fn latest_trace(&self) -> u64 {
+        self.next_trace.load(Ordering::Relaxed)
+    }
+}
+
+/// Fold a span's duration into its stage histogram (no-op for names
+/// outside [`STAGES`]).
 pub fn fold_span_histogram(registry: &Registry, rec: &SpanRecord) {
-    if let Some(name) = stage_histogram_name(&rec.name) {
-        registry.histogram(name).record(rec.duration_micros());
+    if let Some(&(_, histogram)) = STAGES.iter().find(|(stage, _)| *stage == rec.name) {
+        registry.histogram(histogram).record(rec.duration_micros());
     }
 }
 
@@ -443,7 +420,7 @@ fn attribute<'a>(
             // The gap after this child (and before the previously walked
             // one) is the parent's own time: nothing else was running.
             if cursor > child_end {
-                *out.entry(&span.name).or_default() += cursor - child_end;
+                *out.entry(span.name).or_default() += cursor - child_end;
             }
             attribute(child, children, out, depth + 1, child_start, child_end);
             cursor = child_start;
@@ -453,7 +430,7 @@ fn attribute<'a>(
         }
     }
     if cursor > start {
-        *out.entry(&span.name).or_default() += cursor - start;
+        *out.entry(span.name).or_default() += cursor - start;
     }
 }
 
@@ -494,7 +471,7 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
             out,
             "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"hotdog\",\"ts\":{},\"dur\":{},\
              \"pid\":1,\"tid\":{},\"args\":{{\"trace\":{},\"span\":{},\"parent\":{}}}}}",
-            escape_json(&s.name),
+            escape_json(s.name),
             s.start_micros,
             s.duration_micros(),
             s.track,
@@ -535,7 +512,7 @@ mod tests {
         trace: u64,
         id: u64,
         parent: u64,
-        name: &str,
+        name: &'static str,
         track: u32,
         start: u64,
         end: u64,
@@ -544,7 +521,7 @@ mod tests {
             trace,
             id,
             parent,
-            name: name.to_string(),
+            name,
             track,
             start_micros: start,
             end_micros: end,
@@ -556,18 +533,18 @@ mod tests {
         let t = Tracer::default();
         let root = t.begin_root("batch");
         assert_eq!((root.trace, root.id, root.parent), (1, 1, 0));
-        let child = t.begin(root.context(), "admit", 0).unwrap();
+        let child = t.begin(root.context(), "admit").unwrap();
         assert_eq!((child.trace, child.id, child.parent), (1, 2, 1));
-        assert!(t.begin(SpanContext::NONE, "x", 0).is_none());
-        t.finish(child);
-        t.finish(root);
+        assert!(t.begin(SpanContext::NONE, "x").is_none());
+        t.finish(Some(child));
+        t.finish(Some(root));
         assert_eq!(t.spans().len(), 2);
         assert_eq!(t.latest_trace(), 1);
     }
 
     #[test]
     fn worker_ids_are_namespaced_by_track() {
-        let mut w = WorkerTracer::default();
+        let mut w = SpanBuffer::default();
         w.set_track(3);
         let ctx = SpanContext {
             trace: 7,
@@ -578,9 +555,39 @@ mod tests {
         assert_eq!(s.track, 3);
         w.finish(Some(s));
         assert!(w.begin(SpanContext::NONE, "worker.run_block").is_none());
-        let drained = w.take();
-        assert_eq!(drained.len(), 1);
-        assert!(w.take().is_empty());
+        let (drained, dropped) = w.take();
+        assert_eq!((drained.len(), dropped), (1, 0));
+        assert!(w.take().0.is_empty());
+    }
+
+    #[test]
+    fn a_full_buffer_keeps_the_newest_spans_and_counts_each_drop() {
+        let mut buffer = SpanBuffer::default();
+        let total = MAX_SPANS as u64 + 3;
+        for id in 1..=total {
+            buffer.record(rec(id, id, 0, "batch", 0, 0, 1));
+        }
+        let (spans, dropped) = buffer.take();
+        assert_eq!(dropped, 3);
+        assert_eq!(spans.len(), MAX_SPANS);
+        assert_eq!(spans.first().map(|s| s.id), Some(4), "the oldest go");
+        assert_eq!(spans.last().map(|s| s.id), Some(total), "the newest stay");
+        // `take` resets the count: each drop travels home once.
+        assert_eq!(buffer.take(), (Vec::new(), 0));
+    }
+
+    #[test]
+    fn a_worker_payloads_drop_count_reaches_the_driver() {
+        let telemetry = crate::Telemetry::new();
+        let root = telemetry.begin_batch_root();
+        telemetry.finish_span(Some(root));
+        let worker = rec(1, (1 << 32) | 1, 1, "worker.run_block", 1, 0, 5);
+        telemetry.ingest_spans(vec![worker], 5);
+        telemetry.ingest_spans(Vec::new(), 2);
+        let tracer = telemetry.tracer();
+        assert_eq!(tracer.dropped(), 7);
+        assert_eq!(tracer.spans().len(), 2);
+        assert_eq!(tracer.spans()[1], worker);
     }
 
     #[test]
